@@ -30,5 +30,5 @@ reproduce: bench
 	@ls benchmarks/results/
 
 clean:
-	rm -rf benchmarks/results .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

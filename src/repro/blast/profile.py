@@ -18,9 +18,8 @@ split instead of re-deriving it with ad-hoc timers.
 The hook is designed to cost nothing when off: the drivers consult
 :func:`current_profile` (a module-global read) and skip every timer
 when it returns ``None``.  Only the *outermost* search activates a
-profile — nested calls (e.g. the loop-engine fallback inside a batched
-driver) accumulate into the active one rather than emitting their own
-lines.
+profile — nested calls (``search`` runs as a ``search_batch`` of one)
+accumulate into the active one rather than emitting their own lines.
 """
 
 from __future__ import annotations

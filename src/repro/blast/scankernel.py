@@ -404,7 +404,7 @@ class ScanCache:
         """Seed the cache with externally built structures for *db*.
 
         The process pool uses this to prime a worker's cache with
-        shared-memory-backed packs so ``search(engine="scan")`` attaches
+        shared-memory-backed packs so the search driver attaches
         zero-copy instead of repacking.  Same LRU accounting as a miss.
         """
         key = (self._db_key(db), k, base)

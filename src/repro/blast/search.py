@@ -8,15 +8,16 @@ Pipeline (Altschul et al. 1990/1997):
 4. banded gapped extension of HSPs above the gapped trigger score;
 5. Karlin–Altschul E-values; keep hits under the E-value cutoff.
 
-Two engines drive step 1.  The default ``"scan"`` engine packs the
-whole database fragment into one sentinel-separated concatenation
-(:mod:`repro.blast.scankernel`), computes rolling word codes once per
-fragment (cached across queries in the :class:`~repro.blast.scankernel.
-ScanCache`), scans the query index against everything in one shot, and
-only then drops to per-sequence work for the handful of subjects with
-word hits.  The legacy ``"loop"`` engine scans one subject at a time;
-it is retained as the reference implementation — both engines produce
-identical :class:`SearchResults`.
+One driver runs every search: a single query is a batch of one.  The
+whole database fragment is packed into one sentinel-separated
+concatenation (:mod:`repro.blast.scankernel`), rolling word codes are
+computed once per fragment (cached across queries in the
+:class:`~repro.blast.scankernel.ScanCache`), every query orientation
+of the batch is scanned against everything in one shot, and only then
+does the driver drop to per-(query, subject) work for the handful of
+groups with word hits.  The per-sequence reference implementation the
+driver is checked against lives with the tests
+(``tests/oracle_search.py``).
 
 Results merge across database fragments by alignment score, which is
 exactly what the mpiBLAST master does with worker results.
@@ -24,7 +25,6 @@ exactly what the mpiBLAST master does with worker results.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,22 +37,16 @@ from repro.blast.extend import (UngappedHSP, batched_ungapped_extend,
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
                                 bulk_banded_score)
 from repro.blast.xdrop import xdrop_gapped_extend
-from repro.blast.kmer import WordIndex, dna_word_codes, protein_word_codes
+from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
-                                    scan_fragment, scan_fragment_batch)
+                                    scan_fragment_batch)
 from repro.blast.score import NucleotideScore, ProteinScore, ScoringScheme
 from repro.blast.seed import (one_hit_seeds, one_hit_seeds_grouped,
                               two_hit_seeds)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.blast.stats import (KarlinAltschul, effective_search_space,
                                karlin_altschul_params)
-
-#: Engine used when ``search(..., engine=None)``: the vectorized
-#: concatenated-fragment kernel.  ``"loop"`` selects the legacy
-#: per-sequence scan (the reference implementation).
-DEFAULT_ENGINE = "scan"
-
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -85,11 +79,6 @@ class SearchParams:
     #: "xdrop" (NCBI's adaptive-region extension; finds indels larger
     #: than the band at somewhat higher cost).
     gapped_method: str = "banded"
-    #: Run banded gapped refinement as the two-pass batched pipeline
-    #: (score-only bulk forward pass, pointer-matrix traceback only for
-    #: survivors).  Output is byte-identical to the scalar path; this
-    #: and ``REPRO_GAPPED_BULK=0`` exist as an exact fallback switch.
-    gapped_bulk: bool = True
     #: At most this many gapped DP problems per (orientation, subject)
     #: group; further triggered candidates are dropped.  0 (default)
     #: disables the cap — with it off, output never changes.
@@ -296,42 +285,6 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
-def _hsps_for_strand(query: np.ndarray, subject: np.ndarray,
-                     index: WordIndex, scheme: ScoringScheme,
-                     params: SearchParams, is_protein: bool,
-                     ka: KarlinAltschul, m_eff: int, n_eff: int,
-                     strand: int,
-                     identity_query: Optional[np.ndarray] = None
-                     ) -> List[HSP]:
-    """Steps 1-4 for one query orientation against one subject (the
-    legacy per-sequence scan)."""
-    if is_protein:
-        codes = protein_word_codes(subject, params.word_size)
-    else:
-        codes = dna_word_codes(subject, params.word_size)
-    spos, qpos = index.scan(codes)
-    if len(spos) == 0:
-        return []
-    return _hsps_from_hits(query, subject, spos, qpos, scheme, params,
-                           is_protein, ka, m_eff, n_eff, strand,
-                           identity_query=identity_query)
-
-
-def _hsps_from_hits(query: np.ndarray, subject: np.ndarray,
-                    spos: np.ndarray, qpos: np.ndarray,
-                    scheme: ScoringScheme, params: SearchParams,
-                    is_protein: bool, ka: KarlinAltschul,
-                    m_eff: int, n_eff: int, strand: int,
-                    identity_query: Optional[np.ndarray] = None
-                    ) -> List[HSP]:
-    """Steps 2-4 from word hits for one orientation/subject pair."""
-    candidates = _collect_candidates(query, subject, spos, qpos, scheme,
-                                     params, is_protein)
-    return _candidates_to_hsps(query, subject, candidates, scheme, params,
-                               is_protein, ka, m_eff, n_eff, strand,
-                               identity_query=identity_query)
-
-
 def _collect_candidates(query: np.ndarray, subject: np.ndarray,
                         spos: np.ndarray, qpos: np.ndarray,
                         scheme: ScoringScheme, params: SearchParams,
@@ -433,23 +386,12 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
     return out
 
 
-#: Environment kill-switch for the batched gapped pipeline: ``0``
-#: forces the scalar reference path regardless of ``SearchParams``.
-GAPPED_BULK_ENV = "REPRO_GAPPED_BULK"
-
 #: Below this many triggered candidates the scalar path wins — the
 #: batched forward pass re-scores everything and then still pays the
 #: survivor tracebacks, which only pays off once there is enough to
 #: cull (measured crossover is well under this on the dev box; the
 #: routing is invisible in output, both paths are exact).
 _BULK_MIN_CANDIDATES = 24
-
-
-def _gapped_bulk_enabled(params: SearchParams) -> bool:
-    """Whether the two-pass batched gapped pipeline should run."""
-    if not params.gapped_bulk:
-        return False
-    return (os.environ.get(GAPPED_BULK_ENV) or "").strip() != "0"
 
 
 @dataclass
@@ -498,8 +440,8 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     sharing that end.  Output is byte-identical to running
     :func:`_candidates_to_hsps` per group.
 
-    The scalar reference path serves ungapped searches, the xdrop
-    method, and ``gapped_bulk`` opt-outs.
+    The scalar path serves ungapped searches, the xdrop method, and
+    batches with too few triggered candidates to be worth a bulk pass.
     """
     if not jobs:
         return
@@ -510,8 +452,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     n_triggered = sum(1 for job in jobs for c in job.candidates
                       if c.score >= params.gapped_trigger)
     if (not params.gapped or params.gapped_method != "banded"
-            or n_triggered < _BULK_MIN_CANDIDATES
-            or not _gapped_bulk_enabled(params)):
+            or n_triggered < _BULK_MIN_CANDIDATES):
         for job in jobs:
             job.sink.extend(_candidates_to_hsps(
                 job.query, job.subject, job.candidates, scheme, params,
@@ -686,19 +627,18 @@ def search(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
            ka: Optional[KarlinAltschul] = None,
            both_strands: bool = True,
            identity_query: Optional[np.ndarray] = None,
-           engine: Optional[str] = None,
            scan_cache: Optional[ScanCache] = None,
            effective_space: Optional[Tuple[int, int]] = None) -> SearchResults:
     """Search an encoded *query* against every sequence of *db*.
 
-    For nucleotide databases the reverse-complement strand of the query
-    is searched too (``both_strands``).
+    A single query is a :func:`search_batch` of one.  For nucleotide
+    databases the reverse-complement strand of the query is searched
+    too (``both_strands``).
 
-    *engine* selects the scan driver: ``"scan"`` (default) uses the
-    vectorized concatenated-fragment kernel with cached scan structures
-    (*scan_cache*, defaulting to the process-wide
-    :func:`~repro.blast.scankernel.default_scan_cache`); ``"loop"`` is
-    the legacy per-sequence scan.  Both produce identical results.
+    Scan structures come from the database itself when it provides
+    them (a pack-backed db) and otherwise from *scan_cache*, defaulting
+    to the process-wide
+    :func:`~repro.blast.scankernel.default_scan_cache`.
 
     *effective_space* overrides the ``(m_eff, n_eff)`` search space the
     E-values are computed against.  The parallel runtime passes the
@@ -711,150 +651,12 @@ def search(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
     :mod:`repro.blast.profile`).
     """
     with profiled("search", query_id=query_id, query_len=len(query)):
-        return _search_impl(query, db, scheme, params, query_id, ka,
-                            both_strands, identity_query, engine,
-                            scan_cache, effective_space)
-
-
-def _search_impl(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
-                 params: Optional[SearchParams],
-                 query_id: str,
-                 ka: Optional[KarlinAltschul],
-                 both_strands: bool,
-                 identity_query: Optional[np.ndarray],
-                 engine: Optional[str],
-                 scan_cache: Optional[ScanCache],
-                 effective_space: Optional[Tuple[int, int]]) -> SearchResults:
-    params = params or SearchParams()
-    engine = engine or DEFAULT_ENGINE
-    if engine not in ("scan", "loop"):
-        raise ValueError(f"engine must be 'scan' or 'loop', got {engine!r}")
-    is_protein = db.seqtype == AA
-    if ka is None:
-        ka = resolve_ka(scheme, params, is_protein)
-
-    m = len(query)
-    n_total = db.total_residues
-    results = SearchResults(query_id=query_id, query_len=m,
-                            db_residues=n_total, db_sequences=len(db))
-    if m < params.word_size:
-        return results
-    if effective_space is not None:
-        m_eff, n_eff = effective_space
-    elif params.effective_lengths:
-        m_eff, n_eff = effective_search_space(ka, m, n_total, len(db))
-    else:
-        m_eff, n_eff = m, n_total
-
-    def word_skip(oriented: np.ndarray):
-        if not params.filter_low_complexity:
-            return None
-        from repro.blast.filter import apply_query_filter
-
-        _, skip = apply_query_filter(oriented, is_protein, params.word_size)
-        return skip
-
-    prof = current_profile()
-    t0 = time.perf_counter() if prof is not None else 0.0
-    if is_protein:
-        index = WordIndex.for_protein(query, scheme, params.word_size,
-                                      params.neighbor_threshold,
-                                      skip=word_skip(query))
-        orientations = [(query, index, 1)]
-    else:
-        index = WordIndex.for_dna(query, params.word_size,
-                                  skip=word_skip(query))
-        orientations = [(query, index, 1)]
-        if both_strands:
-            rc = reverse_complement(query)
-            orientations.append(
-                (rc, WordIndex.for_dna(rc, params.word_size,
-                                       skip=word_skip(rc)), -1))
-    if prof is not None:
-        prof.add("index", time.perf_counter() - t0)
-
-    if engine == "scan":
-        # Vectorized kernel: one scan over the packed fragment, then
-        # per-sequence work only for subjects with word hits.
-        # Explicit None check: an *empty* ScanCache is falsy (__len__).
-        cache = scan_cache if scan_cache is not None else default_scan_cache()
-        base = len(PROTEIN) if is_protein else len(DNA)
-        # A pack-backed db (shm segment or mmapped disk pack) already
-        # *is* the scan structure — take it directly; the cache only
-        # serves databases that must be (re)built.
-        t0 = time.perf_counter() if prof is not None else 0.0
-        provider = getattr(db, "scan_structures", None)
-        structs = provider(params.word_size, base) if provider else None
-        if structs is None:
-            structs = cache.get(db, params.word_size, base)
-        if prof is not None:
-            prof.add("pack", time.perf_counter() - t0)
-        per_sid: Dict[int, List[HSP]] = {}
-        jobs: List[_GappedJob] = []
-        collected: List[Tuple[int, List[HSP]]] = []
-        q_offs: List[int] = []
-        off = 0
-        for oriented_query, _, _ in orientations:
-            q_offs.append(off)
-            off += len(oriented_query)
-        for oi, (oriented_query, oriented_index, strand) in \
-                enumerate(orientations):
-            t0 = time.perf_counter() if prof is not None else 0.0
-            groups = scan_fragment(oriented_index, structs)
-            if prof is not None:
-                prof.add("scan", time.perf_counter() - t0)
-            for sid, spos, qpos in groups:
-                cands = _collect_candidates(
-                    oriented_query, structs.subject(sid), spos, qpos,
-                    scheme, params, is_protein)
-                if not cands:
-                    continue
-                sink: List[HSP] = []
-                jobs.append(_GappedJob(
-                    query=oriented_query, subject=structs.subject(sid),
-                    q_off=q_offs[oi], s_off=int(structs.starts[sid]),
-                    candidates=cands, m_eff=m_eff, n_eff=n_eff,
-                    strand=strand, identity_query=identity_query,
-                    sink=sink))
-                collected.append((sid, sink))
-        if jobs:
-            qcat = (orientations[0][0] if len(orientations) == 1
-                    else np.concatenate([o[0] for o in orientations]))
-            _finalize_candidates(jobs, qcat, structs.concat, scheme,
-                                 params, is_protein, ka)
-        for sid, sink in collected:
-            if sink:
-                per_sid.setdefault(sid, []).extend(sink)
-        for sid in sorted(per_sid):
-            hsps = per_sid[sid]
-            hsps.sort(key=lambda h: (h.evalue, -h.score))
-            results.hits.append(Hit(
-                subject_id=sid,
-                description=db.description(sid),
-                subject_len=int(structs.lengths[sid]),
-                hsps=hsps[:params.max_hsps],
-                fragment_id=db.fragment_id,
-            ))
-    else:
-        for sid in range(len(db)):
-            subject = db.sequence(sid)
-            hsps = []
-            for oriented_query, oriented_index, strand in orientations:
-                hsps.extend(_hsps_for_strand(
-                    oriented_query, subject, oriented_index, scheme, params,
-                    is_protein, ka, m_eff, n_eff, strand,
-                    identity_query=identity_query))
-            if hsps:
-                hsps.sort(key=lambda h: (h.evalue, -h.score))
-                results.hits.append(Hit(
-                    subject_id=sid,
-                    description=db.description(sid),
-                    subject_len=len(subject),
-                    hsps=hsps[:params.max_hsps],
-                    fragment_id=db.fragment_id,
-                ))
-    results.sort()
-    return results
+        return search_batch([query], db, scheme, params,
+                            query_ids=[query_id], ka=ka,
+                            both_strands=both_strands,
+                            identity_queries=[identity_query],
+                            scan_cache=scan_cache,
+                            effective_spaces=[effective_space])[0]
 
 
 def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
@@ -864,7 +666,6 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
                  ka: Optional[KarlinAltschul] = None,
                  both_strands: bool = True,
                  identity_queries: Optional[Sequence[Optional[np.ndarray]]] = None,
-                 engine: Optional[str] = None,
                  scan_cache: Optional[ScanCache] = None,
                  effective_spaces: Optional[Sequence[Optional[Tuple[int, int]]]]
                  = None) -> List[SearchResults]:
@@ -883,22 +684,17 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
     the same defaults as :func:`search`.  *ka* is resolved once and
     shared — the parallel runtime ships one set of Karlin–Altschul
     parameters per job batch for the same reason.
-
-    ``engine="loop"`` falls back to sequential reference searches.
     """
     with profiled("search_batch", n_queries=len(queries)):
         return _search_batch_impl(queries, db, scheme, params, query_ids,
                                   ka, both_strands, identity_queries,
-                                  engine, scan_cache, effective_spaces)
+                                  scan_cache, effective_spaces)
 
 
 def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
-                       both_strands, identity_queries, engine, scan_cache,
+                       both_strands, identity_queries, scan_cache,
                        effective_spaces) -> List[SearchResults]:
     params = params or SearchParams()
-    engine = engine or DEFAULT_ENGINE
-    if engine not in ("scan", "loop"):
-        raise ValueError(f"engine must be 'scan' or 'loop', got {engine!r}")
     n_q = len(queries)
     if query_ids is None:
         query_ids = ["query"] * n_q
@@ -913,14 +709,6 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     is_protein = db.seqtype == AA
     if ka is None:
         ka = resolve_ka(scheme, params, is_protein)
-
-    if engine == "loop":
-        return [search(q, db, scheme, params, query_id=query_ids[qi],
-                       ka=ka, both_strands=both_strands,
-                       identity_query=identity_queries[qi], engine="loop",
-                       scan_cache=scan_cache,
-                       effective_space=effective_spaces[qi])
-                for qi, q in enumerate(queries)]
 
     n_total = db.total_residues
     results = [SearchResults(query_id=query_ids[qi], query_len=len(q),
@@ -937,10 +725,10 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
 
     prof = current_profile()
     # One entry per (query, orientation), in (query, +strand-first)
-    # order — the order the sequential driver accumulates HSPs in,
-    # which is what keeps the batched path byte-identical.  Queries
-    # shorter than the word size contribute no entries (the sequential
-    # driver returns their empty results before building an index).
+    # order — the order HSPs accumulate in when each query is searched
+    # alone, which is what keeps a batch byte-identical to its queries
+    # run one by one.  Queries shorter than the word size contribute no
+    # entries and keep their empty results.
     t0 = time.perf_counter() if prof is not None else 0.0
     entries: List[Tuple[int, np.ndarray, int]] = []
     indexes: List[WordIndex] = []
@@ -1060,7 +848,8 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     surviving candidates become one :class:`_GappedJob` appended to
     *jobs* — with a matching ``(query, subject id, sink)`` row in
     *order* — for the caller's :func:`_finalize_candidates` pass, so
-    each group contributes exactly the HSPs :func:`_hsps_from_hits`
+    each group contributes exactly the HSPs the per-group
+    :func:`_collect_candidates` + :func:`_candidates_to_hsps` pair
     would have produced for it.
     """
     prof = current_profile()

@@ -174,8 +174,6 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
         pool_kw["respawn"] = False
     if args is not None and getattr(args, "no_fallback", False):
         pool_kw["serial_fallback"] = False
-    if args is not None and getattr(args, "no_query_batch", False):
-        pool_kw["query_batch"] = 0
     nodes = getattr(args, "nodes", None) if args is not None else None
     if nodes:
         pool_kw["nodes"] = [a for grp in nodes for a in grp.split(",")
@@ -204,10 +202,9 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
 
 
 def _serial_batch_results(program: str, db, queries, params):
-    """All queries of a serial multi-query invocation through one
-    batched pass per database traversal
-    (:func:`repro.blast.search.search_batch`); byte-identical to the
-    per-query program dispatch."""
+    """All queries of a serial blastn/blastp invocation through one
+    database pass (:func:`repro.blast.search.search_batch`), scored
+    with the program's defaults."""
     from repro.blast.alphabet import encode_dna, encode_protein
     from repro.blast.programs import program_defaults
     from repro.blast.search import search_batch
@@ -248,10 +245,6 @@ def cmd_blastall(args) -> int:
         from repro.blast.profile import PROFILE_ENV
 
         os.environ[PROFILE_ENV] = "1"
-    if getattr(args, "no_gapped_bulk", False):
-        from repro.blast.search import GAPPED_BULK_ENV
-
-        os.environ[GAPPED_BULK_ENV] = "0"
     protein_db = args.program in ("blastp", "blastx")
     store = None
     db_pack = getattr(args, "db_pack", None)
@@ -306,14 +299,14 @@ def cmd_blastall(args) -> int:
         print("# --jobs 0 needs --nodes (a pool must have at least one "
               "worker somewhere)", file=sys.stderr)
         return 2
-    parallel = None
+    precomputed = None
     degraded = False
     if jobs > 1 or nodes:
         if args.program in ("blastn", "blastp"):
             from repro.exec import PackIntegrityError, PoolJobError
 
             try:
-                parallel, degraded = _parallel_results(
+                precomputed, degraded = _parallel_results(
                     args.program, db, queries, params, jobs,
                     getattr(args, "fragments", None), args)
             except PackIntegrityError as exc:
@@ -330,19 +323,15 @@ def cmd_blastall(args) -> int:
         else:
             print(f"# --jobs applies to blastn/blastp only; "
                   f"running {args.program} serially", file=sys.stderr)
-    # Serial multi-query runs go through the batched kernel by default:
-    # one database pass serves every query (byte-identical to the
-    # per-query dispatch).  --no-query-batch restores the query loop.
-    batched = None
-    if (parallel is None and store is None and len(queries) > 1
-            and args.program in ("blastn", "blastp")
-            and not getattr(args, "no_query_batch", False)):
-        batched = _serial_batch_results(args.program, db, queries, params)
+    # Serial blastn/blastp: one database pass serves every query of
+    # the FASTA file, however many there are.
+    if (precomputed is None and store is None
+            and args.program in ("blastn", "blastp")):
+        precomputed = _serial_batch_results(args.program, db, queries,
+                                            params)
     for qi, rec in enumerate(queries):
-        if parallel is not None:
-            results = parallel[qi]
-        elif batched is not None:
-            results = batched[qi]
+        if precomputed is not None:
+            results = precomputed[qi]
         elif store is not None:
             from repro.exec import PackIntegrityError
 
@@ -550,16 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "needs --nodes; default 1, or 0 with --nodes)")
     p.add_argument("--fragments", type=int, default=None,
                    help="database fragments for --jobs (default 2x jobs)")
-    p.add_argument("--no-query-batch", action="store_true",
-                   help="search multi-query FASTA one query at a time "
-                        "instead of the multi-query batched kernel "
-                        "(results are identical; batching is the default "
-                        "for blastn/blastp)")
-    p.add_argument("--no-gapped-bulk", action="store_true",
-                   help="run gapped refinement with the scalar "
-                        "reference path instead of the batched "
-                        "two-pass kernel (results are identical; "
-                        "equivalent to REPRO_GAPPED_BULK=0)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON (pack/index/scan/"
                         "seed/extend/gapped_bulk/gapped) to stderr; "
@@ -588,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "segmentation; 0 = remote-only, needs --nodes)")
     p.add_argument("--fragments", type=int, default=None,
                    help="database fragments for --jobs (default 2x jobs)")
-    p.add_argument("--no-query-batch", action="store_true",
-                   help="search multi-query FASTA one query at a time "
-                        "instead of the multi-query batched kernel")
-    p.add_argument("--no-gapped-bulk", action="store_true",
-                   help="scalar gapped refinement (identical results; "
-                        "equivalent to REPRO_GAPPED_BULK=0)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON to stderr; "
                         "equivalent to REPRO_PROFILE=1")

@@ -927,8 +927,7 @@ def search_store(query: np.ndarray, store: PackStore, scheme,
             db = PackDB(pack)
             by_pack[db.name] = search(
                 query, db, scheme, params, query_id=query_id, ka=ka,
-                both_strands=both_strands, engine="scan",
-                effective_space=space)
+                both_strands=both_strands, effective_space=space)
             ids_by_name[db.name] = list(pack.spec.source_ids)
             del db
     finally:

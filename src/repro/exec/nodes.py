@@ -41,7 +41,7 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blast.scankernel import ScanCache
-from repro.blast.search import search, search_batch
+from repro.blast.search import search_batch
 from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
                             connect_backoff, pack_wire_meta, parse_address)
@@ -69,33 +69,21 @@ def execute_task(packs, jobs, qis, names, cache):
     result message carries.
     """
     specs = [jobs[q] for q in qis]
+    # scheme / params / ka / both_strands are batch-wide (search_many
+    # builds them once); the effective space is per query.
+    job = specs[0]
     t0 = time.perf_counter()
     pairs = []
     frag_ids = []
     for name in names:
         pack, db = packs[name]
-        if len(specs) == 1:
-            job = specs[0]
-            res = search(job.query, db, job.scheme, job.params,
-                         query_id=job.query_id, ka=job.ka,
-                         both_strands=job.both_strands,
-                         engine="scan", scan_cache=cache,
-                         effective_space=job.effective_space)
-            pairs.append((name, qis[0], res))
-        else:
-            # Multi-query batch: one pass over this pack for every
-            # query in the group.  scheme / params / ka / both_strands
-            # are batch-wide (search_many builds them once); the
-            # effective space is per query.
-            job = specs[0]
-            batch_res = search_batch(
-                [s.query for s in specs], db, job.scheme, job.params,
-                query_ids=[s.query_id for s in specs],
-                ka=job.ka, both_strands=job.both_strands,
-                engine="scan", scan_cache=cache,
-                effective_spaces=[s.effective_space for s in specs])
-            for q, res in zip(qis, batch_res):
-                pairs.append((name, q, res))
+        batch_res = search_batch(
+            [s.query for s in specs], db, job.scheme, job.params,
+            query_ids=[s.query_id for s in specs],
+            ka=job.ka, both_strands=job.both_strands, scan_cache=cache,
+            effective_spaces=[s.effective_space for s in specs])
+        for q, res in zip(qis, batch_res):
+            pairs.append((name, q, res))
         frag_ids.append(pack.spec.fragment_id)
     return pairs, time.perf_counter() - t0, frag_ids
 

@@ -67,7 +67,8 @@ import numpy as np
 from repro.blast.alphabet import DNA, PROTEIN
 from repro.blast.scankernel import ScanCache, db_token
 from repro.blast.search import (SearchParams, SearchResults,
-                                merge_fragment_results, resolve_ka, search)
+                                merge_fragment_results, resolve_ka,
+                                search_batch)
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
 from repro.exec.faults import FailureLedger, FaultInjector, FaultPlan
@@ -228,9 +229,9 @@ def _worker_main(rank: int, conn, cfg: PoolConfig,
     the protocol is unit-testable in-process with a scripted pipe.
     A task is a *query batch* (a tuple of query indexes) crossed with a
     contiguous *range* of fragment packs (a tuple of pack names); the
-    worker scans every pack once for the whole batch — via
-    :func:`~repro.blast.search.search_batch` when the batch holds more
-    than one query — and ships the per-(pack, query) results back in
+    worker scans every pack once for the whole batch (via
+    :func:`~repro.blast.search.search_batch`) and ships the
+    per-(pack, query) results back in
     one message — through its shared-memory result arena when
     the payload is large (descriptor over the pipe, CRC-checked),
     pickled inline when it is small.  Task messages carry the master's
@@ -1435,9 +1436,8 @@ class ExecPool:
                                  query_id=query_ids[qi],
                                  both_strands=both_strands)
                     for qi, q in enumerate(queries)]
-        return [search(q, db, scheme, params, query_id=query_ids[qi],
-                       both_strands=both_strands)
-                for qi, q in enumerate(queries)]
+        return search_batch(queries, db, scheme, params,
+                            query_ids=query_ids, both_strands=both_strands)
 
     def search_many(self, queries: Sequence[np.ndarray], db, scheme,
                     params: Optional[SearchParams] = None, *,

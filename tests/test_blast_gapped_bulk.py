@@ -11,15 +11,17 @@ scalar reference path.  Two layers of checks:
 
 2. Pipeline level — culling (diagonal memoization, E-value reject
    skips, the per-subject cap) never changes the rendered output:
-   full result dumps and tabular text match the scalar path
-   (``gapped_bulk=False`` / ``REPRO_GAPPED_BULK=0``) through
-   ``search``, ``search_batch`` (two-hit and one-hit seeding), the
-   process pool at two jobs, and the PSI-BLAST PSSM rounds.
+   full result dumps and tabular text match the scalar path (forced
+   by raising the driver's ``_BULK_MIN_CANDIDATES`` routing threshold
+   out of reach) through ``search``, ``search_batch`` (two-hit and
+   one-hit seeding), the process pool at two jobs, and the PSI-BLAST
+   PSSM rounds.
 """
 
 import dataclasses
+import importlib
 import os
-from dataclasses import replace
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -33,13 +35,14 @@ from repro.blast.score import (
     ProteinScore,
     ScoringScheme,
 )
-from repro.blast.search import (
-    GAPPED_BULK_ENV,
-    SearchParams,
-    search,
-    search_batch,
-)
+from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB
+
+from oracle_search import search_reference
+
+# The package re-exports the ``search`` function under the module's own
+# name, so attribute access on ``repro.blast`` finds the function.
+search_mod = importlib.import_module("repro.blast.search")
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -213,8 +216,13 @@ def test_bulk_empty_and_degenerate_inputs():
 # ----------------------------------------------------------------------
 # 2. Pipeline equivalence: culling never changes rendered output
 # ----------------------------------------------------------------------
-def _scalar(params):
-    return replace(params, gapped_bulk=False)
+@contextmanager
+def scalar_route():
+    """Send every gapped refinement down the scalar route: no batch
+    ever has enough triggered candidates for the bulk pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_BULK_MIN_CANDIDATES", 10**9)
+        yield
 
 
 @pytest.mark.parametrize("evalue_cutoff", [10.0, 1e-2])
@@ -225,8 +233,8 @@ def test_search_nt_byte_identical(evalue_cutoff):
     for qi in (2, 7, 11):
         q = mutated_query(db, qi, rng, period=29, length=220)
         bulk = search(q, db, NucleotideScore(), params, query_id="q")
-        scal = search(q, db, NucleotideScore(), _scalar(params),
-                      query_id="q")
+        with scalar_route():
+            scal = search(q, db, NucleotideScore(), params, query_id="q")
         assert dump(bulk) == dump(scal)
         assert bulk.tabular() == scal.tabular()
 
@@ -238,9 +246,14 @@ def test_search_protein_byte_identical(band):
     params = SearchParams(word_size=3, band=band)
     for qi in (1, 5, 9):
         q = mutated_query(db, qi, rng, period=9, length=200)
-        bulk = search(q, db, ProteinScore(), params, query_id="q")
-        scal = search(q, db, ProteinScore(), _scalar(params),
-                      query_id="q")
+        with profiled("t", enabled=True, emit=False) as prof_bulk:
+            bulk = search(q, db, ProteinScore(), params, query_id="q")
+        with scalar_route(), \
+                profiled("t", enabled=True, emit=False) as prof_scal:
+            scal = search(q, db, ProteinScore(), params, query_id="q")
+        # The two sides really took the two routes.
+        assert "gapped_bulk" in prof_bulk.stages
+        assert "gapped_bulk" not in prof_scal.stages
         assert dump(bulk) == dump(scal)
         assert bulk.tabular() == scal.tabular()
 
@@ -257,8 +270,9 @@ def test_search_batch_byte_identical(two_hit_window):
     ids = [f"q{i}" for i in range(len(queries))]
     bulk = search_batch(queries, db, ProteinScore(), params,
                         query_ids=ids)
-    scal = search_batch(queries, db, ProteinScore(), _scalar(params),
-                        query_ids=ids)
+    with scalar_route():
+        scal = search_batch(queries, db, ProteinScore(), params,
+                            query_ids=ids)
     assert [dump(r) for r in bulk] == [dump(r) for r in scal]
 
 
@@ -275,12 +289,13 @@ def test_pool_two_jobs_byte_identical():
     with ExecPool(jobs=2) as pool:
         pooled = pool.search_many(queries, db, scheme, params,
                                   query_ids=ids, n_fragments=4)
-    serial = [search(q, db, scheme, _scalar(params), query_id=qid)
-              for q, qid in zip(queries, ids)]
+    with scalar_route():
+        serial = [search(q, db, scheme, params, query_id=qid)
+                  for q, qid in zip(queries, ids)]
     assert [dump(r) for r in pooled] == [dump(r) for r in serial]
 
 
-def test_psiblast_pssm_rounds_byte_identical(monkeypatch):
+def test_psiblast_pssm_rounds_byte_identical():
     """Round >= 2 searches position indices against a PSSM scheme with
     ``identity_query`` set — the bulk path must survive that too."""
     rng = np.random.default_rng(44)
@@ -293,32 +308,13 @@ def test_psiblast_pssm_rounds_byte_identical(monkeypatch):
         mutant[i + 1::11] = np.frombuffer(
             b"ARND", dtype=np.uint8)[rng.integers(0, 4, len(mutant[i + 1::11]))]
         db.add(f"fam{i}", mutant.tobytes().decode())
-    monkeypatch.delenv(GAPPED_BULK_ENV, raising=False)
     bulk = psiblast(seed_seq, db, iterations=3)
-    monkeypatch.setenv(GAPPED_BULK_ENV, "0")
-    scal = psiblast(seed_seq, db, iterations=3)
+    with scalar_route():
+        scal = psiblast(seed_seq, db, iterations=3)
     assert bulk.n_iterations == scal.n_iterations
     assert bulk.converged == scal.converged
     assert ([dump(r) for r in bulk.iterations]
             == [dump(r) for r in scal.iterations])
-
-
-def test_env_kill_switch_forces_scalar(monkeypatch):
-    rng = np.random.default_rng(45)
-    db = random_aa_db(rng, 30)
-    q = mutated_query(db, 2, rng, period=9, length=220)
-    params = SearchParams(word_size=3)
-
-    monkeypatch.setenv(GAPPED_BULK_ENV, "0")
-    with profiled("t", enabled=True, emit=False) as prof:
-        off = search(q, db, ProteinScore(), params, query_id="q")
-    assert "gapped_bulk" not in prof.stages
-
-    monkeypatch.delenv(GAPPED_BULK_ENV, raising=False)
-    with profiled("t", enabled=True, emit=False) as prof:
-        on = search(q, db, ProteinScore(), params, query_id="q")
-    assert "gapped_bulk" in prof.stages
-    assert dump(on) == dump(off)
 
 
 def test_tiny_workloads_route_to_scalar():
@@ -333,8 +329,8 @@ def test_tiny_workloads_route_to_scalar():
         bulk = search(q, db, NucleotideScore(), params, query_id="q")
     assert prof.counters.get("gapped_trials", 0) > 0  # gapped work ran
     assert "gapped_bulk" not in prof.stages
-    scal = search(q, db, NucleotideScore(), _scalar(params), query_id="q")
-    assert dump(bulk) == dump(scal)
+    ref = search_reference(q, db, NucleotideScore(), params, query_id="q")
+    assert dump(bulk) == dump(ref)
 
 
 def test_counters_traceback_bounded_by_trials():
@@ -361,7 +357,8 @@ def test_max_gapped_per_subject_parity(cap):
     q = mutated_query(db, 3, rng, period=9, length=200)
     params = SearchParams(word_size=3, max_gapped_per_subject=cap)
     bulk = search(q, db, ProteinScore(), params, query_id="q")
-    scal = search(q, db, ProteinScore(), _scalar(params), query_id="q")
+    with scalar_route():
+        scal = search(q, db, ProteinScore(), params, query_id="q")
     assert dump(bulk) == dump(scal)
     # And the cap actually caps.
     for hit in bulk.hits:
@@ -370,14 +367,14 @@ def test_max_gapped_per_subject_parity(cap):
 
 def test_gapped_method_xdrop_unaffected():
     """gapped_method='xdrop' bypasses the banded pipeline entirely —
-    gapped_bulk must be a no-op there."""
+    the driver must hand it to the scalar route untouched."""
     rng = np.random.default_rng(48)
     db = random_nt_db(rng, 10)
     q = mutated_query(db, 1, rng, period=29, length=180)
     params = SearchParams(gapped_method="xdrop")
-    bulk = search(q, db, NucleotideScore(), params, query_id="q")
-    scal = search(q, db, NucleotideScore(), _scalar(params), query_id="q")
-    assert dump(bulk) == dump(scal)
+    got = search(q, db, NucleotideScore(), params, query_id="q")
+    ref = search_reference(q, db, NucleotideScore(), params, query_id="q")
+    assert dump(got) == dump(ref)
 
 
 def test_no_candidates_no_crash():

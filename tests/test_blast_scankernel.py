@@ -1,11 +1,12 @@
 """The concatenated-fragment scan kernel and its cache.
 
-Covers the PR-3 tentpole: exact equivalence of the ``scan`` engine with
-the legacy per-sequence ``loop`` engine (nt and protein, both strands,
-randomized databases), the sentinel masking that keeps windows from
-spanning sequence boundaries, degenerate databases (short/empty/single
-sequences), the bounded LRU ScanCache, the batched ungapped extension,
-and the vectorised within-row E scan of the gapped aligner.
+Covers exact equivalence of the library's search driver with the
+per-sequence reference in ``tests/oracle_search.py`` (nt and protein,
+both strands, randomized databases), the sentinel masking that keeps
+windows from spanning sequence boundaries, degenerate databases
+(short/empty/single sequences), the bounded LRU ScanCache, the batched
+ungapped extension, and the vectorised within-row E scan of the gapped
+aligner.
 """
 
 import dataclasses
@@ -22,6 +23,8 @@ from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
 from repro.blast.score import BLOSUM62, NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT
+
+from oracle_search import search_reference
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -94,7 +97,7 @@ def test_sentinel_spanning_windows_produce_no_hits():
 
     # Whole-pipeline view: no hits either.
     res = search(encode_dna("A" * 11), db, NucleotideScore(),
-                 SearchParams(), engine="scan", scan_cache=ScanCache())
+                 SearchParams(), scan_cache=ScanCache())
     assert res.hits == []
 
 
@@ -113,9 +116,8 @@ def test_short_empty_and_single_sequences():
 
     query = encode_dna("ACGTACGTACGTACGT")
     res_scan = search(query, db, NucleotideScore(), SearchParams(),
-                      engine="scan", scan_cache=ScanCache())
-    res_loop = search(query, db, NucleotideScore(), SearchParams(),
-                      engine="loop")
+                      scan_cache=ScanCache())
+    res_loop = search_reference(query, db, NucleotideScore(), SearchParams())
     assert dump(res_scan) == dump(res_loop)
     assert [h.subject_id for h in res_scan.hits] == [1]
 
@@ -174,9 +176,8 @@ def test_engines_equivalent_randomized_nt_both_strands():
         for gapped in (True, False):
             params = SearchParams(gapped=gapped)
             r_scan = search(query, db, NucleotideScore(), params,
-                            engine="scan", scan_cache=ScanCache())
-            r_loop = search(query, db, NucleotideScore(), params,
-                            engine="loop")
+                            scan_cache=ScanCache())
+            r_loop = search_reference(query, db, NucleotideScore(), params)
             assert dump(r_scan) == dump(r_loop)
         assert any(h.description == "planted" for h in r_scan.hits)
 
@@ -191,18 +192,10 @@ def test_engines_equivalent_randomized_protein():
         params = SearchParams(word_size=3, neighbor_threshold=11,
                               xdrop_ungapped=16, gapped_trigger=22)
         r_scan = search(query, db, ProteinScore(), params,
-                        engine="scan", scan_cache=ScanCache())
-        r_loop = search(query, db, ProteinScore(), params, engine="loop")
+                        scan_cache=ScanCache())
+        r_loop = search_reference(query, db, ProteinScore(), params)
         assert dump(r_scan) == dump(r_loop)
         assert any(h.description == "planted" for h in r_scan.hits)
-
-
-def test_engine_argument_validation():
-    db = SequenceDB(NT)
-    db.add("s", "ACGTACGTACGTACGT")
-    with pytest.raises(ValueError, match="engine"):
-        search(encode_dna("ACGTACGTACGT"), db, NucleotideScore(),
-               SearchParams(), engine="turbo")
 
 
 # ----------------------------------------------------------------- the cache
@@ -268,7 +261,7 @@ def test_default_scan_cache_is_shared_and_used_by_search():
     db.add("s", "ACGTACGTACGTACGTACGTACGT")
     before = cache.stats()["misses"]
     search(encode_dna("ACGTACGTACGT"), db, NucleotideScore(),
-           SearchParams(), engine="scan")
+           SearchParams())
     assert cache.stats()["misses"] > before
 
 
@@ -350,7 +343,7 @@ def test_vectorized_e_scan_matches_loop():
 
 def test_gap_open_not_above_extend_still_works_end_to_end():
     # gap_open <= gap_extend forces the reference scan-loop path of the
-    # banded aligner; the engines must still agree.
+    # banded aligner; driver and reference must still agree.
     rng = np.random.default_rng(19)
     db = random_nt_db(rng, 10, min_len=30, max_len=120)
     seq = NT_LETTERS[rng.integers(0, 4, 100)]
@@ -358,9 +351,8 @@ def test_gap_open_not_above_extend_still_works_end_to_end():
     query = encode_dna("".join(seq))
     scheme = NucleotideScore(gap_open=1, gap_extend=2)
     params = SearchParams()
-    r_scan = search(query, db, scheme, params, engine="scan",
-                    scan_cache=ScanCache())
-    r_loop = search(query, db, scheme, params, engine="loop")
+    r_scan = search(query, db, scheme, params, scan_cache=ScanCache())
+    r_loop = search_reference(query, db, scheme, params)
     assert dump(r_scan) == dump(r_loop)
     assert r_scan.hits
 

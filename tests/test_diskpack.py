@@ -250,8 +250,7 @@ def test_diskpack_feeds_scan_engine_directly(tmp_path):
         pdb = PackDB(pack)
         assert pdb.scan_structures(11, 4) is pack.structs
         assert pdb.scan_structures(12, 4) is None
-        got = search(q, pdb, NucleotideScore(), params, query_id="q",
-                     engine="scan")
+        got = search(q, pdb, NucleotideScore(), params, query_id="q")
         del pdb
     want = search(q, db, NucleotideScore(), params, query_id="q")
 

@@ -21,6 +21,8 @@ from repro.exec import (ExecPool, GreedyScheduler, PoolJobError,
 from repro.exec.pool import JobSpec, PoolConfig, _worker_main
 from repro.exec.shm import NAME_PREFIX, ShmRegistry, pack_fragment
 
+from oracle_search import search_reference
+
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
 
@@ -158,11 +160,10 @@ def test_pool_matches_serial_nt_both_strands_many_fragments():
             for qi, q in enumerate(queries):
                 par = pool.search(q, db, scheme, params,
                                   query_id=f"q{qi}", n_fragments=nf)
-                ser_scan = search(q, db, scheme, params, query_id=f"q{qi}",
-                                  engine="scan")
-                ser_loop = search(q, db, scheme, params, query_id=f"q{qi}",
-                                  engine="loop")
-                assert dump(par) == dump(ser_scan) == dump(ser_loop)
+                ser = search(q, db, scheme, params, query_id=f"q{qi}")
+                ref = search_reference(q, db, scheme, params,
+                                       query_id=f"q{qi}")
+                assert dump(par) == dump(ser) == dump(ref)
 
 
 def test_pool_matches_serial_protein():

@@ -1,26 +1,35 @@
-"""The multi-query batched scan path: QueryBatch vs per-index scans,
-``search_batch`` byte-identity against sequential ``search`` across
-alphabets / masking / degenerate query sets, query-batch planning, the
-batched task protocol through the real pool (fault injection
-included), per-stage profiling output, and the CLI escape hatch."""
+"""The one search driver and its batched scan path: QueryBatch vs
+per-index scans; ``search(q)`` ≡ ``search_batch([q])[0]`` ≡ the
+per-sequence oracle, and ``search_batch`` of N ≡ N sequential searches,
+across alphabets / strands / seeding modes / PSSM / masking / gapped
+routes / database kinds / degenerate query sets; query-batch planning;
+the batched task protocol through the real pool (fault injection
+included); and per-stage profiling output."""
 
 import dataclasses
 import json
 import os
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
 
+from repro.blast.alphabet import reverse_complement
 from repro.blast.kmer import WordIndex
+from repro.blast.lazydb import LazySequenceDB
 from repro.blast.profile import PROFILE_ENV
+from repro.blast.psiblast import build_pssm
 from repro.blast.scankernel import (QueryBatch, build_scan_structures,
                                     scan_fragment, scan_fragment_batch)
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import ExecPool, Fault, FaultPlan
+from repro.exec.diskpack import DiskPack, write_pack
 from repro.exec.schedule import plan_query_batches
-from repro.exec.shm import NAME_PREFIX
+from repro.exec.shm import NAME_PREFIX, PackDB
+
+from oracle_search import search_reference
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -106,41 +115,152 @@ def test_query_batch_rejects_mixed_word_sizes():
 
 
 # ----------------------------------------------------------------------
-# search_batch byte-identity
+# One driver: search == batch of one == the oracle; batch of N == N
 # ----------------------------------------------------------------------
-def test_search_batch_matches_sequential_nt_both_strands():
-    rng = np.random.default_rng(52)
+def nt_case(seed, both_strands=True, **params_kw):
+    """Forward extracts, one reverse-complement extract (so the minus
+    strand has a real hit), and per-query subject variants carrying a
+    deletion and substitutions (so gapped refinement emits gaps)."""
+    rng = np.random.default_rng(seed)
     db = random_nt_db(rng, 30)
-    scheme = NucleotideScore()
-    params = SearchParams(word_size=11)
-    queries = [db.sequence(i)[:140].copy() for i in (0, 7, 14, 21, 28)]
-    assert batch_dumps(queries, db, scheme, params) == \
-        sequential_dumps(queries, db, scheme, params)
+    queries = [db.sequence(i)[:140].copy() for i in (0, 7, 14, 21)]
+    queries.append(reverse_complement(db.sequence(28)[:140]))
+    for i, q in enumerate(queries[:3]):
+        variant = np.delete(q, slice(60, 63))
+        variant[20::31] = (variant[20::31] + 1) % 4
+        db.add(f"var{i}", "".join(NT_LETTERS[variant]))
+    return dict(queries=queries, db=db, scheme=NucleotideScore(),
+                params=SearchParams(word_size=11, **params_kw),
+                both_strands=both_strands)
 
 
-def test_search_batch_matches_sequential_protein():
-    rng = np.random.default_rng(53)
+def aa_case(seed, **params_kw):
+    rng = np.random.default_rng(seed)
     db = random_aa_db(rng, 24)
-    scheme = ProteinScore()
-    params = SearchParams(word_size=3, neighbor_threshold=11,
-                          xdrop_ungapped=16)
     queries = [db.sequence(i)[:70].copy() for i in (2, 8, 15, 20)]
-    assert batch_dumps(queries, db, scheme, params, both_strands=False) == \
-        sequential_dumps(queries, db, scheme, params, both_strands=False)
+    for i, q in enumerate(queries[:2]):
+        variant = np.delete(q, slice(30, 32))
+        variant[5::9] = (variant[5::9] + 1) % 20
+        db.add(f"var{i}", "".join(AA_LETTERS[variant]))
+    return dict(queries=queries, db=db, scheme=ProteinScore(),
+                params=SearchParams(word_size=3, neighbor_threshold=11,
+                                    xdrop_ungapped=16, **params_kw),
+                both_strands=False)
 
 
-def test_search_batch_matches_sequential_with_masking():
-    rng = np.random.default_rng(54)
-    db = random_nt_db(rng, 20)
+def masked_case():
+    case = nt_case(54, filter_low_complexity=True)
+    db = case["db"]
     # Low-complexity runs the DUST filter actually masks.
     db.add("lc", "ATATATATATAT" * 20)
-    scheme = NucleotideScore()
-    params = SearchParams(word_size=11, filter_low_complexity=True)
-    queries = [db.sequence(3)[:130].copy(),
-               db.sequence(len(db) - 1)[:150].copy(),
-               db.sequence(11)[:130].copy()]
-    assert batch_dumps(queries, db, scheme, params) == \
-        sequential_dumps(queries, db, scheme, params)
+    case["queries"][1] = db.sequence(len(db) - 1)[:150].copy()
+    return case
+
+
+def short_query_case():
+    case = nt_case(66)
+    case["queries"][1] = case["queries"][1][:7]     # < word_size
+    case["queries"][3] = np.array([], dtype=np.uint8)
+    return case
+
+
+def pssm_case():
+    """One PSI-BLAST round-2 call: position indices searched against a
+    PSSM scheme, identities counted on the original residues."""
+    case = aa_case(67)
+    db, scheme, params = case["db"], case["scheme"], case["params"]
+    enc = case["queries"][0]
+    round1 = search(enc, db, scheme, params)
+    pssm = build_pssm(enc, db, round1, inclusion_evalue=1e-3)
+    case.update(queries=[np.arange(len(enc), dtype=np.uint8)],
+                scheme=pssm.scheme(scheme.gap_open, scheme.gap_extend),
+                identity_queries=[enc])
+    return case
+
+
+def effective_space_case():
+    case = nt_case(68)
+    # Every query scored against a made-up whole-database space, the
+    # way the pool scores a fragment.
+    case["effective_spaces"] = [(len(q) + 5 * i, 3_000_000 + i)
+                                for i, q in enumerate(case["queries"])]
+    return case
+
+
+def packdb_case(stack, tmp_path):
+    """A db that provides its own ``scan_structures`` (mmapped pack)."""
+    case = nt_case(69)
+    db = case["db"]
+    path = str(tmp_path / "frag.rpk")
+    write_pack(path, build_scan_structures(db, 11, 4),
+               [db.description(i) for i in range(len(db))], seqtype=NT,
+               store_id="sid", version=0, fragment_id=0,
+               source_ids=range(len(db)))
+    case["db"] = PackDB(stack.enter_context(DiskPack(path)))
+    return case
+
+
+def lazydb_case(tmp_path):
+    case = nt_case(70)
+    case["db"].write(str(tmp_path))
+    case["db"] = LazySequenceDB(str(tmp_path), case["db"].name, NT)
+    return case
+
+
+CASES = {
+    "nt-both-strands": lambda stack, tmp: nt_case(52),
+    "nt-plus-strand-only": lambda stack, tmp: nt_case(62,
+                                                      both_strands=False),
+    "protein-two-hit": lambda stack, tmp: aa_case(53),
+    "protein-one-hit": lambda stack, tmp: aa_case(63, two_hit_window=0),
+    "pssm-identity-query": lambda stack, tmp: pssm_case(),
+    "low-complexity-filter": lambda stack, tmp: masked_case(),
+    "query-shorter-than-word": lambda stack, tmp: short_query_case(),
+    "ungapped": lambda stack, tmp: nt_case(64, gapped=False),
+    "gapped-xdrop": lambda stack, tmp: nt_case(65, gapped_method="xdrop"),
+    "explicit-effective-space": lambda stack, tmp: effective_space_case(),
+    "packdb": packdb_case,
+    "lazydb": lambda stack, tmp: lazydb_case(tmp),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_search_batch_matches_sequential(name, tmp_path):
+    with ExitStack() as stack:
+        case = CASES[name](stack, tmp_path)
+        queries, db = case["queries"], case["db"]
+        scheme, params = case["scheme"], case["params"]
+        both = case["both_strands"]
+        n = len(queries)
+        ids = [f"q{i}" for i in range(n)]
+        id_queries = case.get("identity_queries") or [None] * n
+        spaces = case.get("effective_spaces") or [None] * n
+
+        singles = []
+        for i, q in enumerate(queries):
+            kw = dict(query_id=ids[i], both_strands=both,
+                      identity_query=id_queries[i],
+                      effective_space=spaces[i])
+            single = search(q, db, scheme, params, **kw)
+            of_one = search_batch([q], db, scheme, params,
+                                  query_ids=[ids[i]], both_strands=both,
+                                  identity_queries=[id_queries[i]],
+                                  effective_spaces=[spaces[i]])[0]
+            ref = search_reference(q, db, scheme, params, **kw)
+            assert dump(single) == dump(of_one) == dump(ref)
+            assert single.tabular() == of_one.tabular() == ref.tabular()
+            singles.append(single)
+        assert any(r.hits for r in singles), "case exercises no hits"
+
+        batch = search_batch(queries, db, scheme, params, query_ids=ids,
+                             both_strands=both,
+                             identity_queries=id_queries,
+                             effective_spaces=spaces)
+        assert [dump(r) for r in batch] == [dump(r) for r in singles]
+        assert ([r.tabular() for r in batch]
+                == [r.tabular() for r in singles])
+        # Drop the PackDB's views before the stack unmaps its pack.
+        del case, db
 
 
 def test_search_batch_empty_short_and_duplicate_queries():
@@ -162,16 +282,12 @@ def test_search_batch_empty_short_and_duplicate_queries():
     assert len(only_short) == 1 and only_short[0].hits == []
 
 
-def test_search_batch_loop_engine_and_validation():
+def test_search_batch_rejects_mismatched_per_query_arguments():
     rng = np.random.default_rng(56)
     db = random_nt_db(rng, 12)
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     queries = [db.sequence(i)[:90].copy() for i in (1, 6)]
-    assert batch_dumps(queries, db, scheme, params, engine="loop") == \
-        batch_dumps(queries, db, scheme, params)
-    with pytest.raises(ValueError):
-        search_batch(queries, db, scheme, params, engine="bogus")
     with pytest.raises(ValueError):
         search_batch(queries, db, scheme, params, query_ids=["just-one"])
 
@@ -263,12 +379,19 @@ def test_profile_emits_stage_json_to_stderr(monkeypatch, capsys):
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     queries = [db.sequence(i)[:120].copy() for i in (1, 6, 11)]
-    search(queries[0], db, scheme, params)
+    search(queries[0], db, scheme, params, query_id="first")
+    err = capsys.readouterr().err.strip().splitlines()
+    # search() runs the batch driver inside its own profile: exactly
+    # one line, and it is the single-query one.
+    assert len(err) == 1, "one JSON line per top-level search"
+    single = json.loads(err[0])
+    assert single["profile"] == "search"
+    assert single["query_id"] == "first"
+    assert single["query_len"] == len(queries[0])
     search_batch(queries, db, scheme, params)
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2, "one JSON line per top-level search"
-    single, batched = (json.loads(line) for line in err)
-    assert single["profile"] == "search"
+    assert len(err) == 1
+    batched = json.loads(err[0])
     assert batched["profile"] == "search_batch"
     assert batched["n_queries"] == len(queries)
     for doc in (single, batched):
@@ -285,29 +408,3 @@ def test_profile_disabled_is_silent(monkeypatch, capsys):
     search(db.sequence(1)[:90].copy(), db, NucleotideScore(),
            SearchParams(word_size=11))
     assert capsys.readouterr().err == ""
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def test_cli_batched_tabular_output_matches_no_query_batch(tmp_path, capsys):
-    from repro.cli import main
-
-    rng = np.random.default_rng(61)
-    db = random_nt_db(rng, 16, min_len=120, max_len=300)
-    db.write(str(tmp_path))
-    fasta = tmp_path / "q.fasta"
-    with open(fasta, "w") as f:
-        for i in (0, 4, 9, 13):
-            seq = "".join(NT_LETTERS[db.sequence(i)[:130]])
-            f.write(f">q{i}\n{seq}\n")
-    dbpath = str(tmp_path / db.name)
-
-    assert main(["blastn", "-d", dbpath, "-i", str(fasta),
-                 "-m", "tabular"]) == 0
-    batched_out = capsys.readouterr().out
-    assert main(["blastn", "-d", dbpath, "-i", str(fasta),
-                 "-m", "tabular", "--no-query-batch"]) == 0
-    serial_out = capsys.readouterr().out
-    assert batched_out == serial_out
-    assert batched_out.strip(), "tabular output should not be empty"
