@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.blast.alphabet import DNA, PROTEIN
+from repro.blast.alphabet import PROTEIN
 from repro.blast.score import ScoringScheme
 
 

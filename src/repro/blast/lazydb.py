@@ -17,7 +17,6 @@ actually pulled.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Dict, Optional
 

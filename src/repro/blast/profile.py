@@ -4,11 +4,15 @@
 :func:`repro.blast.search.search` / ``search_batch`` call emit one JSON
 line to stderr with per-stage wall times — pack, index, scan, seed,
 extend, gapped_bulk (the batched score-only gapped pass), gapped (the
-pointer-matrix tracebacks) — plus counters like how many seeds the
+pointer-matrix tracebacks: on the bulk route the one stacked
+``bulk_banded_align`` call over all survivors, on the scalar route
+each ``banded_local_align``) — plus counters like how many seeds the
 covered-run prefilter dropped.  The gapped stage threads three
-counters: ``gapped_trials`` (score-pass DP problems — every triggered
+counters, whose meanings did not change when the tracebacks were
+stacked: ``gapped_trials`` (score-pass DP problems — every triggered
 candidate on the scalar path, distinct diagonals on the bulk path),
-``gapped_traceback`` (pointer-matrix DPs actually run), and
+``gapped_traceback`` (pointer-matrix DPs actually run — on the bulk
+route the number of problems in the stacked call), and
 ``gapped_culled`` (triggered candidates resolved without a
 pointer-matrix DP: diagonal-memo hits, E-value-reject skips,
 ``max_gapped_per_subject`` drops, zero-score results).  The point is

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.blast.alphabet import encode_dna, encode_protein
 from repro.blast.score import NucleotideScore, ProteinScore, ScoringScheme
 from repro.blast.search import SearchParams, SearchResults, search

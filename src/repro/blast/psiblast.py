@@ -17,7 +17,6 @@ identity counting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.blast.alphabet import decode_dna, decode_protein, encode_dna, \
-    encode_protein, reverse_complement
-from repro.blast.search import HSP, Hit, SearchResults
-from repro.blast.seqdb import AA, NT, SequenceDB
+from repro.blast.alphabet import decode_dna, encode_dna, reverse_complement
+from repro.blast.search import HSP, SearchResults
+from repro.blast.seqdb import NT, SequenceDB
 
 
 def _aligned_strings(query: str, subject: str, hsp: HSP):
@@ -70,7 +67,7 @@ def render_hsp(query: str, subject: str, hsp: HSP, width: int = 60,
               f"Expect = {hsp.evalue:.2g}\n"
               f" Identities = {hsp.identities}/{hsp.align_len} "
               f"({100 * hsp.identity:.0f}%)"
-              + (f", Strand = Plus / Minus" if hsp.strand == -1 else ""))
+              + (", Strand = Plus / Minus" if hsp.strand == -1 else ""))
     lines = [header, ""]
     qpos, spos = hsp.q_start, hsp.s_start
     for off in range(0, len(q_str), width):
@@ -107,7 +104,6 @@ def render_results(query: str, db: SequenceDB, results: SearchResults,
     out = [results.report(max_hits=max_hits), ""]
     is_nt = db.seqtype == NT
     if is_nt:
-        q_plus = query.upper()
         q_minus = decode_dna(reverse_complement(encode_dna(query)))
     for hit in results.hits[:max_hits]:
         subject = db.sequence_str(hit.subject_id)

@@ -7,8 +7,7 @@ blastp BLOSUM62, gap open 11 / extend 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -26,25 +26,25 @@ exactly what the mpiBLAST master does with worker results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
 from repro.blast.extend import (UngappedHSP, batched_ungapped_extend,
-                                bulk_ungapped_extend, ungapped_extend)
+                                bulk_ungapped_extend)
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
-                                bulk_banded_score)
+                                bulk_banded_align, bulk_banded_score)
 from repro.blast.xdrop import xdrop_gapped_extend
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
                                     scan_fragment_batch)
-from repro.blast.score import NucleotideScore, ProteinScore, ScoringScheme
+from repro.blast.score import ScoringScheme
 from repro.blast.seed import (one_hit_seeds, one_hit_seeds_grouped,
                               two_hit_seeds)
-from repro.blast.seqdb import AA, NT, SequenceDB
+from repro.blast.seqdb import AA, SequenceDB
 from repro.blast.stats import (KarlinAltschul, effective_search_space,
                                karlin_altschul_params)
 
@@ -386,12 +386,18 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
     return out
 
 
-#: Below this many triggered candidates the scalar path wins — the
-#: batched forward pass re-scores everything and then still pays the
-#: survivor tracebacks, which only pays off once there is enough to
-#: cull (measured crossover is well under this on the dev box; the
-#: routing is invisible in output, both paths are exact).
-_BULK_MIN_CANDIDATES = 24
+#: Below this many triggered candidates the scalar path wins: the
+#: bulk route sweeps every triggered diagonal score-only and the
+#: survivors once more with pointers, and a stacked row costs more
+#: numpy dispatch than a scalar one until enough candidates share
+#: it.  Measured with one triggered candidate per subject (scalar /
+#: bulk route, ms): 350-row protein problems 13.5 / 18.5 at 4,
+#: 21.6 / 21.3 at 8, 36.4 / 22.4 at 12, 59.3 / 28.0 at 24; 568-row nt
+#: problems 9.5 / 44.5 at 1, 76.3 / 60.5 at 8, 90.9 / 54.1 at 12,
+#: 184.7 / 68.7 at 24 — the crossover is at about 8 for both, and 12
+#: keeps a margin on the scalar side.  The routing is invisible in
+#: output: both routes are exact.
+_BULK_MIN_CANDIDATES = 12
 
 
 @dataclass
@@ -418,27 +424,31 @@ class _GappedJob:
     sink: List[HSP]
 
 
+#: One group's decision sequence after the scalar preamble: its
+#: candidates best-first, each with the number of the band DP problem
+#: that refines it (-1: below the gapped trigger, reported ungapped).
+#: Over-cap candidates are already gone.
+_Plan = List[Tuple[UngappedHSP, int]]
+
+
 def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
                          scat: np.ndarray, scheme: ScoringScheme,
                          params: SearchParams, is_protein: bool,
                          ka: KarlinAltschul) -> None:
     """Steps 4-5 for many orientation/subject groups at once.
 
-    The batched pipeline runs gapped refinement in two passes.  **Pass
-    1** scores every distinct (group, diagonal) band DP with one
-    :func:`~repro.blast.gapped.bulk_banded_score` call — every
-    triggered candidate on a diagonal shares the band DP centred on
-    it, because ``banded_local_align`` depends on the seed only
-    through the diagonal.  **Pass 2** replays each group's scalar
-    decision sequence from the pass-1 scores and runs the
-    pointer-matrix traceback only for candidates that still need one:
-    zero-score and over-cap candidates are dropped outright, and an
-    E-value-rejected candidate skips traceback when its subject end
-    position (known exactly from pass 1) is unique among the group's
-    prospective spans — the only way its never-rendered span could
-    influence later dedup decisions would be colliding with a span
-    sharing that end.  Output is byte-identical to running
-    :func:`_candidates_to_hsps` per group.
+    The batched pipeline runs gapped refinement in two passes, each one
+    stacked kernel call over all groups.  **Pass 1** scores every
+    distinct (group, diagonal) band DP with
+    :func:`~repro.blast.gapped.bulk_banded_score` — every triggered
+    candidate on a diagonal shares the band DP centred on it, because
+    the alignment depends on the seed only through the diagonal.
+    **Pass 2** decides from those scores which DP problems still need
+    their alignment (:func:`_traceback_survivors`), runs exactly those
+    through :func:`~repro.blast.gapped.bulk_banded_align`, and replays
+    each group's scalar decision sequence reading alignments from the
+    result (:func:`_finalize_one`).  Output is byte-identical to
+    running :func:`_candidates_to_hsps` per group.
 
     The scalar path serves ungapped searches, the xdrop method, and
     batches with too few triggered candidates to be worth a bulk pass.
@@ -447,8 +457,8 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         return
     # Both paths are exact, so routing is purely a cost call: with only
     # a handful of triggered candidates (typical blastn — seeds match
-    # little but the true source) the batched forward pass plus the
-    # survivor tracebacks costs more than just running the scalar DPs.
+    # little but the true source) two stacked sweeps cost more than
+    # just running the scalar DPs.
     n_triggered = sum(1 for job in jobs for c in job.candidates
                       if c.score >= params.gapped_trigger)
     if (not params.gapped or params.gapped_method != "banded"
@@ -462,67 +472,78 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
 
     prof = current_profile()
     cap = params.max_gapped_per_subject
-    # Scalar preamble, replayed exactly: best-first order, max_hsps.
+
+    # Scalar preamble, replayed exactly (best-first order, max_hsps,
+    # the per-subject cap), collecting one DP problem per distinct
+    # (group, diagonal) among the triggered candidates.
+    plans: List[_Plan] = []
+    problems: List[Tuple[int, int, int, int, int]] = []
+    culled = 0
     for job in jobs:
         job.candidates.sort(key=lambda h: -h.score)
-        del job.candidates[params.max_hsps:]
-
-    # Pass 1: collect one score-only DP problem per distinct
-    # (group, diagonal) among the triggered, under-cap candidates.
-    diags_of: List[Dict[int, int]] = []
-    e_qoff: List[int] = []
-    e_qlen: List[int] = []
-    e_soff: List[int] = []
-    e_slen: List[int] = []
-    e_diag: List[int] = []
-    for job in jobs:
         diags: Dict[int, int] = {}
+        plan: _Plan = []
         n_gapped = 0
-        for cand in job.candidates:
+        for cand in job.candidates[:params.max_hsps]:
             if cand.score < params.gapped_trigger:
+                plan.append((cand, -1))
                 continue
             if cap > 0 and n_gapped >= cap:
+                culled += 1
                 continue
             n_gapped += 1
-            dg = cand.diag
-            if dg not in diags:
-                diags[dg] = len(e_diag)
-                e_qoff.append(job.q_off)
-                e_qlen.append(len(job.query))
-                e_soff.append(job.s_off)
-                e_slen.append(len(job.subject))
-                e_diag.append(dg)
-        diags_of.append(diags)
+            ei = diags.get(cand.diag)
+            if ei is None:
+                ei = diags[cand.diag] = len(problems)
+                problems.append((job.q_off, len(job.query), job.s_off,
+                                 len(job.subject), cand.diag))
+            plan.append((cand, ei))
+        plans.append(plan)
+    q_off, q_len, s_off, s_len, diag = np.array(
+        problems, dtype=np.int64).reshape(-1, 5).T
 
-    if e_diag:
-        t0 = time.perf_counter() if prof is not None else 0.0
-        scores, _qends, sends = bulk_banded_score(
-            qcat, scat,
-            np.array(e_qoff, dtype=np.int64),
-            np.array(e_qlen, dtype=np.int64),
-            np.array(e_soff, dtype=np.int64),
-            np.array(e_slen, dtype=np.int64),
-            np.array(e_diag, dtype=np.int64),
-            scheme, band=params.band)
-        if prof is not None:
-            prof.add("gapped_bulk", time.perf_counter() - t0)
-            prof.count("gapped_trials", len(e_diag))
-    else:
-        scores = sends = np.zeros(0, dtype=np.int64)
+    t0 = time.perf_counter() if prof is not None else 0.0
+    scores, _qends, sends = bulk_banded_score(
+        qcat, scat, q_off, q_len, s_off, s_len, diag, scheme,
+        band=params.band)
+    if prof is not None:
+        prof.add("gapped_bulk", time.perf_counter() - t0)
+        prof.count("gapped_trials", len(problems))
 
-    for job, diags in zip(jobs, diags_of):
-        _finalize_one(job, diags, scores, sends, scheme, params, ka, prof)
+    survivors: Dict[int, None] = {}     # ordered set of DP problems
+    for job, plan in zip(jobs, plans):
+        culled += _traceback_survivors(job, plan, scores, sends, params,
+                                       ka, survivors)
+    sel = np.array(list(survivors), dtype=np.int64)
+    identity_qcat = None
+    if any(job.identity_query is not None for job in jobs):
+        identity_qcat = qcat.copy()
+        for job in jobs:
+            if job.identity_query is not None:
+                identity_qcat[job.q_off:job.q_off + len(job.query)] = \
+                    job.identity_query
+    t0 = time.perf_counter() if prof is not None else 0.0
+    alns = dict(zip(survivors, bulk_banded_align(
+        qcat, scat, q_off[sel], q_len[sel], s_off[sel], s_len[sel],
+        diag[sel], scheme, band=params.band,
+        identity_qcat=identity_qcat)))
+    if prof is not None:
+        prof.add("gapped", time.perf_counter() - t0)
+        prof.count("gapped_traceback", len(survivors))
+        prof.count("gapped_culled", culled)
+
+    for job, plan in zip(jobs, plans):
+        _finalize_one(job, plan, alns, params, ka)
 
 
-def _finalize_one(job: _GappedJob, diags: Dict[int, int],
-                  scores: np.ndarray, sends: np.ndarray,
-                  scheme: ScoringScheme, params: SearchParams,
-                  ka: KarlinAltschul, prof) -> None:
-    """Pass 2 of the batched gapped pipeline for one group: replay the
-    scalar candidate loop from the bulk scores, tracing back only when
-    an alignment's exact extent can still matter."""
-    cap = params.max_gapped_per_subject
-
+def _traceback_survivors(job: _GappedJob, plan: _Plan,
+                         scores: np.ndarray, sends: np.ndarray,
+                         params: SearchParams, ka: KarlinAltschul,
+                         survivors: Dict[int, None]) -> int:
+    """Add to *survivors* the DP problems of one group whose
+    alignment can still matter; returns how many triggered
+    candidates resolve without one (zero score, E-value reject, or a
+    diagonal already taken by an earlier candidate)."""
     # Census of the *emittable* candidates' subject end positions.  A
     # span is appended to the dedup list before the E-value check, so
     # a rejected candidate's span can influence output only by
@@ -533,64 +554,50 @@ def _finalize_one(job: _GappedJob, diags: Dict[int, int],
     # ends up in the list and none of them is emitted.)  E-values here
     # depend only on scores, all known exactly after pass 1.
     end_count: Dict[int, int] = {}
-    n_gapped = 0
-    for cand in job.candidates:
-        if cand.score >= params.gapped_trigger:
-            if cap > 0 and n_gapped >= cap:
-                continue
-            n_gapped += 1
-            ei = diags[cand.diag]
-            score = int(scores[ei])
+    for cand, ei in plan:
+        if ei < 0:
+            score, se = cand.score, cand.s_end
+        else:
+            score, se = int(scores[ei]), int(sends[ei])
             if score <= 0:
                 continue
-            se = int(sends[ei])
-        else:
-            score = cand.score
-            se = cand.s_end
         if ka.evalue(score, job.m_eff, job.n_eff) <= params.evalue_cutoff:
             end_count[se] = end_count.get(se, 0) + 1
 
+    culled = 0
+    for _cand, ei in plan:
+        if ei < 0:
+            continue
+        score = int(scores[ei])
+        if (score <= 0 or ei in survivors
+                or (ka.evalue(score, job.m_eff, job.n_eff)
+                    > params.evalue_cutoff
+                    and end_count.get(int(sends[ei]), 0) == 0)):
+            # Zero score, a diagonal an earlier candidate already sent
+            # to traceback, or an E-value reject whose span cannot
+            # deduplicate any emittable candidate (the scalar path
+            # would discard it after appending a span that can never
+            # change what is rendered).
+            culled += 1
+        else:
+            survivors[ei] = None
+    return culled
+
+
+def _finalize_one(job: _GappedJob, plan: _Plan,
+                  alns: Dict[int, GappedAlignment],
+                  params: SearchParams, ka: KarlinAltschul) -> None:
+    """Replay one group's scalar candidate loop, reading gapped
+    alignments from the stacked traceback's result; a triggered
+    candidate whose DP problem is not in *alns* was culled."""
     out = job.sink
+    id_query = (job.query if job.identity_query is None
+                else job.identity_query)
     seen_spans: List[Tuple[int, int]] = []
-    memo: Dict[int, GappedAlignment] = {}
-    n_gapped = 0
-    for cand in job.candidates:
-        if cand.score >= params.gapped_trigger:
-            if cap > 0 and n_gapped >= cap:
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            n_gapped += 1
-            ei = diags[cand.diag]
-            score = int(scores[ei])
-            if score <= 0:
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            evalue = ka.evalue(score, job.m_eff, job.n_eff)
-            if (evalue > params.evalue_cutoff
-                    and end_count.get(int(sends[ei]), 0) == 0):
-                # E-value reject whose span cannot deduplicate any
-                # emittable candidate: the scalar path would discard
-                # it after appending a span that can never change what
-                # is rendered.  No traceback needed.
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            aln = memo.get(cand.diag)
+    for cand, ei in plan:
+        if ei >= 0:
+            aln = alns.get(ei)
             if aln is None:
-                t0 = time.perf_counter() if prof is not None else 0.0
-                aln = banded_local_align(job.query, job.subject,
-                                         cand.diag, scheme,
-                                         band=params.band,
-                                         identity_query=job.identity_query)
-                if prof is not None:
-                    prof.add("gapped", time.perf_counter() - t0)
-                    prof.count("gapped_traceback")
-                memo[cand.diag] = aln
-            elif prof is not None:
-                prof.count("gapped_culled")
-            if aln.score <= 0:
                 continue
             q0, q1, s0, s1 = aln.q_start, aln.q_end, aln.s_start, aln.s_end
             score = aln.score
@@ -600,8 +607,6 @@ def _finalize_one(job: _GappedJob, diags: Dict[int, int],
             q0, q1 = cand.q_start, cand.q_end
             s0, s1 = cand.s_start, cand.s_end
             score = cand.score
-            id_query = (job.query if job.identity_query is None
-                        else job.identity_query)
             matches = id_query[q0:q1] == job.subject[s0:s1]
             identities = int(np.count_nonzero(matches))
             align_len = cand.length

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np

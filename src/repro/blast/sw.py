@@ -12,7 +12,6 @@ Row-vectorised with NumPy; fine up to a few thousand residues a side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 

@@ -6,7 +6,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.blast.alphabet import PROTEIN, encode_protein, reverse_complement
+from repro.blast.alphabet import encode_protein, reverse_complement
 
 # Standard genetic code indexed by 16*b0 + 4*b1 + b2 with A=0 C=1 G=2 T=3.
 _CODON_TABLE_STR = (

@@ -8,7 +8,6 @@ familiar to chew on.
 
 from __future__ import annotations
 
-from typing import Optional
 from xml.sax.saxutils import escape
 
 from repro.blast.search import SearchResults

@@ -10,7 +10,7 @@ database being only 2–3× RAM size limits how much parallel I/O can help.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.cluster.params import MemoryParams
 

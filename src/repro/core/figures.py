@@ -14,9 +14,8 @@ wall time per run); 0.1 is a quick look.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.calibration import default_cost_model
 from repro.core.experiment import (
     ExperimentConfig,
     Placement,

@@ -8,7 +8,7 @@ matches Figure 4's byte axis (13 B to 220 MB).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 _MARKERS = "ox+*#@%&"
 
@@ -87,7 +87,6 @@ def ascii_chart(series: Dict[str, Sequence[Tuple[float, float]]],
         lines.append(title)
         lines.append("")
     for row in range(height):
-        frac = 1 - row / (height - 1)
         tick = ""
         # attach a tick label at rows matching tick positions
         for t in y_ticks:

@@ -6,7 +6,7 @@ these helpers keep that output consistent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 Number = Union[int, float]
 

@@ -71,8 +71,8 @@ from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, resolve_ka, search)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.blast.stats import effective_search_space
-from repro.exec.shm import (_ALIGN, _FIELDS, PackDB, PackIntegrityError,
-                            PackSpec, _crc, _integrity_error, pack_layout)
+from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec, _crc,
+                            _integrity_error, pack_layout)
 
 #: File magic: 8 bytes, ASCII, format generation baked into the name.
 MAGIC = b"RPKPACK1"

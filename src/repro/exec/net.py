@@ -36,7 +36,6 @@ nodes side by side without a second event loop.
 from __future__ import annotations
 
 import errno
-import io
 import pickle
 import random
 import select
@@ -45,7 +44,7 @@ import struct
 import time
 import zlib
 from collections import deque
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 #: Frame magic: 4 bytes at the start of every frame.  A connection that
 #: delivers anything else is not speaking this protocol (or the stream

@@ -84,8 +84,7 @@ from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
 from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
                             PackIntegrityError, PackSpec, ResultArena,
                             ShmRegistry, corrupt_segment, default_registry,
-                            ensure_tracker, pack_fragment,
-                            publish_pack_bytes, read_pack_bytes)
+                            ensure_tracker, pack_fragment, publish_pack_bytes)
 
 #: Adaptive soft-deadline floor and multiplier: with no observed task
 #: times yet a task is hedge-eligible after this many seconds; once an

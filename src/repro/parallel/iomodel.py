@@ -25,7 +25,7 @@ engine in ``tests/test_iomodel_validation.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -9,7 +9,7 @@ preserved (mailboxes are FIFO).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.sim import Store
 

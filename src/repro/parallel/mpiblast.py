@@ -9,7 +9,7 @@ phase and subtracts copying; see EXPERIMENTS.md), so the returned
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.parallel.iomodel import FragmentSpec, fragment_files
 from repro.parallel.ioadapters import WorkerIO

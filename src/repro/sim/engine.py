@@ -16,7 +16,11 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
+
+if TYPE_CHECKING:
+    from repro.sim.events import Event
+    from repro.sim.process import Process
 
 #: Priority used for ordinary events.
 NORMAL = 1

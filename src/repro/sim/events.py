@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.sim.engine import NORMAL, URGENT, SimulationError, Simulator
+from repro.sim.engine import NORMAL, SimulationError, Simulator
 
 
 class Interrupt(Exception):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.trace.record import TraceRecord
 

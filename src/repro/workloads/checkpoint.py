@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence
 
-from repro.sim import AllOf
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.parallel.ioadapters import WorkerIO

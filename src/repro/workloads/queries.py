@@ -7,8 +7,6 @@ nucleotide query extracted from ``ecoli.nt``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.blast.seqdb import SequenceDB

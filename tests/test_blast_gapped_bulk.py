@@ -1,13 +1,16 @@
-"""Equivalence battery for the batched score-only gapped stage.
+"""Equivalence battery for the batched gapped stage.
 
 The two-pass gapped pipeline (``bulk_banded_score`` forward pass +
-pointer-matrix traceback for survivors) must be *byte-identical* to the
-scalar reference path.  Two layers of checks:
+one stacked ``bulk_banded_align`` traceback over the survivors) must
+be *byte-identical* to the scalar reference path.  Two layers of
+checks:
 
-1. Kernel level — ``bulk_banded_score`` returns exactly the scalar
-   ``banded_local_align``'s ``(score, q_end, s_end)`` per candidate,
-   over random nt / protein / PSSM corpora, band widths 4/24/64, and
-   the ``gap_open == gap_extend`` recurrence fallback.
+1. Kernel level — per candidate ``bulk_banded_score`` returns exactly
+   the scalar ``banded_local_align``'s ``(score, q_end, s_end)`` and
+   ``bulk_banded_align`` its whole ``GappedAlignment`` (``ops``
+   included), over random nt / protein / PSSM corpora with planted
+   indels, band widths 0/4/24/64, the ``gap_open == gap_extend``
+   recurrence fallback, and traceback chunks of two candidates.
 
 2. Pipeline level — culling (diagonal memoization, E-value reject
    skips, the per-subject cap) never changes the rendered output:
@@ -19,6 +22,7 @@ scalar reference path.  Two layers of checks:
 """
 
 import dataclasses
+import hashlib
 import importlib
 import os
 from contextlib import contextmanager
@@ -26,7 +30,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.blast.gapped import banded_local_align, bulk_banded_score
+from repro.blast.gapped import (GappedAlignment, banded_local_align,
+                                bulk_banded_align, bulk_banded_score)
 from repro.blast.profile import profiled
 from repro.blast.psiblast import psiblast
 from repro.blast.score import (
@@ -43,6 +48,7 @@ from oracle_search import search_reference
 # The package re-exports the ``search`` function under the module's own
 # name, so attribute access on ``repro.blast`` finds the function.
 search_mod = importlib.import_module("repro.blast.search")
+gapped_mod = importlib.import_module("repro.blast.gapped")
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -98,12 +104,23 @@ def _random_candidates(rng, alphabet_size, n_cand, max_len=90):
         sl = int(rng.integers(5, max_len))
         q = rng.integers(0, alphabet_size, ql).astype(np.int64)
         s = rng.integers(0, alphabet_size, sl).astype(np.int64)
+        # Deliberately include diagonals at and beyond the valid range.
+        d = int(rng.integers(-ql - 8, sl + 8))
         if rng.random() < 0.5:  # half the corpus: planted homology
             k = min(ql, sl)
             s[:k] = q[:k]
             s[::7] = rng.integers(0, alphabet_size, len(s[::7]))
-        # Deliberately include diagonals at and beyond the valid range.
-        d = int(rng.integers(-ql - 8, sl + 8))
+            if rng.random() < 0.6:  # ... most of it with an indel,
+                cut = int(rng.integers(1, k))
+                gap = int(rng.integers(1, 5))
+                if rng.random() < 0.5:
+                    s = np.concatenate([s[:cut], s[cut + gap:]])
+                else:
+                    s = np.concatenate(
+                        [s[:cut], rng.integers(0, alphabet_size, gap),
+                         s[cut:]])
+                sl = len(s)
+                d = int(rng.integers(-3, 4))    # ... on a nearby diagonal
         q_seqs.append(q)
         s_seqs.append(s)
         q_off.append(qpos)
@@ -119,40 +136,73 @@ def _random_candidates(rng, alphabet_size, n_cand, max_len=90):
             np.array(s_off), np.array(s_len), np.array(diag))
 
 
-def _assert_bulk_matches_scalar(rng, scheme, alphabet_size, band,
-                                n_cand=300):
-    qcat, scat, q_off, q_len, s_off, s_len, diag = _random_candidates(
-        rng, alphabet_size, n_cand)
-    score, qend, send = bulk_banded_score(
-        qcat, scat, q_off, q_len, s_off, s_len, diag, scheme, band=band)
-    for c in range(n_cand):
-        q = qcat[q_off[c]:q_off[c] + q_len[c]]
-        s = scat[s_off[c]:s_off[c] + s_len[c]]
-        aln = banded_local_align(q, s, int(diag[c]), scheme, band=band)
-        want = ((aln.score, aln.q_end, aln.s_end) if aln.score > 0
+def _assert_kernels_match_scalar(packed, scheme, band, identity_qcat=None):
+    """Both stacked kernels against the scalar routine, per candidate:
+    the score pass on ``(score, q_end, s_end)``, the traceback pass on
+    every ``GappedAlignment`` field — at the default chunk bound and in
+    chunks of two candidates (chunk boundaries, and an active prefix
+    that shrinks inside every chunk)."""
+    qcat, scat, q_off, q_len, s_off, s_len, diag = packed
+    want = []
+    for c in range(len(diag)):
+        rows = slice(q_off[c], q_off[c] + q_len[c])
+        want.append(banded_local_align(
+            qcat[rows], scat[s_off[c]:s_off[c] + s_len[c]], int(diag[c]),
+            scheme, band=band,
+            identity_query=(None if identity_qcat is None
+                            else identity_qcat[rows])))
+
+    def where(c):
+        return (f"candidate {c} (ql={q_len[c]} sl={s_len[c]} "
+                f"diag={diag[c]} band={band})")
+
+    score, qend, send = bulk_banded_score(*packed, scheme, band=band)
+    for c, aln in enumerate(want):
+        ends = ((aln.score, aln.q_end, aln.s_end) if aln.score > 0
                 else (0, 0, 0))
         got = (int(score[c]), int(qend[c]), int(send[c]))
-        assert got == want, (
-            f"candidate {c}: bulk {got} != scalar {want} "
-            f"(ql={q_len[c]} sl={s_len[c]} diag={diag[c]} band={band})")
+        assert got == ends, f"{where(c)}: bulk {got} != scalar {ends}"
+    for chunk in (gapped_mod._BULK_ALIGN_CANDIDATES, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gapped_mod, "_BULK_ALIGN_CANDIDATES", chunk)
+            alns = bulk_banded_align(*packed, scheme, band=band,
+                                     identity_qcat=identity_qcat)
+        assert len(alns) == len(want)
+        for c, aln in enumerate(want):
+            assert alns[c] == aln, f"{where(c)}, chunks of {chunk}"
+    return want
 
 
-@pytest.mark.parametrize("band", [4, 24, 64])
+def _assert_bulk_matches_scalar(rng, scheme, alphabet_size, band,
+                                n_cand=300):
+    want = _assert_kernels_match_scalar(
+        _random_candidates(rng, alphabet_size, n_cand), scheme, band)
+    # The corpus exercises what it is meant to: opened and extended
+    # gaps, and (narrow bands) candidates where nothing scores.
+    if band >= 4:
+        assert any("II" in a.ops or "DD" in a.ops for a in want)
+    if band <= 4:
+        assert any(a.score == 0 for a in want)
+
+
+@pytest.mark.parametrize("band", [0, 4, 24, 64])
 def test_bulk_matches_scalar_nucleotide(band):
     rng = np.random.default_rng(100 + band)
     _assert_bulk_matches_scalar(rng, NucleotideScore(), 4, band)
 
 
-@pytest.mark.parametrize("band", [4, 24, 64])
+@pytest.mark.parametrize("band", [0, 4, 24, 64])
 def test_bulk_matches_scalar_protein(band):
     rng = np.random.default_rng(200 + band)
     _assert_bulk_matches_scalar(rng, ProteinScore(), 20, band)
 
 
-@pytest.mark.parametrize("band", [4, 24])
+@pytest.mark.parametrize("band", [0, 4, 24])
 def test_bulk_matches_scalar_pssm(band):
-    """PSI-BLAST passes query *positions* and a per-position matrix;
-    the kernel must gather through that matrix identically."""
+    """PSI-BLAST passes query *positions* and a per-position matrix,
+    and the residues to count identities against separately; the
+    kernels must gather through that matrix, and the traceback must
+    honour the identity residues, identically."""
     rng = np.random.default_rng(300 + band)
     m = 80  # position count: every query is positions 0..ql-1 < m
     matrix = rng.integers(-4, 9, size=(m, 25)).astype(np.int32)
@@ -175,17 +225,14 @@ def test_bulk_matches_scalar_pssm(band):
         qpos += ql
         spos += sl
     qcat, scat = np.concatenate(q_seqs), np.concatenate(s_seqs)
-    score, qend, send = bulk_banded_score(
-        qcat, scat, np.array(q_off), np.array(q_len),
-        np.array(s_off), np.array(s_len), np.array(diag), scheme,
-        band=band)
-    for c in range(len(diag)):
-        q = qcat[q_off[c]:q_off[c] + q_len[c]]
-        s = scat[s_off[c]:s_off[c] + s_len[c]]
-        aln = banded_local_align(q, s, diag[c], scheme, band=band)
-        want = ((aln.score, aln.q_end, aln.s_end) if aln.score > 0
-                else (0, 0, 0))
-        assert (int(score[c]), int(qend[c]), int(send[c])) == want
+    # Four-letter identity residues: identities are neither 0 nor all.
+    residues = rng.integers(0, 4, len(qcat)).astype(np.uint8)
+    scat %= 4
+    want = _assert_kernels_match_scalar(
+        (qcat, scat, np.array(q_off), np.array(q_len), np.array(s_off),
+         np.array(s_len), np.array(diag)), scheme, band,
+        identity_qcat=residues)
+    assert any(0 < a.identities < a.ops.count("M") for a in want)
 
 
 def test_bulk_gap_open_equals_extend_fallback():
@@ -198,19 +245,61 @@ def test_bulk_gap_open_equals_extend_fallback():
     _assert_bulk_matches_scalar(rng, scheme, 20, band=24, n_cand=150)
 
 
+def test_bulk_tie_breaks_on_flat_scores():
+    """+1/-1 with gaps 2/1 makes DIAG / F / E and open / extend ties
+    common on the traceback path; the stacked pointers must break them
+    in the scalar routine's order (``go > ge``: the closed-form scan)."""
+    rng = np.random.default_rng(11)
+    scheme = NucleotideScore(match=1, mismatch=-1, gap_open=2, gap_extend=1)
+    _assert_bulk_matches_scalar(rng, scheme, 4, band=8, n_cand=400)
+    _assert_bulk_matches_scalar(rng, scheme, 2, band=24, n_cand=200)
+
+
+def test_band_zero_has_no_within_row_gap():
+    """A one-slot band used to crash the scalar routine's closed-form
+    E scan while the bulk kernel answered — so with
+    ``SearchParams(band=0)`` the result depended on the routing."""
+    q = np.array([0, 1, 2, 3, 0, 1], dtype=np.int64)
+    aln = banded_local_align(q, q, 0, NucleotideScore(), band=0)
+    assert (aln.score, aln.q_end, aln.s_end, aln.ops) == (6, 6, 6, "MMMMMM")
+    score, qend, send = bulk_banded_score(
+        q, q, [0], [6], [0], [6], [0], NucleotideScore(), band=0)
+    assert (int(score[0]), int(qend[0]), int(send[0])) == (6, 6, 6)
+    assert bulk_banded_align(q, q, [0], [6], [0], [6], [0],
+                             NucleotideScore(), band=0) == [aln]
+
+
+def test_kernel_annotations_resolve():
+    """``bulk_banded_score`` was annotated with a ``Tuple`` the module
+    never imported; only ``from __future__ import annotations`` hid it."""
+    import typing
+
+    for fn in (banded_local_align, bulk_banded_score, bulk_banded_align):
+        assert "return" in typing.get_type_hints(fn)
+
+
 def test_bulk_empty_and_degenerate_inputs():
     scheme = NucleotideScore()
+    nothing = GappedAlignment(0, 0, 0, 0, 0, 0, 0)
     empty = np.array([], dtype=np.int64)
     score, qend, send = bulk_banded_score(
         empty, empty, empty, empty, empty, empty, empty, scheme)
     assert len(score) == len(qend) == len(send) == 0
+    assert bulk_banded_align(empty, empty, empty, empty, empty, empty,
+                             empty, scheme) == []
     # Single candidate whose band misses the subject entirely.
     q = np.array([0, 1, 2, 3], dtype=np.int64)
     s = np.array([0, 1, 2, 3], dtype=np.int64)
+    one = (np.array([0]), np.array([4]), np.array([0]), np.array([4]))
     score, qend, send = bulk_banded_score(
-        q, s, np.array([0]), np.array([4]), np.array([0]), np.array([4]),
-        np.array([500]), scheme, band=4)
+        q, s, *one, np.array([500]), scheme, band=4)
     assert (int(score[0]), int(qend[0]), int(send[0])) == (0, 0, 0)
+    assert bulk_banded_align(q, s, *one, np.array([500]), scheme,
+                             band=4) == [nothing]
+    # In range, but nothing scores: all mismatches.
+    assert bulk_banded_align(q, (s + 1) % 4, *one, np.array([0]), scheme,
+                             band=0) == [nothing]
+    assert banded_local_align(q, (s + 1) % 4, 0, scheme, band=0) == nothing
 
 
 # ----------------------------------------------------------------------
@@ -308,13 +397,32 @@ def test_psiblast_pssm_rounds_byte_identical():
         mutant[i + 1::11] = np.frombuffer(
             b"ARND", dtype=np.uint8)[rng.integers(0, 4, len(mutant[i + 1::11]))]
         db.add(f"fam{i}", mutant.tobytes().decode())
-    bulk = psiblast(seed_seq, db, iterations=3)
+    stacked = []  # (DP problems, identity residues passed) per call
+
+    def spy(*args, **kwargs):
+        stacked.append((len(args[6]), kwargs["identity_qcat"] is not None))
+        return bulk_banded_align(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "bulk_banded_align", spy)
+        bulk = psiblast(seed_seq, db, iterations=3)
     with scalar_route():
         scal = psiblast(seed_seq, db, iterations=3)
-    assert bulk.n_iterations == scal.n_iterations
+    # The PSSM round really went through the stacked traceback, with
+    # its identity residues: 32 survivors of 45 scored diagonals.
+    assert stacked[-1] == (32, True)
+    assert bulk.n_iterations == scal.n_iterations == 2
     assert bulk.converged == scal.converged
     assert ([dump(r) for r in bulk.iterations]
             == [dump(r) for r in scal.iterations])
+    # ... and round 2 is what the per-survivor tracebacks produced
+    # before they were stacked (integer fields only, read at PR 12).
+    rows = [(h.subject_id, p.score, p.q_start, p.q_end, p.s_start, p.s_end,
+             p.identities, p.align_len, p.ops)
+            for h in bulk.iterations[1].hits for p in h.hsps]
+    assert len(rows) == 22
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+            == "f4db65acf6aa9aa5")
 
 
 def test_tiny_workloads_route_to_scalar():
@@ -346,6 +454,10 @@ def test_counters_traceback_bounded_by_trials():
     # The whole point of the two-pass stage: most candidates resolve
     # without a pointer-matrix DP on a noisy corpus.
     assert c.get("gapped_culled", 0) > 0
+    # Stacking the tracebacks must not change what is counted: the
+    # values the per-survivor pass 2 gave on this corpus (PR 12).
+    assert (c["gapped_trials"], c["gapped_traceback"],
+            c["gapped_culled"]) == (54, 38, 16)
 
 
 @pytest.mark.parametrize("cap", [1, 3])

@@ -322,7 +322,7 @@ def test_vectorized_e_scan_matches_loop():
     for go, ge in ((5, 2), (11, 1), (3, 2)):
         slot_ge = ge * np.arange(w)
         open_cost = go + slot_ge[:-1]
-        scratch = np.empty(w, dtype=np.int64)
+        scratch = (np.empty(w, dtype=np.int64), np.empty(w, dtype=np.int64))
         for trial in range(20):
             H0 = rng.integers(-10, 40, w).astype(np.int64)
             codes0 = rng.integers(0, 2, w).astype(np.int8)
