@@ -459,27 +459,24 @@ def cmd_node(args) -> int:
 
 def _add_pool_args(p: argparse.ArgumentParser) -> None:
     """Fault-tolerance knobs shared by the parallel (``--jobs``)
-    subcommands; defaults come from the pool (env-overridable)."""
+    subcommands; an unset flag leaves the pool's default."""
     g = p.add_argument_group("pool fault tolerance (with --jobs)")
     g.add_argument("--heartbeat", type=float, default=None,
                    help="liveness/deadline sweep interval, seconds "
-                        "(default 0.2; env REPRO_EXEC_HEARTBEAT)")
+                        "(default 0.2)")
     g.add_argument("--join-timeout", type=float, default=None,
                    help="per-worker shutdown budget before terminate/kill "
-                        "escalation (default 2.0; env "
-                        "REPRO_EXEC_JOIN_TIMEOUT)")
+                        "escalation (default 2.0)")
     g.add_argument("--hedge-after", type=float, default=None,
                    help="soft deadline before a stuck task is hedged to an "
-                        "idle worker (default adaptive; env "
-                        "REPRO_EXEC_HEDGE_AFTER)")
+                        "idle worker (default adaptive)")
     g.add_argument("--task-timeout", type=float, default=None,
                    help="hard deadline before a busy worker is presumed "
-                        "hung and killed (default adaptive; env "
-                        "REPRO_EXEC_TASK_TIMEOUT)")
+                        "hung and killed (default adaptive)")
     g.add_argument("--task-granularity", type=int, default=None,
                    help="fragments per pool task (1 = legacy one task "
                         "per fragment; default adaptive overhead-aware "
-                        "ranges; env REPRO_EXEC_TASK_GRANULARITY)")
+                        "ranges)")
     g.add_argument("--no-respawn", action="store_true",
                    help="do not replace crashed workers")
     g.add_argument("--no-fallback", action="store_true",
@@ -488,15 +485,13 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--nodes", action="append", default=None,
                    metavar="HOST:PORT[,HOST:PORT...]",
                    help="remote worker nodes running `repro node` "
-                        "(repeatable and/or comma-separated; env "
-                        "REPRO_EXEC_NODES); fragment packs are shipped "
-                        "once, cached by content identity, and mirrored "
-                        "--replication ways so a node loss is served "
-                        "from a surviving mirror")
+                        "(repeatable and/or comma-separated); fragment "
+                        "packs are shipped once, cached by content "
+                        "identity, and mirrored --replication ways so a "
+                        "node loss is served from a surviving mirror")
     g.add_argument("--replication", type=int, default=None,
                    help="copies of each fragment pack across nodes "
-                        "(default 2, clamped to the node count; env "
-                        "REPRO_EXEC_REPLICATION)")
+                        "(default 2, clamped to the node count)")
 
 
 def build_parser() -> argparse.ArgumentParser:

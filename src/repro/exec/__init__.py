@@ -13,11 +13,15 @@ master/worker design on actual cores:
   scheduling with front-requeue on failure, bounded retries, hedged
   re-issue of stuck tasks, and an overhead-aware planner that groups
   fragments into contiguous range tasks;
-* :mod:`repro.exec.pool` — the persistent worker pool and the
-  :func:`search_parallel` entry point, byte-identical to the serial
-  engine, with worker respawn and graceful serial fallback;
+* :mod:`repro.exec.pool` — the persistent worker pool
+  (:class:`ExecPool`: the master side, and the pipe worker's entry
+  point), byte-identical to the serial engine, with worker respawn
+  and graceful serial fallback; every pool knob is an ``ExecPool``
+  keyword, and ``REPRO_EXEC_FAULT_PLAN`` is the only environment
+  variable the package reads;
 * :mod:`repro.exec.faults` — deterministic fault injection (kill /
-  hang / slow / drop-result / corrupt-pack) and the structured
+  hang / slow / drop-result / corrupt-pack, plus the reply-time
+  disconnect / partition / delay / reorder kinds) and the structured
   :class:`FailureLedger` the pool's recovery actions append to;
 * :mod:`repro.exec.diskpack` — the persistent on-disk pack format
   (``formatdb`` for this engine): checksummed mmap-able pack files
@@ -28,10 +32,12 @@ master/worker design on actual cores:
   length-prefixed frames, per-connection sequence numbers, PING/PONG
   keepalives, bounded reconnect backoff) that lets pool workers live
   on remote hosts;
-* :mod:`repro.exec.nodes` — the worker-node agent (``repro-node``) and
-  its master-side client: fragment packs shipped once and cached by
-  identity, CEFT-style mirroring so a node death is a mirror re-read,
-  plus the local :class:`NodeFleet` test/chaos harness.
+* :mod:`repro.exec.nodes` — the worker side: the one task-serving
+  loop (``serve_tasks``) both transports run and its two pack
+  holders; the worker-node agent (``repro-node``) and its master-side
+  client — fragment packs shipped once and cached by identity,
+  CEFT-style mirroring so a node death is a mirror re-read; plus the
+  local :class:`NodeFleet` test/chaos harness.
 """
 
 from repro.exec.diskpack import (DiskPack, PackFormatError, PackStore,
@@ -48,7 +54,7 @@ from repro.exec.net import (FrameConnection, FrameCRCError, FrameDecoder,
 from repro.exec.nodes import (NodeAgent, NodeClient, NodeFleet, execute_task,
                               run_node)
 from repro.exec.pool import (ExecPool, JobSpec, PoolConfig, PoolJobError,
-                             PoolStats, search_parallel)
+                             PoolStats)
 from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
 from repro.exec.schedule import (DEFAULT_SCAN_RATE, DEFAULT_TASK_OVERHEAD_S,
@@ -66,7 +72,6 @@ __all__ = [
     "sweep_build_leftovers", "write_pack",
     "pack_layout", "publish_pack_bytes",
     "ExecPool", "JobSpec", "PoolConfig", "PoolJobError", "PoolStats",
-    "search_parallel",
     "DEFAULT_SCAN_RATE", "DEFAULT_TASK_OVERHEAD_S",
     "GreedyScheduler", "RetriesExceeded", "plan_fragments",
     "plan_task_ranges",

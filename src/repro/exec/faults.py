@@ -6,8 +6,8 @@ I/O layer degrades.  This module is the real-runtime analog of those
 perturbations: a seeded :class:`FaultPlan` arms kill / hang / slow /
 drop-result / corrupt-pack faults against specific workers or tasks,
 and the pool's workers consult a :class:`FaultInjector` built from the
-plan at the two points where a real machine would betray them — pack
-attach and task execution.  The production code path is unchanged:
+plan at the three points where a real machine would betray them — pack
+attach, task receipt and result reply.  The production code path is unchanged:
 with no plan armed the injector never exists, and a plan can be fed
 through the ``REPRO_EXEC_FAULT_PLAN`` environment variable so the CLI
 and CI chaos suites exercise the exact code users run.
@@ -39,14 +39,15 @@ Fault semantics (all applied worker-side):
     or corrupted read that CRC verification must catch *before* any
     hit is produced.
 
-Network fault kinds (applied by a socket worker *node* at
-result-send time — see :mod:`repro.exec.nodes`; a pipe worker never
-consults them because a pipe cannot fail these ways):
+Network fault kinds (applied at result-send time by the one worker
+loop, :func:`repro.exec.nodes.serve_tasks`, so they mean the same on a
+socket node and on a pipe worker):
 
 ``disconnect``
-    close the socket abruptly instead of sending the result — the
-    dropped TCP connection; the master sees EOF, requeues to a
-    mirror, and the node's agent survives to accept a reconnect.
+    leave the session abruptly instead of sending the result — the
+    dropped TCP connection; the master sees EOF and requeues (to a
+    mirror).  A node's agent survives to accept a reconnect; a pipe
+    worker's process ends and is respawned.
 ``partition``
     go completely silent for ``delay`` seconds (no result, no
     heartbeat replies), then resume — the network partition that is
@@ -73,14 +74,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 FAULT_KINDS = ("kill", "hang", "slow", "drop_result", "corrupt_pack",
                "disconnect", "partition", "delay", "reorder")
 
-#: The subset applied at result-send time by socket worker nodes;
-#: pipe workers ignore these (a pipe cannot drop, partition, delay,
-#: or reorder by itself).
+#: The subset applied at result-send time (``on_result``), on either
+#: transport; the rest fire at task receipt (``on_task``) or attach.
 NET_FAULT_KINDS = frozenset({"disconnect", "partition", "delay", "reorder"})
 
 #: Environment variable carrying a JSON fault plan (or ``@/path/to``
 #: a JSON file); read by :class:`~repro.exec.pool.ExecPool` when no
 #: explicit plan is passed, so chaos suites drive unmodified callers.
+#: The only environment variable :mod:`repro.exec` reads.
 FAULT_PLAN_ENV = "REPRO_EXEC_FAULT_PLAN"
 
 #: A ``hang`` with no explicit delay sleeps this long — far past any
@@ -276,7 +277,7 @@ class FaultInjector:
 
     def on_result(self, query, fragment_id=None) -> Optional[Fault]:
         """The network fault (if any) armed against the result the
-        worker node is about to send.  Selector semantics match
+        worker is about to send.  Selector semantics match
         :meth:`on_task` but against the task counter *as already
         advanced* by the paired ``on_task`` call — the two hooks see
         the same task index for the same task."""

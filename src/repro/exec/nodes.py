@@ -1,13 +1,20 @@
-"""Worker-node agent and master-side node client.
+"""The worker side of the pool, the worker-node agent, and the
+master-side node client.
 
-This module takes the execution pool across the machine boundary: a
+The worker side is one loop, :func:`serve_tasks`, for both transports:
+the paper's I/O schemes change how a worker *comes to hold* its
+fragment, never how it serves the master's tasks, so the only things
+handed to the loop are a *pack holder* (:class:`NamedPacks` for a pipe
+worker, :class:`TokenPacks` for a node agent) and a callable that
+wraps a task's results for the wire.
+
+The rest of the module takes the pool across the machine boundary: a
 :class:`NodeAgent` is a long-lived process (``repro-node`` / ``python
 -m repro.cli node``) that listens on a TCP socket, accepts a master's
 session, receives fragment packs **once** as raw bytes (republished
 locally through :func:`~repro.exec.shm.publish_pack_bytes`, CRC-checked
-field by field), and then serves ``(query batch, fragment range)``
-tasks with exactly the same execution core as a local pipe worker —
-byte-identical results by construction.
+field by field), and then runs that loop — byte-identical results by
+construction.
 
 Pack caching is the CEFT mirroring substrate: the agent keys every
 received pack by its ``(token, version, fragment_id)`` identity and
@@ -47,22 +54,27 @@ from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
                             connect_backoff, pack_wire_meta, parse_address)
 from repro.exec.results import encode_result_pairs
 from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
-                            ShmRegistry, ensure_tracker, publish_pack_bytes,
-                            read_pack_bytes)
+                            ShmRegistry, corrupt_segment, ensure_tracker,
+                            publish_pack_bytes, read_pack_bytes)
 
 #: Wire protocol version, negotiated in the hello handshake.
 PROTO_VERSION = 1
 
-#: Exit code of an injected ``kill`` fault (SIGKILL semantics, no
-#: cleanup) — mirrors the pipe worker's ``_FAULT_EXIT``.
+#: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
+#: semantics: no cleanup, no goodbye to the master).
 _FAULT_EXIT = 86
 
+#: Scan-cache bounds every worker (pipe or node) runs with.
+_CACHE_ENTRIES = 1024
+_CACHE_BYTES = 1 << 40
 
+
+# ----------------------------------------------------------------------
+# Worker side: one task-serving loop, two pack holders
+# ----------------------------------------------------------------------
 def execute_task(packs, jobs, qis, names, cache):
     """Scan a fragment range for a query batch.
 
-    The execution core shared by the pipe worker loop
-    (:func:`repro.exec.pool._worker_main`) and the socket node agent:
     *packs* maps pack name → ``(AttachedPack, PackDB)``, *jobs* maps
     query index → job spec.  Returns ``(pairs, elapsed, fragment_ids)``
     where *pairs* is the ``(name, query_index, SearchResults)`` list a
@@ -88,6 +100,265 @@ def execute_task(packs, jobs, qis, names, cache):
     return pairs, time.perf_counter() - t0, frag_ids
 
 
+class _PackHolder:
+    """What a worker keeps its fragment packs in — the one thing that
+    differs between a pipe worker and a node agent.
+
+    :func:`serve_tasks` asks a holder for ``verbs`` (message kind →
+    ``handler(msg, injector)``, the pack-management messages this
+    transport speaks), ``pack_name(msg)`` (whom a failed verb is
+    reported against), ``packs_for(names)`` (the mapping a task scans;
+    ``KeyError`` for a name not held) and ``stats()`` (extra keys for
+    the ``stopped`` message).
+    """
+
+    def __init__(self):
+        self.cache = ScanCache(max_entries=_CACHE_ENTRIES,
+                               max_bytes=_CACHE_BYTES)
+
+    def _open(self, spec, verify: bool = True) -> tuple:
+        pack = AttachedPack(spec, verify=verify)
+        db = PackDB(pack)
+        self.cache.put(db, spec.k, spec.base, pack.structs)
+        return pack, db
+
+    def _shut(self, pack, db) -> None:
+        # Explicit eviction: the weakref finalizer only fires on GC,
+        # and the cache must release its views before the mapping goes.
+        self.cache.evict(db._scan_token)
+        pack.close()
+
+    def packs_for(self, names) -> Dict[str, tuple]:
+        return {n: self._lookup(n) for n in names}
+
+    def fragment_ids(self, names) -> List[Optional[int]]:
+        """Fragment id per pack name (``None`` for a pack not held):
+        what a fault plan's ``fragment`` selector matches against."""
+        out: List[Optional[int]] = []
+        for name in names:
+            try:
+                out.append(self._lookup(name)[0].spec.fragment_id)
+            except KeyError:
+                out.append(None)
+        return out
+
+    def stats(self) -> dict:
+        return {}
+
+
+class NamedPacks(_PackHolder):
+    """The pipe worker's holder: packs the master published in shared
+    memory, attached zero-copy by segment name (``attach`` / ``detach``)
+    and dropped with the worker."""
+
+    def __init__(self):
+        super().__init__()
+        self._packs: Dict[str, tuple] = {}
+        self.verbs = {"attach": self._attach, "detach": self._detach}
+
+    @staticmethod
+    def pack_name(msg) -> str:
+        return msg[1] if msg[0] == "detach" else msg[1].name
+
+    def _attach(self, msg, injector) -> None:
+        spec = msg[1]
+        if injector is not None and \
+                injector.on_attach(spec.fragment_id) is not None:
+            corrupt_segment(spec)
+        if spec.name not in self._packs:
+            self._packs[spec.name] = self._open(spec)
+
+    def _detach(self, msg, injector=None) -> None:
+        entry = self._packs.pop(msg[1], None)
+        if entry is not None:
+            self._shut(*entry)
+
+    def _lookup(self, name: str) -> tuple:
+        return self._packs[name]
+
+    def close(self) -> None:
+        while self._packs:
+            try:
+                self._shut(*self._packs.popitem()[1])
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+
+
+class TokenPacks(_PackHolder):
+    """The node agent's holder: packs received as bytes (``publish``),
+    republished in the node's own shared memory and keyed by their
+    ``(token, version, fragment_id)`` content identity, so they outlive
+    sessions and a returning master re-registers them with a tiny
+    ``adopt`` instead of re-shipping.  Tasks address packs by the
+    *master's* segment names, kept as aliases onto the identities."""
+
+    def __init__(self, node_id: str):
+        super().__init__()
+        self.node_id = node_id
+        self._registry = ShmRegistry()
+        #: cache_token -> (local PackSpec, AttachedPack, PackDB)
+        self._store: Dict[tuple, tuple] = {}
+        #: master-side pack name -> cache_token
+        self._aliases: Dict[str, tuple] = {}
+        self.verbs = {"publish": self._publish, "adopt": self._adopt,
+                      "detach": self._detach}
+
+    @staticmethod
+    def pack_name(msg) -> str:
+        return msg[1]["name"] if msg[0] == "publish" else msg[1]
+
+    def held_tokens(self) -> List[tuple]:
+        return list(self._store)
+
+    def _publish(self, msg, injector) -> None:
+        meta, data = msg[1], msg[2]
+        token = tuple(meta["cache_token"])
+        if injector is not None and \
+                injector.on_attach(meta["fragment_id"]) is not None:
+            data = bytearray(data)
+            mid = len(data) // 2
+            for pos in range(mid, min(len(data), mid + 8)):
+                data[pos] ^= 0xFF
+        if token not in self._store:
+            spec = publish_pack_bytes(
+                data, meta["arrays"], meta["checksums"],
+                seqtype=meta["seqtype"], cache_token=token,
+                fragment_id=meta["fragment_id"],
+                k=meta["k"], base=meta["base"],
+                n_sequences=meta["n_sequences"],
+                total_residues=meta["total_residues"],
+                source_ids=meta["source_ids"],
+                size=meta["size"], registry=self._registry)
+            self._store[token] = (spec,) + self._open(spec, verify=False)
+        self._aliases[meta["name"]] = token
+
+    def _adopt(self, msg, injector=None) -> None:
+        name, token = msg[1], tuple(msg[2])
+        if token not in self._store:
+            raise LookupError(f"pack {token!r} is not cached on "
+                              f"{self.node_id}")
+        self._aliases[name] = token
+
+    def _detach(self, msg, injector=None) -> None:
+        token = self._aliases.pop(msg[1], None)
+        if token is not None and token not in self._aliases.values():
+            self._release(token)
+
+    def _release(self, token: tuple) -> None:
+        entry = self._store.pop(token, None)
+        if entry is not None:
+            self._shut(*entry[1:])
+            self._registry.release(entry[0].name)
+
+    def _lookup(self, name: str) -> tuple:
+        return self._store[self._aliases[name]][1:]
+
+    def stats(self) -> dict:
+        return {"node": self.node_id, "held": len(self._store)}
+
+    def close(self) -> None:
+        for token in list(self._store):
+            try:
+                self._release(token)
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+
+
+def serve_tasks(conn, rank: int, holder, ship, *,
+                injector: Optional[FaultInjector] = None,
+                task_sleep: float = 0.0) -> None:
+    """The worker side of the master/worker protocol, for every
+    transport: serve the master's messages on *conn* until ``stop``
+    (or an injected ``disconnect``); a vanished master raises
+    ``EOFError`` / ``OSError`` to the entry point.
+
+    ``job`` / ``forget_job`` maintain the query table; a ``task`` is a
+    query batch (tuple of query indexes) crossed with a contiguous
+    fragment range (tuple of pack names) tagged with the master's run
+    epoch — every pack is scanned once for the whole batch and the
+    per-(pack, query) results go back in one ``result`` message whose
+    payload *ship(pairs)* wraps for the transport, the epoch echoed so
+    the master can discard cross-run stragglers.  Pack management is
+    the *holder*'s (see :class:`_PackHolder`); anything else gets the
+    unknown-message error reply.
+
+    *injector* arms deterministic faults: ``kill`` / ``hang`` / ``slow``
+    / ``drop_result`` at task receipt, the network kinds at reply time.
+    *task_sleep* stalls every task (a test and chaos hook that widens
+    the window for mid-task faults).
+    """
+    jobs: Dict[int, object] = {}
+    tasks = fragments = 0
+    held_back: Optional[tuple] = None       # reorder-fault holdback
+    while True:
+        msg = conn.recv()
+        kind = msg[0]
+        if kind == "job":
+            jobs[msg[1]] = msg[2]
+        elif kind == "forget_job":
+            jobs.pop(msg[1], None)
+        elif kind == "task":
+            _, qis, names, epoch = msg
+            if injector is not None:
+                frag_ids = holder.fragment_ids(names)
+                fault = injector.on_task(qis, frag_ids)
+                if fault is not None:
+                    if fault.kind == "kill":
+                        os._exit(_FAULT_EXIT)
+                    elif fault.kind in ("hang", "slow"):
+                        time.sleep(fault.stall)
+                    if fault.kind == "drop_result":
+                        continue        # serve nothing, say nothing
+            try:
+                if task_sleep > 0:
+                    time.sleep(task_sleep)
+                pairs, elapsed, done = execute_task(
+                    holder.packs_for(names), jobs, qis, names, holder.cache)
+                out = ("result", rank, qis, names, ship(pairs), elapsed,
+                       epoch)
+                tasks += 1
+                fragments += len(done)
+            except Exception:
+                out = ("error", rank, qis, names, traceback.format_exc(),
+                       epoch)
+            if injector is not None:
+                fault = injector.on_result(qis, frag_ids)
+                if fault is not None:
+                    if fault.kind == "disconnect":
+                        return          # close without a goodbye
+                    if fault.kind in ("partition", "delay"):
+                        # Silent for the stall: no result, no heartbeat
+                        # replies (we are not in recv), then resume as
+                        # if healed.
+                        time.sleep(fault.stall)
+                    elif fault.kind == "reorder":
+                        held_back = out
+                        continue
+            conn.send(out)
+            if held_back is not None:
+                conn.send(held_back)    # delivered out of order
+                held_back = None
+        elif kind == "stop":
+            if held_back is not None:
+                conn.send(held_back)
+            conn.send(("stopped", rank,
+                       {"rank": rank, "tasks": tasks,
+                        "fragments": fragments, **holder.stats()}))
+            return
+        elif kind in holder.verbs:
+            try:
+                holder.verbs[kind](msg, injector)
+            except PackIntegrityError as exc:
+                conn.send(("integrity", rank, holder.pack_name(msg),
+                           str(exc)))
+            except Exception:
+                conn.send(("error", rank, None, holder.pack_name(msg),
+                           traceback.format_exc(), -1))
+        else:
+            conn.send(("error", rank, None, None,
+                       f"unknown message {kind!r}", -1))
+
+
 # ----------------------------------------------------------------------
 # Node side
 # ----------------------------------------------------------------------
@@ -96,22 +367,19 @@ class NodeAgent:
 
     One session at a time (the paper's topology: each node serves one
     master), but the agent outlives sessions: a master that stops or
-    vanishes returns the agent to ``accept``, and the pack cache —
-    keyed by ``(token, version, fragment_id)`` — survives, which is
-    what makes a reconnect a re-read instead of a re-ship.
+    vanishes returns the agent to ``accept``, and the pack cache — a
+    :class:`TokenPacks` keyed by ``(token, version, fragment_id)`` —
+    survives, which is what makes a reconnect a re-read instead of a
+    re-ship.
 
-    *fault_plan* arms the same deterministic faults as a pipe worker
-    plus the network kinds (``disconnect`` / ``partition`` / ``delay``
-    / ``reorder``) applied at result-send time; ``None`` in
-    production.
+    *fault_plan* arms the same deterministic faults as a pipe worker;
+    ``None`` in production.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  listen_sock: Optional[socket.socket] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  task_sleep: float = 0.0,
-                 cache_entries: int = 1024,
-                 cache_bytes: int = 1 << 40,
                  node_id: Optional[str] = None):
         if listen_sock is None:
             listen_sock = socket.socket()
@@ -124,16 +392,8 @@ class NodeAgent:
         self.node_id = node_id or f"node-{os.getpid()}"
         self.task_sleep = task_sleep
         self.fault_plan = fault_plan
-        self._registry = ShmRegistry()
-        self._cache = ScanCache(max_entries=cache_entries,
-                                max_bytes=cache_bytes)
-        #: cache_token -> (local PackSpec, AttachedPack, PackDB)
-        self._store: Dict[tuple, tuple] = {}
-        #: master-side pack name -> cache_token (task messages address
-        #: packs by the *master's* segment names)
-        self._aliases: Dict[str, tuple] = {}
+        self._packs = TokenPacks(self.node_id)
         self.sessions_served = 0
-        self.tasks_served = 0
         self._shutdown = False
         #: Created at the first hello and kept across sessions: a
         #: ``once`` fault must fire once per agent *process*, not once
@@ -143,28 +403,6 @@ class NodeAgent:
         #: naturally re-arms, which keeps seeded chaos plans finite.
         self._injector: Optional[FaultInjector] = None
 
-    # -- pack cache ----------------------------------------------------
-    def held_tokens(self) -> List[tuple]:
-        return list(self._store)
-
-    def _release_token(self, token: tuple) -> None:
-        entry = self._store.pop(token, None)
-        if entry is None:
-            return
-        spec, pack, db = entry
-        self._cache.evict(db._scan_token)
-        del db, entry
-        pack.close()
-        self._registry.release(spec.name)
-
-    def _packs_for(self, names) -> Dict[str, tuple]:
-        out = {}
-        for name in names:
-            spec, pack, db = self._store[self._aliases[name]]
-            out[name] = (pack, db)
-        return out
-
-    # -- serving -------------------------------------------------------
     def serve(self, max_sessions: Optional[int] = None) -> None:
         """Accept masters until shut down (or *max_sessions* served)."""
         try:
@@ -185,138 +423,29 @@ class NodeAgent:
             self.close()
 
     def _session(self, sock: socket.socket) -> None:
+        """One master's session: the hello handshake, then the shared
+        task loop over the framed socket, results shipped as RRES blobs
+        inside the (CRC-checked) frames."""
         conn = FrameConnection(sock, name="master")
-        rank = -1
-        injector: Optional[FaultInjector] = None
-        jobs: Dict[int, object] = {}
-        held_result: Optional[tuple] = None   # reorder-fault holdback
         try:
-            while True:
-                msg = conn.recv()
-                kind = msg[0]
-                if kind == "hello":
-                    info = msg[1] if len(msg) > 1 else {}
-                    rank = int(info.get("rank", 0))
-                    if self.fault_plan is not None:
-                        if self._injector is None:
-                            self._injector = FaultInjector(self.fault_plan,
-                                                           rank)
-                        injector = self._injector
-                    conn.send(("ready", rank, {
-                        "node": self.node_id,
-                        "proto": PROTO_VERSION,
-                        "pid": os.getpid(),
-                        "held": self.held_tokens(),
-                    }))
-                elif kind == "publish":
-                    meta, data = msg[1], msg[2]
-                    token = tuple(meta["cache_token"])
-                    try:
-                        if injector is not None:
-                            fault = injector.on_attach(meta["fragment_id"])
-                            if fault is not None:
-                                data = bytearray(data)
-                                mid = len(data) // 2
-                                for pos in range(mid, min(len(data),
-                                                          mid + 8)):
-                                    data[pos] ^= 0xFF
-                        if token not in self._store:
-                            spec = publish_pack_bytes(
-                                data, meta["arrays"], meta["checksums"],
-                                seqtype=meta["seqtype"], cache_token=token,
-                                fragment_id=meta["fragment_id"],
-                                k=meta["k"], base=meta["base"],
-                                n_sequences=meta["n_sequences"],
-                                total_residues=meta["total_residues"],
-                                source_ids=meta["source_ids"],
-                                size=meta["size"], registry=self._registry)
-                            pack = AttachedPack(spec, verify=False)
-                            db = PackDB(pack)
-                            self._cache.put(db, spec.k, spec.base,
-                                            pack.structs)
-                            self._store[token] = (spec, pack, db)
-                        self._aliases[meta["name"]] = token
-                    except PackIntegrityError as exc:
-                        conn.send(("integrity", rank, meta["name"],
-                                   str(exc)))
-                    except Exception:
-                        conn.send(("error", rank, None, meta["name"],
-                                   traceback.format_exc(), -1))
-                elif kind == "adopt":
-                    name, token = msg[1], tuple(msg[2])
-                    if token in self._store:
-                        self._aliases[name] = token
-                    else:
-                        conn.send(("error", rank, None, name,
-                                   f"pack {token!r} is not cached on "
-                                   f"{self.node_id}", -1))
-                elif kind == "detach":
-                    token = self._aliases.pop(msg[1], None)
-                    if (token is not None
-                            and token not in self._aliases.values()):
-                        self._release_token(token)
-                elif kind == "job":
-                    jobs[msg[1]] = msg[2]
-                elif kind == "forget_job":
-                    jobs.pop(msg[1], None)
-                elif kind == "task":
-                    qis, names = msg[1], msg[2]
-                    epoch = msg[3] if len(msg) > 3 else 0
-                    frag_ids = tuple(
-                        self._store[self._aliases[n]][0].fragment_id
-                        if n in self._aliases else None for n in names)
-                    if injector is not None:
-                        fault = injector.on_task(qis, frag_ids)
-                        if fault is not None:
-                            if fault.kind == "kill":
-                                os._exit(_FAULT_EXIT)
-                            elif fault.kind in ("hang", "slow"):
-                                time.sleep(fault.stall)
-                            if fault.kind == "drop_result":
-                                continue    # serve nothing, say nothing
-                    try:
-                        if self.task_sleep > 0:
-                            time.sleep(self.task_sleep)
-                        pairs, elapsed, _ = execute_task(
-                            self._packs_for(names), jobs, qis, names,
-                            self._cache)
-                        out = ("result", rank, qis, names,
-                               ("blob", encode_result_pairs(pairs)),
-                               elapsed, epoch)
-                        self.tasks_served += 1
-                    except Exception:
-                        out = ("error", rank, qis, names,
-                               traceback.format_exc(), epoch)
-                    if injector is not None:
-                        nf = injector.on_result(qis, frag_ids)
-                        if nf is not None:
-                            if nf.kind == "disconnect":
-                                return      # close without a goodbye
-                            if nf.kind in ("partition", "delay"):
-                                # Silent for the stall: no result, no
-                                # heartbeat replies (we are not in
-                                # recv), then resume as if healed.
-                                time.sleep(nf.stall)
-                            elif nf.kind == "reorder":
-                                held_result = out
-                                continue
-                    conn.send(out)
-                    if held_result is not None:
-                        conn.send(held_result)   # delivered out of order
-                        held_result = None
-                elif kind == "stop":
-                    if held_result is not None:
-                        conn.send(held_result)
-                        held_result = None
-                    conn.send(("stopped", rank, {
-                        "node": self.node_id, "rank": rank,
-                        "tasks": self.tasks_served,
-                        "held": len(self._store),
-                    }))
-                    return
-                else:
-                    conn.send(("error", rank, None, None,
-                               f"unknown message {kind!r}", -1))
+            msg = conn.recv()
+            if msg[0] != "hello":
+                conn.send(("error", -1, None, None,
+                           f"expected hello, got {msg[0]!r}", -1))
+                return
+            rank = int(msg[1].get("rank", 0))
+            if self.fault_plan is not None and self._injector is None:
+                self._injector = FaultInjector(self.fault_plan, rank)
+            conn.send(("ready", rank, {
+                "node": self.node_id,
+                "proto": PROTO_VERSION,
+                "pid": os.getpid(),
+                "held": self._packs.held_tokens(),
+            }))
+            serve_tasks(conn, rank, self._packs,
+                        lambda pairs: ("blob", encode_result_pairs(pairs)),
+                        injector=self._injector,
+                        task_sleep=self.task_sleep)
         except (EOFError, OSError, FrameError):
             return          # master went away; keep cache, re-accept
         finally:
@@ -325,11 +454,7 @@ class NodeAgent:
     def close(self) -> None:
         """Release every cached pack and the listening socket."""
         self._shutdown = True
-        for token in list(self._store):
-            try:
-                self._release_token(token)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        self._packs.close()
         try:
             self._lsock.close()
         except OSError:  # pragma: no cover
@@ -414,7 +539,7 @@ class NodeClient:
             conn.close()
             raise
         self.conn = conn
-        self.node_info = msg[2] if len(msg) > 2 else {}
+        self.node_info = msg[2]
         self.held = {tuple(t) for t in self.node_info.get("held", ())}
         self.connects += 1
         self.retry_n = 0

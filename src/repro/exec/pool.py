@@ -31,8 +31,8 @@ serving" (the paper's dead-server and hot-spot experiments, Figs 7–9):
   :class:`~repro.exec.shm.PackIntegrityError` before any hit is
   produced from it;
 * when the pool still cannot finish a job (retry budget exhausted,
-  capacity collapsed below ``min_workers`` and respawn cannot recover
-  it), ``search_many`` **degrades gracefully** to the serial scan
+  every worker lost and respawn cannot recover one), ``search_many``
+  **degrades gracefully** to the serial scan
   engine with a warning — results stay byte-identical, and the
   structured :class:`~repro.exec.faults.FailureLedger` records every
   fault, requeue, hedge, respawn, and the fallback itself.
@@ -56,7 +56,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-import traceback
 import warnings
 import weakref
 from dataclasses import dataclass, field, replace
@@ -65,25 +64,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blast.alphabet import DNA, PROTEIN
-from repro.blast.scankernel import ScanCache, db_token
+from repro.blast.scankernel import db_token
 from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, resolve_ka,
                                 search_batch)
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
 from repro.exec.faults import FailureLedger, FaultInjector, FaultPlan
-from repro.exec.net import FrameError, NodeConnectError, backoff_delay
-from repro.exec.nodes import NodeClient, _NodeProcess, execute_task
+from repro.exec.net import (FrameError, NodeConnectError, backoff_delay,
+                            parse_address)
+from repro.exec.nodes import (NamedPacks, NodeClient, _NodeProcess,
+                              serve_tasks)
 from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
 from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
-                                 DEFAULT_TASK_OVERHEAD_S, GreedyScheduler,
-                                 RetriesExceeded, plan_fragments,
-                                 plan_mirror_groups, plan_query_batches,
-                                 plan_task_ranges)
-from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
-                            PackIntegrityError, PackSpec, ResultArena,
-                            ShmRegistry, corrupt_segment, default_registry,
+                                 GreedyScheduler, RetriesExceeded,
+                                 plan_fragments, plan_mirror_groups,
+                                 plan_query_batches, plan_task_ranges)
+from repro.exec.shm import (ArenaSpec, PackIntegrityError, PackSpec,
+                            ResultArena, ShmRegistry, default_registry,
                             ensure_tracker, pack_fragment, publish_pack_bytes)
 
 #: Adaptive soft-deadline floor and multiplier: with no observed task
@@ -92,19 +91,8 @@ from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
 _HEDGE_FLOOR = 0.5
 _HEDGE_MULT = 4.0
 
-#: Worker exit code used by the injected ``kill`` fault (``os._exit``,
-#: i.e. SIGKILL semantics: no cleanup, no goodbye on the pipe).
-_FAULT_EXIT = 86
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name) or ""
-    return float(raw) if raw.strip() else default
-
-
-def _env_opt_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name) or ""
-    return float(raw) if raw.strip() else None
+#: Seconds a freshly spawned worker gets to report ``ready``.
+_START_TIMEOUT = 30.0
 
 
 class PoolJobError(RuntimeError):
@@ -117,8 +105,8 @@ class PoolConfig:
     """Worker-side knobs (picklable; shipped once at spawn).
 
     ``task_sleep`` stalls every task by that many seconds — a test and
-    benchmark hook (set via ``REPRO_EXEC_TASK_SLEEP``) that widens the
-    window for mid-task fault injection; 0 in production.
+    benchmark hook that widens the window for mid-task fault
+    injection; 0 in production.
     ``fault_plan`` arms deterministic worker-side faults (see
     :mod:`repro.exec.faults`); ``None`` in production.
     ``arena_threshold`` is the estimated payload size (bytes) above
@@ -128,8 +116,6 @@ class PoolConfig:
     """
 
     task_sleep: float = 0.0
-    cache_entries: int = 1024
-    cache_bytes: int = 1 << 40
     fault_plan: Optional[FaultPlan] = None
     arena_threshold: int = 32768
 
@@ -222,35 +208,21 @@ class _PreparedDB:
 # ----------------------------------------------------------------------
 def _worker_main(rank: int, conn, cfg: PoolConfig,
                  arena_spec: Optional[ArenaSpec] = None) -> None:
-    """Worker loop: attach packs once, then serve tasks until stopped.
+    """Pipe-worker entry point: the shared task loop
+    (:func:`repro.exec.nodes.serve_tasks`) over packs attached by shm
+    name, results shipped through the worker's shared-memory arena when
+    the payload is large (descriptor over the pipe, CRC-checked) and
+    pickled inline when it is small.
 
     Runs in a child process, but takes any connection-like object so
     the protocol is unit-testable in-process with a scripted pipe.
-    A task is a *query batch* (a tuple of query indexes) crossed with a
-    contiguous *range* of fragment packs (a tuple of pack names); the
-    worker scans every pack once for the whole batch (via
-    :func:`~repro.blast.search.search_batch`) and ships the
-    per-(pack, query) results back in
-    one message — through its shared-memory result arena when
-    the payload is large (descriptor over the pipe, CRC-checked),
-    pickled inline when it is small.  Task messages carry the master's
-    run epoch, echoed back on every result/error so the master can
-    discard cross-run stragglers.
     """
-    cache = ScanCache(max_entries=cfg.cache_entries,
-                      max_bytes=cfg.cache_bytes)
-    packs: Dict[str, Tuple[AttachedPack, PackDB]] = {}
-    frag_ids: Dict[str, Optional[int]] = {}
-    jobs: Dict[int, JobSpec] = {}
-    fragments_done: List[Optional[int]] = []
+    holder = NamedPacks()
     injector = (FaultInjector(cfg.fault_plan, rank)
                 if cfg.fault_plan is not None else None)
     arena = ResultArena(arena_spec) if arena_spec is not None else None
 
-    def _ship(pairs) -> tuple:
-        """Pick the transport for a task's result pairs: the shm arena
-        for large payloads (one copy + a tiny descriptor), inline
-        pickle for small ones."""
+    def ship(pairs) -> tuple:
         if arena is not None and \
                 estimate_payload_size(pairs) >= cfg.arena_threshold:
             blob = encode_result_pairs(pairs)
@@ -258,96 +230,14 @@ def _worker_main(rank: int, conn, cfg: PoolConfig,
                 return ("arena",) + arena.write(blob)
         return ("inline", pairs)
 
-    def _drop_pack(name: str) -> None:
-        entry = packs.pop(name, None)
-        frag_ids.pop(name, None)
-        if entry is None:
-            return
-        pack, db = entry
-        # Explicit eviction: the weakref finalizer only fires on GC,
-        # and the cache must release its views before the mapping goes.
-        cache.evict(db._scan_token)
-        del db, entry
-        pack.close()
-
     try:
         conn.send(("ready", rank))
-        while True:
-            msg = conn.recv()
-            kind = msg[0]
-            if kind == "attach":
-                spec = msg[1]
-                try:
-                    if injector is not None:
-                        fault = injector.on_attach(spec.fragment_id)
-                        if fault is not None:
-                            corrupt_segment(spec)
-                    if spec.name not in packs:
-                        pack = AttachedPack(spec)
-                        db = PackDB(pack)
-                        cache.put(db, spec.k, spec.base, pack.structs)
-                        packs[spec.name] = (pack, db)
-                        frag_ids[spec.name] = spec.fragment_id
-                except PackIntegrityError as exc:
-                    conn.send(("integrity", rank, spec.name, str(exc)))
-                except Exception:
-                    conn.send(("error", rank, None, spec.name,
-                               traceback.format_exc(), -1))
-            elif kind == "detach":
-                _drop_pack(msg[1])
-            elif kind == "job":
-                jobs[msg[1]] = msg[2]
-            elif kind == "forget_job":
-                jobs.pop(msg[1], None)
-            elif kind == "task":
-                qis, names = msg[1], msg[2]
-                if isinstance(qis, int):     # legacy single-query task
-                    qis = (qis,)
-                if isinstance(names, str):   # legacy single-name task
-                    names = (names,)
-                epoch = msg[3] if len(msg) > 3 else 0
-                if injector is not None:
-                    fault = injector.on_task(
-                        qis, tuple(frag_ids.get(n) for n in names))
-                    if fault is not None:
-                        if fault.kind == "kill":
-                            os._exit(_FAULT_EXIT)
-                        elif fault.kind in ("hang", "slow"):
-                            time.sleep(fault.stall)
-                        if fault.kind == "drop_result":
-                            continue    # serve nothing, say nothing
-                try:
-                    if cfg.task_sleep > 0:
-                        time.sleep(cfg.task_sleep)
-                    # The execution core is shared with the socket node
-                    # agent (repro.exec.nodes): one implementation, two
-                    # transports, byte-identical either way.
-                    pairs, elapsed, done_ids = execute_task(
-                        packs, jobs, qis, names, cache)
-                    fragments_done.extend(done_ids)
-                    conn.send(("result", rank, qis, names, _ship(pairs),
-                               elapsed, epoch))
-                except Exception:
-                    conn.send(("error", rank, qis, names,
-                               traceback.format_exc(), epoch))
-            elif kind == "stop":
-                for name in list(packs):
-                    _drop_pack(name)
-                conn.send(("stopped", rank,
-                           {"rank": rank, "tasks": len(fragments_done),
-                            "fragments": fragments_done}))
-                return
-            else:
-                conn.send(("error", rank, None, None,
-                           f"unknown message {kind!r}", -1))
+        serve_tasks(conn, rank, holder, ship, injector=injector,
+                    task_sleep=cfg.task_sleep)
     except (EOFError, KeyboardInterrupt, OSError):  # parent went away
         pass
     finally:
-        for name in list(packs):
-            try:
-                _drop_pack(name)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        holder.close()
         if arena is not None:
             arena.close()
 
@@ -390,47 +280,63 @@ class ExecPool:
     scheduler pass, so fragments of different queries interleave and
     no core idles at query boundaries.
 
-    Fault-tolerance knobs (all optional; environment fallbacks in
-    parentheses):
+    Every knob is a constructor keyword, set here and nowhere else
+    (DESIGN.md §5e has the table with CLI flags and who sets what):
 
+    ``jobs`` / ``n_fragments``
+        local worker processes (default: the core count; 0 allowed
+        with ``nodes``) and the default fragment count for ``search*``
+        calls that give none (default ``2 x`` worker slots).
+    ``max_retries``
+        failed attempts a task may burn before the job fails
+        (default 2).
+    ``task_sleep``
+        stall every task by this many seconds — the test / chaos hook
+        that widens the window for mid-task faults (default 0).
     ``heartbeat``
         idle-tick interval for the liveness/deadline sweeps, seconds
-        (``REPRO_EXEC_HEARTBEAT``, default 0.2).
+        (default 0.2).
     ``join_timeout``
         budget for draining and joining workers at ``close()``; a
         worker that survives it is escalated ``terminate()`` →
-        ``kill()`` so teardown can never hang
-        (``REPRO_EXEC_JOIN_TIMEOUT``, default 2.0).
+        ``kill()`` so teardown can never hang (default 2.0).
     ``hedge_after``
         soft per-task deadline before speculative re-issue to an idle
-        worker; ``None`` adapts from the observed task-time EMA
-        (``REPRO_EXEC_HEDGE_AFTER``).
+        worker; ``None`` adapts from the observed task-time EMA.
     ``task_timeout``
         hard per-task deadline before the holding worker is presumed
         hung, killed, and respawned; ``None`` adapts from the soft
-        deadline (``REPRO_EXEC_TASK_TIMEOUT``).
+        deadline.
     ``respawn`` / ``max_respawns``
-        whether (and how often per run) lost workers are replaced so
-        the pool recovers its configured capacity.
-    ``serial_fallback`` / ``min_workers``
+        whether (and how often per run; default ``2 x slots + 2``) lost
+        workers are replaced so the pool recovers its configured
+        capacity.
+    ``serial_fallback``
         degrade to the serial scan engine (byte-identical, with a
         ``RuntimeWarning`` and a ledger entry) when a job fails or the
-        pool collapses below ``min_workers``.
+        last worker is lost; ``False`` raises :class:`PoolJobError`.
     ``fault_plan``
-        a :class:`~repro.exec.faults.FaultPlan` armed in every worker
-        (``REPRO_EXEC_FAULT_PLAN``); ``None`` in production.
+        a :class:`~repro.exec.faults.FaultPlan` armed in every worker;
+        ``None`` reads ``REPRO_EXEC_FAULT_PLAN`` — the pool's one
+        environment variable, so chaos suites reach workers through
+        unmodified callers — and is unarmed in production.
     ``query_batch``
-        max queries per batched task (``REPRO_EXEC_QUERY_BATCH``,
-        default 32): ``search_many`` groups its queries into batches
-        of at most this size and each task scans its fragment range
-        once for the whole batch via
+        max queries per batched task (default 32): ``search_many``
+        groups its queries into batches of at most this size and each
+        task scans its fragment range once for the whole batch via
         :func:`~repro.blast.search.search_batch`.  ``0`` (or ``1``)
-        disables batching — one query per task, the pre-batch
-        protocol.
+        disables batching — one query per task.
+    ``task_granularity``
+        pin N fragments per task (``1`` = one task per fragment);
+        ``None`` lets the overhead-aware planner size the ranges.
+    ``result_arena_bytes`` / ``arena_threshold``
+        size of each worker's shared-memory result arena (default
+        4 MiB; 0 disables it) and the estimated payload size above
+        which a result goes through it instead of being pickled over
+        the pipe (default 32 KiB).
     ``nodes`` / ``replication``
         remote worker nodes (``host:port`` strings or pairs; see
-        :mod:`repro.exec.nodes`; ``REPRO_EXEC_NODES`` comma list /
-        ``REPRO_EXEC_REPLICATION``).  Fragment packs are shipped once
+        :mod:`repro.exec.nodes`).  Fragment packs are shipped once
         per holding node, every fragment is mirrored onto
         ``replication`` nodes (CEFT-style, default 2, clamped to the
         node count), and the scheduler prefers the nodes already
@@ -441,13 +347,13 @@ class ExecPool:
         With nodes configured, ``jobs`` may be 0 (remote-only pool);
         local workers, when present, hold every fragment and are
         eligible for everything.
-    ``node_timeout``
+    ``node_timeout`` / ``node_connect_attempts``
         seconds of heartbeat silence from an *idle* node before it is
-        declared dead (``REPRO_EXEC_NODE_TIMEOUT``, default
-        ``max(1.0, 5 * heartbeat)``); a *busy* node is covered by the
-        hard task deadline.  Dead nodes are re-dialed with bounded
-        exponential backoff + jitter under the same respawn budget as
-        local workers.
+        declared dead (default ``max(1.0, 5 * heartbeat)``; a *busy*
+        node is covered by the hard task deadline), and dial attempts
+        per node at start (default 3).  Dead nodes are re-dialed with
+        bounded exponential backoff + jitter under the same respawn
+        budget as local workers.
 
     Every recovery action is appended to :attr:`ledger`, a
     :class:`~repro.exec.faults.FailureLedger` spanning the pool's
@@ -457,35 +363,24 @@ class ExecPool:
     def __init__(self, jobs: Optional[int] = None, *,
                  n_fragments: Optional[int] = None,
                  max_retries: int = 2,
-                 task_sleep: Optional[float] = None,
-                 start_method: Optional[str] = None,
-                 heartbeat: Optional[float] = None,
-                 join_timeout: Optional[float] = None,
+                 task_sleep: float = 0.0,
+                 heartbeat: float = 0.2,
+                 join_timeout: float = 2.0,
                  hedge_after: Optional[float] = None,
                  task_timeout: Optional[float] = None,
                  respawn: bool = True,
                  max_respawns: Optional[int] = None,
                  serial_fallback: bool = True,
-                 min_workers: int = 1,
                  fault_plan: Optional[FaultPlan] = None,
-                 query_batch: Optional[int] = None,
+                 query_batch: int = DEFAULT_MAX_QUERY_BATCH,
                  task_granularity: Optional[int] = None,
-                 task_overhead: Optional[float] = None,
-                 result_arena_bytes: Optional[int] = None,
-                 arena_threshold: Optional[int] = None,
-                 start_timeout: float = 30.0,
+                 result_arena_bytes: int = 4 << 20,
+                 arena_threshold: int = PoolConfig.arena_threshold,
                  nodes: Optional[Sequence] = None,
-                 replication: Optional[int] = None,
+                 replication: int = 2,
                  node_timeout: Optional[float] = None,
                  node_connect_attempts: int = 3):
-        if nodes is None:
-            raw = os.environ.get("REPRO_EXEC_NODES") or ""
-            nodes = [a for a in raw.split(",") if a.strip()] or None
-        from repro.exec.net import parse_address
         self.node_addresses = [parse_address(a) for a in (nodes or [])]
-        if replication is None:
-            raw = os.environ.get("REPRO_EXEC_REPLICATION") or ""
-            replication = int(raw) if raw.strip() else 2
         self.replication = max(1, int(replication))
         self.node_connect_attempts = max(1, int(node_connect_attempts))
         if jobs is None and self.node_addresses:
@@ -497,54 +392,28 @@ class ExecPool:
             raise ValueError("jobs must be >= 0")
         self.default_fragments = n_fragments
         self.max_retries = max_retries
-        if task_sleep is None:
-            task_sleep = float(os.environ.get("REPRO_EXEC_TASK_SLEEP") or 0.0)
-        if fault_plan is None:
-            fault_plan = FaultPlan.from_env()
-        if task_granularity is None:
-            raw = os.environ.get("REPRO_EXEC_TASK_GRANULARITY") or ""
-            task_granularity = int(raw) if raw.strip() else None
         self.task_granularity = task_granularity
-        if query_batch is None:
-            raw = os.environ.get("REPRO_EXEC_QUERY_BATCH") or ""
-            query_batch = (int(raw) if raw.strip()
-                           else DEFAULT_MAX_QUERY_BATCH)
         #: Max queries per batched task; <= 1 disables query batching
-        #: (every task carries a single query, the pre-batch protocol).
+        #: (every task carries a single query).
         self.query_batch = int(query_batch)
-        self.task_overhead = (task_overhead if task_overhead is not None
-                              else _env_float("REPRO_EXEC_TASK_OVERHEAD",
-                                              DEFAULT_TASK_OVERHEAD_S))
-        self.result_arena_bytes = int(
-            result_arena_bytes if result_arena_bytes is not None
-            else _env_float("REPRO_EXEC_ARENA_BYTES", float(4 << 20)))
-        self._cfg = PoolConfig(task_sleep=task_sleep, fault_plan=fault_plan,
-                               arena_threshold=(
-                                   PoolConfig.arena_threshold
-                                   if arena_threshold is None
-                                   else int(arena_threshold)))
-        if start_method is None:
-            start_method = os.environ.get("REPRO_EXEC_START_METHOD") or (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(start_method)
-        self._heartbeat = (heartbeat if heartbeat is not None
-                           else _env_float("REPRO_EXEC_HEARTBEAT", 0.2))
-        self.join_timeout = (join_timeout if join_timeout is not None
-                             else _env_float("REPRO_EXEC_JOIN_TIMEOUT", 2.0))
-        self.hedge_after = (hedge_after if hedge_after is not None
-                            else _env_opt_float("REPRO_EXEC_HEDGE_AFTER"))
-        self.task_timeout = (task_timeout if task_timeout is not None
-                             else _env_opt_float("REPRO_EXEC_TASK_TIMEOUT"))
+        self.result_arena_bytes = int(result_arena_bytes)
+        self._cfg = PoolConfig(
+            task_sleep=task_sleep,
+            fault_plan=(fault_plan if fault_plan is not None
+                        else FaultPlan.from_env()),
+            arena_threshold=int(arena_threshold))
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        self._heartbeat = heartbeat
+        self.join_timeout = join_timeout
+        self.hedge_after = hedge_after
+        self.task_timeout = task_timeout
         self.respawn = respawn
         n_slots = self.jobs + len(self.node_addresses)
         self.max_respawns = (2 * n_slots + 2 if max_respawns is None
                              else int(max_respawns))
         self.serial_fallback = serial_fallback
-        self.min_workers = max(1, int(min_workers))
-        self._start_timeout = start_timeout
-        self.node_timeout = (
-            node_timeout if node_timeout is not None
-            else _env_opt_float("REPRO_EXEC_NODE_TIMEOUT"))
+        self.node_timeout = node_timeout or max(1.0, 5 * heartbeat)
         self._registry: ShmRegistry = default_registry()
         self._workers: List[_Worker] = []
         #: rank -> NodeClient for every configured node (connected or
@@ -615,7 +484,7 @@ class ExecPool:
 
     def _await_ready(self, w: _Worker) -> bool:
         try:
-            if not w.conn.poll(self._start_timeout):
+            if not w.conn.poll(_START_TIMEOUT):
                 return False
             return w.conn.recv()[0] == "ready"
         except (EOFError, OSError):  # pragma: no cover - spawn crash
@@ -773,10 +642,7 @@ class ExecPool:
             # port that accepts but never answers (agent dead, its
             # supervisor still holds the listening socket) must cost
             # one node-timeout, not the generous session-start default.
-            client.connect(
-                attempts=1,
-                hello_timeout=self.node_timeout or max(
-                    1.0, 5 * self._heartbeat))
+            client.connect(attempts=1, hello_timeout=self.node_timeout)
         except NodeConnectError as exc:
             client.retry_n += 1
             client.retry_at = now + backoff_delay(client.retry_n,
@@ -1194,8 +1060,6 @@ class ExecPool:
             # look healthy forever.  PINGs are rate-limited to the
             # heartbeat interval; PONGs refresh last_heard inside the
             # connection's poll/recv.
-            node_timeout = self.node_timeout or max(
-                1.0, 5 * self._heartbeat)
             for w in self._live():
                 if w.remote is None or w.busy is not None:
                     continue
@@ -1207,12 +1071,12 @@ class ExecPool:
                         err = self._handle_death(w, sched, stats, epoch)
                         failure = failure or err
                         continue
-                if now - conn.last_heard > node_timeout:
+                if now - conn.last_heard > self.node_timeout:
                     stats.heartbeat_losses += 1
                     self.ledger.record(
                         "heartbeat_lost", rank=w.rank,
                         detail=f"silent {now - conn.last_heard:.2f}s "
-                               f"> {node_timeout:.2f}s")
+                               f"> {self.node_timeout:.2f}s")
                     err = self._handle_death(w, sched, stats, epoch)
                     failure = failure or err
             if failure is None:
@@ -1222,14 +1086,11 @@ class ExecPool:
                 # after the failure could never drain — drop it.
                 sched.drop_pending()
             live = self._live()
-            if len(live) < self.min_workers:
+            if not live:
                 failure = failure or PoolJobError(
-                    f"pool collapsed to {len(live)}/"
-                    f"{len(self._workers)} workers "
-                    f"(min_workers={self.min_workers}; "
-                    f"deaths: {stats.worker_deaths})")
-                if not live:
-                    break
+                    f"pool collapsed to 0/{len(self._workers)} workers "
+                    f"(deaths: {stats.worker_deaths})")
+                break
             # Last-mirror loss: pending work whose every eligible
             # holder is dead can never drain.  Fail the job now — the
             # serial fallback serves it whole — instead of waiting on
@@ -1316,8 +1177,7 @@ class ExecPool:
                     continue
                 kind = msg[0]
                 if kind == "result":
-                    _, rank, qis, names, payload, elapsed = msg[:6]
-                    m_epoch = msg[6] if len(msg) > 6 else epoch
+                    _, rank, qis, names, payload, elapsed, m_epoch = msg
                     w.busy = None
                     if m_epoch != epoch:
                         stats.stale_results += 1
@@ -1375,8 +1235,7 @@ class ExecPool:
                         for pack_name, tqi, res in pairs:
                             results[tqi][pack_name] = res
                 elif kind == "error":
-                    _, rank, qis, names, tb = msg[:5]
-                    m_epoch = msg[5] if len(msg) > 5 else epoch
+                    _, rank, qis, names, tb, m_epoch = msg
                     stats.worker_errors += 1
                     self.ledger.record("worker_error", rank=w.rank,
                                        task=(qis, names),
@@ -1496,11 +1355,9 @@ class ExecPool:
         # contiguous fragments grouped per task so the master's
         # dispatch/merge overhead is amortized (the 0.83x fix), sized
         # by the observed scan rate once the pool has one.
-        max_qb = self.query_batch if query_batch is None else int(query_batch)
-        if max_qb > 1:
-            qgroups = plan_query_batches(len(jobs), self.jobs, max_qb)
-        else:
-            qgroups = [(qi,) for qi in jobs]
+        qgroups = plan_query_batches(
+            len(jobs), self.jobs,
+            self.query_batch if query_batch is None else int(query_batch))
         weights = [float(spec.total_residues) for spec in prep.specs]
         local_ranks = tuple(range(self.jobs))
         range_affinity: List[Optional[Tuple[int, ...]]] = []
@@ -1520,7 +1377,6 @@ class ExecPool:
                         [weights[i] for i in idx],
                         n_queries=len(qgroups), jobs=gjobs,
                         granularity=self.task_granularity,
-                        overhead_s=self.task_overhead,
                         scan_rate=self._rate_ema or DEFAULT_SCAN_RATE,
                         queries_per_task=max((len(g) for g in qgroups),
                                              default=1))):
@@ -1532,7 +1388,6 @@ class ExecPool:
             ranges = plan_task_ranges(
                 weights, n_queries=len(qgroups), jobs=self.jobs,
                 granularity=self.task_granularity,
-                overhead_s=self.task_overhead,
                 scan_rate=self._rate_ema or DEFAULT_SCAN_RATE,
                 queries_per_task=max((len(g) for g in qgroups), default=1))
             range_affinity = [None] * len(ranges)
@@ -1642,29 +1497,3 @@ class ExecPool:
             self._registry.release(arena.spec.name)
         self._arenas.clear()
         self._workers.clear()
-
-
-# ----------------------------------------------------------------------
-def search_parallel(query: np.ndarray, db, scheme,
-                    params: Optional[SearchParams] = None, *,
-                    jobs: Optional[int] = None,
-                    n_fragments: Optional[int] = None,
-                    pool: Optional[ExecPool] = None,
-                    query_id: str = "query", both_strands: bool = True,
-                    keep_fragment_ids: bool = False) -> SearchResults:
-    """Multi-core :func:`repro.blast.search.search`, byte-identical.
-
-    With *pool*, reuses its workers and any packs it already holds for
-    *db* (the warm path); otherwise a transient pool of *jobs* workers
-    is spun up and torn down around the call.
-    """
-    if pool is not None:
-        return pool.search(query, db, scheme, params, query_id=query_id,
-                           both_strands=both_strands,
-                           n_fragments=n_fragments,
-                           keep_fragment_ids=keep_fragment_ids)
-    with ExecPool(jobs=jobs, n_fragments=n_fragments) as transient:
-        return transient.search(query, db, scheme, params,
-                                query_id=query_id,
-                                both_strands=both_strands,
-                                keep_fragment_ids=keep_fragment_ids)

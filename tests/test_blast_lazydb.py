@@ -115,7 +115,7 @@ def test_pool_search_over_lazy_db(on_disk):
     from repro.blast.alphabet import encode_dna
     from repro.blast.score import NucleotideScore
     from repro.blast.search import SearchParams, search
-    from repro.exec import search_parallel
+    from repro.exec import ExecPool
     from repro.workloads import extract_query
 
     db, d = on_disk
@@ -129,6 +129,6 @@ def test_pool_search_over_lazy_db(on_disk):
                  [dataclasses.astuple(p) for p in h.hsps])
                 for h in res.hits]
 
-    par = search_parallel(query, lazy, scheme, params, jobs=2,
-                          n_fragments=3)
+    with ExecPool(jobs=2) as pool:
+        par = pool.search(query, lazy, scheme, params, n_fragments=3)
     assert dump(par) == dump(search(query, db, scheme, params))

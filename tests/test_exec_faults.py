@@ -350,23 +350,31 @@ def test_env_fault_plan_reaches_the_pool(workload, monkeypatch):
     assert ledger.get("worker_death", 0) >= 1
 
 
-def test_timeout_knobs_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_HEARTBEAT", "0.05")
-    monkeypatch.setenv("REPRO_EXEC_JOIN_TIMEOUT", "1.5")
-    monkeypatch.setenv("REPRO_EXEC_HEDGE_AFTER", "0.4")
-    monkeypatch.setenv("REPRO_EXEC_TASK_TIMEOUT", "3.5")
-    pool = ExecPool(jobs=1)
-    assert pool._heartbeat == pytest.approx(0.05)
-    assert pool.join_timeout == pytest.approx(1.5)
-    assert pool.hedge_after == pytest.approx(0.4)
-    assert pool.task_timeout == pytest.approx(3.5)
-    # Explicit arguments beat the environment.
-    pool2 = ExecPool(jobs=1, heartbeat=0.3, join_timeout=0.7,
-                     hedge_after=1.0, task_timeout=9.0)
-    assert pool2._heartbeat == pytest.approx(0.3)
-    assert pool2.join_timeout == pytest.approx(0.7)
-    assert pool2.hedge_after == pytest.approx(1.0)
-    assert pool2.task_timeout == pytest.approx(9.0)
+def test_disconnect_fault_on_a_pipe_worker(workload):
+    """The reply-time network kinds live in the one worker loop, so a
+    pipe worker honours them too: ``disconnect`` leaves without a
+    goodbye — the master sees EOF on the pipe, requeues, respawns."""
+    db, scheme, params, queries, serial = workload
+    plan = FaultPlan(faults=(Fault("disconnect", rank=0, task_index=0),))
+    got, live, stats, ledger = run_pool(db, scheme, params, queries,
+                                        fault_plan=plan, task_sleep=0.05)
+    assert got == serial
+    assert live == 2 and not stats.fallback
+    assert ledger.get("worker_death", 0) >= 1
+    assert ledger.get("respawn", 0) >= 1
+
+
+def test_delay_fault_on_a_pipe_worker(workload):
+    db, scheme, params, queries, serial = workload
+    plan = FaultPlan(faults=(Fault("delay", rank=0, task_index=0,
+                                   delay=0.3),))
+    with ExecPool(jobs=2, fault_plan=plan, task_sleep=0.05) as pool:
+        results = pool.search_many(queries, db, scheme, params,
+                                   n_fragments=4)
+        assert [dump(r) for r in results] == serial
+        assert pool.ledger.anomalies() == 0
+        assert not pool.last_stats.fallback
+        assert pool.last_stats.worker_deaths == []
 
 
 def test_close_escalates_past_hung_worker(workload):

@@ -6,6 +6,7 @@ scripted pipe so its protocol is covered without a subprocess."""
 import dataclasses
 import os
 import signal
+import socket
 import threading
 from collections import deque
 
@@ -14,12 +15,17 @@ import pytest
 
 from repro.blast.scankernel import db_token
 from repro.blast.score import NucleotideScore, ProteinScore
-from repro.blast.search import SearchParams, search
+from repro.blast.search import (SearchParams, merge_fragment_results,
+                                search)
 from repro.blast.seqdb import AA, NT, SequenceDB
-from repro.exec import (ExecPool, GreedyScheduler, PoolJobError,
-                        RetriesExceeded, plan_fragments, search_parallel)
+from repro.exec import (ExecPool, FrameConnection, GreedyScheduler,
+                        PoolJobError, RetriesExceeded, decode_result_pairs,
+                        plan_fragments)
+from repro.exec.net import pack_wire_meta
+from repro.exec.nodes import PROTO_VERSION, NodeAgent
 from repro.exec.pool import JobSpec, PoolConfig, _worker_main
-from repro.exec.shm import NAME_PREFIX, ShmRegistry, pack_fragment
+from repro.exec.shm import (NAME_PREFIX, ShmRegistry, pack_fragment,
+                            read_pack_bytes)
 
 from oracle_search import search_reference
 
@@ -242,16 +248,14 @@ def test_pool_keep_fragment_ids_and_pack_reuse():
         assert len(pool._prepared) == 0
 
 
-def test_search_parallel_transient_pool_and_query_ids_validation():
+def test_transient_pool_and_query_ids_validation():
     rng = np.random.default_rng(7)
     db = random_nt_db(rng, 15)
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     q = db.sequence(1)[:90].copy()
-    assert dump(search_parallel(q, db, scheme, params, jobs=1)) == \
-           dump(search(q, db, scheme, params))
     with ExecPool(jobs=1) as pool:
-        assert dump(search_parallel(q, db, scheme, params, pool=pool)) == \
+        assert dump(pool.search(q, db, scheme, params)) == \
                dump(search(q, db, scheme, params))
         with pytest.raises(ValueError):
             pool.search_many([q], db, scheme, params, query_ids=["a", "b"])
@@ -261,8 +265,17 @@ def test_pool_validation_and_close_semantics():
     with pytest.raises(ValueError):
         ExecPool(jobs=0)
     pool = ExecPool(jobs=1)
+    assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
+            pool.task_timeout, pool._cfg.task_sleep) == \
+        (0.2, 2.0, None, None, 0.0)
     pool.close()
     pool.close()                           # idempotent
+    pool = ExecPool(jobs=1, heartbeat=0.3, join_timeout=0.7,
+                    hedge_after=1.0, task_timeout=9.0, task_sleep=0.5)
+    assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
+            pool.task_timeout, pool._cfg.task_sleep) == \
+        (0.3, 0.7, 1.0, 9.0, 0.5)
+    pool.close()
     with pytest.raises(PoolJobError):
         pool.start()                       # closed pools do not restart
 
@@ -376,46 +389,103 @@ def _job_for(db, q, scheme, params):
                    effective_space=(len(q), db.total_residues))
 
 
+def _pipe_replies(rank, load, script):
+    """The script through ``_worker_main`` over a scripted pipe (packs
+    attached by shm name); everything sent after ``ready``."""
+    conn = ScriptedConn([("attach", spec) for spec in load] + script)
+    _worker_main(rank, conn, PoolConfig())
+    assert conn.sent[0] == ("ready", rank)
+    return conn.sent[1:]
+
+
+def _agent_replies(rank, load, script):
+    """The same script through ``NodeAgent._session`` over a socketpair
+    (packs published as bytes); everything sent after the hello."""
+    agent = NodeAgent("127.0.0.1", 0, node_id="proto")
+    ours, theirs = socket.socketpair()
+    session = threading.Thread(target=agent._session, args=(theirs,),
+                               daemon=True)
+    session.start()
+    conn = FrameConnection(ours, name="master")
+    try:
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": rank}))
+        kind, got_rank, info = conn.recv()
+        assert (kind, got_rank, info["held"]) == ("ready", rank, [])
+        for msg in [("publish", pack_wire_meta(spec), read_pack_bytes(spec))
+                    for spec in load] + script:
+            conn.send(msg)
+        replies = []
+        while not replies or replies[-1][0] != "stopped":
+            replies.append(conn.recv())
+        return replies
+    finally:
+        conn.close()
+        session.join(timeout=10.0)
+        agent.close()
+
+
 def test_worker_main_protocol_in_process():
+    """One script, both entry points: the pipe worker and the node
+    agent serve it through the same loop, so reply kinds, epoch echo,
+    error texts and exit counters must agree — only the pack verbs and
+    the result wrapper differ."""
     rng = np.random.default_rng(11)
     db = random_nt_db(rng, 12)
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     q = db.sequence(4)[:90].copy()
+    serial = dump(search(q, db, scheme, params, query_id="q"))
     registry = ShmRegistry()
-    spec = pack_fragment(db, params.word_size, 4,
-                         cache_token=(db_token(db), 0, 0), registry=registry)
-    job = _job_for(db, q, scheme, params)
+    specs = [pack_fragment(db.subset(ids, name=f"f{i}", fragment_id=i),
+                           params.word_size, 4,
+                           cache_token=(db_token(db), 0, i),
+                           registry=registry)
+             for i, ids in enumerate(plan_fragments(db, 2))]
+    names = tuple(s.name for s in specs)
+    script = [
+        ("job", 0, _job_for(db, q, scheme, params)),
+        ("task", (0,), names, 7),           # one task, two fragments
+        ("task", (0,), ("no-such-pack",), 8),   # -> error reply
+        ("bogus",),                         # -> unknown-message error
+        ("forget_job", 0),
+        ("detach", names[0]),
+        ("detach", names[0]),               # idempotent re-detach
+        ("stop",),
+    ]
     try:
-        conn = ScriptedConn([
-            ("attach", spec),
-            ("attach", spec),               # idempotent re-attach
-            ("job", 0, job),
-            ("task", 0, (spec.name,)),       # legacy int-qi task
-            ("task", (0,), ("no-such-pack",)),  # -> error reply
-            ("bogus",),                     # -> unknown-message error
-            ("forget_job", 0),
-            ("detach", spec.name),
-            ("detach", spec.name),          # idempotent re-detach
-            ("stop",),
-        ])
-        _worker_main(3, conn, PoolConfig())
-        kinds = [m[0] for m in conn.sent]
-        assert kinds == ["ready", "result", "error", "error", "stopped"]
-        result_msg = conn.sent[1]
-        # A legacy int-qi task is normalized to a one-query batch and
-        # echoed back as such; result pairs are (name, qi, res) triples.
-        assert result_msg[1:4] == (3, (0,), (spec.name,))
-        mode, pairs = result_msg[4]
-        assert mode == "inline" and pairs[0][:2] == (spec.name, 0)
-        assert dump(pairs[0][2]) == dump(
-            search(q, db, scheme, params, query_id="q"))
-        assert "KeyError" in conn.sent[2][4]
-        assert "unknown message" in conn.sent[3][4]
-        stopped = conn.sent[-1]
-        assert stopped[1] == 3 and stopped[2]["tasks"] == 1
+        for rank, serve, wire, unwrap in (
+                (3, _pipe_replies, "inline", list),
+                (5, _agent_replies, "blob", decode_result_pairs)):
+            # Loading every pack twice is idempotent on both holders.
+            replies = serve(rank, specs + specs, script)
+            assert [m[0] for m in replies] == \
+                ["result", "error", "error", "stopped"]
+            result, bad_pack, bogus, stopped = replies
+            assert result[1:4] == (rank, (0,), names)
+            assert result[6] == 7           # epoch echoed
+            assert result[4][0] == wire
+            pairs = unwrap(result[4][1])
+            assert [p[:2] for p in pairs] == [(n, 0) for n in names]
+            merged = merge_fragment_results(
+                {n: res for n, _qi, res in pairs},
+                {s.name: list(s.source_ids) for s in specs},
+                query_id="q", query_len=len(q),
+                db_residues=db.total_residues, db_sequences=len(db),
+                fragment_id=db.fragment_id)
+            assert dump(merged) == serial
+            assert bad_pack[1:4] == (rank, (0,), ("no-such-pack",))
+            assert "KeyError" in bad_pack[4] and bad_pack[5] == 8
+            assert bogus[2:4] == (None, None) and bogus[5] == -1
+            assert "unknown message 'bogus'" in bogus[4]
+            stats = stopped[2]
+            assert stopped[1] == rank
+            assert (stats["rank"], stats["tasks"], stats["fragments"]) == \
+                (rank, 1, 2)
+            if serve is _agent_replies:     # the agent adds node / held
+                assert (stats["node"], stats["held"]) == ("proto", 1)
     finally:
-        registry.release(spec.name)
+        for spec in specs:
+            registry.release(spec.name)
 
 
 def test_worker_main_eof_tears_down_packs():
@@ -444,21 +514,6 @@ def test_worker_main_reports_attach_failure():
     kinds = [m[0] for m in conn.sent]
     assert kinds == ["ready", "error", "stopped"]
     assert "FileNotFoundError" in conn.sent[1][4]
-
-
-def test_task_sleep_env_hook(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_TASK_SLEEP", "0.125")
-    pool = ExecPool(jobs=1)
-    try:
-        assert pool._cfg.task_sleep == 0.125
-    finally:
-        pool.close()
-    monkeypatch.delenv("REPRO_EXEC_TASK_SLEEP")
-    pool = ExecPool(jobs=1, task_sleep=0.5)
-    try:
-        assert pool._cfg.task_sleep == 0.5
-    finally:
-        pool.close()
 
 
 def test_pool_cold_start_leaves_no_mmap_open(tmp_path):

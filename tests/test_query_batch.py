@@ -300,6 +300,10 @@ def test_plan_query_batches_shapes():
     assert plan_query_batches(6, 2, max_batch=32) == [(0, 1, 2, 3, 4, 5)]
     assert plan_query_batches(7, 2, max_batch=3) == [(0, 1, 2), (3, 4),
                                                      (5, 6)]
+    # max_batch <= 1 is one query per group: the pool's "batching off"
+    # needs no arm of its own.
+    assert plan_query_batches(3, 2, max_batch=0) == [(0,), (1,), (2,)]
+    assert plan_query_batches(3, 2, max_batch=1) == [(0,), (1,), (2,)]
     for n in (1, 2, 5, 17, 64):
         for max_batch in (1, 3, 32):
             groups = plan_query_batches(n, 2, max_batch=max_batch)
