@@ -203,36 +203,25 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
 
 def _serial_batch_results(program: str, db, queries, params):
     """All queries of a serial blastn/blastp invocation through one
-    database pass (:func:`repro.blast.search.search_batch`), scored
-    with the program's defaults."""
+    database pass, scored with the program's defaults: one
+    :func:`repro.blast.search.search_batch` over an in-RAM database,
+    one per fragment over a mmapped pack store (opened once)."""
     from repro.blast.alphabet import encode_dna, encode_protein
     from repro.blast.programs import program_defaults
-    from repro.blast.search import search_batch
+    from repro.blast.search import search_batch as serial_batch
     from repro.blast.seqdb import AA, NT
 
     need = NT if program == "blastn" else AA
     if db.seqtype != need:
         raise ValueError(f"{program} needs a {need} database")
+    if getattr(db, "is_pack_store", False):
+        from repro.exec.diskpack import search_store_batch as serial_batch
     scheme, sparams = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
-    return search_batch(
+    return serial_batch(
         [encode(rec.sequence) for rec in queries], db, scheme, sparams,
         query_ids=[rec.id or "query" for rec in queries],
         both_strands=(program == "blastn"))
-
-
-def _search_store_serial(program: str, store, rec, params):
-    """One query against a mmapped pack store, scored exactly as the
-    program's serial whole-database dispatch would score it."""
-    from repro.blast.alphabet import encode_dna, encode_protein
-    from repro.blast.programs import program_defaults
-    from repro.exec.diskpack import search_store
-
-    scheme, sparams = program_defaults(program, params)
-    encode = encode_dna if program == "blastn" else encode_protein
-    return search_store(encode(rec.sequence), store, scheme, sparams,
-                        query_id=rec.id or "query",
-                        both_strands=(program == "blastn"))
 
 
 def cmd_blastall(args) -> int:
@@ -325,25 +314,24 @@ def cmd_blastall(args) -> int:
                   f"running {args.program} serially", file=sys.stderr)
     # Serial blastn/blastp: one database pass serves every query of
     # the FASTA file, however many there are.
-    if (precomputed is None and store is None
-            and args.program in ("blastn", "blastp")):
+    if precomputed is None and store is not None:
+        from repro.exec import PackIntegrityError
+
+        try:
+            precomputed = _serial_batch_results(args.program, store,
+                                                queries, params)
+        except PackIntegrityError as exc:
+            print(f"# pack integrity failure: {exc}", file=sys.stderr)
+            return EXIT_INTEGRITY
+        except ValueError as exc:
+            print(f"# {exc}", file=sys.stderr)
+            return 2
+    elif precomputed is None and args.program in ("blastn", "blastp"):
         precomputed = _serial_batch_results(args.program, db, queries,
                                             params)
     for qi, rec in enumerate(queries):
         if precomputed is not None:
             results = precomputed[qi]
-        elif store is not None:
-            from repro.exec import PackIntegrityError
-
-            try:
-                results = _search_store_serial(args.program, store, rec,
-                                               params)
-            except PackIntegrityError as exc:
-                print(f"# pack integrity failure: {exc}", file=sys.stderr)
-                return EXIT_INTEGRITY
-            except ValueError as exc:
-                print(f"# {exc}", file=sys.stderr)
-                return 2
         else:
             results = blastall(args.program, rec.sequence, db, params=params,
                                query_id=rec.id or "query")

@@ -43,7 +43,8 @@ master/worker design on actual cores:
 from repro.exec.diskpack import (DiskPack, PackFormatError, PackStore,
                                  PackStoreBuilder, build_pack_store,
                                  corrupt_pack_file, search_store,
-                                 sweep_build_leftovers, write_pack)
+                                 search_store_batch, sweep_build_leftovers,
+                                 write_pack)
 from repro.exec.faults import (ANOMALY_KINDS, FAULT_KINDS, FAULT_PLAN_ENV,
                                FailureLedger, Fault, FaultInjector,
                                FaultPlan, LedgerEntry, random_plan)
@@ -69,7 +70,7 @@ from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
 __all__ = [
     "DiskPack", "PackFormatError", "PackStore", "PackStoreBuilder",
     "build_pack_store", "corrupt_pack_file", "search_store",
-    "sweep_build_leftovers", "write_pack",
+    "search_store_batch", "sweep_build_leftovers", "write_pack",
     "pack_layout", "publish_pack_bytes",
     "ExecPool", "JobSpec", "PoolConfig", "PoolJobError", "PoolStats",
     "DEFAULT_SCAN_RATE", "DEFAULT_TASK_OVERHEAD_S",

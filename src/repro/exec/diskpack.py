@@ -68,7 +68,8 @@ from repro.blast.alphabet import DNA, PROTEIN, encode_dna, encode_protein
 from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.blast.scankernel import ScanStructures, build_scan_structures
 from repro.blast.search import (SearchParams, SearchResults,
-                                merge_fragment_results, resolve_ka, search)
+                                merge_fragment_results, resolve_ka,
+                                search_batch)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.blast.stats import effective_search_space
 from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec, _crc,
@@ -889,19 +890,23 @@ def build_pack_store(source, directory: str, *, seqtype: str = NT,
 # ----------------------------------------------------------------------
 # Serial search straight off the mapping
 # ----------------------------------------------------------------------
-def search_store(query: np.ndarray, store: PackStore, scheme,
-                 params: Optional[SearchParams] = None, *,
-                 query_id: str = "query", both_strands: bool = True,
-                 keep_fragment_ids: bool = False,
-                 verify: bool = True) -> SearchResults:
-    """Serial search against a mmapped store, byte-identical to
-    ``search(query, db, ...)`` over the equivalent in-RAM database.
+def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
+                       scheme, params: Optional[SearchParams] = None, *,
+                       query_ids: Optional[Sequence[str]] = None,
+                       both_strands: bool = True,
+                       keep_fragment_ids: bool = False,
+                       verify: bool = True) -> List[SearchResults]:
+    """Serial search of N queries against a mmapped store, each result
+    byte-identical to ``search(query, db, ...)`` over the equivalent
+    in-RAM database.
 
     Exactly the pool's statistics discipline, minus the pool: one
-    whole-store Karlin–Altschul resolution and effective search space
-    shared by every fragment, per-fragment scans over zero-copy
-    :class:`~repro.exec.shm.PackDB` views, then the same
-    source-id-globalizing merge.
+    whole-store Karlin–Altschul resolution and a whole-store effective
+    search space per query shared by every fragment, one
+    :func:`~repro.blast.search.search_batch` pass per fragment over a
+    zero-copy :class:`~repro.exec.shm.PackDB` view, then the same
+    source-id-globalizing merge per query.  The store is opened (and
+    CRC-verified) once, however many queries there are.
     """
     params = params or SearchParams()
     if params.word_size != store.k:
@@ -910,31 +915,48 @@ def search_store(query: np.ndarray, store: PackStore, scheme,
             f"{store.k}; searching at word size {params.word_size} "
             f"requires a rebuild (packdb build --word-size "
             f"{params.word_size})")
-    is_protein = store.seqtype == AA
-    query = np.asarray(query, dtype=np.uint8)
-    ka = resolve_ka(scheme, params, is_protein)
-    if params.effective_lengths:
-        space = effective_search_space(ka, len(query),
-                                       store.total_residues, len(store))
-    else:
-        space = (len(query), store.total_residues)
+    queries = [np.asarray(q, dtype=np.uint8) for q in queries]
+    if query_ids is None:
+        query_ids = ["query"] * len(queries)
+    ka = resolve_ka(scheme, params, store.seqtype == AA)
+    spaces = [effective_search_space(ka, len(q), store.total_residues,
+                                     len(store))
+              if params.effective_lengths
+              else (len(q), store.total_residues) for q in queries]
 
-    by_pack: Dict[str, SearchResults] = {}
+    by_pack: List[Dict[str, SearchResults]] = [{} for _ in queries]
     ids_by_name: Dict[str, List[int]] = {}
     packs = store.open_packs(verify=verify)
     try:
         for pack in packs:
             db = PackDB(pack)
-            by_pack[db.name] = search(
-                query, db, scheme, params, query_id=query_id, ka=ka,
-                both_strands=both_strands, effective_space=space)
+            found = search_batch(queries, db, scheme, params,
+                                 query_ids=query_ids, ka=ka,
+                                 both_strands=both_strands,
+                                 effective_spaces=spaces)
+            for per_query, res in zip(by_pack, found):
+                per_query[db.name] = res
             ids_by_name[db.name] = list(pack.spec.source_ids)
-            del db
+            del db, found
     finally:
         for pack in packs:
             pack.close()
-    return merge_fragment_results(
-        by_pack, ids_by_name, query_id=query_id, query_len=len(query),
-        db_residues=store.total_residues, db_sequences=len(store),
-        fragment_id=None,
-        keep_fragment_ids=keep_fragment_ids)
+    return [merge_fragment_results(
+                by_pack[qi], ids_by_name, query_id=query_ids[qi],
+                query_len=len(q), db_residues=store.total_residues,
+                db_sequences=len(store), fragment_id=None,
+                keep_fragment_ids=keep_fragment_ids)
+            for qi, q in enumerate(queries)]
+
+
+def search_store(query: np.ndarray, store: PackStore, scheme,
+                 params: Optional[SearchParams] = None, *,
+                 query_id: str = "query", both_strands: bool = True,
+                 keep_fragment_ids: bool = False,
+                 verify: bool = True) -> SearchResults:
+    """One query against a mmapped store: a :func:`search_store_batch`
+    of one."""
+    return search_store_batch(
+        [query], store, scheme, params, query_ids=[query_id],
+        both_strands=both_strands, keep_fragment_ids=keep_fragment_ids,
+        verify=verify)[0]

@@ -111,10 +111,9 @@ class FrameDecoder:
     clean EOF.
     """
 
-    def __init__(self, check_sequence: bool = True):
+    def __init__(self):
         self._buf = bytearray()
         self._expect_seq = 0
-        self._check_sequence = check_sequence
         self.frames_in = 0
 
     @property
@@ -145,12 +144,11 @@ class FrameDecoder:
                 raise FrameCRCError(
                     f"frame {seq} payload CRC32 mismatch "
                     f"(expected {crc:#010x}, got {got:#010x})")
-            if self._check_sequence:
-                if seq != self._expect_seq:
-                    raise FrameSequenceError(
-                        f"expected frame {self._expect_seq}, got {seq} "
-                        f"(lost or replayed frame)")
-                self._expect_seq += 1
+            if seq != self._expect_seq:
+                raise FrameSequenceError(
+                    f"expected frame {self._expect_seq}, got {seq} "
+                    f"(lost or replayed frame)")
+            self._expect_seq += 1
             self.frames_in += 1
             yield ftype, seq, payload
 

@@ -23,11 +23,11 @@ drop ships nothing — the hello reply lists the held identities and the
 master sends a tiny ``adopt`` instead of megabytes of pack bytes (a
 re-read, not a re-ship).
 
-The master side is :class:`NodeClient` (dial with bounded backoff,
-hello handshake, ship-or-adopt accounting) and :class:`_NodeProcess`, a
-duck-typed stand-in for ``multiprocessing.Process`` so a remote worker
-slots into the pool's existing ``_Worker`` bookkeeping — liveness
-sweeps, hang kills, and close() escalation all reuse one code path.
+The master side has the same shape as the worker side: one surface,
+:class:`WorkerSlot`, that the pool's pump drives without knowing the
+transport behind it.  :class:`NodeClient` is the socket slot (dial with
+bounded backoff, hello handshake, ship-or-adopt accounting, heartbeat);
+the pipe slot lives beside the pool in :mod:`repro.exec.pool`.
 
 :class:`NodeFleet` spawns local agents for tests, chaos sweeps, CI and
 benchmarks: the parent keeps each listening socket open, so respawning
@@ -51,7 +51,8 @@ from repro.blast.scankernel import ScanCache
 from repro.blast.search import search_batch
 from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
-                            connect_backoff, pack_wire_meta, parse_address)
+                            backoff_delay, connect_backoff, pack_wire_meta,
+                            parse_address)
 from repro.exec.results import encode_result_pairs
 from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
                             ShmRegistry, corrupt_segment, ensure_tracker,
@@ -462,27 +463,116 @@ class NodeAgent:
 
 
 # ----------------------------------------------------------------------
-# Master side
+# Master side: one worker slot, two transports
 # ----------------------------------------------------------------------
-class NodeClient:
-    """Master-side handle on one worker node.
+#: What a broken transport raises from ``send`` / ``poll`` / ``recv``.
+_BROKEN = (EOFError, OSError, FrameError)
+
+
+class SlotLost(Exception):
+    """A slot's transport failed.  *kind* / *detail* are the ledger
+    line the loss earns on top of the ``worker_death`` every loss gets
+    (``None``: a plain EOF says it all)."""
+
+    def __init__(self, kind: Optional[str] = None, detail: str = ""):
+        super().__init__(kind, detail)
+        self.kind = kind
+        self.detail = detail
+
+
+class WorkerSlot:
+    """One worker as the master sees it, whatever carries its messages.
+
+    The pump owns the bookkeeping — *alive* (the master's belief),
+    *busy* / *busy_since* (the ``(epoch, qis, names)`` task in flight;
+    pool-level, so a straggler from a previous run is still recognised
+    across run boundaries; reset when a revive brings the slot back),
+    *jobs_sent* (likewise) — and talks through *conn*.
+    What differs by transport is a few questions; an implementation
+    answers, or raises :class:`SlotLost`.  Besides the defaults below:
+    ``is_alive()`` (does the transport still look up), ``kill()`` (stop
+    a worker presumed hung), ``lost()`` (declared dead: let go of the
+    transport), ``install(prepared)`` (make the worker hold these
+    fragment sets) and ``revive(now, prepared, force=False)`` — bring a
+    dead slot back holding *prepared*: ``None`` when no attempt was due
+    (pacing, which *force* ignores), else the ``(ledger kind, detail)``
+    of the attempt, with *alive* saying whether the slot is back.
+    """
+
+    arena = None                # result arena, if the transport has one
+    pid: Optional[int] = None   # a pid the master may signal, if any
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.conn = None
+        self.alive = False
+        self.jobs_sent: set = set()
+        self.busy: Optional[tuple] = None
+        self.busy_since = 0.0
+
+    def idle_check(self, now: float) -> None:
+        """Probe an idle worker (a busy one is covered by the task
+        deadlines).  A pipe needs none: its EOF is its heartbeat."""
+
+    def has_queued(self) -> bool:
+        """Messages decoded and waiting, which a wait on fds misses."""
+        return False
+
+    def ship_stats(self) -> Optional[dict]:
+        """Pack shipping counters, for a transport that ships packs."""
+        return None
+
+    def recv(self):
+        """The next queued message, or ``None`` when the wakeup carried
+        none (a socket wakeup may be a bare keepalive).  A framing
+        violation is a typed transport error handled as a death —
+        never a hang, never a silently accepted payload."""
+        try:
+            return self.conn.recv() if self.conn.poll(0) else None
+        except FrameError as exc:
+            raise SlotLost("transport_error", str(exc)) from exc
+        except (EOFError, OSError) as exc:
+            raise SlotLost() from exc
+
+    def stop(self, deadline: float) -> None:
+        """Wait until *deadline* for the ``stopped`` goodbye of a worker
+        told to stop; implementations then shut the transport."""
+        if self.alive and self.conn is not None:
+            try:
+                while True:
+                    left = deadline - time.monotonic()
+                    if left <= 0 or not self.conn.poll(left):
+                        break
+                    if self.conn.recv()[0] == "stopped":
+                        break
+            except _BROKEN:
+                pass
+        self.alive = False
+
+
+class NodeClient(WorkerSlot):
+    """The socket slot: master-side handle on one worker node.
 
     Owns the dial/backoff/hello lifecycle and the ship-or-adopt
     decision: packs whose identity the node already reported holding
     are adopted (bytes saved — the mirror re-read), everything else is
-    shipped once and remembered.
+    shipped once and remembered.  An idle node is PINGed every
+    *heartbeat* seconds and lost after *node_timeout* of silence.
     """
 
     def __init__(self, address, rank: int, *,
                  connect_attempts: int = 3,
                  connect_timeout: float = 2.0,
-                 backoff_base: float = 0.05):
+                 backoff_base: float = 0.05,
+                 heartbeat: float = 0.2,
+                 node_timeout: float = 1.0):
+        super().__init__(rank)
         self.address = parse_address(address)
-        self.rank = rank
         self.connect_attempts = max(1, int(connect_attempts))
         self.connect_timeout = connect_timeout
         self.backoff_base = backoff_base
-        self.conn: Optional[FrameConnection] = None
+        self.heartbeat = heartbeat
+        self.node_timeout = node_timeout
         self.node_info: dict = {}
         self.held: set = set()
         self.connects = 0
@@ -490,14 +580,10 @@ class NodeClient:
         self.packs_adopted = 0
         self.bytes_shipped = 0
         self.bytes_saved = 0
-        #: Reconnect pacing (pool-side): next attempt not before
-        #: *retry_at*, with *retry_n* driving the exponential backoff.
+        #: Revive pacing: next dial not before *retry_at*, with
+        #: *retry_n* driving the exponential backoff.
         self.retry_n = 0
         self.retry_at = 0.0
-
-    @property
-    def alive(self) -> bool:
-        return self.conn is not None and not self.conn.closed
 
     @property
     def label(self) -> str:
@@ -528,15 +614,11 @@ class NodeClient:
                     and msg[0] == "ready"):
                 raise NodeConnectError(
                     f"node {self.label} answered {msg!r}, expected ready")
-        except NodeConnectError:
+        except BaseException as exc:
             conn.close()
-            raise
-        except (EOFError, OSError, FrameError) as exc:
-            conn.close()
-            raise NodeConnectError(
-                f"handshake with node {self.label} failed: {exc}") from exc
-        except BaseException:
-            conn.close()
+            if isinstance(exc, _BROKEN):
+                raise NodeConnectError(f"handshake with node {self.label} "
+                                       f"failed: {exc}") from exc
             raise
         self.conn = conn
         self.node_info = msg[2]
@@ -545,7 +627,7 @@ class NodeClient:
         self.retry_n = 0
         return self.node_info
 
-    def ship(self, spec, data: Optional[bytes] = None) -> int:
+    def ship(self, spec) -> int:
         """Make the node hold *spec*'s pack under the master's name.
 
         Returns the bytes actually sent over the wire: the full data
@@ -559,7 +641,7 @@ class NodeClient:
             self.packs_adopted += 1
             self.bytes_saved += spec.size
             return 0
-        payload = bytes(data) if data is not None else read_pack_bytes(spec)
+        payload = read_pack_bytes(spec)
         self.conn.send(("publish", pack_wire_meta(spec), payload))
         self.held.add(spec.cache_token)
         self.packs_shipped += 1
@@ -579,36 +661,81 @@ class NodeClient:
                 "bytes_shipped": self.bytes_shipped,
                 "bytes_saved": self.bytes_saved}
 
-
-class _NodeProcess:
-    """Duck-typed ``multiprocessing.Process`` stand-in over a
-    :class:`NodeClient`, so remote workers ride the pool's existing
-    ``_Worker`` bookkeeping (liveness sweep, hang kill, close
-    escalation) unchanged.  "Kill" means "drop the connection": the
-    agent process on the far node is not ours to signal."""
-
-    def __init__(self, client: NodeClient):
-        self._client = client
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._client.node_info.get("pid")
-
-    @property
-    def exitcode(self) -> Optional[int]:
-        return None if self._client.alive else 0
-
+    # -- the slot surface ----------------------------------------------
     def is_alive(self) -> bool:
-        return self._client.alive
+        return self.conn is not None and not self.conn.closed
 
-    def terminate(self) -> None:
-        self._client.abort()
+    # Both mean "drop the socket now": the far process is not ours to
+    # signal, a half-dead connection must not keep waking the pump,
+    # and revive dials fresh.
+    kill = lost = abort
 
-    def kill(self) -> None:
-        self._client.abort()
+    def install(self, prepared) -> None:
+        """Ship (or adopt) every pack this node's mirror placement
+        assigns it; nodes get pack bytes, not shm names."""
+        try:
+            for prep in prepared:
+                for spec in prep.specs:
+                    if self.rank in prep.placement.get(spec.name, ()):
+                        self.ship(spec)
+        except _BROKEN as exc:
+            raise SlotLost("node_ship_failed", str(exc)) from exc
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        return None
+    def revive(self, now: float, prepared,
+               force: bool = False) -> Optional[Tuple[str, str]]:
+        """Re-dial and re-ship (or re-adopt) the placed packs.
+
+        Paced by exponential backoff + jitter: a node that stays down
+        costs one quick refused dial per backoff window, not per pump
+        tick.  A reconnected node that still holds its packs (network
+        blip, agent survived) re-registers them by identity — the adopt
+        path — so recovery ships ~0 bytes.
+        """
+        if not force and now < self.retry_at:
+            return None
+        try:
+            # The hello wait runs inside the single-threaded pump: a
+            # port that accepts but never answers (agent dead, its
+            # supervisor still holds the listening socket) must cost
+            # one node-timeout, not the generous session-start default.
+            self.connect(attempts=1, hello_timeout=self.node_timeout)
+            self.install(prepared)
+        except NodeConnectError as exc:
+            detail = str(exc)
+        except SlotLost as lost:
+            self.abort()
+            detail = f"died during pack re-ship: {lost.detail}"
+        else:
+            self.alive = True
+            return "reconnect", self.label
+        self.retry_n += 1
+        self.retry_at = now + backoff_delay(self.retry_n, base=0.2,
+                                            max_delay=5.0)
+        return "reconnect_failed", detail
+
+    def idle_check(self, now: float) -> None:
+        """Missed-heartbeat detection: an idle node that stops
+        answering PINGs would otherwise look healthy forever.  PINGs
+        are rate-limited to the heartbeat interval; PONGs refresh
+        ``last_heard`` inside the connection's poll/recv."""
+        conn = self.conn
+        if now - conn.last_ping >= self.heartbeat:
+            try:
+                conn.ping()
+            except OSError as exc:
+                raise SlotLost() from exc
+        silent = now - conn.last_heard
+        if silent > self.node_timeout:
+            raise SlotLost("heartbeat_lost",
+                           f"silent {silent:.2f}s "
+                           f"> {self.node_timeout:.2f}s")
+
+    def has_queued(self) -> bool:
+        return self.conn.queued > 0
+
+    def stop(self, deadline: float) -> None:
+        super().stop(deadline)
+        self.abort()
 
 
 # ----------------------------------------------------------------------

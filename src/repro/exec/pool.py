@@ -59,6 +59,7 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,9 +72,8 @@ from repro.blast.search import (SearchParams, SearchResults,
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
 from repro.exec.faults import FailureLedger, FaultInjector, FaultPlan
-from repro.exec.net import (FrameError, NodeConnectError, backoff_delay,
-                            parse_address)
-from repro.exec.nodes import (NamedPacks, NodeClient, _NodeProcess,
+from repro.exec.net import NodeConnectError, parse_address
+from repro.exec.nodes import (NamedPacks, NodeClient, SlotLost, WorkerSlot,
                               serve_tasks)
 from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
@@ -169,23 +169,51 @@ class PoolStats:
     fallback: bool = False
 
 
+#: The ``PoolStats`` counters each ledger kind bumps (``worker_death``
+#: appends its rank to ``worker_deaths`` instead).
+_COUNTERS = {
+    "hang_kill": ("hang_kills",),
+    "heartbeat_lost": ("heartbeat_losses",),
+    "hedge": ("hedges",),
+    "hedge_win": ("hedge_wins",),
+    "stale_result": ("stale_results",),
+    "integrity": ("integrity_failures",),
+    "worker_error": ("worker_errors",),
+    "respawn": ("respawn_attempts", "respawns"),
+    "respawn_failed": ("respawn_attempts",),
+    "reconnect": ("respawn_attempts", "respawns", "reconnects"),
+    "reconnect_failed": ("respawn_attempts",),
+}
+
+
 @dataclass
-class _Worker:
-    rank: int
-    process: object
-    conn: object
-    alive: bool = True
-    jobs_sent: set = field(default_factory=set)
-    #: The task this worker is serving: ``(epoch, qis, names)`` where
-    #: ``qis`` is the tuple of query indexes in the batch and ``names``
-    #: the tuple of pack names in the fragment range.
-    #: Pool-level (not scheduler-level) so a straggler from a previous
-    #: run is still recognised — and reaped — across run boundaries.
-    busy: Optional[tuple] = None
-    busy_since: float = 0.0
-    #: The :class:`~repro.exec.nodes.NodeClient` behind a remote
-    #: worker; ``None`` for a local pipe worker.
-    remote: Optional[NodeClient] = None
+class _Run:
+    """One scheduler pass: everything the pump's phases share."""
+
+    ledger: FailureLedger
+    jobs: Dict[int, JobSpec]
+    sched: GreedyScheduler
+    epoch: int
+    results: Dict[int, Dict[str, SearchResults]]
+    stats: PoolStats = field(default_factory=PoolStats)
+    failure: Optional[Exception] = None
+
+    def fail(self, err: Exception) -> None:
+        """The first failure wins.  A failed run stops dispatching, so
+        queued work could never drain — drop it."""
+        if self.failure is None:
+            self.failure = err
+        self.sched.drop_pending()
+
+    def note(self, kind: str, rank: Optional[int] = None,
+             task: Optional[tuple] = None, detail: str = "") -> None:
+        """Record one recovery event: the ledger entry and the
+        ``PoolStats`` counters that mirror it."""
+        self.ledger.record(kind, rank=rank, task=task, detail=detail)
+        if kind == "worker_death":
+            self.stats.worker_deaths.append(rank)
+        for name in _COUNTERS.get(kind, ()):
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
 
 @dataclass
@@ -254,15 +282,142 @@ def _effective_space(ka: KarlinAltschul, params: SearchParams,
     return query_len, db.total_residues
 
 
-def _terminate_workers(workers: List[_Worker]) -> None:  # pragma: no cover
+def _terminate_workers(workers: List[WorkerSlot]) -> None:  # pragma: no cover
     """GC/exit safety net (module-level so weakref.finalize can hold it
     without keeping the pool alive); ``close()`` is the normal path."""
     for w in workers:
+        w.kill()
+
+
+class _PipeSlot(WorkerSlot):
+    """The pipe slot: a forked worker process on a ``Pipe``, fragment
+    packs attached by shm name, large results read back through a
+    master-owned shared-memory arena."""
+
+    def __init__(self, pool: "ExecPool", rank: int):
+        super().__init__(rank)
+        self.pool = pool
+        self.process = None
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+    def spawn(self, cfg: PoolConfig) -> None:
+        pool = self.pool
+        if self.arena is None and pool.result_arena_bytes > 0:
+            # Created on first use and reused by a respawned
+            # replacement: its predecessor is dead, and the master
+            # consumed or abandoned any descriptor it had written.
+            self.arena = ResultArena.create(pool.result_arena_bytes,
+                                            tag=str(self.rank),
+                                            registry=pool._registry)
+        parent_conn, child_conn = pool._ctx.Pipe()
+        proc = pool._ctx.Process(
+            target=_worker_main,
+            args=(self.rank, child_conn, cfg,
+                  self.arena.spec if self.arena else None),
+            name=f"repro-exec-{self.rank}", daemon=True)
         try:
-            if w.process.is_alive():
-                w.process.terminate()
-        except Exception:
+            proc.start()
+        except BaseException:
+            # A failed fork/spawn must not leak the pipe pair: nothing
+            # downstream will ever see this transport, so close both
+            # ends here and let close() sweep the registered strays of
+            # any end a racing failure left half-open.
+            for end in (parent_conn, child_conn):
+                pool._strays.append(end)
+                try:
+                    end.close()
+                except OSError:  # pragma: no cover
+                    pass
+            raise
+        child_conn.close()
+        self.process, self.conn, self.alive = proc, parent_conn, True
+
+    def await_ready(self) -> bool:
+        try:
+            if not self.conn.poll(_START_TIMEOUT):
+                return False
+            return self.conn.recv()[0] == "ready"
+        except (EOFError, OSError):  # pragma: no cover - spawn crash
+            return False
+
+    def is_alive(self) -> bool:
+        return self.process.is_alive()
+
+    def kill(self) -> None:
+        try:
+            self.process.kill()
+        except Exception:  # pragma: no cover - never started / reaped
             pass
+
+    def lost(self) -> None:
+        try:
+            self.process.join(timeout=min(0.5, self.pool.join_timeout))
+        except Exception:  # pragma: no cover
+            pass
+
+    def install(self, prepared) -> None:
+        try:
+            for prep in prepared:
+                for spec in prep.specs:
+                    self.conn.send(("attach", spec))
+        except OSError as exc:
+            raise SlotLost() from exc
+
+    def revive(self, now: float, prepared,
+               force: bool = False) -> Tuple[str, str]:
+        """A fresh process (same rank, new pipe) with every prepared
+        pack re-attached.
+
+        The replacement is a *healthy* machine: it carries no fault
+        plan (otherwise a once-per-process fault re-arms on every
+        respawn and a single injected kill poisons its task forever,
+        which no real crash does — and seeded chaos plans would never
+        converge)."""
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        self.spawn(replace(self.pool._cfg, fault_plan=None))
+        detail = ""
+        if self.await_ready():
+            try:
+                self.install(prepared)
+                return "respawn", ""
+            except SlotLost:
+                detail = "died during pack re-attach"
+        # The replacement never came up: kill *and* join it — nothing
+        # else will, and skipping this leaks a live process.
+        self.alive = False
+        self.kill()
+        self.lost()
+        self.conn.close()
+        return "respawn_failed", detail
+
+    def stop(self, deadline: float) -> None:
+        """The goodbye and the join share *deadline*, after which the
+        worker is escalated ``terminate()`` → ``kill()``."""
+        super().stop(deadline)
+        proc = self.process
+        if proc is not None:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=max(0.5, self.pool.join_timeout / 2))
+            if proc.is_alive():  # pragma: no cover - SIGTERM immune
+                proc.kill()
+                proc.join()
+        if self.conn is not None:
+            try:
+                self.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+        if self.arena is not None:
+            self.arena.close()
+            self.pool._registry.release(self.arena.spec.name)
+            self.arena = None
 
 
 class ExecPool:
@@ -415,23 +570,21 @@ class ExecPool:
         self.serial_fallback = serial_fallback
         self.node_timeout = node_timeout or max(1.0, 5 * heartbeat)
         self._registry: ShmRegistry = default_registry()
-        self._workers: List[_Worker] = []
-        #: rank -> NodeClient for every configured node (connected or
-        #: not) — close() aborts these regardless of worker-slot state,
-        #: so a client whose connection never made it into _workers
-        #: (a death mid-_ensure_capacity) cannot leak a half-open
-        #: socket.
-        self._node_clients: Dict[int, NodeClient] = {}
+        #: One slot per configured worker, local ranks first, dead or
+        #: alive.
+        self._workers: List[WorkerSlot] = []
         #: Transports created but never installed into a worker slot
         #: (e.g. a pipe pair whose process failed to start); close()
         #: sweeps them.
         self._strays: List[object] = []
         self._prepared: Dict[tuple, _PreparedDB] = {}
-        self._arenas: Dict[int, ResultArena] = {}
         self._pack_residues: Dict[str, int] = {}
         self._started = False
         self._closed = False
         self._epoch = 0
+        #: The pump's two contacts with real time; tests step them.
+        self._clock = time.monotonic
+        self._wait = wait
         self._task_ema: Optional[float] = None
         #: Observed scan rate (residues/second) EMA; feeds the range
         #: planner so task sizing tracks the actual machine.
@@ -443,58 +596,11 @@ class ExecPool:
                                            self._workers)
 
     # ------------------------------------------------------------------
-    def _arena_for(self, rank: int) -> Optional[ResultArena]:
-        """The rank's result arena, created on first use (and reused by
-        a respawned replacement — its predecessor is dead, and the
-        master consumed or abandoned any descriptor it had written)."""
-        if self.result_arena_bytes <= 0:
-            return None
-        arena = self._arenas.get(rank)
-        if arena is None:
-            arena = ResultArena.create(self.result_arena_bytes,
-                                       tag=str(rank),
-                                       registry=self._registry)
-            self._arenas[rank] = arena
-        return arena
-
-    def _spawn_worker(self, rank: int,
-                      cfg: Optional[PoolConfig] = None) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        arena = self._arena_for(rank)
-        proc = self._ctx.Process(
-            target=_worker_main, args=(rank, child_conn, cfg or self._cfg,
-                                       arena.spec if arena else None),
-            name=f"repro-exec-{rank}", daemon=True)
-        try:
-            proc.start()
-        except BaseException:
-            # A failed fork/spawn must not leak the pipe pair: nothing
-            # downstream will ever see this transport, so close both
-            # ends here and let close() sweep the registered strays of
-            # any end a racing failure left half-open.
-            for end in (parent_conn, child_conn):
-                self._strays.append(end)
-                try:
-                    end.close()
-                except OSError:  # pragma: no cover
-                    pass
-            raise
-        child_conn.close()
-        return _Worker(rank, proc, parent_conn)
-
-    def _await_ready(self, w: _Worker) -> bool:
-        try:
-            if not w.conn.poll(_START_TIMEOUT):
-                return False
-            return w.conn.recv()[0] == "ready"
-        except (EOFError, OSError):  # pragma: no cover - spawn crash
-            return False
-
     def start(self) -> "ExecPool":
         if self._closed:
             raise PoolJobError("pool is closed")
         if self._started:
-            # A restarted run begins at full strength: respawn any
+            # A restarted run begins at full strength: revive any
             # capacity lost to deaths since the previous run.
             self._ensure_capacity()
             return self
@@ -502,34 +608,32 @@ class ExecPool:
         # ensure_tracker) — start it before the first fork.
         ensure_tracker()
         for rank in range(self.jobs):
-            self._workers.append(self._spawn_worker(rank))
-        for w in self._workers:
-            if not self._await_ready(w):
-                raise PoolJobError(f"worker {w.rank} failed to start")
+            slot = _PipeSlot(self, rank)
+            self._workers.append(slot)
+            slot.spawn(self._cfg)
+        for slot in self._workers:
+            if not slot.await_ready():
+                raise PoolJobError(f"worker {slot.rank} failed to start")
         # Remote workers: one slot per configured node, ranks above the
         # local ones.  An unreachable node starts as a dead slot — the
-        # reconnect machinery keeps re-dialing it under backoff, and
-        # the mirror placement covers its fragments meanwhile.
+        # revive phase keeps re-dialing it under backoff, and the
+        # mirror placement covers its fragments meanwhile.
         for i, address in enumerate(self.node_addresses):
-            rank = self.jobs + i
-            client = NodeClient(
-                address, rank,
-                connect_attempts=self.node_connect_attempts)
-            self._node_clients[rank] = client
-            w = _Worker(rank, _NodeProcess(client), None, alive=False,
-                        remote=client)
+            slot = NodeClient(address, self.jobs + i,
+                              connect_attempts=self.node_connect_attempts,
+                              heartbeat=self._heartbeat,
+                              node_timeout=self.node_timeout)
+            self._workers.append(slot)
             try:
-                client.connect()
+                slot.connect()
             except NodeConnectError as exc:
-                self.ledger.record("node_unreachable", rank=rank,
+                self.ledger.record("node_unreachable", rank=slot.rank,
                                    detail=str(exc))
-                warnings.warn(f"worker node {client.label} unreachable at "
+                warnings.warn(f"worker node {slot.label} unreachable at "
                               f"start ({exc}); continuing without it",
                               RuntimeWarning, stacklevel=2)
             else:
-                w.conn = client.conn
-                w.alive = True
-            self._workers.append(w)
+                slot.alive = True
         if not self._live():
             raise PoolJobError(
                 f"no workers came up ({self.jobs} local, "
@@ -543,170 +647,42 @@ class ExecPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _live(self) -> List[_Worker]:
+    def _live(self) -> List[WorkerSlot]:
         return [w for w in self._workers if w.alive]
 
     def worker_pids(self) -> Dict[int, int]:
         """rank -> pid of the live *local* workers (fault-injection
         hook); remote nodes are not ours to signal."""
-        return {w.rank: w.process.pid for w in self._live()
-                if w.remote is None}
+        return {w.rank: w.pid for w in self._live() if w.pid is not None}
 
     def node_ship_stats(self) -> List[dict]:
         """Per-node pack shipping counters (ship-once accounting)."""
-        return [self._node_clients[r].ship_stats()
-                for r in sorted(self._node_clients)]
+        stats = (w.ship_stats() for w in self._workers)
+        return [s for s in stats if s is not None]
 
     # ------------------------------------------------------------------
-    def _respawn_slot(self, idx: int,
-                      stats: Optional[PoolStats] = None) -> Optional[_Worker]:
-        """Replace the dead worker in slot *idx* with a fresh process
-        (same rank, new pipe) and re-attach every prepared pack.
+    def _revive(self, slot: WorkerSlot, now: float, note,
+                force: bool = False) -> None:
+        """One revive attempt on a dead slot, reported through *note*
+        (``run.note`` inside a run, ``ledger.record`` between runs)."""
+        event = slot.revive(now, self._prepared.values(), force)
+        if event is not None:
+            note(event[0], rank=slot.rank, detail=event[1])
+        if slot.alive:
+            slot.busy = None
+            slot.jobs_sent.clear()
+            self.total_respawns += 1
 
-        The replacement is a *healthy* machine: it carries no fault
-        plan (otherwise a once-per-process fault re-arms on every
-        respawn and a single injected kill poisons its task forever,
-        which no real crash does — and seeded chaos plans would never
-        converge)."""
-        old = self._workers[idx]
-        try:
-            old.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        clean = (replace(self._cfg, fault_plan=None)
-                 if self._cfg.fault_plan is not None else self._cfg)
-        if stats is not None:
-            stats.respawn_attempts += 1
-        w = self._spawn_worker(old.rank, clean)
-        if not self._await_ready(w):
-            # The replacement never came up: reap it completely (kill
-            # *and* join, it is in no worker list) and leave the dead
-            # slot as-is — the attempt above still consumed budget, so
-            # a permanently failing spawn cannot loop forever.
-            self._reap_stillborn(w)
-            self.ledger.record("respawn_failed", rank=old.rank)
-            return None
-        try:
-            for prep in self._prepared.values():
-                for spec in prep.specs:
-                    w.conn.send(("attach", spec))
-        except OSError:  # instant death during re-attach
-            self._reap_stillborn(w)
-            self.ledger.record("respawn_failed", rank=old.rank,
-                               detail="died during pack re-attach")
-            return None
-        self._workers[idx] = w
-        self.total_respawns += 1
-        if stats is not None:
-            stats.respawns += 1
-        self.ledger.record("respawn", rank=w.rank)
-        return w
-
-    def _reap_stillborn(self, w: _Worker) -> None:
-        """Kill and join a replacement that failed before it was ever
-        placed in ``_workers`` — nothing else will, so skipping this
-        leaks a live process."""
-        w.alive = False
-        try:
-            w.process.kill()
-            w.process.join(timeout=self.join_timeout)
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        try:
-            w.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def _reconnect_slot(self, idx: int,
-                        stats: Optional[PoolStats] = None,
-                        force: bool = False) -> Optional[_Worker]:
-        """Re-dial the dead remote worker in slot *idx* and re-ship (or
-        re-adopt) every pack its mirror placement assigns it.
-
-        Paced by per-client exponential backoff + jitter: a node that
-        stays down costs one quick refused dial per backoff window, not
-        per pump tick.  Each *actual* attempt consumes respawn budget,
-        exactly like a local respawn.  A reconnected node that still
-        holds its packs (network blip, agent survived) re-registers
-        them by identity — the adopt path — so recovery ships ~0 bytes.
-        """
-        w = self._workers[idx]
-        client = w.remote
-        now = time.monotonic()
-        if not force and now < client.retry_at:
-            return None
-        if stats is not None:
-            stats.respawn_attempts += 1
-        try:
-            # The hello wait runs inside the single-threaded pump: a
-            # port that accepts but never answers (agent dead, its
-            # supervisor still holds the listening socket) must cost
-            # one node-timeout, not the generous session-start default.
-            client.connect(attempts=1, hello_timeout=self.node_timeout)
-        except NodeConnectError as exc:
-            client.retry_n += 1
-            client.retry_at = now + backoff_delay(client.retry_n,
-                                                  base=0.2, max_delay=5.0)
-            self.ledger.record("reconnect_failed", rank=w.rank,
-                               detail=str(exc))
-            return None
-        try:
-            self._ship_packs_to(client)
-        except (OSError, EOFError, FrameError) as exc:
-            client.abort()
-            client.retry_n += 1
-            client.retry_at = now + backoff_delay(client.retry_n,
-                                                  base=0.2, max_delay=5.0)
-            self.ledger.record("reconnect_failed", rank=w.rank,
-                               detail=f"died during pack re-ship: {exc}")
-            return None
-        w.conn = client.conn
-        w.alive = True
-        w.busy = None
-        w.jobs_sent.clear()
-        self.total_respawns += 1
-        if stats is not None:
-            stats.respawns += 1
-            stats.reconnects += 1
-        self.ledger.record("reconnect", rank=w.rank, detail=client.label)
-        return w
-
-    def _recover_slot(self, idx: int,
-                      stats: Optional[PoolStats] = None) -> Optional[_Worker]:
-        w = self._workers[idx]
-        if w.remote is not None:
-            return self._reconnect_slot(idx, stats)
-        return self._respawn_slot(idx, stats)
-
-    def _ensure_capacity(self) -> int:
-        """Recover every dead slot (between-runs capacity recovery):
-        local slots respawn, remote slots re-dial (ignoring backoff
-        pacing — a new run is worth one fresh dial per node)."""
+    def _ensure_capacity(self) -> None:
+        """Between-runs capacity recovery: every dead slot gets one
+        attempt, ignoring pacing — a new run is worth one fresh dial
+        per node."""
         if not self.respawn or self._closed:
-            return 0
-        restored = 0
-        for idx, w in enumerate(self._workers):
-            if w.alive:
-                continue
-            if w.remote is not None:
-                restored += self._reconnect_slot(idx, force=True) is not None
-            else:
-                restored += self._respawn_slot(idx) is not None
-        return restored
-
-    def _maybe_respawn(self, stats: PoolStats) -> None:
-        """Budgeted per-run capacity recovery.  The budget counts
-        *attempts* (not successes): one worker death must consume at
-        most one unit even when its send failure and the liveness
-        sweep both observe it, and a slot whose replacements keep
-        dying cannot burn the pump loop on endless spawns.  Remote
-        slots additionally pace themselves with per-client backoff, so
-        a hard-down node consumes budget slowly instead of instantly."""
-        if not self.respawn:
             return
-        for idx, w in enumerate(self._workers):
-            if not w.alive and stats.respawn_attempts < self.max_respawns:
-                self._recover_slot(idx, stats)
+        now = self._clock()
+        for slot in self._workers:
+            if not slot.alive:
+                self._revive(slot, now, self.ledger.record, force=True)
 
     # ------------------------------------------------------------------
     def _prepare(self, db, k: int, base: int,
@@ -790,21 +766,19 @@ class ExecPool:
         for kk in stale:
             self._release_prepared(self._prepared.pop(kk))
 
-    def _node_ranks(self) -> List[int]:
-        return sorted(self._node_clients)
-
     def _install_prepared(self, key: tuple,
                           specs: List[PackSpec]) -> _PreparedDB:
         prep = _PreparedDB(key=key, specs=specs,
                            ids_by_name={s.name: list(s.source_ids)
                                         for s in specs})
-        if specs and self._node_clients:
+        if specs and self.node_addresses:
             # CEFT-style mirror placement over the configured node
             # ranks (dead ones included: they may reconnect, and their
             # groups' other mirrors cover them meanwhile).
             groups, group_nodes = plan_mirror_groups(
                 [s.total_residues for s in specs],
-                self._node_ranks(), self.replication)
+                list(range(self.jobs, self.jobs + len(self.node_addresses))),
+                self.replication)
             prep.groups = groups
             prep.group_nodes = group_nodes
             prep.placement = {specs[i].name: group_nodes[g]
@@ -812,37 +786,17 @@ class ExecPool:
                               for i in idx}
         for s in specs:
             self._pack_residues[s.name] = s.total_residues
-        for w in self._live():
-            if w.remote is not None:
-                continue            # nodes get pack bytes, not shm names
-            try:
-                for spec in specs:
-                    w.conn.send(("attach", spec))
-            except OSError:
-                w.alive = False
         self._prepared[key] = prep
-        for w in self._live():
-            if w.remote is None:
-                continue
+        for slot in self._live():
             try:
-                self._ship_packs_to(w.remote)
-            except (OSError, EOFError, FrameError) as exc:
-                w.remote.abort()
-                w.alive = False
-                self.ledger.record("node_ship_failed", rank=w.rank,
-                                   detail=str(exc))
+                slot.install([prep])
+            except SlotLost as lost:
+                slot.alive = False
+                slot.lost()
+                if lost.kind:
+                    self.ledger.record(lost.kind, rank=slot.rank,
+                                       detail=lost.detail)
         return prep
-
-    def _ship_packs_to(self, client: NodeClient) -> int:
-        """Ship (or adopt) every pack *client*'s placement assigns it,
-        across all prepared fragment sets; returns bytes sent."""
-        sent = 0
-        for prep in self._prepared.values():
-            for spec in prep.specs:
-                holders = prep.placement.get(spec.name, ())
-                if client.rank in holders:
-                    sent += client.ship(spec)
-        return sent
 
     def _release_prepared(self, prep: _PreparedDB,
                           notify: bool = True) -> None:
@@ -879,70 +833,63 @@ class ExecPool:
             return self.task_timeout
         return max(4 * self._soft_deadline(), 2.0)
 
-    def _fail_current(self, w: _Worker, sched: GreedyScheduler,
-                      stats: PoolStats,
-                      epoch: int) -> Optional[PoolJobError]:
-        """Resolve the task a lost worker was holding: requeue it (or
-        fail the job) when it belongs to the current run, ignore it
-        when it is a cross-run straggler or already hedge-completed."""
-        task = w.busy
-        w.busy = None
-        if task is None or task[0] != epoch:
-            return None
+    def _requeue(self, slot: WorkerSlot, run: _Run, task: tuple,
+                 why: str) -> None:
+        """Give back the current-run *task* that *slot* failed: front
+        requeue, or job failure once its retry budget is spent (*why*
+        ends the error message)."""
         try:
-            key = sched.fail(w.rank)
+            key = run.sched.fail(slot.rank)
         except RetriesExceeded as exc:
-            sched.drop_pending()
-            self.ledger.record("retries_exceeded", rank=w.rank,
-                               task=task[1:], detail=str(exc))
-            return PoolJobError(
-                f"fragment task {exc.key!r} failed {exc.attempts} times "
-                f"(worker deaths: {stats.worker_deaths})")
+            run.note("retries_exceeded", rank=slot.rank, task=task,
+                     detail=str(exc))
+            run.fail(PoolJobError(f"fragment task {exc.key!r} failed "
+                                  f"{exc.attempts} times{why}"))
+            return
         if key is not None:
-            self.ledger.record("requeue", rank=w.rank, task=key)
-        return None
+            run.note("requeue", rank=slot.rank, task=key)
+            if run.failure is not None:
+                run.sched.drop_pending()
 
-    def _handle_death(self, w: _Worker, sched: GreedyScheduler,
-                      stats: PoolStats,
-                      epoch: int) -> Optional[PoolJobError]:
-        if not w.alive:
-            return None
-        w.alive = False
-        stats.worker_deaths.append(w.rank)
-        self.ledger.record("worker_death", rank=w.rank,
-                           task=w.busy[1:] if w.busy else None)
-        if w.remote is not None:
-            # Drop the socket now: a half-dead connection must not
-            # keep waking the pump, and the reconnect path dials fresh.
-            w.remote.abort()
-        try:
-            w.process.join(timeout=min(0.5, self.join_timeout))
-        except Exception:  # pragma: no cover
-            pass
-        return self._fail_current(w, sched, stats, epoch)
+    def _handle_death(self, slot: WorkerSlot, run: _Run,
+                      lost: Optional[SlotLost] = None) -> None:
+        """Declare *slot* dead (once: a send failure and the liveness
+        sweep may both observe one death) and resolve the task it held
+        — ignored when it is a cross-run straggler."""
+        if not slot.alive:
+            return
+        slot.alive = False
+        if lost is not None and lost.kind:
+            run.note(lost.kind, rank=slot.rank, detail=lost.detail)
+        task, slot.busy = slot.busy, None
+        run.note("worker_death", rank=slot.rank,
+                 task=task[1:] if task else None)
+        slot.lost()
+        if task is not None and task[0] == run.epoch:
+            self._requeue(slot, run, task[1:],
+                          f" (worker deaths: {run.stats.worker_deaths})")
 
-    def _send_task(self, w: _Worker, jobs: Dict[int, JobSpec],
-                   qis: Tuple[int, ...], names: Tuple[str, ...], epoch: int,
-                   sched: GreedyScheduler,
-                   stats: PoolStats) -> Optional[PoolJobError]:
-        """Ship (any new jobs, then task) to *w*; busy bookkeeping is
+    def _send_task(self, slot: WorkerSlot, run: _Run, task: tuple,
+                   now: float) -> None:
+        """Ship (any new jobs, then task) to *slot*; busy bookkeeping is
         set first so a send failure resolves the assignment as a death.
         ``jobs_sent`` is only updated after every send succeeded — a
         half-delivered dispatch must not leave the record claiming the
         worker holds a job spec it never received."""
-        w.busy = (epoch, qis, names)
-        w.busy_since = time.monotonic()
+        qis, names = task
+        slot.busy = (run.epoch, qis, names)
+        slot.busy_since = now
         try:
             for qi in qis:
-                if qi not in w.jobs_sent:
-                    w.conn.send(("job", qi, jobs[qi]))
-            w.conn.send(("task", qis, names, epoch))
+                if qi not in slot.jobs_sent:
+                    slot.conn.send(("job", qi, run.jobs[qi]))
+            slot.conn.send(("task", qis, names, run.epoch))
         except OSError:
-            return self._handle_death(w, sched, stats, epoch)
-        w.jobs_sent.update(qis)
-        return None
+            self._handle_death(slot, run)
+            return
+        slot.jobs_sent.update(qis)
 
-    def _payload_pairs(self, w: "_Worker", payload: tuple,
+    def _payload_pairs(self, slot: WorkerSlot, payload: tuple,
                        stats: PoolStats
                        ) -> List[Tuple[str, int, SearchResults]]:
         """Materialize a result payload: inline pickled triples, or a
@@ -964,28 +911,26 @@ class ExecPool:
             stats.remote_results += 1
             return decode_result_pairs(payload[1])
         _, offset, nbytes, crc = payload
-        arena = self._arenas.get(w.rank)
-        if arena is None:
+        if slot.arena is None:
             raise PackIntegrityError(
-                f"worker {w.rank} shipped an arena result but the master "
-                f"holds no arena for that rank")
+                f"worker {slot.rank} shipped an arena result but the "
+                f"master holds no arena for that rank")
         stats.arena_results += 1
-        return decode_result_pairs(arena.read(offset, nbytes, crc))
+        return decode_result_pairs(slot.arena.read(offset, nbytes, crc))
 
-    def _hedge_candidate(self, sched: GreedyScheduler, epoch: int,
-                         now: float, soft: float,
-                         rank: Optional[int] = None) -> Optional[tuple]:
-        """The most-overdue unhedged current-run task — restricted,
-        when *rank* is given, to tasks that worker is eligible for
-        (a node cannot hedge a fragment range it does not hold)."""
+    def _hedge_candidate(self, run: _Run, now: float, soft: float,
+                         rank: int) -> Optional[tuple]:
+        """The most-overdue unhedged current-run task that worker
+        *rank* is eligible for (a node cannot hedge a fragment range it
+        does not hold)."""
+        sched = run.sched
         best, best_age = None, soft
         for w in self._live():
-            if w.busy is None or w.busy[0] != epoch:
+            if w.busy is None or w.busy[0] != run.epoch:
                 continue
             key = (w.busy[1], w.busy[2])
-            if sched.is_completed(key) or sched.holder_count(key) != 1:
-                continue
-            if rank is not None and not sched.eligible(rank, key):
+            if sched.is_completed(key) or sched.holder_count(key) != 1 \
+                    or not sched.eligible(rank, key):
                 continue
             age = now - w.busy_since
             if age > best_age:
@@ -997,14 +942,12 @@ class ExecPool:
                    affinity: Optional[Dict[tuple, Tuple[int, ...]]] = None
                    ) -> Tuple[Dict[int, Dict[str, SearchResults]], PoolStats]:
         self._epoch += 1
-        epoch = self._epoch
-        sched = GreedyScheduler(tasks, max_retries=self.max_retries,
-                                affinity=affinity)
-        stats = PoolStats()
-        results: Dict[int, Dict[str, SearchResults]] = {qi: {} for qi in jobs}
-
+        run = _Run(self.ledger, jobs,
+                   GreedyScheduler(tasks, max_retries=self.max_retries,
+                                   affinity=affinity),
+                   self._epoch, {qi: {} for qi in jobs})
         try:
-            self._pump(jobs, sched, stats, results, epoch)
+            self._pump(run)
         finally:
             # Drop the job tables win or lose: a failed run must not
             # leave workers holding stale specs for reused query ids.
@@ -1015,263 +958,219 @@ class ExecPool:
                     w.jobs_sent.clear()
                 except OSError:
                     w.alive = False
-            stats.requeues = sched.requeues
-            self.last_stats = stats
-        return results, stats
+            run.stats.requeues = run.sched.requeues
+            self.last_stats = run.stats
+        return run.results, run.stats
 
-    def _pump(self, jobs: Dict[int, JobSpec], sched: GreedyScheduler,
-              stats: PoolStats,
-              results: Dict[int, Dict[str, SearchResults]],
-              epoch: int) -> None:
-        from multiprocessing.connection import wait
-
-        failure: Optional[Exception] = None
-        while not sched.done:
-            now = time.monotonic()
-            # Belt and braces: a worker can die without its pipe waking
-            # wait() promptly; sweep liveness every tick.
-            for w in self._live():
-                if not w.process.is_alive():
-                    # NB: the recovery call must run even with a failure
-                    # already latched (`failure or f()` would skip it and
-                    # leave a dead worker marked alive forever).
-                    err = self._handle_death(w, sched, stats, epoch)
-                    failure = failure or err
-            # Hard deadline: a worker stuck this long is hung (or its
-            # reply was lost) — kill it and recover the capacity.  The
-            # CEFT analog: stop waiting on a dead server, period.
-            hard = self._hard_deadline()
-            for w in self._live():
-                if w.busy is not None and now - w.busy_since > hard:
-                    stats.hang_kills += 1
-                    self.ledger.record("hang_kill", rank=w.rank,
-                                       task=w.busy[1:],
-                                       detail=f"busy {now - w.busy_since:.2f}s"
-                                              f" > {hard:.2f}s")
-                    try:
-                        w.process.kill()
-                    except Exception:  # pragma: no cover
-                        pass
-                    err = self._handle_death(w, sched, stats, epoch)
-                    failure = failure or err
-            # Missed-heartbeat detection for *idle* remote workers: a
-            # busy one is covered by the hard deadline above, but an
-            # idle node that stops answering PINGs would otherwise
-            # look healthy forever.  PINGs are rate-limited to the
-            # heartbeat interval; PONGs refresh last_heard inside the
-            # connection's poll/recv.
-            for w in self._live():
-                if w.remote is None or w.busy is not None:
-                    continue
-                conn = w.conn
-                if now - conn.last_ping >= self._heartbeat:
-                    try:
-                        conn.ping()
-                    except OSError:
-                        err = self._handle_death(w, sched, stats, epoch)
-                        failure = failure or err
-                        continue
-                if now - conn.last_heard > self.node_timeout:
-                    stats.heartbeat_losses += 1
-                    self.ledger.record(
-                        "heartbeat_lost", rank=w.rank,
-                        detail=f"silent {now - conn.last_heard:.2f}s "
-                               f"> {self.node_timeout:.2f}s")
-                    err = self._handle_death(w, sched, stats, epoch)
-                    failure = failure or err
-            if failure is None:
-                self._maybe_respawn(stats)
-            else:
-                # A failed run stops dispatching, so anything requeued
-                # after the failure could never drain — drop it.
-                sched.drop_pending()
-            live = self._live()
-            if not live:
-                failure = failure or PoolJobError(
-                    f"pool collapsed to 0/{len(self._workers)} workers "
-                    f"(deaths: {stats.worker_deaths})")
+    # -- the pump: one tick is the phases below, in this order ---------
+    def _pump(self, run: _Run) -> None:
+        """Drive *run* to completion.  The clock is read once per tick
+        and handed down, so only the wait blocks on real time; who is
+        alive is settled before anything is dispatched."""
+        while not run.sched.done:
+            now = self._clock()
+            self._sweep_liveness(run)
+            self._enforce_deadlines(run, now)
+            self._idle_checks(run, now)
+            self._revive_dead(run, now)
+            if not self._check_stranded(run):
                 break
+            self._dispatch(run, now)
+            self._hedge(run, now)
+            if run.sched.done:
+                break
+            self._receive(run, self._wait_ready())
+        if run.failure is not None:
+            raise run.failure
+
+    def _sweep_liveness(self, run: _Run) -> None:
+        """Belt and braces: a worker can die without its transport
+        waking the wait promptly."""
+        for slot in self._live():
+            if not slot.is_alive():
+                self._handle_death(slot, run)
+
+    def _enforce_deadlines(self, run: _Run, now: float) -> None:
+        """Hard deadline: a worker stuck this long is hung (or its
+        reply was lost) — kill it and recover the capacity.  The CEFT
+        analog: stop waiting on a dead server, period."""
+        hard = self._hard_deadline()
+        for slot in self._live():
+            if slot.busy is not None and now - slot.busy_since > hard:
+                run.note("hang_kill", rank=slot.rank, task=slot.busy[1:],
+                         detail=f"busy {now - slot.busy_since:.2f}s"
+                                f" > {hard:.2f}s")
+                slot.kill()
+                self._handle_death(slot, run)
+
+    def _idle_checks(self, run: _Run, now: float) -> None:
+        for slot in self._live():
+            if slot.busy is None:
+                try:
+                    slot.idle_check(now)
+                except SlotLost as lost:
+                    self._handle_death(slot, run, lost)
+
+    def _revive_dead(self, run: _Run, now: float) -> None:
+        """Budgeted per-run capacity recovery.  The budget counts
+        *attempts* (not successes): one death consumes at most one unit
+        even when a send failure and the liveness sweep both observe
+        it, and a slot whose replacements keep dying cannot burn the
+        pump on endless spawns.  Slots may additionally pace themselves
+        (a hard-down node consumes budget slowly instead of instantly).
+        """
+        if not self.respawn or run.failure is not None:
+            return
+        for slot in self._workers:
+            if not slot.alive \
+                    and run.stats.respawn_attempts < self.max_respawns:
+                self._revive(slot, now, run.note)
+
+    def _check_stranded(self, run: _Run) -> bool:
+        """Fail a run nobody can finish; ``False`` when not even a slot
+        to wait on is left."""
+        live = self._live()
+        if not live:
+            run.fail(PoolJobError(
+                f"pool collapsed to 0/{len(self._workers)} workers "
+                f"(deaths: {run.stats.worker_deaths})"))
+            return False
+        if run.failure is None:
             # Last-mirror loss: pending work whose every eligible
             # holder is dead can never drain.  Fail the job now — the
             # serial fallback serves it whole — instead of waiting on
             # a reconnect that may never come.
-            if failure is None:
-                stranded = sched.unplaceable([w.rank for w in live])
-                if stranded:
-                    self.ledger.record(
-                        "mirror_lost", task=stranded[0],
-                        detail=f"{len(stranded)} task(s) lost their last "
-                               f"holder (deaths: {stats.worker_deaths})")
-                    failure = PoolJobError(
-                        f"{len(stranded)} pending task(s) lost the last "
-                        f"node holding their fragments "
-                        f"(deaths: {stats.worker_deaths})")
-                    sched.drop_pending()
-            # Greedy dispatch: every idle worker gets the next task it
-            # is eligible for (locality: its own fragments first).
-            for w in live:
-                if failure is not None or not sched.has_pending:
-                    break
-                if not w.alive or w.busy is not None:
-                    continue
-                task = sched.assign(w.rank)
-                if task is None:
-                    continue        # nothing this worker can serve
-                qis, names = task
-                err = self._send_task(w, jobs, qis, names,
-                                      epoch, sched, stats)
-                failure = failure or err
-            # Hedged re-issue: idle workers with nothing pending take a
-            # speculative copy of the most-overdue task (the mirror-
-            # group read around a hot primary).  First result wins.
-            if failure is None and not sched.has_pending:
-                soft = self._soft_deadline()
-                now = time.monotonic()
-                for w in live:
-                    if not w.alive or w.busy is not None:
-                        continue
-                    cand = self._hedge_candidate(sched, epoch, now, soft,
-                                                 rank=w.rank)
-                    if cand is None:
-                        continue
-                    sched.hedge(w.rank, cand)
-                    stats.hedges += 1
-                    self.ledger.record("hedge", rank=w.rank, task=cand)
-                    err = self._send_task(w, jobs, cand[0], cand[1],
-                                          epoch, sched, stats)
-                    failure = failure or err
-            if sched.done:
-                break
-            conns = {w.conn: w for w in self._live()}
-            if not conns:
-                continue
-            # Buffered socket messages first: wait() watches fds, but
-            # one socket read can decode several frames — a message
-            # already queued inside a FrameConnection generates no fd
-            # activity and would otherwise wait for the peer's next
-            # send (or the hard deadline) to be noticed.
-            ready = [c for c in conns if getattr(c, "queued", 0)]
-            if not ready:
-                ready = wait(list(conns), timeout=self._heartbeat)
-            for conn in ready:
-                w = conns[conn]
-                try:
-                    # A socket wakeup may carry only a control frame
-                    # (PONG); poll(0) absorbs those and answers whether
-                    # a data message is actually queued.  A framing
-                    # violation (bad CRC, bad magic, sequence gap) is a
-                    # typed transport error, handled as a node death —
-                    # never a hang, never a silently-accepted payload.
-                    if not conn.poll(0):
-                        continue
-                    msg = conn.recv()
-                except FrameError as exc:
-                    self.ledger.record("transport_error", rank=w.rank,
-                                       detail=str(exc))
-                    err = self._handle_death(w, sched, stats, epoch)
-                    failure = failure or err
-                    continue
-                except (EOFError, OSError):
-                    err = self._handle_death(w, sched, stats, epoch)
-                    failure = failure or err
-                    continue
-                kind = msg[0]
-                if kind == "result":
-                    _, rank, qis, names, payload, elapsed, m_epoch = msg
-                    w.busy = None
-                    if m_epoch != epoch:
-                        stats.stale_results += 1
-                        self.ledger.record("stale_result", rank=w.rank,
-                                           task=(qis, names),
-                                           detail="cross-run straggler")
-                        continue
-                    key = (qis, names)
-                    was_done = sched.is_completed(key)
-                    hedged = sched.holder_count(key) > 1
-                    if w.rank in sched.outstanding:
-                        sched.complete(w.rank)
-                    if was_done:
-                        stats.stale_results += 1
-                        self.ledger.record("stale_result", rank=w.rank,
-                                           task=key, detail="hedge loser")
-                        continue
-                    stats.tasks_done += 1
-                    stats.fragments_done += len(names)
-                    if not hedged:
-                        # Only clean, sole-holder completions feed the
-                        # adaptive deadlines: a hedged task's elapsed
-                        # time is either the straggler's stall or a
-                        # duplicate — letting one straggler inflate the
-                        # soft deadline would disable hedging for the
-                        # rest of the run.
-                        self._task_ema = (elapsed if self._task_ema is None
-                                          else 0.5 * self._task_ema
-                                          + 0.5 * elapsed)
-                        if elapsed > 0:
-                            # A batched task scans the range once per
-                            # query in the batch, so its effective scan
-                            # throughput is residues x batch size.
-                            rate = (len(qis)
-                                    * sum(self._pack_residues.get(n, 0)
-                                          for n in names)) / elapsed
-                            if rate > 0:
-                                self._rate_ema = (
-                                    rate if self._rate_ema is None
-                                    else 0.5 * self._rate_ema + 0.5 * rate)
-                    if hedged:
-                        stats.hedge_wins += 1
-                        self.ledger.record("hedge_win", rank=w.rank, task=key)
-                    if failure is None:
-                        try:
-                            pairs = self._payload_pairs(w, payload, stats)
-                        except PackIntegrityError as exc:
-                            stats.integrity_failures += 1
-                            self.ledger.record(
-                                "integrity", rank=w.rank,
-                                detail=f"result arena: {exc}")
-                            failure = exc
-                            sched.drop_pending()
-                            continue
-                        for pack_name, tqi, res in pairs:
-                            results[tqi][pack_name] = res
-                elif kind == "error":
-                    _, rank, qis, names, tb, m_epoch = msg
-                    stats.worker_errors += 1
-                    self.ledger.record("worker_error", rank=w.rank,
-                                       task=(qis, names),
-                                       detail=tb.strip().splitlines()[-1]
-                                       if tb else "")
-                    if qis is None:
-                        continue            # attach-time failure
-                    w.busy = None
-                    if m_epoch != epoch:
-                        continue            # cross-run straggler error
-                    try:
-                        key = sched.fail(w.rank)
-                    except RetriesExceeded as exc:
-                        sched.drop_pending()
-                        self.ledger.record("retries_exceeded", rank=w.rank,
-                                           task=(qis, names),
-                                           detail=str(exc))
-                        failure = failure or PoolJobError(
-                            f"fragment task {exc.key!r} failed "
-                            f"{exc.attempts} times; last worker error:\n"
-                            f"{tb}")
-                        continue
-                    if key is not None:
-                        self.ledger.record("requeue", rank=w.rank, task=key)
-                elif kind == "integrity":
-                    _, rank, pack_name, detail = msg
-                    stats.integrity_failures += 1
-                    self.ledger.record("integrity", rank=w.rank,
-                                       detail=f"{pack_name}: {detail}")
-                    failure = failure or PackIntegrityError(detail)
-                    sched.drop_pending()
-                elif kind == "stopped":  # pragma: no cover - close path
-                    w.alive = False
+            stranded = run.sched.unplaceable([w.rank for w in live])
+            if stranded:
+                deaths = f"(deaths: {run.stats.worker_deaths})"
+                run.note("mirror_lost", task=stranded[0],
+                         detail=f"{len(stranded)} task(s) lost their last "
+                                f"holder {deaths}")
+                run.fail(PoolJobError(
+                    f"{len(stranded)} pending task(s) lost the last "
+                    f"node holding their fragments {deaths}"))
+        return True
 
-        if failure is not None:
-            raise failure
+    def _dispatch(self, run: _Run, now: float) -> None:
+        """Greedy hand-out: every idle slot takes the next task it is
+        eligible for (locality: its own fragments first)."""
+        for slot in self._live():
+            if run.failure is not None or not run.sched.has_pending:
+                break
+            if slot.busy is None:
+                task = run.sched.assign(slot.rank)
+                if task is not None:    # else: nothing it can serve
+                    self._send_task(slot, run, task, now)
+
+    def _hedge(self, run: _Run, now: float) -> None:
+        """Hedged re-issue: idle slots with nothing pending take a
+        speculative copy of the most-overdue task (the mirror-group
+        read around a hot primary).  First result wins."""
+        if run.failure is not None or run.sched.has_pending:
+            return
+        soft = self._soft_deadline()
+        for slot in self._live():
+            if slot.busy is not None:
+                continue
+            cand = self._hedge_candidate(run, now, soft, slot.rank)
+            if cand is not None:
+                run.sched.hedge(slot.rank, cand)
+                run.note("hedge", rank=slot.rank, task=cand)
+                self._send_task(slot, run, cand, now)
+
+    def _wait_ready(self) -> List[WorkerSlot]:
+        """Block until a live slot has something to say, at most one
+        heartbeat.  Messages a slot has already decoded come first:
+        the wait watches file descriptors, and a message queued inside
+        a connection generates no fd activity."""
+        live = self._live()
+        ready = [w for w in live if w.has_queued()]
+        if ready or not live:
+            return ready
+        by_conn = {w.conn: w for w in live}
+        return [by_conn[c] for c in self._wait(list(by_conn),
+                                               self._heartbeat)]
+
+    def _receive(self, run: _Run, ready: List[WorkerSlot]) -> None:
+        for slot in ready:
+            try:
+                msg = slot.recv()
+            except SlotLost as lost:
+                self._handle_death(slot, run, lost)
+                continue
+            kind = msg[0] if msg is not None else None
+            if kind == "result":
+                self._on_result(slot, run, msg)
+            elif kind == "error":
+                self._on_error(slot, run, msg)
+            elif kind == "integrity":
+                _, _rank, pack_name, detail = msg
+                run.note("integrity", rank=slot.rank,
+                         detail=f"{pack_name}: {detail}")
+                run.fail(PackIntegrityError(detail))
+            elif kind == "stopped":  # pragma: no cover - close path
+                slot.alive = False
+
+    def _on_result(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
+        _, _rank, qis, names, payload, elapsed, m_epoch = msg
+        sched = run.sched
+        slot.busy = None
+        key = (qis, names)
+        stale = "cross-run straggler"
+        if m_epoch == run.epoch:
+            stale = "hedge loser" if sched.is_completed(key) else None
+            hedged = sched.holder_count(key) > 1
+            if slot.rank in sched.outstanding:
+                sched.complete(slot.rank)
+        if stale:
+            run.note("stale_result", rank=slot.rank, task=key, detail=stale)
+            return
+        run.stats.tasks_done += 1
+        run.stats.fragments_done += len(names)
+        if hedged:
+            run.note("hedge_win", rank=slot.rank, task=key)
+        else:
+            self._observe(qis, names, elapsed)
+        if run.failure is not None:
+            return
+        try:
+            pairs = self._payload_pairs(slot, payload, run.stats)
+        except PackIntegrityError as exc:
+            run.note("integrity", rank=slot.rank,
+                     detail=f"result arena: {exc}")
+            run.fail(exc)
+            return
+        for pack_name, tqi, res in pairs:
+            run.results[tqi][pack_name] = res
+
+    def _observe(self, qis: tuple, names: tuple, elapsed: float) -> None:
+        """Feed the adaptive deadlines and the range planner — from
+        clean, sole-holder completions only: a hedged task's elapsed
+        time is either the straggler's stall or a duplicate, and
+        letting one straggler inflate the soft deadline would disable
+        hedging for the rest of the run."""
+        self._task_ema = (elapsed if self._task_ema is None
+                          else 0.5 * self._task_ema + 0.5 * elapsed)
+        if elapsed > 0:
+            # A batched task scans the range once per query in the
+            # batch, so its effective scan throughput is residues x
+            # batch size.
+            rate = (len(qis) * sum(self._pack_residues.get(n, 0)
+                                   for n in names)) / elapsed
+            if rate > 0:
+                self._rate_ema = (rate if self._rate_ema is None
+                                  else 0.5 * self._rate_ema + 0.5 * rate)
+
+    def _on_error(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
+        _, _rank, qis, names, tb, m_epoch = msg
+        run.note("worker_error", rank=slot.rank, task=(qis, names),
+                 detail=tb.strip().splitlines()[-1] if tb else "")
+        if qis is None:
+            return                  # attach-time failure
+        slot.busy = None
+        if m_epoch == run.epoch:    # else: cross-run straggler error
+            self._requeue(slot, run, (qis, names),
+                          f"; last worker error:\n{tb}")
 
     # ------------------------------------------------------------------
     def _serial_rescue(self, queries: Sequence[np.ndarray],
@@ -1288,14 +1187,11 @@ class ExecPool:
         warnings.warn(
             f"exec pool degraded ({exc}); serving this batch with the "
             f"serial scan engine", RuntimeWarning, stacklevel=3)
+        serial_batch = search_batch
         if getattr(db, "is_pack_store", False):
-            from repro.exec.diskpack import search_store
-            return [search_store(q, db, scheme, params,
-                                 query_id=query_ids[qi],
-                                 both_strands=both_strands)
-                    for qi, q in enumerate(queries)]
-        return search_batch(queries, db, scheme, params,
-                            query_ids=query_ids, both_strands=both_strands)
+            from repro.exec.diskpack import search_store_batch as serial_batch
+        return serial_batch(queries, db, scheme, params, query_ids=query_ids,
+                            both_strands=both_strands)
 
     def search_many(self, queries: Sequence[np.ndarray], db, scheme,
                     params: Optional[SearchParams] = None, *,
@@ -1451,39 +1347,13 @@ class ExecPool:
         for w in self._live():
             try:
                 w.conn.send(("stop",))
-            except (OSError, FrameError):
+            except OSError:
                 w.alive = False
+        # Every slot is stopped whatever its state: a connection opened
+        # by a revive that never made it back to alive must not survive
+        # close() as a half-open socket.
         for w in self._workers:
-            deadline = time.monotonic() + self.join_timeout
-            if w.alive and w.conn is not None:
-                try:
-                    while True:
-                        left = deadline - time.monotonic()
-                        if left <= 0 or not w.conn.poll(left):
-                            break
-                        if w.conn.recv()[0] == "stopped":
-                            break
-                except (EOFError, OSError, FrameError):
-                    pass
-            w.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if w.process.is_alive():
-                w.process.terminate()
-                w.process.join(timeout=max(0.5, self.join_timeout / 2))
-            if w.process.is_alive():  # pragma: no cover - SIGTERM immune
-                w.process.kill()
-                w.process.join()
-            if w.conn is not None:
-                try:
-                    w.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            w.alive = False
-        # Node clients are aborted regardless of worker-slot state:
-        # a connection opened during a failed _ensure_capacity (or a
-        # reconnect that never made it back into a slot) must not
-        # survive close() as a half-open socket.
-        for client in self._node_clients.values():
-            client.abort()
+            w.stop(time.monotonic() + self.join_timeout)
         for end in self._strays:
             try:
                 end.close()
@@ -1492,8 +1362,3 @@ class ExecPool:
         self._strays.clear()
         for key in list(self._prepared):
             self._release_prepared(self._prepared.pop(key), notify=False)
-        for arena in self._arenas.values():
-            arena.close()
-            self._registry.release(arena.spec.name)
-        self._arenas.clear()
-        self._workers.clear()

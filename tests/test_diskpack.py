@@ -7,6 +7,7 @@ CLI surface."""
 import dataclasses
 import json
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -281,6 +282,47 @@ def test_pool_cold_start_matches_serial(tmp_path):
             assert dump(par) == dump(ser)
         assert open_pack_count() == 0, \
             "cold start must close every mapping after the shm copy"
+
+
+def test_degraded_pool_opens_each_pack_once_for_the_batch(tmp_path,
+                                                          monkeypatch):
+    """The serial rescue over a store is one batch: the store is opened
+    (and CRC-verified) once for all the queries, not once per query."""
+    rng = np.random.default_rng(42)
+    db = random_nt_db(rng, 18)
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
+                             n_fragments=3)
+    params = SearchParams(word_size=11)
+    scheme = NucleotideScore()
+    queries = [db.sequence(i)[:120].copy() for i in (1, 9, 14)]
+    qids = [f"q{i}" for i in range(3)]
+    opened = []
+    real_init = DiskPack.__init__
+
+    def counting_init(self, path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        real_init(self, path, *args, **kwargs)
+
+    monkeypatch.setattr(DiskPack, "__init__", counting_init)
+    # No listener on this port: the pool collapses at start and the
+    # whole batch is served by the serial rescue.
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    addr = s.getsockname()[:2]
+    s.close()
+    pool = ExecPool(jobs=0, nodes=[addr], node_connect_attempts=1)
+    try:
+        with pytest.warns(RuntimeWarning):
+            got = pool.search_many(queries, store, scheme, params,
+                                   query_ids=qids)
+        assert pool.last_stats.fallback
+    finally:
+        pool.close()
+    assert sorted(opened) == sorted(e.file for e in store.packs)
+    for q, qid, res in zip(queries, qids, got):
+        assert dump(res) == dump(search(q, db, scheme, params, query_id=qid))
+        assert res.tabular() == search(q, db, scheme, params,
+                                       query_id=qid).tabular()
 
 
 def test_pool_and_search_store_reject_word_size_mismatch(tmp_path):

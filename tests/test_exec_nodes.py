@@ -255,19 +255,20 @@ def test_close_sweeps_transports_of_failed_spawn():
 
 
 def test_close_aborts_node_client_outside_worker_slots():
-    """A connection opened during _ensure_capacity whose worker slot is
-    later lost must not survive close() as a half-open socket: node
-    clients are aborted regardless of worker-slot state."""
+    """A connection whose slot the master no longer believes alive (a
+    revive that connected and then lost the race) must not survive
+    close() as a half-open socket: every slot is stopped regardless of
+    its state."""
     with NodeFleet(1) as fleet:
         pool = ExecPool(jobs=0, nodes=fleet.addresses,
                         serial_fallback=False)
         try:
             pool.start()
-            client = next(iter(pool._node_clients.values()))
-            assert client.alive
-            # Simulate the race: the slot vanishes, the connection
-            # stays behind.
-            pool._workers.clear()
+            client = pool._workers[0]
+            assert client.alive and client.is_alive()
+            # Simulate the race: the slot is written off, the
+            # connection stays behind.
+            client.alive = False
         finally:
             pool.close()
         assert client.conn is None or client.conn.closed
@@ -290,5 +291,6 @@ def test_unreachable_node_is_a_typed_failure():
         assert pool.ledger.count("node_unreachable") >= 1
     finally:
         pool.close()
-    for client in pool._node_clients.values():
+    assert pool._workers
+    for client in pool._workers:
         assert client.conn is None or client.conn.closed

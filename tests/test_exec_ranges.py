@@ -19,6 +19,7 @@ from repro.exec import (ExecPool, Fault, FaultPlan, PackIntegrityError,
                         ResultArena, decode_result_pairs,
                         encode_result_pairs, estimate_payload_size,
                         plan_task_ranges)
+from repro.exec.pool import _PipeSlot
 from repro.exec.shm import NAME_PREFIX, ShmRegistry
 
 NT_LETTERS = np.array(list("ACGT"))
@@ -351,8 +352,7 @@ def test_respawn_budget_counts_attempts_not_successes(monkeypatch):
         pool.start()
         victim = pool.worker_pids()[0]
         # Every replacement is stillborn from here on.
-        monkeypatch.setattr(ExecPool, "_await_ready",
-                            lambda self, w: False)
+        monkeypatch.setattr(_PipeSlot, "await_ready", lambda self: False)
         timer = threading.Timer(0.1, os.kill, (victim, signal.SIGKILL))
         timer.start()
         try:
