@@ -72,8 +72,8 @@ from repro.blast.search import (SearchParams, SearchResults,
                                 search_batch)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.blast.stats import effective_search_space
-from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec, _crc,
-                            _integrity_error, pack_layout)
+from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec,
+                            PackView, pack_layout, pack_spec)
 
 #: File magic: 8 bytes, ASCII, format generation baked into the name.
 MAGIC = b"RPKPACK1"
@@ -139,10 +139,6 @@ def open_pack_count() -> int:
     return len(_OPEN_PACKS)
 
 
-def open_pack_paths() -> List[str]:
-    return sorted(_OPEN_PACKS.values())
-
-
 _section_writes = 0
 
 
@@ -177,23 +173,26 @@ def write_pack(path: str, structs: ScanStructures,
     ever opens, never a readable partial pack.  Returns the header
     dict.
     """
-    arrays, layout, size = pack_layout(structs, descriptions)
-    checksums = [(field, _crc(arrays[field]))
-                 for field, _d, _s, _o in layout]
+    spec, arrays = pack_layout(
+        structs, descriptions, name=path,
+        cache_token=(("rpk", store_id), int(version), int(fragment_id)),
+        seqtype=seqtype, fragment_id=fragment_id, source_ids=source_ids)
+    # Key order is part of the committed format: json.dumps keeps it
+    # and the header CRC32 covers it.  _read_header is the inverse.
     header = {
         "format_version": FORMAT_VERSION,
-        "seqtype": seqtype,
-        "k": int(structs.k),
-        "base": int(structs.base),
-        "n_sequences": int(structs.n_sequences),
-        "total_residues": int(structs.total_residues),
-        "fragment_id": int(fragment_id),
+        "seqtype": spec.seqtype,
+        "k": spec.k,
+        "base": spec.base,
+        "n_sequences": spec.n_sequences,
+        "total_residues": spec.total_residues,
+        "fragment_id": spec.fragment_id,
         "store_id": store_id,
         "version": int(version),
-        "source_ids": [int(i) for i in source_ids],
-        "sections": [[f, d, list(s), o] for f, d, s, o in layout],
-        "data_size": int(size),
-        "checksums": [[f, int(c)] for f, c in checksums],
+        "source_ids": list(spec.source_ids),
+        "sections": [[f, d, list(s), o] for f, d, s, o in spec.arrays],
+        "data_size": spec.size,
+        "checksums": [[f, c] for f, c in spec.checksums],
     }
     blob = json.dumps(header, separators=(",", ":")).encode()
     preamble = _PREAMBLE.pack(MAGIC, FORMAT_VERSION, 0, len(blob),
@@ -205,27 +204,22 @@ def write_pack(path: str, structs: ScanStructures,
     with open(tmp, "wb") as f:
         f.write(preamble)
         f.write(blob)
-        f.write(b"\0" * (data_off - _PREAMBLE_SIZE - len(blob)))
-        pos = 0
-        for field, _dtype, _shape, off in layout:
-            if off > pos:
-                f.write(b"\0" * (off - pos))
-                pos = off
-            arr = arrays[field]
-            f.write(memoryview(arr).cast("B"))
-            pos += arr.nbytes
+        # Alignment padding is whatever the seeks skip: it reads back
+        # as zeros, in the file as in a fresh segment.
+        for field, _dtype, _shape, off in spec.arrays:
+            f.seek(data_off + off)
+            f.write(memoryview(arrays[field]).cast("B"))
             _maybe_crash_after_section()
-        if size > pos:
-            f.write(b"\0" * (size - pos))
+        f.truncate(data_off + spec.size)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
     return header
 
 
-def _read_header(f, path: str) -> Tuple[dict, int]:
-    """Parse and validate preamble + header; returns
-    ``(header, data_offset)``."""
+def _read_header(f, path: str) -> Tuple[PackSpec, int]:
+    """Parse and validate preamble + header; returns the spec the
+    header records (named after *path*) and the data region's offset."""
     raw = f.read(_PREAMBLE_SIZE)
     if len(raw) < _PREAMBLE_SIZE:
         raise PackIntegrityError(
@@ -255,73 +249,48 @@ def _read_header(f, path: str) -> Tuple[dict, int]:
     except ValueError as exc:  # pragma: no cover - CRC passed, bad JSON
         raise PackIntegrityError(f"pack {path!r}: undecodable header "
                                  f"({exc})") from exc
-    return header, _align64(_PREAMBLE_SIZE + hlen)
+    spec = pack_spec(
+        header, header["sections"], header["data_size"],
+        header["checksums"], name=path,
+        cache_token=(("rpk", header["store_id"]), header["version"],
+                     header["fragment_id"]),
+        seqtype=header["seqtype"], fragment_id=header["fragment_id"],
+        source_ids=header["source_ids"])
+    return spec, _align64(_PREAMBLE_SIZE + hlen)
 
 
-class DiskPack:
+class DiskPack(PackView):
     """One pack file mapped read-only into this process.
 
-    Opening verifies the preamble, the header CRC32 and (by default)
-    every section's CRC32 against the header's table, so a corrupted
-    file raises a typed :class:`~repro.exec.shm.PackIntegrityError`
-    before any search can see its bytes.  The reconstructed
-    :attr:`structs` views are zero-copy into the mapping; :attr:`data`
-    exposes the raw data region for the pool's bulk copy into shm
-    (:func:`~repro.exec.shm.publish_pack_bytes`).
+    Opening verifies the preamble, the header CRC32 and every section's
+    CRC32 against the header's table, so a corrupted file raises a
+    typed :class:`~repro.exec.shm.PackIntegrityError` before any search
+    can see its bytes.  :attr:`spec` is the header decoded; the
+    reconstructed :attr:`structs` views are zero-copy into the mapping
+    and :attr:`data` is the raw data region for the pool's bulk copy
+    into shm (:func:`~repro.exec.shm.publish_pack_bytes`).
     """
 
-    def __init__(self, path: str, verify: bool = True):
+    def __init__(self, path: str):
         self.path = path
         self._file = open(path, "rb")
         self._mmap: Optional[mmap.mmap] = None
         try:
-            header, data_off = _read_header(self._file, path)
-            size = int(header["data_size"])
+            spec, data_off = _read_header(self._file, path)
             file_size = os.fstat(self._file.fileno()).st_size
-            if file_size < data_off + size:
+            if file_size < data_off + spec.size:
                 raise PackIntegrityError(
                     f"pack {path!r}: truncated data region "
                     f"({file_size} bytes on disk, header expects "
-                    f"{data_off + size})")
+                    f"{data_off + spec.size})")
             self._mmap = mmap.mmap(self._file.fileno(), 0,
                                    access=mmap.ACCESS_READ)
+            super().__init__(spec, self._mmap, data_off)
+            _OPEN_PACKS[id(self)] = path
+            self.verify()
         except BaseException:
             self.close()
             raise
-        self.header = header
-        self.data_offset = data_off
-        self.layout: Tuple[Tuple[str, str, Tuple[int, ...], int], ...] = \
-            tuple((f, d, tuple(s), o) for f, d, s, o in header["sections"])
-        self.checksums: Tuple[Tuple[str, int], ...] = \
-            tuple((f, int(c)) for f, c in header["checksums"])
-        self.data = memoryview(self._mmap)[data_off:data_off + size]
-        views = {field: np.ndarray(shape, dtype=dtype, buffer=self._mmap,
-                                   offset=data_off + off)
-                 for field, dtype, shape, off in self.layout}
-        self._views: Optional[dict] = views
-        _OPEN_PACKS[id(self)] = path
-        if verify:
-            try:
-                self.verify()
-            except PackIntegrityError:
-                self.close()
-                raise
-        self.hdr_blob = views["hdr_blob"]
-        self.hdr_offsets = views["hdr_offsets"]
-        self.structs = ScanStructures(
-            k=header["k"], base=header["base"],
-            n_sequences=header["n_sequences"],
-            total_residues=header["total_residues"],
-            concat=views["concat"], starts=views["starts"],
-            lengths=views["lengths"], codes=views["codes"],
-            code_pos=views["code_pos"])
-        self.spec = PackSpec(
-            name=path, cache_token=self.identity, seqtype=header["seqtype"],
-            fragment_id=header["fragment_id"], k=header["k"],
-            base=header["base"], n_sequences=header["n_sequences"],
-            total_residues=header["total_residues"],
-            source_ids=tuple(int(i) for i in header["source_ids"]),
-            arrays=self.layout, size=size, checksums=self.checksums)
 
     @property
     def identity(self) -> tuple:
@@ -329,15 +298,7 @@ class DiskPack:
         fragment_id)`` with the store's ``("rpk", store_id)`` as token —
         same shape as the in-RAM scheme, stale by construction once the
         fragment is rebuilt (its version bumps)."""
-        h = self.header
-        return (("rpk", h["store_id"]), h["version"], h["fragment_id"])
-
-    def verify(self) -> None:
-        """Re-checksum every mapped section against the header table."""
-        for field, expected in self.checksums:
-            got = _crc(self._views[field])
-            if got != expected:
-                raise _integrity_error(self.path, field, expected, got)
+        return self.spec.cache_token
 
     def close(self) -> None:
         """Release the views and unmap.  A caller still holding
@@ -345,13 +306,8 @@ class DiskPack:
         keeps the mapping alive until those die; the file descriptor is
         closed either way."""
         _OPEN_PACKS.pop(id(self), None)
-        for attr in ("structs", "hdr_blob", "hdr_offsets", "_views"):
-            if hasattr(self, attr):
-                setattr(self, attr, None)
-        data = getattr(self, "data", None)
-        if data is not None:
-            data.release()
-            self.data = None
+        if hasattr(self, "data"):
+            super().close()
         if self._mmap is not None:
             try:
                 self._mmap.close()
@@ -360,17 +316,11 @@ class DiskPack:
                 pass
         self._file.close()
 
-    def __enter__(self) -> "DiskPack":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover
-        h = self.header
-        return (f"<DiskPack {self.path!r} {h['seqtype']} "
-                f"frag={h['fragment_id']} n={h['n_sequences']} "
-                f"residues={h['total_residues']}>")
+        s = self.spec
+        return (f"<DiskPack {self.path!r} {s.seqtype} "
+                f"frag={s.fragment_id} n={s.n_sequences} "
+                f"residues={s.total_residues}>")
 
 
 def corrupt_pack_file(path: str, field: Optional[str] = None,
@@ -381,47 +331,21 @@ def corrupt_pack_file(path: str, field: Optional[str] = None,
     targets ``"preamble"`` (damages the magic) and ``"header"``
     (damages the JSON blob — which also holds the CRC table, so this
     doubles as the corrupt-the-checksums case; the preamble's header
-    CRC32 catches it).  Mirrors
-    :func:`repro.exec.shm.corrupt_segment`: the damage lands mid-field,
-    on checksummed payload, never on alignment padding.  Returns the
-    corrupted region's name.
+    CRC32 catches it).  A section is damaged by
+    :meth:`repro.exec.shm.PackView.corrupt`, the locator every carrier
+    shares: mid-field, on checksummed payload, never on alignment
+    padding.  Returns the corrupted region's name.
     """
-    with open(path, "r+b") as f:
+    with open(path, "r+b") as f, mmap.mmap(f.fileno(), 0) as mm:
         if field == "preamble":
-            f.seek(0)
-            first = f.read(1)
-            f.seek(0)
-            f.write(bytes([first[0] ^ 0xFF]))
-            return field
-        raw = f.read(_PREAMBLE_SIZE)
-        _magic, _ver, _flags, hlen, _hcrc = _PREAMBLE.unpack(
-            raw[:_PREAMBLE.size])
-        if field == "header":
-            pos = _PREAMBLE_SIZE + hlen // 2
-            f.seek(pos)
-            b = f.read(1)
-            f.seek(pos)
-            f.write(bytes([b[0] ^ 0xFF]))
-            return field
-        # Re-read the header properly (validated) to find the section.
-        f.seek(0)
-        header, data_off = _read_header(f, path)
-        layout = {sec[0]: (sec[1], sec[2], sec[3])
-                  for sec in header["sections"]}
-        if field is None:
-            field = max(layout, key=lambda fl: int(
-                np.prod(layout[fl][1], dtype=np.int64))
-                * np.dtype(layout[fl][0]).itemsize)
-        dtype, shape, off = layout[field]
-        size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if size == 0:
-            raise ValueError(f"field {field!r} is empty; nothing to corrupt")
-        start = data_off + off + max(0, size // 2 - 1)
-        end = min(data_off + off + size, start + nbytes)
-        f.seek(start)
-        chunk = bytes(b ^ 0xFF for b in f.read(end - start))
-        f.seek(start)
-        f.write(chunk)
+            mm[0] ^= 0xFF
+        elif field == "header":
+            hlen = _PREAMBLE.unpack_from(mm)[3]
+            mm[_PREAMBLE_SIZE + hlen // 2] ^= 0xFF
+        else:
+            spec, data_off = _read_header(f, path)
+            with PackView(spec, mm, data_off) as view:
+                field = view.corrupt(field, nbytes)
     return field
 
 
@@ -506,15 +430,15 @@ class PackStore:
     def pack_path(self, entry: PackEntry) -> str:
         return os.path.join(self.directory, entry.file)
 
-    def open_packs(self, verify: bool = True) -> List[DiskPack]:
-        """Map every pack; on any failure, close what was opened and
-        re-raise.  Each pack's recorded identity must match the
-        manifest entry naming it — a swapped or stale file is damage,
-        not a different answer."""
+    def open_packs(self) -> List[DiskPack]:
+        """Map and CRC-verify every pack; on any failure, close what
+        was opened and re-raise.  Each pack's recorded identity must
+        match the manifest entry naming it — a swapped or stale file is
+        damage, not a different answer."""
         packs: List[DiskPack] = []
         try:
             for entry in self.packs:
-                pack = DiskPack(self.pack_path(entry), verify=verify)
+                pack = DiskPack(self.pack_path(entry))
                 packs.append(pack)
                 got = pack.identity
                 want = (self._scan_token, entry.version, entry.fragment_id)
@@ -531,7 +455,7 @@ class PackStore:
 
     def verify(self) -> int:
         """CRC-verify every pack; returns the number checked."""
-        for pack in self.open_packs(verify=True):
+        for pack in self.open_packs():
             pack.close()
         return len(self.packs)
 
@@ -894,8 +818,8 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
                        scheme, params: Optional[SearchParams] = None, *,
                        query_ids: Optional[Sequence[str]] = None,
                        both_strands: bool = True,
-                       keep_fragment_ids: bool = False,
-                       verify: bool = True) -> List[SearchResults]:
+                       keep_fragment_ids: bool = False
+                       ) -> List[SearchResults]:
     """Serial search of N queries against a mmapped store, each result
     byte-identical to ``search(query, db, ...)`` over the equivalent
     in-RAM database.
@@ -926,7 +850,7 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
 
     by_pack: List[Dict[str, SearchResults]] = [{} for _ in queries]
     ids_by_name: Dict[str, List[int]] = {}
-    packs = store.open_packs(verify=verify)
+    packs = store.open_packs()
     try:
         for pack in packs:
             db = PackDB(pack)
@@ -952,11 +876,10 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
 def search_store(query: np.ndarray, store: PackStore, scheme,
                  params: Optional[SearchParams] = None, *,
                  query_id: str = "query", both_strands: bool = True,
-                 keep_fragment_ids: bool = False,
-                 verify: bool = True) -> SearchResults:
+                 keep_fragment_ids: bool = False) -> SearchResults:
     """One query against a mmapped store: a :func:`search_store_batch`
     of one."""
     return search_store_batch(
         [query], store, scheme, params, query_ids=[query_id],
-        both_strands=both_strands, keep_fragment_ids=keep_fragment_ids,
-        verify=verify)[0]
+        both_strands=both_strands,
+        keep_fragment_ids=keep_fragment_ids)[0]

@@ -103,42 +103,61 @@ def encode_frame(ftype: bytes, seq: int, payload: bytes = b"") -> bytes:
 class FrameDecoder:
     """Incremental frame parser over an arbitrary byte stream.
 
-    ``feed(data)`` buffers bytes; ``frames()`` yields complete
-    ``(type, seq, payload)`` triples, verifying magic, CRC32, and the
-    per-connection sequence number as it goes.  ``check_eof()`` is
-    called by the connection when the peer closes: a partial frame
-    still buffered at that point is a :class:`FrameTruncated`, not a
-    clean EOF.
+    ``feed(data)`` hands over bytes (by reference, until ``frames()``
+    has consumed them); ``frames()`` yields complete ``(type, seq,
+    payload)`` triples, verifying magic, CRC32, and the per-connection
+    sequence number as it goes.  ``check_eof()`` is called by the
+    connection when the peer closes: a partial frame still buffered at
+    that point is a :class:`FrameTruncated`, not a clean EOF.
+
+    A payload is collected in one ``bytearray`` of the length its header
+    states and yielded as is: what a frame costs in memory follows from
+    the frame, never from the read sizes, i.e. timing (DESIGN.md §5k).
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._fed: deque = deque()      # fed views, not yet in a frame
+        self._head = bytearray(HEADER_SIZE)
+        self._part = self._head         # being collected: header or payload
+        self._have = 0                  # ... and how much of it is here
         self._expect_seq = 0
-        self.frames_in = 0
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf)
+        return (self._have + sum(map(len, self._fed))
+                + (HEADER_SIZE if self._part is not self._head else 0))
 
-    def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
+    def feed(self, data) -> None:
+        self._fed.append(memoryview(data))
 
-    def frames(self) -> Iterator[Tuple[bytes, int, bytes]]:
-        while len(self._buf) >= HEADER_SIZE:
-            magic, ftype, seq, length, crc = _HEADER.unpack_from(self._buf)
-            if magic != FRAME_MAGIC:
-                raise FrameError(
-                    f"bad frame magic {bytes(magic)!r} (stream lost sync)")
-            if ftype not in (DATA, PING, PONG):
-                raise FrameError(f"unknown frame type {bytes(ftype)!r}")
-            if length > MAX_FRAME_PAYLOAD:
-                raise FrameError(
-                    f"frame length {length} exceeds the "
-                    f"{MAX_FRAME_PAYLOAD}-byte cap (corrupt header?)")
-            if len(self._buf) < HEADER_SIZE + length:
-                return                      # incomplete; wait for more bytes
-            payload = bytes(self._buf[HEADER_SIZE:HEADER_SIZE + length])
-            del self._buf[:HEADER_SIZE + length]
+    def _fill(self) -> bool:
+        """Move fed bytes into the part being collected; True if full."""
+        with memoryview(self._part) as part:    # view to view: one memcpy
+            while self._have < len(part) and self._fed:
+                chunk = self._fed.popleft()
+                n = min(len(chunk), len(part) - self._have)
+                part[self._have:self._have + n] = chunk[:n]
+                self._have += n
+                if n < len(chunk):
+                    self._fed.appendleft(chunk[n:])
+            return self._have == len(part)
+
+    def frames(self) -> Iterator[Tuple[bytes, int, bytearray]]:
+        while self._fill():             # else incomplete; wait for more
+            magic, ftype, seq, length, crc = _HEADER.unpack(self._head)
+            if self._part is self._head:
+                if magic != FRAME_MAGIC:
+                    raise FrameError(f"bad frame magic {bytes(magic)!r} "
+                                     f"(stream lost sync)")
+                if ftype not in (DATA, PING, PONG):
+                    raise FrameError(f"unknown frame type {bytes(ftype)!r}")
+                if length > MAX_FRAME_PAYLOAD:
+                    raise FrameError(
+                        f"frame length {length} exceeds the "
+                        f"{MAX_FRAME_PAYLOAD}-byte cap (corrupt header?)")
+                self._part, self._have = bytearray(length), 0
+                continue
+            payload, self._part, self._have = self._part, self._head, 0
             got = zlib.crc32(payload)
             if got != crc:
                 raise FrameCRCError(
@@ -149,15 +168,14 @@ class FrameDecoder:
                     f"expected frame {self._expect_seq}, got {seq} "
                     f"(lost or replayed frame)")
             self._expect_seq += 1
-            self.frames_in += 1
             yield ftype, seq, payload
 
     def check_eof(self) -> None:
         """Raise :class:`FrameTruncated` if EOF split a frame."""
-        if self._buf:
+        if self.pending_bytes:
             raise FrameTruncated(
-                f"connection closed mid-frame "
-                f"({len(self._buf)} bytes of an incomplete frame buffered)")
+                f"connection closed mid-frame ({self.pending_bytes} bytes "
+                f"of an incomplete frame buffered)")
 
 
 class FrameConnection:
@@ -189,8 +207,6 @@ class FrameConnection:
         self._closed = False
         self.last_heard = time.monotonic()
         self.last_ping = 0.0
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- outbound ------------------------------------------------------
     def _send_frame(self, ftype: bytes, payload: bytes = b"") -> None:
@@ -199,7 +215,6 @@ class FrameConnection:
         frame = encode_frame(ftype, self._send_seq, payload)
         self._send_seq += 1
         self._sock.sendall(frame)
-        self.bytes_sent += len(frame)
 
     def send(self, obj) -> None:
         """Pickle *obj* into one DATA frame.  Raises ``OSError`` when
@@ -232,7 +247,6 @@ class FrameConnection:
         if not data:
             self._eof = True
             return False
-        self.bytes_received += len(data)
         self._decoder.feed(data)
         for ftype, _seq, payload in self._decoder.frames():
             self._on_frame(ftype, payload)
@@ -250,12 +264,10 @@ class FrameConnection:
             readable, _, _ = select.select([self._sock], [], [], left)
             if not readable:
                 return False
-            if not self._read_chunk():
-                return True             # EOF pending: recv() raises it
-            if self._queue:
-                return True
+            if not self._read_chunk() or self._queue:
+                return True             # a message, or EOF for recv()
             if time.monotonic() >= deadline:
-                return bool(self._queue)
+                return False
 
     def recv(self):
         """The next DATA message; blocks until one arrives.  A closed
@@ -360,25 +372,3 @@ def connect_backoff(address, *, attempts: int = 5,
     raise NodeConnectError(
         f"could not connect to {address[0]}:{address[1]} after "
         f"{attempts} attempt(s): {last}")
-
-
-# ----------------------------------------------------------------------
-def pack_wire_meta(spec) -> dict:
-    """The picklable metadata a node needs to republish a shipped pack
-    through :func:`repro.exec.shm.publish_pack_bytes` — everything in
-    the :class:`~repro.exec.shm.PackSpec` except the master-local
-    segment name, which the node replaces with its own."""
-    return {
-        "name": spec.name,              # master-side name: the task alias
-        "cache_token": spec.cache_token,
-        "seqtype": spec.seqtype,
-        "fragment_id": spec.fragment_id,
-        "k": spec.k,
-        "base": spec.base,
-        "n_sequences": spec.n_sequences,
-        "total_residues": spec.total_residues,
-        "source_ids": spec.source_ids,
-        "arrays": spec.arrays,
-        "size": spec.size,
-        "checksums": spec.checksums,
-    }

@@ -51,15 +51,16 @@ from repro.blast.scankernel import ScanCache
 from repro.blast.search import search_batch
 from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
-                            backoff_delay, connect_backoff, pack_wire_meta,
-                            parse_address)
+                            backoff_delay, connect_backoff, parse_address)
 from repro.exec.results import encode_result_pairs
 from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
-                            ShmRegistry, corrupt_segment, ensure_tracker,
-                            publish_pack_bytes, read_pack_bytes)
+                            PackView, ShmRegistry, corrupt_segment,
+                            ensure_tracker, publish_pack_bytes,
+                            read_pack_bytes)
 
-#: Wire protocol version, negotiated in the hello handshake.
-PROTO_VERSION = 1
+#: Wire protocol version: both ends state it in the hello handshake and
+#: refuse a peer stating another (2: ``publish`` carries the PackSpec).
+PROTO_VERSION = 2
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
@@ -129,6 +130,11 @@ class _PackHolder:
         self.cache.evict(db._scan_token)
         pack.close()
 
+    @staticmethod
+    def pack_name(msg) -> str:
+        # Every pack verb carries the master's PackSpec or its name.
+        return getattr(msg[1], "name", msg[1])
+
     def packs_for(self, names) -> Dict[str, tuple]:
         return {n: self._lookup(n) for n in names}
 
@@ -156,10 +162,6 @@ class NamedPacks(_PackHolder):
         super().__init__()
         self._packs: Dict[str, tuple] = {}
         self.verbs = {"attach": self._attach, "detach": self._detach}
-
-    @staticmethod
-    def pack_name(msg) -> str:
-        return msg[1] if msg[0] == "detach" else msg[1].name
 
     def _attach(self, msg, injector) -> None:
         spec = msg[1]
@@ -197,41 +199,31 @@ class TokenPacks(_PackHolder):
         super().__init__()
         self.node_id = node_id
         self._registry = ShmRegistry()
-        #: cache_token -> (local PackSpec, AttachedPack, PackDB)
+        #: cache_token -> (AttachedPack over the local segment, PackDB)
         self._store: Dict[tuple, tuple] = {}
         #: master-side pack name -> cache_token
         self._aliases: Dict[str, tuple] = {}
         self.verbs = {"publish": self._publish, "adopt": self._adopt,
                       "detach": self._detach}
 
-    @staticmethod
-    def pack_name(msg) -> str:
-        return msg[1]["name"] if msg[0] == "publish" else msg[1]
-
     def held_tokens(self) -> List[tuple]:
         return list(self._store)
 
     def _publish(self, msg, injector) -> None:
-        meta, data = msg[1], msg[2]
-        token = tuple(meta["cache_token"])
+        spec, data = msg[1], msg[2]     # the master's spec, the bytes
         if injector is not None and \
-                injector.on_attach(meta["fragment_id"]) is not None:
+                injector.on_attach(spec.fragment_id) is not None:
             data = bytearray(data)
-            mid = len(data) // 2
-            for pos in range(mid, min(len(data), mid + 8)):
-                data[pos] ^= 0xFF
+            with PackView(spec, data) as view:
+                view.corrupt()
+        token = spec.cache_token
         if token not in self._store:
-            spec = publish_pack_bytes(
-                data, meta["arrays"], meta["checksums"],
-                seqtype=meta["seqtype"], cache_token=token,
-                fragment_id=meta["fragment_id"],
-                k=meta["k"], base=meta["base"],
-                n_sequences=meta["n_sequences"],
-                total_residues=meta["total_residues"],
-                source_ids=meta["source_ids"],
-                size=meta["size"], registry=self._registry)
-            self._store[token] = (spec,) + self._open(spec, verify=False)
-        self._aliases[meta["name"]] = token
+            local = publish_pack_bytes(data, spec, registry=self._registry)
+            # One mapping per pack, the attach below: pages mapped twice
+            # are resident twice, as far as the tasks served reached.
+            self._registry.unmap(local.name)
+            self._store[token] = self._open(local, verify=False)
+        self._aliases[spec.name] = token
 
     def _adopt(self, msg, injector=None) -> None:
         name, token = msg[1], tuple(msg[2])
@@ -248,11 +240,11 @@ class TokenPacks(_PackHolder):
     def _release(self, token: tuple) -> None:
         entry = self._store.pop(token, None)
         if entry is not None:
-            self._shut(*entry[1:])
-            self._registry.release(entry[0].name)
+            self._shut(*entry)
+            self._registry.release(entry[0].spec.name)
 
     def _lookup(self, name: str) -> tuple:
-        return self._store[self._aliases[name]][1:]
+        return self._store[self._aliases[name]]
 
     def stats(self) -> dict:
         return {"node": self.node_id, "held": len(self._store)}
@@ -355,6 +347,9 @@ def serve_tasks(conn, rank: int, holder, ship, *,
             except Exception:
                 conn.send(("error", rank, None, holder.pack_name(msg),
                            traceback.format_exc(), -1))
+            # Before the next read: a pack's bytes held across it would
+            # pin the heap under the next payload (DESIGN.md §5k).
+            del msg
         else:
             conn.send(("error", rank, None, None,
                        f"unknown message {kind!r}", -1))
@@ -433,6 +428,12 @@ class NodeAgent:
             if msg[0] != "hello":
                 conn.send(("error", -1, None, None,
                            f"expected hello, got {msg[0]!r}", -1))
+                return
+            if msg[1].get("proto") != PROTO_VERSION:
+                conn.send(("error", -1, None, None,
+                           f"protocol version mismatch: master speaks "
+                           f"{msg[1].get('proto')!r}, node {self.node_id} "
+                           f"speaks {PROTO_VERSION}", -1))
                 return
             rank = int(msg[1].get("rank", 0))
             if self.fault_plan is not None and self._injector is None:
@@ -614,6 +615,11 @@ class NodeClient(WorkerSlot):
                     and msg[0] == "ready"):
                 raise NodeConnectError(
                     f"node {self.label} answered {msg!r}, expected ready")
+            if msg[2].get("proto") != PROTO_VERSION:
+                raise NodeConnectError(
+                    f"node {self.label} speaks protocol version "
+                    f"{msg[2].get('proto')!r}, this master speaks "
+                    f"{PROTO_VERSION}")
         except BaseException as exc:
             conn.close()
             if isinstance(exc, _BROKEN):
@@ -642,7 +648,7 @@ class NodeClient(WorkerSlot):
             self.bytes_saved += spec.size
             return 0
         payload = read_pack_bytes(spec)
-        self.conn.send(("publish", pack_wire_meta(spec), payload))
+        self.conn.send(("publish", spec, payload))
         self.held.add(spec.cache_token)
         self.packs_shipped += 1
         self.bytes_shipped += len(payload)

@@ -718,7 +718,6 @@ class ExecPool:
         fragment_id)`` ScanCache identities, so worker caches and
         stale-version invalidation behave exactly as for in-RAM
         databases."""
-        from repro.exec.diskpack import DiskPack
         if k != store.k or base != store.base:
             raise ValueError(
                 f"pack store {store.directory!r} was built with word size "
@@ -732,20 +731,11 @@ class ExecPool:
             return prep
         self._drop_stale(token, version)
         specs: List[PackSpec] = []
-        packs: List[DiskPack] = []
+        packs = store.open_packs()
         try:
-            packs = store.open_packs(verify=True)
             for pack in packs:
-                specs.append(publish_pack_bytes(
-                    pack.data, pack.layout, pack.checksums,
-                    seqtype=pack.spec.seqtype,
-                    cache_token=pack.spec.cache_token,
-                    fragment_id=pack.spec.fragment_id,
-                    k=pack.spec.k, base=pack.spec.base,
-                    n_sequences=pack.spec.n_sequences,
-                    total_residues=pack.spec.total_residues,
-                    source_ids=pack.spec.source_ids,
-                    size=pack.spec.size, registry=self._registry))
+                specs.append(publish_pack_bytes(pack.data, pack.spec,
+                                                registry=self._registry))
         except BaseException:
             for spec in specs:
                 self._registry.release(spec.name)

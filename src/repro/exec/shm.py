@@ -34,17 +34,13 @@ import atexit
 import os
 import secrets
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from multiprocessing import resource_tracker, shared_memory as _shm
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blast.scankernel import ScanStructures, build_scan_structures
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
 
 #: Offsets inside a segment are aligned so every reconstructed array
 #: view is at least cacheline-aligned.
@@ -73,24 +69,29 @@ class PackIntegrityError(RuntimeError):
     """
 
 
-def _integrity_error(name: str, field: str, expected: int,
+def _integrity_error(name: str, field: str, expected: Optional[int],
                      got: int) -> PackIntegrityError:
+    want = "none recorded" if expected is None else f"{expected:#010x}"
     return PackIntegrityError(
         f"pack {name!r}: field {field!r} CRC32 mismatch "
-        f"(expected {expected:#010x}, got {got:#010x})")
+        f"(expected {want}, got {got:#010x})")
 
 
 def _crc(arr: np.ndarray) -> int:
     """CRC32 over an array's raw bytes (contiguous by construction)."""
-    try:
-        return zlib.crc32(memoryview(arr).cast("B"))
-    except TypeError:  # pragma: no cover - non-contiguous fallback
-        return zlib.crc32(arr.tobytes())
+    return zlib.crc32(memoryview(arr).cast("B"))
 
 
 @dataclass(frozen=True)
 class PackSpec:
-    """Picklable descriptor of one shared-memory fragment pack.
+    """Picklable descriptor of one fragment pack, on every carrier.
+
+    A shared-memory segment, an ``.rpk`` file's data region and a
+    payload shipped to a node hold the same bytes (:func:`pack_layout`)
+    under this one description: workers get it over the pipe, nodes
+    beside the payload, and the ``.rpk`` header is its JSON form.  Only
+    ``name`` (segment name or file path) and ``cache_token`` say where
+    a pack lives.  Built by :func:`pack_spec`, read by :class:`PackView`.
 
     ``cache_token`` is the pack's ScanCache identity, minted from the
     parent database's existing token+version scheme as
@@ -99,7 +100,7 @@ class PackSpec:
     shape, and stale by construction once the parent mutates.
     """
 
-    name: str                     # shared-memory segment name
+    name: str                     # segment name / pack file path
     cache_token: tuple
     seqtype: str
     fragment_id: Optional[int]
@@ -110,11 +111,33 @@ class PackSpec:
     source_ids: Tuple[int, ...]   # parent ordinal of each local sequence
     arrays: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
     size: int
-    #: CRC32 per serialized field, computed from the published segment
-    #: itself (read-back) so a torn publish fails immediately; attach
-    #: re-verifies unless explicitly told not to.  Empty = unverified
-    #: legacy spec.
-    checksums: Tuple[Tuple[str, int], ...] = ()
+    #: CRC32 per serialized field, of the source arrays; a publish
+    #: re-checks them from the segment's own bytes (a torn write fails
+    #: at once) and every open re-verifies, a missing CRC failing it.
+    checksums: Tuple[Tuple[str, int], ...]
+
+
+def pack_spec(dims: Mapping, layout, size: int, checksums, *, name: str,
+              cache_token: tuple, seqtype: str, fragment_id: Optional[int],
+              source_ids: Sequence[int]) -> PackSpec:
+    """Build a pack's descriptor — the only place one is made.
+
+    *dims* maps ``k`` / ``base`` / ``n_sequences`` / ``total_residues``:
+    ``vars()`` of the :class:`~repro.blast.scankernel.ScanStructures`
+    being packed, or a decoded ``.rpk`` header.  Values are normalised
+    (tuples, Python ints), so specs that came from numpy, JSON or a
+    pickle compare equal when the content is.
+    """
+    return PackSpec(
+        name=name, cache_token=cache_token, seqtype=seqtype,
+        fragment_id=None if fragment_id is None else int(fragment_id),
+        k=int(dims["k"]), base=int(dims["base"]),
+        n_sequences=int(dims["n_sequences"]),
+        total_residues=int(dims["total_residues"]),
+        source_ids=tuple(int(i) for i in source_ids),
+        arrays=tuple((f, d, tuple(s), int(o)) for f, d, s, o in layout),
+        size=int(size),
+        checksums=tuple((f, int(c)) for f, c in checksums))
 
 
 def _segment_name(fragment_id: Optional[int]) -> str:
@@ -135,8 +158,6 @@ def ensure_tracker() -> None:
     unlink-time unregister clears the name for good.
     """
     try:  # pragma: no cover - trivial passthrough to stdlib
-        from multiprocessing import resource_tracker
-
         resource_tracker.ensure_running()
     except Exception:
         pass
@@ -161,13 +182,15 @@ class ShmRegistry:
     def names(self) -> List[str]:
         return list(self._segments)
 
+    def unmap(self, name: str) -> None:
+        """Drop the owner's mapping; the name stays ours to unlink."""
+        self._segments[name].close()
+
     def release(self, name: str) -> bool:
         """Unlink and close one segment; idempotent, crash-tolerant."""
-        if os.getpid() != self._pid:  # pragma: no cover - child ledger copy
-            self._segments.pop(name, None)
-            return False
         shm = self._segments.pop(name, None)
-        if shm is None:
+        # A forked child's copy of the ledger owns nothing.
+        if shm is None or os.getpid() != self._pid:
             return False
         try:
             shm.unlink()
@@ -201,17 +224,20 @@ def default_registry() -> ShmRegistry:
 
 
 # ----------------------------------------------------------------------
-def pack_layout(structs: ScanStructures, descriptions: Sequence[str]):
-    """Compute the canonical pack byte layout for *structs*.
+def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
+                **where) -> Tuple[PackSpec, Dict[str, np.ndarray]]:
+    """Lay *structs* out as a pack: the canonical byte layout.
 
-    Returns ``(arrays, layout, size)`` where *arrays* maps field name →
-    contiguous ndarray, *layout* is the ``(field, dtype, shape, offset)``
-    section table with every offset rounded up to :data:`_ALIGN`, and
-    *size* is the total data-region length.  This single function
-    defines the layout for **both** shared-memory segments
-    (:func:`create_pack`) and on-disk packs
-    (:mod:`repro.exec.diskpack`), which is what lets a pack file be
-    bulk-copied into a segment without re-encoding.
+    Returns the pack's :class:`PackSpec` (*where* is :func:`pack_spec`'s
+    keywords) and the contiguous source arrays by field name.  The
+    spec's section table puts every field at an offset rounded up to
+    :data:`_ALIGN`; its checksums are the **source** arrays' CRC32s, so
+    whoever copies the arrays somewhere proves the copy by
+    re-checksumming it against the spec.  This single function defines
+    the layout for shared-memory segments (:func:`create_pack`), on-disk
+    packs (:mod:`repro.exec.diskpack`) and shipped payloads alike, which
+    is what lets a pack file be bulk-copied into a segment without
+    re-encoding.
     """
     hdr_parts = [d.encode() for d in descriptions]
     hdr_offsets = np.zeros(len(hdr_parts) + 1, dtype=np.int64)
@@ -225,14 +251,108 @@ def pack_layout(structs: ScanStructures, descriptions: Sequence[str]):
         "code_pos": structs.code_pos,
         "hdr_blob": hdr_blob, "hdr_offsets": hdr_offsets,
     }
-    layout = []
+    layout, checksums = [], []
     offset = 0
     for field in _FIELDS:
         arr = np.ascontiguousarray(arrays[field])
         arrays[field] = arr
-        layout.append((field, arr.dtype.str, tuple(arr.shape), offset))
+        layout.append((field, arr.dtype.str, arr.shape, offset))
+        checksums.append((field, _crc(arr)))
         offset += -(-arr.nbytes // _ALIGN) * _ALIGN
-    return arrays, tuple(layout), offset
+    return pack_spec(vars(structs), layout, offset, checksums, **where), arrays
+
+
+class PackView:
+    """One pack's bytes seen through its spec: *(spec, buffer, base
+    offset)* in, zero-copy ``numpy`` field views out — the only reader
+    of ``spec.arrays``.  :attr:`structs` is the reconstructed
+    :class:`~repro.blast.scankernel.ScanStructures`, :attr:`hdr_blob` /
+    :attr:`hdr_offsets` the description strings, :attr:`data` the raw
+    data region (what a bulk copy moves).  :class:`AttachedPack` and
+    :class:`repro.exec.diskpack.DiskPack` only differ in where the
+    buffer comes from.
+    """
+
+    def __init__(self, spec: PackSpec, buf, base: int = 0):
+        self.spec = spec
+        self.data = memoryview(buf)[base:base + spec.size]
+        views = {field: np.ndarray(shape, dtype=dtype, buffer=self.data,
+                                   offset=off)
+                 for field, dtype, shape, off in spec.arrays}
+        self._views: Optional[Dict[str, np.ndarray]] = views
+        self.hdr_blob: np.ndarray = views["hdr_blob"]
+        self.hdr_offsets: np.ndarray = views["hdr_offsets"]
+        self.structs = ScanStructures(
+            k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
+            total_residues=spec.total_residues, concat=views["concat"],
+            starts=views["starts"], lengths=views["lengths"],
+            codes=views["codes"], code_pos=views["code_pos"])
+
+    def verify(self) -> None:
+        """Re-checksum every field against the spec; raises
+        :class:`PackIntegrityError` on the first mismatch, or on a
+        field the spec records no CRC32 for."""
+        recorded = dict(self.spec.checksums)
+        for field, view in self._views.items():
+            want, got = recorded.get(field), _crc(view)
+            if want != got:
+                raise _integrity_error(self.spec.name, field, want, got)
+
+    def corrupt(self, field: Optional[str] = None, nbytes: int = 8) -> str:
+        """Flip *nbytes* in the middle of *field* (default: the largest
+        field, usually the concatenation) and return the field's name.
+        The one fault hook behind every scribbler — a segment, a mapped
+        file, a payload about to be republished — so the damage always
+        lands on checksummed payload, never on alignment padding.
+        Test/chaos use only; needs a writable buffer."""
+        if field is None:
+            field = max(self._views, key=lambda f: self._views[f].nbytes)
+        raw = self._views[field].reshape(-1).view(np.uint8)
+        if raw.size == 0:
+            raise ValueError(f"field {field!r} is empty; nothing to corrupt")
+        start = max(0, raw.size // 2 - 1)
+        raw[start:start + nbytes] ^= 0xFF
+        return field
+
+    def close(self) -> None:
+        """Drop the views and the data region (idempotent).  Whoever
+        opened the buffer closes it after this."""
+        self.structs = self.hdr_blob = self.hdr_offsets = self._views = None
+        self.data.release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _publish(spec: PackSpec, source,
+             registry: Optional[ShmRegistry]) -> PackSpec:
+    """Allocate a segment for *spec*'s pack, fill it from *source* (the
+    field arrays by name: one copy per field; or the data region as one
+    buffer: one bulk copy), re-checksum it from the segment's own bytes,
+    register it for unlink and return the spec under its new name."""
+    spec = replace(spec, name=_segment_name(spec.fragment_id))
+    shm = _shm.SharedMemory(name=spec.name, create=True,
+                            size=max(spec.size, 1))
+    try:
+        with PackView(spec, shm.buf) as view:
+            if isinstance(source, dict):
+                for field, arr in source.items():
+                    view._views[field][...] = arr
+            else:
+                view.data[:] = source
+            # Publish-time integrity: a torn write fails here, and the
+            # recorded CRCs let every attach re-verify cheaply.
+            view.verify()
+    except BaseException:
+        shm.close()
+        shm.unlink()
+        raise
+    # Explicit None check: an *empty* ShmRegistry is falsy (__len__).
+    (registry if registry is not None else default_registry()).register(shm)
+    return spec
 
 
 def create_pack(structs: ScanStructures, descriptions: Sequence[str],
@@ -246,37 +366,11 @@ def create_pack(structs: ScanStructures, descriptions: Sequence[str],
     registered for unlink in *registry* (default: the process-wide
     one).
     """
-    if _shm is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory unavailable")
-    arrays, layout, offset = pack_layout(structs, descriptions)
-
-    name = _segment_name(fragment_id)
-    shm = _shm.SharedMemory(name=name, create=True, size=max(offset, 1))
-    checksums = []
-    for field, dtype, shape, off in layout:
-        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
-        view[...] = arrays[field]
-        # Publish-time integrity: checksum the segment's own bytes and
-        # cross-check against the source — a torn write fails here, and
-        # the recorded CRC lets every attach re-verify cheaply.
-        written = _crc(view)
-        expected = _crc(arrays[field])
-        if written != expected:  # pragma: no cover - torn publish
-            shm.close()
-            shm.unlink()
-            raise _integrity_error(name, field, expected, written)
-        checksums.append((field, written))
-    # Explicit None check: an *empty* ShmRegistry is falsy (__len__).
-    (registry if registry is not None else default_registry()).register(shm)
-    return PackSpec(
-        name=name, cache_token=cache_token, seqtype=seqtype,
-        fragment_id=fragment_id,
-        k=structs.k, base=structs.base, n_sequences=structs.n_sequences,
-        total_residues=structs.total_residues,
-        source_ids=tuple(int(i) for i in (source_ids or range(structs.n_sequences))),
-        arrays=tuple(layout), size=max(offset, 1),
-        checksums=tuple(checksums),
-    )
+    spec, arrays = pack_layout(
+        structs, descriptions, name="", cache_token=cache_token,
+        seqtype=seqtype, fragment_id=fragment_id,
+        source_ids=source_ids or range(structs.n_sequences))
+    return _publish(spec, arrays, registry)
 
 
 def pack_fragment(db, k: int, base: int, cache_token: tuple,
@@ -291,55 +385,24 @@ def pack_fragment(db, k: int, base: int, cache_token: tuple,
                        registry=registry)
 
 
-def publish_pack_bytes(data, layout, checksums, *, seqtype: str,
-                       cache_token: tuple, fragment_id: Optional[int],
-                       k: int, base: int, n_sequences: int,
-                       total_residues: int,
-                       source_ids: Sequence[int], size: int,
+def publish_pack_bytes(data, spec: PackSpec, *,
                        registry: Optional[ShmRegistry] = None) -> PackSpec:
     """Publish an already-encoded pack data region into shared memory.
 
-    *data* is the raw byte region of a pack whose sections follow the
-    canonical :func:`pack_layout` — in practice a ``memoryview`` over a
-    mmapped on-disk pack (:class:`repro.exec.diskpack.DiskPack`).  The
-    bytes are bulk-copied into a fresh segment (one memcpy, no
-    re-encoding) and every field is re-checksummed from the segment
-    itself against the recorded CRC32s, so a torn copy or a corrupted
-    source fails with :class:`PackIntegrityError` before any worker can
-    attach.  This is the pool's cold-start path: disk → shm without
-    rebuilding a single scan structure.
+    *data* is the raw byte region *spec* describes, wherever it came
+    from — a ``memoryview`` over a mmapped on-disk pack
+    (:class:`repro.exec.diskpack.DiskPack`) or a payload a node
+    received.  The bytes are bulk-copied into a fresh segment (one
+    memcpy, no re-encoding) and every field is re-checksummed from the
+    segment itself against the spec's CRC32s, so a torn copy or a
+    corrupted source fails with :class:`PackIntegrityError` before any
+    worker can attach; returns *spec* under the segment's name.  This is
+    the pool's cold-start path: disk → shm, no scan structure rebuilt.
     """
-    if _shm is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory unavailable")
-    if len(data) != size:
-        raise PackIntegrityError(
-            f"pack data region is {len(data)} bytes, layout expects {size}")
-    name = _segment_name(fragment_id)
-    shm = _shm.SharedMemory(name=name, create=True, size=max(size, 1))
-    try:
-        if size:
-            shm.buf[:size] = data
-        crc_map = dict(checksums)
-        for field, dtype, shape, off in layout:
-            view = np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf,
-                              offset=off)
-            got = _crc(view)
-            expected = crc_map.get(field)
-            if expected is None or got != expected:
-                raise _integrity_error(name, field, expected or 0, got)
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    (registry if registry is not None else default_registry()).register(shm)
-    return PackSpec(
-        name=name, cache_token=cache_token, seqtype=seqtype,
-        fragment_id=fragment_id, k=k, base=base,
-        n_sequences=n_sequences, total_residues=total_residues,
-        source_ids=tuple(int(i) for i in source_ids),
-        arrays=tuple((f, d, tuple(s), o) for f, d, s, o in layout),
-        size=max(size, 1), checksums=tuple((f, int(c)) for f, c in checksums),
-    )
+    if len(data) != spec.size:
+        raise PackIntegrityError(f"pack data region is {len(data)} bytes, "
+                                 f"layout expects {spec.size}")
+    return _publish(spec, data, registry)
 
 
 def read_pack_bytes(spec: PackSpec) -> bytes:
@@ -352,45 +415,16 @@ def read_pack_bytes(spec: PackSpec) -> bytes:
     CRC32 from its own fresh segment, catching corruption introduced
     anywhere along the copy → frame → copy chain.
     """
-    if _shm is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory unavailable")
-    seg = _shm.SharedMemory(name=spec.name)
-    try:
-        return bytes(seg.buf[:spec.size])
-    finally:
-        seg.close()
+    with AttachedPack(spec, verify=False) as pack:
+        return bytes(pack.data)
 
 
 def corrupt_segment(spec: PackSpec, field: Optional[str] = None,
                     nbytes: int = 8) -> str:
-    """Flip bytes inside one field of a published pack (fault hook).
-
-    Damages *nbytes* in the middle of *field*'s data region (default:
-    the largest field, usually the concatenation) so the corruption is
-    guaranteed to land on checksummed payload rather than alignment
-    padding.  Returns the corrupted field name.  Test/chaos use only —
-    this is the torn-segment fault that attach-time CRC verification
-    must catch.
-    """
-    if _shm is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory unavailable")
-    layout = {f: (dtype, shape, off) for f, dtype, shape, off in spec.arrays}
-    if field is None:
-        field = max(layout, key=lambda f: int(
-            np.prod(layout[f][1], dtype=np.int64))
-            * np.dtype(layout[f][0]).itemsize)
-    dtype, shape, off = layout[field]
-    size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-    if size == 0:
-        raise ValueError(f"field {field!r} is empty; nothing to corrupt")
-    seg = _shm.SharedMemory(name=spec.name)
-    try:
-        start = off + max(0, size // 2 - 1)
-        for pos in range(start, min(off + size, start + nbytes)):
-            seg.buf[pos] ^= 0xFF
-    finally:
-        seg.close()
-    return field
+    """:meth:`PackView.corrupt` on a published pack's segment: the
+    torn-segment fault that attach-time CRC verification must catch."""
+    with AttachedPack(spec, verify=False) as pack:
+        return pack.corrupt(field, nbytes)
 
 
 @dataclass(frozen=True)
@@ -418,8 +452,6 @@ class ResultArena:
 
     def __init__(self, spec: ArenaSpec, create: bool = False,
                  registry: Optional[ShmRegistry] = None):
-        if _shm is None:  # pragma: no cover
-            raise RuntimeError("multiprocessing.shared_memory unavailable")
         self.spec = spec
         self._shm = _shm.SharedMemory(name=spec.name, create=create,
                                       size=spec.size if create else 0)
@@ -474,7 +506,7 @@ class ResultArena:
             pass
 
 
-class AttachedPack:
+class AttachedPack(PackView):
     """A pack mapped into this process: zero-copy views, no ownership.
 
     Attach verifies the segment against the spec's recorded CRC32s by
@@ -485,41 +517,20 @@ class AttachedPack:
     """
 
     def __init__(self, spec: PackSpec, verify: bool = True):
-        if _shm is None:  # pragma: no cover
-            raise RuntimeError("multiprocessing.shared_memory unavailable")
-        self.spec = spec
         self._shm = _shm.SharedMemory(name=spec.name)
-        views = {}
-        for field, dtype, shape, off in spec.arrays:
-            views[field] = np.ndarray(shape, dtype=dtype,
-                                      buffer=self._shm.buf, offset=off)
-        self._views = views
+        super().__init__(spec, self._shm.buf)
         if verify:
             try:
                 self.verify()
             except PackIntegrityError:
                 self.close()
                 raise
-        self.hdr_blob: np.ndarray = views["hdr_blob"]
-        self.hdr_offsets: np.ndarray = views["hdr_offsets"]
-        self.structs = ScanStructures(
-            k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
-            total_residues=spec.total_residues, concat=views["concat"],
-            starts=views["starts"], lengths=views["lengths"],
-            codes=views["codes"], code_pos=views["code_pos"])
-
-    def verify(self) -> None:
-        """Re-checksum every field against the spec; raises
-        :class:`PackIntegrityError` on the first mismatch."""
-        for field, expected in self.spec.checksums:
-            got = _crc(self._views[field])
-            if got != expected:
-                raise _integrity_error(self.spec.name, field, expected, got)
 
     def close(self) -> None:
         """Drop the mapping (never unlinks — the creator owns that).
         Tolerates still-exported views; the mapping then lives until
         process exit, which is where teardown calls this anyway."""
+        super().close()
         try:
             self._shm.close()
         except BufferError:

@@ -11,25 +11,31 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.blast.alphabet import DNA, PROTEIN, encode_dna
 from repro.blast.scankernel import build_scan_structures
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT, SequenceDB
-from repro.blast.fasta import FastaRecord
+from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.cli import EXIT_INTEGRITY, main
-from repro.exec import ExecPool
+from repro.exec import ExecPool, FrameConnection
 from repro.exec.diskpack import (BUILD_DIR_PREFIX, FORMAT_VERSION, MAGIC,
                                  MANIFEST_NAME, DiskPack, PackFormatError,
                                  PackStore, PackStoreBuilder,
                                  build_pack_store, corrupt_pack_file,
                                  open_pack_count, search_store,
                                  sweep_build_leftovers, write_pack)
-from repro.exec.shm import (_FIELDS, PackDB, PackIntegrityError,
-                            ShmRegistry, create_pack)
+from repro.exec.nodes import TokenPacks
+from repro.exec.shm import (_FIELDS, AttachedPack, PackDB, PackIntegrityError,
+                            PackView, ShmRegistry, corrupt_segment,
+                            create_pack, read_pack_bytes)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -202,36 +208,170 @@ def test_streaming_build_from_fasta_file(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Disk layout == shm layout, byte for byte
+# Format stability: a store written by an earlier commit stays readable
 # ----------------------------------------------------------------------
-def test_disk_layout_matches_shm_layout(tmp_path):
-    """The whole point of the format: a pack file's data region is the
-    shm segment's bytes — same sections, same offsets, same CRCs — so
-    cold start is one memcpy, no re-encode."""
-    rng = np.random.default_rng(5)
-    db = random_nt_db(rng, 9)
-    structs = build_scan_structures(db, 11, 4)
-    descriptions = [db.description(i) for i in range(len(db))]
-    path = str(tmp_path / "frag.rpk")
-    write_pack(path, structs, descriptions, seqtype=NT, store_id="sid",
-               version=0, fragment_id=0, source_ids=range(len(db)))
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _golden_records():
+    with open(os.path.join(GOLDEN, "golden.fasta")) as f:
+        return list(iter_fasta(f))
+
+
+def test_golden_store_opens_verifies_and_searches():
+    """``tests/data/golden_store`` was written by ``build_pack_store``
+    at the commit before the header codec existed (from
+    ``golden.fasta``); it must open, verify, report the identity
+    recorded then and render the search bytes recorded then."""
+    with open(os.path.join(GOLDEN, "golden_store.expected.json")) as f:
+        expected = json.load(f)
+    (tag, store_id), version, fragment_id = expected["identity"]
+    store = PackStore.open(os.path.join(GOLDEN, "golden_store"))
+    assert store.verify() == 1
+    (pack,) = store.open_packs()
+    try:
+        assert pack.identity == ((tag, store_id), version, fragment_id)
+        pdb = PackDB(pack)
+        assert [pdb.description(i) for i in range(len(pdb))] \
+            == [r.description for r in _golden_records()]
+        del pdb
+    finally:
+        pack.close()
+    got = search_store(encode_dna(expected["query"]), store,
+                       NucleotideScore(), SearchParams(word_size=11),
+                       query_id="gq")
+    assert got.tabular() == expected["tabular"]
+
+
+def test_write_pack_is_byte_identical_to_the_golden_pack(tmp_path):
+    """``write_pack`` on the golden inputs reproduces the golden file
+    bit for bit: header key order, number formatting, padding and the
+    data region are all part of the committed format."""
+    store = PackStore.open(os.path.join(GOLDEN, "golden_store"))
+    db = SequenceDB(NT)
+    for rec in _golden_records():
+        db.add(rec.description, rec.sequence)
+    path = str(tmp_path / "again.rpk")
+    write_pack(path, build_scan_structures(db, store.k, store.base),
+               [db.description(i) for i in range(len(db))], seqtype=NT,
+               store_id=store.store_id, version=0, fragment_id=0,
+               source_ids=range(len(db)))
+    with open(path, "rb") as ours, \
+            open(store.pack_path(store.packs[0]), "rb") as golden:
+        assert ours.read() == golden.read()
+
+
+# ----------------------------------------------------------------------
+# One pack on three carriers: shm, disk, wire — same bytes, one spec
+# ----------------------------------------------------------------------
+def _records(letters):
+    return st.lists(st.tuples(st.text(max_size=12),
+                              st.text(alphabet=letters, min_size=1,
+                                      max_size=60)),
+                    min_size=1, max_size=5)
+
+
+class _AlwaysCorrupt:
+    """An injector whose ``corrupt_pack`` fault always fires."""
+
+    def on_attach(self, fragment_id):
+        return object()
+
+
+def _through_the_wire(spec):
+    """Ship *spec*'s pack the way ``NodeClient.ship`` does and return
+    the ``publish`` message a node's holder is handed."""
+    ours, theirs = socket.socketpair()
+    master = FrameConnection(ours, name="master")
+    node = FrameConnection(theirs, name="node")
+    try:
+        master.send(("publish", spec, read_pack_bytes(spec)))
+        return node.recv()
+    finally:
+        master.close()
+        node.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just(NT), _records("ACGT")),
+    st.tuples(st.just(AA), _records("".join(AA_LETTERS)))))
+@example(case=(NT, [("", "ACGTACGTACGTACG")]))      # zero-length hdr_blob
+@example(case=(AA, [("", "MKV"), ("only", "A")]))
+def test_disk_layout_matches_shm_layout(case):
+    """The whole point of the format: a shm segment, a pack file's data
+    region and the bytes a node receives are the same bytes under the
+    same descriptor — same sections, offsets and CRCs, only ``name`` /
+    ``cache_token`` say where the pack lives — so cold start and
+    shipping are one memcpy, no re-encode; and the one corruption
+    locator damages checksummed payload on every carrier."""
+    seqtype, records = case
+    k, base = (11, len(DNA)) if seqtype == NT else (3, len(PROTEIN))
+    db = SequenceDB(seqtype)
+    for desc, seq in records:
+        db.add(desc, seq)
+    structs = build_scan_structures(db, k, base)
+    descriptions = [d for d, _s in records]
+
+    def portable(spec):
+        return dataclasses.replace(spec, name="", cache_token=())
 
     registry = ShmRegistry()
-    spec = create_pack(structs, descriptions, NT, ("tok", 0, 0),
-                       fragment_id=0, registry=registry)
-    try:
-        with DiskPack(path) as pack:
-            assert pack.layout == tuple(spec.arrays)
-            assert pack.checksums == tuple(spec.checksums)
-            assert [f for f, _ in pack.checksums] == list(_FIELDS)
-            from multiprocessing import shared_memory
-            seg = shared_memory.SharedMemory(name=spec.name)
-            try:
-                assert bytes(pack.data) == bytes(seg.buf[:spec.size])
-            finally:
-                seg.close()
-    finally:
-        registry.release(spec.name)
+    holder, faulty = TokenPacks("prop"), TokenPacks("prop-faulty")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "frag.rpk")
+        write_pack(path, structs, descriptions, seqtype=seqtype,
+                   store_id="sid", version=0, fragment_id=0,
+                   source_ids=range(len(db)))
+        spec = create_pack(structs, descriptions, seqtype, ("tok", 0, 0),
+                           fragment_id=0, registry=registry)
+        try:
+            msg = _through_the_wire(spec)
+            holder.verbs["publish"](msg, None)
+            landed = holder._store[spec.cache_token][0].spec
+            # A node maps a pack it holds once: the page a task touches
+            # through a second mapping is resident a second time.
+            with open("/proc/self/maps") as maps:
+                assert maps.read().count(landed.name) == 1
+            with DiskPack(path) as pack:
+                assert [f for f, _ in pack.spec.checksums] == list(_FIELDS)
+                assert portable(pack.spec) == portable(spec) \
+                    == portable(msg[1]) == portable(landed)
+                assert landed.cache_token == spec.cache_token
+                assert landed.name != spec.name
+                assert bytes(pack.data) == read_pack_bytes(spec) \
+                    == msg[2] == read_pack_bytes(landed)
+                pdb = PackDB(pack)
+                for i, (desc, seq) in enumerate(records):
+                    assert pdb.description(i) == desc
+                    assert len(pdb.sequence(i)) == len(seq)
+
+            # The locator: every flipped byte is inside the field it
+            # names, i.e. on bytes some CRC32 covers.
+            damaged = bytearray(msg[2])
+            with PackView(spec, damaged) as view:
+                field = view.corrupt()
+            off, nbytes = next(
+                (o, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+                for f, dtype, shape, o in spec.arrays if f == field)
+            flipped = [i for i, (x, y) in enumerate(zip(damaged, msg[2]))
+                       if x != y]
+            assert flipped and off <= flipped[0] \
+                and flipped[-1] < off + nbytes
+            # ... and on each carrier the damage is a typed error.
+            assert corrupt_segment(spec) == field
+            with pytest.raises(PackIntegrityError, match=field):
+                AttachedPack(spec)
+            assert corrupt_pack_file(path) == field
+            with pytest.raises(PackIntegrityError, match=field):
+                DiskPack(path)
+            with pytest.raises(PackIntegrityError, match=field):
+                faulty.verbs["publish"](msg, _AlwaysCorrupt())
+            assert not faulty.held_tokens()
+        finally:
+            holder.close()
+            faulty.close()
+            registry.release(spec.name)
 
 
 def test_diskpack_feeds_scan_engine_directly(tmp_path):

@@ -11,6 +11,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from repro.exec.net import (DATA, FRAME_MAGIC, HEADER_SIZE,
                             FrameSequenceError, FrameTruncated,
                             NodeConnectError, backoff_delay, connect_backoff,
                             encode_frame, parse_address)
-from repro.exec.nodes import NodeAgent
-from repro.exec.pool import JobSpec
+from repro.exec.nodes import PROTO_VERSION, NodeAgent, NodeClient
+from repro.exec.pool import ExecPool, JobSpec, PoolJobError
 from repro.exec.results import decode_result_pairs
 from repro.exec.shm import ShmRegistry, pack_fragment, read_pack_bytes
-from repro.exec.net import pack_wire_meta
 
 NT_LETTERS = np.array(list("ACGT"))
 
@@ -121,6 +121,32 @@ def test_frame_sequence_gap_detected():
     assert next(it)[2] == b"first"
     with pytest.raises(FrameSequenceError):
         next(it)
+
+
+def test_decoder_memory_follows_the_frame_not_the_reads():
+    # A payload is collected once, at its stated length: what decoding
+    # a frame allocates must not depend on how the stream was cut into
+    # reads.  (One buffer grown read by read did — and a node's resident
+    # set after a pack ship followed the network's timing.)
+    payload = bytes(range(256)) * 4096          # 1 MiB
+    wire = encode_frame(DATA, 0, payload)
+    peaks = []
+    for step in (len(wire), 1 << 16, 4093, 517):
+        dec = FrameDecoder()
+        got = []
+        tracemalloc.start()
+        try:
+            for i in range(0, len(wire), step):
+                dec.feed(wire[i:i + step])
+                got.extend(dec.frames())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [(t, s) for t, s, _ in got] == [(DATA, 0)]
+        assert got[0][2] == payload and dec.pending_bytes == 0
+    slack = 3 << 16                             # a read's slice, bookkeeping
+    assert max(peaks) - min(peaks) < slack
+    assert max(peaks) < len(payload) + slack    # one copy, never two
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +337,12 @@ def test_agent_session_protocol_and_stale_epoch():
     try:
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master")
-        conn.send(("hello", {"proto": 1, "rank": 9}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 9}))
         kind, rank, info = conn.recv()
         assert (kind, rank) == ("ready", 9)
         assert info["node"] == "proto-test" and info["held"] == []
 
-        conn.send(("publish", pack_wire_meta(spec), read_pack_bytes(spec)))
+        conn.send(("publish", spec, read_pack_bytes(spec)))
         conn.send(("job", 0, job))
         conn.send(("task", (0,), (spec.name,), 7))
         msg = conn.recv()
@@ -345,7 +371,7 @@ def test_agent_session_protocol_and_stale_epoch():
         # an adopt re-uses it without reshipping a byte.
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master2")
-        conn.send(("hello", {"proto": 1, "rank": 9}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 9}))
         _, _, info = conn.recv()
         assert tuple(spec.cache_token) in {tuple(t) for t in info["held"]}
         conn.send(("adopt", spec.name, spec.cache_token))
@@ -370,7 +396,7 @@ def test_agent_rejects_adopt_of_unknown_identity():
     try:
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master")
-        conn.send(("hello", {"rank": 0}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 0}))
         assert conn.recv()[0] == "ready"
         conn.send(("adopt", "packX", ("tok", 0, 0)))
         msg = conn.recv()
@@ -381,3 +407,85 @@ def test_agent_rejects_adopt_of_unknown_identity():
     finally:
         server.join(timeout=10.0)
         agent.close()
+
+
+# ----------------------------------------------------------------------
+# Protocol version: stated by both ends, enforced by both ends
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("hello", [{"proto": PROTO_VERSION - 1, "rank": 0},
+                                   {"rank": 0}])
+def test_agent_refuses_a_master_speaking_another_protocol(hello):
+    """A mismatched hello gets the typed error reply naming both
+    versions and the session ends — and the agent keeps accepting: the
+    next master, speaking this version, is served."""
+    agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
+    server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
+                              daemon=True)
+    server.start()
+    try:
+        conn = FrameConnection(
+            socket.create_connection(agent.address, timeout=5.0), name="old")
+        conn.send(("hello", hello))
+        msg = conn.recv()
+        assert msg[0] == "error" and "protocol version" in msg[4]
+        assert repr(hello.get("proto")) in msg[4]
+        assert str(PROTO_VERSION) in msg[4]
+        with pytest.raises(EOFError):
+            conn.recv()
+        conn.close()
+
+        conn = FrameConnection(
+            socket.create_connection(agent.address, timeout=5.0), name="new")
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 0}))
+        kind, _rank, info = conn.recv()
+        assert kind == "ready" and info["proto"] == PROTO_VERSION
+        conn.send(("stop",))
+        assert conn.recv()[0] == "stopped"
+        conn.close()
+    finally:
+        server.join(timeout=10.0)
+        agent.close()
+    assert not server.is_alive()
+
+
+def test_client_refuses_a_node_speaking_another_protocol():
+    """A node answering ``ready`` under another version is a failed
+    dial: ``NodeConnectError`` naming both versions, which the pool
+    records as ``node_unreachable`` like any other."""
+    lsock = socket.socket()
+    lsock.bind(("127.0.0.1", 0))
+    lsock.listen(2)
+    address = lsock.getsockname()[:2]
+
+    def old_node():
+        for _ in range(2):
+            sock, _peer = lsock.accept()
+            conn = FrameConnection(sock, name="master")
+            assert conn.recv()[0] == "hello"
+            conn.send(("ready", 0, {"node": "old", "proto": PROTO_VERSION - 1,
+                                    "pid": 0, "held": []}))
+            conn.close()
+
+    peer = threading.Thread(target=old_node, daemon=True)
+    peer.start()
+    try:
+        client = NodeClient(address, 0, connect_attempts=1)
+        with pytest.raises(NodeConnectError) as err:
+            client.connect()
+        assert f"version {PROTO_VERSION - 1}" in str(err.value)
+        assert f"speaks {PROTO_VERSION}" in str(err.value)
+        assert client.conn is None
+
+        pool = ExecPool(jobs=0, nodes=[address], serial_fallback=False,
+                        node_connect_attempts=1)
+        try:
+            with pytest.warns(RuntimeWarning, match="protocol version"):
+                with pytest.raises(PoolJobError):
+                    pool.start()
+            assert pool.ledger.count("node_unreachable") == 1
+        finally:
+            pool.close()
+    finally:
+        peer.join(timeout=10.0)
+        lsock.close()
+    assert not peer.is_alive()

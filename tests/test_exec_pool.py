@@ -21,7 +21,6 @@ from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import (ExecPool, FrameConnection, GreedyScheduler,
                         PoolJobError, RetriesExceeded, decode_result_pairs,
                         plan_fragments)
-from repro.exec.net import pack_wire_meta
 from repro.exec.nodes import PROTO_VERSION, NodeAgent
 from repro.exec.pool import JobSpec, PoolConfig, _worker_main
 from repro.exec.shm import (NAME_PREFIX, ShmRegistry, pack_fragment,
@@ -411,7 +410,7 @@ def _agent_replies(rank, load, script):
         conn.send(("hello", {"proto": PROTO_VERSION, "rank": rank}))
         kind, got_rank, info = conn.recv()
         assert (kind, got_rank, info["held"]) == ("ready", rank, [])
-        for msg in [("publish", pack_wire_meta(spec), read_pack_bytes(spec))
+        for msg in [("publish", spec, read_pack_bytes(spec))
                     for spec in load] + script:
             conn.send(msg)
         replies = []

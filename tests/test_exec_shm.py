@@ -1,6 +1,7 @@
 """Shared-memory fragment packs: layout round trip, PackDB surface,
 registry lifetime discipline, and the /dev/shm leak invariant."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -12,8 +13,9 @@ from repro.blast.search import SearchParams, search
 from repro.blast.score import NucleotideScore
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec.shm import (NAME_PREFIX, AttachedPack, PackDB,
-                            PackIntegrityError, ShmRegistry, corrupt_segment,
-                            create_pack, default_registry, pack_fragment)
+                            PackIntegrityError, PackSpec, ShmRegistry,
+                            corrupt_segment, create_pack, default_registry,
+                            pack_fragment)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -77,6 +79,26 @@ def test_pack_roundtrip_preserves_structures_and_headers():
     finally:
         pack.close()
         assert registry.release(spec.name)
+
+
+def test_registry_unmap_drops_the_mapping_not_the_segment():
+    def mapped(name):
+        with open("/proc/self/maps") as f:
+            return name in f.read()
+
+    rng = np.random.default_rng(7)
+    registry = ShmRegistry()
+    spec = pack_fragment(random_nt_db(rng, 20), 11, 4,
+                         cache_token=("t", 0, 0), registry=registry)
+    try:
+        assert mapped(spec.name)
+        registry.unmap(spec.name)
+        assert not mapped(spec.name) and spec.name in shm_segments()
+        with AttachedPack(spec):            # still there, still intact
+            assert mapped(spec.name)
+    finally:
+        assert registry.release(spec.name)  # ... and still ours to unlink
+    assert spec.name not in shm_segments()
 
 
 def test_packdb_serves_scan_search_identically():
@@ -196,6 +218,30 @@ def test_pack_spec_carries_checksums_and_attach_verifies():
         pack = AttachedPack(spec)          # verifies on attach
         pack.verify()                      # and is re-verifiable
         pack.close()
+    finally:
+        registry.release(spec.name)
+
+
+def test_spec_missing_a_checksum_fails_verification():
+    """A spec that records no CRC32 for some field must not pass a
+    verifying attach having verified less than the whole pack."""
+    rng = np.random.default_rng(17)
+    db = random_nt_db(rng, 6)
+    registry = ShmRegistry()
+    spec = pack_fragment(db, 11, 4, cache_token=("crc", 0, 3),
+                         registry=registry)
+    try:
+        for keep in (spec.checksums[:-1], spec.checksums[1:], ()):
+            short = dataclasses.replace(spec, checksums=keep)
+            with pytest.raises(PackIntegrityError, match="none recorded"):
+                AttachedPack(short)
+            pack = AttachedPack(short, verify=False)
+            with pytest.raises(PackIntegrityError):
+                pack.verify()
+            pack.close()
+        with pytest.raises(TypeError):      # the field is required
+            PackSpec(**{k: v for k, v in vars(spec).items()
+                        if k != "checksums"})
     finally:
         registry.release(spec.name)
 

@@ -200,7 +200,7 @@ def measure_diskpack(db, query, scheme, params, rounds: int,
 
         def cold_start():
             store = PackStore.open(store_dir)
-            for pack in store.open_packs(verify=True):
+            for pack in store.open_packs():
                 pack.close()
 
         cold_results = search_store(query, PackStore.open(store_dir),
