@@ -84,15 +84,22 @@ class WordIndex:
         self.unique_codes, starts = np.unique(codes, return_index=True)
         self.offsets = np.append(starts, len(codes)).astype(np.int64)
         self.positions = positions.astype(np.int64)
-        # Presence bitmap: scanning a subject is then a cheap gather,
-        # with the (expensive) searchsorted run only on actual hits —
-        # the profiled hotspot of database scanning.
-        space = base ** k
-        if 0 < space <= self._BITMAP_LIMIT:
-            self._present = np.zeros(space, dtype=bool)
+        self._present: Optional[np.ndarray] = None
+
+    def _presence(self) -> Optional[np.ndarray]:
+        """The presence bitmap, or ``None`` past ``_BITMAP_LIMIT``.
+
+        Scanning a subject is then a cheap gather, with the (expensive)
+        searchsorted run only on actual hits.  Built on the first
+        :meth:`scan`: the search driver folds its indexes into a
+        ``QueryBatch`` and never scans them one by one, so it should
+        not pay 4 MiB per query orientation for a table it never reads.
+        """
+        if self._present is None and (
+                0 < self.base ** self.k <= self._BITMAP_LIMIT):
+            self._present = np.zeros(self.base ** self.k, dtype=bool)
             self._present[self.unique_codes] = True
-        else:
-            self._present = None
+        return self._present
 
     # ------------------------------------------------------------------
     @classmethod
@@ -172,8 +179,9 @@ class WordIndex:
         """
         if len(subject_codes) == 0 or len(self.unique_codes) == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if self._present is not None:
-            spos = np.nonzero(self._present[subject_codes])[0]
+        present = self._presence()
+        if present is not None:
+            spos = np.nonzero(present[subject_codes])[0]
             if len(spos) == 0:
                 return (np.empty(0, dtype=np.int64),
                         np.empty(0, dtype=np.int64))

@@ -52,6 +52,7 @@ class LazySequenceDB:
             self._seq_offsets = np.frombuffer(f.read(8 * (n + 1)), dtype="<u8")
             self._hdr_offsets = np.frombuffer(f.read(8 * (n + 1)), dtype="<u8")
             self._lengths = np.frombuffer(f.read(8 * n), dtype="<u8")
+        self._residues = int(self._lengths.sum())
 
         self._seq_cache: Dict[int, np.ndarray] = {}
         self._hdr_cache: Dict[int, str] = {}
@@ -68,7 +69,7 @@ class LazySequenceDB:
 
     @property
     def total_residues(self) -> int:
-        return int(self._lengths.sum())
+        return self._residues
 
     def lengths(self):
         return [int(x) for x in self._lengths]

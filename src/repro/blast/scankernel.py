@@ -20,6 +20,12 @@ systems apply to I/O: pack once, then operate in bulk):
   against the cached codes in one shot and maps the hits back to
   ``(sequence id, subject offset)`` groups via ``np.searchsorted`` on
   the cached per-sequence offsets table;
+* :class:`QueryBatch` folds every query orientation's words into one
+  table and finds their hits in one pass over the codes.  For
+  nucleotide words that pass is *strided*: it looks up every 4th
+  window's leading 8-mer in a 64 KiB table and tests full 11-mers only
+  around the survivors (NCBI blastn's ``stride = W - lut_W + 1``), and
+  still returns exactly the dense hit set;
 * :class:`ScanCache` keeps the expensive per-fragment artifacts
   (concatenation, offsets table, word codes) in a bounded LRU keyed by
   fragment identity, so a stream of queries against the same fragments
@@ -38,18 +44,31 @@ import itertools
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blast.kmer import WordIndex
+from repro.blast.profile import current_profile
 
 #: Default bounds of the process-wide ScanCache: at most 8 fragments
 #: and ~256 MB of cached structures (a 1 M-residue fragment costs
-#: ~17 bytes/residue: 1 for the concatenation, 8 for codes, 8 for the
-#: valid-window positions).
+#: 13 bytes/residue: 1 for the concatenation, 4 for the int32 codes,
+#: 8 for the valid-window positions).
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: Fullest a :class:`QueryBatch` sub-word table may be.  Each stage-1
+#: false positive costs ``step`` gathers through the full bitmap, so at
+#: 0.2 and step 4 stage 2 does at most 0.2 of the dense gather's work.
+_MAX_TABLE_DENSITY = 0.2
+
+#: Sampled codes per stage-1 gather.  The gather's temporaries (the
+#: shifted copy, numpy's index widening, the boolean result: 13 bytes
+#: per sample) then stay in L2 instead of streaming 13 MB through DRAM
+#: on a 4 M-residue fragment — measured 7.5 -> 5.8 ms, flat from 2**14
+#: to 2**18.
+_SAMPLE_CHUNK = 1 << 15
 
 _token_counter = itertools.count(1)
 
@@ -92,7 +111,7 @@ class ScanStructures:
     concat: np.ndarray      # uint8, length sum(lengths) + (n-1) sentinels
     starts: np.ndarray      # int64 (n,), start offset of each sequence
     lengths: np.ndarray     # int64 (n,)
-    codes: np.ndarray       # int64, valid word codes only
+    codes: np.ndarray       # int32 (int64 past 2**31), valid windows only
     code_pos: np.ndarray    # int64, concat position of each valid code
 
     @property
@@ -106,6 +125,13 @@ class ScanStructures:
         """View of sequence *sid* inside the concatenation."""
         lo = int(self.starts[sid])
         return self.concat[lo:lo + int(self.lengths[sid])]
+
+    @property
+    def window_ends(self) -> np.ndarray:
+        """Exclusive end index in ``codes`` of each sequence's windows
+        (a sequence shorter than ``k`` has none and repeats the end
+        before it)."""
+        return np.cumsum(np.maximum(self.lengths - (self.k - 1), 0))
 
 
 def build_scan_structures(db, k: int, base: int) -> ScanStructures:
@@ -153,23 +179,19 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
         for j in range(k):
             codes_full *= base
             codes_full += concat[j:j + n_windows]
-        # A window is valid iff it contains no sentinel — i.e. iff it
-        # lies wholly inside one sequence.  The sentinel positions are
-        # known from the layout, so the valid positions are constructed
-        # directly (sequence i contributes ``starts[i] + arange(w_i)``
-        # windows) instead of the old cumsum-over-sentinels scan, which
-        # cost three extra full-length passes over the concatenation.
+        # A window is valid iff it lies wholly inside one sequence.  The
+        # layout says where those are — window w of sequence i sits at
+        # ``starts[i] + w`` — so the positions are built directly: as an
+        # offset from its rank in the valid list that is one constant
+        # per sequence, added in place.  (One full-length temporary; the
+        # four this took before were most of a pack build's peak heap,
+        # which glibc then keeps.)
         per_seq = np.maximum(lengths - (k - 1), 0)
         nz = per_seq > 0
         reps = per_seq[nz]
         total_windows = int(reps.sum())
-        if total_windows:
-            rep_starts = np.repeat(starts[nz], reps)
-            within = np.arange(total_windows, dtype=np.int64) - np.repeat(
-                np.concatenate([[0], np.cumsum(reps)[:-1]]), reps)
-            code_pos = rep_starts + within
-        else:
-            code_pos = np.empty(0, dtype=np.int64)
+        code_pos = np.arange(total_windows, dtype=np.int64)
+        code_pos += np.repeat(starts[nz] - (np.cumsum(reps) - reps), reps)
         codes = codes_full[code_pos]
 
     return ScanStructures(k=k, base=base, n_sequences=n,
@@ -185,20 +207,11 @@ def scan_fragment(index: WordIndex, structs: ScanStructures
     Returns ``(sid, subject_positions, query_positions)`` triples in
     ascending ``sid`` order, one per sequence with at least one word
     hit; positions are local to the sequence, exactly as the
-    per-sequence ``index.scan`` would have produced them.
+    per-sequence ``index.scan`` would have produced them.  This is
+    :func:`scan_fragment_batch` for a batch of one.
     """
-    cpos, qpos = index.scan(structs.codes)
-    if len(cpos) == 0:
-        return []
-    gpos = structs.code_pos[cpos]            # ascending concat positions
-    sids = np.searchsorted(structs.starts, gpos, side="right") - 1
-    local = gpos - structs.starts[sids]
-    cuts = np.nonzero(np.diff(sids))[0] + 1
-    bounds = np.concatenate([[0], cuts, [len(sids)]])
-    return [(int(sids[bounds[t]]),
-             local[bounds[t]:bounds[t + 1]],
-             qpos[bounds[t]:bounds[t + 1]])
-            for t in range(len(bounds) - 1)]
+    return [group[1:] for group in
+            scan_fragment_batch(QueryBatch([index]), structs)]
 
 
 class QueryBatch:
@@ -210,7 +223,11 @@ class QueryBatch:
     entry's words into one sorted table — ``unique_codes`` with
     ``offsets`` into parallel ``positions``/``eids`` arrays, plus one
     shared presence bitmap — so a single pass serves all N entries and
-    every hit comes back tagged with the entry id it belongs to.
+    every hit comes back tagged with the entry id it belongs to.  When
+    the alphabet is a power of two the pass samples every ``step``-th
+    code through a small sub-word table first and consults the bitmap
+    only near the survivors (:meth:`_hit_positions` has the exactness
+    argument, :meth:`_choose_step` the rule for ``step``).
 
     Entries are whatever the caller treats as independent scans; the
     batched search driver uses one entry per (query, orientation).  All
@@ -269,25 +286,123 @@ class QueryBatch:
             self._present[self.unique_codes] = True
         else:
             self._present = None
+        self.step = self._choose_step()
+        self._sub_present = self._sub_word_table(self.step)
+
+    def _choose_step(self) -> int:
+        """The scan's sampling step for this batch's words.
+
+        The largest of 4/3/2 that keeps the sub-word table at most a
+        fifth full (counting every sub-word as distinct), because each
+        stage-1 false positive costs ``step`` full-word tests.  It is a
+        function of the query words only.  Non-power-of-two alphabets
+        (protein), code spaces without a bitmap and batches too large
+        for step 2 get step 1, the dense gather.
+        """
+        n_unique = len(self.unique_codes)
+        if (self._present is None or self.base & (self.base - 1)
+                or not n_unique):
+            return 1
+        for step in (4, 3, 2):
+            sub_len = self.k - step + 1
+            if sub_len >= 1 and step * n_unique <= _MAX_TABLE_DENSITY * (
+                    self.base ** sub_len):
+                return step
+        return 1
+
+    def _sub_word_table(self, step: int) -> Optional[np.ndarray]:
+        """Presence table of the sub-words a step-*step* scan looks up.
+
+        The scan tests only every ``step``-th window, by its leading
+        ``k - step + 1`` symbols, so the table holds every sub-word of
+        that length at offsets ``0 … step-1`` of every query word: a
+        window ``d`` places before a sampled one shares that sub-word
+        at its own offset ``d``.  Prefixes alone would lose every word
+        with no successor in the table — the last words of a query and
+        of each run a low-complexity mask leaves.
+        """
+        if step == 1:
+            return None
+        bits = self.base.bit_length() - 1
+        table = np.zeros(self.base ** (self.k - step + 1), dtype=bool)
+        for offset in range(step):
+            table[(self.unique_codes >> bits * (step - 1 - offset))
+                  & (len(table) - 1)] = True
+        return table
 
     @property
     def n_words(self) -> int:
         return len(self.positions)
 
-    def scan(self, subject_codes: np.ndarray
+    def _hit_positions(self, subject_codes: np.ndarray,
+                       window_ends: np.ndarray) -> np.ndarray:
+        """Ascending indices of the subject codes that are query words.
+
+        Exactly ``np.nonzero(self._present[subject_codes])[0]``, found
+        in two stages when ``step > 1``.  Stage 1 gathers every
+        ``step``-th code's leading sub-word through the small table;
+        stage 2 tests the full word, through the bitmap, only at the
+        ``step`` windows ending at each stage-1 hit and at the last
+        ``step - 1`` windows of every sequence.  Nothing is returned
+        that failed the bitmap, and nothing is lost: a hit window has a
+        sampled window at most ``step - 1`` places ahead of it, which
+        either lies in the same sequence — then it starts with one of
+        the hit's sub-words and stage 1 keeps it — or does not, and
+        then the hit is one of its sequence's trailing windows.
+        """
+        step = self.step
+        if step == 1:
+            hits = np.nonzero(self._present[subject_codes])[0]
+            tested = len(subject_codes)
+        else:
+            lead_shift = (self.base.bit_length() - 1) * (step - 1)
+            lead = subject_codes[::step]
+            sampled = np.concatenate([
+                lo + np.nonzero(self._sub_present[
+                    lead[lo:lo + _SAMPLE_CHUNK] >> lead_shift])[0]
+                for lo in range(0, len(lead), _SAMPLE_CHUNK)])
+            back = np.arange(step - 1, -1, -1, dtype=np.int64)
+            near_sample = (sampled * step)[:, None] - back
+            # A sequence's windows are contiguous in the code array, so
+            # the window ``d`` places before its end is its own unless
+            # it has fewer than ``d`` — then it is an earlier sequence's
+            # (a harmless extra test) or negative (dropped).
+            trailing = window_ends[:, None] - back[:-1]
+            cand = np.concatenate([near_sample.ravel(), trailing.ravel()])
+            cand = cand[cand >= 0]
+            tested = len(cand)
+            # Near-sample candidates are ascending and distinct; only
+            # the few trailing ones are out of place or repeated, which
+            # a stable (run-merging) sort undoes in linear time.
+            hits = np.sort(cand[self._present[subject_codes[cand]]],
+                           kind="stable")
+            first = np.ones(len(hits), dtype=bool)
+            first[1:] = hits[1:] != hits[:-1]
+            hits = hits[first]
+        prof = current_profile()
+        if prof is not None:
+            prof.counters["scan_step"] = step
+            prof.count("scan_candidates", tested)
+        return hits
+
+    def scan(self, subject_codes: np.ndarray, window_ends: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Find all word hits of every entry in one subject pass.
 
         Returns ``(subject_positions, entry_ids, query_positions)``,
         one row per (subject word, matching entry word) pair — the
-        multi-entry form of :meth:`WordIndex.scan`.
+        multi-entry form of :meth:`WordIndex.scan`.  *subject_codes*
+        are the windows of one or more sequences back to back and
+        *window_ends* the exclusive end index of each sequence's run
+        (``ScanStructures.window_ends``): the strided pass must know
+        where a sequence stops.
         """
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64))
         if len(subject_codes) == 0 or len(self.unique_codes) == 0:
             return empty
         if self._present is not None:
-            spos = np.nonzero(self._present[subject_codes])[0]
+            spos = self._hit_positions(subject_codes, window_ends)
             if len(spos) == 0:
                 return empty
             uidx = np.searchsorted(self.unique_codes, subject_codes[spos])
@@ -316,14 +431,14 @@ def scan_fragment_batch(batch: QueryBatch, structs: ScanStructures
 
     Returns ``(entry_id, sid, subject_positions, query_positions)``
     groups, entry-major with ascending ``sid`` inside each entry.  For
-    every entry the groups are exactly what :func:`scan_fragment` would
-    have produced for that entry's index alone — one combined bitmap
-    gather, ``searchsorted`` hit-mapping pass, and grouping sort serve
-    all N entries instead of N separate traversals.
+    every entry the groups are exactly what a batch of that entry's
+    index alone (:func:`scan_fragment`) produces — one combined pass
+    over the codes, ``searchsorted`` hit-mapping pass, and grouping sort
+    serve all N entries instead of N separate traversals.
     """
     from repro.blast.seed import group_hits_by_entry
 
-    cpos, eids, qpos = batch.scan(structs.codes)
+    cpos, eids, qpos = batch.scan(structs.codes, structs.window_ends)
     if len(cpos) == 0:
         return []
     gpos = structs.code_pos[cpos]

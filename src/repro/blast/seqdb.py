@@ -63,6 +63,7 @@ class SequenceDB:
         #: database identity (the scan-structure cache) can tell a
         #: mutated database from the one they packed.
         self._version = 0
+        self._residues = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,6 +79,7 @@ class SequenceDB:
         self._seqs.append(enc)
         self._descriptions.append(description)
         self._version += 1
+        self._residues += len(enc)
         return len(self._seqs) - 1
 
     @classmethod
@@ -105,7 +107,9 @@ class SequenceDB:
 
     @property
     def total_residues(self) -> int:
-        return sum(len(s) for s in self._seqs)
+        """Running total kept by :meth:`add` (every constructor goes
+        through it): the search driver reads this twice per query."""
+        return self._residues
 
     def sequence(self, i: int) -> np.ndarray:
         return self._seqs[i]

@@ -16,7 +16,8 @@ import pytest
 
 from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
-from repro.blast.alphabet import encode_dna, encode_protein
+from repro.blast.alphabet import (encode_dna, encode_protein,
+                                  reverse_complement)
 from repro.blast.extend import batched_ungapped_extend, ungapped_extend
 from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
                               WordIndex, _all_words, word_codes)
@@ -159,6 +160,184 @@ def test_scan_fragment_matches_per_sequence_scan():
             assert np.array_equal(g_spos, spos)
             assert np.array_equal(g_qpos, qpos)
     assert got == {}  # no spurious subjects
+
+
+# ------------------------------------------------ the strided prefilter
+
+K = 11
+
+
+def _rand_nt(rng, n):
+    return rng.integers(0, 4, n).astype(np.uint8)
+
+
+def _add_raw(db, seq):
+    """Append past ``add``'s empty-sequence check."""
+    db._seqs.append(np.asarray(seq, dtype=np.uint8))
+    db._descriptions.append(f"s{len(db)}")
+    db._version += 1
+    db._residues += len(seq)
+
+
+def _prefilter_case(seed, n_queries):
+    """A corpus built to lose hits under every wrong prefilter, and the
+    word indexes (both strands) of *n_queries* queries against it.
+
+    Query 0 has words planted in the last three windows of a middle
+    sequence and of the final sequence, both padded so the window count
+    up to their end is a multiple of 12: at steps 2, 3 and 4 alike the
+    last ``step - 1`` windows then have no sample at or after them in
+    their own sequence.  Query 1 occurs only by its *last* word and
+    query 2 (indexed under a skip mask, as DUST would) only by the word
+    just before the masked run — words no other query word continues —
+    each planted at four alignments so some copy sits off the sampling
+    grid at every step.
+    """
+    rng = np.random.default_rng(seed)
+    queries = [_rand_nt(rng, 568) for _ in range(max(n_queries, 3))]
+    q0, q_last, q_dust = queries[:3]
+    skip = np.zeros(len(q_dust) - K + 1, dtype=bool)
+    skip[200:260] = True
+    db = SequenceDB(NT)
+
+    def windows_so_far():
+        return sum(max(len(s) - K + 1, 0) for s in db._seqs)
+
+    def add_ending_on_grid(tail):
+        """A random sequence ending in *tail*, sized so the corpus has a
+        multiple of 12 windows once it is added."""
+        body = 40 + (-(windows_so_far() + 40 + len(tail) - K + 1)) % 12
+        _add_raw(db, np.concatenate([_rand_nt(rng, body), tail]))
+        assert windows_so_far() % 12 == 0
+
+    _add_raw(db, np.concatenate([_rand_nt(rng, 150), q0[100:140],
+                                 _rand_nt(rng, 80)]))
+    _add_raw(db, [])                                   # empty
+    _add_raw(db, _rand_nt(rng, 5))                     # shorter than k
+    for extra in range(4):                             # 1-4 windows
+        _add_raw(db, q0[300:300 + K + extra] if extra == 1
+                 else _rand_nt(rng, K + extra))
+    add_ending_on_grid(q0[400:400 + K + 2])            # middle, planted
+    for shift in range(4):
+        _add_raw(db, np.concatenate([_rand_nt(rng, 40 + shift),
+                                     q_last[-K:], _rand_nt(rng, 30)]))
+        _add_raw(db, np.concatenate([_rand_nt(rng, 50 + shift),
+                                     q_dust[199:199 + K],
+                                     _rand_nt(rng, 30)]))
+    _add_raw(db, [])
+    add_ending_on_grid(q0[20:20 + K + 2])              # final, planted
+
+    indexes = []
+    for q in queries[:n_queries]:
+        mask = skip if q is q_dust else None
+        indexes.append(WordIndex.for_dna(q, K, skip=mask))
+        indexes.append(WordIndex.for_dna(reverse_complement(q), K,
+                                         skip=None if mask is None
+                                         else mask[::-1]))
+    return db, indexes
+
+
+def _force_step(batch, step):
+    batch.step = step
+    batch._sub_present = batch._sub_word_table(step)
+    return batch
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_queries,natural_step", [(1, 4), (8, 3), (32, 2)])
+def test_strided_scan_returns_the_dense_hit_set(seed, n_queries,
+                                                natural_step):
+    from repro.blast.scankernel import QueryBatch
+
+    db, indexes = _prefilter_case(seed, max(n_queries, 3))
+    structs = build_scan_structures(db, K, 4)
+    ends = structs.window_ends
+    assert ends[-1] == len(structs.codes)
+    # The planted queries are always in the batch, whatever its size.
+    batch = QueryBatch(indexes if n_queries > 1 else indexes[:6])
+    if n_queries > 1:
+        assert batch.step == natural_step
+    assert QueryBatch(indexes[:2]).step == 4
+
+    dense = np.nonzero(batch._present[structs.codes])[0]
+    # The corpus does hold what the docstring promises.
+    e_mid, e_end = (int(e) for e in ends[ends % 12 == 0][[-2, -1]])
+    for e in (e_mid, e_end):
+        assert set(range(e - 3, e)) <= set(dense.tolist())
+    rows_dense = _force_step(batch, 1).scan(structs.codes, ends)
+    assert np.array_equal(rows_dense[0][np.concatenate(
+        [[True], np.diff(rows_dense[0]) > 0])], dense)
+    for step in (4, 3, 2):
+        _force_step(batch, step)
+        got = batch._hit_positions(structs.codes, ends)
+        assert got.dtype == dense.dtype and np.array_equal(got, dense), step
+        for a, b in zip(batch.scan(structs.codes, ends), rows_dense):
+            assert np.array_equal(a, b)
+        solo = structs.codes[:int(ends[0])]          # one sequence alone
+        assert np.array_equal(batch._hit_positions(solo, ends[:1]),
+                              np.nonzero(batch._present[solo])[0])
+
+
+@pytest.mark.parametrize("step", [4, 3, 2])
+def test_strided_scan_mutants_lose_hits(step):
+    """The corpus above is sharp enough to catch the three ways the
+    prefilter was got wrong while it was written."""
+    from repro.blast.scankernel import QueryBatch
+
+    db, indexes = _prefilter_case(1, 3)
+    structs = build_scan_structures(db, K, 4)
+    ends = structs.window_ends
+    batch = _force_step(QueryBatch(indexes), step)
+    dense = np.nonzero(batch._present[structs.codes])[0]
+    assert np.array_equal(batch._hit_positions(structs.codes, ends), dense)
+
+    def lost(window_ends):
+        got = batch._hit_positions(structs.codes, window_ends)
+        assert set(got.tolist()) <= set(dense.tolist())   # never a false hit
+        return sorted(set(dense.tolist()) - set(got.tolist()))
+
+    # No trailing windows at all; trailing windows one place early.
+    assert lost(np.empty(0, dtype=np.int64))
+    assert int(ends[-1]) - 1 in lost(ends - 1)
+    # A table of query-word prefixes only.
+    bits = 2 * (step - 1)
+    batch._sub_present = np.zeros_like(batch._sub_present)
+    batch._sub_present[batch.unique_codes >> bits] = True
+    assert lost(ends)
+
+
+def test_step_is_one_for_protein_and_for_crowded_batches():
+    from repro.blast.scankernel import QueryBatch
+
+    rng = np.random.default_rng(4)
+    db = random_aa_db(rng, 12)
+    queries = [encode_protein("".join(AA_LETTERS[rng.integers(0, 20, 60)]))
+               for _ in range(2)]
+    batch = QueryBatch([WordIndex.for_protein(q, ProteinScore(), 3, 11)
+                        for q in queries])
+    assert batch.step == 1 and batch._sub_present is None
+    structs = build_scan_structures(db, 3, 20)
+    spos = batch.scan(structs.codes, structs.window_ends)[0]
+    assert np.array_equal(np.unique(spos),
+                          np.nonzero(batch._present[structs.codes])[0])
+
+    # 2 * n_unique must pass a fifth of 4**10: ~190 random 568-mers.
+    crowded = QueryBatch([WordIndex.for_dna(_rand_nt(rng, 568), K)
+                          for _ in range(200)])
+    assert crowded.step == 1
+
+
+def test_scan_reports_step_and_candidates_to_the_profile():
+    from repro.blast.profile import profiled
+
+    db, indexes = _prefilter_case(2, 3)
+    query = np.concatenate([db.sequence(0)[120:220]])
+    with profiled("t", enabled=True, emit=False) as prof:
+        search(query, db, NucleotideScore(), SearchParams(),
+               scan_cache=ScanCache())
+    structs = build_scan_structures(db, K, 4)
+    assert prof.counters["scan_step"] == 4
+    assert 0 < prof.counters["scan_candidates"] < len(structs.codes) // 2
 
 
 # ------------------------------------------------------------- equivalence
