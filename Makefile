@@ -1,17 +1,28 @@
-# Convenience targets for the reproduction repository.
+# Convenience targets for the reproduction repository.  Nothing needs
+# installing: every target runs against the checkout (PYTHONPATH=src).
 
 PYTHON ?= python
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test bench examples reproduce figures clean
+.PHONY: install test bench perf perf-full examples reproduce figures clean
 
 install:
 	pip install -e .
 
+# Tier-1 (ROADMAP.md).
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest -x -q
 
+# The simulated paper figures (plus the pool's fault benchmark).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The real engine's benchmark (BENCHMARK.json): self-test, then a full run.
+perf:
+	python3 perf/run.py --smoke
+
+perf-full:
+	python3 perf/run.py --seed 1 --out perf/out/run.json
 
 # Quick pass over every runnable example.
 examples:

@@ -142,7 +142,7 @@ def cmd_formatdb(args) -> int:
 
 
 def _parallel_results(program: str, db, queries, params, jobs: int,
-                      n_fragments: Optional[int], args=None):
+                      n_fragments: Optional[int], args):
     """Run every query of a ``--jobs N`` invocation through one
     persistent pool (packs attach once; queries stream through the
     shared work queue).  Results are byte-identical to the serial
@@ -162,25 +162,21 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
     scheme, params = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
     pool_kw = {}
-    for attr, kw in (("heartbeat", "heartbeat"),
-                     ("join_timeout", "join_timeout"),
-                     ("hedge_after", "hedge_after"),
-                     ("task_timeout", "task_timeout"),
-                     ("task_granularity", "task_granularity")):
-        val = getattr(args, attr, None) if args is not None else None
+    for kw in ("heartbeat", "join_timeout", "hedge_after", "task_timeout",
+               "task_granularity"):
+        val = getattr(args, kw)
         if val is not None:
             pool_kw[kw] = val
-    if args is not None and getattr(args, "no_respawn", False):
+    if args.no_respawn:
         pool_kw["respawn"] = False
-    if args is not None and getattr(args, "no_fallback", False):
+    if args.no_fallback:
         pool_kw["serial_fallback"] = False
-    nodes = getattr(args, "nodes", None) if args is not None else None
+    nodes = args.nodes
     if nodes:
         pool_kw["nodes"] = [a for grp in nodes for a in grp.split(",")
                             if a.strip()]
-        replication = getattr(args, "replication", None)
-        if replication is not None:
-            pool_kw["replication"] = replication
+        if args.replication is not None:
+            pool_kw["replication"] = args.replication
     with ExecPool(jobs=jobs, n_fragments=n_fragments, **pool_kw) as pool:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
@@ -482,22 +478,9 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
                         "(default 2, clamped to the node count)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("formatdb", help="format a FASTA file into a database")
-    p.add_argument("-i", "--input", required=True, help="FASTA file")
-    p.add_argument("-d", "--directory", required=True, help="output directory")
-    p.add_argument("-n", "--name", default="db", help="database name")
-    p.add_argument("-p", "--protein", action="store_true")
-    p.set_defaults(fn=cmd_formatdb)
-
-    p = sub.add_parser("blastall", help="run one of the five BLAST programs")
-    p.add_argument("-p", "--program", required=True,
-                   choices=["blastn", "blastp", "blastx", "tblastn", "tblastx"])
+def _add_search_args(p: argparse.ArgumentParser) -> None:
+    """Every option ``blastall`` and ``blastn`` share (``blastall``
+    adds only ``-p``)."""
     p.add_argument("-d", "--database", default=None,
                    help="database path (directory/name)")
     p.add_argument("--db-pack", default=None, metavar="DIR",
@@ -527,33 +510,30 @@ def build_parser() -> argparse.ArgumentParser:
                         "seed/extend/gapped_bulk/gapped) to stderr; "
                         "equivalent to REPRO_PROFILE=1")
     _add_pool_args(p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("formatdb", help="format a FASTA file into a database")
+    p.add_argument("-i", "--input", required=True, help="FASTA file")
+    p.add_argument("-d", "--directory", required=True, help="output directory")
+    p.add_argument("-n", "--name", default="db", help="database name")
+    p.add_argument("-p", "--protein", action="store_true")
+    p.set_defaults(fn=cmd_formatdb)
+
+    p = sub.add_parser("blastall", help="run one of the five BLAST programs")
+    p.add_argument("-p", "--program", required=True,
+                   choices=["blastn", "blastp", "blastx", "tblastn", "tblastx"])
+    _add_search_args(p)
     p.set_defaults(fn=cmd_blastall)
 
     p = sub.add_parser("blastn", help="nucleotide search (blastall -p "
                                       "blastn shortcut with --jobs)")
-    p.add_argument("-d", "--database", default=None,
-                   help="database path (directory/name)")
-    p.add_argument("--db-pack", default=None, metavar="DIR",
-                   help="search a persistent on-disk pack store (built "
-                        "with `packdb build`) instead of -d")
-    p.add_argument("-i", "--input", required=True, help="FASTA query file")
-    p.add_argument("-e", "--evalue", type=float, default=None)
-    p.add_argument("-F", "--filter", action="store_true",
-                   help="mask low-complexity query regions (DUST)")
-    p.add_argument("-a", "--alignments", action="store_true",
-                   help="print pairwise alignments")
-    p.add_argument("--max-hits", type=int, default=25)
-    p.add_argument("-m", "--outfmt", default="report",
-                   choices=["report", "tabular", "xml"])
-    p.add_argument("-j", "--jobs", type=int, default=None,
-                   help="local worker processes (multi-core database "
-                        "segmentation; 0 = remote-only, needs --nodes)")
-    p.add_argument("--fragments", type=int, default=None,
-                   help="database fragments for --jobs (default 2x jobs)")
-    p.add_argument("--profile", action="store_true",
-                   help="emit per-stage timing JSON to stderr; "
-                        "equivalent to REPRO_PROFILE=1")
-    _add_pool_args(p)
+    _add_search_args(p)
     p.set_defaults(fn=cmd_blastall, program="blastn")
 
     p = sub.add_parser(

@@ -52,8 +52,7 @@ class BlastCostModel:
     #: in the same service session: the engine's ScanCache keeps the
     #: packed concatenation and word codes, so repeat searches skip the
     #: packing cost.  1.0 (the default) models a cold engine every time
-    #: and leaves all single-job experiments untouched; the engine
-    #: microbenchmarks (tools/bench_engine.py) measure the real ratio.
+    #: and leaves all single-job experiments untouched.
     warm_compute_factor: float = 1.0
 
     def compute_seconds(self, residues: int, warm: bool = False) -> float:

@@ -234,3 +234,17 @@ def test_blastn_jobs_degraded_exit_code(fasta_file, capsys, monkeypatch):
     # Degraded, but the answer itself is byte-identical.
     assert captured.out == serial
     assert "degraded" in captured.err
+
+
+def test_blastn_and_blastall_options_differ_only_by_program():
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    blastall, blastn = ([tuple(a.option_strings) for a in
+                         sub.choices[name]._actions]
+                        for name in ("blastall", "blastn"))
+    assert len(blastn) == 21 and ("-j", "--jobs") in blastn
+    assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]

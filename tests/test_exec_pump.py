@@ -3,11 +3,20 @@ workers, a stepped clock for time, and the blocking wait advances that
 clock — no processes, no sockets, no sleeping.  The pump reads the
 clock once per tick and hands ``now`` to every phase, so stepping the
 clock is all it takes to walk a run through heartbeat loss, revive
-pacing and the respawn budget, and cross-run staleness."""
+pacing and the respawn budget, cross-run staleness, hedging, and the
+loss of a fragment's last mirror."""
 
+import warnings
 from collections import deque
+from types import SimpleNamespace
 
-from repro.exec import ExecPool, NodeClient
+import numpy as np
+import pytest
+
+from repro.blast.score import NucleotideScore
+from repro.blast.search import search_batch
+from repro.blast.seqdb import NT, SequenceDB
+from repro.exec import ExecPool, NodeClient, PoolJobError
 from repro.exec.net import NodeConnectError
 from repro.exec.nodes import WorkerSlot
 
@@ -24,10 +33,13 @@ class SteppedClock:
 
 class ScriptedConn:
     """A connection that answers each task *delay* stepped seconds
-    after it was sent (``None``: never) and never answers a PING."""
+    after it was sent (``None``: never) and never answers a PING.
+    *mark* is appended to every result it returns, to tell two
+    answers to one task apart."""
 
     queued = 0
     closed = False
+    mark = ""
 
     def __init__(self, clock, rank, delay=None):
         self.clock, self.rank, self.delay = clock, rank, delay
@@ -42,8 +54,8 @@ class ScriptedConn:
         self.sent.append(msg)
         if msg[0] == "task" and self.delay is not None:
             _, qis, names, epoch = msg
-            pairs = [(name, qi, f"{name}/{qi}") for name in names
-                     for qi in qis]
+            pairs = [(name, qi, f"{name}/{qi}{self.mark}")
+                     for name in names for qi in qis]
             self.due.append((self.clock() + self.delay,
                              ("result", self.rank, qis, names,
                               ("inline", pairs), 0.01, epoch)))
@@ -85,11 +97,14 @@ class ScriptedSlot(WorkerSlot):
     def lost(self):
         pass
 
+    def install(self, prepared):
+        pass
+
 
 def scripted_pool(clock, slots, **kw):
     """An ``ExecPool`` whose slots, clock and wait are the test's."""
-    pool = ExecPool(jobs=1, heartbeat=TICK, hedge_after=1e6,
-                    task_timeout=1e6, **kw)
+    kw = {"jobs": 1, "hedge_after": 1e6, **kw}
+    pool = ExecPool(heartbeat=TICK, task_timeout=1e6, **kw)
     pool._workers.extend(slots)
     pool._started = True
     pool._clock = clock
@@ -191,3 +206,82 @@ def test_previous_epoch_result_is_stale_and_frees_the_slot():
     stale = [e for e in pool.ledger.entries if e.kind == "stale_result"]
     assert [(e.rank, e.task, e.detail) for e in stale] == \
         [(1, ((0,), ("old",)), "cross-run straggler")]
+
+
+def test_overdue_task_is_hedged_to_the_idle_slot_and_the_loser_is_stale():
+    clock = SteppedClock()
+    slow = ScriptedSlot(0, clock, delay=2.0)
+    idle = ScriptedSlot(1, clock, delay=0.5)
+    other = ScriptedSlot(2, clock, delay=3.0)   # keeps the run open
+    slow.conn.mark = " (late)"
+    hedged, held = ((0,), ("p0",)), ((0,), ("p1",))
+    pool, ticks = scripted_pool(clock, [slow, idle, other], hedge_after=1.0)
+    try:
+        results, stats = pool._run_tasks(
+            {0: None}, [(hedged, 2.0), (held, 1.0)],
+            affinity={hedged: (0, 1), held: (2,)})
+    finally:
+        pool.close()
+    # The hedge's answer is the one merged; the late one changed nothing.
+    assert results == {0: {"p0": "p0/0", "p1": "p1/0"}}
+    assert stats.hedges == stats.hedge_wins == 1
+    assert stats.stale_results == 1
+    assert stats.tasks_done == stats.fragments_done == 2
+    assert stats.requeues == 0 and not stats.worker_deaths
+    assert [(e.kind, e.rank, e.task, e.detail)
+            for e in pool.ledger.entries] == [
+        ("hedge", 1, hedged, ""), ("hedge_win", 1, hedged, ""),
+        ("stale_result", 0, hedged, "hedge loser")]
+    assert slow.busy is None and idle.busy is None
+    assert ticks[-1] - ticks[0] == 3.0 - TICK
+
+
+@pytest.mark.parametrize("serial_fallback", [True, False])
+def test_last_mirror_lost_fails_the_run_into_the_serial_fallback(
+        serial_fallback):
+    """Two nodes, replication 1: each fragment has one holder.  The
+    holder of ``f1`` dies with its task in flight, the requeued task has
+    nobody left to run on, and the job is served serially — or raised."""
+    clock = SteppedClock()
+    survivor = ScriptedSlot(0, clock, delay=1.0)
+    mortal = ScriptedSlot(1, clock, delay=None)
+    dies_at = clock() + 2 * TICK
+    mortal.is_alive = lambda: clock() < dies_at
+    pool, _ticks = scripted_pool(
+        clock, [survivor, mortal], jobs=0, nodes=["127.0.0.1:1", "127.0.0.1:2"],
+        replication=1, respawn=False, serial_fallback=serial_fallback)
+    rng = np.random.default_rng(11)
+    db = SequenceDB(NT)
+    for i in range(6):
+        db.add(f"s{i}", "".join(rng.choice(list("ACGT"), 200)))
+    queries = [db.sequence(2)[20:140]]
+    scheme = NucleotideScore()
+    specs = [SimpleNamespace(name=f"f{i}", total_residues=600,
+                             source_ids=[3 * i, 3 * i + 1, 3 * i + 2])
+             for i in range(2)]
+    prep = pool._install_prepared(("scripted",), specs)
+    assert prep.placement == {"f0": (0,), "f1": (1,)}
+    pool._prepare = lambda *args: prep
+    try:
+        if serial_fallback:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                got = pool.search_many(queries, db, scheme, query_ids=["q0"])
+            serial = search_batch(queries, db, scheme, query_ids=["q0"])
+            assert got[0].hits
+            assert [r.tabular() for r in got] == \
+                [r.tabular() for r in serial]
+            assert len(caught) == 1 and "degraded" in str(caught[0].message)
+        else:
+            with pytest.raises(PoolJobError, match="lost the last node"):
+                pool.search_many(queries, db, scheme, query_ids=["q0"])
+        stats = pool.last_stats
+    finally:
+        pool.close()
+    assert bool(stats.fallback) == serial_fallback
+    assert stats.worker_deaths == [1] and stats.requeues == 1
+    lost = ((0,), ("f1",))
+    assert [(e.kind, e.rank, e.task) for e in pool.ledger.entries] == [
+        ("worker_death", 1, lost), ("requeue", 1, lost),
+        ("mirror_lost", None, lost)] + [("fallback", None, None)
+                                        ] * serial_fallback
