@@ -19,7 +19,7 @@ systems apply to I/O: pack once, then operate in bulk):
 * :func:`scan_fragment` runs a query :class:`~repro.blast.kmer.WordIndex`
   against the cached codes in one shot and maps the hits back to
   ``(sequence id, subject offset)`` groups via ``np.searchsorted`` on
-  the cached per-sequence offsets table;
+  the per-sequence window counts;
 * :class:`QueryBatch` folds every query orientation's words into one
   table and finds their hits in one pass over the codes.  For
   nucleotide words that pass is *strided*: it looks up every 4th
@@ -53,8 +53,7 @@ from repro.blast.profile import current_profile
 
 #: Default bounds of the process-wide ScanCache: at most 8 fragments
 #: and ~256 MB of cached structures (a 1 M-residue fragment costs
-#: 13 bytes/residue: 1 for the concatenation, 4 for the int32 codes,
-#: 8 for the valid-window positions).
+#: 5 bytes/residue: 1 for the concatenation, 4 for the int32 codes).
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
@@ -99,9 +98,10 @@ class ScanStructures:
     ``concat`` holds every sequence of the fragment back to back,
     separated by single sentinel symbols (value ``base``, one above the
     alphabet).  ``codes`` are the rolling word codes of every window
-    that does **not** span a sentinel; ``code_pos[i]`` is the position
-    of ``codes[i]`` in ``concat``.  ``starts``/``lengths`` give each
-    sequence's slice of ``concat``.
+    that does **not** span a sentinel, sequence after sequence, so a
+    code's rank inside its sequence's run (:attr:`window_ends`) is its
+    subject position.  ``starts``/``lengths`` give each sequence's
+    slice of ``concat``.
     """
 
     k: int
@@ -112,14 +112,12 @@ class ScanStructures:
     starts: np.ndarray      # int64 (n,), start offset of each sequence
     lengths: np.ndarray     # int64 (n,)
     codes: np.ndarray       # int32 (int64 past 2**31), valid windows only
-    code_pos: np.ndarray    # int64, concat position of each valid code
 
     @property
     def nbytes(self) -> int:
         """Approximate memory footprint of the cached arrays."""
         return (self.concat.nbytes + self.starts.nbytes +
-                self.lengths.nbytes + self.codes.nbytes +
-                self.code_pos.nbytes)
+                self.lengths.nbytes + self.codes.nbytes)
 
     def subject(self, sid: int) -> np.ndarray:
         """View of sequence *sid* inside the concatenation."""
@@ -132,6 +130,32 @@ class ScanStructures:
         (a sequence shorter than ``k`` has none and repeats the end
         before it)."""
         return np.cumsum(np.maximum(self.lengths - (self.k - 1), 0))
+
+    @property
+    def code_pos(self) -> np.ndarray:
+        """Position in ``concat`` of each code's window: derived on
+        every read, never stored.  The definition the window-space hit
+        mapping of :func:`scan_fragment_batch` is tested against."""
+        return _window_positions(self.starts, self.lengths, self.k)
+
+
+def _window_positions(starts: np.ndarray, lengths: np.ndarray,
+                      k: int) -> np.ndarray:
+    """Concat position of every window lying wholly inside one sequence.
+
+    The layout says where those are — window w of sequence i sits at
+    ``starts[i] + w`` — so the positions are built directly: as an
+    offset from the window's rank in the valid list that is one constant
+    per sequence, added in place.  One full-length temporary, on
+    purpose: these are a pack build's peak heap, and glibc keeps what
+    the build frees.
+    """
+    per_seq = np.maximum(lengths - (k - 1), 0)
+    nz = per_seq > 0
+    reps = per_seq[nz]
+    positions = np.arange(int(reps.sum()), dtype=np.int64)
+    positions += np.repeat(starts[nz] - (np.cumsum(reps) - reps), reps)
+    return positions
 
 
 def build_scan_structures(db, k: int, base: int) -> ScanStructures:
@@ -167,7 +191,6 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
     n_windows = length - k + 1
     if n_windows <= 0:
         codes = np.empty(0, dtype=np.int64)
-        code_pos = np.empty(0, dtype=np.int64)
     else:
         # Rolling codes by Horner evaluation: k passes over the flat
         # array instead of a (n_windows, k) strided matmul.  Sentinel
@@ -179,25 +202,12 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
         for j in range(k):
             codes_full *= base
             codes_full += concat[j:j + n_windows]
-        # A window is valid iff it lies wholly inside one sequence.  The
-        # layout says where those are — window w of sequence i sits at
-        # ``starts[i] + w`` — so the positions are built directly: as an
-        # offset from its rank in the valid list that is one constant
-        # per sequence, added in place.  (One full-length temporary; the
-        # four this took before were most of a pack build's peak heap,
-        # which glibc then keeps.)
-        per_seq = np.maximum(lengths - (k - 1), 0)
-        nz = per_seq > 0
-        reps = per_seq[nz]
-        total_windows = int(reps.sum())
-        code_pos = np.arange(total_windows, dtype=np.int64)
-        code_pos += np.repeat(starts[nz] - (np.cumsum(reps) - reps), reps)
-        codes = codes_full[code_pos]
+        # A window is valid iff it lies wholly inside one sequence.
+        codes = codes_full[_window_positions(starts, lengths, k)]
 
     return ScanStructures(k=k, base=base, n_sequences=n,
                           total_residues=total, concat=concat,
-                          starts=starts, lengths=lengths,
-                          codes=codes, code_pos=code_pos)
+                          starts=starts, lengths=lengths, codes=codes)
 
 
 def scan_fragment(index: WordIndex, structs: ScanStructures
@@ -438,12 +448,14 @@ def scan_fragment_batch(batch: QueryBatch, structs: ScanStructures
     """
     from repro.blast.seed import group_hits_by_entry
 
-    cpos, eids, qpos = batch.scan(structs.codes, structs.window_ends)
+    ends = structs.window_ends
+    cpos, eids, qpos = batch.scan(structs.codes, ends)
     if len(cpos) == 0:
         return []
-    gpos = structs.code_pos[cpos]
-    sids = np.searchsorted(structs.starts, gpos, side="right") - 1
-    local = gpos - structs.starts[sids]
+    # A hit belongs to the first sequence whose run ends past it, and
+    # its rank inside that run is its subject position.
+    sids = np.searchsorted(ends, cpos, side="right")
+    local = cpos - np.concatenate(([0], ends))[sids]
     return group_hits_by_entry(eids, sids, local, qpos)
 
 

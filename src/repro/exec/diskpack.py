@@ -80,8 +80,9 @@ MAGIC = b"RPKPACK1"
 
 #: On-disk format version; bumped on any incompatible layout change.
 #: Readers reject any other version (version negotiation is explicit:
-#: there is exactly one readable version per build).
-FORMAT_VERSION = 1
+#: there is exactly one readable version per build).  2: a pack has no
+#: position-table section.
+FORMAT_VERSION = 2
 
 #: Pack files end in this; the manifest names them relative to the
 #: store directory.
@@ -123,6 +124,13 @@ class PackFormatError(PackIntegrityError):
     :class:`~repro.exec.shm.PackIntegrityError` so every open failure
     is typed and catchable as one family, while version-negotiation
     failures stay distinguishable from damage to a well-formed pack."""
+
+
+def _version_error(where: str, version) -> PackFormatError:
+    return PackFormatError(
+        f"{where}: unsupported format version {version!r} (this build "
+        f"reads version {FORMAT_VERSION}; rebuild the store from its "
+        f"FASTA with `repro packdb build -i FASTA -o DIR`)")
 
 
 def _align64(n: int) -> int:
@@ -232,9 +240,7 @@ def _read_header(f, path: str) -> Tuple[PackSpec, int]:
             f"pack {path!r}: bad magic {magic!r} (not an {MAGIC.decode()}"
             f" pack)")
     if version != FORMAT_VERSION:
-        raise PackFormatError(
-            f"pack {path!r}: unsupported format version {version} "
-            f"(this build reads version {FORMAT_VERSION})")
+        raise _version_error(f"pack {path!r}", version)
     blob = f.read(hlen)
     if len(blob) < hlen:
         raise PackIntegrityError(
@@ -411,9 +417,7 @@ class PackStore:
                 f"{directory!r}: unreadable manifest ({exc})") from exc
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
-            raise PackFormatError(
-                f"{directory!r}: unsupported store format version "
-                f"{version!r} (this build reads version {FORMAT_VERSION})")
+            raise _version_error(f"store {directory!r}", version)
         return cls(directory, manifest)
 
     def __len__(self) -> int:

@@ -59,8 +59,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
                             read_pack_bytes)
 
 #: Wire protocol version: both ends state it in the hello handshake and
-#: refuse a peer stating another (2: ``publish`` carries the PackSpec).
-PROTO_VERSION = 2
+#: refuse a peer stating another (3: a shipped pack has no position
+#: table).
+PROTO_VERSION = 3
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).

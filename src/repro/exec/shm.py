@@ -53,7 +53,7 @@ NAME_PREFIX = "repro"
 
 #: The ScanStructures array fields serialized into a pack, in layout
 #: order.  ``hdr_blob``/``hdr_offsets`` carry the description strings.
-_FIELDS = ("concat", "starts", "lengths", "codes", "code_pos",
+_FIELDS = ("concat", "starts", "lengths", "codes",
            "hdr_blob", "hdr_offsets")
 
 
@@ -248,7 +248,6 @@ def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
     arrays = {
         "concat": structs.concat, "starts": structs.starts,
         "lengths": structs.lengths, "codes": structs.codes,
-        "code_pos": structs.code_pos,
         "hdr_blob": hdr_blob, "hdr_offsets": hdr_offsets,
     }
     layout, checksums = [], []
@@ -286,7 +285,7 @@ class PackView:
             k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
             total_residues=spec.total_residues, concat=views["concat"],
             starts=views["starts"], lengths=views["lengths"],
-            codes=views["codes"], code_pos=views["code_pos"])
+            codes=views["codes"])
 
     def verify(self) -> None:
         """Re-checksum every field against the spec; raises
@@ -299,8 +298,9 @@ class PackView:
                 raise _integrity_error(self.spec.name, field, want, got)
 
     def corrupt(self, field: Optional[str] = None, nbytes: int = 8) -> str:
-        """Flip *nbytes* in the middle of *field* (default: the largest
-        field, usually the concatenation) and return the field's name.
+        """Flip *nbytes* in the middle of *field* (default: whichever
+        field has the most bytes — ``codes`` on any corpus-sized pack,
+        a per-sequence table on a tiny one) and return the field's name.
         The one fault hook behind every scribbler — a segment, a mapped
         file, a payload about to be republished — so the damage always
         lands on checksummed payload, never on alignment padding.

@@ -13,6 +13,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
@@ -276,6 +278,72 @@ def test_strided_scan_returns_the_dense_hit_set(seed, n_queries,
         solo = structs.codes[:int(ends[0])]          # one sequence alone
         assert np.array_equal(batch._hit_positions(solo, ends[:1]),
                               np.nonzero(batch._present[solo])[0])
+
+
+# ------------------------------------------- window-space hit mapping
+
+@st.composite
+def _mapping_case(draw):
+    """``(seqtype, sequences, source, query)``: up to six sequences of
+    0-40 symbols (empty ones, ones shorter than the word size, possibly
+    all of them) and a query that contains sequence ``source`` whole,
+    so a subject's first and last windows are among the hits."""
+    seqtype = draw(st.sampled_from([NT, AA]))
+    symbol = st.integers(0, 3 if seqtype == NT else 19)
+    seqs = draw(st.lists(st.lists(symbol, max_size=40), min_size=1,
+                         max_size=6))
+    source = draw(st.integers(0, len(seqs) - 1))
+    flank = st.lists(symbol, max_size=5)
+    return seqtype, seqs, source, draw(flank) + seqs[source] + draw(flank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mapping_case())
+@example(case=(NT, [[0, 1, 2, 3] * 4], 0, [0, 1, 2, 3] * 4))   # one sequence
+@example(case=(NT, [[0] * 10, [], [1] * 3], 0, [0] * 12))      # all < k
+@example(case=(AA, [[], [6, 6, 6], [], [6, 6, 6, 6]], 3, [6] * 4))
+def test_window_space_mapping_matches_position_table_and_oracle(case):
+    """``scan_fragment_batch`` maps a hit's index in ``codes`` to
+    ``(sid, local)`` without a position table; the groups equal (a) the
+    mapping through the table — ``ScanStructures.code_pos``, derived,
+    its definition — and (b) the per-sequence dense ``WordIndex.scan``
+    the oracle runs."""
+    from repro.blast.scankernel import QueryBatch, scan_fragment_batch
+    from repro.blast.seed import group_hits_by_entry
+
+    seqtype, seqs, source, query = case
+    query = np.asarray(query, dtype=np.uint8)
+    db = SequenceDB(seqtype)
+    for seq in seqs:
+        _add_raw(db, seq)
+    indexes = ([WordIndex.for_dna(query, K),
+                WordIndex.for_dna(reverse_complement(query), K)]
+               if seqtype == NT else
+               [WordIndex.for_protein(query, ProteinScore())])
+    k, base = indexes[0].k, indexes[0].base
+    structs = build_scan_structures(db, k, base)
+    batch = QueryBatch(indexes)
+    got = scan_fragment_batch(batch, structs)
+
+    cpos, eids, qpos = batch.scan(structs.codes, structs.window_ends)
+    gpos = structs.code_pos[cpos]
+    sids = np.searchsorted(structs.starts, gpos, side="right") - 1
+    via_table = group_hits_by_entry(eids, sids, gpos - structs.starts[sids],
+                                    qpos)
+    per_sequence = []
+    for eid, index in enumerate(indexes):
+        for sid, seq in enumerate(seqs):
+            spos, qp = index.scan(word_codes(seq, k, base))
+            if len(spos):
+                per_sequence.append((eid, sid, spos, qp))
+    for want in (via_table, per_sequence):
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for g, w in zip(got, want):
+            assert g[2].dtype == w[2].dtype
+            assert np.array_equal(g[2], w[2]) and np.array_equal(g[3], w[3])
+    if seqtype == NT and len(seqs[source]) >= k:
+        spos = next(g[2] for g in got if g[:2] == (0, source))
+        assert spos[0] == 0 and spos[-1] == len(seqs[source]) - k
 
 
 @pytest.mark.parametrize("step", [4, 3, 2])

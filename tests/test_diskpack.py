@@ -7,6 +7,7 @@ CLI surface."""
 import dataclasses
 import json
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -220,9 +221,9 @@ def _golden_records():
 
 def test_golden_store_opens_verifies_and_searches():
     """``tests/data/golden_store`` was written by ``build_pack_store``
-    at the commit before the header codec existed (from
-    ``golden.fasta``); it must open, verify, report the identity
-    recorded then and render the search bytes recorded then."""
+    (from ``golden.fasta``) at the commit that made the format version
+    2; it must open, verify, report the identity recorded then and
+    render the search bytes recorded for the version-1 store."""
     with open(os.path.join(GOLDEN, "golden_store.expected.json")) as f:
         expected = json.load(f)
     (tag, store_id), version, fragment_id = expected["identity"]
@@ -259,6 +260,26 @@ def test_write_pack_is_byte_identical_to_the_golden_pack(tmp_path):
     with open(path, "rb") as ours, \
             open(store.pack_path(store.packs[0]), "rb") as golden:
         assert ours.read() == golden.read()
+
+
+def test_version_1_golden_store_is_refused_before_any_search(capsys,
+                                                              tmp_path):
+    """One format, one reader: the store the previous format version
+    wrote is refused on every way in — typed, naming both versions and
+    the rebuild command — and never half-read."""
+    old = os.path.join(GOLDEN, "golden_store_v1")
+    said = (rf"version 1 .*reads version {FORMAT_VERSION}.*"
+            r"repro packdb build")
+    with pytest.raises(PackFormatError, match=said):
+        PackStore.open(old)
+    with pytest.raises(PackFormatError, match=said):
+        DiskPack(os.path.join(old, "golden.000.rpk"))
+    query = tmp_path / "q.fasta"
+    query.write_text(">gq\nCCGGTCATCACAACATTCGCCAGATACAGC\n")
+    assert main(["blastn", "--db-pack", old, "-i", str(query)]) \
+        == EXIT_INTEGRITY
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(said, err)
 
 
 # ----------------------------------------------------------------------

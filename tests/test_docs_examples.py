@@ -107,3 +107,29 @@ def test_cited_benchmark_names_are_in_benchmark_json(doc):
                 and tok not in workloads:
             unknown.append(tok)
     assert not unknown, f"{doc} names what BENCHMARK.json does not list"
+
+
+def test_design_pack_field_table_matches_the_layout():
+    """DESIGN.md §5h's field table is the code's: names and order are
+    ``shm._FIELDS``, dtypes what ``pack_layout`` emits for an nt pack."""
+    import numpy as np
+
+    from repro.blast.scankernel import build_scan_structures
+    from repro.blast.seqdb import NT, SequenceDB
+    from repro.exec.shm import _FIELDS, pack_layout
+
+    with open(os.path.join(ROOT, "DESIGN.md")) as f:
+        tables = re.findall(
+            r"<!-- pack-fields:begin -->\n(.*?)<!-- pack-fields:end -->",
+            f.read(), flags=re.S)
+    assert len(tables) == 1, "DESIGN.md must have exactly one field table"
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in tables[0].splitlines()[2:]]
+    db = SequenceDB(NT)
+    db.add("one", "ACGTACGTACGTACGT")
+    spec, _arrays = pack_layout(
+        build_scan_structures(db, 11, 4), ["one"], name="",
+        cache_token=(), seqtype=NT, fragment_id=0, source_ids=[0])
+    assert [field for field, _dtype in rows] == list(_FIELDS)
+    assert rows == [[field, np.dtype(dtype).name]
+                    for field, dtype, _shape, _off in spec.arrays]

@@ -63,7 +63,7 @@ def test_pack_roundtrip_preserves_structures_and_headers():
     assert spec.name.startswith(NAME_PREFIX + "_")
     pack = AttachedPack(spec)
     try:
-        for field in ("concat", "starts", "lengths", "codes", "code_pos"):
+        for field in ("concat", "starts", "lengths", "codes"):
             np.testing.assert_array_equal(getattr(pack.structs, field),
                                           getattr(structs, field))
         pdb = PackDB(pack)
