@@ -16,13 +16,13 @@ route the number of problems in the stacked call), and
 ``gapped_culled`` (triggered candidates resolved without a
 pointer-matrix DP: diagonal-memo hits, E-value-reject skips,
 ``max_gapped_per_subject`` drops, zero-score results).  The scan
-stage reports ``scan_step`` (the sampling step its sub-word prefilter
-chose for this query batch; 1 = the dense gather) and
-``scan_candidates`` (windows whose full word was tested against the
-bitmap — every window at step 1, the prefilter's survivors otherwise),
-so the filter's selectivity can be read off one line.  The point is
-to stop guessing where the numpy passes go: kernel PRs read the stage
-split instead of re-deriving it with ad-hoc timers.
+stage reports ``scan_step`` (4 when the batch took the packed scan,
+which looks at every 4th window through its 8-mer filter; 1 = the
+dense scan) and ``scan_candidates`` (windows whose full word was tested
+against the bitmap — every window at step 1, four per filter survivor
+otherwise), so the filter's selectivity can be read off one line.  The
+point is to stop guessing where the numpy passes go: kernel PRs read
+the stage split instead of re-deriving it with ad-hoc timers.
 
 The hook is designed to cost nothing when off: the drivers consult
 :func:`current_profile` (a module-global read) and skip every timer

@@ -12,30 +12,29 @@ hot loop (the same contiguous-layout lesson the paper's parallel file
 systems apply to I/O: pack once, then operate in bulk):
 
 * :func:`build_scan_structures` concatenates a fragment's encoded
-  sequences into one flat array with one-symbol sentinel separators,
-  computes rolling word codes for the whole concatenation **once**, and
-  masks out every window that spans a sentinel (those windows would
-  otherwise manufacture chimeric words across sequence boundaries);
-* :func:`scan_fragment` runs a query :class:`~repro.blast.kmer.WordIndex`
-  against the cached codes in one shot and maps the hits back to
-  ``(sequence id, subject offset)`` groups via ``np.searchsorted`` on
-  the per-sequence window counts;
+  sequences into one flat array with one-symbol sentinel separators.
+  That array and its per-sequence offsets are all a pack holds: no
+  word code is stored, cached or shipped anywhere;
 * :class:`QueryBatch` folds every query orientation's words into one
-  table and finds their hits in one pass over the codes.  For
-  nucleotide words that pass is *strided*: it looks up every 4th
-  window's leading 8-mer in a 64 KiB table and tests full 11-mers only
-  around the survivors (NCBI blastn's ``stride = W - lut_W + 1``), and
-  still returns exactly the dense hit set;
-* :class:`ScanCache` keeps the expensive per-fragment artifacts
-  (concatenation, offsets table, word codes) in a bounded LRU keyed by
-  fragment identity, so a stream of queries against the same fragments
-  — the warm-cache and query-stream workloads — pays the packing cost
-  once per fragment.
+  table and finds their hits in one pass over the database bytes
+  themselves.  For nucleotide words that pass packs four residues into
+  a byte, looks up every byte-aligned 8-mer in a 64 KiB table and
+  rebuilds full 11-mers only around the survivors — how NCBI blastn
+  scans its 2-bit database, and why its default word is 8 + 3.  Other
+  alphabets and crowded batches derive dense word codes a chunk at a
+  time.  Either way the hits are exactly the per-sequence ones: a
+  window that crosses a sequence end is dropped by the same
+  ``searchsorted`` that maps a hit to ``(sequence id, offset)``;
+* :func:`scan_fragment` / :func:`scan_fragment_batch` group those hits
+  per entry and sequence for the seeding stage;
+* :class:`ScanCache` keeps the per-fragment concatenation in a bounded
+  LRU keyed by fragment identity, so a stream of queries against the
+  same fragments — the warm-cache and query-stream workloads — pays the
+  packing cost once per fragment.
 
-The kernel is exact: for every window that lies inside one sequence the
-concatenated code equals the per-sequence code, so downstream seeding /
-extension sees byte-identical hits (``tests/test_blast_scankernel.py``
-asserts old-vs-new equivalence on randomized databases).
+The kernel is exact: downstream seeding / extension sees byte-identical
+hits (``tests/test_blast_scankernel.py`` holds the property test against
+the per-sequence ``WordIndex.scan`` and the mutants that must fail it).
 """
 
 from __future__ import annotations
@@ -52,22 +51,31 @@ from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile
 
 #: Default bounds of the process-wide ScanCache: at most 8 fragments
-#: and ~256 MB of cached structures (a 1 M-residue fragment costs
-#: 5 bytes/residue: 1 for the concatenation, 4 for the int32 codes).
+#: and ~256 MB of cached structures (1 byte per residue, the
+#: concatenation, plus 16 per sequence).
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-#: Fullest a :class:`QueryBatch` sub-word table may be.  Each stage-1
-#: false positive costs ``step`` gathers through the full bitmap, so at
-#: 0.2 and step 4 stage 2 does at most 0.2 of the dense gather's work.
-_MAX_TABLE_DENSITY = 0.2
+#: Fullest a :class:`QueryBatch` 8-mer table may be and still filter.
+#: Every stage-1 survivor costs four full-word tests, and the dense
+#: scan a crowded batch takes instead costs about what the packed one
+#: does with the table half full (4 M residues: 55 ms against 18 / 27 /
+#: 45 ms at 0.16 / 0.35 / 0.58).
+_MAX_TABLE_DENSITY = 0.5
 
-#: Sampled codes per stage-1 gather.  The gather's temporaries (the
-#: shifted copy, numpy's index widening, the boolean result: 13 bytes
-#: per sample) then stay in L2 instead of streaming 13 MB through DRAM
-#: on a 4 M-residue fragment — measured 7.5 -> 5.8 ms, flat from 2**14
-#: to 2**18.
+#: Packed bytes (four residues each) per block of the packed scan, and
+#: windows per block of the dense one: the block's temporaries (index
+#: widening, keys, the boolean gather result) stay in L2 instead of
+#: streaming through DRAM — flat from 2**14 to 2**16.
 _SAMPLE_CHUNK = 1 << 15
+
+#: The packed scan's fold: a little-endian ``<u4`` holds residues
+#: r0…r3 in bytes 0…3; keeping their low 2 bits (the sentinel reads as
+#: symbol 0) and multiplying lands r0·64 + r1·16 + r2·4 + r3 in the top
+#: byte with every other partial product in a 2-bit field of its own
+#: below it — no carries.
+_LOW2 = np.uint32(0x03030303)
+_FOLD = np.uint32(2 ** 30 + 2 ** 20 + 2 ** 10 + 1)
 
 _token_counter = itertools.count(1)
 
@@ -97,11 +105,8 @@ class ScanStructures:
 
     ``concat`` holds every sequence of the fragment back to back,
     separated by single sentinel symbols (value ``base``, one above the
-    alphabet).  ``codes`` are the rolling word codes of every window
-    that does **not** span a sentinel, sequence after sequence, so a
-    code's rank inside its sequence's run (:attr:`window_ends`) is its
-    subject position.  ``starts``/``lengths`` give each sequence's
-    slice of ``concat``.
+    alphabet); ``starts``/``lengths`` give each sequence's slice of it.
+    Nothing derived per residue is kept: the scan reads ``concat``.
     """
 
     k: int
@@ -111,51 +116,42 @@ class ScanStructures:
     concat: np.ndarray      # uint8, length sum(lengths) + (n-1) sentinels
     starts: np.ndarray      # int64 (n,), start offset of each sequence
     lengths: np.ndarray     # int64 (n,)
-    codes: np.ndarray       # int32 (int64 past 2**31), valid windows only
 
     @property
     def nbytes(self) -> int:
-        """Approximate memory footprint of the cached arrays."""
-        return (self.concat.nbytes + self.starts.nbytes +
-                self.lengths.nbytes + self.codes.nbytes)
+        """Memory footprint of the cached arrays."""
+        return self.concat.nbytes + self.starts.nbytes + self.lengths.nbytes
 
     def subject(self, sid: int) -> np.ndarray:
         """View of sequence *sid* inside the concatenation."""
         lo = int(self.starts[sid])
         return self.concat[lo:lo + int(self.lengths[sid])]
 
-    @property
-    def window_ends(self) -> np.ndarray:
-        """Exclusive end index in ``codes`` of each sequence's windows
-        (a sequence shorter than ``k`` has none and repeats the end
-        before it)."""
-        return np.cumsum(np.maximum(self.lengths - (self.k - 1), 0))
-
+    # The dense definition of "the word at every window", derived on
+    # every read.  No scan uses it: it survives because
+    # ``perf/harness/layers.py:106`` reads ``structs.codes.nbytes`` and
+    # ``structs.code_pos.nbytes`` and only a [benchmark] PR may edit
+    # ``perf/``.  ROADMAP item 2(a) drops that line; these two then move
+    # into ``tests/test_blast_scankernel.py``, whose oracle they are.
     @property
     def code_pos(self) -> np.ndarray:
-        """Position in ``concat`` of each code's window: derived on
-        every read, never stored.  The definition the window-space hit
-        mapping of :func:`scan_fragment_batch` is tested against."""
-        return _window_positions(self.starts, self.lengths, self.k)
+        """Position in ``concat`` of every window lying wholly inside
+        one sequence, sequence after sequence."""
+        per_seq = np.maximum(self.lengths - (self.k - 1), 0)
+        rank0 = np.cumsum(per_seq) - per_seq     # first window's rank
+        return (np.arange(int(per_seq.sum()), dtype=np.int64)
+                + np.repeat(self.starts - rank0, per_seq))
 
-
-def _window_positions(starts: np.ndarray, lengths: np.ndarray,
-                      k: int) -> np.ndarray:
-    """Concat position of every window lying wholly inside one sequence.
-
-    The layout says where those are — window w of sequence i sits at
-    ``starts[i] + w`` — so the positions are built directly: as an
-    offset from the window's rank in the valid list that is one constant
-    per sequence, added in place.  One full-length temporary, on
-    purpose: these are a pack build's peak heap, and glibc keeps what
-    the build frees.
-    """
-    per_seq = np.maximum(lengths - (k - 1), 0)
-    nz = per_seq > 0
-    reps = per_seq[nz]
-    positions = np.arange(int(reps.sum()), dtype=np.int64)
-    positions += np.repeat(starts[nz] - (np.cumsum(reps) - reps), reps)
-    return positions
+    @property
+    def codes(self) -> np.ndarray:
+        """Rolling word code of each :attr:`code_pos` window (Horner)."""
+        at = self.code_pos
+        codes = np.zeros(len(at), dtype=np.int32 if self.base ** self.k
+                         < 2 ** 31 else np.int64)
+        for j in range(self.k):
+            codes *= self.base
+            codes += self.concat[at + j]
+        return codes
 
 
 def build_scan_structures(db, k: int, base: int) -> ScanStructures:
@@ -163,9 +159,9 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
 
     *db* is anything with the :class:`~repro.blast.seqdb.SequenceDB`
     access surface (``__len__``, ``lengths``, ``sequence``).  Sequences
-    shorter than *k* (including empty ones) contribute no valid windows
-    and therefore can never produce hits — exactly like the
-    per-sequence scan, where their code arrays are empty.
+    shorter than *k* (including empty ones) hold no window and
+    therefore can never produce hits — exactly like the per-sequence
+    scan, where their code arrays are empty.
     """
     n = len(db)
     lengths = np.asarray(db.lengths() if n else [], dtype=np.int64)
@@ -174,7 +170,6 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
     if n:
         np.cumsum(lengths[:-1] + 1, out=starts[1:])
     total = int(lengths.sum()) if n else 0
-    length = total + max(n - 1, 0)
 
     # Lazy databases expose a bulk loader: one contiguous payload read
     # beats n seek+read round trips when packing a whole fragment.
@@ -182,32 +177,22 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
     if preload is not None:
         preload()
 
-    sentinel = base
-    concat = np.full(length, sentinel, dtype=np.uint8)
+    concat = np.full(total + max(n - 1, 0), base, dtype=np.uint8)
     for i in range(n):
         lo = int(starts[i])
         concat[lo:lo + int(lengths[i])] = db.sequence(i)
 
-    n_windows = length - k + 1
-    if n_windows <= 0:
-        codes = np.empty(0, dtype=np.int64)
-    else:
-        # Rolling codes by Horner evaluation: k passes over the flat
-        # array instead of a (n_windows, k) strided matmul.  Sentinel
-        # digits are worth ``base``, so the widest intermediate is
-        # bounded by (base+1)**k — int32 when that fits (every standard
-        # word size), int64 otherwise.
-        code_dtype = np.int32 if (base + 1) ** k < 2 ** 31 else np.int64
-        codes_full = np.zeros(n_windows, dtype=code_dtype)
-        for j in range(k):
-            codes_full *= base
-            codes_full += concat[j:j + n_windows]
-        # A window is valid iff it lies wholly inside one sequence.
-        codes = codes_full[_window_positions(starts, lengths, k)]
-
     return ScanStructures(k=k, base=base, n_sequences=n,
                           total_residues=total, concat=concat,
-                          starts=starts, lengths=lengths, codes=codes)
+                          starts=starts, lengths=lengths)
+
+
+def _fold4(words: np.ndarray) -> np.ndarray:
+    """Each ``<u4`` of four residues as one 2-bit-packed byte value."""
+    folded = words & _LOW2
+    folded *= _FOLD
+    folded >>= 24
+    return folded
 
 
 def scan_fragment(index: WordIndex, structs: ScanStructures
@@ -227,17 +212,18 @@ def scan_fragment(index: WordIndex, structs: ScanStructures
 class QueryBatch:
     """N query word-indexes packed into one combined lookup structure.
 
-    The serial driver pays one full pass over a fragment's cached word
-    codes *per query orientation* (the presence-bitmap gather inside
-    ``WordIndex.scan`` touches every code).  A batch folds every
+    Scanning index by index pays one full pass over a fragment *per
+    query orientation* (the presence-bitmap gather inside
+    ``WordIndex.scan`` touches every window).  A batch folds every
     entry's words into one sorted table — ``unique_codes`` with
     ``offsets`` into parallel ``positions``/``eids`` arrays, plus one
     shared presence bitmap — so a single pass serves all N entries and
-    every hit comes back tagged with the entry id it belongs to.  When
-    the alphabet is a power of two the pass samples every ``step``-th
-    code through a small sub-word table first and consults the bitmap
-    only near the survivors (:meth:`_hit_positions` has the exactness
-    argument, :meth:`_choose_step` the rule for ``step``).
+    every hit comes back tagged with the entry id it belongs to.  The
+    pass reads the fragment's ``concat`` itself: packed four residues
+    to the byte through an 8-mer filter for nucleotide words
+    (:meth:`_packed_hits` has the exactness argument,
+    :meth:`_sub_word_table` the rule for taking it), dense per-chunk
+    codes otherwise (:meth:`_dense_hits`).
 
     Entries are whatever the caller treats as independent scans; the
     batched search driver uses one entry per (query, orientation).  All
@@ -259,7 +245,6 @@ class QueryBatch:
                     f"({ix.k}, {ix.base}) vs ({k}, {base})")
         self.k = k
         self.base = base
-        self.n_entries = len(indexes)
         codes_parts: List[np.ndarray] = []
         pos_parts: List[np.ndarray] = []
         eid_parts: List[np.ndarray] = []
@@ -296,134 +281,153 @@ class QueryBatch:
             self._present[self.unique_codes] = True
         else:
             self._present = None
-        self.step = self._choose_step()
-        self._sub_present = self._sub_word_table(self.step)
+        self._sub_present = self._sub_word_table()
+        # Stage 2 of the packed scan holds residues 4j-4 … 4j+11 in 32
+        # bits; the word starting d = 3, 2, 1, 0 places before 4j ends
+        # 12 + d - k residues short of the low end.
+        self._word_shifts = 2 * (12 - k + np.arange(3, -1, -1))
 
-    def _choose_step(self) -> int:
-        """The scan's sampling step for this batch's words.
+    def _sub_word_table(self) -> Optional[np.ndarray]:
+        """Presence table of every 8-mer the packed scan can meet, or
+        ``None`` when this batch takes the dense scan.
 
-        The largest of 4/3/2 that keeps the sub-word table at most a
-        fifth full (counting every sub-word as distinct), because each
-        stage-1 false positive costs ``step`` full-word tests.  It is a
-        function of the query words only.  Non-power-of-two alphabets
-        (protein), code spaces without a bitmap and batches too large
-        for step 2 get step 1, the dense gather.
+        The packed scan looks up byte-aligned 8-mers only.  A word
+        starting ``d`` = 0…3 places before an aligned position holds
+        that 8-mer at its own offset ``d``, so the table has every
+        query word's 8-mers at offsets 0…3.  Prefixes alone would lose
+        every word with no successor in the table — the last words of a
+        query and of each run a low-complexity mask leaves.
+
+        Packed needs 2-bit symbols, the full-word bitmap, words of 11
+        or 12 (a shorter one need not contain an aligned 8-mer, a
+        longer one overflows the four bytes stage 2 reads) and a table
+        that still filters: one rule, read from the table as built.
         """
-        n_unique = len(self.unique_codes)
-        if (self._present is None or self.base & (self.base - 1)
-                or not n_unique):
-            return 1
-        for step in (4, 3, 2):
-            sub_len = self.k - step + 1
-            if sub_len >= 1 and step * n_unique <= _MAX_TABLE_DENSITY * (
-                    self.base ** sub_len):
-                return step
-        return 1
-
-    def _sub_word_table(self, step: int) -> Optional[np.ndarray]:
-        """Presence table of the sub-words a step-*step* scan looks up.
-
-        The scan tests only every ``step``-th window, by its leading
-        ``k - step + 1`` symbols, so the table holds every sub-word of
-        that length at offsets ``0 … step-1`` of every query word: a
-        window ``d`` places before a sampled one shares that sub-word
-        at its own offset ``d``.  Prefixes alone would lose every word
-        with no successor in the table — the last words of a query and
-        of each run a low-complexity mask leaves.
-        """
-        if step == 1:
+        if (self.base != 4 or not 11 <= self.k <= 12
+                or self._present is None):
             return None
-        bits = self.base.bit_length() - 1
-        table = np.zeros(self.base ** (self.k - step + 1), dtype=bool)
-        for offset in range(step):
-            table[(self.unique_codes >> bits * (step - 1 - offset))
-                  & (len(table) - 1)] = True
+        table = np.zeros(1 << 16, dtype=bool)
+        for offset in range(4):
+            table[(self.unique_codes >> 2 * (self.k - 8 - offset))
+                  & 0xFFFF] = True
+        if np.count_nonzero(table) > _MAX_TABLE_DENSITY * len(table):
+            return None
         return table
 
     @property
-    def n_words(self) -> int:
-        return len(self.positions)
+    def step(self) -> int:
+        """What ``scan_step`` reports: the packed scan looks at every
+        4th window, the dense one at every window."""
+        return 1 if self._sub_present is None else 4
 
-    def _hit_positions(self, subject_codes: np.ndarray,
-                       window_ends: np.ndarray) -> np.ndarray:
-        """Ascending indices of the subject codes that are query words.
+    def _packed_hits(self, concat: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Candidate ``(positions, codes)`` of query words in *concat*,
+        ascending, read from the 2-bit packing of *concat* itself.
 
-        Exactly ``np.nonzero(self._present[subject_codes])[0]``, found
-        in two stages when ``step > 1``.  Stage 1 gathers every
-        ``step``-th code's leading sub-word through the small table;
-        stage 2 tests the full word, through the bitmap, only at the
-        ``step`` windows ending at each stage-1 hit and at the last
-        ``step - 1`` windows of every sequence.  Nothing is returned
-        that failed the bitmap, and nothing is lost: a hit window has a
-        sampled window at most ``step - 1`` places ahead of it, which
-        either lies in the same sequence — then it starts with one of
-        the hit's sub-words and stage 1 keeps it — or does not, and
-        then the hit is one of its sequence's trailing windows.
+        Stage 1 folds each aligned 4 residues into one byte and looks
+        up every aligned 8-mer — two adjacent bytes — in the 64 KiB
+        table; stage 2 rebuilds, by shifts of the four bytes around
+        each survivor, the four words that contain its 8-mer and tests
+        them in the bitmap.  Nothing is lost: a word inside one
+        sequence contains exactly one aligned 8-mer, which is one of
+        its own sub-words, so stage 1 keeps it.  Sentinels and the
+        padding read as symbol 0, which can only *add* candidates that
+        cross a sequence end; :meth:`scan` drops those.
         """
-        step = self.step
-        if step == 1:
-            hits = np.nonzero(self._present[subject_codes])[0]
-            tested = len(subject_codes)
-        else:
-            lead_shift = (self.base.bit_length() - 1) * (step - 1)
-            lead = subject_codes[::step]
-            sampled = np.concatenate([
-                lo + np.nonzero(self._sub_present[
-                    lead[lo:lo + _SAMPLE_CHUNK] >> lead_shift])[0]
-                for lo in range(0, len(lead), _SAMPLE_CHUNK)])
-            back = np.arange(step - 1, -1, -1, dtype=np.int64)
-            near_sample = (sampled * step)[:, None] - back
-            # A sequence's windows are contiguous in the code array, so
-            # the window ``d`` places before its end is its own unless
-            # it has fewer than ``d`` — then it is an earlier sequence's
-            # (a harmless extra test) or negative (dropped).
-            trailing = window_ends[:, None] - back[:-1]
-            cand = np.concatenate([near_sample.ravel(), trailing.ravel()])
-            cand = cand[cand >= 0]
-            tested = len(cand)
-            # Near-sample candidates are ascending and distinct; only
-            # the few trailing ones are out of place or repeated, which
-            # a stable (run-merging) sort undoes in linear time.
-            hits = np.sort(cand[self._present[subject_codes[cand]]],
-                           kind="stable")
-            first = np.ones(len(hits), dtype=bool)
-            first[1:] = hits[1:] != hits[:-1]
-            hits = hits[first]
+        n4 = len(concat) // 4
+        words = concat[:4 * n4].view("<u4")
+        # packed[j + 1] holds residues 4j … 4j+3, first residue on top;
+        # one zero byte in front and two past the end keep j-1 … j+2 in
+        # range for every j.
+        packed = np.zeros(n4 + 4, dtype=np.uint8)
+        last = np.zeros(4, dtype=np.uint8)
+        last[:len(concat) - 4 * n4] = concat[4 * n4:]
+        packed[n4 + 1] = _fold4(last.view("<u4"))[0]
+        survivors = []
+        for lo in range(0, n4, _SAMPLE_CHUNK):
+            n = min(_SAMPLE_CHUNK, n4 - lo)
+            ahead = _fold4(words[lo:lo + n + 1])    # a key reads j + 1
+            packed[lo + 1:lo + 1 + len(ahead)] = ahead
+            pair = packed[lo + 1:lo + n + 2].astype(np.intp)
+            key = pair[:-1] << 8
+            key |= pair[1:]
+            survivors.append(lo + np.nonzero(self._sub_present[key])[0])
+        survivors = np.concatenate(survivors)
+        mask = 4 ** self.k - 1
+        pos_parts, code_parts = [], []
+        for lo in range(0, len(survivors), _SAMPLE_CHUNK):
+            j = survivors[lo:lo + _SAMPLE_CHUNK]
+            span = packed[j].astype(np.intp)
+            for i in (1, 2, 3):
+                span <<= 8
+                span |= packed[j + i]
+            codes = ((span[:, None] >> self._word_shifts) & mask).ravel()
+            hit = np.nonzero(self._present[codes])[0]
+            pos_parts.append(4 * j[hit >> 2] - 3 + (hit & 3))
+            code_parts.append(codes[hit])
+        empty = np.empty(0, dtype=np.int64)
+        return (np.concatenate(pos_parts or [empty]),
+                np.concatenate(code_parts or [empty]), 4 * len(survivors))
+
+    def _dense_hits(self, concat: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """:meth:`_packed_hits` for any alphabet and word size: every
+        window's code, derived a chunk at a time (Horner, sentinels as
+        symbol 0) and tested in the bitmap — or, past the bitmap limit,
+        against the sorted word list."""
+        k, base, words = self.k, self.base, self.unique_codes
+        n_windows = len(concat) - k + 1
+        pos_parts, code_parts = [], []
+        for lo in range(0, n_windows, _SAMPLE_CHUNK):
+            digits = concat[lo:lo + _SAMPLE_CHUNK + k - 1] % base
+            n = len(digits) - k + 1
+            codes = np.zeros(n, dtype=np.int64)
+            for i in range(k):
+                codes *= base
+                codes += digits[i:i + n]
+            if self._present is not None:
+                hit = np.nonzero(self._present[codes])[0]
+            else:
+                at = np.minimum(np.searchsorted(words, codes),
+                                len(words) - 1)
+                hit = np.nonzero(words[at] == codes)[0]
+            pos_parts.append(lo + hit)
+            code_parts.append(codes[hit])
+        return (np.concatenate(pos_parts), np.concatenate(code_parts),
+                n_windows)
+
+    def scan(self, structs: ScanStructures
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Find all word hits of every entry in one pass over a fragment.
+
+        Returns ``(sequence_ids, subject_positions, entry_ids,
+        query_positions)``, one row per (subject word, matching entry
+        word) pair in ascending ``concat`` order — the multi-entry,
+        multi-sequence form of :meth:`WordIndex.scan`; positions are
+        local to their sequence.
+        """
+        empty = (np.empty(0, dtype=np.int64),) * 4
+        concat = structs.concat
+        if len(concat) < self.k or len(self.unique_codes) == 0:
+            return empty
+        find = (self._dense_hits if self._sub_present is None
+                else self._packed_hits)
+        pos, codes, tested = find(concat)
         prof = current_profile()
         if prof is not None:
-            prof.counters["scan_step"] = step
+            prof.counters["scan_step"] = self.step
             prof.count("scan_candidates", tested)
-        return hits
-
-    def scan(self, subject_codes: np.ndarray, window_ends: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Find all word hits of every entry in one subject pass.
-
-        Returns ``(subject_positions, entry_ids, query_positions)``,
-        one row per (subject word, matching entry word) pair — the
-        multi-entry form of :meth:`WordIndex.scan`.  *subject_codes*
-        are the windows of one or more sequences back to back and
-        *window_ends* the exclusive end index of each sequence's run
-        (``ScanStructures.window_ends``): the strided pass must know
-        where a sequence stops.
-        """
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.int64))
-        if len(subject_codes) == 0 or len(self.unique_codes) == 0:
+        # A candidate is a hit iff its window lies inside the sequence
+        # its position maps to; the rest read a sentinel or the padding
+        # as symbol 0.
+        sids = np.searchsorted(structs.starts, pos, side="right") - 1
+        local = pos - structs.starts[sids]
+        real = (pos >= 0) & (local + self.k <= structs.lengths[sids])
+        sids, local, codes = sids[real], local[real], codes[real]
+        if len(sids) == 0:
             return empty
-        if self._present is not None:
-            spos = self._hit_positions(subject_codes, window_ends)
-            if len(spos) == 0:
-                return empty
-            uidx = np.searchsorted(self.unique_codes, subject_codes[spos])
-        else:
-            idx = np.searchsorted(self.unique_codes, subject_codes)
-            idx_clipped = np.minimum(idx, len(self.unique_codes) - 1)
-            valid = self.unique_codes[idx_clipped] == subject_codes
-            spos = np.nonzero(valid)[0]
-            if len(spos) == 0:
-                return empty
-            uidx = idx_clipped[spos]
+        uidx = np.searchsorted(self.unique_codes, codes)
         starts = self.offsets[uidx]
         counts = self.offsets[uidx + 1] - starts
         total = int(counts.sum())
@@ -431,8 +435,8 @@ class QueryBatch:
         within = np.arange(total) - np.repeat(
             np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
         flat = rep_starts + within
-        return (np.repeat(spos, counts), self.eids[flat],
-                self.positions[flat])
+        return (np.repeat(sids, counts), np.repeat(local, counts),
+                self.eids[flat], self.positions[flat])
 
 
 def scan_fragment_batch(batch: QueryBatch, structs: ScanStructures
@@ -443,19 +447,12 @@ def scan_fragment_batch(batch: QueryBatch, structs: ScanStructures
     groups, entry-major with ascending ``sid`` inside each entry.  For
     every entry the groups are exactly what a batch of that entry's
     index alone (:func:`scan_fragment`) produces — one combined pass
-    over the codes, ``searchsorted`` hit-mapping pass, and grouping sort
-    serve all N entries instead of N separate traversals.
+    over the fragment, ``searchsorted`` hit-mapping pass, and grouping
+    sort serve all N entries instead of N separate traversals.
     """
     from repro.blast.seed import group_hits_by_entry
 
-    ends = structs.window_ends
-    cpos, eids, qpos = batch.scan(structs.codes, ends)
-    if len(cpos) == 0:
-        return []
-    # A hit belongs to the first sequence whose run ends past it, and
-    # its rank inside that run is its subject position.
-    sids = np.searchsorted(ends, cpos, side="right")
-    local = cpos - np.concatenate(([0], ends))[sids]
+    sids, local, eids, qpos = batch.scan(structs)
     return group_hits_by_entry(eids, sids, local, qpos)
 
 
@@ -507,6 +504,7 @@ class ScanCache:
         long-lived parent would otherwise pin entries for children that
         are already dead.  The pool teardown path calls this directly.
         """
+        self._finalized.discard(token)
         keys = [k for k in self._entries if k[0][0] == token]
         for key in keys:
             del self._entries[key]

@@ -2,7 +2,7 @@
 
 Pipeline (Altschul et al. 1990/1997):
 
-1. scan the database's word codes against the query word index;
+1. scan the database for the words of the query word index;
 2. pick seeds (one-hit for nucleotide, two-hit for protein);
 3. ungapped X-drop extension of each seed, deduplicated per diagonal;
 4. banded gapped extension of HSPs above the gapped trigger score;
@@ -10,10 +10,9 @@ Pipeline (Altschul et al. 1990/1997):
 
 One driver runs every search: a single query is a batch of one.  The
 whole database fragment is packed into one sentinel-separated
-concatenation (:mod:`repro.blast.scankernel`), rolling word codes are
-computed once per fragment (cached across queries in the
-:class:`~repro.blast.scankernel.ScanCache`), every query orientation
-of the batch is scanned against everything in one shot, and only then
+concatenation (:mod:`repro.blast.scankernel`; cached across queries in
+the :class:`~repro.blast.scankernel.ScanCache`), every query orientation
+of the batch is scanned against its bytes in one shot, and only then
 does the driver drop to per-(query, subject) work for the handful of
 groups with word hits.  The per-sequence reference implementation the
 driver is checked against lives with the tests
@@ -679,8 +678,8 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
     Byte-identical to N sequential :func:`search` calls — same hits,
     same HSPs, same ordering — but all query orientations are packed
     into one :class:`~repro.blast.scankernel.QueryBatch` so the
-    fragment's cached word codes are traversed **once** (one presence
-    gather + one hit-mapping ``searchsorted``) instead of once per
+    fragment's bytes are traversed **once** (one filtered pass + one
+    hit-mapping ``searchsorted``) instead of once per
     orientation.  Per-(query, subject) seeding and extension then run
     on exactly the hit groups the per-query scan would have produced.
 

@@ -4,11 +4,12 @@ The simulated cluster in :mod:`repro.parallel` answers the paper's
 *what-if* questions; this package runs the same database-segmented
 master/worker design on actual cores:
 
-* :mod:`repro.exec.shm` — immutable fragment scan-structures published
-  once in ``multiprocessing.shared_memory`` and attached zero-copy by
-  every worker, with CRC32 integrity verification at publish and
-  attach, plus per-worker CRC-checked result arenas for shipping large
-  hit sets back without pickling them through the pipe;
+* :mod:`repro.exec.shm` — immutable fragment scan-structures (the
+  concatenated database bytes, one per residue, nothing derived)
+  published once in ``multiprocessing.shared_memory`` and attached
+  zero-copy by every worker, with CRC32 integrity verification at
+  publish and attach, plus per-worker CRC-checked result arenas for
+  shipping large hit sets back without pickling them through the pipe;
 * :mod:`repro.exec.schedule` — greedy heaviest-first dynamic fragment
   scheduling with front-requeue on failure, bounded retries, hedged
   re-issue of stuck tasks, and an overhead-aware planner that groups

@@ -81,8 +81,8 @@ MAGIC = b"RPKPACK1"
 #: On-disk format version; bumped on any incompatible layout change.
 #: Readers reject any other version (version negotiation is explicit:
 #: there is exactly one readable version per build).  2: a pack has no
-#: position-table section.
-FORMAT_VERSION = 2
+#: position-table section; 3: no word-code section either.
+FORMAT_VERSION = 3
 
 #: Pack files end in this; the manifest names them relative to the
 #: store directory.

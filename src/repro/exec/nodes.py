@@ -60,8 +60,8 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 
 #: Wire protocol version: both ends state it in the hello handshake and
 #: refuse a peer stating another (3: a shipped pack has no position
-#: table).
-PROTO_VERSION = 3
+#: table; 4: no word codes either).
+PROTO_VERSION = 4
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).

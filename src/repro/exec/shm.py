@@ -1,8 +1,8 @@
 """Shared-memory fragment packs.
 
 A fragment's packed scan structures (the flat sentinel-separated
-concatenation, rolling word codes, offsets tables — see
-:mod:`repro.blast.scankernel`) are immutable once built, which makes
+concatenation and its per-sequence offsets tables, one byte per residue
+— see :mod:`repro.blast.scankernel`) are immutable once built, which makes
 them ideal for ``multiprocessing.shared_memory``: the master packs each
 fragment **once**, and every pool worker attaches the segment and
 reconstructs zero-copy ``numpy`` views over it.  The description
@@ -53,8 +53,7 @@ NAME_PREFIX = "repro"
 
 #: The ScanStructures array fields serialized into a pack, in layout
 #: order.  ``hdr_blob``/``hdr_offsets`` carry the description strings.
-_FIELDS = ("concat", "starts", "lengths", "codes",
-           "hdr_blob", "hdr_offsets")
+_FIELDS = ("concat", "starts", "lengths", "hdr_blob", "hdr_offsets")
 
 
 class PackIntegrityError(RuntimeError):
@@ -247,7 +246,7 @@ def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
 
     arrays = {
         "concat": structs.concat, "starts": structs.starts,
-        "lengths": structs.lengths, "codes": structs.codes,
+        "lengths": structs.lengths,
         "hdr_blob": hdr_blob, "hdr_offsets": hdr_offsets,
     }
     layout, checksums = [], []
@@ -284,8 +283,7 @@ class PackView:
         self.structs = ScanStructures(
             k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
             total_residues=spec.total_residues, concat=views["concat"],
-            starts=views["starts"], lengths=views["lengths"],
-            codes=views["codes"])
+            starts=views["starts"], lengths=views["lengths"])
 
     def verify(self) -> None:
         """Re-checksum every field against the spec; raises
@@ -299,7 +297,7 @@ class PackView:
 
     def corrupt(self, field: Optional[str] = None, nbytes: int = 8) -> str:
         """Flip *nbytes* in the middle of *field* (default: whichever
-        field has the most bytes — ``codes`` on any corpus-sized pack,
+        field has the most bytes — ``concat`` on any corpus-sized pack,
         a per-sequence table on a tiny one) and return the field's name.
         The one fault hook behind every scribbler — a segment, a mapped
         file, a payload about to be republished — so the damage always

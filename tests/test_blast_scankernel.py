@@ -164,7 +164,7 @@ def test_scan_fragment_matches_per_sequence_scan():
     assert got == {}  # no spurious subjects
 
 
-# ------------------------------------------------ the strided prefilter
+# ------------------------------------ the packed scan reads ``concat``
 
 K = 11
 
@@ -181,53 +181,73 @@ def _add_raw(db, seq):
     db._residues += len(seq)
 
 
-def _prefilter_case(seed, n_queries):
-    """A corpus built to lose hits under every wrong prefilter, and the
-    word indexes (both strands) of *n_queries* queries against it.
+def _oracle_groups(indexes, db):
+    """What ``scan_fragment_batch`` must return, from the per-sequence
+    dense ``WordIndex.scan`` — no code shared with ``QueryBatch``."""
+    k, base = indexes[0].k, indexes[0].base
+    groups = []
+    for eid, index in enumerate(indexes):
+        for sid in range(len(db)):
+            spos, qpos = index.scan(word_codes(db.sequence(sid), k, base))
+            if len(spos):
+                groups.append((eid, sid, spos.tolist(), qpos.tolist()))
+    return groups
 
-    Query 0 has words planted in the last three windows of a middle
-    sequence and of the final sequence, both padded so the window count
-    up to their end is a multiple of 12: at steps 2, 3 and 4 alike the
-    last ``step - 1`` windows then have no sample at or after them in
-    their own sequence.  Query 1 occurs only by its *last* word and
+
+def _groups(batch, structs):
+    from repro.blast.scankernel import scan_fragment_batch
+
+    got = scan_fragment_batch(batch, structs)
+    for _eid, _sid, spos, qpos in got:
+        assert spos.dtype == qpos.dtype == np.int64
+    return [(eid, sid, spos.tolist(), qpos.tolist())
+            for eid, sid, spos, qpos in got]
+
+
+def _prefilter_case(seed, n_queries):
+    """A corpus built to lose or invent hits under every wrong packed
+    scan, and the word indexes (both strands) of *n_queries* queries.
+
+    Query 0 has words planted in the first and in the last three
+    windows of sequences, query 1 occurs only by its *last* word and
     query 2 (indexed under a skip mask, as DUST would) only by the word
-    just before the masked run — words no other query word continues —
-    each planted at four alignments so some copy sits off the sampling
-    grid at every step.
+    just before the masked run — words no other query word continues.
+    Each plant is repeated behind 0-3 extra residues, so every one
+    meets every alignment to the 4-residue packing, and a sentinel at
+    every byte lane.  Two neighbours end and start with the halves of a
+    query-0 word whose middle residue is A: read through the sentinel
+    (symbol 0 once masked) that is a word, and only the bounds filter
+    knows it is not.
     """
     rng = np.random.default_rng(seed)
     queries = [_rand_nt(rng, 568) for _ in range(max(n_queries, 3))]
     q0, q_last, q_dust = queries[:3]
+    q0[305] = 0
     skip = np.zeros(len(q_dust) - K + 1, dtype=bool)
     skip[200:260] = True
     db = SequenceDB(NT)
 
-    def windows_so_far():
-        return sum(max(len(s) - K + 1, 0) for s in db._seqs)
-
-    def add_ending_on_grid(tail):
-        """A random sequence ending in *tail*, sized so the corpus has a
-        multiple of 12 windows once it is added."""
-        body = 40 + (-(windows_so_far() + 40 + len(tail) - K + 1)) % 12
-        _add_raw(db, np.concatenate([_rand_nt(rng, body), tail]))
-        assert windows_so_far() % 12 == 0
-
-    _add_raw(db, np.concatenate([_rand_nt(rng, 150), q0[100:140],
-                                 _rand_nt(rng, 80)]))
+    _add_raw(db, np.concatenate([q0[:K + 1], _rand_nt(rng, 150),
+                                 q0[100:140], _rand_nt(rng, 80)]))
     _add_raw(db, [])                                   # empty
     _add_raw(db, _rand_nt(rng, 5))                     # shorter than k
     for extra in range(4):                             # 1-4 windows
-        _add_raw(db, q0[300:300 + K + extra] if extra == 1
+        _add_raw(db, q0[330:330 + K + extra] if extra == 1
                  else _rand_nt(rng, K + extra))
-    add_ending_on_grid(q0[400:400 + K + 2])            # middle, planted
+    _add_raw(db, np.concatenate([_rand_nt(rng, 30), q0[300:305]]))
+    _add_raw(db, np.concatenate([q0[306:300 + K], _rand_nt(rng, 30)]))
     for shift in range(4):
+        _add_raw(db, np.concatenate([_rand_nt(rng, 40 + shift),
+                                     q0[400:400 + K + 2]]))
+        _add_raw(db, np.concatenate([q0[500:500 + K + 2],
+                                     _rand_nt(rng, 40 + shift)]))
         _add_raw(db, np.concatenate([_rand_nt(rng, 40 + shift),
                                      q_last[-K:], _rand_nt(rng, 30)]))
         _add_raw(db, np.concatenate([_rand_nt(rng, 50 + shift),
                                      q_dust[199:199 + K],
                                      _rand_nt(rng, 30)]))
     _add_raw(db, [])
-    add_ending_on_grid(q0[20:20 + K + 2])              # final, planted
+    _add_raw(db, np.concatenate([_rand_nt(rng, 41), q0[20:20 + K + 2]]))
 
     indexes = []
     for q in queries[:n_queries]:
@@ -239,160 +259,210 @@ def _prefilter_case(seed, n_queries):
     return db, indexes
 
 
-def _force_step(batch, step):
-    batch.step = step
-    batch._sub_present = batch._sub_word_table(step)
+def _force_dense(batch):
+    batch._sub_present = None
     return batch
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("n_queries,natural_step", [(1, 4), (8, 3), (32, 2)])
-def test_strided_scan_returns_the_dense_hit_set(seed, n_queries,
-                                                natural_step):
-    from repro.blast.scankernel import QueryBatch
+@pytest.mark.parametrize("n_queries,chunk", [(1, 4), (8, 3), (32, 2)])
+def test_strided_scan_returns_the_dense_hit_set(seed, n_queries, chunk,
+                                                monkeypatch):
+    """Batch size x block size x corpus seed: the packed scan, at the
+    default block and at blocks of *chunk* packed bytes (so block edges
+    fall everywhere), and the dense fallback all return the oracle's
+    groups; the hit positions are the dense ``codes`` definition's."""
+    from repro.blast import scankernel
+    from repro.blast.scankernel import _MAX_TABLE_DENSITY, QueryBatch
 
     db, indexes = _prefilter_case(seed, max(n_queries, 3))
     structs = build_scan_structures(db, K, 4)
-    ends = structs.window_ends
-    assert ends[-1] == len(structs.codes)
     # The planted queries are always in the batch, whatever its size.
-    batch = QueryBatch(indexes if n_queries > 1 else indexes[:6])
-    if n_queries > 1:
-        assert batch.step == natural_step
-    assert QueryBatch(indexes[:2]).step == 4
+    indexes = indexes if n_queries > 1 else indexes[:6]
+    batch = QueryBatch(indexes)
+    assert batch.step == 4
+    fill = np.count_nonzero(batch._sub_present) / len(batch._sub_present)
+    assert fill <= _MAX_TABLE_DENSITY
+    if n_queries == 8:
+        # Consecutive words share sub-words: 16 strands x 558 words x 4
+        # offsets would be 54 % of the table were they all distinct.
+        assert fill < 0.2
 
+    want = _oracle_groups(indexes, db)
+    # The corpus does hold what the docstring promises: query-0 hits in
+    # first and in last windows, at every alignment to the packing.
+    firsts = {int(structs.starts[sid]) % 4
+              for eid, sid, spos, _q in want if eid == 0 and spos[0] == 0}
+    lasts = {int(structs.starts[sid] + spos[-1]) % 4
+             for eid, sid, spos, _q in want
+             if eid == 0 and spos[-1] == structs.lengths[sid] - K}
+    assert firsts == lasts == {0, 1, 2, 3}
+    assert _groups(batch, structs) == want
+    sids, local, _eids, _qpos = batch.scan(structs)
     dense = np.nonzero(batch._present[structs.codes])[0]
-    # The corpus does hold what the docstring promises.
-    e_mid, e_end = (int(e) for e in ends[ends % 12 == 0][[-2, -1]])
-    for e in (e_mid, e_end):
-        assert set(range(e - 3, e)) <= set(dense.tolist())
-    rows_dense = _force_step(batch, 1).scan(structs.codes, ends)
-    assert np.array_equal(rows_dense[0][np.concatenate(
-        [[True], np.diff(rows_dense[0]) > 0])], dense)
-    for step in (4, 3, 2):
-        _force_step(batch, step)
-        got = batch._hit_positions(structs.codes, ends)
-        assert got.dtype == dense.dtype and np.array_equal(got, dense), step
-        for a, b in zip(batch.scan(structs.codes, ends), rows_dense):
-            assert np.array_equal(a, b)
-        solo = structs.codes[:int(ends[0])]          # one sequence alone
-        assert np.array_equal(batch._hit_positions(solo, ends[:1]),
-                              np.nonzero(batch._present[solo])[0])
+    assert np.array_equal(np.unique(structs.starts[sids] + local),
+                          structs.code_pos[dense])
+    monkeypatch.setattr(scankernel, "_SAMPLE_CHUNK", chunk)
+    assert _groups(batch, structs) == want
+    assert _groups(_force_dense(batch), structs) == want
+    monkeypatch.undo()
+    assert _groups(batch, structs) == want     # dense, default block
 
 
-# ------------------------------------------- window-space hit mapping
+# -------------------------------------------- exactness, as a property
 
 @st.composite
-def _mapping_case(draw):
-    """``(seqtype, sequences, source, query)``: up to six sequences of
-    0-40 symbols (empty ones, ones shorter than the word size, possibly
-    all of them) and a query that contains sequence ``source`` whole,
-    so a subject's first and last windows are among the hits."""
+def _scan_case(draw):
+    """``(seqtype, sequences, source, query, skip)``: up to six
+    sequences of 0-40 symbols (empty ones, ones shorter than the word
+    size, possibly all of them), a query that contains sequence
+    ``source`` whole — so a subject's first and last windows, the
+    windows next to a sentinel and (``source`` 0) a window at concat
+    position 0 are among the hits — and a run of query words to mask."""
     seqtype = draw(st.sampled_from([NT, AA]))
     symbol = st.integers(0, 3 if seqtype == NT else 19)
     seqs = draw(st.lists(st.lists(symbol, max_size=40), min_size=1,
                          max_size=6))
     source = draw(st.integers(0, len(seqs) - 1))
     flank = st.lists(symbol, max_size=5)
-    return seqtype, seqs, source, draw(flank) + seqs[source] + draw(flank)
+    query = draw(flank) + seqs[source] + draw(flank)
+    skip = draw(st.tuples(st.integers(0, 12), st.integers(0, 6)))
+    return seqtype, seqs, source, query, skip
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=_mapping_case())
-@example(case=(NT, [[0, 1, 2, 3] * 4], 0, [0, 1, 2, 3] * 4))   # one sequence
-@example(case=(NT, [[0] * 10, [], [1] * 3], 0, [0] * 12))      # all < k
-@example(case=(AA, [[], [6, 6, 6], [], [6, 6, 6, 6]], 3, [6] * 4))
-def test_window_space_mapping_matches_position_table_and_oracle(case):
-    """``scan_fragment_batch`` maps a hit's index in ``codes`` to
-    ``(sid, local)`` without a position table; the groups equal (a) the
-    mapping through the table — ``ScanStructures.code_pos``, derived,
-    its definition — and (b) the per-sequence dense ``WordIndex.scan``
-    the oracle runs."""
-    from repro.blast.scankernel import QueryBatch, scan_fragment_batch
-    from repro.blast.seed import group_hits_by_entry
+def _tail(extra):
+    seq = [0, 1, 2, 3] * 4 + [1] * extra
+    return NT, [seq], 0, seq, (0, 0)
 
-    seqtype, seqs, source, query = case
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scan_case())
+@example(case=_tail(0))                     # one sequence, len % 4 == 0
+@example(case=_tail(1))
+@example(case=_tail(2))
+@example(case=_tail(3))
+@example(case=(NT, [[2]], 0, [2] * 12, (0, 0)))                # one residue
+@example(case=(NT, [[0] * 10, [], [1] * 3], 0, [0] * 12, (0, 0)))   # all < k
+@example(case=(NT, [[3], [0] * 5, [0] * 6, [0] * 11], 3, [0] * 11, (0, 0)))
+@example(case=(NT, [[1, 2] * 8], 0, [1, 2] * 8, (2, 3)))       # masked words
+@example(case=(AA, [[], [6, 6, 6], [], [6, 6, 6, 6]], 3, [6] * 4, (0, 0)))
+def test_packed_scan_matches_per_sequence_oracle(case):
+    """``scan_fragment_batch`` — packed for nt, dense for protein, and
+    dense forced on nt — returns the groups of the per-sequence dense
+    ``WordIndex.scan`` the oracle runs, element for element."""
+    from repro.blast.scankernel import QueryBatch
+
+    seqtype, seqs, source, query, (skip_at, skip_n) = case
     query = np.asarray(query, dtype=np.uint8)
     db = SequenceDB(seqtype)
     for seq in seqs:
         _add_raw(db, seq)
-    indexes = ([WordIndex.for_dna(query, K),
-                WordIndex.for_dna(reverse_complement(query), K)]
-               if seqtype == NT else
-               [WordIndex.for_protein(query, ProteinScore())])
+    if seqtype == NT:
+        skip = np.zeros(max(len(query) - K + 1, 0), dtype=bool)
+        skip[skip_at:skip_at + skip_n] = True
+        indexes = [WordIndex.for_dna(query, K, skip=skip),
+                   WordIndex.for_dna(reverse_complement(query), K,
+                                     skip=skip[::-1])]
+    else:
+        indexes = [WordIndex.for_protein(query, ProteinScore())]
     k, base = indexes[0].k, indexes[0].base
     structs = build_scan_structures(db, k, base)
     batch = QueryBatch(indexes)
-    got = scan_fragment_batch(batch, structs)
-
-    cpos, eids, qpos = batch.scan(structs.codes, structs.window_ends)
-    gpos = structs.code_pos[cpos]
-    sids = np.searchsorted(structs.starts, gpos, side="right") - 1
-    via_table = group_hits_by_entry(eids, sids, gpos - structs.starts[sids],
-                                    qpos)
-    per_sequence = []
-    for eid, index in enumerate(indexes):
-        for sid, seq in enumerate(seqs):
-            spos, qp = index.scan(word_codes(seq, k, base))
-            if len(spos):
-                per_sequence.append((eid, sid, spos, qp))
-    for want in (via_table, per_sequence):
-        assert [g[:2] for g in got] == [w[:2] for w in want]
-        for g, w in zip(got, want):
-            assert g[2].dtype == w[2].dtype
-            assert np.array_equal(g[2], w[2]) and np.array_equal(g[3], w[3])
-    if seqtype == NT and len(seqs[source]) >= k:
-        spos = next(g[2] for g in got if g[:2] == (0, source))
+    assert batch.step == (4 if seqtype == NT else 1)
+    want = _oracle_groups(indexes, db)
+    assert _groups(batch, structs) == want
+    assert _groups(_force_dense(batch), structs) == want
+    if seqtype == NT and len(seqs[source]) >= k and skip_n == 0:
+        spos = next(g[2] for g in want if g[:2] == (0, source))
         assert spos[0] == 0 and spos[-1] == len(seqs[source]) - k
 
 
-@pytest.mark.parametrize("step", [4, 3, 2])
-def test_strided_scan_mutants_lose_hits(step):
-    """The corpus above is sharp enough to catch the three ways the
-    prefilter was got wrong while it was written."""
+def _no_sentinel_mask(batch, structs, monkeypatch):
+    from repro.blast import scankernel
+    monkeypatch.setattr(scankernel, "_LOW2", np.uint32(0xFFFFFFFF))
+    return structs
+
+
+def _no_bounds_filter(batch, structs, monkeypatch):
+    return dataclasses.replace(structs, lengths=np.full_like(
+        structs.lengths, len(structs.concat)))
+
+
+def _prefix_only_table(batch, structs, monkeypatch):
+    batch._sub_present = np.zeros_like(batch._sub_present)
+    batch._sub_present[(batch.unique_codes >> 2 * (K - 8)) & 0xFFFF] = True
+    return structs
+
+
+def _shifted_words(batch, structs, monkeypatch):
+    batch._word_shifts = batch._word_shifts + 2
+    return structs
+
+
+@pytest.mark.parametrize("mutant,invents", [
+    pytest.param(_no_sentinel_mask, False, id="no_sentinel_mask"),
+    pytest.param(_no_bounds_filter, True, id="no_bounds_filter"),
+    pytest.param(_prefix_only_table, False, id="prefix_only_table"),
+    pytest.param(_shifted_words, False, id="shifted_words")])
+def test_strided_scan_mutants_lose_hits(mutant, invents, monkeypatch):
+    """The corpus above is sharp enough to catch the ways a packed scan
+    goes wrong: each named mutant loses real hits, and the one without
+    the bounds filter keeps them all but invents a word that reads
+    through a sentinel."""
     from repro.blast.scankernel import QueryBatch
 
     db, indexes = _prefilter_case(1, 3)
     structs = build_scan_structures(db, K, 4)
-    ends = structs.window_ends
-    batch = _force_step(QueryBatch(indexes), step)
-    dense = np.nonzero(batch._present[structs.codes])[0]
-    assert np.array_equal(batch._hit_positions(structs.codes, ends), dense)
+    batch = QueryBatch(indexes)
 
-    def lost(window_ends):
-        got = batch._hit_positions(structs.codes, window_ends)
-        assert set(got.tolist()) <= set(dense.tolist())   # never a false hit
-        return sorted(set(dense.tolist()) - set(got.tolist()))
+    def rows(groups):
+        return {(eid, sid, s, q) for eid, sid, spos, qpos in groups
+                for s, q in zip(spos, qpos)}
 
-    # No trailing windows at all; trailing windows one place early.
-    assert lost(np.empty(0, dtype=np.int64))
-    assert int(ends[-1]) - 1 in lost(ends - 1)
-    # A table of query-word prefixes only.
-    bits = 2 * (step - 1)
-    batch._sub_present = np.zeros_like(batch._sub_present)
-    batch._sub_present[batch.unique_codes >> bits] = True
-    assert lost(ends)
+    want = rows(_oracle_groups(indexes, db))
+    assert rows(_groups(batch, structs)) == want
+    got = rows(_groups(batch, mutant(batch, structs, monkeypatch)))
+    if invents:
+        assert got > want
+    else:
+        assert want - got
 
 
 def test_step_is_one_for_protein_and_for_crowded_batches():
-    from repro.blast.scankernel import QueryBatch
+    from repro.blast.scankernel import _MAX_TABLE_DENSITY, QueryBatch
 
     rng = np.random.default_rng(4)
     db = random_aa_db(rng, 12)
     queries = [encode_protein("".join(AA_LETTERS[rng.integers(0, 20, 60)]))
                for _ in range(2)]
-    batch = QueryBatch([WordIndex.for_protein(q, ProteinScore(), 3, 11)
-                        for q in queries])
+    indexes = [WordIndex.for_protein(q, ProteinScore(), 3, 11)
+               for q in queries]
+    batch = QueryBatch(indexes)
     assert batch.step == 1 and batch._sub_present is None
     structs = build_scan_structures(db, 3, 20)
-    spos = batch.scan(structs.codes, structs.window_ends)[0]
-    assert np.array_equal(np.unique(spos),
-                          np.nonzero(batch._present[structs.codes])[0])
+    assert _groups(batch, structs) == _oracle_groups(indexes, db)
 
-    # 2 * n_unique must pass a fifth of 4**10: ~190 random 568-mers.
-    crowded = QueryBatch([WordIndex.for_dna(_rand_nt(rng, 568), K)
-                          for _ in range(200)])
-    assert crowded.step == 1
+    # The rule is read from the table as built: one strand of a 568-mer
+    # puts ~560 distinct 8-mers in it, so it passes half full at about
+    # eighty of them.
+    def nt_batch(n, k=K, length=568):
+        return QueryBatch([WordIndex.for_dna(_rand_nt(rng, length), k)
+                           for _ in range(n)])
+    assert nt_batch(40).step == 4
+    crowded = nt_batch(200)
+    assert crowded.step == 1 and crowded._sub_present is None
+    assert nt_batch(1, k=10, length=80).step == 1   # may hold no aligned 8-mer
+    assert _MAX_TABLE_DENSITY < 1
+
+    # Word size 12 is packed too: same four bytes, one shift less.
+    db, _ = _prefilter_case(5, 3)
+    indexes = [WordIndex.for_dna(db.sequence(i)[-60:], 12) for i in (0, 9, 12)]
+    batch = QueryBatch(indexes)
+    assert batch.step == 4
+    structs = build_scan_structures(db, 12, 4)
+    want = _oracle_groups(indexes, db)
+    assert want and _groups(batch, structs) == want
+    assert _groups(_force_dense(batch), structs) == want
 
 
 def test_scan_reports_step_and_candidates_to_the_profile():
@@ -659,6 +729,30 @@ def test_scan_cache_evicts_entries_when_db_is_garbage_collected():
     del db
     gc.collect()
     assert len(cache) == 0
+
+
+def test_scan_cache_forgets_the_tokens_it_evicts():
+    """A long-lived cache that sees many short-lived databases keeps
+    nothing per database once each is gone — entries or tokens."""
+    import gc
+
+    from repro.blast.scankernel import db_token
+
+    rng = np.random.default_rng(14)
+    cache = ScanCache()
+    for _ in range(20):
+        cache.get(random_nt_db(rng, 2, min_len=20, max_len=30), 11, 4)
+        gc.collect()
+    assert len(cache) == 0 and cache._finalized == set()
+    # An explicit evict forgets too, and the database can come back.
+    db = random_nt_db(rng, 2, min_len=20, max_len=30)
+    cache.get(db, 11, 4)
+    assert cache._finalized == {db_token(db)}
+    assert cache.evict(db_token(db)) == 1 and cache._finalized == set()
+    cache.get(db, 11, 4)
+    del db
+    gc.collect()
+    assert len(cache) == 0 and cache._finalized == set()
 
 
 def test_scan_cache_put_seeds_external_structures():

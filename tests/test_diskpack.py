@@ -222,7 +222,7 @@ def _golden_records():
 def test_golden_store_opens_verifies_and_searches():
     """``tests/data/golden_store`` was written by ``build_pack_store``
     (from ``golden.fasta``) at the commit that made the format version
-    2; it must open, verify, report the identity recorded then and
+    3; it must open, verify, report the identity recorded then and
     render the search bytes recorded for the version-1 store."""
     with open(os.path.join(GOLDEN, "golden_store.expected.json")) as f:
         expected = json.load(f)
@@ -262,13 +262,8 @@ def test_write_pack_is_byte_identical_to_the_golden_pack(tmp_path):
         assert ours.read() == golden.read()
 
 
-def test_version_1_golden_store_is_refused_before_any_search(capsys,
-                                                              tmp_path):
-    """One format, one reader: the store the previous format version
-    wrote is refused on every way in — typed, naming both versions and
-    the rebuild command — and never half-read."""
-    old = os.path.join(GOLDEN, "golden_store_v1")
-    said = (rf"version 1 .*reads version {FORMAT_VERSION}.*"
+def _assert_refused_before_any_search(old, version, capsys, tmp_path):
+    said = (rf"version {version} .*reads version {FORMAT_VERSION}.*"
             r"repro packdb build")
     with pytest.raises(PackFormatError, match=said):
         PackStore.open(old)
@@ -280,6 +275,23 @@ def test_version_1_golden_store_is_refused_before_any_search(capsys,
         == EXIT_INTEGRITY
     out, err = capsys.readouterr()
     assert out == "" and re.search(said, err)
+
+
+def test_version_1_golden_store_is_refused_before_any_search(capsys,
+                                                              tmp_path):
+    """One format, one reader: a store an earlier format version wrote
+    is refused on every way in — typed, naming both versions and the
+    rebuild command — and never half-read."""
+    _assert_refused_before_any_search(
+        os.path.join(GOLDEN, "golden_store_v1"), 1, capsys, tmp_path)
+
+
+def test_version_2_golden_store_is_refused_before_any_search(capsys,
+                                                              tmp_path):
+    """The store with a word-code section, kept from the commit before
+    format 3, gets the same refusal."""
+    _assert_refused_before_any_search(
+        os.path.join(GOLDEN, "golden_store_v2"), 2, capsys, tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,10 @@ from repro.blast.scankernel import ScanCache, build_scan_structures, db_token
 from repro.blast.search import SearchParams, search
 from repro.blast.score import NucleotideScore
 from repro.blast.seqdb import AA, NT, SequenceDB
-from repro.exec.shm import (NAME_PREFIX, AttachedPack, PackDB,
-                            PackIntegrityError, PackSpec, ShmRegistry,
-                            corrupt_segment, create_pack, default_registry,
-                            pack_fragment)
+from repro.exec.shm import (_ALIGN, _FIELDS, NAME_PREFIX, AttachedPack,
+                            PackDB, PackIntegrityError, PackSpec,
+                            ShmRegistry, corrupt_segment, create_pack,
+                            default_registry, pack_fragment, pack_layout)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -63,7 +63,7 @@ def test_pack_roundtrip_preserves_structures_and_headers():
     assert spec.name.startswith(NAME_PREFIX + "_")
     pack = AttachedPack(spec)
     try:
-        for field in ("concat", "starts", "lengths", "codes"):
+        for field in ("concat", "starts", "lengths"):
             np.testing.assert_array_equal(getattr(pack.structs, field),
                                           getattr(structs, field))
         pdb = PackDB(pack)
@@ -79,6 +79,25 @@ def test_pack_roundtrip_preserves_structures_and_headers():
     finally:
         pack.close()
         assert registry.release(spec.name)
+
+
+@pytest.mark.parametrize("make_db,k,base", [(random_nt_db, 11, 4),
+                                            (random_aa_db, 3, 20)])
+def test_a_pack_holds_nothing_derived_per_residue(make_db, k, base):
+    """The invariant, not the number: a pack is the residues, the
+    sentinels between them, three 8-byte entries per sequence (+ 1),
+    the descriptions, and padding — so an array derived per residue
+    (word codes, window positions) cannot come back unnoticed."""
+    db = make_db(np.random.default_rng(21), 40)
+    descriptions = [db.description(i) for i in range(len(db))]
+    spec, _arrays = pack_layout(
+        build_scan_structures(db, k, base), descriptions, name="",
+        cache_token=(), seqtype=db.seqtype, fragment_id=0,
+        source_ids=range(len(db)))
+    assert spec.size <= (db.total_residues + len(db) - 1
+                         + 8 * (3 * len(db) + 1)
+                         + sum(len(d.encode()) for d in descriptions)
+                         + len(_FIELDS) * (_ALIGN - 1))
 
 
 def test_registry_unmap_drops_the_mapping_not_the_segment():
