@@ -7,18 +7,20 @@ directions are fully vectorised: the per-position substitution scores
 along the diagonal are cumulative-summed and the X-drop cut-off is found
 with a running maximum.
 
-:func:`batched_ungapped_extend` is the bulk form the scan kernel uses:
-seeds are grouped into runs per diagonal, each diagonal's substitution
-scores are gathered **once**, and every seed on the diagonal extends
-from slices of that shared array — including the per-diagonal coverage
-dedup (a seed inside an HSP already found on its diagonal is skipped).
-It produces exactly the candidates the one-call-per-seed path produced.
+:func:`bulk_ungapped_extend` is the one extension kernel the search
+driver calls, for every alphabet and seeding rule: all seeds of a batch
+— across queries, strands and subjects — are scored in one 2-D gather
+against the flat query / fragment concatenations, and the driver
+replays the per-diagonal coverage dedup (a seed inside an HSP already
+found on its diagonal is skipped) from the returned extents.
+:func:`ungapped_extend` is the single-seed definition it is specified
+against; its callers are the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -42,13 +44,6 @@ class UngappedHSP:
     @property
     def s_end(self) -> int:
         return self.s_start + self.length
-
-    @property
-    def diag(self) -> int:
-        """Diagonal ``s_start - q_start`` — also the diagonal the
-        banded gapped stage centres its band on, since the candidate's
-        midpoint lies on this diagonal."""
-        return self.s_start - self.q_start
 
 
 _CHUNK = 128
@@ -136,9 +131,29 @@ def ungapped_extend(query: np.ndarray, subject: np.ndarray,
 #: random-hit noise that dominates seed counts) fall back to the exact
 #: per-seed chunked scan.
 _BULK_WINDOW = 64
-#: Row-chunk bound of the bulk pass, capping peak scratch memory at
-#: roughly ``8 * _BULK_ROWS * _BULK_WINDOW * 8`` bytes.
-_BULK_ROWS = 4096
+#: Row-chunk bound of the bulk pass: peak scratch is eight to ten
+#: ``_BULK_ROWS * _BULK_WINDOW`` int64 temporaries.  Sized by
+#: measurement when blastp's ~4 000 two-hit seeds per query started
+#: coming through here (nt's ~800 never filled a 4096-row chunk):
+#: kernel scratch (tracemalloc peak) on benchmark aa query 0, then the
+#: ``extend`` stage, best of 7-15 runs in ms, for that query / one
+#: 568-nt query / a batch of eight against 4 M residues.
+#:
+#: ===== ========== ===== ====== ======
+#: rows  scratch MB aa    nt x1  nt x8
+#: ===== ========== ===== ====== ======
+#: 128   0.8        15.6  3.15   25.2
+#: 256   1.5        14.7  2.97   23.4
+#: 512   2.7        14.4  2.77   23.3
+#: 1024  5.2        14.4  2.81   22.9
+#: 2048  10.2       22.5  2.78   30.2
+#: 4096  14.9       28.7  2.64   34.6
+#: ===== ========== ===== ====== ======
+#:
+#: Past ~1024 rows the temporaries leave the cache and the stage gets
+#: slower as well as bigger; 512 keeps the scratch under the scan's
+#: own ~5 MB transient, so extension never sets ``peak_rss_mb``.
+_BULK_ROWS = 512
 
 
 def _bulk_prefix(qcat: np.ndarray, scat: np.ndarray,
@@ -222,63 +237,3 @@ def bulk_ungapped_extend(qcat: np.ndarray, scat: np.ndarray,
     left_len, left_score = _bulk_prefix(qcat, scat, gq - 1, gs - 1, avail_l,
                                         -1, scheme, xdrop, _BULK_WINDOW)
     return left_len, left_score, right_len, right_score
-
-
-def batched_ungapped_extend(query: np.ndarray, subject: np.ndarray,
-                            seeds: Sequence[Tuple[int, int]],
-                            scheme: ScoringScheme,
-                            xdrop: int = 20,
-                            stats: Optional[Dict[str, int]] = None
-                            ) -> List[UngappedHSP]:
-    """Extend many seeds against one subject, batched per diagonal.
-
-    *seeds* are ``(query position, subject position)`` pairs as produced
-    by the seeding functions (grouped by diagonal, ascending subject
-    position within a diagonal).  For each diagonal run the full
-    diagonal's substitution scores are computed once; every seed on it
-    then extends from slices of that array.  Seeds falling inside an
-    HSP already extended on their diagonal are filtered out *before*
-    paying any extension cost, and only positive-score HSPs are
-    returned — the same coverage-dedup rule the per-seed driver
-    applied, so extension work stays bounded by accepted diagonal runs
-    instead of growing linearly in redundant word hits.
-
-    *stats*, when given, accumulates ``seeds`` (seen) and
-    ``seeds_skipped`` (dropped by the covered-run prefilter) counters —
-    the profiling hook's view of how much extension the filter saved.
-    """
-    out: List[UngappedHSP] = []
-    covered: Dict[int, int] = {}
-    m, n = len(query), len(subject)
-    i, n_seeds = 0, len(seeds)
-    if stats is not None:
-        stats["seeds"] = stats.get("seeds", 0) + n_seeds
-    while i < n_seeds:
-        qp0, sp0 = seeds[i]
-        dg = sp0 - qp0
-        j = i
-        while j < n_seeds and seeds[j][1] - seeds[j][0] == dg:
-            j += 1
-        # Substitution scores of the whole diagonal, gathered once.
-        q_lo = max(0, -dg)
-        q_hi = min(m, n - dg)
-        diag_scores = scheme.pair_scores(query[q_lo:q_hi],
-                                         subject[q_lo + dg:q_hi + dg])
-        for t in range(i, j):
-            qp, sp = seeds[t]
-            if covered.get(dg, -1) >= sp:
-                if stats is not None:
-                    stats["seeds_skipped"] = stats.get("seeds_skipped", 0) + 1
-                continue
-            anchor = qp - q_lo
-            right_len, right_score = _best_prefix(diag_scores[anchor:], xdrop)
-            left_len, left_score = _best_prefix(diag_scores[:anchor][::-1],
-                                                xdrop)
-            hsp = UngappedHSP(q_start=qp - left_len, s_start=sp - left_len,
-                              length=left_len + right_len,
-                              score=left_score + right_score)
-            covered[dg] = hsp.s_end
-            if hsp.score > 0:
-                out.append(hsp)
-        i = j
-    return out

@@ -8,14 +8,16 @@ pointer-matrix tracebacks: on the bulk route the one stacked
 ``bulk_banded_align`` call over all survivors, on the scalar route
 each ``banded_local_align``) — plus counters like how many seeds the
 covered-run prefilter dropped.  The gapped stage threads three
-counters, whose meanings did not change when the tracebacks were
-stacked: ``gapped_trials`` (score-pass DP problems — every triggered
-candidate on the scalar path, distinct diagonals on the bulk path),
-``gapped_traceback`` (pointer-matrix DPs actually run — on the bulk
-route the number of problems in the stacked call), and
-``gapped_culled`` (triggered candidates resolved without a
-pointer-matrix DP: diagonal-memo hits, E-value-reject skips,
-``max_gapped_per_subject`` drops, zero-score results).  The scan
+counters, the same on both routes since both replay one plan:
+``gapped_trials`` (distinct gapped DP problems — one per (group,
+diagonal) for the banded method, per (group, midpoint) for xdrop),
+``gapped_traceback`` (pointer-matrix DPs actually run — the problems in
+the stacked call, or every problem on the scalar route) and
+``gapped_culled`` (triggered candidates minus tracebacks: memo hits,
+``max_gapped_per_subject`` drops and, on the bulk route, zero-score
+results and E-value-reject skips).  Until PR 22 the scalar route ran
+and counted one DP per triggered candidate; distinct problems are never
+more, and the same on every benchmark query.  The scan
 stage reports ``scan_step`` (4 when the batch took the packed scan,
 which looks at every 4th window through its 8-mer filter; 1 = the
 dense scan) and ``scan_candidates`` (windows whose full word was tested

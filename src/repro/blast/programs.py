@@ -39,15 +39,18 @@ def program_defaults(program: str, params: Optional[SearchParams] = None
                      ) -> tuple:
     """The ``(scheme, params)`` pair a program runs with by default.
 
-    This is the single source of truth the parallel CLI path shares
-    with the serial dispatch above, so ``--jobs N`` cannot drift from
-    what ``blastall`` would have used serially.
+    This is the single source of truth the CLI derives its ``-e`` /
+    ``-F`` overrides from and its serial, ``--jobs`` and ``--db-pack``
+    paths share with the dispatch below, so none of them can drift
+    from what ``blastall`` would have used.  The three translated
+    programs compare in protein space and take blastp's.
     """
     if program == "blastn":
         return NucleotideScore(), _nt_params(params)
-    if program == "blastp":
+    if program in _PROGRAMS:
         return ProteinScore(), _aa_params(params)
-    raise ValueError(f"no direct search defaults for {program!r}")
+    raise ValueError(f"unknown program {program!r}; "
+                     f"choose from {sorted(_PROGRAMS)}")
 
 
 def blastn(query: str, db: SequenceDB, params: Optional[SearchParams] = None,

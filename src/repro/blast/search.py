@@ -14,9 +14,16 @@ concatenation (:mod:`repro.blast.scankernel`; cached across queries in
 the :class:`~repro.blast.scankernel.ScanCache`), every query orientation
 of the batch is scanned against its bytes in one shot, and only then
 does the driver drop to per-(query, subject) work for the handful of
-groups with word hits.  The per-sequence reference implementation the
-driver is checked against lives with the tests
-(``tests/oracle_search.py``).
+groups with word hits.
+
+Downstream of the scan there is one candidate pipeline, for every
+alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
+(one-hit or two-hit, read off the search's inputs) →
+``bulk_ungapped_extend`` → the per-diagonal coverage replay → one plan
+per group → the gapped DP problems → :func:`_finalize_one`.  The only
+routing left is which exact kernels run the DP problems.  The
+per-sequence, per-group implementation the driver is checked against
+lives with the tests (``tests/oracle_search.py``) and shares none of it.
 
 Results merge across database fragments by alignment score, which is
 exactly what the mpiBLAST master does with worker results.
@@ -31,8 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
-from repro.blast.extend import (UngappedHSP, batched_ungapped_extend,
-                                bulk_ungapped_extend)
+from repro.blast.extend import UngappedHSP, bulk_ungapped_extend
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
                                 bulk_banded_align, bulk_banded_score)
 from repro.blast.xdrop import xdrop_gapped_extend
@@ -41,8 +47,8 @@ from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
                                     scan_fragment_batch)
 from repro.blast.score import ScoringScheme
-from repro.blast.seed import (one_hit_seeds, one_hit_seeds_grouped,
-                              two_hit_seeds)
+from repro.blast.seed import (one_hit_seeds_grouped,
+                              two_hit_seeds_grouped)
 from repro.blast.seqdb import AA, SequenceDB
 from repro.blast.stats import (KarlinAltschul, effective_search_space,
                                karlin_altschul_params)
@@ -284,118 +290,17 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
-def _collect_candidates(query: np.ndarray, subject: np.ndarray,
-                        spos: np.ndarray, qpos: np.ndarray,
-                        scheme: ScoringScheme, params: SearchParams,
-                        is_protein: bool) -> List[UngappedHSP]:
-    """Steps 2-3 (seeding + ungapped extension) from word hits for one
-    orientation/subject pair."""
-    prof = current_profile()
-    t0 = time.perf_counter() if prof is not None else 0.0
-    if is_protein and params.two_hit_window > 0:
-        seeds = two_hit_seeds(spos, qpos, params.word_size, params.two_hit_window)
-    else:
-        seeds = one_hit_seeds(spos, qpos)
-    if prof is not None:
-        prof.add("seed", time.perf_counter() - t0)
-    if not seeds:
-        return []
-
-    # Ungapped extension, batched per diagonal, with coverage dedup:
-    # a seed already inside a previous HSP on its diagonal is skipped.
-    t0 = time.perf_counter() if prof is not None else 0.0
-    candidates = batched_ungapped_extend(
-        query, subject, seeds, scheme, xdrop=params.xdrop_ungapped,
-        stats=prof.counters if prof is not None else None)
-    if prof is not None:
-        prof.add("extend", time.perf_counter() - t0)
-    return candidates
-
-
-def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
-                        candidates: List[UngappedHSP],
-                        scheme: ScoringScheme, params: SearchParams,
-                        is_protein: bool, ka: KarlinAltschul,
-                        m_eff: int, n_eff: int, strand: int,
-                        identity_query: Optional[np.ndarray] = None
-                        ) -> List[HSP]:
-    """Steps 4-5 (gapped refinement, dedup, E-value filter) from
-    ungapped candidates for one orientation/subject pair — the scalar
-    reference path (one DP with traceback per triggered candidate)."""
-    if not candidates:
-        return []
-    id_query = query if identity_query is None else identity_query
-    prof = current_profile()
-    candidates.sort(key=lambda h: -h.score)
-    candidates = candidates[:params.max_hsps]
-
-    out: List[HSP] = []
-    seen_spans: List[Tuple[int, int]] = []
-    n_gapped = 0
-    for cand in candidates:
-        if params.gapped and cand.score >= params.gapped_trigger:
-            if (params.max_gapped_per_subject > 0
-                    and n_gapped >= params.max_gapped_per_subject):
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            n_gapped += 1
-            mid_q = cand.q_start + cand.length // 2
-            mid_s = cand.s_start + cand.length // 2
-            t0 = time.perf_counter() if prof is not None else 0.0
-            if params.gapped_method == "xdrop":
-                aln = xdrop_gapped_extend(query, subject, mid_q, mid_s,
-                                          scheme, xdrop=2 * params.band)
-            else:
-                aln = banded_local_align(query, subject, mid_s - mid_q,
-                                         scheme, band=params.band,
-                                         identity_query=identity_query)
-            if prof is not None:
-                prof.add("gapped", time.perf_counter() - t0)
-                prof.count("gapped_trials")
-                prof.count("gapped_traceback")
-            if aln.score <= 0:
-                continue
-            q0, q1, s0, s1 = aln.q_start, aln.q_end, aln.s_start, aln.s_end
-            score = aln.score
-            identities, align_len = aln.identities, aln.align_len
-            ops = aln.ops
-        else:
-            q0, q1 = cand.q_start, cand.q_end
-            s0, s1 = cand.s_start, cand.s_end
-            score = cand.score
-            matches = id_query[q0:q1] == subject[s0:s1]
-            identities = int(np.count_nonzero(matches))
-            align_len = cand.length
-            ops = "M" * align_len
-        # Drop duplicates: identical subject spans found via different seeds.
-        span = (s0, s1)
-        if span in seen_spans:
-            continue
-        seen_spans.append(span)
-        evalue = ka.evalue(score, m_eff, n_eff)
-        if evalue > params.evalue_cutoff:
-            continue
-        out.append(HSP(
-            q_start=q0, q_end=q1, s_start=s0, s_end=s1,
-            score=score, bit_score=ka.bit_score(score), evalue=evalue,
-            identities=identities, align_len=align_len, strand=strand,
-            ops=ops,
-        ))
-    return out
-
-
-#: Below this many triggered candidates the scalar path wins: the
+#: Below this many gapped DP problems the scalar kernels win: the
 #: bulk route sweeps every triggered diagonal score-only and the
 #: survivors once more with pointers, and a stacked row costs more
-#: numpy dispatch than a scalar one until enough candidates share
-#: it.  Measured with one triggered candidate per subject (scalar /
-#: bulk route, ms): 350-row protein problems 13.5 / 18.5 at 4,
+#: numpy dispatch than a scalar one until enough problems share it.
+#: Measured with one triggered candidate per subject (scalar / bulk
+#: route, ms): 350-row protein problems 13.5 / 18.5 at 4,
 #: 21.6 / 21.3 at 8, 36.4 / 22.4 at 12, 59.3 / 28.0 at 24; 568-row nt
 #: problems 9.5 / 44.5 at 1, 76.3 / 60.5 at 8, 90.9 / 54.1 at 12,
 #: 184.7 / 68.7 at 24 — the crossover is at about 8 for both, and 12
-#: keeps a margin on the scalar side.  The routing is invisible in
-#: output: both routes are exact.
+#: keeps a margin on the scalar side.  The routing only picks which
+#: kernels fill ``alns``; it is invisible in output: both are exact.
 _BULK_MIN_CANDIDATES = 12
 
 
@@ -404,13 +309,13 @@ class _GappedJob:
     """One orientation/subject group's ungapped candidates awaiting
     steps 4-5, plus everything needed to finalize them into HSPs.
 
-    *q_off* / *s_off* locate the oriented query and the subject inside
-    the flat concatenations handed to :func:`_finalize_candidates`;
-    finalized HSPs are appended to *sink* so callers can batch many
-    groups through one bulk DP and still read results back in their
-    original accumulation order.
+    *qi* / *sid* say whose hit the group is; *q_off* / *s_off* locate
+    the oriented query and the subject inside the flat concatenations.
+    Finalized HSPs land in *sink*.
     """
 
+    qi: int
+    sid: int
     query: np.ndarray
     subject: np.ndarray
     q_off: int
@@ -420,86 +325,111 @@ class _GappedJob:
     n_eff: int
     strand: int
     identity_query: Optional[np.ndarray]
-    sink: List[HSP]
+    sink: List[HSP] = field(default_factory=list)
 
 
-#: One group's decision sequence after the scalar preamble: its
-#: candidates best-first, each with the number of the band DP problem
-#: that refines it (-1: below the gapped trigger, reported ungapped).
-#: Over-cap candidates are already gone.
+#: One group's decision sequence: its candidates best-first, each with
+#: the number of the gapped DP problem that refines it (-1: reported as
+#: it stands).  Over-cap candidates are already gone.
 _Plan = List[Tuple[UngappedHSP, int]]
+
+#: One gapped DP problem: its group and the candidate midpoint (query,
+#: subject position) it is anchored at.
+_Problem = Tuple[_GappedJob, int, int]
 
 
 def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
                          scat: np.ndarray, scheme: ScoringScheme,
-                         params: SearchParams, is_protein: bool,
-                         ka: KarlinAltschul) -> None:
-    """Steps 4-5 for many orientation/subject groups at once.
+                         params: SearchParams, ka: KarlinAltschul) -> None:
+    """Steps 4-5 for every orientation/subject group of a batch.
 
-    The batched pipeline runs gapped refinement in two passes, each one
-    stacked kernel call over all groups.  **Pass 1** scores every
-    distinct (group, diagonal) band DP with
-    :func:`~repro.blast.gapped.bulk_banded_score` — every triggered
-    candidate on a diagonal shares the band DP centred on it, because
-    the alignment depends on the seed only through the diagonal.
-    **Pass 2** decides from those scores which DP problems still need
-    their alignment (:func:`_traceback_survivors`), runs exactly those
-    through :func:`~repro.blast.gapped.bulk_banded_align`, and replays
-    each group's scalar decision sequence reading alignments from the
-    result (:func:`_finalize_one`).  Output is byte-identical to
-    running :func:`_candidates_to_hsps` per group.
+    One preamble, one replay.  The preamble turns each group's
+    candidates into a :data:`_Plan` (best-first, ``max_hsps``, the
+    per-subject cap) and collects the distinct gapped DP problems: for
+    the banded method one per (group, diagonal) — the alignment depends
+    on the seed only through the diagonal — for xdrop one per (group,
+    midpoint).  :func:`_finalize_one` replays each plan reading
+    alignments from ``alns``, problem number → alignment.
 
-    The scalar path serves ungapped searches, the xdrop method, and
-    batches with too few triggered candidates to be worth a bulk pass.
+    Only *which kernels fill* ``alns`` is routed: the stacked passes of
+    :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` banded
+    problems up; below that (typical blastn) and for xdrop one scalar
+    kernel call per problem, which measures faster there.  All exact.
     """
-    if not jobs:
-        return
-    # Both paths are exact, so routing is purely a cost call: with only
-    # a handful of triggered candidates (typical blastn — seeds match
-    # little but the true source) two stacked sweeps cost more than
-    # just running the scalar DPs.
-    n_triggered = sum(1 for job in jobs for c in job.candidates
-                      if c.score >= params.gapped_trigger)
-    if (not params.gapped or params.gapped_method != "banded"
-            or n_triggered < _BULK_MIN_CANDIDATES):
-        for job in jobs:
-            job.sink.extend(_candidates_to_hsps(
-                job.query, job.subject, job.candidates, scheme, params,
-                is_protein, ka, job.m_eff, job.n_eff, job.strand,
-                identity_query=job.identity_query))
-        return
-
     prof = current_profile()
     cap = params.max_gapped_per_subject
+    banded = params.gapped_method == "banded"
 
-    # Scalar preamble, replayed exactly (best-first order, max_hsps,
-    # the per-subject cap), collecting one DP problem per distinct
-    # (group, diagonal) among the triggered candidates.
     plans: List[_Plan] = []
-    problems: List[Tuple[int, int, int, int, int]] = []
-    culled = 0
+    problems: List[_Problem] = []
+    over_cap = 0
     for job in jobs:
         job.candidates.sort(key=lambda h: -h.score)
-        diags: Dict[int, int] = {}
+        memo: Dict[object, int] = {}
         plan: _Plan = []
         n_gapped = 0
         for cand in job.candidates[:params.max_hsps]:
-            if cand.score < params.gapped_trigger:
+            if not params.gapped or cand.score < params.gapped_trigger:
                 plan.append((cand, -1))
                 continue
             if cap > 0 and n_gapped >= cap:
-                culled += 1
+                over_cap += 1
                 continue
             n_gapped += 1
-            ei = diags.get(cand.diag)
+            mid_q = cand.q_start + cand.length // 2
+            mid_s = cand.s_start + cand.length // 2
+            key = mid_s - mid_q if banded else (mid_q, mid_s)
+            ei = memo.get(key)
             if ei is None:
-                ei = diags[cand.diag] = len(problems)
-                problems.append((job.q_off, len(job.query), job.s_off,
-                                 len(job.subject), cand.diag))
+                ei = memo[key] = len(problems)
+                problems.append((job, mid_q, mid_s))
             plan.append((cand, ei))
         plans.append(plan)
+
+    alns: Dict[int, GappedAlignment] = {}
+    if banded and len(problems) >= _BULK_MIN_CANDIDATES:
+        alns = _bulk_alignments(jobs, plans, problems, qcat, scat, scheme,
+                                params, ka)
+    elif problems:
+        t0 = time.perf_counter() if prof is not None else 0.0
+        for ei, (job, mid_q, mid_s) in enumerate(problems):
+            if banded:
+                alns[ei] = banded_local_align(
+                    job.query, job.subject, mid_s - mid_q, scheme,
+                    band=params.band, identity_query=job.identity_query)
+            else:
+                alns[ei] = xdrop_gapped_extend(
+                    job.query, job.subject, mid_q, mid_s, scheme,
+                    xdrop=2 * params.band)
+        if prof is not None:
+            prof.add("gapped", time.perf_counter() - t0)
+    if prof is not None and problems:
+        # Every triggered candidate either had a pointer-matrix DP run
+        # for it or was resolved without one (see repro.blast.profile).
+        triggered = over_cap + sum(ei >= 0 for plan in plans
+                                   for _cand, ei in plan)
+        prof.count("gapped_trials", len(problems))
+        prof.count("gapped_traceback", len(alns))
+        prof.count("gapped_culled", triggered - len(alns))
+
+    for job, plan in zip(jobs, plans):
+        _finalize_one(job, plan, alns, params, ka)
+
+
+def _bulk_alignments(jobs: List[_GappedJob], plans: List[_Plan],
+                     problems: List[_Problem], qcat: np.ndarray,
+                     scat: np.ndarray, scheme: ScoringScheme,
+                     params: SearchParams, ka: KarlinAltschul
+                     ) -> Dict[int, GappedAlignment]:
+    """The banded problems of a batch in two stacked kernel calls:
+    :func:`~repro.blast.gapped.bulk_banded_score` over all of them,
+    then :func:`~repro.blast.gapped.bulk_banded_align` over those whose
+    alignment can still matter (:func:`_traceback_survivors`)."""
+    prof = current_profile()
     q_off, q_len, s_off, s_len, diag = np.array(
-        problems, dtype=np.int64).reshape(-1, 5).T
+        [(job.q_off, len(job.query), job.s_off, len(job.subject),
+          mid_s - mid_q) for job, mid_q, mid_s in problems],
+        dtype=np.int64).T
 
     t0 = time.perf_counter() if prof is not None else 0.0
     scores, _qends, sends = bulk_banded_score(
@@ -507,12 +437,10 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         band=params.band)
     if prof is not None:
         prof.add("gapped_bulk", time.perf_counter() - t0)
-        prof.count("gapped_trials", len(problems))
 
     survivors: Dict[int, None] = {}     # ordered set of DP problems
     for job, plan in zip(jobs, plans):
-        culled += _traceback_survivors(job, plan, scores, sends, params,
-                                       ka, survivors)
+        _traceback_survivors(job, plan, scores, sends, params, ka, survivors)
     sel = np.array(list(survivors), dtype=np.int64)
     identity_qcat = None
     if any(job.identity_query is not None for job in jobs):
@@ -528,21 +456,17 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         identity_qcat=identity_qcat)))
     if prof is not None:
         prof.add("gapped", time.perf_counter() - t0)
-        prof.count("gapped_traceback", len(survivors))
-        prof.count("gapped_culled", culled)
-
-    for job, plan in zip(jobs, plans):
-        _finalize_one(job, plan, alns, params, ka)
+    return alns
 
 
 def _traceback_survivors(job: _GappedJob, plan: _Plan,
                          scores: np.ndarray, sends: np.ndarray,
                          params: SearchParams, ka: KarlinAltschul,
-                         survivors: Dict[int, None]) -> int:
+                         survivors: Dict[int, None]) -> None:
     """Add to *survivors* the DP problems of one group whose
-    alignment can still matter; returns how many triggered
-    candidates resolve without one (zero score, E-value reject, or a
-    diagonal already taken by an earlier candidate)."""
+    alignment can still matter; the other triggered candidates resolve
+    without one (zero score, E-value reject, or a diagonal already
+    taken by an earlier candidate)."""
     # Census of the *emittable* candidates' subject end positions.  A
     # span is appended to the dedup list before the E-value check, so
     # a rejected candidate's span can influence output only by
@@ -552,7 +476,7 @@ def _traceback_survivors(job: _GappedJob, plan: _Plan,
     # each other is invisible: whichever appends first, the span value
     # ends up in the list and none of them is emitted.)  E-values here
     # depend only on scores, all known exactly after pass 1.
-    end_count: Dict[int, int] = {}
+    emittable_ends = set()
     for cand, ei in plan:
         if ei < 0:
             score, se = cand.score, cand.s_end
@@ -561,34 +485,30 @@ def _traceback_survivors(job: _GappedJob, plan: _Plan,
             if score <= 0:
                 continue
         if ka.evalue(score, job.m_eff, job.n_eff) <= params.evalue_cutoff:
-            end_count[se] = end_count.get(se, 0) + 1
+            emittable_ends.add(se)
 
-    culled = 0
     for _cand, ei in plan:
         if ei < 0:
             continue
         score = int(scores[ei])
-        if (score <= 0 or ei in survivors
-                or (ka.evalue(score, job.m_eff, job.n_eff)
-                    > params.evalue_cutoff
-                    and end_count.get(int(sends[ei]), 0) == 0)):
-            # Zero score, a diagonal an earlier candidate already sent
-            # to traceback, or an E-value reject whose span cannot
-            # deduplicate any emittable candidate (the scalar path
-            # would discard it after appending a span that can never
-            # change what is rendered).
-            culled += 1
-        else:
+        # Skipped: zero score, or an E-value reject whose span cannot
+        # deduplicate any emittable candidate (the replay would discard
+        # it after appending a span that can never change what is
+        # rendered).  A diagonal an earlier candidate already sent to
+        # traceback is in the set already.
+        if score > 0 and (ka.evalue(score, job.m_eff, job.n_eff)
+                          <= params.evalue_cutoff
+                          or int(sends[ei]) in emittable_ends):
             survivors[ei] = None
-    return culled
 
 
 def _finalize_one(job: _GappedJob, plan: _Plan,
                   alns: Dict[int, GappedAlignment],
                   params: SearchParams, ka: KarlinAltschul) -> None:
-    """Replay one group's scalar candidate loop, reading gapped
-    alignments from the stacked traceback's result; a triggered
-    candidate whose DP problem is not in *alns* was culled."""
+    """The one candidate loop: replay a group's plan into HSPs, reading
+    gapped alignments from *alns*.  A triggered candidate whose DP
+    problem is not there was culled; one whose alignment scores
+    nothing is dropped before it can claim a span."""
     out = job.sink
     id_query = (job.query if job.identity_query is None
                 else job.identity_query)
@@ -596,7 +516,7 @@ def _finalize_one(job: _GappedJob, plan: _Plan,
     for cand, ei in plan:
         if ei >= 0:
             aln = alns.get(ei)
-            if aln is None:
+            if aln is None or aln.score <= 0:
                 continue
             q0, q1, s0, s1 = aln.q_start, aln.q_end, aln.s_start, aln.s_end
             score = aln.score
@@ -789,38 +709,15 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     np.cumsum(qlens[:-1], out=qstarts[1:])
     qcat = np.concatenate([e[1] for e in entries])
 
+    jobs = _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
+                                is_protein, spaces, identity_queries, qcat,
+                                qstarts, qlens) if groups else []
+    _finalize_candidates(jobs, qcat, structs.concat, scheme, params, ka)
     per_q: Dict[int, Dict[int, List[HSP]]] = {}
-    jobs: List[_GappedJob] = []
-    order: List[Tuple[int, int, List[HSP]]] = []
-    if is_protein and params.two_hit_window > 0:
-        # Two-hit seeding is an inherently sequential per-diagonal scan;
-        # run the per-group reference seeding/extension on each hit
-        # group (gapped refinement still batches across groups).
-        for eid, sid, spos, qpos in groups:
-            qi, oriented_query, strand = entries[eid]
-            cands = _collect_candidates(oriented_query,
-                                        structs.subject(sid), spos, qpos,
-                                        scheme, params, is_protein)
-            if not cands:
-                continue
-            m_eff, n_eff = spaces[qi]
-            sink: List[HSP] = []
-            jobs.append(_GappedJob(
-                query=oriented_query, subject=structs.subject(sid),
-                q_off=int(qstarts[eid]), s_off=int(structs.starts[sid]),
-                candidates=cands, m_eff=m_eff, n_eff=n_eff,
-                strand=strand, identity_query=identity_queries[qi],
-                sink=sink))
-            order.append((qi, sid, sink))
-    elif groups:
-        _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                             spaces, identity_queries, qcat, qstarts,
-                             qlens, jobs, order)
-    _finalize_candidates(jobs, qcat, structs.concat, scheme, params,
-                         is_protein, ka)
-    for qi, sid, sink in order:
-        if sink:
-            per_q.setdefault(qi, {}).setdefault(sid, []).extend(sink)
+    for job in jobs:
+        if job.sink:
+            per_q.setdefault(job.qi, {}).setdefault(job.sid,
+                                                    []).extend(job.sink)
     for qi, per_sid in per_q.items():
         res = results[qi]
         for sid in sorted(per_sid):
@@ -838,23 +735,17 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
 
 
 def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                         spaces, identity_queries, qcat, qstarts, qlens,
-                         jobs, order) -> None:
-    """Steps 2-3 for every batched hit group at once (one-hit seeding).
+                         is_protein, spaces, identity_queries, qcat,
+                         qstarts, qlens) -> List[_GappedJob]:
+    """Steps 2-3 for every hit group of the batch at once.
 
-    Instead of paying per-(query, subject) numpy dispatch for seeding
-    and ungapped extension — which dominates once the shared scan pass
-    is amortised over the batch — the whole hit stream is seeded with
-    one grouped lexsort and extended with one flat 2-D gather against
+    The whole hit stream is seeded with one grouped sort (two-hit for
+    protein unless ``two_hit_window`` is 0, one-hit otherwise: read off
+    the search's inputs) and extended with one flat 2-D gather against
     the query/subject concatenations (*qcat* with per-entry *qstarts*
-    offsets and ``structs.concat``).  The per-diagonal coverage dedup
-    is then replayed per group from the bulk extents, and each group's
-    surviving candidates become one :class:`_GappedJob` appended to
-    *jobs* — with a matching ``(query, subject id, sink)`` row in
-    *order* — for the caller's :func:`_finalize_candidates` pass, so
-    each group contributes exactly the HSPs the per-group
-    :func:`_collect_candidates` + :func:`_candidates_to_hsps` pair
-    would have produced for it.
+    offsets, ``structs.concat``).  The per-diagonal coverage dedup is
+    then replayed per group from the bulk extents; each group's
+    surviving candidates become one :class:`_GappedJob`, in group order.
     """
     prof = current_profile()
     g_eid = np.array([g[0] for g in groups], dtype=np.int64)
@@ -866,7 +757,12 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     qp_all = np.concatenate([g[3] for g in groups])
 
     t0 = time.perf_counter() if prof is not None else 0.0
-    sgid, sqp, ssp = one_hit_seeds_grouped(gid_of_hit, sp_all, qp_all)
+    if is_protein and params.two_hit_window > 0:
+        sgid, sqp, ssp = two_hit_seeds_grouped(
+            gid_of_hit, sp_all, qp_all, params.word_size,
+            params.two_hit_window)
+    else:
+        sgid, sqp, ssp = one_hit_seeds_grouped(gid_of_hit, sp_all, qp_all)
     if prof is not None:
         prof.add("seed", time.perf_counter() - t0)
         prof.count("seeds", len(sgid))
@@ -888,6 +784,7 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     sqp_l, ssp_l = sqp.tolist(), ssp.tolist()
     ll_l, ls_l = ll.tolist(), ls.tolist()
     rl_l, rs_l = rl.tolist(), rs.tolist()
+    jobs: List[_GappedJob] = []
     skipped = 0
     for gi, (eid, sid, _, _) in enumerate(groups):
         lo, hi = int(bounds[gi]), int(bounds[gi + 1])
@@ -895,7 +792,7 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
             continue
         # Replay of the per-diagonal coverage dedup: a seed inside the
         # extent of the previously accepted extension on its diagonal
-        # contributes nothing (identical to batched_ungapped_extend).
+        # contributes nothing.
         covered: Dict[int, int] = {}
         cands: List[UngappedHSP] = []
         for i in range(lo, hi):
@@ -915,12 +812,12 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
             continue
         qi, oriented_query, strand = entries[eid]
         m_eff, n_eff = spaces[qi]
-        sink: List[HSP] = []
         jobs.append(_GappedJob(
-            query=oriented_query, subject=structs.subject(sid),
-            q_off=int(qstarts[eid]), s_off=int(structs.starts[sid]),
-            candidates=cands, m_eff=m_eff, n_eff=n_eff, strand=strand,
-            identity_query=identity_queries[qi], sink=sink))
-        order.append((qi, sid, sink))
+            qi=qi, sid=sid, query=oriented_query,
+            subject=structs.subject(sid), q_off=int(qstarts[eid]),
+            s_off=int(structs.starts[sid]), candidates=cands, m_eff=m_eff,
+            n_eff=n_eff, strand=strand,
+            identity_query=identity_queries[qi]))
     if prof is not None and skipped:
         prof.count("seeds_skipped", skipped)
+    return jobs

@@ -6,6 +6,11 @@ diagonal (``subject - query``).  Nucleotide search extends every hit
 heuristic of Gapped BLAST (Altschul et al. 1997): extension triggers
 only when two non-overlapping hits lie on the same diagonal within a
 window of A residues.
+
+The search driver calls the grouped forms only, over the whole hit
+stream of a batch.  :func:`one_hit_seeds` and :func:`two_hit_seeds` are
+the single-group definitions those are specified against; their callers
+are the tests and the per-sequence oracle.
 """
 
 from __future__ import annotations
@@ -84,6 +89,84 @@ def one_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
                    | (s[1:] != s[:-1] + 1))
     idx = np.nonzero(new_run)[0]
     return g[idx], q[idx], s[idx]
+
+
+def two_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
+                          qpos: np.ndarray, word_size: int, window: int = 40
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`two_hit_seeds` across many hit groups in one pass.
+
+    Same contract as :func:`one_hit_seeds_grouped` (non-negative
+    positions; ``(gid, qpos, spos)`` back group-major, then by
+    diagonal and subject position): each group's slice is element for
+    element what :func:`two_hit_seeds` returns for that group alone.
+
+    Each hit becomes one int64 key, ``(group, diagonal) * stride +
+    spos``, sorted in place; ``qpos = spos - diagonal`` is recovered
+    for the hits that fire, not carried.  ``stride`` is the largest
+    position + 1 + *window*, so two adjacent keys differ by at most
+    *window* exactly when they are hits of one (group, diagonal) that
+    close, and the stored-hit scan runs once over the key differences,
+    starting afresh wherever one exceeds *window*.  That is exact: the
+    stored hit and the last seed are at or before the previous hit, so
+    the hit after such a gap is outside the stored hit's window (it
+    cannot fire and becomes the stored hit) and past the region the
+    last seed claimed, as is every later one.
+
+    By the same argument a hit with **no** neighbour within *window*
+    fires nothing and changes nothing, and is dropped before the
+    Python loop (63 376 hits → 39 727 for benchmark aa query 0).  A
+    hit whose only close neighbour *overlaps* it (closer than
+    *word_size*) must stay: it can be the stored hit a later one pairs
+    with.  The transient is the key (half a megabyte there) plus one
+    list of gaps — well under the scan's own ~5 MB.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    if len(spos) < 2:
+        return empty, empty, empty
+    diag = spos - qpos
+    dmin = int(diag.min())
+    n_diag = int(diag.max()) - dmin + 1
+    stride = int(spos.max()) + 1 + window
+    key = np.multiply(gids, n_diag, dtype=np.int64)
+    key += diag
+    key -= dmin
+    pairs = None
+    if (int(key.max()) + 1) * stride >= 2 ** 63:
+        # The key would not fit: rank the (group, diagonal) pairs —
+        # same order, at most one rank per hit.
+        pairs, key = np.unique(key, return_inverse=True)
+    key *= stride
+    key += spos
+    key.sort()
+    near = np.diff(key) <= window
+    keep = np.zeros(len(key), dtype=bool)
+    keep[1:] = near
+    keep[:-1] |= near
+    key = key[keep]
+
+    # The stored-hit scan of two_hit_seeds, in distances: *dist* from
+    # the stored hit, *since_seed* from the last seed (it claims the
+    # window after it; "none yet" reads as a full window ago).
+    fired: List[int] = []
+    dist, since_seed = 0, window
+    for i, gap in enumerate(np.diff(key).tolist(), 1):
+        if gap > window:
+            dist, since_seed = 0, window
+            continue
+        dist += gap
+        since_seed += gap
+        if dist < word_size:
+            continue
+        if dist <= window and since_seed >= window:
+            fired.append(i)
+            since_seed = 0
+        dist = 0
+    gd, s = np.divmod(key[fired], stride)
+    if pairs is not None:
+        gd = pairs[gd]
+    g, d = np.divmod(gd, n_diag)
+    return g, s - (d + dmin), s
 
 
 def one_hit_seeds(spos: np.ndarray, qpos: np.ndarray) -> List[Seed]:

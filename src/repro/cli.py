@@ -221,10 +221,11 @@ def _serial_batch_results(program: str, db, queries, params):
 
 
 def cmd_blastall(args) -> int:
+    from dataclasses import replace
+
     from repro.blast.fasta import parse_fasta
-    from repro.blast.programs import blastall
+    from repro.blast.programs import blastall, program_defaults
     from repro.blast.render import render_results
-    from repro.blast.search import SearchParams
 
     if getattr(args, "profile", False):
         from repro.blast.profile import PROFILE_ENV
@@ -267,13 +268,12 @@ def cmd_blastall(args) -> int:
         return 2
     with open(args.input) as f:
         queries = parse_fasta(f.read())
-    params = None
-    if args.evalue is not None or args.filter:
-        params = SearchParams(
-            word_size=3 if args.program in ("blastp", "blastx", "tblastn",
-                                            "tblastx") else 11,
-            evalue_cutoff=args.evalue if args.evalue is not None else 10.0,
-            filter_low_complexity=args.filter)
+    # -e / -F override the program's own defaults, never the class's.
+    _, params = program_defaults(args.program)
+    if args.evalue is not None:
+        params = replace(params, evalue_cutoff=args.evalue)
+    if args.filter:
+        params = replace(params, filter_low_complexity=True)
     jobs = getattr(args, "jobs", None)
     nodes = getattr(args, "nodes", None)
     if jobs is None:

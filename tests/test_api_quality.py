@@ -2,10 +2,14 @@
 
 Every module has a docstring; every public class and function exported
 from a package ``__init__`` is documented; ``__all__`` lists resolve.
+The search library keeps one candidate pipeline, and its oracle keeps
+its distance (the last two tests, read off the syntax trees).
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -48,3 +52,81 @@ def test_no_module_shadowing():
     import repro.core
 
     assert callable(repro.blast.search) or inspect.ismodule(repro.blast.search)
+
+
+# ----------------------------------------------------------------------
+# One candidate pipeline (PR 22), held in place structurally
+# ----------------------------------------------------------------------
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _src_trees():
+    return {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+
+
+def _call_sites(trees, name):
+    """``file:function`` of every call of *name* (bare or as an
+    attribute) under ``src/``."""
+    sites = []
+    for rel, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    sites.append(f"{rel}:{fn.name}")
+    return sites
+
+
+def test_search_library_has_one_candidate_pipeline():
+    """A second route cannot come back unnoticed: the bulk extension
+    kernel and the candidate loop have one call site each, the span
+    dedup list one home, and the per-group route that moved to the
+    oracle is defined nowhere in the library."""
+    trees = _src_trees()
+    assert _call_sites(trees, "bulk_ungapped_extend") == [
+        "src/repro/blast/search.py:_bulk_groups_to_jobs"]
+    assert _call_sites(trees, "_finalize_one") == [
+        "src/repro/blast/search.py:_finalize_candidates"]
+    assigned, defined = [], set()
+    for rel, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            defined.add(fn.name)
+            if any(isinstance(node, ast.Name) and node.id == "seen_spans"
+                   and isinstance(node.ctx, ast.Store)
+                   for node in ast.walk(fn)):
+                assigned.append(f"{rel}:{fn.name}")
+    assert assigned == ["src/repro/blast/search.py:_finalize_one"]
+    assert not defined & {"_collect_candidates", "_candidates_to_hsps",
+                          "batched_ungapped_extend"}
+
+
+def test_oracle_imports_no_driver_internals():
+    """``tests/oracle_search.py`` is evidence about the driver only
+    while it shares no code with it: from the driver's three modules it
+    may import public names, and ``_best_prefix`` — the single-sequence
+    X-drop definition the bulk kernel is specified against."""
+    tree = ast.parse((ROOT / "tests" / "oracle_search.py").read_text())
+    imported = sorted(
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("repro.blast.search", "repro.blast.extend",
+                            "repro.blast.seed")
+        for alias in node.names)
+    assert [name for name in imported if name.rpartition(".")[2][0] == "_"] \
+        == ["repro.blast.extend._best_prefix"]
+    # Nor the driver's own stages by their public names ...
+    assert not {name.rpartition(".")[2] for name in imported} & {
+        "search", "search_batch", "group_hits_by_entry",
+        "one_hit_seeds_grouped", "two_hit_seeds_grouped",
+        "bulk_ungapped_extend"}
+    # ... nor the modules whole, which would hide attribute use.
+    whole = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name.startswith("repro")]
+    assert whole == []

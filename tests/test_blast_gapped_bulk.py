@@ -18,7 +18,10 @@ checks:
    by raising the driver's ``_BULK_MIN_CANDIDATES`` routing threshold
    out of reach) through ``search``, ``search_batch`` (two-hit and
    one-hit seeding), the process pool at two jobs, and the PSI-BLAST
-   PSSM rounds.
+   PSSM rounds.  Both routes replay one plan through one candidate
+   loop, so what differs between them is the DP kernels only; the
+   code-disjoint comparison is the per-sequence oracle
+   (``search_reference``), which the seeding, cap and xdrop cases use.
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.blast.alphabet import encode_protein
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
                                 bulk_banded_align, bulk_banded_score)
 from repro.blast.profile import profiled
@@ -349,20 +353,25 @@ def test_search_protein_byte_identical(band):
 
 @pytest.mark.parametrize("two_hit_window", [40, 0])
 def test_search_batch_byte_identical(two_hit_window):
-    """Both seeding paths: two-hit (grouped candidates) and one-hit
-    (the vectorized bulk-group driver)."""
+    """Both seeding rules — two-hit and one-hit, each through its
+    grouped seeder and the one bulk extension kernel — at batch sizes
+    1, 3 and 4, on both DP routes, against the per-sequence oracle."""
     rng = np.random.default_rng(42)
     db = random_aa_db(rng, 20)
     params = SearchParams(word_size=3, two_hit_window=two_hit_window)
     queries = [mutated_query(db, qi, rng, period=9, length=180)
                for qi in (0, 3, 6, 12)]
     ids = [f"q{i}" for i in range(len(queries))]
-    bulk = search_batch(queries, db, ProteinScore(), params,
-                        query_ids=ids)
-    with scalar_route():
-        scal = search_batch(queries, db, ProteinScore(), params,
-                            query_ids=ids)
-    assert [dump(r) for r in bulk] == [dump(r) for r in scal]
+    refs = [dump(search_reference(q, db, ProteinScore(), params,
+                                  query_id=qid))
+            for q, qid in zip(queries, ids)]
+    for n in (1, 3, 4):
+        bulk = search_batch(queries[:n], db, ProteinScore(), params,
+                            query_ids=ids[:n])
+        with scalar_route():
+            scal = search_batch(queries[:n], db, ProteinScore(), params,
+                                query_ids=ids[:n])
+        assert [dump(r) for r in bulk] == [dump(r) for r in scal] == refs[:n]
 
 
 def test_pool_two_jobs_byte_identical():
@@ -478,15 +487,89 @@ def test_max_gapped_per_subject_parity(cap):
 
 
 def test_gapped_method_xdrop_unaffected():
-    """gapped_method='xdrop' bypasses the banded pipeline entirely —
-    the driver must hand it to the scalar route untouched."""
+    """gapped_method='xdrop' keeps its own kernel — one
+    ``xdrop_gapped_extend`` per triggered candidate midpoint, never the
+    stacked band passes — inside the same plan and replay."""
     rng = np.random.default_rng(48)
     db = random_nt_db(rng, 10)
     q = mutated_query(db, 1, rng, period=29, length=180)
     params = SearchParams(gapped_method="xdrop")
-    got = search(q, db, NucleotideScore(), params, query_id="q")
+    with profiled("t", enabled=True, emit=False) as prof:
+        got = search(q, db, NucleotideScore(), params, query_id="q")
+    assert prof.counters["gapped_trials"] > 0
+    assert "gapped_bulk" not in prof.stages
     ref = search_reference(q, db, NucleotideScore(), params, query_id="q")
     assert dump(got) == dump(ref)
+
+
+def _two_candidates_on_one_diagonal():
+    """A protein subject the query meets three times: blocks A and B on
+    diagonal 0 — the 12 residues between them differ so badly that the
+    ungapped extension of one never reaches the other, while the band
+    DP on that diagonal joins them — and a shorter block C, far off
+    that diagonal (it ends the query and starts the subject)."""
+    rng = np.random.default_rng(50)
+    a, b, c = ("".join(AA_LETTERS[rng.integers(0, 20, n)])
+               for n in (40, 40, 18))
+    query = a + "W" * 12 + b + c
+    subject = c + a + "D" * 12 + b
+    db = random_aa_db(rng, 6)
+    db.add("triple", subject)
+    return encode_protein(query), db, len(db) - 1
+
+
+@pytest.mark.parametrize("route", ["scalar", "bulk"])
+def test_cap_counts_candidates_not_dp_problems(route, monkeypatch):
+    """``max_gapped_per_subject`` caps triggered *candidates*.  A and B
+    share one DP problem (and one alignment: the second is a duplicate
+    span), yet they use up a cap of two, so C — the third best — is
+    dropped, exactly as the per-candidate oracle drops it."""
+    monkeypatch.setattr(search_mod, "_BULK_MIN_CANDIDATES",
+                        10 ** 9 if route == "scalar" else 1)
+    q, db, sid = _two_candidates_on_one_diagonal()
+    scheme = ProteinScore()
+    spans = {}
+    for cap in (0, 2):
+        params = SearchParams(word_size=3, xdrop_ungapped=16,
+                              max_gapped_per_subject=cap)
+        with profiled("t", enabled=True, emit=False) as prof:
+            got = search(q, db, scheme, params, query_id="q")
+        assert dump(got) == dump(search_reference(q, db, scheme, params,
+                                                  query_id="q"))
+        assert ("gapped_bulk" in prof.stages) == (route == "bulk")
+        spans[cap] = [(h.q_start, h.q_end) for hit in got.hits
+                      if hit.subject_id == sid for h in hit.hsps]
+    # Uncapped: the joined A..B alignment once, and C.  Capped: no C.
+    assert spans[0][:2] == [(0, 92), (92, 110)]
+    assert spans[2] == [(0, 92)]
+    # Alone in a database: five candidates trigger on this subject (A,
+    # B, C and two chance ones); A and B pass the cap and share the one
+    # DP problem, run once.  The memo hit and the three drops are culled.
+    one = SequenceDB(AA)
+    one.add("triple", db.sequence_str(sid))
+    with profiled("t", enabled=True, emit=False) as prof:
+        search(q, one, scheme, params, query_id="q")
+    c = prof.counters
+    assert (c["gapped_trials"], c["gapped_traceback"],
+            c["gapped_culled"]) == (1, 1, 4)
+
+
+def test_benchmark_protein_query_counters_pinned():
+    """Query 0 of the benchmark's ``aa_gapped_serial`` workload at seed
+    1, built by the benchmark's own generator: what the pipeline counts
+    did not move when two-hit seeds changed seeder and extension kernel
+    (PR 22) — same seeds, same coverage skips, same DP problems."""
+    perf = os.path.join(os.path.dirname(__file__), os.pardir, "perf")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(perf)
+        make_aa = importlib.import_module("harness.inputs").make_aa
+    aa = make_aa(1)
+    assert aa.params.two_hit_window == 40
+    with profiled("t", enabled=True, emit=False) as prof:
+        search(aa.encoded[0], aa.db, aa.scheme, aa.params, query_id="q")
+    c = prof.counters
+    assert (c["seeds"], c["seeds_skipped"], c["gapped_trials"],
+            c["gapped_traceback"]) == (4081, 8, 839, 113)
 
 
 def test_no_candidates_no_crash():

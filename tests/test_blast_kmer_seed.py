@@ -1,14 +1,17 @@
 """Tests for word codes, the word index, and seed selection."""
 
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_dna, encode_protein
 from repro.blast.kmer import WordIndex, dna_word_codes, protein_word_codes, word_codes
 from repro.blast.score import ProteinScore
-from repro.blast.seed import one_hit_seeds, two_hit_seeds
+from repro.blast.seed import (one_hit_seeds, two_hit_seeds,
+                              two_hit_seeds_grouped)
 
 
 def test_word_codes_basic():
@@ -154,3 +157,141 @@ def test_two_hit_dense_run_triggers():
 def test_two_hit_different_diagonals_never_pair():
     seeds = two_hit_seeds(np.array([10, 20]), np.array([0, 5]), 3)
     assert seeds == []
+
+
+# ------------------------------------------------- grouped two-hit seeds
+# A case is (word_size, window, n_groups, hits); a hit is (group,
+# subject position, query position).  Groups with no hit at all are
+# legal (the driver's groups always have one; the seeder must not care).
+def _track(group, diag, *spos):
+    return [(group, s, s - diag) for s in spos]
+
+
+#: Named streams, one per rule of the stored-hit scan.  All use word
+#: size 3 and window 40 and put the same diagonal values in several
+#: groups, so nothing but the group label keeps their hits apart.
+_STREAMS = {
+    # Group 0 ends high on diagonal 0 and group 1 starts low on it:
+    # neighbours in key order, with nothing but the label between them.
+    "group_change": _track(0, 0, 50) + _track(1, 0, 3, 9),
+    "diagonal_change": _track(0, 0, 50) + _track(0, 1, 3),
+    # 2 overlaps the stored hit 0 and must not displace it: 4 is then
+    # a non-overlapping second hit.  0 has no neighbour but 2.
+    "overlap_keeps_stored": _track(0, 0, 0, 2, 4) + _track(1, 0, 0, 2),
+    "overlap_then_far": _track(0, 0, 0, 2, 42) + _track(1, 0, 2, 42),
+    "pair_at_word_size": _track(0, 5, 10, 13) + _track(1, 5, 10, 12),
+    "pair_at_window": _track(0, 0, 0, 40) + _track(1, 0, 0, 41)
+    + _track(2, 0, 0, 39),
+    # 3 fires and claims [3, 43): 23 becomes the stored hit without
+    # firing, and the next hit fires at 43 or later only.
+    "refire_inside": _track(0, 0, 0, 3, 23, 42),
+    "refire_at_edge": _track(0, 0, 0, 3, 23, 43) + _track(1, 0, 0, 3, 23, 44),
+    # After a seed the *seed* is the stored hit: 43 pairs with 3.
+    "stored_advances": _track(0, 0, 0, 3, 43) + _track(1, 0, 0, 3, 44),
+    "lonely_hits": _track(0, 0, 7) + _track(2, 0, 100) + _track(2, 1, 0, 90),
+}
+
+
+def _check_grouped(seeder, word_size, window, n_groups, hits):
+    """*seeder*'s result, cut at the group labels, is two_hit_seeds of
+    each group on its own — same seeds, same order — and group-major."""
+    g, s, q = (np.array(col, dtype=np.int64) for col in
+               (zip(*hits) if hits else ((), (), ())))
+    sg, sq, ss = seeder(g, s, q, word_size, window)
+    want = [(gi, qp, sp) for gi in range(n_groups)
+            for qp, sp in two_hit_seeds(s[g == gi], q[g == gi],
+                                        word_size, window)]
+    assert list(zip(sg.tolist(), sq.tolist(), ss.tolist())) == want
+    assert sg.dtype == sq.dtype == ss.dtype == np.int64
+
+
+@st.composite
+def _hit_streams(draw):
+    w = draw(st.sampled_from([1, 3, 4]))
+    window = draw(st.sampled_from([w + 1, 9, 40]))
+    # Gaps around every threshold of the scan, and anything between.
+    gap = (st.sampled_from([0, 1, w - 1, w, w + 1, window - w, window - 1,
+                            window, window + 1, window + w, 2 * window + 1])
+           | st.integers(0, window + 2))
+    n_groups = draw(st.integers(1, 4))
+    tracks = draw(st.lists(
+        st.tuples(st.integers(0, n_groups - 1), st.integers(-2, 2),
+                  st.integers(0, 3), st.lists(gap, max_size=8)),
+        max_size=8))
+    hits = []
+    for group, diag, start, gaps in tracks:
+        pos = max(start, diag)
+        for step in [0] + gaps:
+            pos += step
+            hits.append((group, pos, pos - diag))
+    return w, window, n_groups, draw(st.permutations(hits))
+
+
+def _named_streams_as_examples(test):
+    for hits in _STREAMS.values():
+        test = example((3, 40, 3, hits))(test)
+    return test
+
+
+@_named_streams_as_examples
+@settings(max_examples=300, deadline=None)
+@given(_hit_streams())
+def test_two_hit_seeds_grouped_is_two_hit_seeds_per_group(case):
+    _check_grouped(two_hit_seeds_grouped, *case)
+
+
+def _mutated(fn, old, new):
+    """*fn* recompiled with one source fragment replaced."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def test_two_hit_seeds_grouped_ranks_keys_that_do_not_fit():
+    """When (groups x diagonals x positions) passes 2**63 the (group,
+    diagonal) pairs are ranked first; the answer does not change."""
+    far = 2 ** 21
+    hits = (_track(0, 0, 5, 9, far, far + 3) + _track(0, -far, 0, 4)
+            + _track(far, 0, 5, 9) + _track(far, 1, 1) + _track(2, far, far))
+    g, s, q = (np.array(col, dtype=np.int64) for col in zip(*hits))
+    sg, sq, ss = two_hit_seeds_grouped(g, s, q, 3, 40)
+    assert list(zip(sg.tolist(), sq.tolist(), ss.tolist())) == [
+        (0, far + 4, 4), (0, 9, 9), (0, far + 3, far + 3), (far, 9, 9)]
+    unranked = _mutated(two_hit_seeds_grouped,
+                        "pairs, key = np.unique(key, return_inverse=True)",
+                        "raise OverflowError")
+    with pytest.raises(OverflowError):
+        unranked(g, s, q, 3, 40)
+    assert len(unranked(np.minimum(g, 3), s, q, 3, 40)[0]) == 4   # fits
+
+
+@pytest.mark.parametrize("old,new,killed_by", [
+    pytest.param("stride = int(spos.max()) + 1 + window",
+                 "stride = int(spos.max()) + 1",
+                 ["group_change", "diagonal_change"],
+                 id="no_reset_at_group_change"),
+    pytest.param("if dist <= window and since_seed >= window:",
+                 "if dist < window and since_seed >= window:",
+                 ["pair_at_window"], id="window_exclusive"),
+    pytest.param("near = np.diff(key) <= window",
+                 "near = (np.diff(key) <= window) "
+                 "& (np.diff(key) >= word_size)",
+                 ["overlap_keeps_stored", "overlap_then_far"],
+                 id="prefilter_drops_overlapped_stored_hit"),
+    pytest.param("            since_seed = 0\n        dist = 0\n",
+                 "            since_seed = 0\n            continue\n"
+                 "        dist = 0\n",
+                 ["stored_advances"], id="stored_not_advanced_after_fire"),
+    pytest.param("since_seed >= window:", "since_seed > window:",
+                 ["refire_at_edge"], id="claimed_region_inclusive"),
+    pytest.param("if dist < word_size:", "if dist <= word_size:",
+                 ["pair_at_word_size"], id="overlap_inclusive")])
+def test_two_hit_seeds_grouped_mutants_fail(old, new, killed_by):
+    """The named streams are sharp enough: each way the grouped scan
+    can go wrong fails the streams written for that rule."""
+    mutant = _mutated(two_hit_seeds_grouped, old, new)
+    for name in killed_by:
+        with pytest.raises(AssertionError):
+            _check_grouped(mutant, 3, 40, 3, _STREAMS[name])

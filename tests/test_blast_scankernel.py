@@ -20,14 +20,14 @@ from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
 from repro.blast.alphabet import (encode_dna, encode_protein,
                                   reverse_complement)
-from repro.blast.extend import batched_ungapped_extend, ungapped_extend
+from repro.blast.extend import ungapped_extend
 from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
                               WordIndex, _all_words, word_codes)
 from repro.blast.score import BLOSUM62, NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT
 
-from oracle_search import search_reference
+from oracle_search import batched_ungapped_extend, search_reference
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))

@@ -248,3 +248,70 @@ def test_blastn_and_blastall_options_differ_only_by_program():
                         for name in ("blastall", "blastn"))
     assert len(blastn) == 21 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
+
+
+def _evalue_flag_case(program, tmp_path):
+    """A database and a query on which the program's own defaults
+    matter: for blastn a base is deleted every 20, so every ungapped
+    segment scores 19 — above blastn's gapped trigger (18), below the
+    class default (22); for blastp every third residue is substituted,
+    which leaves extensions that ``xdrop_ungapped`` 16 and 20 end
+    differently.  Both have hits between E = 1e-5 and the default 10."""
+    import numpy as np
+
+    if program == "blastn":
+        rng = np.random.default_rng(3)
+        seqs = ["".join(rng.choice(list("ACGT"), 600)) for _ in range(2)]
+        query = "".join(seqs[0][i:i + 19] for i in range(100, 400, 20))
+        # ... and a 16-mer of it in the other sequence: a weak hit.
+        seqs[1] = seqs[1][:300] + query[:16] + seqs[1][316:]
+    else:
+        aas = "ARNDCQEGHILKMFPSTWYV"
+        rng = np.random.default_rng(2)
+        seqs = ["".join(rng.choice(list(aas), 300)) for _ in range(8)]
+        residues = list(seqs[0][20:220])
+        residues[::3] = [aas[(aas.index(r) + 1) % 20] for r in residues[::3]]
+        query = "".join(residues)
+    fasta = tmp_path / "db.fasta"
+    fasta.write_text("".join(f">s{i} seq\n{s}\n" for i, s in enumerate(seqs)))
+    qfile = tmp_path / "q.fasta"
+    qfile.write_text(f">q\n{query}\n")
+    main(["formatdb", "-i", str(fasta), "-d", str(tmp_path), "-n", "db"]
+         + (["-p"] if program == "blastp" else []))
+    return ["blastall", "-p", program, "-d", f"{tmp_path}/db",
+            "-i", str(qfile), "-m", "tabular"]
+
+
+@pytest.mark.parametrize("program", ["blastn", "blastp"])
+def test_blastall_evalue_flag_keeps_program_defaults(program, tmp_path,
+                                                     capsys):
+    """``-e`` / ``-F`` override the *program's* parameters: stating the
+    default cutoff changes nothing, a stricter one only removes rows.
+    (Until PR 22 any ``-e`` silently swapped in the class defaults —
+    another gapped trigger for blastn, another ungapped X-drop for the
+    protein programs — and these two inputs rendered different hits.)"""
+    argv = _evalue_flag_case(program, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert len(plain.splitlines()) > 1
+    assert main(argv + ["-e", "10"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(argv + ["-e", "1e-5"]) == 0
+    strict = capsys.readouterr().out.splitlines()
+    assert 0 < len(strict) < len(plain.splitlines())
+    assert set(strict) <= set(plain.splitlines())
+
+
+def test_program_defaults_cover_every_program():
+    """One source for all five: the translated programs compare in
+    protein space and run with blastp's parameters."""
+    from repro.blast.programs import program_defaults
+
+    aa = program_defaults("blastp")[1]
+    assert (aa.word_size, aa.xdrop_ungapped) == (3, 16)
+    assert program_defaults("blastn")[1].gapped_trigger == 18
+    for program in ("blastx", "tblastn", "tblastx"):
+        assert program_defaults(program)[1] == aa
+    with pytest.raises(ValueError, match="unknown program"):
+        program_defaults("blastz")

@@ -7,6 +7,7 @@ the batched task protocol through the real pool (fault injection
 included); and per-stage profiling output."""
 
 import dataclasses
+import importlib
 import json
 import os
 from contextlib import ExitStack
@@ -30,6 +31,9 @@ from repro.exec.schedule import plan_query_batches
 from repro.exec.shm import NAME_PREFIX, PackDB
 
 from oracle_search import search_reference
+
+# ``repro.blast.search`` the attribute is the function; this is the module.
+search_mod = importlib.import_module("repro.blast.search")
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -207,6 +211,14 @@ def lazydb_case(tmp_path):
     return case
 
 
+def routed(case, min_candidates):
+    """Pin which kernels run the gapped DP problems: the scalar ones
+    (threshold out of reach) or the stacked ones (one problem is
+    enough).  Left alone, the driver picks by problem count."""
+    case["bulk_min_candidates"] = min_candidates
+    return case
+
+
 CASES = {
     "nt-both-strands": lambda stack, tmp: nt_case(52),
     "nt-plus-strand-only": lambda stack, tmp: nt_case(62,
@@ -221,13 +233,29 @@ CASES = {
     "explicit-effective-space": lambda stack, tmp: effective_space_case(),
     "packdb": packdb_case,
     "lazydb": lambda stack, tmp: lazydb_case(tmp),
+    # Default blastp (two-hit seeds through the bulk extension kernel)
+    # under every option that changes what the finalizer does with
+    # the candidates, and on each DP route.
+    "protein-two-hit-ungapped": lambda stack, tmp: aa_case(71, gapped=False),
+    "protein-two-hit-xdrop": lambda stack, tmp: aa_case(
+        72, gapped_method="xdrop"),
+    "protein-two-hit-capped": lambda stack, tmp: aa_case(
+        73, max_gapped_per_subject=1),
+    "protein-two-hit-scalar-route": lambda stack, tmp: routed(
+        aa_case(53), 10 ** 9),
+    "protein-two-hit-bulk-route": lambda stack, tmp: routed(aa_case(53), 1),
+    "pssm-bulk-route": lambda stack, tmp: routed(pssm_case(), 1),
+    "nt-bulk-route": lambda stack, tmp: routed(nt_case(52), 1),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_search_batch_matches_sequential(name, tmp_path):
+def test_search_batch_matches_sequential(name, tmp_path, monkeypatch):
     with ExitStack() as stack:
         case = CASES[name](stack, tmp_path)
+        if "bulk_min_candidates" in case:
+            monkeypatch.setattr(search_mod, "_BULK_MIN_CANDIDATES",
+                                case["bulk_min_candidates"])
         queries, db = case["queries"], case["db"]
         scheme, params = case["scheme"], case["params"]
         both = case["both_strands"]
@@ -259,6 +287,12 @@ def test_search_batch_matches_sequential(name, tmp_path):
         assert [dump(r) for r in batch] == [dump(r) for r in singles]
         assert ([r.tabular() for r in batch]
                 == [r.tabular() for r in singles])
+        # ... and a batch of three is its first three.
+        three = search_batch(queries[:3], db, scheme, params,
+                             query_ids=ids[:3], both_strands=both,
+                             identity_queries=id_queries[:3],
+                             effective_spaces=spaces[:3])
+        assert [dump(r) for r in three] == [dump(r) for r in singles[:3]]
         # Drop the PackDB's views before the stack unmaps its pack.
         del case, db
 
