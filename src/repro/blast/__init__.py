@@ -35,7 +35,7 @@ from repro.blast.score import (
     ScoringScheme,
 )
 from repro.blast.stats import KarlinAltschul, karlin_altschul_params
-from repro.blast.seqdb import SequenceDB, format_db, segment_db
+from repro.blast.seqdb import SequenceDB, segment_db
 from repro.blast.gapped import (banded_local_align, bulk_banded_align,
                                 bulk_banded_score)
 from repro.blast.search import Hit, HSP, SearchParams, SearchResults, search
@@ -49,7 +49,6 @@ from repro.blast.lazydb import LazySequenceDB
 from repro.blast.scankernel import (ScanCache, ScanStructures,
                                     build_scan_structures,
                                     default_scan_cache, scan_fragment)
-from repro.blast.sw import SWAlignment, smith_waterman, smith_waterman_score
 from repro.blast.xdrop import xdrop_gapped_extend
 from repro.blast.translate import translate, six_frames
 from repro.blast.volumes import (load_volumes, search_volumes,
@@ -68,7 +67,6 @@ __all__ = [
     "render_results",
     "GreedyExtension",
     "LazySequenceDB",
-    "SWAlignment",
     "ScanCache",
     "ScanStructures",
     "build_scan_structures",
@@ -81,8 +79,6 @@ __all__ = [
     "search_volumes",
     "seg_mask",
     "segment_query",
-    "smith_waterman",
-    "smith_waterman_score",
     "split_volumes",
     "to_xml",
     "xdrop_gapped_extend",
@@ -109,7 +105,6 @@ __all__ = [
     "decode_protein",
     "encode_dna",
     "encode_protein",
-    "format_db",
     "karlin_altschul_params",
     "parse_fasta",
     "reverse_complement",

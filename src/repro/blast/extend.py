@@ -13,8 +13,8 @@ driver calls, for every alphabet and seeding rule: all seeds of a batch
 against the flat query / fragment concatenations, and the driver
 replays the per-diagonal coverage dedup (a seed inside an HSP already
 found on its diagonal is skipped) from the returned extents.
-:func:`ungapped_extend` is the single-seed definition it is specified
-against; its callers are the tests.
+The single-seed definition it is specified against
+(``ungapped_extend``) lives beside the oracle, ``tests/oracle_search.py``.
 """
 
 from __future__ import annotations
@@ -92,38 +92,6 @@ def _best_prefix(scores: np.ndarray, xdrop: int) -> Tuple[int, int]:
     if best_idx < 0:
         return 0, 0
     return best_idx + 1, best_val
-
-
-def ungapped_extend(query: np.ndarray, subject: np.ndarray,
-                    qpos: int, spos: int, scheme: ScoringScheme,
-                    xdrop: int = 20, word_size: int = 0) -> UngappedHSP:
-    """Extend a seed at (qpos, spos) in both directions.
-
-    ``word_size`` only anchors the naming: extension runs from the seed
-    *position* outward in both directions, so the seed word itself is
-    covered by the right extension.
-    """
-    # Right extension: positions qpos.., spos.. (inclusive of the seed).
-    n_right = min(len(query) - qpos, len(subject) - spos)
-    right_scores = scheme.pair_scores(query[qpos:qpos + n_right],
-                                      subject[spos:spos + n_right])
-    right_len, right_score = _best_prefix(right_scores, xdrop)
-
-    # Left extension: positions qpos-1.., spos-1.. moving backwards.
-    n_left = min(qpos, spos)
-    if n_left:
-        left_scores = scheme.pair_scores(query[qpos - n_left:qpos][::-1],
-                                         subject[spos - n_left:spos][::-1])
-        left_len, left_score = _best_prefix(left_scores, xdrop)
-    else:
-        left_len, left_score = 0, 0
-
-    return UngappedHSP(
-        q_start=qpos - left_len,
-        s_start=spos - left_len,
-        length=left_len + right_len,
-        score=left_score + right_score,
-    )
 
 
 #: Window width of the vectorised bulk X-drop pass: extensions that do
@@ -229,8 +197,8 @@ def bulk_ungapped_extend(qcat: np.ndarray, scat: np.ndarray,
     window.
 
     Per seed the answer — ``(left_len, left_score, right_len,
-    right_score)`` — is exactly what :func:`ungapped_extend` computes
-    from the equivalent per-sequence slices.
+    right_score)`` — is exactly what the oracle's ``ungapped_extend``
+    computes from the equivalent per-sequence slices.
     """
     right_len, right_score = _bulk_prefix(qcat, scat, gq, gs, avail_r,
                                           +1, scheme, xdrop, _BULK_WINDOW)

@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.blast.alphabet import PROTEIN
 from repro.blast.score import ScoringScheme
 
 
@@ -35,10 +34,6 @@ def word_codes(encoded: np.ndarray, k: int, base: int) -> np.ndarray:
 
 def dna_word_codes(encoded: np.ndarray, k: int = 11) -> np.ndarray:
     return word_codes(encoded, k, 4)
-
-
-def protein_word_codes(encoded: np.ndarray, k: int = 3) -> np.ndarray:
-    return word_codes(encoded, k, len(PROTEIN))
 
 
 #: LRU bound on the all-words cache.  Each entry is an
@@ -66,10 +61,16 @@ def _all_words(k: int, n_letters: int) -> np.ndarray:
 
 
 class WordIndex:
-    """Lookup table from word code to query positions."""
+    """Lookup table from word code to query positions.
 
-    #: Largest code space for which a direct presence bitmap is kept
-    #: (4**11 = 4 Mi entries = 4 MiB of bools; DNA w<=11, protein w<=3).
+    The search driver folds the indexes of a batch into one
+    :class:`~repro.blast.scankernel.QueryBatch` and scans that; the
+    one-index, one-subject scan is the oracle's
+    (``tests/oracle_search.py::word_index_scan``)."""
+
+    #: Largest code space for which the batch scan keeps a direct
+    #: presence bitmap (4**11 = 4 Mi entries = 4 MiB of bools; DNA
+    #: w<=11, protein w<=3).
     _BITMAP_LIMIT = 1 << 26
 
     def __init__(self, codes: np.ndarray, positions: np.ndarray, k: int, base: int):
@@ -84,22 +85,6 @@ class WordIndex:
         self.unique_codes, starts = np.unique(codes, return_index=True)
         self.offsets = np.append(starts, len(codes)).astype(np.int64)
         self.positions = positions.astype(np.int64)
-        self._present: Optional[np.ndarray] = None
-
-    def _presence(self) -> Optional[np.ndarray]:
-        """The presence bitmap, or ``None`` past ``_BITMAP_LIMIT``.
-
-        Scanning a subject is then a cheap gather, with the (expensive)
-        searchsorted run only on actual hits.  Built on the first
-        :meth:`scan`: the search driver folds its indexes into a
-        ``QueryBatch`` and never scans them one by one, so it should
-        not pay 4 MiB per query orientation for a table it never reads.
-        """
-        if self._present is None and (
-                0 < self.base ** self.k <= self._BITMAP_LIMIT):
-            self._present = np.zeros(self.base ** self.k, dtype=bool)
-            self._present[self.unique_codes] = True
-        return self._present
 
     # ------------------------------------------------------------------
     @classmethod
@@ -169,42 +154,3 @@ class WordIndex:
         if i >= len(self.unique_codes) or self.unique_codes[i] != code:
             return np.empty(0, dtype=np.int64)
         return self.positions[self.offsets[i]:self.offsets[i + 1]]
-
-    # ------------------------------------------------------------------
-    def scan(self, subject_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Find all word hits in a subject.
-
-        Returns (subject_positions, query_positions), one entry per
-        (subject word, matching query word) pair.
-        """
-        if len(subject_codes) == 0 or len(self.unique_codes) == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        present = self._presence()
-        if present is not None:
-            spos = np.nonzero(present[subject_codes])[0]
-            if len(spos) == 0:
-                return (np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.int64))
-            idx_clipped = np.searchsorted(self.unique_codes,
-                                          subject_codes[spos])
-        else:
-            idx = np.searchsorted(self.unique_codes, subject_codes)
-            idx_clipped = np.minimum(idx, len(self.unique_codes) - 1)
-            valid = self.unique_codes[idx_clipped] == subject_codes
-            spos = np.nonzero(valid)[0]
-            idx_clipped = idx_clipped[spos]
-        if len(spos) == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        uidx = idx_clipped
-        starts = self.offsets[uidx]
-        ends = self.offsets[uidx + 1]
-        counts = ends - starts
-        total = int(counts.sum())
-        # Expand ranges [starts_i, ends_i) into one flat index vector.
-        rep_starts = np.repeat(starts, counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        flat = rep_starts + within
-        qpos = self.positions[flat]
-        spos_expanded = np.repeat(spos, counts)
-        return (spos_expanded, qpos)

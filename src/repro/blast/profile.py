@@ -13,14 +13,13 @@ counters, the same on both routes since both replay one plan:
 diagonal) for the banded method, per (group, midpoint) for xdrop),
 ``gapped_traceback`` (pointer-matrix DPs actually run — the problems in
 the stacked call, or every problem on the scalar route) and
-``gapped_culled`` (triggered candidates minus tracebacks: memo hits,
-``max_gapped_per_subject`` drops and, on the bulk route, zero-score
-results and E-value-reject skips).  Until PR 22 the scalar route ran
-and counted one DP per triggered candidate; distinct problems are never
-more, and the same on every benchmark query.  The scan
-stage reports ``scan_step`` (4 when the batch took the packed scan,
-which looks at every 4th window through its 8-mer filter; 1 = the
-dense scan) and ``scan_candidates`` (windows whose full word was tested
+``gapped_culled`` (triggered candidates minus tracebacks: memo hits
+and, on the bulk route, zero-score results and E-value-reject skips).
+Until PR 22 the scalar route ran and counted one DP per triggered
+candidate; distinct problems are never more, and the same on every
+benchmark query.  The scan stage reports ``scan_step`` (4 when the
+batch took the packed scan, which looks at every 4th window through
+its 8-mer filter; 1 = the dense scan) and ``scan_candidates`` (windows whose full word was tested
 against the bitmap — every window at step 1, four per filter survivor
 otherwise), so the filter's selectivity can be read off one line.  The
 point is to stop guessing where the numpy passes go: kernel PRs read
@@ -43,7 +42,8 @@ from contextlib import contextmanager
 from typing import Dict, Optional
 
 #: Environment switch; any non-empty value other than ``0`` enables
-#: profiling (the CLI's ``--profile`` just sets it to ``1``).
+#: profiling (the CLI's ``--profile`` sets it to ``1`` for the extent of
+#: one command).
 PROFILE_ENV = "REPRO_PROFILE"
 
 _active: Optional["StageProfile"] = None
@@ -77,15 +77,6 @@ class StageProfile:
     def count(self, name: str, n: int = 1) -> None:
         """Bump a counter (seeds seen, seeds skipped, subjects hit...)."""
         self.counters[name] = self.counters.get(name, 0) + n
-
-    @contextmanager
-    def stage(self, name: str):
-        """Time a block into the *name* bucket."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0)
 
     def as_dict(self) -> dict:
         out = {"profile": self.label,

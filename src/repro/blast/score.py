@@ -85,10 +85,6 @@ class ScoringScheme:
         return self.matrix[np.asarray(xs, dtype=np.intp),
                            np.asarray(ys, dtype=np.intp)]
 
-    @property
-    def max_score(self) -> int:
-        return int(self.matrix.max())
-
 
 def NucleotideScore(match: int = 1, mismatch: int = -3,
                     gap_open: int = 5, gap_extend: int = 2) -> ScoringScheme:

@@ -84,10 +84,6 @@ class SearchParams:
     #: "xdrop" (NCBI's adaptive-region extension; finds indels larger
     #: than the band at somewhat higher cost).
     gapped_method: str = "banded"
-    #: At most this many gapped DP problems per (orientation, subject)
-    #: group; further triggered candidates are dropped.  0 (default)
-    #: disables the cap — with it off, output never changes.
-    max_gapped_per_subject: int = 0
 
 
 @dataclass
@@ -330,7 +326,7 @@ class _GappedJob:
 
 #: One group's decision sequence: its candidates best-first, each with
 #: the number of the gapped DP problem that refines it (-1: reported as
-#: it stands).  Over-cap candidates are already gone.
+#: it stands).
 _Plan = List[Tuple[UngappedHSP, int]]
 
 #: One gapped DP problem: its group and the candidate midpoint (query,
@@ -344,12 +340,12 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     """Steps 4-5 for every orientation/subject group of a batch.
 
     One preamble, one replay.  The preamble turns each group's
-    candidates into a :data:`_Plan` (best-first, ``max_hsps``, the
-    per-subject cap) and collects the distinct gapped DP problems: for
-    the banded method one per (group, diagonal) — the alignment depends
-    on the seed only through the diagonal — for xdrop one per (group,
-    midpoint).  :func:`_finalize_one` replays each plan reading
-    alignments from ``alns``, problem number → alignment.
+    candidates into a :data:`_Plan` (best-first, ``max_hsps``) and
+    collects the distinct gapped DP problems: for the banded method
+    one per (group, diagonal) — the alignment depends on the seed only
+    through the diagonal — for xdrop one per (group, midpoint).
+    :func:`_finalize_one` replays each plan reading alignments from
+    ``alns``, problem number → alignment.
 
     Only *which kernels fill* ``alns`` is routed: the stacked passes of
     :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` banded
@@ -357,25 +353,18 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     kernel call per problem, which measures faster there.  All exact.
     """
     prof = current_profile()
-    cap = params.max_gapped_per_subject
     banded = params.gapped_method == "banded"
 
     plans: List[_Plan] = []
     problems: List[_Problem] = []
-    over_cap = 0
     for job in jobs:
         job.candidates.sort(key=lambda h: -h.score)
         memo: Dict[object, int] = {}
         plan: _Plan = []
-        n_gapped = 0
         for cand in job.candidates[:params.max_hsps]:
             if not params.gapped or cand.score < params.gapped_trigger:
                 plan.append((cand, -1))
                 continue
-            if cap > 0 and n_gapped >= cap:
-                over_cap += 1
-                continue
-            n_gapped += 1
             mid_q = cand.q_start + cand.length // 2
             mid_s = cand.s_start + cand.length // 2
             key = mid_s - mid_q if banded else (mid_q, mid_s)
@@ -406,8 +395,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     if prof is not None and problems:
         # Every triggered candidate either had a pointer-matrix DP run
         # for it or was resolved without one (see repro.blast.profile).
-        triggered = over_cap + sum(ei >= 0 for plan in plans
-                                   for _cand, ei in plan)
+        triggered = sum(ei >= 0 for plan in plans for _cand, ei in plan)
         prof.count("gapped_trials", len(problems))
         prof.count("gapped_traceback", len(alns))
         prof.count("gapped_culled", triggered - len(alns))

@@ -7,10 +7,10 @@ heuristic of Gapped BLAST (Altschul et al. 1997): extension triggers
 only when two non-overlapping hits lie on the same diagonal within a
 window of A residues.
 
-The search driver calls the grouped forms only, over the whole hit
-stream of a batch.  :func:`one_hit_seeds` and :func:`two_hit_seeds` are
-the single-group definitions those are specified against; their callers
-are the tests and the per-sequence oracle.
+The search driver calls the grouped forms, over the whole hit stream of
+a batch.  The single-group definitions they are specified against
+(``one_hit_seeds``, ``two_hit_seeds``) live beside the per-sequence
+oracle, ``tests/oracle_search.py``, which is their only other caller.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-
-#: A seed: (query position, subject position).
-Seed = Tuple[int, int]
 
 
 def group_hits_by_entry(eids: np.ndarray, sids: np.ndarray,
@@ -59,7 +56,10 @@ def group_hits_by_entry(eids: np.ndarray, sids: np.ndarray,
 def one_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
                           qpos: np.ndarray
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`one_hit_seeds` across many hit groups in one pass.
+    """One-hit seeding across many hit groups in one pass: every word
+    hit is a seed, deduplicated to the first hit per run of consecutive
+    hits on a diagonal (consecutive overlapping word hits would all
+    extend to the same HSP).
 
     *gids* labels each (subject position, query position) hit row with
     its group — one group per (query orientation, subject) pair in the
@@ -71,8 +71,8 @@ def one_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
 
     Returns ``(gid, qpos, spos)`` seed arrays ordered group-major and,
     within a group, by (diagonal, subject position) — each group's
-    slice is element-for-element what :func:`one_hit_seeds` returns for
-    that group alone.
+    slice is element-for-element what the oracle's ``one_hit_seeds``
+    returns for that group alone.
     """
     if len(spos) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -94,12 +94,15 @@ def one_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
 def two_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
                           qpos: np.ndarray, word_size: int, window: int = 40
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`two_hit_seeds` across many hit groups in one pass.
+    """Two-hit seeding across many hit groups in one pass: the
+    *second* hit of a close non-overlapping pair on one diagonal
+    becomes the seed (extension then runs through the first).
 
     Same contract as :func:`one_hit_seeds_grouped` (non-negative
     positions; ``(gid, qpos, spos)`` back group-major, then by
     diagonal and subject position): each group's slice is element for
-    element what :func:`two_hit_seeds` returns for that group alone.
+    element what the oracle's ``two_hit_seeds`` returns for that group
+    alone.
 
     Each hit becomes one int64 key, ``(group, diagonal) * stride +
     spos``, sorted in place; ``qpos = spos - diagonal`` is recovered
@@ -145,9 +148,9 @@ def two_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
     keep[:-1] |= near
     key = key[keep]
 
-    # The stored-hit scan of two_hit_seeds, in distances: *dist* from
-    # the stored hit, *since_seed* from the last seed (it claims the
-    # window after it; "none yet" reads as a full window ago).
+    # The oracle's stored-hit scan (``two_hit_seeds``), in distances:
+    # *dist* from the stored hit, *since_seed* from the last seed (it
+    # claims the window after it; "none yet" reads as a full window ago).
     fired: List[int] = []
     dist, since_seed = 0, window
     for i, gap in enumerate(np.diff(key).tolist(), 1):
@@ -167,64 +170,3 @@ def two_hit_seeds_grouped(gids: np.ndarray, spos: np.ndarray,
         gd = pairs[gd]
     g, d = np.divmod(gd, n_diag)
     return g, s - (d + dmin), s
-
-
-def one_hit_seeds(spos: np.ndarray, qpos: np.ndarray) -> List[Seed]:
-    """Every word hit is a seed, deduplicated to the first hit per
-    run of consecutive hits on a diagonal (consecutive overlapping word
-    hits would all extend to the same HSP)."""
-    if len(spos) == 0:
-        return []
-    diag = spos - qpos
-    order = np.lexsort((spos, diag))
-    d = diag[order]
-    s = spos[order]
-    q = qpos[order]
-    # A hit starts a new run when the diagonal changes or the subject
-    # position jumps by more than 1.
-    new_run = np.empty(len(d), dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1] + 1)
-    idx = np.nonzero(new_run)[0]
-    # Bulk-convert: tolist() yields Python ints in one pass, which is
-    # measurably cheaper than per-element int() on the scan-kernel hot
-    # path (one call per subject with hits).
-    return list(zip(q[idx].tolist(), s[idx].tolist()))
-
-
-def two_hit_seeds(spos: np.ndarray, qpos: np.ndarray, word_size: int,
-                  window: int = 40) -> List[Seed]:
-    """Two-hit seeding: the *second* hit of a close pair on the same
-    diagonal becomes the seed (extension then runs through the first)."""
-    if len(spos) < 2:
-        return []
-    diag = spos - qpos
-    order = np.lexsort((spos, diag))
-    d = diag[order]
-    s = spos[order]
-    q = qpos[order]
-    # NCBI-style stored-hit scan per diagonal: an overlapping follow-up
-    # hit (distance < word_size) leaves the stored hit in place; a hit at
-    # distance in [word_size, window] triggers a seed; one farther than
-    # the window replaces the stored hit.
-    seeds: List[Seed] = []
-    cur_diag = None
-    stored = -(10 ** 12)     # stored hit position on current diagonal
-    fired_until = -(10 ** 12)  # suppress re-triggering inside one region
-    for i in range(len(d)):
-        if d[i] != cur_diag:
-            cur_diag = d[i]
-            stored = s[i]
-            fired_until = -(10 ** 12)
-            continue
-        dist = s[i] - stored
-        if dist < word_size:
-            continue                     # overlaps the stored hit
-        if dist <= window:
-            if s[i] >= fired_until:
-                seeds.append((int(q[i]), int(s[i])))
-                fired_until = s[i] + window
-            stored = s[i]
-        else:
-            stored = s[i]                # too far: start a new pair
-    return seeds

@@ -213,19 +213,10 @@ class SequenceDB:
             db.add(desc, enc)
         return db
 
-    def disk_size(self, directory: str) -> int:
-        """Total bytes of the three files on disk."""
-        return sum(os.path.getsize(p) for p in self.paths(directory))
-
     def __repr__(self) -> str:  # pragma: no cover
         frag = f" frag={self.fragment_id}" if self.fragment_id is not None else ""
         return (f"<SequenceDB {self.name!r} {self.seqtype} "
                 f"n={len(self)} residues={self.total_residues}{frag}>")
-
-
-def format_db(fasta_text: str, seqtype: str = NT, name: str = "db") -> SequenceDB:
-    """``formatdb`` equivalent: FASTA text in, database out."""
-    return SequenceDB.from_fasta_text(fasta_text, seqtype, name)
 
 
 def segment_db(db: SequenceDB, n_fragments: int) -> List[SequenceDB]:

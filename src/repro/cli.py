@@ -103,11 +103,7 @@ def cmd_packdb_info(args) -> int:
     from repro.exec import PackIntegrityError
 
     try:
-        store = _open_store(args.directory)
-        _print_store(store)
-        if args.verify:
-            n = store.verify()
-            print(f"verified {n} pack(s): every section CRC32 OK")
+        _print_store(_open_store(args.directory))
     except PackIntegrityError as exc:
         print(f"# pack integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
@@ -221,16 +217,30 @@ def _serial_batch_results(program: str, db, queries, params):
 
 
 def cmd_blastall(args) -> int:
+    if not getattr(args, "profile", False):
+        return _blastall(args)
+    from repro.blast.profile import PROFILE_ENV
+
+    # Set for this command only (pool workers inherit it at fork), so
+    # a later in-process main() without the flag stays silent.
+    previous = os.environ.get(PROFILE_ENV)
+    os.environ[PROFILE_ENV] = "1"
+    try:
+        return _blastall(args)
+    finally:
+        if previous is None:
+            del os.environ[PROFILE_ENV]
+        else:
+            os.environ[PROFILE_ENV] = previous
+
+
+def _blastall(args) -> int:
     from dataclasses import replace
 
     from repro.blast.fasta import parse_fasta
     from repro.blast.programs import blastall, program_defaults
     from repro.blast.render import render_results
 
-    if getattr(args, "profile", False):
-        from repro.blast.profile import PROFILE_ENV
-
-        os.environ[PROFILE_ENV] = "1"
     protein_db = args.program in ("blastp", "blastx")
     store = None
     db_pack = getattr(args, "db_pack", None)
@@ -508,7 +518,7 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON (pack/index/scan/"
                         "seed/extend/gapped_bulk/gapped) to stderr; "
-                        "equivalent to REPRO_PROFILE=1")
+                        "REPRO_PROFILE=1 for this command")
     _add_pool_args(p)
 
 
@@ -560,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_packdb_build)
     i = psub.add_parser("info", help="print a store's manifest summary")
     i.add_argument("directory")
-    i.add_argument("--verify", action="store_true",
-                   help="also CRC-verify every pack section")
     i.set_defaults(fn=cmd_packdb_info)
     v = psub.add_parser("verify", help="CRC-verify every pack; exit 4 "
                                        "on any integrity failure")

@@ -800,15 +800,6 @@ class ExecPool:
             self._registry.release(spec.name)
             self._pack_residues.pop(spec.name, None)
 
-    def release_db(self, db) -> int:
-        """Drop every pack prepared from *db* (any version); returns
-        how many fragment sets were released."""
-        token = getattr(db, "_scan_token", None)
-        keys = [kk for kk in self._prepared if kk[0] == token]
-        for kk in keys:
-            self._release_prepared(self._prepared.pop(kk))
-        return len(keys)
-
     # ------------------------------------------------------------------
     def _soft_deadline(self) -> float:
         """Seconds before an outstanding task becomes hedge-eligible."""

@@ -14,15 +14,19 @@ the library and moved here verbatim: ``_collect_candidates``
 diagonal at a time) and ``_candidates_to_hsps`` (one scalar DP with
 traceback per triggered candidate).
 
-Downstream of the per-subject scan it shares no driver code with the
-library: no scan structures, no query batching, no grouped seeder, no
-bulk extension, no plan, no bulk gapped pass, no ``_finalize_one``.
-What it does import are the single-seed / single-group *definitions*
-the library's grouped forms are specified against — ``one_hit_seeds``,
-``two_hit_seeds``, ``_best_prefix`` (``tests/test_api_quality.py``
-holds the import list to that) — and the scalar gapped kernels.  So
-equality of oracle and driver is evidence about seeding, extension and
-finalizing on every path, two-hit blastp included.
+It shares no driver code with the library: no scan structures, no
+query batching, no grouped seeder, no bulk extension, no plan, no bulk
+gapped pass, no ``_finalize_one``.  The single-index / single-seed /
+single-group *definitions* the library's batched forms are specified
+against are here too, moved verbatim when the driver stopped calling
+them: :func:`word_index_scan` (``WordIndex.scan`` without its bitmap
+shortcut), :func:`ungapped_extend`, :func:`one_hit_seeds`, :func:`two_hit_seeds`.
+What is still imported from the stages under test is the X-drop prefix
+rule ``_best_prefix`` and the ``UngappedHSP`` record
+(``tests/test_api_quality.py`` holds the import list to that), plus
+the word index, the scalar gapped kernels and the statistics.  So
+equality of oracle and driver is evidence about scanning, seeding,
+extension and finalizing on every path, two-hit blastp included.
 """
 
 import time
@@ -30,19 +34,157 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blast.alphabet import reverse_complement
+from repro.blast.alphabet import PROTEIN, reverse_complement
 from repro.blast.extend import UngappedHSP, _best_prefix
 from repro.blast.filter import apply_query_filter
 from repro.blast.gapped import banded_local_align
-from repro.blast.kmer import WordIndex, dna_word_codes, protein_word_codes
+from repro.blast.kmer import WordIndex, dna_word_codes, word_codes
 from repro.blast.profile import current_profile
 from repro.blast.score import ScoringScheme
 from repro.blast.search import (HSP, Hit, SearchParams, SearchResults,
                                 resolve_ka)
-from repro.blast.seed import one_hit_seeds, two_hit_seeds
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
 from repro.blast.xdrop import xdrop_gapped_extend
+
+
+# ----------------------------------------------------------------------
+# The per-stage definitions, verbatim from the library: one index
+# against one subject, one group's seeds, one seed's extension.
+# ----------------------------------------------------------------------
+#: A seed: (query position, subject position).
+Seed = Tuple[int, int]
+
+
+def protein_word_codes(encoded: np.ndarray, k: int = 3) -> np.ndarray:
+    return word_codes(encoded, k, len(PROTEIN))
+
+
+def word_index_scan(index: WordIndex, subject_codes: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Find all word hits of one query index in one subject.
+
+    Returns (subject_positions, query_positions), one entry per
+    (subject word, matching query word) pair.  ``WordIndex.scan`` as it
+    left the library, minus its presence-bitmap shortcut: every subject
+    word is looked up by binary search, the one branch that is valid
+    for every code space.
+    """
+    if len(subject_codes) == 0 or len(index.unique_codes) == 0:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    idx = np.searchsorted(index.unique_codes, subject_codes)
+    idx_clipped = np.minimum(idx, len(index.unique_codes) - 1)
+    valid = index.unique_codes[idx_clipped] == subject_codes
+    spos = np.nonzero(valid)[0]
+    idx_clipped = idx_clipped[spos]
+    if len(spos) == 0:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    uidx = idx_clipped
+    starts = index.offsets[uidx]
+    ends = index.offsets[uidx + 1]
+    counts = ends - starts
+    total = int(counts.sum())
+    # Expand ranges [starts_i, ends_i) into one flat index vector.
+    rep_starts = np.repeat(starts, counts)
+    within = np.arange(total) - np.repeat(
+        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
+    flat = rep_starts + within
+    qpos = index.positions[flat]
+    spos_expanded = np.repeat(spos, counts)
+    return (spos_expanded, qpos)
+
+
+def one_hit_seeds(spos: np.ndarray, qpos: np.ndarray) -> List[Seed]:
+    """Every word hit is a seed, deduplicated to the first hit per
+    run of consecutive hits on a diagonal (consecutive overlapping word
+    hits would all extend to the same HSP)."""
+    if len(spos) == 0:
+        return []
+    diag = spos - qpos
+    order = np.lexsort((spos, diag))
+    d = diag[order]
+    s = spos[order]
+    q = qpos[order]
+    # A hit starts a new run when the diagonal changes or the subject
+    # position jumps by more than 1.
+    new_run = np.empty(len(d), dtype=bool)
+    new_run[0] = True
+    new_run[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1] + 1)
+    idx = np.nonzero(new_run)[0]
+    # Bulk-convert: tolist() yields Python ints in one pass, which is
+    # measurably cheaper than per-element int() on the scan-kernel hot
+    # path (one call per subject with hits).
+    return list(zip(q[idx].tolist(), s[idx].tolist()))
+
+
+def two_hit_seeds(spos: np.ndarray, qpos: np.ndarray, word_size: int,
+                  window: int = 40) -> List[Seed]:
+    """Two-hit seeding: the *second* hit of a close pair on the same
+    diagonal becomes the seed (extension then runs through the first)."""
+    if len(spos) < 2:
+        return []
+    diag = spos - qpos
+    order = np.lexsort((spos, diag))
+    d = diag[order]
+    s = spos[order]
+    q = qpos[order]
+    # NCBI-style stored-hit scan per diagonal: an overlapping follow-up
+    # hit (distance < word_size) leaves the stored hit in place; a hit at
+    # distance in [word_size, window] triggers a seed; one farther than
+    # the window replaces the stored hit.
+    seeds: List[Seed] = []
+    cur_diag = None
+    stored = -(10 ** 12)     # stored hit position on current diagonal
+    fired_until = -(10 ** 12)  # suppress re-triggering inside one region
+    for i in range(len(d)):
+        if d[i] != cur_diag:
+            cur_diag = d[i]
+            stored = s[i]
+            fired_until = -(10 ** 12)
+            continue
+        dist = s[i] - stored
+        if dist < word_size:
+            continue                     # overlaps the stored hit
+        if dist <= window:
+            if s[i] >= fired_until:
+                seeds.append((int(q[i]), int(s[i])))
+                fired_until = s[i] + window
+            stored = s[i]
+        else:
+            stored = s[i]                # too far: start a new pair
+    return seeds
+
+
+def ungapped_extend(query: np.ndarray, subject: np.ndarray,
+                    qpos: int, spos: int, scheme: ScoringScheme,
+                    xdrop: int = 20, word_size: int = 0) -> UngappedHSP:
+    """Extend a seed at (qpos, spos) in both directions.
+
+    ``word_size`` only anchors the naming: extension runs from the seed
+    *position* outward in both directions, so the seed word itself is
+    covered by the right extension.
+    """
+    # Right extension: positions qpos.., spos.. (inclusive of the seed).
+    n_right = min(len(query) - qpos, len(subject) - spos)
+    right_scores = scheme.pair_scores(query[qpos:qpos + n_right],
+                                      subject[spos:spos + n_right])
+    right_len, right_score = _best_prefix(right_scores, xdrop)
+
+    # Left extension: positions qpos-1.., spos-1.. moving backwards.
+    n_left = min(qpos, spos)
+    if n_left:
+        left_scores = scheme.pair_scores(query[qpos - n_left:qpos][::-1],
+                                         subject[spos - n_left:spos][::-1])
+        left_len, left_score = _best_prefix(left_scores, xdrop)
+    else:
+        left_len, left_score = 0, 0
+
+    return UngappedHSP(
+        q_start=qpos - left_len,
+        s_start=spos - left_len,
+        length=left_len + right_len,
+        score=left_score + right_score,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -155,15 +297,8 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
 
     out: List[HSP] = []
     seen_spans: List[Tuple[int, int]] = []
-    n_gapped = 0
     for cand in candidates:
         if params.gapped and cand.score >= params.gapped_trigger:
-            if (params.max_gapped_per_subject > 0
-                    and n_gapped >= params.max_gapped_per_subject):
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            n_gapped += 1
             mid_q = cand.q_start + cand.length // 2
             mid_s = cand.s_start + cand.length // 2
             t0 = time.perf_counter() if prof is not None else 0.0
@@ -243,12 +378,12 @@ def search_reference(query: np.ndarray, db, scheme,
         return apply_query_filter(oriented, is_protein, params.word_size)[1]
 
     if is_protein:
-        word_codes = protein_word_codes
+        codes_of = protein_word_codes
         orientations = [(query, WordIndex.for_protein(
             query, scheme, params.word_size, params.neighbor_threshold,
             skip=word_skip(query)), 1)]
     else:
-        word_codes = dna_word_codes
+        codes_of = dna_word_codes
         orientations = [(query, WordIndex.for_dna(
             query, params.word_size, skip=word_skip(query)), 1)]
         if both_strands:
@@ -258,10 +393,10 @@ def search_reference(query: np.ndarray, db, scheme,
 
     for sid in range(len(db)):
         subject = db.sequence(sid)
-        codes = word_codes(subject, params.word_size)
+        codes = codes_of(subject, params.word_size)
         hsps: List[HSP] = []
         for oriented, index, strand in orientations:
-            spos, qpos = index.scan(codes)
+            spos, qpos = word_index_scan(index, codes)
             if len(spos) == 0:
                 continue
             candidates = _collect_candidates(oriented, subject, spos, qpos,

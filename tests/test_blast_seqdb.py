@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blast.fasta import FastaRecord
-from repro.blast.seqdb import SequenceDB, format_db, segment_db
+from repro.blast.seqdb import SequenceDB, segment_db
 
 FASTA = """>s1 first
 ACGTACGTAC
@@ -25,12 +25,6 @@ def test_from_fasta_text():
     assert db.description(0) == "s1 first"
     assert db.sequence_str(1) == "TTTTGGGGCCCCAAAA"
     assert db.lengths() == [10, 16, 8]
-
-
-def test_format_db_alias():
-    db = format_db(FASTA, name="nt")
-    assert db.name == "nt"
-    assert len(db) == 3
 
 
 def test_add_rejects_empty():
@@ -86,12 +80,6 @@ def test_load_bad_magic(tmp_path):
     db = SequenceDB(name="junk")
     with pytest.raises(ValueError, match="magic"):
         SequenceDB.load(str(tmp_path), "junk")
-
-
-def test_disk_size_positive(tmp_path):
-    db = SequenceDB.from_fasta_text(FASTA, name="mini")
-    db.write(str(tmp_path))
-    assert db.disk_size(str(tmp_path)) > 0
 
 
 def test_nt_disk_format_packs_2bit(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.blast.alphabet import encode_dna
 from repro.blast.gapped import banded_local_align
 from repro.blast.score import NucleotideScore
-from repro.blast.sw import smith_waterman_score
+from oracle_sw import smith_waterman_score
 from repro.blast.xdrop import xdrop_gapped_extend
 
 SCHEME = NucleotideScore()

@@ -1,0 +1,114 @@
+"""The library surface cannot grow dead code silently: what
+``tools/census.py`` finds unreachable from the entry points (``repro.cli``,
+``perf/``, ``benchmarks/``, ``examples/``, ``tools/``) must be exactly
+its allowlist, every entry of which says why it stays — so the list can
+only shrink (the ``test_knob_inventory.py`` pattern).  The walk itself
+is checked on a synthetic package tree."""
+
+import importlib.util
+import pathlib
+import textwrap
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _load_census():
+    spec = importlib.util.spec_from_file_location(
+        "census", ROOT / "tools" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+census = _load_census()
+
+
+def test_findings_are_exactly_the_allowlist():
+    found = census.findings(ROOT)
+    unlisted = [name for name in found if name not in census.ALLOWLIST]
+    assert not unlisted, (
+        "nothing under the entry points reaches these: delete them, move "
+        f"them beside the tests, or allowlist them with a reason: {unlisted}")
+    stale = sorted(set(census.ALLOWLIST) - set(found))
+    assert not stale, f"no longer findings, drop the entries: {stale}"
+
+
+def test_every_allowlist_entry_states_a_reason():
+    for name, reason in census.ALLOWLIST.items():
+        assert len(reason.split()) >= 5, f"{name}: {reason!r} is not a reason"
+
+
+def _write_tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+
+
+def test_walk_on_a_synthetic_tree(tmp_path):
+    """A module imported only by its package ``__init__`` and its own
+    test is reported; one imported *by name* through the re-export is
+    not; a use inside dead code reaches nothing; methods are live by
+    name."""
+    _write_tree(tmp_path, {
+        "src/pkg/__init__.py": """
+            from pkg.dead import dead_fn
+            from pkg.live import live_fn, Thing
+            from pkg.chained import helper
+            __all__ = ["dead_fn", "live_fn", "Thing", "helper"]
+            """,
+        "src/pkg/dead.py": """
+            from pkg.only_dead_uses import leaf
+            def dead_fn():
+                return leaf()
+            """,
+        "src/pkg/only_dead_uses.py": """
+            def leaf():
+                return 1
+            """,
+        "src/pkg/live.py": """
+            from pkg.chained import helper
+            def live_fn():
+                return helper()
+            def unused_fn():
+                return 0
+            def _private_unused():
+                return 0
+            class Record:
+                x: int = 0
+            class Thing:
+                def __init__(self):
+                    self.x = 1
+                def used(self):
+                    return self.x
+                def unused(self):
+                    return -self.x
+            """,
+        "src/pkg/chained.py": """
+            def helper():
+                return 2
+            """,
+        "src/pkg/cli.py": """
+            def main():
+                import pkg.lazy
+                return pkg.lazy.run()
+            """,
+        "src/pkg/lazy.py": """
+            def run():
+                return 3
+            """,
+        "examples/run.py": """
+            from pkg import live_fn, Thing
+            print(live_fn(), Thing().used())
+            """,
+        "tests/test_dead.py": """
+            from pkg.dead import dead_fn
+            def test_dead():
+                assert dead_fn() == 1
+            """,
+    })
+    walk = census.reachability(tmp_path, package="pkg",
+                               root_modules=("pkg.cli",))
+    assert walk.unreached_modules() == ["pkg.dead", "pkg.only_dead_uses"]
+    assert walk.unreached_names() == [
+        "pkg.live.Record", "pkg.live.Thing.unused", "pkg.live.unused_fn"]

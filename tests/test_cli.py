@@ -124,6 +124,42 @@ def test_blastall_xml_output(fasta_file, capsys):
     assert root.tag == "BlastOutput"
 
 
+@pytest.mark.parametrize("previous", [None, "0"])
+def test_blastn_profile_flag_is_scoped_to_its_command(fasta_file, capsys,
+                                                      monkeypatch, previous):
+    """``--profile`` emits one JSON line per top-level search on stderr
+    and changes nothing on stdout; the switch it flips is back as it
+    was afterwards, so the next in-process command is silent."""
+    import json
+
+    from repro.blast.profile import PROFILE_ENV
+
+    if previous is None:
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(PROFILE_ENV, previous)
+    fasta, query, d = fasta_file
+    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    capsys.readouterr()
+    argv = ["blastn", "-d", f"{d}/mini", "-i", query, "-m", "tabular"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.out and plain.err == ""
+
+    assert main(argv + ["--profile"]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    lines = flagged.err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["profile"] == "search_batch" and "scan" in record["stages"]
+    assert os.environ.get(PROFILE_ENV) == previous
+
+    assert main(argv) == 0
+    after = capsys.readouterr()
+    assert after.out == plain.out and after.err == ""
+
+
 def test_psiblast_command(tmp_path, capsys):
     import numpy as np
 

@@ -761,7 +761,7 @@ def test_cli_packdb_build_info_verify(cli_corpus, capsys):
                  "--fragments", "2"]) == 0
     out = capsys.readouterr().out
     assert "2 sequences" in out
-    assert main(["packdb", "info", out_dir, "--verify"]) == 0
+    assert main(["packdb", "info", out_dir]) == 0
     out = capsys.readouterr().out
     assert "fragment" in out.lower()
     assert main(["packdb", "verify", out_dir]) == 0
@@ -780,7 +780,10 @@ def test_cli_packdb_verify_exit_code_on_corruption(cli_corpus, capsys):
     store = PackStore.open(out_dir)
     corrupt_pack_file(store.pack_path(store.packs[0]))
     assert main(["packdb", "verify", out_dir]) == EXIT_INTEGRITY
-    assert main(["packdb", "info", out_dir, "--verify"]) == EXIT_INTEGRITY
+    # ``info`` reads the manifest only; checking the bytes is ``verify``.
+    assert main(["packdb", "info", out_dir]) == 0
+    with pytest.raises(SystemExit):
+        main(["packdb", "info", out_dir, "--verify"])
     capsys.readouterr()
 
 

@@ -243,8 +243,6 @@ def test_pool_keep_fragment_ids_and_pack_reuse():
         # Same (db, k, nf) key: packs are prepared once and reused.
         pool.search(q, db, scheme, params, n_fragments=4)
         assert len(pool._prepared) == 1
-        assert pool.release_db(db) == 1
-        assert len(pool._prepared) == 0
 
 
 def test_transient_pool_and_query_ids_validation():

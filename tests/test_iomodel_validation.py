@@ -114,7 +114,8 @@ def test_real_fragment_load_matches_model_structure(tmp_path):
     assert first_size <= 16
     # Total bytes read ~= on-disk footprint (each file read once).
     total = sum(size for _, size in reads)
-    assert total == pytest.approx(frag.disk_size(str(tmp_path)), rel=0.01)
+    on_disk = sum(os.path.getsize(p) for p in frag.paths(str(tmp_path)))
+    assert total == pytest.approx(on_disk, rel=0.01)
 
 
 def test_real_search_is_read_only(tmp_path):

@@ -239,8 +239,6 @@ CASES = {
     "protein-two-hit-ungapped": lambda stack, tmp: aa_case(71, gapped=False),
     "protein-two-hit-xdrop": lambda stack, tmp: aa_case(
         72, gapped_method="xdrop"),
-    "protein-two-hit-capped": lambda stack, tmp: aa_case(
-        73, max_gapped_per_subject=1),
     "protein-two-hit-scalar-route": lambda stack, tmp: routed(
         aa_case(53), 10 ** 9),
     "protein-two-hit-bulk-route": lambda stack, tmp: routed(aa_case(53), 1),
