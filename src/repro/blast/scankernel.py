@@ -499,10 +499,8 @@ class ScanCache:
         """Explicitly drop every entry built from the database with
         *token*; returns how many entries were dropped.
 
-        The ``weakref`` finalizer only covers same-process lifetime: a
-        pack attached in a pool worker lives in *that* process, so a
-        long-lived parent would otherwise pin entries for children that
-        are already dead.  The pool teardown path calls this directly.
+        This is what the ``weakref`` finalizer of each cached
+        database runs; callers may also drop a database early.
         """
         self._finalized.discard(token)
         keys = [k for k in self._entries if k[0][0] == token]
@@ -528,9 +526,7 @@ class ScanCache:
     def put(self, db, k: int, base: int, structs: ScanStructures) -> None:
         """Seed the cache with externally built structures for *db*.
 
-        The process pool uses this to prime a worker's cache with
-        shared-memory-backed packs so the search driver attaches
-        zero-copy instead of repacking.  Same LRU accounting as a miss.
+        Same LRU accounting as a miss.
         """
         key = (self._db_key(db), k, base)
         self._entries[key] = structs

@@ -565,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--fragments", type=int, default=4,
                    help="fragment packs to cut the corpus into")
     b.add_argument("--word-size", type=int, default=None,
-                   help="scan word size baked into the packs "
-                        "(default: 11 nt / 3 aa)")
+                   help="word size recorded in the manifest; a store "
+                        "serves searches at any (default: 11 nt / 3 aa)")
     b.set_defaults(fn=cmd_packdb_build)
     i = psub.add_parser("info", help="print a store's manifest summary")
     i.add_argument("directory")

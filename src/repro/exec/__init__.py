@@ -8,8 +8,7 @@ master/worker design on actual cores:
   concatenated database bytes, one per residue, nothing derived)
   published once in ``multiprocessing.shared_memory`` and attached
   zero-copy by every worker, with CRC32 integrity verification at
-  publish and attach, plus per-worker CRC-checked result arenas for
-  shipping large hit sets back without pickling them through the pipe;
+  publish and attach;
 * :mod:`repro.exec.schedule` — greedy heaviest-first dynamic fragment
   scheduling with front-requeue on failure, bounded retries, hedged
   re-issue of stuck tasks, and an overhead-aware planner that groups

@@ -837,12 +837,6 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
     CRC-verified) once, however many queries there are.
     """
     params = params or SearchParams()
-    if params.word_size != store.k:
-        raise ValueError(
-            f"store {store.directory!r} was built with word size "
-            f"{store.k}; searching at word size {params.word_size} "
-            f"requires a rebuild (packdb build --word-size "
-            f"{params.word_size})")
     queries = [np.asarray(q, dtype=np.uint8) for q in queries]
     if query_ids is None:
         query_ids = ["query"] * len(queries)

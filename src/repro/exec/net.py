@@ -51,9 +51,8 @@ from typing import Callable, Iterator, Optional, Tuple
 #: lost sync), which is a framing error, never a guess.
 FRAME_MAGIC = b"RXF1"
 
-#: Frame types.  DATA carries a pickled message (result payloads inside
-#: it are RRES-encoded blobs — the same columnar codec the shm arena
-#: uses, so the wire format and the arena format are one codec).
+#: Frame types.  DATA carries a pickled message — a result's pairs
+#: included, so the frame CRC is their integrity check.
 DATA, PING, PONG = b"D", b"P", b"O"
 
 _HEADER = struct.Struct("<4sc Q I I")   # magic, type, seq, length, crc

@@ -3,10 +3,10 @@ master-side node client.
 
 The worker side is one loop, :func:`serve_tasks`, for both transports:
 the paper's I/O schemes change how a worker *comes to hold* its
-fragment, never how it serves the master's tasks, so the only things
-handed to the loop are a *pack holder* (:class:`NamedPacks` for a pipe
-worker, :class:`TokenPacks` for a node agent) and a callable that
-wraps a task's results for the wire.
+fragment, never how it serves the master's tasks, so the only thing
+handed to the loop is a *pack holder* (:class:`NamedPacks` for a pipe
+worker, :class:`TokenPacks` for a node agent); a task's results go
+back in the ``result`` message itself, whatever carries it.
 
 The rest of the module takes the pool across the machine boundary: a
 :class:`NodeAgent` is a long-lived process (``repro-node`` / ``python
@@ -47,12 +47,10 @@ import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.blast.scankernel import ScanCache
 from repro.blast.search import search_batch
 from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
                             backoff_delay, connect_backoff, parse_address)
-from repro.exec.results import encode_result_pairs
 from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
                             PackView, ShmRegistry, corrupt_segment,
                             ensure_tracker, publish_pack_bytes,
@@ -60,22 +58,18 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 
 #: Wire protocol version: both ends state it in the hello handshake and
 #: refuse a peer stating another (3: a shipped pack has no position
-#: table; 4: no word codes either).
-PROTO_VERSION = 4
+#: table; 4: no word codes; 5: a result message carries its pairs).
+PROTO_VERSION = 5
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
 _FAULT_EXIT = 86
 
-#: Scan-cache bounds every worker (pipe or node) runs with.
-_CACHE_ENTRIES = 1024
-_CACHE_BYTES = 1 << 40
-
 
 # ----------------------------------------------------------------------
 # Worker side: one task-serving loop, two pack holders
 # ----------------------------------------------------------------------
-def execute_task(packs, jobs, qis, names, cache):
+def execute_task(packs, jobs, qis, names, cache=None):
     """Scan a fragment range for a query batch.
 
     *packs* maps pack name → ``(AttachedPack, PackDB)``, *jobs* maps
@@ -83,6 +77,9 @@ def execute_task(packs, jobs, qis, names, cache):
     where *pairs* is the ``(name, query_index, SearchResults)`` list a
     result message carries.
     """
+    # *cache* is never read (a PackDB answers ``scan_structures``
+    # itself); it survives because ``perf/harness/layers.py:254`` passes
+    # one positionally and only a [benchmark] PR may edit ``perf/``.
     specs = [jobs[q] for q in qis]
     # scheme / params / ka / both_strands are batch-wide (search_many
     # builds them once); the effective space is per query.
@@ -115,21 +112,10 @@ class _PackHolder:
     the ``stopped`` message).
     """
 
-    def __init__(self):
-        self.cache = ScanCache(max_entries=_CACHE_ENTRIES,
-                               max_bytes=_CACHE_BYTES)
-
-    def _open(self, spec, verify: bool = True) -> tuple:
+    @staticmethod
+    def _open(spec, verify: bool = True) -> tuple:
         pack = AttachedPack(spec, verify=verify)
-        db = PackDB(pack)
-        self.cache.put(db, spec.k, spec.base, pack.structs)
-        return pack, db
-
-    def _shut(self, pack, db) -> None:
-        # Explicit eviction: the weakref finalizer only fires on GC,
-        # and the cache must release its views before the mapping goes.
-        self.cache.evict(db._scan_token)
-        pack.close()
+        return pack, PackDB(pack)
 
     @staticmethod
     def pack_name(msg) -> str:
@@ -160,7 +146,6 @@ class NamedPacks(_PackHolder):
     and dropped with the worker."""
 
     def __init__(self):
-        super().__init__()
         self._packs: Dict[str, tuple] = {}
         self.verbs = {"attach": self._attach, "detach": self._detach}
 
@@ -175,7 +160,7 @@ class NamedPacks(_PackHolder):
     def _detach(self, msg, injector=None) -> None:
         entry = self._packs.pop(msg[1], None)
         if entry is not None:
-            self._shut(*entry)
+            entry[0].close()
 
     def _lookup(self, name: str) -> tuple:
         return self._packs[name]
@@ -183,7 +168,7 @@ class NamedPacks(_PackHolder):
     def close(self) -> None:
         while self._packs:
             try:
-                self._shut(*self._packs.popitem()[1])
+                self._packs.popitem()[1][0].close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
 
@@ -197,7 +182,6 @@ class TokenPacks(_PackHolder):
     *master's* segment names, kept as aliases onto the identities."""
 
     def __init__(self, node_id: str):
-        super().__init__()
         self.node_id = node_id
         self._registry = ShmRegistry()
         #: cache_token -> (AttachedPack over the local segment, PackDB)
@@ -241,7 +225,7 @@ class TokenPacks(_PackHolder):
     def _release(self, token: tuple) -> None:
         entry = self._store.pop(token, None)
         if entry is not None:
-            self._shut(*entry)
+            entry[0].close()
             self._registry.release(entry[0].spec.name)
 
     def _lookup(self, name: str) -> tuple:
@@ -258,7 +242,7 @@ class TokenPacks(_PackHolder):
                 pass
 
 
-def serve_tasks(conn, rank: int, holder, ship, *,
+def serve_tasks(conn, rank: int, holder, *,
                 injector: Optional[FaultInjector] = None,
                 task_sleep: float = 0.0) -> None:
     """The worker side of the master/worker protocol, for every
@@ -270,9 +254,9 @@ def serve_tasks(conn, rank: int, holder, ship, *,
     query batch (tuple of query indexes) crossed with a contiguous
     fragment range (tuple of pack names) tagged with the master's run
     epoch — every pack is scanned once for the whole batch and the
-    per-(pack, query) results go back in one ``result`` message whose
-    payload *ship(pairs)* wraps for the transport, the epoch echoed so
-    the master can discard cross-run stragglers.  Pack management is
+    per-(pack, query) results go back in one ``result`` message as the
+    plain ``(name, query_index, SearchResults)`` list, the epoch echoed
+    so the master can discard cross-run stragglers.  Pack management is
     the *holder*'s (see :class:`_PackHolder`); anything else gets the
     unknown-message error reply.
 
@@ -307,9 +291,8 @@ def serve_tasks(conn, rank: int, holder, ship, *,
                 if task_sleep > 0:
                     time.sleep(task_sleep)
                 pairs, elapsed, done = execute_task(
-                    holder.packs_for(names), jobs, qis, names, holder.cache)
-                out = ("result", rank, qis, names, ship(pairs), elapsed,
-                       epoch)
+                    holder.packs_for(names), jobs, qis, names)
+                out = ("result", rank, qis, names, pairs, elapsed, epoch)
                 tasks += 1
                 fragments += len(done)
             except Exception:
@@ -421,8 +404,7 @@ class NodeAgent:
 
     def _session(self, sock: socket.socket) -> None:
         """One master's session: the hello handshake, then the shared
-        task loop over the framed socket, results shipped as RRES blobs
-        inside the (CRC-checked) frames."""
+        task loop over the framed (CRC-checked) socket."""
         conn = FrameConnection(sock, name="master")
         try:
             msg = conn.recv()
@@ -445,9 +427,7 @@ class NodeAgent:
                 "pid": os.getpid(),
                 "held": self._packs.held_tokens(),
             }))
-            serve_tasks(conn, rank, self._packs,
-                        lambda pairs: ("blob", encode_result_pairs(pairs)),
-                        injector=self._injector,
+            serve_tasks(conn, rank, self._packs, injector=self._injector,
                         task_sleep=self.task_sleep)
         except (EOFError, OSError, FrameError):
             return          # master went away; keep cache, re-accept
@@ -501,7 +481,6 @@ class WorkerSlot:
     of the attempt, with *alive* saying whether the slot is back.
     """
 
-    arena = None                # result arena, if the transport has one
     pid: Optional[int] = None   # a pid the master may signal, if any
 
     def __init__(self, rank: int):

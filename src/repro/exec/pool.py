@@ -75,15 +75,13 @@ from repro.exec.faults import FailureLedger, FaultInjector, FaultPlan
 from repro.exec.net import NodeConnectError, parse_address
 from repro.exec.nodes import (NamedPacks, NodeClient, SlotLost, WorkerSlot,
                               serve_tasks)
-from repro.exec.results import (decode_result_pairs, encode_result_pairs,
-                                estimate_payload_size)
 from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
                                  GreedyScheduler, RetriesExceeded,
                                  plan_fragments, plan_mirror_groups,
                                  plan_query_batches, plan_task_ranges)
-from repro.exec.shm import (ArenaSpec, PackIntegrityError, PackSpec,
-                            ResultArena, ShmRegistry, default_registry,
-                            ensure_tracker, pack_fragment, publish_pack_bytes)
+from repro.exec.shm import (PackIntegrityError, PackSpec, ShmRegistry,
+                            default_registry, ensure_tracker, pack_fragment,
+                            publish_pack_bytes)
 
 #: Adaptive soft-deadline floor and multiplier: with no observed task
 #: times yet a task is hedge-eligible after this many seconds; once an
@@ -109,15 +107,10 @@ class PoolConfig:
     injection; 0 in production.
     ``fault_plan`` arms deterministic worker-side faults (see
     :mod:`repro.exec.faults`); ``None`` in production.
-    ``arena_threshold`` is the estimated payload size (bytes) above
-    which a worker ships results through its shared-memory arena
-    instead of pickling them over the pipe; small results stay inline
-    because the arena's encode/copy costs more than a tiny pickle.
     """
 
     task_sleep: float = 0.0
     fault_plan: Optional[FaultPlan] = None
-    arena_threshold: int = 32768
 
 
 @dataclass
@@ -155,11 +148,11 @@ class PoolStats:
     respawn_attempts: int = 0
     hang_kills: int = 0
     integrity_failures: int = 0
-    #: Result payloads shipped through the shm arena vs pickled inline
-    #: vs RRES blobs framed over a node socket.
-    arena_results: int = 0
+    #: Results received from local (pipe) workers and from nodes; the
+    #: third is always 0 and stays because perf/ reads all three names.
     inline_results: int = 0
     remote_results: int = 0
+    arena_results: int = 0
     #: Remote nodes re-dialed (successfully) during this run; these
     #: also count into ``respawns`` — a reconnect *is* the socket
     #: transport's respawn.
@@ -234,13 +227,9 @@ class _PreparedDB:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(rank: int, conn, cfg: PoolConfig,
-                 arena_spec: Optional[ArenaSpec] = None) -> None:
-    """Pipe-worker entry point: the shared task loop
-    (:func:`repro.exec.nodes.serve_tasks`) over packs attached by shm
-    name, results shipped through the worker's shared-memory arena when
-    the payload is large (descriptor over the pipe, CRC-checked) and
-    pickled inline when it is small.
+def _worker_main(rank: int, conn, cfg: PoolConfig) -> None:
+    """Pipe-worker entry point: the shared task loop,
+    :func:`repro.exec.nodes.serve_tasks`, over packs attached by name.
 
     Runs in a child process, but takes any connection-like object so
     the protocol is unit-testable in-process with a scripted pipe.
@@ -248,26 +237,14 @@ def _worker_main(rank: int, conn, cfg: PoolConfig,
     holder = NamedPacks()
     injector = (FaultInjector(cfg.fault_plan, rank)
                 if cfg.fault_plan is not None else None)
-    arena = ResultArena(arena_spec) if arena_spec is not None else None
-
-    def ship(pairs) -> tuple:
-        if arena is not None and \
-                estimate_payload_size(pairs) >= cfg.arena_threshold:
-            blob = encode_result_pairs(pairs)
-            if len(blob) <= arena.size:
-                return ("arena",) + arena.write(blob)
-        return ("inline", pairs)
-
     try:
         conn.send(("ready", rank))
-        serve_tasks(conn, rank, holder, ship, injector=injector,
+        serve_tasks(conn, rank, holder, injector=injector,
                     task_sleep=cfg.task_sleep)
     except (EOFError, KeyboardInterrupt, OSError):  # parent went away
         pass
     finally:
         holder.close()
-        if arena is not None:
-            arena.close()
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +268,7 @@ def _terminate_workers(workers: List[WorkerSlot]) -> None:  # pragma: no cover
 
 class _PipeSlot(WorkerSlot):
     """The pipe slot: a forked worker process on a ``Pipe``, fragment
-    packs attached by shm name, large results read back through a
-    master-owned shared-memory arena."""
+    packs attached by shm name."""
 
     def __init__(self, pool: "ExecPool", rank: int):
         super().__init__(rank)
@@ -305,18 +281,9 @@ class _PipeSlot(WorkerSlot):
 
     def spawn(self, cfg: PoolConfig) -> None:
         pool = self.pool
-        if self.arena is None and pool.result_arena_bytes > 0:
-            # Created on first use and reused by a respawned
-            # replacement: its predecessor is dead, and the master
-            # consumed or abandoned any descriptor it had written.
-            self.arena = ResultArena.create(pool.result_arena_bytes,
-                                            tag=str(self.rank),
-                                            registry=pool._registry)
         parent_conn, child_conn = pool._ctx.Pipe()
         proc = pool._ctx.Process(
-            target=_worker_main,
-            args=(self.rank, child_conn, cfg,
-                  self.arena.spec if self.arena else None),
+            target=_worker_main, args=(self.rank, child_conn, cfg),
             name=f"repro-exec-{self.rank}", daemon=True)
         try:
             proc.start()
@@ -414,10 +381,6 @@ class _PipeSlot(WorkerSlot):
                 self.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        if self.arena is not None:
-            self.arena.close()
-            self.pool._registry.release(self.arena.spec.name)
-            self.arena = None
 
 
 class ExecPool:
@@ -484,11 +447,6 @@ class ExecPool:
     ``task_granularity``
         pin N fragments per task (``1`` = one task per fragment);
         ``None`` lets the overhead-aware planner size the ranges.
-    ``result_arena_bytes`` / ``arena_threshold``
-        size of each worker's shared-memory result arena (default
-        4 MiB; 0 disables it) and the estimated payload size above
-        which a result goes through it instead of being pickled over
-        the pipe (default 32 KiB).
     ``nodes`` / ``replication``
         remote worker nodes (``host:port`` strings or pairs; see
         :mod:`repro.exec.nodes`).  Fragment packs are shipped once
@@ -529,8 +487,6 @@ class ExecPool:
                  fault_plan: Optional[FaultPlan] = None,
                  query_batch: int = DEFAULT_MAX_QUERY_BATCH,
                  task_granularity: Optional[int] = None,
-                 result_arena_bytes: int = 4 << 20,
-                 arena_threshold: int = PoolConfig.arena_threshold,
                  nodes: Optional[Sequence] = None,
                  replication: int = 2,
                  node_timeout: Optional[float] = None,
@@ -551,12 +507,10 @@ class ExecPool:
         #: Max queries per batched task; <= 1 disables query batching
         #: (every task carries a single query).
         self.query_batch = int(query_batch)
-        self.result_arena_bytes = int(result_arena_bytes)
         self._cfg = PoolConfig(
             task_sleep=task_sleep,
             fault_plan=(fault_plan if fault_plan is not None
-                        else FaultPlan.from_env()),
-            arena_threshold=int(arena_threshold))
+                        else FaultPlan.from_env()))
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._heartbeat = heartbeat
@@ -688,7 +642,7 @@ class ExecPool:
     def _prepare(self, db, k: int, base: int,
                  n_fragments: Optional[int]) -> _PreparedDB:
         if getattr(db, "is_pack_store", False):
-            return self._prepare_from_store(db, k, base)
+            return self._prepare_from_store(db, base)
         token = db_token(db)
         version = getattr(db, "_version", 0)
         n_slots = self.jobs + len(self.node_addresses)
@@ -709,23 +663,22 @@ class ExecPool:
                                        registry=self._registry))
         return self._install_prepared(key, specs)
 
-    def _prepare_from_store(self, store, k: int, base: int) -> _PreparedDB:
+    def _prepare_from_store(self, store, base: int) -> _PreparedDB:
         """Cold start from an on-disk pack store: mmap each committed
         pack, bulk-copy its data region into a fresh shm segment (one
         memcpy per fragment — no scan structures are rebuilt), verify
         CRCs from the segment, and drop the mappings immediately.  The
         packs keep their own ``(("rpk", store_id), version,
-        fragment_id)`` ScanCache identities, so worker caches and
-        stale-version invalidation behave exactly as for in-RAM
-        databases."""
-        if k != store.k or base != store.base:
+        fragment_id)`` identities, so stale-version invalidation
+        behaves exactly as for in-RAM databases, and serve every word
+        size (nothing in a pack depends on it)."""
+        if base != store.base:
             raise ValueError(
-                f"pack store {store.directory!r} was built with word size "
-                f"{store.k} over base {store.base}; this search needs "
-                f"({k}, {base}) — rebuild the store")
+                f"pack store {store.directory!r} was built over base "
+                f"{store.base}; this search needs base {base}")
         token = db_token(store)
         version = store._version
-        key = (token, version, k, base, len(store.packs))
+        key = (token, version, store.k, base, len(store.packs))
         prep = self._prepared.get(key)
         if prep is not None:
             return prep
@@ -869,35 +822,6 @@ class ExecPool:
             self._handle_death(slot, run)
             return
         slot.jobs_sent.update(qis)
-
-    def _payload_pairs(self, slot: WorkerSlot, payload: tuple,
-                       stats: PoolStats
-                       ) -> List[Tuple[str, int, SearchResults]]:
-        """Materialize a result payload: inline pickled triples, or a
-        CRC-checked read from the worker's shared result arena.
-
-        The single-slot arena is safe because this read happens inside
-        the result-message handler — before the dispatch phase can hand
-        the same worker another task that would overwrite the slot.
-        Hedge copies run on *other* workers, which own their own arenas.
-        """
-        mode = payload[0]
-        if mode == "inline":
-            stats.inline_results += 1
-            return payload[1]
-        if mode == "blob":
-            # Socket-node result: the RRES blob travelled inside a
-            # CRC-checked frame, so the codec's own truncation guards
-            # are the only verification left to do here.
-            stats.remote_results += 1
-            return decode_result_pairs(payload[1])
-        _, offset, nbytes, crc = payload
-        if slot.arena is None:
-            raise PackIntegrityError(
-                f"worker {slot.rank} shipped an arena result but the "
-                f"master holds no arena for that rank")
-        stats.arena_results += 1
-        return decode_result_pairs(slot.arena.read(offset, nbytes, crc))
 
     def _hedge_candidate(self, run: _Run, now: float, soft: float,
                          rank: int) -> Optional[tuple]:
@@ -1093,7 +1017,7 @@ class ExecPool:
                 slot.alive = False
 
     def _on_result(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
-        _, _rank, qis, names, payload, elapsed, m_epoch = msg
+        _, _rank, qis, names, pairs, elapsed, m_epoch = msg
         sched = run.sched
         slot.busy = None
         key = (qis, names)
@@ -1114,13 +1038,10 @@ class ExecPool:
             self._observe(qis, names, elapsed)
         if run.failure is not None:
             return
-        try:
-            pairs = self._payload_pairs(slot, payload, run.stats)
-        except PackIntegrityError as exc:
-            run.note("integrity", rank=slot.rank,
-                     detail=f"result arena: {exc}")
-            run.fail(exc)
-            return
+        if isinstance(slot, NodeClient):
+            run.stats.remote_results += 1
+        else:
+            run.stats.inline_results += 1
         for pack_name, tqi, res in pairs:
             run.results[tqi][pack_name] = res
 

@@ -1,5 +1,9 @@
 """Columnar serialization of fragment search results.
 
+No runtime path calls this module — a result travels as one pickle
+(DESIGN.md §5g); it stays for ``perf/harness/layers.py``, which times
+it, until ROADMAP 2(a).  What follows is the design it was built for.
+
 The pool's original protocol pickled every ``SearchResults`` over the
 worker pipe — per-object pickle overhead that mpiBLAST's profile
 (PAPERS.md) identifies as the parallel-BLAST bottleneck: result

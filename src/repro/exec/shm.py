@@ -436,6 +436,10 @@ class ArenaSpec:
 class ResultArena:
     """A per-worker shared-memory slab for batched result shipping.
 
+    No runtime path creates one (a result is one pickle, DESIGN.md
+    §5g); it and :class:`ArenaSpec` stay for ``perf/harness/layers.py``
+    until ROADMAP 2(a).  The design it was built for:
+
     The worker serializes a completed task's results
     (:mod:`repro.exec.results`), writes the blob into its arena, and
     sends only a small ``(offset, nbytes, crc)`` descriptor over the
@@ -541,8 +545,9 @@ class PackDB:
     Serves the search driver in a worker without ever copying
     sequence payloads: ``sequence(i)`` is a slice view into the shared
     concatenation, descriptions decode lazily from the shared header
-    blob.  Carries the pack's ScanCache identity so a worker cache
-    primed via :meth:`~repro.blast.scankernel.ScanCache.put` hits.
+    blob.  Answers the driver's ``scan_structures`` question itself —
+    the pack *is* the scan structure — and carries the pack's identity
+    as ``_scan_token``.
     """
 
     def __init__(self, pack: AttachedPack):
@@ -552,10 +557,8 @@ class PackDB:
         self.name = spec.name
         self.fragment_id = spec.fragment_id
         self.source_ids = list(spec.source_ids)
-        # ScanCache key compatibility: the pack's token is the whole
-        # identity, so a primed entry is an exact hit and two packs can
-        # never alias (tokens are tuples, but the cache only needs
-        # hashability and equality).
+        # The pack's token is the whole identity: two packs can never
+        # alias under it.
         self._scan_token = spec.cache_token
         self._version = 0
         self._hdr_cache: Dict[int, str] = {}
@@ -575,15 +578,16 @@ class PackDB:
         return [int(x) for x in self._pack.structs.lengths]
 
     def scan_structures(self, k: int, base: int):
-        """The pack's pre-built structures when they match ``(k, base)``.
+        """The pack's own structures, for any *k* over its alphabet.
 
         The search driver prefers this provider over a
         :class:`~repro.blast.scankernel.ScanCache` rebuild — the pack
-        already *is* the scan structure, in shm or mmapped from disk —
-        and falls back to the cache on mismatch (``None``).
+        already *is* the scan structure, in shm or mmapped from disk,
+        and the scan takes the word size from the query batch.
+        ``None`` (the cache fallback) only for another *base*.
         """
         s = self._pack.structs
-        return s if (s.k == k and s.base == base) else None
+        return s if s.base == base else None
 
     def sequence(self, i: int) -> np.ndarray:
         return self._pack.structs.subject(i)

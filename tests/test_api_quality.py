@@ -136,3 +136,32 @@ def test_oracle_imports_no_driver_internals():
              if isinstance(node, ast.Import) for alias in node.names
              if alias.name.startswith("repro")]
     assert whole == []
+
+
+def test_result_wire_is_off_every_runtime_path():
+    """A result is one pickle in the ``result`` message (DESIGN.md
+    §5g): under ``src/repro/exec/`` no code outside the defining
+    modules names the arena or the RRES codec — only the package
+    ``__init__`` re-exports them, for ``perf/harness/layers.py`` — and
+    neither end of the protocol holds a payload tag to switch on."""
+    retired = {"ResultArena": "shm.py", "ArenaSpec": "shm.py",
+               "encode_result_pairs": "results.py",
+               "decode_result_pairs": "results.py",
+               "estimate_payload_size": "results.py"}
+    trees = {rel.rsplit("/", 1)[1]: tree
+             for rel, tree in _src_trees().items()
+             if rel.startswith("src/repro/exec/")}
+    mentions = set()
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            mentions.update((file, name) for name in names
+                            if name in retired and retired[name] != file)
+    assert {file for file, _name in mentions} == {"__init__.py"}
+    tags = [(file, node.value) for file in ("pool.py", "nodes.py")
+            for node in ast.walk(trees[file])
+            if isinstance(node, ast.Constant)
+            and node.value in ("arena", "blob", "inline")]
+    assert tags == []

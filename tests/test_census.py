@@ -2,8 +2,9 @@
 ``tools/census.py`` finds unreachable from the entry points (``repro.cli``,
 ``perf/``, ``benchmarks/``, ``examples/``, ``tools/``) must be exactly
 its allowlist, every entry of which says why it stays — so the list can
-only shrink (the ``test_knob_inventory.py`` pattern).  The walk itself
-is checked on a synthetic package tree."""
+only shrink (the ``test_knob_inventory.py`` pattern).  A second pass
+without ``perf/`` pins the names only the benchmark keeps alive.  The
+walk itself is checked on a synthetic package tree."""
 
 import importlib.util
 import pathlib
@@ -34,8 +35,24 @@ def test_findings_are_exactly_the_allowlist():
 
 
 def test_every_allowlist_entry_states_a_reason():
-    for name, reason in census.ALLOWLIST.items():
+    for name, reason in {**census.ALLOWLIST, **census.PERF_ONLY}.items():
         assert len(reason.split()) >= 5, f"{name}: {reason!r} is not a reason"
+
+
+def test_perf_only_names_are_exactly_the_committed_list():
+    """What only ``perf/`` reaches is the ``[benchmark]`` PR's deletion
+    list: a name that joins it (a runtime path stopped calling it) or
+    leaves it (deleted, or called again) must be written down."""
+    found = census.perf_only(ROOT)
+    assert found == sorted(census.PERF_ONLY)
+    # The result wire left the runtime in PR 24; the dense scan
+    # definition in PR 20 / 21.
+    assert {"repro.exec.shm.ResultArena", "repro.exec.shm.ArenaSpec",
+            "repro.exec.results.encode_result_pairs",
+            "repro.exec.results.decode_result_pairs",
+            "repro.exec.results.estimate_payload_size",
+            "repro.blast.scankernel.ScanStructures.code_pos",
+            "repro.blast.scankernel.ScanStructures.codes"} <= set(found)
 
 
 def _write_tree(root, files):

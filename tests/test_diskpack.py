@@ -423,7 +423,8 @@ def test_diskpack_feeds_scan_engine_directly(tmp_path):
     with DiskPack(path) as pack:
         pdb = PackDB(pack)
         assert pdb.scan_structures(11, 4) is pack.structs
-        assert pdb.scan_structures(12, 4) is None
+        assert pdb.scan_structures(28, 4) is pack.structs   # any k
+        assert pdb.scan_structures(11, len(PROTEIN)) is None
         got = search(q, pdb, NucleotideScore(), params, query_id="q")
         del pdb
     want = search(q, db, NucleotideScore(), params, query_id="q")
@@ -498,18 +499,44 @@ def test_degraded_pool_opens_each_pack_once_for_the_batch(tmp_path,
                                        query_id=qid).tabular()
 
 
-def test_pool_and_search_store_reject_word_size_mismatch(tmp_path):
+def test_one_store_serves_every_word_size(tmp_path):
+    """A pack is ``concat`` + ``starts`` + ``lengths``: nothing in it
+    depends on the word size it was built at, so a store built at 11
+    answers 7, 11 and 28 (TUTORIAL §5's megablast recipe) like the
+    in-RAM database — serially and through the pool, which publishes
+    the packs once for all three."""
     rng = np.random.default_rng(43)
-    db = random_nt_db(rng, 6)
+    db = random_nt_db(rng, 10)
     store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
                              n_fragments=2, word_size=11)
-    q = db.sequence(0)[:80].copy()
-    bad = SearchParams(word_size=7)
-    with pytest.raises(ValueError, match="word size"):
-        search_store(q, store, NucleotideScore(), bad)
+    assert store.k == 11
+    scheme = NucleotideScore()
+    q = max((db.sequence(i) for i in range(len(db))), key=len)[:120].copy()
     with ExecPool(jobs=1) as pool:
-        with pytest.raises(ValueError, match="word size"):
-            pool.search(q, store, NucleotideScore(), bad)
+        for k in (7, 11, 28):
+            params = SearchParams(word_size=k)
+            want = search(q, db, scheme, params)
+            assert want.hits
+            assert dump(search_store(q, store, scheme, params)) == dump(want)
+            assert dump(pool.search(q, store, scheme, params)) == dump(want)
+        assert len(pool._prepared) == 1
+
+
+def test_protein_store_refuses_a_nucleotide_search(tmp_path, capsys):
+    """The alphabet still matters: the CLI refuses on ``seqtype``
+    (usage error), the pool on ``base``."""
+    rng = np.random.default_rng(44)
+    db = random_aa_db(rng, 6)
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=AA,
+                             n_fragments=2)
+    query = tmp_path / "q.fasta"
+    query.write_text(">q\n" + "ACGT" * 20 + "\n")
+    assert main(["blastn", "--db-pack", store.directory,
+                 "-i", str(query)]) == 2
+    assert "needs a nt pack store" in capsys.readouterr().err
+    with ExecPool(jobs=1) as pool:
+        with pytest.raises(ValueError, match="base"):
+            pool._prepare(store, 11, len(DNA), None)
 
 
 # ----------------------------------------------------------------------

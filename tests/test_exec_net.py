@@ -28,7 +28,6 @@ from repro.exec.net import (DATA, FRAME_MAGIC, HEADER_SIZE,
                             encode_frame, parse_address)
 from repro.exec.nodes import PROTO_VERSION, NodeAgent, NodeClient
 from repro.exec.pool import ExecPool, JobSpec, PoolJobError
-from repro.exec.results import decode_result_pairs
 from repro.exec.shm import ShmRegistry, pack_fragment, read_pack_bytes
 
 NT_LETTERS = np.array(list("ACGT"))
@@ -349,9 +348,8 @@ def test_agent_session_protocol_and_stale_epoch():
         assert msg[0] == "result" and msg[1] == 9
         assert msg[2] == (0,) and msg[3] == (spec.name,)
         assert msg[6] == 7          # epoch echoed: stale-epoch filtering
-        mode, blob = msg[4]
-        assert mode == "blob"
-        pairs = decode_result_pairs(blob)
+        pairs = msg[4]              # the result message carries them
+        assert [p[:2] for p in pairs] == [(spec.name, 0)]
         serial = search(q, db, scheme, params, query_id="q")
         assert pairs[0][2].tabular() == serial.tabular()
 
@@ -416,8 +414,10 @@ def test_agent_rejects_adopt_of_unknown_identity():
                                    {"rank": 0}])
 def test_agent_refuses_a_master_speaking_another_protocol(hello):
     """A mismatched hello gets the typed error reply naming both
-    versions and the session ends — and the agent keeps accepting: the
-    next master, speaking this version, is served."""
+    versions and the session ends, the task sent behind it never served
+    — and the agent keeps accepting: the next master, speaking this
+    version, is served."""
+    assert PROTO_VERSION == 5   # 4 shipped results as codec blobs
     agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
     server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
                               daemon=True)
@@ -426,11 +426,12 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
         conn = FrameConnection(
             socket.create_connection(agent.address, timeout=5.0), name="old")
         conn.send(("hello", hello))
+        conn.send(("task", (0,), ("any",), 1))
         msg = conn.recv()
         assert msg[0] == "error" and "protocol version" in msg[4]
         assert repr(hello.get("proto")) in msg[4]
         assert str(PROTO_VERSION) in msg[4]
-        with pytest.raises(EOFError):
+        with pytest.raises(EOFError):       # no reply to the task
             conn.recv()
         conn.close()
 
@@ -451,11 +452,13 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
 def test_client_refuses_a_node_speaking_another_protocol():
     """A node answering ``ready`` under another version is a failed
     dial: ``NodeConnectError`` naming both versions, which the pool
-    records as ``node_unreachable`` like any other."""
+    records as ``node_unreachable`` like any other — and the master
+    sends such a node nothing after the hello."""
     lsock = socket.socket()
     lsock.bind(("127.0.0.1", 0))
     lsock.listen(2)
     address = lsock.getsockname()[:2]
+    after_hello = []
 
     def old_node():
         for _ in range(2):
@@ -464,6 +467,10 @@ def test_client_refuses_a_node_speaking_another_protocol():
             assert conn.recv()[0] == "hello"
             conn.send(("ready", 0, {"node": "old", "proto": PROTO_VERSION - 1,
                                     "pid": 0, "held": []}))
+            try:
+                after_hello.append(conn.recv())
+            except EOFError:
+                pass
             conn.close()
 
     peer = threading.Thread(target=old_node, daemon=True)
@@ -488,4 +495,5 @@ def test_client_refuses_a_node_speaking_another_protocol():
     finally:
         peer.join(timeout=10.0)
         lsock.close()
-    assert not peer.is_alive()
+    assert not peer.is_alive() and after_hello == []
+

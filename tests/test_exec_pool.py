@@ -15,12 +15,11 @@ import pytest
 
 from repro.blast.scankernel import db_token
 from repro.blast.score import NucleotideScore, ProteinScore
-from repro.blast.search import (SearchParams, merge_fragment_results,
-                                search)
+from repro.blast.search import (SearchParams, SearchResults,
+                                merge_fragment_results, search)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import (ExecPool, FrameConnection, GreedyScheduler,
-                        PoolJobError, RetriesExceeded, decode_result_pairs,
-                        plan_fragments)
+                        PoolJobError, RetriesExceeded, plan_fragments)
 from repro.exec.nodes import PROTO_VERSION, NodeAgent
 from repro.exec.pool import JobSpec, PoolConfig, _worker_main
 from repro.exec.shm import (NAME_PREFIX, ShmRegistry, pack_fragment,
@@ -424,8 +423,9 @@ def _agent_replies(rank, load, script):
 def test_worker_main_protocol_in_process():
     """One script, both entry points: the pipe worker and the node
     agent serve it through the same loop, so reply kinds, epoch echo,
-    error texts and exit counters must agree — only the pack verbs and
-    the result wrapper differ."""
+    error texts, exit counters and the result payload itself — a list
+    of ``(name, qi, SearchResults)`` — must agree; only the pack verbs
+    differ."""
     rng = np.random.default_rng(11)
     db = random_nt_db(rng, 12)
     scheme = NucleotideScore()
@@ -450,19 +450,19 @@ def test_worker_main_protocol_in_process():
         ("stop",),
     ]
     try:
-        for rank, serve, wire, unwrap in (
-                (3, _pipe_replies, "inline", list),
-                (5, _agent_replies, "blob", decode_result_pairs)):
+        for rank, serve in ((3, _pipe_replies), (5, _agent_replies)):
             # Loading every pack twice is idempotent on both holders.
             replies = serve(rank, specs + specs, script)
             assert [m[0] for m in replies] == \
                 ["result", "error", "error", "stopped"]
             result, bad_pack, bogus, stopped = replies
             assert result[1:4] == (rank, (0,), names)
-            assert result[6] == 7           # epoch echoed
-            assert result[4][0] == wire
-            pairs = unwrap(result[4][1])
+            assert len(result) == 7 and result[6] == 7  # epoch echoed
+            pairs = result[4]
+            assert type(pairs) is list
             assert [p[:2] for p in pairs] == [(n, 0) for n in names]
+            assert all(type(p) is tuple and len(p) == 3
+                       and type(p[2]) is SearchResults for p in pairs)
             merged = merge_fragment_results(
                 {n: res for n, _qi, res in pairs},
                 {s.name: list(s.source_ids) for s in specs},

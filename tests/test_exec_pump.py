@@ -57,8 +57,8 @@ class ScriptedConn:
             pairs = [(name, qi, f"{name}/{qi}{self.mark}")
                      for name in names for qi in qis]
             self.due.append((self.clock() + self.delay,
-                             ("result", self.rank, qis, names,
-                              ("inline", pairs), 0.01, epoch)))
+                             ("result", self.rank, qis, names, pairs,
+                              0.01, epoch)))
 
     def ping(self):
         self.pings += 1
@@ -195,7 +195,7 @@ def test_previous_epoch_result_is_stale_and_frees_the_slot():
     straggler.busy_since = clock()
     straggler.conn.due.append(
         (clock() + 0.5, ("result", 1, (0,), ("old",),
-                         ("inline", [("old", 0, "old/0")]), 0.01, epoch)))
+                         [("old", 0, "old/0")], 0.01, epoch)))
     try:
         results, stats = pool._run_tasks({0: None}, ONE_TASK)
     finally:

@@ -26,8 +26,14 @@ Reported, each with its allowlist reason or ``UNLISTED``:
   non-default value;
 * CLI flags no root, doc, workflow or Makefile spells.
 
-``tests/test_census.py`` requires findings == :data:`ALLOWLIST` keys,
-both ways, so the list can only shrink.  Usage::
+A second pass drops ``perf/`` from the roots: what only the benchmark
+reaches is the deletion list of the ``[benchmark]`` PR that may edit
+``perf/`` (ROADMAP 2(a)), printed as its own table with the reason each
+name is still there.
+
+``tests/test_census.py`` requires findings == :data:`ALLOWLIST` keys
+and the second table == :data:`PERF_ONLY` keys, both ways, so the
+lists can only shrink.  Usage::
 
     PYTHONPATH=src python tools/census.py     # table; exit 1 on a diff
 """
@@ -162,8 +168,9 @@ ALLOWLIST: Dict[str, str] = {
     "candidate for the next census PR",
     "cli --inclusion-evalue": "psiblast's -h (NCBI); library callers pass "
     "inclusion_evalue= directly, nothing scripts the flag",
-    "cli --word-size": "packdb build: the word size baked into a store "
-    "must match the search's; only the default is built outside tests",
+    "cli --word-size": "packdb build: recorded in the manifest and read "
+    "by no search (a pack serves every word size); leaves with the next "
+    "format bump, ROADMAP 7(e)",
     "cli --max-sessions": "CLI spelling of NodeAgent.serve(max_sessions=), "
     "which tests/test_exec_net.py drives: an agent that exits by itself",
     "cli --node-id": "CLI spelling of NodeAgent(node_id=): stable agent "
@@ -174,6 +181,42 @@ ALLOWLIST: Dict[str, str] = {
     "cli --queryseg": "the paper's other parallelisation (§2.2) from "
     "the command line (tests/test_cli.py); benchmarks set it through "
     "ExperimentConfig",
+}
+
+_WIRE = ("the shm / codec result wire no runtime path uses since PR 24 "
+         "(a result is one pickle); perf/harness/layers.py still times it")
+_DENSE = ("the dense per-residue definition the scan no longer stores, "
+          "derived on read; only perf/harness/layers.py's slope check "
+          "reads it")
+
+#: Names only ``perf/`` reaches → why they are still in ``src/``.  The
+#: benchmark's paths are frozen for ordinary PRs, so these wait for the
+#: ``[benchmark]`` PR of ROADMAP 2(a), which deletes them with their
+#: callers.
+PERF_ONLY: Dict[str, str] = {
+    # -- to delete -------------------------------------------------------
+    "repro.exec.results.decode_result_pairs": _WIRE,
+    "repro.exec.results.encode_result_pairs": _WIRE,
+    "repro.exec.results.estimate_payload_size": _WIRE,
+    "repro.exec.shm.ArenaSpec": _WIRE,
+    "repro.exec.shm.ResultArena": _WIRE,
+    "repro.blast.scankernel.ScanStructures.code_pos": _DENSE,
+    "repro.blast.scankernel.ScanStructures.codes": _DENSE,
+    # -- to keep: the benchmark is their only caller among the roots ---
+    "repro.blast.fasta.write_fasta": "stays: the library's FASTA writer "
+    "(round-tripped by the fasta tests); the store workload writes its "
+    "corpus with it",
+    "repro.blast.scankernel.scan_fragment": "stays while the scan layer "
+    "is timed per index: scan_fragment_batch of one, which the "
+    "scankernel tests compare the batch scan against",
+    "repro.exec.diskpack.search_store": "stays: the documented one-query "
+    "spelling of search_store_batch (README, TUTORIAL); nt_store_restart "
+    "is it",
+    "repro.exec.pool.ExecPool.worker_pids": "stays: the fault-injection "
+    "hook the chaos tests signal workers through; the benchmark reads "
+    "peak RSS of the same pids",
+    "repro.workloads.synthdb.synthetic_aa_db": "stays: the protein corpus "
+    "generator behind aa_gapped_serial and the blastp tests",
 }
 
 _MODULE_UNIT = "<module>"
@@ -413,18 +456,20 @@ class Census:
 
 
 # ----------------------------------------------------------------------
-def root_files(repo: pathlib.Path) -> List[pathlib.Path]:
-    return [path for d in ROOT_DIRS
+def root_files(repo: pathlib.Path,
+               dirs: Iterable[str] = ROOT_DIRS) -> List[pathlib.Path]:
+    return [path for d in dirs
             for path in sorted((repo / d).rglob("*.py"))
             if "out" not in path.relative_to(repo).parts[1:-1]]
 
 
 def reachability(repo: pathlib.Path, package: str = "repro",
-                 root_modules: Iterable[str] = ROOT_MODULES) -> Census:
+                 root_modules: Iterable[str] = ROOT_MODULES,
+                 root_dirs: Iterable[str] = ROOT_DIRS) -> Census:
     census = Census(load_package(repo / "src", package))
     for name in root_modules:
         census.add_root_module(name)
-    for path in root_files(repo):
+    for path in root_files(repo, root_dirs):
         census.add_root_file(ast.parse(path.read_text()))
     census.run()
     return census
@@ -485,24 +530,48 @@ def unused_cli_flags(repo: pathlib.Path) -> List[str]:
     return sorted(unused)
 
 
+def _unreached(census: Census) -> List[str]:
+    return census.unreached_modules() + census.unreached_names()
+
+
 def findings(repo: pathlib.Path = REPO) -> List[str]:
-    census = reachability(repo)
-    return (census.unreached_modules() + census.unreached_names()
+    return (_unreached(reachability(repo))
             + unset_search_params(repo) + unused_cli_flags(repo))
 
 
-def main() -> int:
-    found = findings()
-    width = max(map(len, found + list(ALLOWLIST)), default=0)
+def perf_only(repo: pathlib.Path = REPO) -> List[str]:
+    """Names that ``perf/`` is the only root to reach: the unreached
+    set with ``perf/`` taken off the roots, minus the one with it on."""
+    without = reachability(
+        repo, root_dirs=[d for d in ROOT_DIRS if d != "perf"])
+    only = set(_unreached(without)) - set(_unreached(reachability(repo)))
+    # A module counts name by name: what is deleted is its API.
+    for name in only & set(without.modules):
+        only.remove(name)
+        only.update(f"{name}.{unit}" for unit in without.modules[name].defs
+                    if "." not in unit and not unit.startswith("_"))
+    return sorted(only)
+
+
+def _table(title: str, found: List[str], listed: Dict[str, str]) -> bool:
+    """Print one table; ``True`` when it matches its committed list."""
+    width = max(map(len, found + list(listed)), default=0)
     for name in found:
-        print(f"{name:<{width}}  {ALLOWLIST.get(name, 'UNLISTED')}")
-    stale = sorted(set(ALLOWLIST) - set(found))
+        print(f"{name:<{width}}  {listed.get(name, 'UNLISTED')}")
+    stale = sorted(set(listed) - set(found))
     for name in stale:
         print(f"{name:<{width}}  STALE: no longer a finding, drop the entry")
-    unlisted = [n for n in found if n not in ALLOWLIST]
-    print(f"# {len(found)} finding(s), {len(unlisted)} unlisted, "
+    unlisted = [n for n in found if n not in listed]
+    print(f"# {title}: {len(found)} finding(s), {len(unlisted)} unlisted, "
           f"{len(stale)} stale")
-    return 1 if unlisted or stale else 0
+    return not (unlisted or stale)
+
+
+def main() -> int:
+    ok = _table("no entry point reaches", findings(), ALLOWLIST)
+    print()
+    ok &= _table("only perf/ reaches", perf_only(), PERF_ONLY)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
