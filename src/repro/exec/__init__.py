@@ -14,11 +14,11 @@ master/worker design on actual cores:
   re-issue of stuck tasks, and an overhead-aware planner that groups
   fragments into contiguous range tasks;
 * :mod:`repro.exec.pool` — the persistent worker pool
-  (:class:`ExecPool`: the master side, and the pipe worker's entry
-  point), byte-identical to the serial engine, with worker respawn
-  and graceful serial fallback; every pool knob is an ``ExecPool``
-  keyword, and ``REPRO_EXEC_FAULT_PLAN`` is the only environment
-  variable the package reads;
+  (:class:`ExecPool`: the master side; its local workers are node
+  agents forked onto a ``socketpair``), byte-identical to the serial
+  engine, with worker respawn and graceful serial fallback; every pool
+  knob is an ``ExecPool`` keyword, and ``REPRO_EXEC_FAULT_PLAN`` is the
+  only environment variable the package reads;
 * :mod:`repro.exec.faults` — deterministic fault injection (kill /
   hang / slow / drop-result / corrupt-pack, plus the reply-time
   disconnect / partition / delay / reorder kinds) and the structured
@@ -28,16 +28,16 @@ master/worker design on actual cores:
   whose data region matches the shm layout byte-for-byte, a streaming
   bounded-memory builder with atomic commit, and the pool's
   mmap-then-memcpy cold-start path;
-* :mod:`repro.exec.net` — the framed socket transport (CRC32-checked
+* :mod:`repro.exec.net` — the one transport (CRC32-checked
   length-prefixed frames, per-connection sequence numbers, PING/PONG
-  keepalives, bounded reconnect backoff) that lets pool workers live
-  on remote hosts;
-* :mod:`repro.exec.nodes` — the worker side: the one task-serving
-  loop (``serve_tasks``) both transports run and its two pack
-  holders; the worker-node agent (``repro-node``) and its master-side
-  client — fragment packs shipped once and cached by identity,
-  CEFT-style mirroring so a node death is a mirror re-read; plus the
-  local :class:`NodeFleet` test/chaos harness.
+  keepalives, bounded reconnect backoff), local or across hosts;
+* :mod:`repro.exec.nodes` — the worker side: every worker is a node
+  agent running the one task-serving loop (``serve_tasks``) over its
+  one pack holder, and its master-side client — packs attached by shm
+  name on the master's machine, shipped once and cached by identity to
+  a remote node (``repro-node``), CEFT-style mirroring so a node death
+  is a mirror re-read; plus the :class:`NodeFleet` test/chaos
+  harness.
 """
 
 from repro.exec.diskpack import (DiskPack, PackFormatError, PackStore,
@@ -54,8 +54,7 @@ from repro.exec.net import (FrameConnection, FrameCRCError, FrameDecoder,
                             connect_backoff, parse_address)
 from repro.exec.nodes import (NodeAgent, NodeClient, NodeFleet, execute_task,
                               run_node)
-from repro.exec.pool import (ExecPool, JobSpec, PoolConfig, PoolJobError,
-                             PoolStats)
+from repro.exec.pool import ExecPool, JobSpec, PoolJobError, PoolStats
 from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
 from repro.exec.schedule import (DEFAULT_SCAN_RATE, DEFAULT_TASK_OVERHEAD_S,
@@ -72,7 +71,7 @@ __all__ = [
     "build_pack_store", "corrupt_pack_file", "search_store",
     "search_store_batch", "sweep_build_leftovers", "write_pack",
     "pack_layout", "publish_pack_bytes",
-    "ExecPool", "JobSpec", "PoolConfig", "PoolJobError", "PoolStats",
+    "ExecPool", "JobSpec", "PoolJobError", "PoolStats",
     "DEFAULT_SCAN_RATE", "DEFAULT_TASK_OVERHEAD_S",
     "GreedyScheduler", "RetriesExceeded", "plan_fragments",
     "plan_task_ranges",

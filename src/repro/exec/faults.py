@@ -41,12 +41,12 @@ Fault semantics (all applied worker-side):
 
 Network fault kinds (applied at result-send time by the one worker
 loop, :func:`repro.exec.nodes.serve_tasks`, so they mean the same on a
-socket node and on a pipe worker):
+remote node and on a local worker):
 
 ``disconnect``
     leave the session abruptly instead of sending the result — the
     dropped TCP connection; the master sees EOF and requeues (to a
-    mirror).  A node's agent survives to accept a reconnect; a pipe
+    mirror).  A node's agent survives to accept a reconnect; a local
     worker's process ends and is respawned.
 ``partition``
     go completely silent for ``delay`` seconds (no result, no
@@ -131,8 +131,8 @@ class Fault:
 class FaultPlan:
     """A deterministic, picklable set of armed faults.
 
-    Plans ride to workers inside :class:`~repro.exec.pool.PoolConfig`
-    (shipped once at spawn), round-trip through JSON for the
+    Plans ride to workers in the agent's arguments (handed over once
+    at the fork), round-trip through JSON for the
     ``REPRO_EXEC_FAULT_PLAN`` env hook, and carry the seed that
     generated them so a failing chaos run is reproducible from its
     one-line report.

@@ -1,13 +1,13 @@
-"""Framed socket transport for the multi-node execution runtime.
+"""Framed socket transport: the one connection between the master and
+every worker, a local agent on a ``socketpair`` or a node across a
+network.
 
 The paper's cluster runs the master and its workers on *separate*
-nodes; everything the pipe transport in :mod:`repro.exec.pool` does —
-attach, task, result, stop — must therefore also survive a real
-network, where the failure modes are nastier than a dead child
-process: connections drop mid-frame, bytes arrive corrupted, replies
-get delayed past deadlines, and a partitioned peer looks exactly like
-a slow one.  Following the ParaStation lesson from "Fast Parallel I/O
-on Cluster Computers" (PAPERS.md) the transport is engineered
+nodes, where the failure modes are nastier than a dead child process:
+connections drop mid-frame, bytes arrive corrupted, replies get
+delayed past deadlines, and a partitioned peer looks exactly like a
+slow one.  Following the ParaStation lesson from "Fast Parallel I/O on
+Cluster Computers" (PAPERS.md) the transport is engineered
 failure-first:
 
 * every message travels in a **length-prefixed frame** carrying a
@@ -19,18 +19,17 @@ failure-first:
   garbage;
 * **heartbeat keepalives** (PING/PONG frames, handled inside the
   connection so callers never see them) let the master distinguish a
-  live-but-idle node from a silently dead one via
+  live-but-idle worker from a silently dead one via
   :attr:`FrameConnection.last_heard`;
 * connection establishment uses **bounded retry with exponential
   backoff + jitter** (:func:`connect_backoff`), with the clock, RNG,
   and connect function injectable so the retry schedule is testable
   against a fake clock.
 
-:class:`FrameConnection` deliberately mimics the
-``multiprocessing.Connection`` surface (``send`` / ``recv`` / ``poll``
-/ ``fileno`` / ``close``, EOF surfaces as :class:`EOFError`), so the
-pool's single ``connection.wait`` pump serves pipe workers and socket
-nodes side by side without a second event loop.
+:class:`FrameConnection` has the ``multiprocessing.Connection`` surface
+(``send`` / ``recv`` / ``poll`` / ``fileno`` / ``close``, EOF as
+:class:`EOFError`), so the pool's pump waits on every worker with one
+``connection.wait``.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ class FrameDecoder:
 class FrameConnection:
     """A framed, heartbeat-aware message connection over one socket.
 
-    Pipe-compatible surface: ``send(obj)`` / ``recv()`` move pickled
+    Connection surface: ``send(obj)`` / ``recv()`` move pickled
     Python messages, ``poll(timeout)`` reports whether ``recv`` would
     return immediately, ``fileno()`` plugs into
     ``multiprocessing.connection.wait``, and a closed peer surfaces as
@@ -197,7 +196,7 @@ class FrameConnection:
         sock.setblocking(True)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - AF_UNIX / socketpair
+        except OSError:         # AF_UNIX (a socketpair): no Nagle
             pass
         self._decoder = FrameDecoder()
         self._queue: deque = deque()
@@ -217,7 +216,7 @@ class FrameConnection:
 
     def send(self, obj) -> None:
         """Pickle *obj* into one DATA frame.  Raises ``OSError`` when
-        the peer is gone — the same failure surface as a dead pipe."""
+        the peer is gone."""
         self._send_frame(DATA, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
 
     def ping(self) -> None:

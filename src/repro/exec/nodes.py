@@ -1,38 +1,27 @@
-"""The worker side of the pool, the worker-node agent, and the
-master-side node client.
+"""The worker side of the pool — every worker is a node agent — and
+the master-side client of one.
 
-The worker side is one loop, :func:`serve_tasks`, for both transports:
-the paper's I/O schemes change how a worker *comes to hold* its
-fragment, never how it serves the master's tasks, so the only thing
-handed to the loop is a *pack holder* (:class:`NamedPacks` for a pipe
-worker, :class:`TokenPacks` for a node agent); a task's results go
-back in the ``result`` message itself, whatever carries it.
+The paper's I/O schemes change how a worker *comes to hold* its
+fragment, never how it serves the master's tasks, and the code has
+that shape: every worker is a :class:`NodeAgent` running one loop,
+:func:`serve_tasks`, over one framed connection, with one pack holder,
+:class:`TokenPacks`.  Only how the packs arrive differs.  A pool's
+local worker is an agent forked onto one end of a ``socketpair`` that
+``attach``-es the master's own shared-memory segments by name; a
+remote node (``repro-node`` / ``python -m repro.cli node``) listens on
+TCP and receives each pack **once** as bytes (``publish``, CRC-checked
+field by field), cached by content identity across sessions, so a
+master that reconnects sends a tiny ``adopt`` instead — the CEFT
+mirror's re-read, not a re-ship.
 
-The rest of the module takes the pool across the machine boundary: a
-:class:`NodeAgent` is a long-lived process (``repro-node`` / ``python
--m repro.cli node``) that listens on a TCP socket, accepts a master's
-session, receives fragment packs **once** as raw bytes (republished
-locally through :func:`~repro.exec.shm.publish_pack_bytes`, CRC-checked
-field by field), and then runs that loop — byte-identical results by
-construction.
-
-Pack caching is the CEFT mirroring substrate: the agent keys every
-received pack by its ``(token, version, fragment_id)`` identity and
-keeps it across sessions, so a master that reconnects after a network
-drop ships nothing — the hello reply lists the held identities and the
-master sends a tiny ``adopt`` instead of megabytes of pack bytes (a
-re-read, not a re-ship).
-
-The master side has the same shape as the worker side: one surface,
-:class:`WorkerSlot`, that the pool's pump drives without knowing the
-transport behind it.  :class:`NodeClient` is the socket slot (dial with
-bounded backoff, hello handshake, ship-or-adopt accounting, heartbeat);
-the pipe slot lives beside the pool in :mod:`repro.exec.pool`.
-
-:class:`NodeFleet` spawns local agents for tests, chaos sweeps, CI and
-benchmarks: the parent keeps each listening socket open, so respawning
-a killed agent re-serves the *same* port with no rebind race, and
-reaps any shared-memory segments a SIGKILLed agent left behind.
+The master side has the same shape: one surface, :class:`WorkerSlot`,
+that the pool's pump drives, and one implementation of it for a real
+worker, :class:`NodeClient` (hello, ship-or-adopt, heartbeat; a dial
+with bounded backoff for a node, a fork for the local slot in
+:mod:`repro.exec.pool`).  :class:`NodeFleet` spawns listening agents
+for tests, chaos sweeps, CI and benchmarks: it keeps each listening
+socket open, so a respawned agent re-serves the *same* port, and reaps
+the shared-memory segments a SIGKILLed agent left behind.
 """
 
 from __future__ import annotations
@@ -67,7 +56,7 @@ _FAULT_EXIT = 86
 
 
 # ----------------------------------------------------------------------
-# Worker side: one task-serving loop, two pack holders
+# Worker side: one task-serving loop, one pack holder
 # ----------------------------------------------------------------------
 def execute_task(packs, jobs, qis, names, cache=None):
     """Scan a fragment range for a query batch.
@@ -100,17 +89,30 @@ def execute_task(packs, jobs, qis, names, cache=None):
     return pairs, time.perf_counter() - t0, frag_ids
 
 
-class _PackHolder:
-    """What a worker keeps its fragment packs in — the one thing that
-    differs between a pipe worker and a node agent.
+class TokenPacks:
+    """An agent's fragment packs, keyed by content identity (the spec's
+    ``cache_token``) so they outlive sessions, and addressed by tasks
+    through the *master's* segment names, kept as aliases.
 
-    :func:`serve_tasks` asks a holder for ``verbs`` (message kind →
-    ``handler(msg, injector)``, the pack-management messages this
-    transport speaks), ``pack_name(msg)`` (whom a failed verb is
-    reported against), ``packs_for(names)`` (the mapping a task scans;
-    ``KeyError`` for a name not held) and ``stats()`` (extra keys for
-    the ``stopped`` message).
+    ``attach`` opens the master's own segment zero-copy by name (a
+    local agent); ``publish`` republishes shipped bytes in the agent's
+    shared memory (a remote one); ``adopt`` re-binds a name to an
+    identity already held (a returning master ships nothing);
+    ``detach`` drops a name, and the pack with its last name — the
+    segment unlinked only if this holder published it.  These are the
+    ``verbs`` (kind → ``handler(msg, injector)``) :func:`serve_tasks`
+    dispatches to; a failed one is reported against ``pack_name(msg)``.
     """
+
+    def __init__(self, node_id: str):
+        self.node_id = node_id
+        self._registry = ShmRegistry()
+        #: cache_token -> (AttachedPack, PackDB)
+        self._store: Dict[tuple, tuple] = {}
+        #: master-side pack name -> cache_token
+        self._aliases: Dict[str, tuple] = {}
+        self.verbs = {"attach": self._attach, "publish": self._publish,
+                      "adopt": self._adopt, "detach": self._detach}
 
     @staticmethod
     def _open(spec, verify: bool = True) -> tuple:
@@ -122,77 +124,17 @@ class _PackHolder:
         # Every pack verb carries the master's PackSpec or its name.
         return getattr(msg[1], "name", msg[1])
 
-    def packs_for(self, names) -> Dict[str, tuple]:
-        return {n: self._lookup(n) for n in names}
-
-    def fragment_ids(self, names) -> List[Optional[int]]:
-        """Fragment id per pack name (``None`` for a pack not held):
-        what a fault plan's ``fragment`` selector matches against."""
-        out: List[Optional[int]] = []
-        for name in names:
-            try:
-                out.append(self._lookup(name)[0].spec.fragment_id)
-            except KeyError:
-                out.append(None)
-        return out
-
-    def stats(self) -> dict:
-        return {}
-
-
-class NamedPacks(_PackHolder):
-    """The pipe worker's holder: packs the master published in shared
-    memory, attached zero-copy by segment name (``attach`` / ``detach``)
-    and dropped with the worker."""
-
-    def __init__(self):
-        self._packs: Dict[str, tuple] = {}
-        self.verbs = {"attach": self._attach, "detach": self._detach}
+    def held_tokens(self) -> List[tuple]:
+        return list(self._store)
 
     def _attach(self, msg, injector) -> None:
         spec = msg[1]
         if injector is not None and \
                 injector.on_attach(spec.fragment_id) is not None:
             corrupt_segment(spec)
-        if spec.name not in self._packs:
-            self._packs[spec.name] = self._open(spec)
-
-    def _detach(self, msg, injector=None) -> None:
-        entry = self._packs.pop(msg[1], None)
-        if entry is not None:
-            entry[0].close()
-
-    def _lookup(self, name: str) -> tuple:
-        return self._packs[name]
-
-    def close(self) -> None:
-        while self._packs:
-            try:
-                self._packs.popitem()[1][0].close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-
-
-class TokenPacks(_PackHolder):
-    """The node agent's holder: packs received as bytes (``publish``),
-    republished in the node's own shared memory and keyed by their
-    ``(token, version, fragment_id)`` content identity, so they outlive
-    sessions and a returning master re-registers them with a tiny
-    ``adopt`` instead of re-shipping.  Tasks address packs by the
-    *master's* segment names, kept as aliases onto the identities."""
-
-    def __init__(self, node_id: str):
-        self.node_id = node_id
-        self._registry = ShmRegistry()
-        #: cache_token -> (AttachedPack over the local segment, PackDB)
-        self._store: Dict[tuple, tuple] = {}
-        #: master-side pack name -> cache_token
-        self._aliases: Dict[str, tuple] = {}
-        self.verbs = {"publish": self._publish, "adopt": self._adopt,
-                      "detach": self._detach}
-
-    def held_tokens(self) -> List[tuple]:
-        return list(self._store)
+        if spec.cache_token not in self._store:
+            self._store[spec.cache_token] = self._open(spec)
+        self._aliases[spec.name] = spec.cache_token
 
     def _publish(self, msg, injector) -> None:
         spec, data = msg[1], msg[2]     # the master's spec, the bytes
@@ -231,6 +173,15 @@ class TokenPacks(_PackHolder):
     def _lookup(self, name: str) -> tuple:
         return self._store[self._aliases[name]]
 
+    def packs_for(self, names) -> Dict[str, tuple]:
+        return {n: self._lookup(n) for n in names}
+
+    def fragment_ids(self, names) -> List[Optional[int]]:
+        """Fragment id per pack name (``None`` for a pack not held):
+        what a fault plan's ``fragment`` selector matches against."""
+        return [self._lookup(n)[0].spec.fragment_id
+                if n in self._aliases else None for n in names]
+
     def stats(self) -> dict:
         return {"node": self.node_id, "held": len(self._store)}
 
@@ -246,7 +197,7 @@ def serve_tasks(conn, rank: int, holder, *,
                 injector: Optional[FaultInjector] = None,
                 task_sleep: float = 0.0) -> None:
     """The worker side of the master/worker protocol, for every
-    transport: serve the master's messages on *conn* until ``stop``
+    agent: serve the master's messages on *conn* until ``stop``
     (or an injected ``disconnect``); a vanished master raises
     ``EOFError`` / ``OSError`` to the entry point.
 
@@ -257,7 +208,7 @@ def serve_tasks(conn, rank: int, holder, *,
     per-(pack, query) results go back in one ``result`` message as the
     plain ``(name, query_index, SearchResults)`` list, the epoch echoed
     so the master can discard cross-run stragglers.  Pack management is
-    the *holder*'s (see :class:`_PackHolder`); anything else gets the
+    the *holder*'s (see :class:`TokenPacks`); anything else gets the
     unknown-message error reply.
 
     *injector* arms deterministic faults: ``kill`` / ``hang`` / ``slow``
@@ -340,35 +291,37 @@ def serve_tasks(conn, rank: int, holder, *,
 
 
 # ----------------------------------------------------------------------
-# Node side
+# The agent
 # ----------------------------------------------------------------------
 class NodeAgent:
-    """A worker-node daemon serving pool tasks over a socket.
+    """A worker agent serving pool tasks over a socket.
 
     One session at a time (the paper's topology: each node serves one
     master), but the agent outlives sessions: a master that stops or
     vanishes returns the agent to ``accept``, and the pack cache — a
-    :class:`TokenPacks` keyed by ``(token, version, fragment_id)`` —
-    survives, which is what makes a reconnect a re-read instead of a
-    re-ship.
+    :class:`TokenPacks` keyed by content identity — survives, which is
+    what makes a reconnect a re-read instead of a re-ship.  ``host=None``
+    (with no *listen_sock*) binds nothing: a pool's local worker is an
+    agent handed one connected socket (see :func:`_agent_main`).
 
-    *fault_plan* arms the same deterministic faults as a pipe worker;
-    ``None`` in production.
+    *fault_plan* arms deterministic worker faults; ``None`` in
+    production.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+    def __init__(self, host: Optional[str] = "127.0.0.1", port: int = 0, *,
                  listen_sock: Optional[socket.socket] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  task_sleep: float = 0.0,
                  node_id: Optional[str] = None):
-        if listen_sock is None:
+        if listen_sock is None and host is not None:
             listen_sock = socket.socket()
             listen_sock.setsockopt(socket.SOL_SOCKET,
                                    socket.SO_REUSEADDR, 1)
             listen_sock.bind((host, port))
             listen_sock.listen(8)
         self._lsock = listen_sock
-        self.address: Tuple[str, int] = listen_sock.getsockname()[:2]
+        self.address: Optional[Tuple[str, int]] = (
+            listen_sock.getsockname()[:2] if listen_sock else None)
         self.node_id = node_id or f"node-{os.getpid()}"
         self.task_sleep = task_sleep
         self.fault_plan = fault_plan
@@ -438,14 +391,12 @@ class NodeAgent:
         """Release every cached pack and the listening socket."""
         self._shutdown = True
         self._packs.close()
-        try:
+        if self._lsock is not None:
             self._lsock.close()
-        except OSError:  # pragma: no cover
-            pass
 
 
 # ----------------------------------------------------------------------
-# Master side: one worker slot, two transports
+# Master side: one worker slot
 # ----------------------------------------------------------------------
 #: What a broken transport raises from ``send`` / ``poll`` / ``recv``.
 _BROKEN = (EOFError, OSError, FrameError)
@@ -463,15 +414,15 @@ class SlotLost(Exception):
 
 
 class WorkerSlot:
-    """One worker as the master sees it, whatever carries its messages.
+    """One worker as the master sees it: the seam the pump drives.
 
     The pump owns the bookkeeping — *alive* (the master's belief),
     *busy* / *busy_since* (the ``(epoch, qis, names)`` task in flight;
     pool-level, so a straggler from a previous run is still recognised
     across run boundaries; reset when a revive brings the slot back),
-    *jobs_sent* (likewise) — and talks through *conn*.
-    What differs by transport is a few questions; an implementation
-    answers, or raises :class:`SlotLost`.  Besides the defaults below:
+    *jobs_sent* (likewise) — and talks through *conn*.  A few questions
+    an implementation answers, or raises :class:`SlotLost`; besides the
+    defaults below:
     ``is_alive()`` (does the transport still look up), ``kill()`` (stop
     a worker presumed hung), ``lost()`` (declared dead: let go of the
     transport), ``install(prepared)`` (make the worker hold these
@@ -493,11 +444,11 @@ class WorkerSlot:
 
     def idle_check(self, now: float) -> None:
         """Probe an idle worker (a busy one is covered by the task
-        deadlines).  A pipe needs none: its EOF is its heartbeat."""
+        deadlines); the default probes nothing."""
 
     def has_queued(self) -> bool:
         """Messages decoded and waiting, which a wait on fds misses."""
-        return False
+        return self.conn.queued > 0
 
     def ship_stats(self) -> Optional[dict]:
         """Pack shipping counters, for a transport that ships packs."""
@@ -532,12 +483,12 @@ class WorkerSlot:
 
 
 class NodeClient(WorkerSlot):
-    """The socket slot: master-side handle on one worker node.
+    """The master's slot for one worker agent, here a dialed node.
 
     Owns the dial/backoff/hello lifecycle and the ship-or-adopt
     decision: packs whose identity the node already reported holding
     are adopted (bytes saved — the mirror re-read), everything else is
-    shipped once and remembered.  An idle node is PINGed every
+    shipped once and remembered.  An idle worker is PINGed every
     *heartbeat* seconds and lost after *node_timeout* of silence.
     """
 
@@ -565,6 +516,8 @@ class NodeClient(WorkerSlot):
         #: *retry_n* driving the exponential backoff.
         self.retry_n = 0
         self.retry_at = 0.0
+        #: When the oldest PING not yet answered was sent.
+        self.asked_at = 0.0
 
     @property
     def label(self) -> str:
@@ -578,28 +531,12 @@ class NodeClient(WorkerSlot):
         the hello reply is awaited under *hello_timeout*).
         """
         self.abort()
-        sock = connect_backoff(
-            self.address,
-            attempts=self.connect_attempts if attempts is None else attempts,
-            base_delay=self.backoff_base, timeout=self.connect_timeout)
-        conn = FrameConnection(sock, name=f"node{self.rank}@{self.label}")
+        conn = FrameConnection(self._open(attempts),
+                               name=f"node{self.rank}@{self.label}")
         try:
             conn.send(("hello", {"proto": PROTO_VERSION,
                                  "rank": self.rank}))
-            if not conn.poll(hello_timeout):
-                raise NodeConnectError(
-                    f"node {self.label} accepted but did not answer "
-                    f"hello within {hello_timeout}s")
-            msg = conn.recv()
-            if not (isinstance(msg, tuple) and msg
-                    and msg[0] == "ready"):
-                raise NodeConnectError(
-                    f"node {self.label} answered {msg!r}, expected ready")
-            if msg[2].get("proto") != PROTO_VERSION:
-                raise NodeConnectError(
-                    f"node {self.label} speaks protocol version "
-                    f"{msg[2].get('proto')!r}, this master speaks "
-                    f"{PROTO_VERSION}")
+            info = self._await_ready(conn, hello_timeout)
         except BaseException as exc:
             conn.close()
             if isinstance(exc, _BROKEN):
@@ -607,11 +544,36 @@ class NodeClient(WorkerSlot):
                                        f"failed: {exc}") from exc
             raise
         self.conn = conn
-        self.node_info = msg[2]
-        self.held = {tuple(t) for t in self.node_info.get("held", ())}
+        self.node_info = info
+        self.held = {tuple(t) for t in info.get("held", ())}
         self.connects += 1
         self.retry_n = 0
-        return self.node_info
+        return info
+
+    def _open(self, attempts: Optional[int]) -> socket.socket:
+        """A socket connected to the agent: a dial, bounded backoff."""
+        return connect_backoff(
+            self.address,
+            attempts=self.connect_attempts if attempts is None else attempts,
+            base_delay=self.backoff_base, timeout=self.connect_timeout)
+
+    def _await_ready(self, conn: FrameConnection, timeout: float) -> dict:
+        """The ready wait: the agent's info from its answer to the hello,
+        which must state this master's protocol version."""
+        if not conn.poll(timeout):
+            raise NodeConnectError(
+                f"node {self.label} accepted but did not answer "
+                f"hello within {timeout}s")
+        msg = conn.recv()
+        if not (isinstance(msg, tuple) and msg and msg[0] == "ready"):
+            raise NodeConnectError(
+                f"node {self.label} answered {msg!r}, expected ready")
+        if msg[2].get("proto") != PROTO_VERSION:
+            raise NodeConnectError(
+                f"node {self.label} speaks protocol version "
+                f"{msg[2].get('proto')!r}, this master speaks "
+                f"{PROTO_VERSION}")
+        return msg[2]
 
     def ship(self, spec) -> int:
         """Make the node hold *spec*'s pack under the master's name.
@@ -620,8 +582,6 @@ class NodeClient(WorkerSlot):
         region on a cold ship, ~0 for an ``adopt`` of an identity the
         node caches (the reconnect / mirror fast path).
         """
-        if self.conn is None:
-            raise OSError("node client is not connected")
         if spec.cache_token in self.held:
             self.conn.send(("adopt", spec.name, spec.cache_token))
             self.packs_adopted += 1
@@ -651,9 +611,8 @@ class NodeClient(WorkerSlot):
     def is_alive(self) -> bool:
         return self.conn is not None and not self.conn.closed
 
-    # Both mean "drop the socket now": the far process is not ours to
-    # signal, a half-dead connection must not keep waking the pump,
-    # and revive dials fresh.
+    # Both drop the socket: the far process is not ours to signal, and
+    # a half-dead connection must not keep waking the pump.
     kill = lost = abort
 
     def install(self, prepared) -> None:
@@ -700,24 +659,26 @@ class NodeClient(WorkerSlot):
         return "reconnect_failed", detail
 
     def idle_check(self, now: float) -> None:
-        """Missed-heartbeat detection: an idle node that stops
+        """Missed-heartbeat detection: an idle worker that stops
         answering PINGs would otherwise look healthy forever.  PINGs
-        are rate-limited to the heartbeat interval; PONGs refresh
-        ``last_heard`` inside the connection's poll/recv."""
+        are paced by the heartbeat; PONGs refresh ``last_heard`` inside
+        the connection's poll/recv.  Silence counts from the oldest
+        unanswered PING, and one older than *node_timeout* restarts the
+        count: between runs nobody pings, and a pause is not a death."""
         conn = self.conn
         if now - conn.last_ping >= self.heartbeat:
+            if conn.last_heard > conn.last_ping \
+                    or now - conn.last_ping > self.node_timeout:
+                self.asked_at = now
             try:
                 conn.ping()
             except OSError as exc:
                 raise SlotLost() from exc
-        silent = now - conn.last_heard
+        silent = now - max(conn.last_heard, self.asked_at)
         if silent > self.node_timeout:
             raise SlotLost("heartbeat_lost",
                            f"silent {silent:.2f}s "
                            f"> {self.node_timeout:.2f}s")
-
-    def has_queued(self) -> bool:
-        return self.conn.queued > 0
 
     def stop(self, deadline: float) -> None:
         super().stop(deadline)
@@ -725,23 +686,43 @@ class NodeClient(WorkerSlot):
 
 
 # ----------------------------------------------------------------------
-# Local fleets (tests / chaos / CI / benchmarks)
+# Local agents: pool workers, and fleets (tests / chaos / CI / benchmarks)
 # ----------------------------------------------------------------------
-def _agent_main(lsock: socket.socket, fault_plan: Optional[FaultPlan],
-                task_sleep: float, node_id: Optional[str]) -> None:
-    """Forked-child entry point: serve on an inherited listen socket."""
-    # SIGTERM must run atexit (the agent's ShmRegistry unlinks its
-    # segments there); the default handler would skip it.
+def _agent_main(sock: socket.socket, fault_plan: Optional[FaultPlan],
+                task_sleep: float, node_id: Optional[str],
+                connected: bool = False) -> None:
+    """Forked-child entry point of every local agent: a fleet agent
+    serves masters on an inherited listening socket, a pool worker
+    (*connected*) one master on an inherited end of a socketpair."""
+    # SIGTERM must run the cleanup below (the agent's ShmRegistry
+    # unlinks its segments there); the default handler would skip it.
+    # A terminal's Ctrl-C reaches the whole process group: the master
+    # acts on it, and tells its agents.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     ensure_tracker()
-    agent = NodeAgent(listen_sock=lsock, fault_plan=fault_plan,
-                      task_sleep=task_sleep, node_id=node_id)
+    agent = NodeAgent(None, listen_sock=None if connected else sock,
+                      fault_plan=fault_plan, task_sleep=task_sleep,
+                      node_id=node_id)
     try:
-        agent.serve()
-    except SystemExit:
-        raise
+        if connected:
+            agent._session(sock)
+        else:
+            agent.serve()
     finally:
         agent.close()
+
+
+def _end_process(proc, grace: float, patience: float = 5.0) -> None:
+    """Join *proc* for *grace* seconds, then escalate ``terminate()``
+    (*patience* seconds more) → ``kill()``: an ending never hangs."""
+    proc.join(timeout=grace)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=patience)
+    if proc.is_alive():  # pragma: no cover - SIGTERM immune
+        proc.kill()
+        proc.join()
 
 
 def _reap_agent_segments(pid: Optional[int]) -> int:
@@ -820,9 +801,7 @@ class NodeFleet:
         keeps the configured plan)."""
         old = self.procs[i]
         if old is not None:
-            if old.is_alive():
-                old.terminate()
-            old.join(timeout=5.0)
+            _end_process(old, 0.0)
             _reap_agent_segments(old.pid)
         plan = self._plans[i] if fault_plan == "inherit" else fault_plan
         proc = self._ctx.Process(
@@ -848,12 +827,7 @@ class NodeFleet:
         for i, proc in enumerate(self.procs):
             if proc is None:
                 continue
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM immune
-                proc.kill()
-                proc.join(timeout=5.0)
+            _end_process(proc, 0.0)
             _reap_agent_segments(proc.pid)
             self.procs[i] = None
         for s in self.socks:

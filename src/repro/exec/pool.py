@@ -8,16 +8,20 @@ actual cores instead of simulated nodes.  A persistent
 is numpy-heavy but the seeding/extension half is pure Python and GIL-
 bound) attaches each fragment's shared-memory pack once, then serves
 ``(query, fragment)`` tasks handed out greedily by the master-side
-:class:`~repro.exec.schedule.GreedyScheduler`.  Queries stream through
-the same work queue, so a multi-query workload keeps every core busy
-across query boundaries.
+:class:`~repro.exec.schedule.GreedyScheduler`.  A local worker is a
+:class:`~repro.exec.nodes.NodeAgent` forked onto one end of a
+``socketpair``: the same agent, loop and framed connection as a remote
+node, its packs attached by shm name instead of shipped.  Queries
+stream through the same work queue, so a multi-query workload keeps
+every core busy across query boundaries.
 
 Fault handling upgrades PR 1's "fail cleanly" into CEFT-style "keep
 serving" (the paper's dead-server and hot-spot experiments, Figs 7–9):
 
-* a worker dying mid-task is detected on its pipe (plus a heartbeat
-  liveness sweep), the task is requeued at the front, and — new — the
-  pool **respawns** the lost worker so capacity recovers instead of
+* a worker dying mid-task is detected by EOF on its socket (plus a
+  liveness sweep; an idle worker that stops answering misses its
+  heartbeats), the task is requeued at the front, and the pool
+  **respawns** the lost worker so capacity recovers instead of
   shrinking toward job failure;
 * a task stuck past its **soft deadline** is **hedged**: re-issued
   speculatively to an idle worker, the direct analog of skipping a hot
@@ -55,10 +59,11 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import socket
 import time
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,10 +76,10 @@ from repro.blast.search import (SearchParams, SearchResults,
                                 search_batch)
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
-from repro.exec.faults import FailureLedger, FaultInjector, FaultPlan
+from repro.exec.faults import FailureLedger, FaultPlan
 from repro.exec.net import NodeConnectError, parse_address
-from repro.exec.nodes import (NamedPacks, NodeClient, SlotLost, WorkerSlot,
-                              serve_tasks)
+from repro.exec.nodes import (NodeClient, SlotLost, WorkerSlot, _agent_main,
+                              _end_process)
 from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
                                  GreedyScheduler, RetriesExceeded,
                                  plan_fragments, plan_mirror_groups,
@@ -96,21 +101,6 @@ _START_TIMEOUT = 30.0
 class PoolJobError(RuntimeError):
     """A parallel job could not be completed (workers exhausted or a
     task burned through its retry budget)."""
-
-
-@dataclass
-class PoolConfig:
-    """Worker-side knobs (picklable; shipped once at spawn).
-
-    ``task_sleep`` stalls every task by that many seconds — a test and
-    benchmark hook that widens the window for mid-task fault
-    injection; 0 in production.
-    ``fault_plan`` arms deterministic worker-side faults (see
-    :mod:`repro.exec.faults`); ``None`` in production.
-    """
-
-    task_sleep: float = 0.0
-    fault_plan: Optional[FaultPlan] = None
 
 
 @dataclass
@@ -148,16 +138,16 @@ class PoolStats:
     respawn_attempts: int = 0
     hang_kills: int = 0
     integrity_failures: int = 0
-    #: Results received from local (pipe) workers and from nodes; the
+    #: Results received from local workers and from remote nodes; the
     #: third is always 0 and stays because perf/ reads all three names.
     inline_results: int = 0
     remote_results: int = 0
     arena_results: int = 0
     #: Remote nodes re-dialed (successfully) during this run; these
-    #: also count into ``respawns`` — a reconnect *is* the socket
-    #: transport's respawn.
+    #: also count into ``respawns`` — a reconnect *is* a remote node's
+    #: respawn.
     reconnects: int = 0
-    #: Idle nodes declared dead for missing heartbeats.
+    #: Idle workers declared dead for missing heartbeats.
     heartbeat_losses: int = 0
     fallback: bool = False
 
@@ -225,29 +215,6 @@ class _PreparedDB:
 
 
 # ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _worker_main(rank: int, conn, cfg: PoolConfig) -> None:
-    """Pipe-worker entry point: the shared task loop,
-    :func:`repro.exec.nodes.serve_tasks`, over packs attached by name.
-
-    Runs in a child process, but takes any connection-like object so
-    the protocol is unit-testable in-process with a scripted pipe.
-    """
-    holder = NamedPacks()
-    injector = (FaultInjector(cfg.fault_plan, rank)
-                if cfg.fault_plan is not None else None)
-    try:
-        conn.send(("ready", rank))
-        serve_tasks(conn, rank, holder, injector=injector,
-                    task_sleep=cfg.task_sleep)
-    except (EOFError, KeyboardInterrupt, OSError):  # parent went away
-        pass
-    finally:
-        holder.close()
-
-
-# ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
 def _effective_space(ka: KarlinAltschul, params: SearchParams,
@@ -266,64 +233,56 @@ def _terminate_workers(workers: List[WorkerSlot]) -> None:  # pragma: no cover
         w.kill()
 
 
-class _PipeSlot(WorkerSlot):
-    """The pipe slot: a forked worker process on a ``Pipe``, fragment
-    packs attached by shm name."""
+class _LocalSlot(NodeClient):
+    """A local worker: a node agent forked onto one end of a
+    ``socketpair``.  Hello, heartbeat, receive and goodbye are
+    :class:`~repro.exec.nodes.NodeClient`'s; what differs is where the
+    socket comes from (a fork, not a dial), that the agent attaches
+    every prepared pack by shm name (no bytes cross the socket), and
+    that the process is the pool's to signal, join and replace."""
 
     def __init__(self, pool: "ExecPool", rank: int):
-        super().__init__(rank)
+        super().__init__(("local", rank), rank, heartbeat=pool._heartbeat,
+                         node_timeout=pool.node_timeout)
         self.pool = pool
         self.process = None
+        self.fault_plan = pool.fault_plan
 
     @property
     def pid(self) -> int:
         return self.process.pid
 
-    def spawn(self, cfg: PoolConfig) -> None:
-        pool = self.pool
-        parent_conn, child_conn = pool._ctx.Pipe()
-        proc = pool._ctx.Process(
-            target=_worker_main, args=(self.rank, child_conn, cfg),
+    def _open(self, attempts: Optional[int]) -> socket.socket:
+        """Fork the agent onto a fresh ``socketpair``; a refused fork
+        leaks neither end."""
+        ours, theirs = socket.socketpair()
+        proc = self.pool._ctx.Process(
+            target=_agent_main,
+            args=(theirs, self.fault_plan, self.pool.task_sleep,
+                  f"local-{self.rank}", True),
             name=f"repro-exec-{self.rank}", daemon=True)
         try:
             proc.start()
         except BaseException:
-            # A failed fork/spawn must not leak the pipe pair: nothing
-            # downstream will ever see this transport, so close both
-            # ends here and let close() sweep the registered strays of
-            # any end a racing failure left half-open.
-            for end in (parent_conn, child_conn):
-                pool._strays.append(end)
-                try:
-                    end.close()
-                except OSError:  # pragma: no cover
-                    pass
+            ours.close()
             raise
-        child_conn.close()
-        self.process, self.conn, self.alive = proc, parent_conn, True
+        finally:
+            theirs.close()
+        self.process = proc
+        return ours
 
-    def await_ready(self) -> bool:
-        try:
-            if not self.conn.poll(_START_TIMEOUT):
-                return False
-            return self.conn.recv()[0] == "ready"
-        except (EOFError, OSError):  # pragma: no cover - spawn crash
-            return False
+    ship_stats = WorkerSlot.ship_stats      # attached, never shipped
 
     def is_alive(self) -> bool:
-        return self.process.is_alive()
+        return super().is_alive() and self.process.is_alive()
 
     def kill(self) -> None:
-        try:
+        if self.process is not None:
             self.process.kill()
-        except Exception:  # pragma: no cover - never started / reaped
-            pass
 
     def lost(self) -> None:
-        try:
-            self.process.join(timeout=min(0.5, self.pool.join_timeout))
-        except Exception:  # pragma: no cover
-            pass
+        self.abort()
+        self._reap(min(0.5, self.pool.join_timeout))
 
     def install(self, prepared) -> None:
         try:
@@ -335,52 +294,40 @@ class _PipeSlot(WorkerSlot):
 
     def revive(self, now: float, prepared,
                force: bool = False) -> Tuple[str, str]:
-        """A fresh process (same rank, new pipe) with every prepared
-        pack re-attached.
+        """A fresh agent (same rank, new socketpair) with every prepared
+        pack re-attached, at once: a fork is not paced like a re-dial.
 
         The replacement is a *healthy* machine: it carries no fault
         plan (otherwise a once-per-process fault re-arms on every
         respawn and a single injected kill poisons its task forever,
         which no real crash does — and seeded chaos plans would never
         converge)."""
+        self.fault_plan = None
         try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self.spawn(replace(self.pool._cfg, fault_plan=None))
-        detail = ""
-        if self.await_ready():
-            try:
-                self.install(prepared)
-                return "respawn", ""
-            except SlotLost:
-                detail = "died during pack re-attach"
+            self.connect(hello_timeout=_START_TIMEOUT)
+            self.install(prepared)
+        except NodeConnectError as exc:
+            detail = str(exc)
+        except SlotLost:
+            detail = "died during pack re-attach"
+        else:
+            self.alive = True
+            return "respawn", ""
         # The replacement never came up: kill *and* join it — nothing
         # else will, and skipping this leaks a live process.
-        self.alive = False
         self.kill()
         self.lost()
-        self.conn.close()
         return "respawn_failed", detail
 
     def stop(self, deadline: float) -> None:
-        """The goodbye and the join share *deadline*, after which the
-        worker is escalated ``terminate()`` → ``kill()``."""
+        """The goodbye and the join share *deadline*."""
         super().stop(deadline)
-        proc = self.process
-        if proc is not None:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=max(0.5, self.pool.join_timeout / 2))
-            if proc.is_alive():  # pragma: no cover - SIGTERM immune
-                proc.kill()
-                proc.join()
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        self._reap(max(0.0, deadline - time.monotonic()))
+
+    def _reap(self, grace: float) -> None:
+        if self.process is not None:
+            _end_process(self.process, grace,
+                         max(0.5, self.pool.join_timeout / 2))
 
 
 class ExecPool:
@@ -412,8 +359,8 @@ class ExecPool:
         stall every task by this many seconds — the test / chaos hook
         that widens the window for mid-task faults (default 0).
     ``heartbeat``
-        idle-tick interval for the liveness/deadline sweeps, seconds
-        (default 0.2).
+        idle-tick interval for the liveness/deadline sweeps and the
+        PINGs to idle workers, seconds (default 0.2).
     ``join_timeout``
         budget for draining and joining workers at ``close()``; a
         worker that survives it is escalated ``terminate()`` →
@@ -461,12 +408,12 @@ class ExecPool:
         local workers, when present, hold every fragment and are
         eligible for everything.
     ``node_timeout`` / ``node_connect_attempts``
-        seconds of heartbeat silence from an *idle* node before it is
-        declared dead (default ``max(1.0, 5 * heartbeat)``; a *busy*
-        node is covered by the hard task deadline), and dial attempts
-        per node at start (default 3).  Dead nodes are re-dialed with
-        bounded exponential backoff + jitter under the same respawn
-        budget as local workers.
+        seconds of heartbeat silence from an *idle* worker, local or
+        node, before it is declared dead (default ``max(1.0, 5 *
+        heartbeat)``; a *busy* one is covered by the hard task
+        deadline), and dial attempts per node at start (default 3).
+        Dead nodes are re-dialed with bounded exponential backoff +
+        jitter under the same respawn budget as local workers.
 
     Every recovery action is appended to :attr:`ledger`, a
     :class:`~repro.exec.faults.FailureLedger` spanning the pool's
@@ -507,10 +454,9 @@ class ExecPool:
         #: Max queries per batched task; <= 1 disables query batching
         #: (every task carries a single query).
         self.query_batch = int(query_batch)
-        self._cfg = PoolConfig(
-            task_sleep=task_sleep,
-            fault_plan=(fault_plan if fault_plan is not None
-                        else FaultPlan.from_env()))
+        self.task_sleep = task_sleep
+        self.fault_plan = (fault_plan if fault_plan is not None
+                           else FaultPlan.from_env())
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._heartbeat = heartbeat
@@ -527,10 +473,6 @@ class ExecPool:
         #: One slot per configured worker, local ranks first, dead or
         #: alive.
         self._workers: List[WorkerSlot] = []
-        #: Transports created but never installed into a worker slot
-        #: (e.g. a pipe pair whose process failed to start); close()
-        #: sweeps them.
-        self._strays: List[object] = []
         self._prepared: Dict[tuple, _PreparedDB] = {}
         self._pack_residues: Dict[str, int] = {}
         self._started = False
@@ -562,12 +504,14 @@ class ExecPool:
         # ensure_tracker) — start it before the first fork.
         ensure_tracker()
         for rank in range(self.jobs):
-            slot = _PipeSlot(self, rank)
+            slot = _LocalSlot(self, rank)
             self._workers.append(slot)
-            slot.spawn(self._cfg)
-        for slot in self._workers:
-            if not slot.await_ready():
-                raise PoolJobError(f"worker {slot.rank} failed to start")
+            try:
+                slot.connect(hello_timeout=_START_TIMEOUT)
+            except NodeConnectError as exc:
+                raise PoolJobError(f"worker {rank} failed to start "
+                                   f"({exc})") from exc
+            slot.alive = True
         # Remote workers: one slot per configured node, ranks above the
         # local ones.  An unreachable node starts as a dead slot — the
         # revive phase keeps re-dialing it under backoff, and the
@@ -658,9 +602,11 @@ class ExecPool:
             sub = db.subset(ids, name=f"{getattr(db, 'name', 'db')}"
                                       f".{frag_id:03d}",
                             fragment_id=frag_id)
-            specs.append(pack_fragment(sub, k, base,
-                                       cache_token=(token, version, frag_id),
-                                       registry=self._registry))
+            # The fragment count is part of the identity: fragment 0 of
+            # a 3-way split is not fragment 0 of a 9-way one.
+            specs.append(pack_fragment(
+                sub, k, base, cache_token=(token, version, nf, frag_id),
+                registry=self._registry))
         return self._install_prepared(key, specs)
 
     def _prepare_from_store(self, store, base: int) -> _PreparedDB:
@@ -734,22 +680,16 @@ class ExecPool:
             try:
                 slot.install([prep])
             except SlotLost as lost:
-                slot.alive = False
-                slot.lost()
-                if lost.kind:
-                    self.ledger.record(lost.kind, rank=slot.rank,
-                                       detail=lost.detail)
+                self._write_off(slot, self.ledger.record, lost)
         return prep
 
     def _release_prepared(self, prep: _PreparedDB,
                           notify: bool = True) -> None:
+        if notify:
+            for w in self._live():
+                self._tell(w, [("detach", s.name) for s in prep.specs],
+                           self.ledger.record)
         for spec in prep.specs:
-            if notify:
-                for w in self._live():
-                    try:
-                        w.conn.send(("detach", spec.name))
-                    except OSError:
-                        w.alive = False
             self._registry.release(spec.name)
             self._pack_residues.pop(spec.name, None)
 
@@ -785,20 +725,36 @@ class ExecPool:
             if run.failure is not None:
                 run.sched.drop_pending()
 
-    def _handle_death(self, slot: WorkerSlot, run: _Run,
-                      lost: Optional[SlotLost] = None) -> None:
-        """Declare *slot* dead (once: a send failure and the liveness
-        sweep may both observe one death) and resolve the task it held
-        — ignored when it is a cross-run straggler."""
+    def _write_off(self, slot: WorkerSlot, note,
+                   lost: Optional[SlotLost] = None) -> Optional[tuple]:
+        """Declare *slot* dead, once (a send failure and the liveness
+        sweep may both see one death): *lost*'s ledger line, then
+        ``worker_death``, through *note* (``run.note`` or
+        ``ledger.record``); let go of the transport; return its task."""
         if not slot.alive:
-            return
+            return None
         slot.alive = False
         if lost is not None and lost.kind:
-            run.note(lost.kind, rank=slot.rank, detail=lost.detail)
+            note(lost.kind, rank=slot.rank, detail=lost.detail)
         task, slot.busy = slot.busy, None
-        run.note("worker_death", rank=slot.rank,
-                 task=task[1:] if task else None)
+        note("worker_death", rank=slot.rank,
+             task=task[1:] if task else None)
         slot.lost()
+        return task
+
+    def _tell(self, slot: WorkerSlot, msgs: List[tuple], note) -> None:
+        """Pack and job-table upkeep: a broken transport is a death."""
+        try:
+            for msg in msgs:
+                slot.conn.send(msg)
+        except OSError:
+            self._write_off(slot, note)
+
+    def _handle_death(self, slot: WorkerSlot, run: _Run,
+                      lost: Optional[SlotLost] = None) -> None:
+        """Write *slot* off and resolve the task it held — ignored when
+        it is a cross-run straggler."""
+        task = self._write_off(slot, run.note, lost)
         if task is not None and task[0] == run.epoch:
             self._requeue(slot, run, task[1:],
                           f" (worker deaths: {run.stats.worker_deaths})")
@@ -857,12 +813,9 @@ class ExecPool:
             # Drop the job tables win or lose: a failed run must not
             # leave workers holding stale specs for reused query ids.
             for w in self._live():
-                try:
-                    for qi in w.jobs_sent:
-                        w.conn.send(("forget_job", qi))
-                    w.jobs_sent.clear()
-                except OSError:
-                    w.alive = False
+                self._tell(w, [("forget_job", qi) for qi in w.jobs_sent],
+                           run.note)
+                w.jobs_sent.clear()
             run.stats.requeues = run.sched.requeues
             self.last_stats = run.stats
         return run.results, run.stats
@@ -1038,10 +991,10 @@ class ExecPool:
             self._observe(qis, names, elapsed)
         if run.failure is not None:
             return
-        if isinstance(slot, NodeClient):
-            run.stats.remote_results += 1
-        else:
+        if isinstance(slot, _LocalSlot):
             run.stats.inline_results += 1
+        else:
+            run.stats.remote_results += 1
         for pack_name, tqi, res in pairs:
             run.results[tqi][pack_name] = res
 
@@ -1256,11 +1209,5 @@ class ExecPool:
         # close() as a half-open socket.
         for w in self._workers:
             w.stop(time.monotonic() + self.join_timeout)
-        for end in self._strays:
-            try:
-                end.close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-        self._strays.clear()
         for key in list(self._prepared):
             self._release_prepared(self._prepared.pop(key), notify=False)

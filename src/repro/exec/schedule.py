@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-#: Default master-side cost of one task round-trip (dispatch, pipe
+#: Default master-side cost of one task round-trip (dispatch, socket
 #: send/recv, result unpack), seconds.  Measured on the dev box at
 #: ~1–2 ms; the pool refines nothing here — the planner only needs the
 #: order of magnitude to size ranges.

@@ -64,7 +64,7 @@ class PackIntegrityError(RuntimeError):
     segment was corrupted between publish and attach).  Typed so the
     pool and CLI can fail loudly and distinctly instead of serving
     silent garbage hits from a damaged mapping.  Takes a plain message
-    so it pickles across worker pipes.
+    so it pickles across worker connections.
     """
 
 
@@ -87,7 +87,7 @@ class PackSpec:
 
     A shared-memory segment, an ``.rpk`` file's data region and a
     payload shipped to a node hold the same bytes (:func:`pack_layout`)
-    under this one description: workers get it over the pipe, nodes
+    under this one description: a local worker is sent it alone, a node
     beside the payload, and the ``.rpk`` header is its JSON form.  Only
     ``name`` (segment name or file path) and ``cache_token`` say where
     a pack lives.  Built by :func:`pack_spec`, read by :class:`PackView`.

@@ -2,8 +2,9 @@
 
 Every module has a docstring; every public class and function exported
 from a package ``__init__`` is documented; ``__all__`` lists resolve.
-The search library keeps one candidate pipeline, and its oracle keeps
-its distance (the last two tests, read off the syntax trees).
+The search library keeps one candidate pipeline and its oracle its
+distance; the runtime keeps one result wire and one transport (the
+last four tests, read off the syntax trees).
 """
 
 import ast
@@ -165,3 +166,21 @@ def test_result_wire_is_off_every_runtime_path():
             if isinstance(node, ast.Constant)
             and node.value in ("arena", "blob", "inline")]
     assert tags == []
+
+
+def test_every_worker_is_an_agent_on_one_transport():
+    """One transport (DESIGN.md §5e): a local worker is a node agent on
+    a socketpair, so nothing under ``src/repro/exec/`` opens a
+    ``multiprocessing`` pipe, the worker loop is entered from the
+    agent's session alone, and the pipe worker's pieces are defined
+    nowhere."""
+    trees = _src_trees()
+    assert not [rel for rel in trees if rel.startswith("src/repro/exec/")
+                and "Pipe(" in (ROOT / rel).read_text()]
+    assert _call_sites(trees, "serve_tasks") == [
+        "src/repro/exec/nodes.py:_session"]
+    defined = {node.name for tree in trees.values()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_worker_main", "_PipeSlot", "NamedPacks",
+                          "PoolConfig"}

@@ -1,7 +1,7 @@
 """The documentation's code must run — every python block in
 docs/TUTORIAL.md and the README quickstart snippets is executed — and
-what it cites must exist: files, tests, and the benchmark's metric and
-workload names."""
+what it cites must exist: files, tests, tool flags, and the benchmark's
+metric and workload names."""
 
 import contextlib
 import fnmatch
@@ -72,6 +72,24 @@ def test_cited_files_and_tests_exist(doc):
                                  re.M):
                     missing.append(f"{path}::{name}")
     assert not missing, f"{doc} cites what the repo does not have"
+
+
+#: ``tools/x.py --flag ...`` on one line of a doc.
+TOOL_CALL = re.compile(r"tools/(\w+\.py)([^`\n]*)")
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_cited_tool_flags_exist(doc):
+    """A flag cited beside a tool is one its argument parser takes."""
+    with open(os.path.join(ROOT, doc)) as f:
+        text = f.read()
+    stale = []
+    for tool, rest in TOOL_CALL.findall(text):
+        with open(os.path.join(ROOT, "tools", tool)) as f:
+            source = f.read()
+        stale += [f"{tool} {flag}" for flag in re.findall(r"--[\w-]+", rest)
+                  if f'"{flag}"' not in source]
+    assert not stale, f"{doc} cites flags the tools do not take"
 
 
 def _is_library_name(layer, rest):

@@ -352,8 +352,8 @@ def test_env_fault_plan_reaches_the_pool(workload, monkeypatch):
 
 def test_disconnect_fault_on_a_pipe_worker(workload):
     """The reply-time network kinds live in the one worker loop, so a
-    pipe worker honours them too: ``disconnect`` leaves without a
-    goodbye — the master sees EOF on the pipe, requeues, respawns."""
+    local worker honours them too: ``disconnect`` leaves without a
+    goodbye — the master sees EOF on the socket, requeues, respawns."""
     db, scheme, params, queries, serial = workload
     plan = FaultPlan(faults=(Fault("disconnect", rank=0, task_index=0),))
     got, live, stats, ledger = run_pool(db, scheme, params, queries,

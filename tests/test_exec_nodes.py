@@ -96,6 +96,22 @@ def test_two_nodes_byte_identity_and_ship_once():
             assert pool.ledger.anomalies() == 0
 
 
+def test_node_serves_every_fragment_count_of_one_database():
+    """A pack's identity includes how the database was cut: after a
+    3-way split, fragment 0 of a 9-way split is another pack, shipped
+    rather than adopted under the first one's token."""
+    db, queries, scheme, params = make_case(38, n_seqs=30)
+    expected = [dump(r) for r in serial_many(queries, db, scheme, params)]
+    qids = [f"q{i}" for i in range(len(queries))]
+    with NodeFleet(1) as fleet:
+        with ExecPool(jobs=0, nodes=fleet.addresses, replication=1) as pool:
+            for nf in (1, 3, 9):
+                got = pool.search_many(queries, db, scheme, params,
+                                       query_ids=qids, n_fragments=nf)
+                assert [dump(r) for r in got] == expected
+            assert pool.node_ship_stats()[0]["packs_adopted"] == 0
+
+
 def test_local_and_remote_mix_matches_serial():
     db, queries, scheme, params = make_case(32)
     expected = [dump(r) for r in serial_many(queries, db, scheme, params)]
@@ -220,10 +236,18 @@ def test_fleet_respawn_reserves_same_port_and_reships():
 # ----------------------------------------------------------------------
 # close() hygiene (stray transports, half-open node sockets)
 # ----------------------------------------------------------------------
-def test_close_sweeps_transports_of_failed_spawn():
-    """A pipe pair whose process never started must not leak: the
-    failed _spawn registers both ends as strays and close() sweeps
-    them even though no worker slot ever held the transport."""
+def test_close_sweeps_transports_of_failed_spawn(monkeypatch):
+    """A socketpair whose process never started must not leak: a
+    refused fork closes both ends itself, since no worker slot will
+    ever hold the transport."""
+    pairs = []
+    real_socketpair = socket.socketpair
+
+    def recording_socketpair(*args, **kwargs):
+        pairs.append(real_socketpair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(socket, "socketpair", recording_socketpair)
     pool = ExecPool(jobs=1, serial_fallback=False)
     real_ctx = pool._ctx
 
@@ -244,14 +268,12 @@ def test_close_sweeps_transports_of_failed_spawn():
     try:
         with pytest.raises((RuntimeError, PoolJobError)):
             pool.start()
-        strays = list(pool._strays)
-        assert strays, "failed spawn registered no stray transports"
     finally:
         pool._ctx = real_ctx
         pool.close()
-    assert pool._strays == []
-    for end in strays:
-        assert end.closed
+    assert pairs, "the refused spawn opened no socketpair"
+    for end in (end for pair in pairs for end in pair):
+        assert end.fileno() == -1
 
 
 def test_close_aborts_node_client_outside_worker_slots():

@@ -1,14 +1,14 @@
 """The multi-core pool: byte-identical parallel search, dynamic
 scheduling, worker-death requeue, retry exhaustion, and shared-memory
-hygiene.  The worker loop itself is also driven in-process through a
-scripted pipe so its protocol is covered without a subprocess."""
+hygiene.  The agent session every worker runs is also driven
+in-process over a socketpair, so its protocol is covered without a
+subprocess."""
 
 import dataclasses
 import os
 import signal
 import socket
 import threading
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from repro.blast.search import (SearchParams, SearchResults,
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import (ExecPool, FrameConnection, GreedyScheduler,
                         PoolJobError, RetriesExceeded, plan_fragments)
-from repro.exec.nodes import PROTO_VERSION, NodeAgent
-from repro.exec.pool import JobSpec, PoolConfig, _worker_main
+from repro.exec.nodes import PROTO_VERSION, NodeAgent, _agent_main
+from repro.exec.pool import JobSpec
 from repro.exec.shm import (NAME_PREFIX, ShmRegistry, pack_fragment,
                             read_pack_bytes)
 
@@ -262,14 +262,14 @@ def test_pool_validation_and_close_semantics():
         ExecPool(jobs=0)
     pool = ExecPool(jobs=1)
     assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
-            pool.task_timeout, pool._cfg.task_sleep) == \
+            pool.task_timeout, pool.task_sleep) == \
         (0.2, 2.0, None, None, 0.0)
     pool.close()
     pool.close()                           # idempotent
     pool = ExecPool(jobs=1, heartbeat=0.3, join_timeout=0.7,
                     hedge_after=1.0, task_timeout=9.0, task_sleep=0.5)
     assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
-            pool.task_timeout, pool._cfg.task_sleep) == \
+            pool.task_timeout, pool.task_sleep) == \
         (0.3, 0.7, 1.0, 9.0, 0.5)
     pool.close()
     with pytest.raises(PoolJobError):
@@ -356,26 +356,64 @@ def test_worker_error_exhausts_retries_without_killing_pool():
         assert dump(res) == dump(search(q, db, scheme, params))
 
 
+def test_worker_killed_between_runs_is_ledgered_before_its_respawn():
+    """A worker that dies between two searches is found by the next
+    message the master sends it — here the ``detach`` of packs a
+    mutated database made stale — and that is a death like any other:
+    a ``worker_death`` line before its ``respawn``, and the search that
+    follows byte-identical."""
+    rng = np.random.default_rng(14)
+    db = random_nt_db(rng, 20, min_len=100, max_len=300)
+    scheme = NucleotideScore()
+    params = SearchParams(word_size=11)
+    q = db.sequence(4)[:120].copy()
+    with ExecPool(jobs=2) as pool:
+        first = pool.search(q, db, scheme, params)
+        assert dump(first) == dump(search(q, db, scheme, params))
+        victim = pool._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        db.add("late", "ACGT" * 40)         # new version: packs are stale
+        got = pool.search(q, db, scheme, params)
+        ledger = [e.kind for e in pool.ledger.entries if e.rank == 0]
+    assert dump(got) == dump(search(q, db, scheme, params))
+    assert ledger == ["worker_death", "respawn"]
+
+
+def test_idle_worker_that_stops_answering_is_lost_and_respawned():
+    """A stopped process keeps its socket open, so no EOF ever comes;
+    an idle local worker is PINGed like a node, and one that misses
+    its heartbeats is declared lost, killed and replaced while the
+    other worker's task runs on — output byte-identical."""
+    rng = np.random.default_rng(15)
+    db = random_nt_db(rng, 16, min_len=100, max_len=300)
+    scheme = NucleotideScore()
+    params = SearchParams(word_size=11)
+    q = db.sequence(6)[:120].copy()
+    with ExecPool(jobs=2, heartbeat=0.05, node_timeout=0.5,
+                  join_timeout=0.2, hedge_after=100.0, task_timeout=100.0,
+                  task_sleep=1.5) as pool:
+        pool.start()
+        stopped = pool.worker_pids()[1]
+        os.kill(stopped, signal.SIGSTOP)
+        try:
+            # One task: rank 0 takes it, rank 1 stays idle (and silent).
+            got = pool.search(q, db, scheme, params, n_fragments=1)
+        finally:
+            try:
+                os.kill(stopped, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        ledger = [(e.kind, e.rank) for e in pool.ledger.entries]
+        assert pool.worker_pids()[1] != stopped
+    assert dump(got) == dump(search(q, db, scheme, params))
+    assert ledger == [("heartbeat_lost", 1), ("worker_death", 1),
+                      ("respawn", 1)]
+
+
 # ----------------------------------------------------------------------
-# Worker loop, driven in-process through a scripted pipe
+# The agent session, driven in-process over a socketpair
 # ----------------------------------------------------------------------
-class ScriptedConn:
-    """Feeds a fixed message script to ``_worker_main`` and records
-    everything the worker sends back."""
-
-    def __init__(self, script):
-        self.script = deque(script)
-        self.sent = []
-
-    def send(self, msg):
-        self.sent.append(msg)
-
-    def recv(self):
-        if not self.script:
-            raise EOFError
-        return self.script.popleft()
-
-
 def _job_for(db, q, scheme, params):
     from repro.blast.search import resolve_ka
 
@@ -385,19 +423,11 @@ def _job_for(db, q, scheme, params):
                    effective_space=(len(q), db.total_residues))
 
 
-def _pipe_replies(rank, load, script):
-    """The script through ``_worker_main`` over a scripted pipe (packs
-    attached by shm name); everything sent after ``ready``."""
-    conn = ScriptedConn([("attach", spec) for spec in load] + script)
-    _worker_main(rank, conn, PoolConfig())
-    assert conn.sent[0] == ("ready", rank)
-    return conn.sent[1:]
-
-
-def _agent_replies(rank, load, script):
-    """The same script through ``NodeAgent._session`` over a socketpair
-    (packs published as bytes); everything sent after the hello."""
-    agent = NodeAgent("127.0.0.1", 0, node_id="proto")
+def _session_replies(rank, script):
+    """*script* through one ``NodeAgent._session`` over a socketpair —
+    the session every worker runs, local or remote; everything the
+    agent sends after its ``ready``."""
+    agent = NodeAgent(None, node_id="proto")
     ours, theirs = socket.socketpair()
     session = threading.Thread(target=agent._session, args=(theirs,),
                                daemon=True)
@@ -407,8 +437,7 @@ def _agent_replies(rank, load, script):
         conn.send(("hello", {"proto": PROTO_VERSION, "rank": rank}))
         kind, got_rank, info = conn.recv()
         assert (kind, got_rank, info["held"]) == ("ready", rank, [])
-        for msg in [("publish", spec, read_pack_bytes(spec))
-                    for spec in load] + script:
+        for msg in script:
             conn.send(msg)
         replies = []
         while not replies or replies[-1][0] != "stopped":
@@ -420,12 +449,17 @@ def _agent_replies(rank, load, script):
         agent.close()
 
 
+def _segment_mappings(name):
+    with open("/proc/self/maps") as maps:
+        return maps.read().count(name)
+
+
 def test_worker_main_protocol_in_process():
-    """One script, both entry points: the pipe worker and the node
-    agent serve it through the same loop, so reply kinds, epoch echo,
+    """One script through the one agent session, its packs brought in
+    both ways — ``attach`` by shm name (a pool's local worker) and
+    ``publish`` as bytes (a remote node): reply kinds, epoch echo,
     error texts, exit counters and the result payload itself — a list
-    of ``(name, qi, SearchResults)`` — must agree; only the pack verbs
-    differ."""
+    of ``(name, qi, SearchResults)`` — are identical."""
     rng = np.random.default_rng(11)
     db = random_nt_db(rng, 12)
     scheme = NucleotideScore()
@@ -449,14 +483,18 @@ def test_worker_main_protocol_in_process():
         ("detach", names[0]),               # idempotent re-detach
         ("stop",),
     ]
+    loads = {"attach": [("attach", spec) for spec in specs],
+             "publish": [("publish", spec, read_pack_bytes(spec))
+                         for spec in specs]}
+    seen = {}
     try:
-        for rank, serve in ((3, _pipe_replies), (5, _agent_replies)):
-            # Loading every pack twice is idempotent on both holders.
-            replies = serve(rank, specs + specs, script)
+        for verb, load in loads.items():
+            # Loading every pack twice is idempotent either way.
+            replies = _session_replies(3, load + load + script)
             assert [m[0] for m in replies] == \
                 ["result", "error", "error", "stopped"]
             result, bad_pack, bogus, stopped = replies
-            assert result[1:4] == (rank, (0,), names)
+            assert result[1:4] == (3, (0,), names)
             assert len(result) == 7 and result[6] == 7  # epoch echoed
             pairs = result[4]
             assert type(pairs) is list
@@ -470,32 +508,50 @@ def test_worker_main_protocol_in_process():
                 db_residues=db.total_residues, db_sequences=len(db),
                 fragment_id=db.fragment_id)
             assert dump(merged) == serial
-            assert bad_pack[1:4] == (rank, (0,), ("no-such-pack",))
+            assert bad_pack[1:4] == (3, (0,), ("no-such-pack",))
             assert "KeyError" in bad_pack[4] and bad_pack[5] == 8
             assert bogus[2:4] == (None, None) and bogus[5] == -1
             assert "unknown message 'bogus'" in bogus[4]
-            stats = stopped[2]
-            assert stopped[1] == rank
-            assert (stats["rank"], stats["tasks"], stats["fragments"]) == \
-                (rank, 1, 2)
-            if serve is _agent_replies:     # the agent adds node / held
-                assert (stats["node"], stats["held"]) == ("proto", 1)
+            assert stopped[1:] == (3, {"rank": 3, "tasks": 1,
+                                       "fragments": 2, "node": "proto",
+                                       "held": 1})
+            # Everything but the elapsed time, results by their bytes.
+            seen[verb] = [result[:4] + ([(n, qi, dump(r))
+                                         for n, qi, r in pairs],
+                                        result[6])] + replies[1:]
+        assert seen["attach"] == seen["publish"]
     finally:
         for spec in specs:
             registry.release(spec.name)
 
 
 def test_worker_main_eof_tears_down_packs():
+    """A local worker's child entry point, run in-process: the master
+    vanishing without a ``stop`` (EOF after one ``attach``) ends the
+    session, and the agent lets go of the pack on its way out."""
     rng = np.random.default_rng(12)
     db = random_nt_db(rng, 8)
     registry = ShmRegistry()
     spec = pack_fragment(db, 11, 4, cache_token=(db_token(db), 0, 1),
                          registry=registry)
+    ours, theirs = socket.socketpair()
+    conn = FrameConnection(ours, name="master")
+    handlers = {sig: signal.getsignal(sig)         # _agent_main sets both
+                for sig in (signal.SIGTERM, signal.SIGINT)}
     try:
-        conn = ScriptedConn([("attach", spec)])  # then EOF, no stop
-        _worker_main(0, conn, PoolConfig())
-        assert [m[0] for m in conn.sent] == ["ready"]
+        assert _segment_mappings(spec.name) == 1     # the creator's
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 0}))
+        conn.send(("attach", spec))
+        ours.shutdown(socket.SHUT_WR)               # then EOF, no stop
+        _agent_main(theirs, None, 0.0, "eof", connected=True)
+        assert conn.recv()[0] == "ready"
+        with pytest.raises(EOFError):
+            conn.recv()
+        assert _segment_mappings(spec.name) == 1
     finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+        conn.close()
         registry.release(spec.name)
 
 
@@ -506,11 +562,9 @@ def test_worker_main_reports_attach_failure():
     spec = pack_fragment(db, 11, 4, cache_token=(db_token(db), 0, 2),
                          registry=registry)
     registry.release(spec.name)             # segment gone before attach
-    conn = ScriptedConn([("attach", spec), ("stop",)])
-    _worker_main(1, conn, PoolConfig())
-    kinds = [m[0] for m in conn.sent]
-    assert kinds == ["ready", "error", "stopped"]
-    assert "FileNotFoundError" in conn.sent[1][4]
+    replies = _session_replies(1, [("attach", spec), ("stop",)])
+    assert [m[0] for m in replies] == ["error", "stopped"]
+    assert "FileNotFoundError" in replies[0][4]
 
 
 def test_pool_cold_start_leaves_no_mmap_open(tmp_path):

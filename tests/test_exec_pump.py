@@ -155,6 +155,46 @@ def test_idle_node_silent_past_node_timeout_is_lost_and_revived():
     assert first.pings == 6
 
 
+class AnsweringConn(ScriptedConn):
+    """A :class:`ScriptedConn` that answers each PING one tick later."""
+
+    def __init__(self, clock, rank, delay=None):
+        super().__init__(clock, rank, delay)
+        self.pongs = []
+
+    def ping(self):
+        super().ping()
+        self.pongs.append(self.clock() + TICK)
+
+    def deliver(self):
+        now = self.clock()
+        if any(t <= now for t in self.pongs):
+            self.last_heard = now
+            self.pongs = [t for t in self.pongs if t > now]
+        return super().deliver()
+
+
+def test_a_pause_between_runs_is_not_a_heartbeat_loss():
+    """Between runs nobody PINGs and nobody listens: an idle worker
+    that answers as soon as it is asked again must not be declared
+    lost because the previous run ended long ago."""
+    clock = SteppedClock()
+    worker = ScriptedSlot(0, clock, delay=0.5)
+    node = NodeClient(("127.0.0.1", 1), 1, heartbeat=TICK, node_timeout=1.0)
+    node.conn = AnsweringConn(clock, 1)
+    node.alive = True
+    pool, _ticks = scripted_pool(clock, [worker, node])
+    try:
+        pool._run_tasks({0: None}, ONE_TASK)
+        clock.t += 10 * node.node_timeout       # the caller pauses
+        results, stats = pool._run_tasks({0: None}, ONE_TASK)
+        assert node.alive
+    finally:
+        pool.close()
+    assert results == {0: {"p0": "p0/0"}}
+    assert stats.heartbeat_losses == 0 and pool.ledger.entries == []
+
+
 def test_down_node_is_dialed_once_per_backoff_window_within_budget():
     clock = SteppedClock()
     worker = ScriptedSlot(0, clock, delay=30.0)

@@ -19,7 +19,8 @@ from repro.exec import (ExecPool, Fault, FaultPlan, PackIntegrityError,
                         ResultArena, decode_result_pairs,
                         encode_result_pairs, estimate_payload_size,
                         plan_task_ranges)
-from repro.exec.pool import _PipeSlot
+from repro.exec.net import NodeConnectError
+from repro.exec.pool import _LocalSlot
 from repro.exec.shm import NAME_PREFIX, ShmRegistry
 
 NT_LETTERS = np.array(list("ACGT"))
@@ -312,7 +313,7 @@ def test_send_failure_counts_one_death_and_recovers():
     q = db.sequence(3)[:130].copy()
     serial = dump(search(q, db, scheme, params))
     with ExecPool(jobs=2) as pool:
-        # Warm run: packs prepared and attached, so the severed pipe
+        # Warm run: packs prepared and attached, so the severed socket
         # below fails inside task dispatch (_send_task), not attach.
         warm = pool.search(q, db, scheme, params, n_fragments=6)
         assert dump(warm) == serial
@@ -338,8 +339,12 @@ def test_respawn_budget_counts_attempts_not_successes(monkeypatch):
                   max_respawns=2) as pool:
         pool.start()
         victim = pool.worker_pids()[0]
-        # Every replacement is stillborn from here on.
-        monkeypatch.setattr(_PipeSlot, "await_ready", lambda self: False)
+        # Every replacement is stillborn from here on: it never says
+        # ready.
+        def stillborn(self, conn, timeout):
+            raise NodeConnectError("no ready")
+
+        monkeypatch.setattr(_LocalSlot, "_await_ready", stillborn)
         timer = threading.Timer(0.1, os.kill, (victim, signal.SIGKILL))
         timer.start()
         try:

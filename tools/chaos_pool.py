@@ -22,14 +22,17 @@ as a smoke gate::
     PYTHONPATH=src python tools/chaos_pool.py --seeds 25
     PYTHONPATH=src python tools/chaos_pool.py --seed 7 --verbose
 
-``--transport socket`` runs the same contract over the multi-node
-runtime instead: two localhost :class:`repro.exec.NodeFleet` agents
-serve the pool over framed TCP, the seeded plans draw from the network
-fault kinds too (disconnect / partition / delay / reorder), and every
-fragment is mirrored onto both nodes so an agent killed mid-job is
+By default the pool forks its own local workers (node agents on a
+``socketpair``, packs attached by shm name).  ``--fleet`` runs the same
+contract against two listening :class:`repro.exec.NodeFleet` agents
+instead: the pool dials them over TCP, the seeded plans draw from the
+network fault kinds too (disconnect / partition / delay / reorder), and
+every fragment is mirrored onto both agents so one killed mid-job is
 served by its mirror.  Between batches the fleet respawns any dead
 agent healthy, so the post-recovery batch also proves reconnect (and
-the ship-once pack cache) rather than a lucky survivor.
+the ship-once pack cache) rather than a lucky survivor::
+
+    PYTHONPATH=src python tools/chaos_pool.py --fleet --seeds 8
 """
 
 import argparse
@@ -85,9 +88,9 @@ def build_workload():
     return db, scheme, params, queries, serial
 
 
-def run_seed_socket(seed, workload, verbose=False):
-    """One sweep iteration over the socket transport (two localhost
-    node agents, mirrored fragments); returns violation strings."""
+def run_seed_fleet(seed, workload, verbose=False):
+    """One sweep iteration against two listening localhost agents
+    (mirrored fragments); returns violation strings."""
     import warnings
 
     from repro.exec import ExecPool, random_plan
@@ -96,7 +99,7 @@ def run_seed_socket(seed, workload, verbose=False):
 
     db, scheme, params, queries, serial = workload
     # The recoverable vocabulary plus every network kind; corrupt_pack
-    # stays out, as in the pipe sweep — a corrupted pack is a *fatal*
+    # stays out, as in the default sweep — a corrupted pack is a *fatal*
     # integrity stop (exit 4) by design, not a survivable fault.  Each
     # agent gets its own plan (rank-blind selectors would fire on both
     # mirrors at once and defeat the survival test).
@@ -118,7 +121,7 @@ def run_seed_socket(seed, workload, verbose=False):
                 violations.append("results diverged from the serial engine")
                 pool.ledger.record("result_mismatch", detail=f"seed {seed}")
             # Respawn the whole fleet healthy (no plans): unlike a
-            # local pipe worker the pool cannot re-fork a remote agent,
+            # local worker the pool cannot re-fork a listening agent,
             # only re-dial it, so recovery from an agent death is the
             # supervisor's move.  Respawning the survivors too discards
             # any still-armed late fault (a once-fault with a high
@@ -196,13 +199,13 @@ def main(argv=None):
                         help="replay a single seed")
     parser.add_argument("--verbose", action="store_true",
                         help="print each seed's plan and ledger summary")
-    parser.add_argument("--transport", choices=["pipe", "socket"],
-                        default="pipe",
-                        help="pipe = local fork workers (default); "
-                             "socket = two localhost node agents over "
-                             "framed TCP with mirrored fragments")
+    parser.add_argument("--fleet", action="store_true",
+                        help="sweep two listening localhost agents with "
+                             "mirrored fragments and the network fault "
+                             "kinds (default: the pool's own local "
+                             "workers)")
     args = parser.parse_args(argv)
-    sweep = run_seed if args.transport == "pipe" else run_seed_socket
+    sweep = run_seed_fleet if args.fleet else run_seed
 
     before = shm_segments()
     workload = build_workload()
