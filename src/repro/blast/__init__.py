@@ -49,7 +49,6 @@ from repro.blast.lazydb import LazySequenceDB
 from repro.blast.scankernel import (ScanCache, ScanStructures,
                                     build_scan_structures,
                                     default_scan_cache, scan_fragment)
-from repro.blast.xdrop import xdrop_gapped_extend
 from repro.blast.translate import translate, six_frames
 from repro.blast.volumes import (load_volumes, search_volumes,
                                  split_volumes, write_volumes)
@@ -81,7 +80,6 @@ __all__ = [
     "segment_query",
     "split_volumes",
     "to_xml",
-    "xdrop_gapped_extend",
     "write_volumes",
     "DNA",
     "FastaRecord",

@@ -9,10 +9,10 @@ pointer-matrix tracebacks: on the bulk route the one stacked
 each ``banded_local_align``) — plus counters like how many seeds the
 covered-run prefilter dropped.  The gapped stage threads three
 counters, the same on both routes since both replay one plan:
-``gapped_trials`` (distinct gapped DP problems — one per (group,
-diagonal) for the banded method, per (group, midpoint) for xdrop),
-``gapped_traceback`` (pointer-matrix DPs actually run — the problems in
-the stacked call, or every problem on the scalar route) and
+``gapped_trials`` (distinct gapped DP problems, one per (group,
+diagonal)), ``gapped_traceback`` (pointer-matrix DPs actually run —
+the problems in the stacked call, or every problem on the scalar
+route) and
 ``gapped_culled`` (triggered candidates minus tracebacks: memo hits
 and, on the bulk route, zero-score results and E-value-reject skips).
 Until PR 22 the scalar route ran and counted one DP per triggered

@@ -41,7 +41,6 @@ from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
 from repro.blast.extend import UngappedHSP, bulk_ungapped_extend
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
                                 bulk_banded_align, bulk_banded_score)
-from repro.blast.xdrop import xdrop_gapped_extend
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
@@ -80,10 +79,6 @@ class SearchParams:
     #: Apply NCBI's length adjustment (edge-effect correction) to the
     #: E-value search space.
     effective_lengths: bool = False
-    #: Gapped refinement algorithm: "banded" (fixed diagonal band) or
-    #: "xdrop" (NCBI's adaptive-region extension; finds indels larger
-    #: than the band at somewhat higher cost).
-    gapped_method: str = "banded"
 
 
 @dataclass
@@ -329,9 +324,9 @@ class _GappedJob:
 #: it stands).
 _Plan = List[Tuple[UngappedHSP, int]]
 
-#: One gapped DP problem: its group and the candidate midpoint (query,
-#: subject position) it is anchored at.
-_Problem = Tuple[_GappedJob, int, int]
+#: One gapped DP problem: its group and the diagonal (subject minus
+#: query position) its band is centred on.
+_Problem = Tuple[_GappedJob, int]
 
 
 def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
@@ -341,55 +336,46 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
 
     One preamble, one replay.  The preamble turns each group's
     candidates into a :data:`_Plan` (best-first, ``max_hsps``) and
-    collects the distinct gapped DP problems: for the banded method
-    one per (group, diagonal) — the alignment depends on the seed only
-    through the diagonal — for xdrop one per (group, midpoint).
+    collects the distinct gapped DP problems, one per (group, diagonal):
+    the banded alignment depends on the seed only through the diagonal.
     :func:`_finalize_one` replays each plan reading alignments from
     ``alns``, problem number → alignment.
 
     Only *which kernels fill* ``alns`` is routed: the stacked passes of
-    :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` banded
-    problems up; below that (typical blastn) and for xdrop one scalar
-    kernel call per problem, which measures faster there.  All exact.
+    :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` problems
+    up; below that (typical blastn) one scalar kernel call per problem,
+    which measures faster there.  All exact.
     """
     prof = current_profile()
-    banded = params.gapped_method == "banded"
 
     plans: List[_Plan] = []
     problems: List[_Problem] = []
     for job in jobs:
         job.candidates.sort(key=lambda h: -h.score)
-        memo: Dict[object, int] = {}
+        memo: Dict[int, int] = {}
         plan: _Plan = []
         for cand in job.candidates[:params.max_hsps]:
             if not params.gapped or cand.score < params.gapped_trigger:
                 plan.append((cand, -1))
                 continue
-            mid_q = cand.q_start + cand.length // 2
-            mid_s = cand.s_start + cand.length // 2
-            key = mid_s - mid_q if banded else (mid_q, mid_s)
-            ei = memo.get(key)
+            diag = cand.s_start - cand.q_start
+            ei = memo.get(diag)
             if ei is None:
-                ei = memo[key] = len(problems)
-                problems.append((job, mid_q, mid_s))
+                ei = memo[diag] = len(problems)
+                problems.append((job, diag))
             plan.append((cand, ei))
         plans.append(plan)
 
     alns: Dict[int, GappedAlignment] = {}
-    if banded and len(problems) >= _BULK_MIN_CANDIDATES:
+    if len(problems) >= _BULK_MIN_CANDIDATES:
         alns = _bulk_alignments(jobs, plans, problems, qcat, scat, scheme,
                                 params, ka)
     elif problems:
         t0 = time.perf_counter() if prof is not None else 0.0
-        for ei, (job, mid_q, mid_s) in enumerate(problems):
-            if banded:
-                alns[ei] = banded_local_align(
-                    job.query, job.subject, mid_s - mid_q, scheme,
-                    band=params.band, identity_query=job.identity_query)
-            else:
-                alns[ei] = xdrop_gapped_extend(
-                    job.query, job.subject, mid_q, mid_s, scheme,
-                    xdrop=2 * params.band)
+        for ei, (job, diag) in enumerate(problems):
+            alns[ei] = banded_local_align(
+                job.query, job.subject, diag, scheme,
+                band=params.band, identity_query=job.identity_query)
         if prof is not None:
             prof.add("gapped", time.perf_counter() - t0)
     if prof is not None and problems:
@@ -409,14 +395,14 @@ def _bulk_alignments(jobs: List[_GappedJob], plans: List[_Plan],
                      scat: np.ndarray, scheme: ScoringScheme,
                      params: SearchParams, ka: KarlinAltschul
                      ) -> Dict[int, GappedAlignment]:
-    """The banded problems of a batch in two stacked kernel calls:
+    """The gapped problems of a batch in two stacked kernel calls:
     :func:`~repro.blast.gapped.bulk_banded_score` over all of them,
     then :func:`~repro.blast.gapped.bulk_banded_align` over those whose
     alignment can still matter (:func:`_traceback_survivors`)."""
     prof = current_profile()
     q_off, q_len, s_off, s_len, diag = np.array(
-        [(job.q_off, len(job.query), job.s_off, len(job.subject),
-          mid_s - mid_q) for job, mid_q, mid_s in problems],
+        [(job.q_off, len(job.query), job.s_off, len(job.subject), diag)
+         for job, diag in problems],
         dtype=np.int64).T
 
     t0 = time.perf_counter() if prof is not None else 0.0

@@ -24,7 +24,7 @@ shortcut), :func:`ungapped_extend`, :func:`one_hit_seeds`, :func:`two_hit_seeds`
 What is still imported from the stages under test is the X-drop prefix
 rule ``_best_prefix`` and the ``UngappedHSP`` record
 (``tests/test_api_quality.py`` holds the import list to that), plus
-the word index, the scalar gapped kernels and the statistics.  So
+the word index, the scalar gapped kernel and the statistics.  So
 equality of oracle and driver is evidence about scanning, seeding,
 extension and finalizing on every path, two-hit blastp included.
 """
@@ -45,7 +45,6 @@ from repro.blast.search import (HSP, Hit, SearchParams, SearchResults,
                                 resolve_ka)
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
-from repro.blast.xdrop import xdrop_gapped_extend
 
 
 # ----------------------------------------------------------------------
@@ -302,13 +301,9 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
             mid_q = cand.q_start + cand.length // 2
             mid_s = cand.s_start + cand.length // 2
             t0 = time.perf_counter() if prof is not None else 0.0
-            if params.gapped_method == "xdrop":
-                aln = xdrop_gapped_extend(query, subject, mid_q, mid_s,
-                                          scheme, xdrop=2 * params.band)
-            else:
-                aln = banded_local_align(query, subject, mid_s - mid_q,
-                                         scheme, band=params.band,
-                                         identity_query=identity_query)
+            aln = banded_local_align(query, subject, mid_s - mid_q,
+                                     scheme, band=params.band,
+                                     identity_query=identity_query)
             if prof is not None:
                 prof.add("gapped", time.perf_counter() - t0)
                 prof.count("gapped_trials")

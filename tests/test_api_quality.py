@@ -2,12 +2,13 @@
 
 Every module has a docstring; every public class and function exported
 from a package ``__init__`` is documented; ``__all__`` lists resolve.
-The search library keeps one candidate pipeline and its oracle its
-distance; the runtime keeps one result wire and one transport (the
-last four tests, read off the syntax trees).
+The search library keeps one candidate pipeline, one gapped algorithm
+and its oracle its distance; the runtime keeps one result wire and one
+transport (the last five tests, read off the syntax trees).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -68,7 +69,7 @@ def _src_trees():
 
 def _call_sites(trees, name):
     """``file:function`` of every call of *name* (bare or as an
-    attribute) under ``src/``."""
+    attribute) in *trees*."""
     sites = []
     for rel, tree in trees.items():
         for fn in ast.walk(tree):
@@ -112,6 +113,32 @@ def test_search_library_has_one_candidate_pipeline():
         if isinstance(node, ast.ClassDef) and node.name == "WordIndex")
     assert "scan" not in {fn.name for fn in word_index.body
                           if isinstance(fn, ast.FunctionDef)}
+
+
+def test_search_library_has_one_gapped_algorithm():
+    """The banded DP is the one gapped algorithm: ``SearchParams`` has
+    no method switch, no module or function of the X-drop gapped
+    extension exists in the library or the oracle, and each gapped
+    kernel is called from one place — the scalar one by the candidate
+    finalizer, the two stacked passes by the bulk route."""
+    from repro.blast.search import SearchParams
+
+    assert "gapped_method" not in {f.name for f in
+                                   dataclasses.fields(SearchParams)}
+    assert not (ROOT / "src" / "repro" / "blast" / "xdrop.py").exists()
+    trees = _src_trees()
+    trees["tests/oracle_search.py"] = ast.parse(
+        (ROOT / "tests" / "oracle_search.py").read_text())
+    defined = {node.name for tree in trees.values()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "xdrop_gapped_extend" not in defined
+    assert _call_sites(trees, "banded_local_align") == [
+        "src/repro/blast/search.py:_finalize_candidates",
+        "tests/oracle_search.py:_candidates_to_hsps"]
+    for kernel in ("bulk_banded_score", "bulk_banded_align"):
+        assert _call_sites(trees, kernel) == [
+            "src/repro/blast/search.py:_bulk_alignments"]
 
 
 def test_oracle_imports_no_driver_internals():

@@ -135,17 +135,3 @@ def test_search_with_explicit_scheme_and_single_strand():
     res = search(encode_dna("ACGTACGTACGTACGT"), db, NucleotideScore(),
                  SearchParams(word_size=11), both_strands=False)
     assert all(h.strand == 1 for hit in res.hits for h in hit.hsps)
-
-
-def test_gapped_method_xdrop_equivalent_on_simple_case():
-    rng = np.random.default_rng(9)
-    target = "".join(rng.choice(list("ACGT"), 400))
-    db = SequenceDB("nt")
-    db.add("t", target)
-    q = target[50:150] + "GGGGGGGGGG" + target[150:250]
-    scores = {}
-    for method in ("banded", "xdrop"):
-        res = blastn(q, db, params=SearchParams(
-            word_size=11, gapped_trigger=18, gapped_method=method))
-        scores[method] = res.best().score
-    assert scores["banded"] == scores["xdrop"]

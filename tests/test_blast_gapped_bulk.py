@@ -21,7 +21,7 @@ checks:
    PSSM rounds.  Both routes replay one plan through one candidate
    loop, so what differs between them is the DP kernels only; the
    code-disjoint comparison is the per-sequence oracle
-   (``search_reference``), which the seeding, cap and xdrop cases use.
+   (``search_reference``), which the seeding and cap cases use.
 """
 
 import dataclasses
@@ -467,22 +467,6 @@ def test_counters_traceback_bounded_by_trials():
     # values the per-survivor pass 2 gave on this corpus (PR 12).
     assert (c["gapped_trials"], c["gapped_traceback"],
             c["gapped_culled"]) == (54, 38, 16)
-
-
-def test_gapped_method_xdrop_unaffected():
-    """gapped_method='xdrop' keeps its own kernel — one
-    ``xdrop_gapped_extend`` per triggered candidate midpoint, never the
-    stacked band passes — inside the same plan and replay."""
-    rng = np.random.default_rng(48)
-    db = random_nt_db(rng, 10)
-    q = mutated_query(db, 1, rng, period=29, length=180)
-    params = SearchParams(gapped_method="xdrop")
-    with profiled("t", enabled=True, emit=False) as prof:
-        got = search(q, db, NucleotideScore(), params, query_id="q")
-    assert prof.counters["gapped_trials"] > 0
-    assert "gapped_bulk" not in prof.stages
-    ref = search_reference(q, db, NucleotideScore(), params, query_id="q")
-    assert dump(got) == dump(ref)
 
 
 def _two_candidates_on_one_diagonal():

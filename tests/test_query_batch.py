@@ -229,7 +229,6 @@ CASES = {
     "low-complexity-filter": lambda stack, tmp: masked_case(),
     "query-shorter-than-word": lambda stack, tmp: short_query_case(),
     "ungapped": lambda stack, tmp: nt_case(64, gapped=False),
-    "gapped-xdrop": lambda stack, tmp: nt_case(65, gapped_method="xdrop"),
     "explicit-effective-space": lambda stack, tmp: effective_space_case(),
     "packdb": packdb_case,
     "lazydb": lambda stack, tmp: lazydb_case(tmp),
@@ -237,8 +236,6 @@ CASES = {
     # under every option that changes what the finalizer does with
     # the candidates, and on each DP route.
     "protein-two-hit-ungapped": lambda stack, tmp: aa_case(71, gapped=False),
-    "protein-two-hit-xdrop": lambda stack, tmp: aa_case(
-        72, gapped_method="xdrop"),
     "protein-two-hit-scalar-route": lambda stack, tmp: routed(
         aa_case(53), 10 ** 9),
     "protein-two-hit-bulk-route": lambda stack, tmp: routed(aa_case(53), 1),

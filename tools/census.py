@@ -146,13 +146,10 @@ ALLOWLIST: Dict[str, str] = {
     "repro.workloads.queries.synthetic_query": _SIM_API,
     "repro.workloads.synthdb.synthetic_nt_fasta": _SIM_API,
     # -- options nobody sets ---------------------------------------------
-    "SearchParams.gapped_method": "selects blast/xdrop.py, a second gapped "
-    "algorithm with different output that no measured path runs; "
-    + _FLOOR.format(13),
     "SearchParams.gapped": "False is BLAST 1.x (no gapped stage, the "
     "ungapped Karlin-Altschul table); the path matrix of "
-    "tests/test_query_batch.py runs it, nothing else does — decide with "
-    "gapped_method in the next census PR",
+    "tests/test_query_batch.py runs it, nothing else does — next census "
+    "PR",
     "SearchParams.two_hit_window": "0 selects one-hit protein seeding "
     "(the 1990 rule, the grouped one-hit seeder on an aa database); "
     "only the path-matrix tests set it — next census PR",
