@@ -45,7 +45,6 @@ from repro.blast.queryseg import search_segmented, segment_query
 from repro.blast.render import render_hsp, render_results
 from repro.blast.filter import dust_mask, seg_mask
 from repro.blast.greedy import GreedyExtension, greedy_extend, megablast
-from repro.blast.lazydb import LazySequenceDB
 from repro.blast.scankernel import (ScanCache, ScanStructures,
                                     build_scan_structures,
                                     default_scan_cache, scan_fragment)
@@ -65,7 +64,6 @@ __all__ = [
     "render_hsp",
     "render_results",
     "GreedyExtension",
-    "LazySequenceDB",
     "ScanCache",
     "ScanStructures",
     "build_scan_structures",

@@ -171,12 +171,6 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
         np.cumsum(lengths[:-1] + 1, out=starts[1:])
     total = int(lengths.sum()) if n else 0
 
-    # Lazy databases expose a bulk loader: one contiguous payload read
-    # beats n seek+read round trips when packing a whole fragment.
-    preload = getattr(db, "preload_sequences", None)
-    if preload is not None:
-        preload()
-
     concat = np.full(total + max(n - 1, 0), base, dtype=np.uint8)
     for i in range(n):
         lo = int(starts[i])

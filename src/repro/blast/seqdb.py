@@ -8,10 +8,12 @@ loaded from a three-file on-disk format modelled on NCBI's::
     <name>.nsq / .psq   sequence data (2-bit packed nt, raw aa codes)
     <name>.nhr / .phr   concatenated description strings
 
-:func:`segment_db` implements mpiBLAST-style database segmentation:
+:meth:`SequenceDB.load` is the one reader of that format.
+
+:func:`plan_fragments` is mpiBLAST-style database segmentation:
 sequences are partitioned into fragments balanced by residue count
-(greedy longest-first binning), each fragment being a database in its
-own right.
+(greedy longest-first binning); :func:`segment_db` materializes them,
+each fragment being a database in its own right.
 """
 
 from __future__ import annotations
@@ -219,22 +221,36 @@ class SequenceDB:
                 f"n={len(self)} residues={self.total_residues}{frag}>")
 
 
+def plan_fragments(db, n_fragments: int) -> List[List[int]]:
+    """Partition a database's sequence ids into balanced fragments.
+
+    Greedy longest-first binning by residue count: each sequence, longest
+    first, goes to the currently lightest fragment.  *db* needs only
+    ``__len__`` and ``lengths()``.  Clamps to ``len(db)`` fragments and
+    drops nothing: every id lands in exactly one fragment.  This is the
+    one binning rule — :func:`segment_db`, the process pool and the pack
+    store builder all cut a database through it.
+    """
+    n = len(db)
+    if n_fragments < 1:
+        raise ValueError("n_fragments must be >= 1")
+    if n == 0:
+        return []
+    n_fragments = min(n_fragments, n)
+    lengths = db.lengths()
+    bins: List[List[int]] = [[] for _ in range(n_fragments)]
+    loads = [0] * n_fragments
+    for i in sorted(range(n), key=lambda i: -lengths[i]):
+        target = loads.index(min(loads))
+        bins[target].append(i)
+        loads[target] += lengths[i]
+    return bins
+
+
 def segment_db(db: SequenceDB, n_fragments: int) -> List[SequenceDB]:
     """mpiBLAST-style database segmentation.
 
-    Greedy longest-first binning balances fragments by residue count.
-    Every sequence lands in exactly one fragment.
-    """
-    if n_fragments < 1:
-        raise ValueError("n_fragments must be >= 1")
-    if n_fragments > len(db) and len(db) > 0:
-        n_fragments = len(db)
-    frags = [SequenceDB(db.seqtype, f"{db.name}.{i:03d}", fragment_id=i)
-             for i in range(n_fragments)]
-    loads = [0] * n_fragments
-    order = sorted(range(len(db)), key=lambda i: -len(db.sequence(i)))
-    for i in order:
-        target = loads.index(min(loads))
-        frags[target].add(db.description(i), db.sequence(i))
-        loads[target] += len(db.sequence(i))
-    return frags
+    The fragments of :func:`plan_fragments`, each a database in its own
+    right that keeps its parent ids in ``source_ids``."""
+    return [db.subset(ids, name=f"{db.name}.{i:03d}", fragment_id=i)
+            for i, ids in enumerate(plan_fragments(db, n_fragments))]

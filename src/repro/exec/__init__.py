@@ -40,6 +40,7 @@ master/worker design on actual cores:
   harness.
 """
 
+from repro.blast.seqdb import plan_fragments  # the one binning rule
 from repro.exec.diskpack import (DiskPack, PackFormatError, PackStore,
                                  PackStoreBuilder, build_pack_store,
                                  corrupt_pack_file, search_store,
@@ -59,7 +60,7 @@ from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
 from repro.exec.schedule import (DEFAULT_SCAN_RATE, DEFAULT_TASK_OVERHEAD_S,
                                  GreedyScheduler, RetriesExceeded,
-                                 plan_fragments, plan_task_ranges)
+                                 plan_task_ranges)
 from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
                             PackIntegrityError, PackSpec, ResultArena,
                             ShmRegistry, corrupt_segment, create_pack,

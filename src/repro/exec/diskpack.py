@@ -43,15 +43,18 @@ Both are raised before a single hit can be computed from the data.
 
 The streaming builder (:class:`PackStoreBuilder`) formats arbitrarily
 large FASTA in bounded memory: records stream in one at a time
-(:func:`repro.blast.fasta.iter_fasta`), each is assigned to the
-currently lightest fragment (online greedy — the streaming analog of
-the LPT binning the in-RAM path uses) and spilled to a per-fragment
-spool file immediately; finalize then packs one fragment at a time, so
-peak memory is one fragment's scan structures, never the corpus.
+(:func:`repro.blast.fasta.iter_fasta`) and are spilled to one spool
+file as they arrive; finalize bins them with
+:func:`repro.blast.seqdb.plan_fragments` (the fragments the pool cuts
+from the same database) and packs one fragment at a time, copying each
+bin's records out of the spool, so peak memory is one fragment's scan
+structures, never the corpus.  The spool itself stays on disk until the
+last fragment is packed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import mmap
 import os
@@ -60,7 +63,8 @@ import shutil
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -70,7 +74,7 @@ from repro.blast.scankernel import ScanStructures, build_scan_structures
 from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, resolve_ka,
                                 search_batch)
-from repro.blast.seqdb import AA, NT, SequenceDB
+from repro.blast.seqdb import AA, NT, SequenceDB, plan_fragments
 from repro.blast.stats import effective_search_space
 from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec,
                             PackView, pack_layout, pack_spec)
@@ -587,90 +591,72 @@ def sweep_build_leftovers(directory: str) -> List[str]:
 # Streaming builder
 # ----------------------------------------------------------------------
 class _Spool:
-    """One fragment's on-disk spool during a streaming build: encoded
-    residues and description bytes append to two flat files, only the
-    per-sequence length/offset bookkeeping stays in memory."""
+    """A streaming build's spool: encoded residues and description bytes
+    append to two flat files in arrival order; only the per-record
+    lengths stay in memory.  It has the ``__len__`` / ``lengths()``
+    surface :func:`~repro.blast.seqdb.plan_fragments` bins by, and
+    :meth:`fragments` reads the bins back one at a time."""
 
-    def __init__(self, build_dir: str, idx: int):
-        self.idx = idx
-        self.seq_path = os.path.join(build_dir, f"frag{idx}.seq")
-        self.hdr_path = os.path.join(build_dir, f"frag{idx}.hdr")
+    def __init__(self, build_dir: str):
+        self.seq_path = os.path.join(build_dir, "records.seq")
+        self.hdr_path = os.path.join(build_dir, "records.hdr")
         self._seq_f = open(self.seq_path, "wb")
         self._hdr_f = open(self.hdr_path, "wb")
-        self.lengths: List[int] = []
-        self.hdr_lens: List[int] = []
-        self.source_ids: List[int] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def residues(self) -> int:
-        return sum(self.lengths)
-
-    def add(self, global_id: int, description: str,
-            encoded: np.ndarray) -> None:
-        self._seq_f.write(memoryview(np.ascontiguousarray(encoded)))
-        blob = description.encode()
-        self._hdr_f.write(blob)
-        self.lengths.append(len(encoded))
-        self.hdr_lens.append(len(blob))
-        self.source_ids.append(global_id)
-
-    def close_writes(self) -> None:
-        self._seq_f.close()
-        self._hdr_f.close()
-
-    def load(self, seqtype: str) -> "_SpoolDB":
-        return _SpoolDB(self, seqtype)
-
-    def release(self) -> None:
-        for path in (self.seq_path, self.hdr_path):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-
-class _SpoolDB:
-    """Duck-typed read surface over one finished spool, for
-    :func:`~repro.blast.scankernel.build_scan_structures`."""
-
-    def __init__(self, spool: _Spool, seqtype: str):
-        self.seqtype = seqtype
-        self.fragment_id = spool.idx
-        self._lengths = spool.lengths
-        payload = np.fromfile(spool.seq_path, dtype=np.uint8)
-        self._starts = np.zeros(len(self._lengths) + 1, dtype=np.int64)
-        np.cumsum(self._lengths, out=self._starts[1:])
-        self._payload = payload
-        with open(spool.hdr_path, "rb") as f:
-            blob = f.read()
-        self.descriptions: List[str] = []
-        pos = 0
-        for n in spool.hdr_lens:
-            self.descriptions.append(blob[pos:pos + n].decode())
-            pos += n
+        self._lengths: List[int] = []
+        self._hdr_lens: List[int] = []
 
     def __len__(self) -> int:
         return len(self._lengths)
 
     def lengths(self) -> List[int]:
-        return list(self._lengths)
+        return self._lengths
 
-    def sequence(self, i: int) -> np.ndarray:
-        return self._payload[self._starts[i]:self._starts[i + 1]]
+    def add(self, description: str, encoded: np.ndarray) -> None:
+        self._seq_f.write(memoryview(np.ascontiguousarray(encoded)))
+        blob = description.encode()
+        self._hdr_f.write(blob)
+        self._lengths.append(len(encoded))
+        self._hdr_lens.append(len(blob))
+
+    def close_writes(self) -> None:
+        self._seq_f.close()
+        self._hdr_f.close()
+
+    def fragments(self, n_fragments: int, seqtype: str, name: str
+                  ) -> Iterator[Tuple[List[int], SequenceDB]]:
+        """Close the spool and yield each bin of
+        :func:`~repro.blast.seqdb.plan_fragments` with its records as a
+        database of its own, read back record by record, so memory holds
+        one fragment, never the spool."""
+        self.close_writes()
+        seq_at = list(itertools.accumulate(self._lengths, initial=0))
+        hdr_at = list(itertools.accumulate(self._hdr_lens, initial=0))
+        for fragment_id, ids in enumerate(plan_fragments(self, n_fragments)):
+            sub = SequenceDB(seqtype, f"{name}.{fragment_id:03d}",
+                             fragment_id=fragment_id)
+            for hdr, seq in zip(_read_records(self.hdr_path, hdr_at, ids),
+                                _read_records(self.seq_path, seq_at, ids)):
+                sub.add(hdr.decode(), np.frombuffer(seq, dtype=np.uint8))
+            yield ids, sub
+
+
+def _read_records(path: str, at: List[int], ids: List[int]) -> List[bytes]:
+    """Bytes ``at[i]:at[i + 1]`` of *path* for each id in *ids*, one
+    positioned read each: only the bin's bytes are ever in memory."""
+    with open(path, "rb") as f:
+        fd = f.fileno()
+        return [os.pread(fd, at[i + 1] - at[i], at[i]) for i in ids]
 
 
 class PackStoreBuilder:
     """Streaming pack-store builder (bounded memory, atomic commit).
 
-    Records are assigned online to the currently lightest fragment and
-    spilled to that fragment's spool immediately; :meth:`finalize`
-    packs fragments one at a time and commits the manifest last.  Use
-    as a context manager — an exception aborts the build and removes
-    the spool directory, leaving the destination exactly as found.
+    Records are spilled to one spool as they arrive; :meth:`finalize`
+    bins them with :func:`~repro.blast.seqdb.plan_fragments` — the
+    fragments the pool would cut from the same database — packs one
+    fragment at a time and commits the manifest last.  Use as a context
+    manager — an exception aborts the build and removes the spool
+    directory, leaving the destination exactly as found.
     """
 
     def __init__(self, directory: str, *, seqtype: str = NT,
@@ -693,10 +679,8 @@ class PackStoreBuilder:
         self._build_dir = os.path.join(
             directory, BUILD_DIR_PREFIX + secrets.token_hex(4))
         os.makedirs(self._build_dir)
-        self._spools = [_Spool(self._build_dir, i)
-                        for i in range(n_fragments)]
-        self._loads = [0] * n_fragments
-        self._n = 0
+        self._spool = _Spool(self._build_dir)
+        self.n_fragments = n_fragments
         self._residues = 0
         self._done = False
 
@@ -708,46 +692,35 @@ class PackStoreBuilder:
                else np.asarray(sequence, dtype=np.uint8))
         if len(enc) == 0:
             raise ValueError(f"empty sequence for {description!r}")
-        target = self._loads.index(min(self._loads))
-        self._spools[target].add(self._n, description, enc)
-        self._loads[target] += len(enc)
-        gid = self._n
-        self._n += 1
+        gid = len(self._spool)
+        self._spool.add(description, enc)
         self._residues += len(enc)
         return gid
 
     def add_records(self, records: Iterable[FastaRecord]) -> int:
-        n0 = self._n
+        n0 = len(self._spool)
         for rec in records:
             self.add(rec.description, rec.sequence)
-        return self._n - n0
+        return len(self._spool) - n0
 
     def finalize(self) -> PackStore:
-        """Pack every non-empty spool and commit the manifest."""
+        """Pack every fragment and commit the manifest."""
         if self._done:
             raise RuntimeError("builder already finalized/aborted")
         store_id = secrets.token_hex(8)
         entries: List[dict] = []
-        fragment_id = 0
-        for spool in self._spools:
-            spool.close_writes()
-            if spool.n == 0:
-                spool.release()
-                continue
-            sdb = spool.load(self.seqtype)
-            structs = build_scan_structures(sdb, self.word_size, self.base)
-            fname = f"{self.name}.{fragment_id:03d}{PACK_SUFFIX}"
+        for ids, sub in self._spool.fragments(self.n_fragments,
+                                              self.seqtype, self.name):
+            structs = build_scan_structures(sub, self.word_size, self.base)
+            fname = f"{sub.name}{PACK_SUFFIX}"
             write_pack(os.path.join(self.directory, fname), structs,
-                       sdb.descriptions, seqtype=self.seqtype,
-                       store_id=store_id, version=0,
-                       fragment_id=fragment_id,
-                       source_ids=spool.source_ids)
-            entries.append({"file": fname, "fragment_id": fragment_id,
-                            "version": 0, "n_sequences": spool.n,
-                            "total_residues": spool.residues})
-            fragment_id += 1
-            del sdb, structs
-            spool.release()
+                       [sub.description(i) for i in range(len(sub))],
+                       seqtype=self.seqtype, store_id=store_id, version=0,
+                       fragment_id=sub.fragment_id, source_ids=ids)
+            entries.append({"file": fname, "fragment_id": sub.fragment_id,
+                            "version": 0, "n_sequences": len(sub),
+                            "total_residues": sub.total_residues})
+            del sub, structs
         _maybe_crash_before_manifest()
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -757,7 +730,7 @@ class PackStoreBuilder:
             "k": self.word_size,
             "base": self.base,
             "db_version": 0,
-            "n_sequences": self._n,
+            "n_sequences": len(self._spool),
             "total_residues": self._residues,
             "packs": entries,
         }
@@ -771,11 +744,7 @@ class PackStoreBuilder:
         """Drop the spool directory; committed files are untouched."""
         if self._done:
             return
-        for spool in self._spools:
-            try:
-                spool.close_writes()
-            except Exception:  # pragma: no cover - already closed
-                pass
+        self._spool.close_writes()
         shutil.rmtree(self._build_dir, ignore_errors=True)
         self._done = True
 

@@ -74,7 +74,7 @@ from repro.blast.scankernel import db_token
 from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, resolve_ka,
                                 search_batch)
-from repro.blast.seqdb import AA
+from repro.blast.seqdb import AA, segment_db
 from repro.blast.stats import KarlinAltschul, effective_search_space
 from repro.exec.faults import FailureLedger, FaultPlan
 from repro.exec.net import NodeConnectError, parse_address
@@ -82,8 +82,8 @@ from repro.exec.nodes import (NodeClient, SlotLost, WorkerSlot, _agent_main,
                               _end_process)
 from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
                                  GreedyScheduler, RetriesExceeded,
-                                 plan_fragments, plan_mirror_groups,
-                                 plan_query_batches, plan_task_ranges)
+                                 plan_mirror_groups, plan_query_batches,
+                                 plan_task_ranges)
 from repro.exec.shm import (PackIntegrityError, PackSpec, ShmRegistry,
                             default_registry, ensure_tracker, pack_fragment,
                             publish_pack_bytes)
@@ -596,17 +596,12 @@ class ExecPool:
         if prep is not None:
             return prep
         self._drop_stale(token, version)
-        specs: List[PackSpec] = []
-        for frag_id, ids in enumerate(plan_fragments(db, nf)
-                                      if len(db) else []):
-            sub = db.subset(ids, name=f"{getattr(db, 'name', 'db')}"
-                                      f".{frag_id:03d}",
-                            fragment_id=frag_id)
-            # The fragment count is part of the identity: fragment 0 of
-            # a 3-way split is not fragment 0 of a 9-way one.
-            specs.append(pack_fragment(
-                sub, k, base, cache_token=(token, version, nf, frag_id),
-                registry=self._registry))
+        # The fragment count is part of the identity: fragment 0 of a
+        # 3-way split is not fragment 0 of a 9-way one.
+        specs = [pack_fragment(sub, k, base, registry=self._registry,
+                               cache_token=(token, version, nf,
+                                            sub.fragment_id))
+                 for sub in segment_db(db, nf)]
         return self._install_prepared(key, specs)
 
     def _prepare_from_store(self, store, base: int) -> _PreparedDB:

@@ -8,7 +8,7 @@ the same policy for the *simulated* cluster; this module is its
 real-execution twin).  Two refinements on top of plain FIFO:
 
 * tasks are issued **heaviest-first** (longest-processing-time order,
-  the same greedy bound `seqdb.segment_db` uses for binning), which
+  the same greedy bound `seqdb.plan_fragments` uses for binning), which
   tightens the makespan tail when fragments are uneven;
 * a task whose worker died or errored is requeued **at the front**
   (matching the degraded-mode `appendleft` of the simulated master),
@@ -62,30 +62,6 @@ class RetriesExceeded(RuntimeError):
         super().__init__(f"task {key!r} failed {attempts} times")
         self.key = key
         self.attempts = attempts
-
-
-def plan_fragments(db, n_fragments: int) -> List[List[int]]:
-    """Partition a database's sequence ids into balanced fragments.
-
-    Greedy longest-first binning by residue count — the exact policy of
-    :func:`repro.blast.seqdb.segment_db`, returning id lists instead of
-    materialized databases.  Clamps to ``len(db)`` fragments and drops
-    nothing: every id lands in exactly one fragment.
-    """
-    n = len(db)
-    if n_fragments < 1:
-        raise ValueError("n_fragments must be >= 1")
-    if n == 0:
-        return []
-    n_fragments = min(n_fragments, n)
-    lengths = db.lengths()
-    bins: List[List[int]] = [[] for _ in range(n_fragments)]
-    loads = [0] * n_fragments
-    for i in sorted(range(n), key=lambda i: -lengths[i]):
-        target = loads.index(min(loads))
-        bins[target].append(i)
-        loads[target] += lengths[i]
-    return bins
 
 
 def plan_query_batches(n_queries: int, jobs: int,

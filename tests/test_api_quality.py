@@ -211,3 +211,56 @@ def test_every_worker_is_an_agent_on_one_transport():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_worker_main", "_PipeSlot", "NamedPacks",
                           "PoolConfig"}
+
+
+def test_one_reader_and_one_binning_rule():
+    """The three-file database has one reader, ``SequenceDB.load``: no
+    lazy view of it exists, nothing outside ``seqdb`` imports the
+    format's magic or version to parse it a second way, and the scan
+    kernel asks no database for a preload hook.  Fragmenting a database
+    has one binning rule: the greedy lightest-bin step is written in
+    ``plan_fragments``, which ``segment_db`` and the store builder call
+    and through ``segment_db`` the pool.  The one other lightest-bin
+    pick, ``PackStore.append``'s, is incremental placement onto an
+    existing store by design (only the fragment it picks is re-packed),
+    so a store holds ``segment_db``'s fragments only until it is first
+    appended to."""
+    assert not (ROOT / "src" / "repro" / "blast" / "lazydb.py").exists()
+    trees = _src_trees()
+    defined = {node.name: rel for rel, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not set(defined) & {"LazySequenceDB", "preload_sequences",
+                               "_SpoolDB"}
+    assert not [rel for rel in trees
+                if "preload_sequences" in (ROOT / rel).read_text()]
+    format_imports = [rel for rel, tree in trees.items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and node.module == "repro.blast.seqdb"
+                      for alias in node.names
+                      if alias.name in ("MAGIC", "VERSION")]
+    assert format_imports == []
+    assert defined["plan_fragments"] == "src/repro/blast/seqdb.py"
+    assert sorted(_call_sites(trees, "plan_fragments")) == [
+        "src/repro/blast/seqdb.py:segment_db",
+        "src/repro/exec/diskpack.py:fragments"]
+    assert "src/repro/exec/pool.py:_prepare" in _call_sites(trees,
+                                                            "segment_db")
+
+    def is_min(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "min")
+
+    # Either spelling of "the lightest bin": loads.index(min(loads)) or
+    # min(bins, key=load).
+    lightest = {f"{rel}:{fn.name}" for rel, tree in trees.items()
+                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "index"
+                    and node.args and is_min(node.args[0]))
+                or (is_min(node)
+                    and any(kw.arg == "key" for kw in node.keywords))}
+    assert lightest == {"src/repro/blast/seqdb.py:plan_fragments",
+                        "src/repro/exec/diskpack.py:append"}

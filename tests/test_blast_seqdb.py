@@ -106,6 +106,32 @@ def test_segment_balances_residues():
     assert [f.fragment_id for f in frags] == [0, 1, 2, 3]
 
 
+def test_segment_fragments_map_back_to_the_parent():
+    """A fragment keeps its parent ids, so a hit in it names the
+    parent's sequence: ``source_ids[j]`` is the parent id of local
+    sequence ``j``, and the fragments partition the parent's ids."""
+    rng = np.random.default_rng(4)
+    db = SequenceDB(name="parent")
+    for i in range(17):
+        db.add(f"s{i}", "".join(rng.choice(list("ACGT"),
+                                           int(rng.integers(20, 90)))))
+    frags = segment_db(db, 4)
+    assert sorted(i for f in frags for i in f.source_ids) \
+        == list(range(len(db)))
+    for f in frags:
+        assert f.name == f"parent.{f.fragment_id:03d}"
+        for j, parent in enumerate(f.source_ids):
+            assert f.description(j) == db.description(parent)
+            assert np.array_equal(f.sequence(j), db.sequence(parent))
+
+
+def test_segment_of_an_empty_database_is_no_fragments():
+    """``plan_fragments`` clamps the fragment count to the number of
+    sequences, so an empty database cuts into no fragments at all (not
+    ``n`` empty ones) and ``repro segmentdb`` writes no files for it."""
+    assert segment_db(SequenceDB(), 3) == []
+
+
 def test_segment_preserves_every_sequence_exactly_once():
     db = SequenceDB.from_fasta_text(FASTA)
     frags = segment_db(db, 2)

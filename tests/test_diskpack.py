@@ -23,7 +23,7 @@ from repro.blast.alphabet import DNA, PROTEIN, encode_dna
 from repro.blast.scankernel import build_scan_structures
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
-from repro.blast.seqdb import AA, NT, SequenceDB
+from repro.blast.seqdb import AA, NT, SequenceDB, segment_db
 from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.cli import EXIT_INTEGRITY, main
 from repro.exec import ExecPool, FrameConnection
@@ -189,6 +189,42 @@ def test_builder_source_ids_cover_corpus(tmp_path):
         seen.extend(pack.spec.source_ids)
         pack.close()
     assert sorted(seen) == list(range(len(db)))
+
+
+@pytest.mark.parametrize("n_fragments", [1, 3, 8])
+def test_store_has_the_fragments_segment_db_cuts(tmp_path, n_fragments):
+    """One binning rule: a store built from a database, in memory or
+    streamed from FASTA, holds exactly the fragments ``segment_db`` (and
+    through it the pool) cuts from that database — same ids in the same
+    order, same bytes, same descriptions."""
+    from repro.blast.alphabet import decode_dna
+    rng = np.random.default_rng(300 + n_fragments)
+    db = random_nt_db(rng, 30)
+    fasta = tmp_path / "db.fasta"
+    fasta.write_text("".join(f">{db.description(i)}\n"
+                             f"{decode_dna(db.sequence(i))}\n"
+                             for i in range(len(db))))
+    frags = segment_db(db, n_fragments)
+    for tag, source in (("ram", db), ("fasta", str(fasta))):
+        store = build_pack_store(source, str(tmp_path / tag), seqtype=NT,
+                                 n_fragments=n_fragments)
+        assert [e.total_residues for e in store.packs] \
+            == [f.total_residues for f in frags]
+        packs = store.open_packs()
+        try:
+            assert [list(p.spec.source_ids) for p in packs] \
+                == [f.source_ids for f in frags]
+            for pack, frag in zip(packs, frags):
+                pdb = PackDB(pack)
+                assert [pdb.description(i) for i in range(len(pdb))] \
+                    == [frag.description(i) for i in range(len(frag))]
+                for i in range(len(frag)):
+                    assert np.array_equal(pdb.sequence(i),
+                                          frag.sequence(i))
+                del pdb
+        finally:
+            for pack in packs:
+                pack.close()
 
 
 def test_streaming_build_from_fasta_file(tmp_path):

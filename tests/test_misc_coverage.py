@@ -1,6 +1,5 @@
 """Targeted tests for corners not covered elsewhere."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster, memory_stressor
@@ -52,21 +51,6 @@ def test_metadata_server_rpc_cost():
     assert p.value > 2 * c.network.params.latency  # two messages
     assert mds.ops_served == 1
     assert c[0].nic.bytes_received == MD_REQUEST_SIZE
-
-
-def test_lazydb_iteration(tmp_path):
-    from repro.blast import SequenceDB
-    from repro.blast.lazydb import LazySequenceDB
-
-    db = SequenceDB("nt", name="it")
-    db.add("a", "ACGTACGT")
-    db.add("b", "TTTTCCCC")
-    db.write(str(tmp_path))
-    lazy = LazySequenceDB(str(tmp_path), "it")
-    items = list(lazy)
-    assert len(items) == 2
-    assert items[0][0] == "a"
-    assert np.array_equal(items[1][1], db.sequence(1))
 
 
 def test_disk_params_with_disk_helper():

@@ -17,7 +17,6 @@ import pytest
 
 from repro.blast.alphabet import reverse_complement
 from repro.blast.kmer import WordIndex
-from repro.blast.lazydb import LazySequenceDB
 from repro.blast.profile import PROFILE_ENV
 from repro.blast.psiblast import build_pssm
 from repro.blast.scankernel import (QueryBatch, build_scan_structures,
@@ -204,13 +203,6 @@ def packdb_case(stack, tmp_path):
     return case
 
 
-def lazydb_case(tmp_path):
-    case = nt_case(70)
-    case["db"].write(str(tmp_path))
-    case["db"] = LazySequenceDB(str(tmp_path), case["db"].name, NT)
-    return case
-
-
 def routed(case, min_candidates):
     """Pin which kernels run the gapped DP problems: the scalar ones
     (threshold out of reach) or the stacked ones (one problem is
@@ -231,7 +223,6 @@ CASES = {
     "ungapped": lambda stack, tmp: nt_case(64, gapped=False),
     "explicit-effective-space": lambda stack, tmp: effective_space_case(),
     "packdb": packdb_case,
-    "lazydb": lambda stack, tmp: lazydb_case(tmp),
     # Default blastp (two-hit seeds through the bulk extension kernel)
     # under every option that changes what the finalizer does with
     # the candidates, and on each DP route.

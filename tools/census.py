@@ -73,8 +73,6 @@ _TEST_HOOK = ("fault-injection / leak-check hook of the pack store: "
 ALLOWLIST: Dict[str, str] = {
     # -- modules -------------------------------------------------------
     "repro.blast.greedy": _FLOOR.format(12),
-    "repro.blast.lazydb": _FLOOR.format(12)
-    + "; goes with the one-on-disk-format step, ROADMAP 7(d)",
     "repro.blast.volumes": _FLOOR.format(10),
     "repro.trace.replay": "ROADMAP 1(d): replaying a real run's trace "
     "into the simulated cluster is what closes the simulator loop",
