@@ -34,12 +34,24 @@ scan loop handles the rest.
 Three entry points share the DP:
 
 * :func:`banded_local_align` — one (query, subject, diag), full affine
-  traceback with pointer matrices.  Rows whose entire band falls
-  outside the subject (a prefix and/or suffix of the row range, since
-  the band's column window moves one column per row) are never
-  computed: an all-invalid row resets the DP state to exactly the
-  initial one (H = 0, F = -inf), so clipping them changes nothing but
-  the allocation size.
+  traceback.  Rows whose entire band falls outside the subject (a
+  prefix and/or suffix of the row range, since the band's column
+  window moves one column per row) are never computed: an all-invalid
+  row resets the DP state to exactly the initial one (H = 0,
+  F = -inf), so clipping them changes nothing but the allocation size.
+  The sweep writes no pointers and takes no per-row maximum: it keeps
+  every H and F row, about ten ufunc calls a row (F three, H three,
+  the closed-form E four).  After it, one ``max(axis=1)`` finds the
+  first row holding the best cell, and the pointers of every row up to
+  it are recomputed from the stored rows in a handful of 2-D passes
+  (:func:`_derive_pointers`): the pre-E cell ``Hf = max(H_prev + s, 0,
+  F)`` is exact from the stored rows, the E update took a cell iff the
+  stored H exceeds it, and the E- and F-extended bits are the same
+  comparisons the per-row recurrences make.  With ``gap_open <=
+  gap_extend`` the sweep runs the E scan slot by slot and the
+  derivation replays it column by column over all rows.  The kernel it
+  replaced, which wrote three pointer matrices row by row, is the
+  oracle in ``tests/oracle_gapped.py``.
 * :func:`bulk_banded_score` — many candidates at once, **score only**
   (no pointer matrices): the same recurrences stacked candidate-major
   so each DP row is one set of vectorised passes over a
@@ -52,6 +64,12 @@ Three entry points share the DP:
   candidate back: per candidate exactly the scalar routine's
   :class:`GappedAlignment`.  The search driver runs all survivors of
   the score pass through it in one call.
+
+Both routes walk back with :func:`_walk_back` over the same packed
+pointer byte.  Which problems reach a kernel at all is the driver's
+business: a group of candidates whose best ungapped score is under the
+emit bound (``repro.blast.search._emit_bound``) can report nothing, and
+is dropped before any gapped work is planned for it.
 """
 
 from __future__ import annotations
@@ -68,57 +86,9 @@ NEG = -(10 ** 9)
 # Traceback codes for the H matrix.
 _STOP, _DIAG, _FROM_F, _FROM_E = 0, 1, 2, 3
 
-_INT64_MIN = np.iinfo(np.int64).min
-
-
-def _e_scan_loop(H: np.ndarray, codes: np.ndarray, pe: np.ndarray,
-                 go: int, ge: int) -> np.ndarray:
-    """Reference within-row E scan: left-to-right, updating H in place.
-
-    ``H``/``codes`` are modified in place; returns E.  Kept as the
-    fallback for schemes with ``gap_open <= gap_extend`` and as the
-    equivalence oracle for the vectorised scan."""
-    w = len(H)
-    E = np.full(w, NEG, dtype=np.int64)
-    for b in range(1, w):
-        e_open = H[b - 1] - go
-        e_ext = E[b - 1] - ge
-        E[b] = e_open if e_open >= e_ext else e_ext
-        pe[b] = 0 if e_open >= e_ext else 1
-        if E[b] > H[b]:
-            H[b] = E[b]
-            codes[b] = _FROM_E
-    return E
-
-
-def _e_scan_vectorized(H: np.ndarray, codes: np.ndarray, pe: np.ndarray,
-                       go: int, ge: int, slot_ge: np.ndarray,
-                       open_cost: np.ndarray,
-                       scratch: Tuple[np.ndarray, np.ndarray]
-                       ) -> np.ndarray:
-    """Closed-form E scan (requires ``go > ge`` and at least two
-    slots); same contract as :func:`_e_scan_loop`.
-
-    ``slot_ge`` is the precomputed ``ge * arange(w)`` vector,
-    ``open_cost`` is ``go + slot_ge[:-1]``, and ``scratch`` is a pair
-    of reusable ``(w,)`` int64 buffers (the returned E is the second,
-    valid until the next call).  Because ``go > ge``, opening a gap
-    from an E-derived H cell can never beat extending that E, so E
-    depends only on the pre-E H values — which makes it a prefix
-    maximum; the same inequality makes the open/extend tie-break of the
-    scan loop reproduce exactly."""
-    P, E = scratch
-    T = H + slot_ge
-    np.maximum.accumulate(T, out=P)
-    E[0] = NEG
-    np.subtract(P[:-1], open_cost, out=E[1:])
-    # pe[b] = 1 (extended) iff the best opening point lies before b-1.
-    pe[1] = 0
-    np.less(T[1:-1], P[:-2], out=pe[2:].view(bool))
-    take_e = E > H
-    H[take_e] = E[take_e]
-    codes[take_e] = _FROM_E
-    return E
+# Packed pointer byte: the H code in the low two bits, then the
+# "gap was extended" bits of E and F.
+_CODE_MASK, _E_EXT, _F_EXT = 3, 4, 8
 
 
 @dataclass
@@ -175,113 +145,175 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
         return GappedAlignment(0, 0, 0, 0, 0, 0, 0)
     n_rows = row_hi - row_lo + 1
 
-    ptrH = np.zeros((n_rows, w), dtype=np.int8)
-    # ptrE / ptrF: 1 if the gap state was *extended* (came from the same
-    # gap matrix), 0 if freshly *opened* (came from H).
-    ptrE = np.zeros((n_rows, w), dtype=np.int8)
-    ptrF = np.zeros((n_rows, w), dtype=np.int8)
-
-    best = 0
-    best_pos = (0, 0)
-    subject_idx = subject.astype(np.intp)
     band_arange = np.arange(w)
     slot_ge = ge * band_arange
-    open_cost = go + slot_ge[:-1]
-    # A one-slot band (band=0) has no within-row gap: the scan loop is
+    # A one-slot band (band=0) has no within-row gap: the slot loop is
     # then a no-op, and the closed form needs a second slot.
     vector_scan = go > ge and w > 1
 
     # Per-row substitution gathers and validity masks, computed in one
-    # shot: row i uses slice i-row_lo of each.
+    # shot: DP row row_lo + r uses row r of each.
     cols = (np.arange(row_lo, row_hi + 1)[:, None] + (diag - band)
             + band_arange)
-    valid_all = (cols >= 1) & (cols <= n)
-    row_invalid = ~valid_all.all(axis=1)
-    safe_all = np.clip(cols - 1, 0, n - 1)
-    sub_all = scheme.matrix[query[row_lo - 1:row_hi][:, None],
-                            subject_idx[safe_all]].astype(np.int64)
+    valid = (cols >= 1) & (cols <= n)
+    sub = scheme.matrix[query[row_lo - 1:row_hi][:, None],
+                        subject.astype(np.intp)[np.clip(cols - 1, 0, n - 1)]
+                        ].astype(np.int64)
 
-    # Ping-pong row buffers (allocation per row is measurable at this
-    # band width); up_* carry a trailing NEG that never changes.
-    bufs = [np.zeros((2, w), dtype=np.int64),
-            np.full((2, w), NEG, dtype=np.int64)]
-    diag_score = np.empty(w, dtype=np.int64)
-    up_H = np.full(w, NEG, dtype=np.int64)
-    up_F = np.full(w, NEG, dtype=np.int64)
+    # Row r + 1 of Hs / Fs is DP row row_lo + r, row 0 the initial state
+    # (H = 0, F = NEG).  Slot w is a NEG column no row writes: it is
+    # what slot w-1 reads as "slot b+1 of the previous row".
+    Hs = np.zeros((n_rows + 1, w + 1), dtype=np.int64)
+    Hs[:, w] = NEG
+    Fs = np.full((n_rows + 1, w + 1), NEG, dtype=np.int64)
+    masks = {r: ~valid[r]
+             for r in np.flatnonzero(~valid.all(axis=1)).tolist()}
+    # Constant operands as arrays: a Python-int operand costs a ufunc
+    # call about twice an array's.
+    zero = np.zeros(w, dtype=np.int64)
+    go_row = np.full(w, go, dtype=np.int64)
+    ge_row = np.full(w, ge, dtype=np.int64)
+    open_cost = go + slot_ge[:-1]
     F_open = np.empty(w, dtype=np.int64)
-    F_ext = np.empty(w, dtype=np.int64)
-    scratch = (np.empty(w, dtype=np.int64), np.empty(w, dtype=np.int64))
+    T = np.empty(w, dtype=np.int64)
+    P = np.empty(w, dtype=np.int64)
+    P_head = P[:-1]
+    E = np.empty(w - 1, dtype=np.int64)
 
-    for i in range(row_lo, row_hi + 1):
-        r = i - row_lo
-        cur = i & 1
-        H_prev = bufs[0][1 - cur]
-        F_prev = bufs[1][1 - cur]
-        H = bufs[0][cur]
-        F = bufs[1][cur]
-
-        np.add(H_prev, sub_all[r], out=diag_score)
-
-        # F: gap in subject, from row i-1 slot b+1.
-        up_H[:-1] = H_prev[1:]
-        up_F[:-1] = F_prev[1:]
-        np.subtract(up_H, go, out=F_open)
-        np.subtract(up_F, ge, out=F_ext)
-        np.maximum(F_open, F_ext, out=F)
-        np.greater(F_ext, F_open, out=ptrF[r].view(bool))
-
-        # H before E (E needs H within the row, computed left to right);
-        # diag >= max(diag, 0) iff diag >= 0, and _DIAG/_STOP are 1/0.
-        codes = ptrH[r]
-        np.maximum(diag_score, 0, out=H)
-        np.greater_equal(diag_score, 0, out=codes.view(bool))
-        take_f = F > H
+    # The sweep: scores only, no pointers and no per-row maximum.  Row
+    # r reads row r of Hs / Fs and writes row r + 1 (views, one per row).
+    for r, (H, F, H_tail, up_H, up_F, diag_H, sub_r) in enumerate(zip(
+            Hs[1:, :w], Fs[1:, :w], Hs[1:, 1:w], Hs[:-1, 1:], Fs[:-1, 1:],
+            Hs[:-1, :w], sub)):
+        # F: gap in subject, from slot b+1 of the previous row.
+        np.subtract(up_H, go_row, out=F_open)
+        np.subtract(up_F, ge_row, out=F)
+        np.maximum(F, F_open, out=F)
+        np.add(diag_H, sub_r, out=H)
+        np.maximum(H, zero, out=H)
         np.maximum(H, F, out=H)
-        codes[take_f] = _FROM_F
-
+        # E: gap in query, within the row (module docstring).
         if vector_scan:
-            _e_scan_vectorized(H, codes, ptrE[r], go, ge, slot_ge,
-                               open_cost, scratch)
+            np.add(H, slot_ge, out=T)
+            np.maximum.accumulate(T, out=P)
+            np.subtract(P_head, open_cost, out=E)
+            np.maximum(H_tail, E, out=H_tail)
         else:
-            _e_scan_loop(H, codes, ptrE[r], go, ge)
-
-        if row_invalid[r]:
-            invalid = ~valid_all[r]
+            h = H.tolist()
+            e = NEG
+            for b in range(1, w):
+                e = max(h[b - 1] - go, e - ge)
+                if e > h[b]:
+                    h[b] = e
+            H[:] = h
+        if r in masks:
+            invalid = masks[r]
             H[invalid] = 0
-            codes[invalid] = _STOP
             F[invalid] = NEG
 
-        row_best = int(H.max())
-        if row_best > best:
-            best = row_best
-            best_pos = (i, int(np.argmax(H)))
-
+    # The first row holding the best cell, and its first slot holding it
+    # (the per-row kernel kept a cell only on a strict improvement).
+    H_all = Hs[1:, :w]
+    row_best = H_all.max(axis=1)
+    r_best = int(np.argmax(row_best))
+    best = int(row_best[r_best])
     if best <= 0:
         return GappedAlignment(0, 0, 0, 0, 0, 0, 0)
+    cells = _derive_pointers(Hs[:r_best + 2], Fs[:r_best + 2],
+                             sub[:r_best + 1], valid[:r_best + 1],
+                             go, ge, slot_ge, vector_scan)
+    q_end = row_lo + r_best
+    b_end = int(np.argmax(H_all[r_best]))
+    i, j, identities, ops = _walk_back(
+        memoryview(cells.reshape(-1)), range(0, (r_best + 1) * w, w), 0, w,
+        row_lo, q_end, b_end, diag - band, id_query, -1, subject, -1)
+    return GappedAlignment(
+        q_start=i, q_end=q_end, s_start=j, s_end=q_end + diag - band + b_end,
+        score=best, identities=identities, align_len=len(ops), ops=ops)
 
-    # ------------------------------------------------------------ traceback
-    # Pointer rows exist only for [row_lo, row_hi]; rows below row_lo
-    # are all-_STOP in the unclipped DP (fully invalid), so stepping
-    # under row_lo ends the walk exactly where reading their codes
-    # would have.  (The walk cannot *consume* ops below row_lo: F is
-    # never selected there — its values derive from H = 0 minus at
-    # least a gap-open — and E stays within its row.)
-    i, b = best_pos
-    j = i + diag - band + b
-    q_end, s_end = i, j
-    identities = 0
-    align_len = 0
-    ops_rev = []
+
+def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
+                     valid: np.ndarray, go: int, ge: int,
+                     slot_ge: np.ndarray, vector_scan: bool) -> np.ndarray:
+    """Packed pointer bytes (``_CODE_MASK`` / ``_E_EXT`` / ``_F_EXT``)
+    of every swept cell, recomputed from the stored H and F rows.
+
+    *Hs* / *Fs* are the sweep's ``(rows + 1, w + 1)`` arrays (row 0 the
+    initial state, slot w the NEG column).  The H cell before its E
+    update, ``Hf = max(H_prev + sub, 0, F)``, is exact from the stored
+    rows on every cell — on an out-of-subject cell the unmasked F was
+    at most ``-gap_open``, below ``max(..., 0)`` for the non-negative
+    penalties a scheme carries — and the E update took a valid cell iff
+    the stored H exceeds it.
+    """
+    w = Hs.shape[1] - 1
+    H_prev = Hs[:-1]
+    H = Hs[1:, :w]
+    F = Fs[1:, :w]
+    diag_score = H_prev[:, :w] + sub
+    H0 = np.maximum(diag_score, 0)
+    Hf = np.maximum(H0, F)
+    # The H code by priority (E over F over the diagonal), as one
+    # maximum of the codes' values; out-of-subject cells are _STOP.
+    cells = (diag_score >= 0).view(np.uint8)          # _DIAG / _STOP
+    np.maximum(cells, (F > H0).view(np.uint8) * np.uint8(_FROM_F), out=cells)
+    np.maximum(cells, (H > Hf).view(np.uint8) * np.uint8(_FROM_E), out=cells)
+    cells *= valid.view(np.uint8)
+    # F was extended iff extending beat opening from slot b+1 above.
+    cells |= (Fs[:-1, 1:] - ge > H_prev[:, 1:] - go).view(np.uint8) * \
+        np.uint8(_F_EXT)
+    if vector_scan:
+        # E at b was extended iff the best opening point of the prefix
+        # maximum lies before b-1 (never at b = 1).
+        T = Hf + slot_ge
+        P = np.maximum.accumulate(T, axis=1)
+        cells[:, 2:] |= (T[:, 1:-1] < P[:, :-2]).view(np.uint8) * \
+            np.uint8(_E_EXT)
+    else:
+        # The slot loop's recurrence, one column of every row at a time.
+        E = np.full(len(Hf), NEG, dtype=np.int64)
+        h = Hf[:, 0]
+        for b in range(1, w):
+            e_open = h - go
+            e_ext = E - ge
+            cells[:, b] |= (e_ext > e_open).view(np.uint8) * np.uint8(_E_EXT)
+            E = np.maximum(e_open, e_ext)
+            h = np.maximum(Hf[:, b], E)
+    return cells
+
+
+def _walk_back(cells: memoryview, row_base, cand_base: int, w: int,
+               row_lo: int, i: int, b: int, col0: int,
+               qseq: np.ndarray, q_base: int, sseq: np.ndarray, s_base: int
+               ) -> Tuple[int, int, int, str]:
+    """The affine traceback from cell ``(i, b)`` over packed pointer
+    bytes: row ``r`` of the problem starts at ``row_base[r] +
+    cand_base``, and slot b of row i is subject column ``i + col0 +
+    b``.  Returns the start ``(i, j)``, the identities among the
+    aligned pairs (query row i is ``qseq[q_base + i]``, subject column
+    j ``sseq[s_base + j]``) and the ops string.
+
+    Pointer rows exist only for ``[row_lo, ...]``; rows below row_lo
+    are all-_STOP in the unclipped DP (fully invalid), so stepping
+    under row_lo ends the walk exactly where reading their codes would
+    have.  (The walk cannot *consume* ops below row_lo: F is never
+    selected there — its values derive from H = 0 minus at least a
+    gap-open — and E stays within its row.)
+    """
+    j = i + col0 + b
+    m_rows: List[int] = []
+    m_cols: List[int] = []
+    ops_rev: List[str] = []
     state = "H"
     while i >= row_lo and 0 <= b < w:
+        cell = cells[row_base[i - row_lo] + cand_base + b]
         if state == "H":
-            code = ptrH[i - row_lo, b]
+            code = cell & _CODE_MASK
             if code == _STOP:
                 break
             if code == _DIAG:
-                if id_query[i - 1] == subject[j - 1]:
-                    identities += 1
-                align_len += 1
+                m_rows.append(i)
+                m_cols.append(j)
                 ops_rev.append("M")
                 i -= 1
                 j -= 1
@@ -292,24 +324,18 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
                 state = "E"
         elif state == "F":
             # consume one query residue (gap in subject)
-            extended = ptrF[i - row_lo, b]
-            align_len += 1
             ops_rev.append("D")
             i -= 1
             b += 1
-            state = "F" if extended else "H"
+            state = "F" if cell & _F_EXT else "H"
         else:  # state == "E": consume one subject residue (gap in query)
-            extended = ptrE[i - row_lo, b]
-            align_len += 1
             ops_rev.append("I")
             j -= 1
             b -= 1
-            state = "E" if extended else "H"
-    return GappedAlignment(
-        q_start=i, q_end=q_end, s_start=j, s_end=s_end,
-        score=best, identities=identities, align_len=align_len,
-        ops="".join(reversed(ops_rev)),
-    )
+            state = "E" if cell & _E_EXT else "H"
+    same = (qseq[np.array(m_rows, dtype=np.intp) + q_base]
+            == sseq[np.array(m_cols, dtype=np.intp) + s_base])
+    return i, j, int(np.count_nonzero(same)), "".join(reversed(ops_rev))
 
 
 #: Candidate-chunk bound of the bulk score pass: peak scratch is about
@@ -319,13 +345,8 @@ _BULK_CANDIDATES = 4096
 #: Candidate-chunk bound of the bulk traceback pass, which also keeps
 #: one packed pointer byte per DP cell until the chunk is walked back:
 #: at most ``_BULK_ALIGN_CANDIDATES * rows * (2 * band + 1)`` bytes —
-#: 2.2 MB for 350-row protein problems at the default band, a third of
-#: the three int8 planes the scalar routine would hold for that many.
+#: 2.2 MB for 350-row protein problems at the default band.
 _BULK_ALIGN_CANDIDATES = 128
-
-# Packed pointer byte: the H code in the low two bits, then the
-# "gap was extended" bits of E and F.
-_CODE_MASK, _E_EXT, _F_EXT = 3, 4, 8
 
 
 class _SweepChunk(NamedTuple):
@@ -355,9 +376,8 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
     candidates finish, and each candidate only sweeps the rows whose
     band overlaps its subject (the same clipping as the scalar
     routine).  Chunks in which no candidate has a row are not yielded.
-    With *keep_pointers* every row also records what the scalar routine
-    writes to its three pointer matrices, packed into one byte per
-    cell.
+    With *keep_pointers* every row also records the packed pointer
+    byte the scalar routine derives for each cell after its sweep.
     """
     w = 2 * band + 1
     go = scheme.gap_open
@@ -427,8 +447,8 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
                 bits *= _F_EXT
             np.maximum(H_new, F_new, out=H_new)
             if vector_scan:
-                # Closed-form within-row E (same identity as the
-                # scalar _e_scan_vectorized, rows stacked); E takes
+                # Closed-form within-row E (the module docstring's
+                # identity, rows stacked); E takes
                 # over T's storage.
                 T = H_new + slot_ge
                 P = np.maximum.accumulate(T, axis=1)
@@ -449,7 +469,7 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
                         bits[:, b] |= (e_ext > e_open) * e_ext_bit
                     np.maximum(H_new[:, b], E, out=H_new[:, b])
             # Mask after the E scan, like the scalar routine; the gap
-            # bits are left as computed, as its ptrE / ptrF rows are.
+            # bits are left as computed, as its derived ones are.
             invalid = ~valid
             H_new[invalid] = 0
             F_new[invalid] = NEG
@@ -487,8 +507,7 @@ def bulk_banded_score(qcat: np.ndarray, scat: np.ndarray,
     concatenation and the driver's query concatenation), so one 2-D
     gather per DP row scores candidates belonging to different queries,
     strands and subjects together.  Only ``H``/``F`` row states are
-    kept — no pointer matrices, which is the bulk of the scalar
-    routine's memory traffic — and the recurrences are evaluated in
+    kept, one row at a time, and the recurrences are evaluated in
     the same order with the same int64 arithmetic, so per candidate
     the returned ``(score, q_end, s_end)`` equals the scalar
     alignment's ``(score, q_end, s_end)`` exactly (``0, 0, 0`` when no
@@ -546,44 +565,12 @@ def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
         for k, (c, row_lo, score, q_end, s_end) in enumerate(per_cand):
             if score <= 0:
                 continue
-            i, j = q_end, s_end
-            b = j - (i + int(diag[c]) - band)
-            cand_base = k * w
-            # The scalar routine's walk, reading the packed byte.
-            m_rows = []
-            m_cols = []
-            ops_rev = []
-            state = "H"
-            while i >= row_lo and 0 <= b < w:
-                cell = cells[row_base[i - row_lo] + cand_base + b]
-                if state == "H":
-                    code = cell & _CODE_MASK
-                    if code == _STOP:
-                        break
-                    if code == _DIAG:
-                        m_rows.append(i)
-                        m_cols.append(j)
-                        ops_rev.append("M")
-                        i -= 1
-                        j -= 1
-                    elif code == _FROM_F:
-                        state = "F"
-                    else:
-                        state = "E"
-                elif state == "F":
-                    ops_rev.append("D")
-                    i -= 1
-                    b += 1
-                    state = "F" if cell & _F_EXT else "H"
-                else:
-                    ops_rev.append("I")
-                    j -= 1
-                    b -= 1
-                    state = "E" if cell & _E_EXT else "H"
-            same = (idcat[np.array(m_rows, dtype=np.int64) + (q_off[c] - 1)]
-                    == scat[np.array(m_cols, dtype=np.int64) + (s_off[c] - 1)])
+            col0 = int(diag[c]) - band
+            i, j, identities, ops = _walk_back(
+                cells, row_base, k * w, w, row_lo, q_end,
+                s_end - q_end - col0, col0, idcat, int(q_off[c]) - 1, scat,
+                int(s_off[c]) - 1)
             out[c] = GappedAlignment(
                 q_start=i, q_end=q_end, s_start=j, s_end=s_end, score=score,
-                identities=int(np.count_nonzero(same)),
-                align_len=len(ops_rev), ops="".join(reversed(ops_rev)))
+                identities=identities, align_len=len(ops), ops=ops)
     return out

@@ -6,8 +6,12 @@ line to stderr with per-stage wall times — pack, index, scan, seed,
 extend, gapped_bulk (the batched score-only gapped pass), gapped (the
 pointer-matrix tracebacks: on the bulk route the one stacked
 ``bulk_banded_align`` call over all survivors, on the scalar route
-each ``banded_local_align``) — plus counters like how many seeds the
-covered-run prefilter dropped.  The gapped stage threads three
+each ``banded_local_align``) — plus counters.  ``seeds_skipped``
+counts the seeds the per-diagonal coverage replay dropped, in the
+groups that reach the replay: a group whose best extension scores
+under the emit bound (``search._emit_bound``) is dropped whole before
+it, and its seeds are counted under ``seeds`` only.  The gapped stage
+threads three
 counters, the same on both routes since both replay one plan:
 ``gapped_trials`` (distinct gapped DP problems, one per (group,
 diagonal)), ``gapped_traceback`` (pointer-matrix DPs actually run —

@@ -19,9 +19,11 @@ groups with word hits.
 Downstream of the scan there is one candidate pipeline, for every
 alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
 (one-hit or two-hit, read off the search's inputs) →
-``bulk_ungapped_extend`` → the per-diagonal coverage replay → one plan
-per group → the gapped DP problems → :func:`_finalize_one`.  The only
-routing left is which exact kernels run the DP problems.  The
+``bulk_ungapped_extend`` → the emit bound (a group whose best
+extension cannot be reported goes no further) → the per-diagonal
+coverage replay → one plan per group → the gapped DP problems →
+:func:`_finalize_one`.  The only routing left is which exact kernels
+run the DP problems.  The
 per-sequence, per-group implementation the driver is checked against
 lives with the tests (``tests/oracle_search.py``) and shares none of it.
 
@@ -285,14 +287,17 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
 #: bulk route sweeps every triggered diagonal score-only and the
 #: survivors once more with pointers, and a stacked row costs more
 #: numpy dispatch than a scalar one until enough problems share it.
-#: Measured with one triggered candidate per subject (scalar / bulk
-#: route, ms): 350-row protein problems 13.5 / 18.5 at 4,
-#: 21.6 / 21.3 at 8, 36.4 / 22.4 at 12, 59.3 / 28.0 at 24; 568-row nt
-#: problems 9.5 / 44.5 at 1, 76.3 / 60.5 at 8, 90.9 / 54.1 at 12,
-#: 184.7 / 68.7 at 24 — the crossover is at about 8 for both, and 12
-#: keeps a margin on the scalar side.  The routing only picks which
-#: kernels fill ``alns``; it is invisible in output: both are exact.
-_BULK_MIN_CANDIDATES = 12
+#: Measured through ``search`` with one triggered candidate per
+#: subject (scalar / bulk route, gapped stages, ms, medians of five):
+#: 350-row protein problems 6.1 / 68.5 at 1, 47.9 / 72.0 at 8,
+#: 74.5 / 93.5 at 20, 89.7 / 87.4 at 24, 164.2 / 126.3 at 32; 568-row
+#: nt problems 8.1 / 97.5 at 1, 54.9 / 103.2 at 8, 152.5 / 153.0 at
+#: 20, 211.4 / 212.2 at 24, 271.5 / 227.4 at 32 — the crossover is at
+#: about 20 to 24 for both (it was about 8 with the per-row scalar
+#: kernel this one replaced), and 24 keeps a margin on the scalar
+#: side.  The routing only picks which kernels fill ``alns``; it is
+#: invisible in output: both are exact.
+_BULK_MIN_CANDIDATES = 24
 
 
 @dataclass
@@ -684,8 +689,8 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     qcat = np.concatenate([e[1] for e in entries])
 
     jobs = _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                                is_protein, spaces, identity_queries, qcat,
-                                qstarts, qlens) if groups else []
+                                ka, is_protein, spaces, identity_queries,
+                                qcat, qstarts, qlens) if groups else []
     _finalize_candidates(jobs, qcat, structs.concat, scheme, params, ka)
     per_q: Dict[int, Dict[int, List[HSP]]] = {}
     for job in jobs:
@@ -708,7 +713,25 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     return results
 
 
-def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
+#: An emit bound no score reaches (no E-value passes a negative cutoff).
+_NO_SCORE = np.iinfo(np.int64).max
+
+
+def _emit_bound(ka: KarlinAltschul, params: SearchParams, m_eff: int,
+                n_eff: int) -> int:
+    """The smallest ungapped score a candidate needs for its group to
+    report anything: ``s*``, the least positive score whose E-value
+    passes the cutoff, capped at ``gapped_trigger`` when gapped
+    extension runs (a triggered candidate is reported at its gapped
+    score, which the ungapped one does not bound)."""
+    bound = ka.min_passing_score(params.evalue_cutoff, m_eff, n_eff)
+    if params.gapped:
+        return (params.gapped_trigger if bound is None
+                else min(bound, params.gapped_trigger))
+    return _NO_SCORE if bound is None else bound
+
+
+def _bulk_groups_to_jobs(groups, entries, structs, scheme, params, ka,
                          is_protein, spaces, identity_queries, qcat,
                          qstarts, qlens) -> List[_GappedJob]:
     """Steps 2-3 for every hit group of the batch at once.
@@ -717,9 +740,14 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     protein unless ``two_hit_window`` is 0, one-hit otherwise: read off
     the search's inputs) and extended with one flat 2-D gather against
     the query/subject concatenations (*qcat* with per-entry *qstarts*
-    offsets, ``structs.concat``).  The per-diagonal coverage dedup is
-    then replayed per group from the bulk extents; each group's
-    surviving candidates become one :class:`_GappedJob`, in group order.
+    offsets, ``structs.concat``).  A group whose best extension scores
+    under its query's :func:`_emit_bound` is dropped before anything
+    else: the coverage dedup only removes seeds, an untriggered
+    candidate is reported at its ungapped score and a triggered one
+    needs ``gapped_trigger``, so no candidate of it could be reported.
+    The per-diagonal coverage dedup is then replayed per remaining
+    group from the bulk extents; each group's surviving candidates
+    become one :class:`_GappedJob`, in group order.
     """
     prof = current_profile()
     g_eid = np.array([g[0] for g in groups], dtype=np.int64)
@@ -755,15 +783,20 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
 
     # sgid is group-major; per-group seed slices by binary search.
     bounds = np.searchsorted(sgid, np.arange(len(groups) + 1))
+    emit_bound = np.array([_emit_bound(ka, params, *spaces[e[0]])
+                           for e in entries], dtype=np.int64)
+    seeded = np.flatnonzero(bounds[1:] > bounds[:-1])
+    if len(seeded):
+        best = np.maximum.reduceat(ls + rs, bounds[seeded])
+        seeded = seeded[best >= emit_bound[g_eid[seeded]]]
     sqp_l, ssp_l = sqp.tolist(), ssp.tolist()
     ll_l, ls_l = ll.tolist(), ls.tolist()
     rl_l, rs_l = rl.tolist(), rs.tolist()
     jobs: List[_GappedJob] = []
     skipped = 0
-    for gi, (eid, sid, _, _) in enumerate(groups):
+    for gi in seeded.tolist():
+        eid, sid = groups[gi][0], groups[gi][1]
         lo, hi = int(bounds[gi]), int(bounds[gi + 1])
-        if lo == hi:
-            continue
         # Replay of the per-diagonal coverage dedup: a seed inside the
         # extent of the previously accepted extension on its diagonal
         # contributes nothing.

@@ -35,9 +35,39 @@ class KarlinAltschul:
     def evalue(self, raw: float, m: int, n: int) -> float:
         return self.k * m * n * math.exp(-self.lam * raw)
 
-    def raw_for_evalue(self, evalue: float, m: int, n: int) -> float:
-        """Smallest raw score with E-value <= *evalue*."""
-        return math.log(self.k * m * n / evalue) / self.lam
+    def min_passing_score(self, cutoff: float, m: int, n: int
+                          ) -> Optional[int]:
+        """Smallest positive integer raw score whose :meth:`evalue` is
+        ``<= cutoff`` (``None`` when no score passes: a negative or NaN
+        cutoff).
+
+        The log-form inverse of :meth:`evalue` is only a starting
+        guess; the result is settled with :meth:`evalue` itself, so
+        every positive integer below it fails the cutoff exactly as the
+        report filter computes it.  A cutoff of 0 passes where the
+        E-value underflows to 0.
+        """
+        if not cutoff >= 0:
+            return None
+        if self.evalue(1, m, n) <= cutoff:
+            return 1
+        # Here 0 <= cutoff < evalue(1) and k * m * n > 0; the smallest
+        # positive double stands in for a cutoff of 0.
+        guess = (math.log(self.k * m * n)
+                 - math.log(max(cutoff, math.ulp(0.0)))) / self.lam
+        hi = max(2, math.ceil(guess))
+        step = 1
+        while self.evalue(hi, m, n) > cutoff:
+            hi += step
+            step *= 2
+        lo = 1                  # evalue(lo) > cutoff >= evalue(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.evalue(mid, m, n) <= cutoff:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 def _solve_lambda(matrix: np.ndarray, probs: np.ndarray) -> float:

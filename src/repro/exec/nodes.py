@@ -31,6 +31,7 @@ import multiprocessing as mp
 import os
 import signal
 import socket
+import stat
 import sys
 import time
 import traceback
@@ -701,6 +702,8 @@ def _agent_main(sock: socket.socket, fault_plan: Optional[FaultPlan],
     # acts on it, and tells its agents.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if mp.parent_process() is not None:     # a fork, not an in-process call
+        _release_inherited_sockets(sock)
     ensure_tracker()
     agent = NodeAgent(None, listen_sock=None if connected else sock,
                       fault_plan=fault_plan, task_sleep=task_sleep,
@@ -712,6 +715,39 @@ def _agent_main(sock: socket.socket, fault_plan: Optional[FaultPlan],
             agent.serve()
     finally:
         agent.close()
+
+
+def _release_inherited_sockets(keep: socket.socket) -> None:
+    """Drop every socket the fork copied from the parent but *keep*.
+
+    A forked agent inherits the master's other connections: its node
+    sessions and the other workers' socketpair ends.  Holding a copy
+    keeps a connection the master drops half-open — the agent at the
+    far end never sees EOF and never returns to ``accept``.  Each one
+    is replaced by ``/dev/null`` rather than closed, so its number
+    stays taken: the parent's socket objects the child still carries
+    would otherwise close whatever later reuses it.  The standard
+    streams and non-socket descriptors (the resource tracker's pipe,
+    the process sentinel) are kept.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        fds = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:  # pragma: no cover - no descriptor listing
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep.fileno(), devnull):
+                continue
+            try:
+                is_socket = stat.S_ISSOCK(os.fstat(fd).st_mode)
+            except OSError:
+                continue            # the listing's own descriptor
+            if is_socket:
+                os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _end_process(proc, grace: float, patience: float = 5.0) -> None:

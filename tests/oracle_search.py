@@ -24,9 +24,11 @@ shortcut), :func:`ungapped_extend`, :func:`one_hit_seeds`, :func:`two_hit_seeds`
 What is still imported from the stages under test is the X-drop prefix
 rule ``_best_prefix`` and the ``UngappedHSP`` record
 (``tests/test_api_quality.py`` holds the import list to that), plus
-the word index, the scalar gapped kernel and the statistics.  So
+the word index and the statistics.  Its gapped kernel is the per-row
+one the library's replaced, in ``tests/oracle_gapped.py``.  So
 equality of oracle and driver is evidence about scanning, seeding,
-extension and finalizing on every path, two-hit blastp included.
+extension, gapped alignment and finalizing on every path, two-hit
+blastp included.
 """
 
 import time
@@ -37,7 +39,6 @@ import numpy as np
 from repro.blast.alphabet import PROTEIN, reverse_complement
 from repro.blast.extend import UngappedHSP, _best_prefix
 from repro.blast.filter import apply_query_filter
-from repro.blast.gapped import banded_local_align
 from repro.blast.kmer import WordIndex, dna_word_codes, word_codes
 from repro.blast.profile import current_profile
 from repro.blast.score import ScoringScheme
@@ -45,6 +46,8 @@ from repro.blast.search import (HSP, Hit, SearchParams, SearchResults,
                                 resolve_ka)
 from repro.blast.seqdb import AA
 from repro.blast.stats import KarlinAltschul, effective_search_space
+
+from oracle_gapped import banded_local_align
 
 
 # ----------------------------------------------------------------------

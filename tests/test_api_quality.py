@@ -119,8 +119,9 @@ def test_search_library_has_one_gapped_algorithm():
     """The banded DP is the one gapped algorithm: ``SearchParams`` has
     no method switch, no module or function of the X-drop gapped
     extension exists in the library or the oracle, and each gapped
-    kernel is called from one place — the scalar one by the candidate
-    finalizer, the two stacked passes by the bulk route."""
+    kernel is called from one place in the library — the scalar one by
+    the candidate finalizer, the two stacked passes by the bulk
+    route."""
     from repro.blast.search import SearchParams
 
     assert "gapped_method" not in {f.name for f in
@@ -133,9 +134,9 @@ def test_search_library_has_one_gapped_algorithm():
                for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "xdrop_gapped_extend" not in defined
+    del trees["tests/oracle_search.py"]
     assert _call_sites(trees, "banded_local_align") == [
-        "src/repro/blast/search.py:_finalize_candidates",
-        "tests/oracle_search.py:_candidates_to_hsps"]
+        "src/repro/blast/search.py:_finalize_candidates"]
     for kernel in ("bulk_banded_score", "bulk_banded_align"):
         assert _call_sites(trees, kernel) == [
             "src/repro/blast/search.py:_bulk_alignments"]
@@ -146,21 +147,30 @@ def test_oracle_imports_no_driver_internals():
     while it shares no code with it: from ``extend`` it imports the
     ``UngappedHSP`` record and ``_best_prefix`` — the single-sequence
     X-drop rule the bulk kernel is specified against — from ``seed``
-    nothing, from ``search`` the result types and ``resolve_ka``."""
-    tree = ast.parse((ROOT / "tests" / "oracle_search.py").read_text())
+    nothing, from ``search`` the result types and ``resolve_ka``.  Its
+    gapped kernel is the per-row one in ``tests/oracle_gapped.py``,
+    which takes nothing from ``repro.blast.gapped`` but the
+    ``GappedAlignment`` record."""
+    trees = {name: ast.parse((ROOT / "tests" / name).read_text())
+             for name in ("oracle_search.py", "oracle_gapped.py")}
     imported = sorted(
-        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        f"{node.module}.{alias.name}" for tree in trees.values()
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and node.module in ("repro.blast.search", "repro.blast.extend",
-                            "repro.blast.seed")
+                            "repro.blast.seed", "repro.blast.gapped",
+                            "oracle_gapped")
         for alias in node.names)
     assert imported == [
+        "oracle_gapped.banded_local_align",
         "repro.blast.extend.UngappedHSP", "repro.blast.extend._best_prefix",
+        "repro.blast.gapped.GappedAlignment",
         "repro.blast.search.HSP", "repro.blast.search.Hit",
         "repro.blast.search.SearchParams", "repro.blast.search.SearchResults",
         "repro.blast.search.resolve_ka"]
     # Nor the modules whole, which would hide attribute use.
-    whole = [alias.name for node in ast.walk(tree)
+    whole = [alias.name for tree in trees.values()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Import) for alias in node.names
              if alias.name.startswith("repro")]
     assert whole == []

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.blast.alphabet import encode_dna
+from repro.blast.alphabet import PROTEIN, encode_dna
 from repro.blast.gapped import banded_local_align
-from repro.blast.score import NucleotideScore
+from repro.blast.score import BLOSUM62, NucleotideScore, ScoringScheme
 
+from oracle_gapped import banded_local_align as oracle_banded_local_align
 from oracle_search import ungapped_extend
 
 SCHEME = NucleotideScore()  # +1/-3, gaps 5/2
@@ -267,3 +268,76 @@ def test_gapped_band_grazing_subject_edges():
         aln = banded_local_align(q, s, diag, SCHEME, band=band)
         ref, _, _ = _reference_banded_score(q, s, diag, SCHEME, band)
         assert aln.score == ref
+
+
+# ------------------------------------------ the library kernel vs its oracle
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       gaps=st.sampled_from([(5, 2), (2, 1), (11, 1), (3, 3), (1, 1),
+                             (1, 2), (2, 5)]),
+       band=st.sampled_from([0, 1, 3, 24]),
+       kind=st.sampled_from(["nt", "aa", "pssm"]),
+       m=st.integers(1, 70), n=st.integers(1, 70),
+       edge=st.sampled_from(["low", "high", "inside"]),
+       offset=st.integers(-4, 4),
+       planted=st.sampled_from(["no", "substituted", "indel"]))
+# An open/extend tie on the traceback path with gap_open == gap_extend:
+# rare under the strategy, and the slot-loop derivation must break it
+# as the per-row kernel does (open wins).
+@example(seed=14, gaps=(3, 3), band=24, kind="nt", m=11, n=23,
+         edge="inside", offset=0, planted="no")
+def test_banded_kernel_equals_oracle_kernel(seed, gaps, band, kind, m, n,
+                                            edge, offset, planted):
+    """The fused sweep with pointers derived afterwards returns what
+    the per-row kernel it replaced returns (``tests/oracle_gapped.py``),
+    field for field, ``ops`` included: ``gap_open`` above, equal to and
+    below ``gap_extend``, bands 0 / 1 / 3 / 24, diagonals whose band
+    hangs off either end of the subject, planted homology with and
+    without an indel (so tracebacks cross gaps, and small nt scores
+    make open/extend ties), and PSSM rounds (position indices as the
+    query, residues as ``identity_query``)."""
+    rng = np.random.default_rng(seed)
+    go, ge = gaps
+    alphabet = 4 if kind == "nt" else 20
+    residues = rng.integers(0, alphabet, m).astype(np.uint8)
+    subject = rng.integers(0, alphabet, n).astype(np.uint8)
+    if planted != "no":
+        k = min(m, n)
+        subject[:k] = residues[:k]
+        subject[::5] = rng.integers(0, alphabet, len(subject[::5]))
+    if planted == "indel" and n > 2:
+        cut = int(rng.integers(1, n - 1))
+        gap = int(rng.integers(1, 5))
+        subject = np.concatenate(
+            [subject[:cut], subject[cut + gap:]] if rng.random() < 0.5 else
+            [subject[:cut], rng.integers(0, alphabet, gap).astype(np.uint8),
+             subject[cut:]])
+        n = len(subject)
+    identity_query = None
+    if kind == "nt":
+        scheme = NucleotideScore(match=int(rng.integers(1, 4)),
+                                 mismatch=-int(rng.integers(1, 4)),
+                                 gap_open=go, gap_extend=ge)
+        query = residues
+    elif kind == "aa":
+        scheme = ScoringScheme(BLOSUM62, go, ge, PROTEIN)
+        query = residues
+    else:
+        pssm = rng.integers(-4, 9, (m, len(PROTEIN))).astype(np.int32)
+        scheme = ScoringScheme(pssm, go, ge, PROTEIN)
+        query = np.arange(m)
+        identity_query = residues
+    # Around the band's first / last overlap with the subject, or
+    # anywhere in between.
+    if edge == "low":
+        diag = -m - band + 1 + offset
+    elif edge == "high":
+        diag = n + band - 1 + offset
+    else:
+        diag = int(rng.integers(-m, n + 1))
+    got = banded_local_align(query, subject, diag, scheme, band=band,
+                             identity_query=identity_query)
+    want = oracle_banded_local_align(query, subject, diag, scheme, band=band,
+                                     identity_query=identity_query)
+    assert got == want

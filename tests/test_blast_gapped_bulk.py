@@ -332,6 +332,54 @@ def test_search_nt_byte_identical(evalue_cutoff):
         assert bulk.tabular() == scal.tabular()
 
 
+def _planted_at_score(rng, core_len, query_len=120, flank=20):
+    """A query and a database whose one planted hit extends, ungapped,
+    to a score of exactly *core_len*: ``+1`` per core column, and every
+    other column of the hit's diagonal a mismatch."""
+    q = rng.integers(0, 4, query_len)
+    lo = (query_len - core_len) // 2
+    on_diag = (q + rng.integers(1, 4, query_len)) % 4
+    on_diag[lo:lo + core_len] = q[lo:lo + core_len]
+    subject = np.concatenate([rng.integers(0, 4, flank), on_diag,
+                              rng.integers(0, 4, flank)])
+    db = random_nt_db(rng, 4)
+    db.add("planted", "".join(NT_LETTERS[subject]))
+    return q.astype(np.uint8), db, len(db) - 1
+
+
+@pytest.mark.parametrize("delta", [-1, 0])
+@pytest.mark.parametrize("gapped,trigger", [(False, 22), (True, 22),
+                                            (True, 13)])
+def test_emit_bound_boundary_matches_oracle(gapped, trigger, delta):
+    """A group is dropped before the dedup replay when its best
+    ungapped extension scores under ``s*`` (the least score whose
+    E-value passes), capped at ``gapped_trigger`` with gapped
+    extension on.  Planted at exactly one under the bound and exactly
+    at it, the driver renders what the oracle, which has no bound,
+    renders — and reports the plant iff it reaches ``s*``."""
+    scheme = NucleotideScore()
+    s_star = 16
+    bound = min(s_star, trigger) if gapped else s_star
+    rng = np.random.default_rng(53)
+    q, db, sid = _planted_at_score(rng, bound + delta)
+    ka = search_mod.resolve_ka(scheme, SearchParams(gapped=gapped), False)
+    space = (len(q), db.total_residues)
+    cutoff = ka.evalue(s_star, *space)
+    assert ka.evalue(s_star - 1, *space) > cutoff
+    assert ka.min_passing_score(cutoff, *space) == s_star
+    params = SearchParams(gapped=gapped, gapped_trigger=trigger,
+                          evalue_cutoff=cutoff)
+    got = search(q, db, scheme, params, query_id="q")
+    want = search_reference(q, db, scheme, params, query_id="q")
+    assert dump(got) == dump(want)
+    assert got.tabular() == want.tabular()
+    planted = [h for hit in got.hits if hit.subject_id == sid
+               for h in hit.hsps]
+    if bound == s_star:
+        assert [h.score for h in planted] == ([s_star] if delta == 0
+                                              else [])
+
+
 @pytest.mark.parametrize("band", [4, 24])
 def test_search_protein_byte_identical(band):
     rng = np.random.default_rng(41)

@@ -634,7 +634,7 @@ def test_chunked_best_prefix_matches_full_pass():
 # ------------------------------------------------ vectorised gapped E scan
 
 def test_vectorized_e_scan_matches_loop():
-    from repro.blast.gapped import _e_scan_loop, _e_scan_vectorized
+    from oracle_gapped import _e_scan_loop, _e_scan_vectorized
     rng = np.random.default_rng(17)
     w = 49
     for go, ge in ((5, 2), (11, 1), (3, 2)):

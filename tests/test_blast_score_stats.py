@@ -92,10 +92,27 @@ def test_bit_score_definition():
     assert ka.bit_score(raw) == pytest.approx(expected)
 
 
-def test_raw_for_evalue_inverts_evalue():
+def test_min_passing_score_is_the_least_passing_integer():
+    """The emit bound's score: the least positive integer whose
+    E-value passes, settled with ``evalue`` itself, so the score below
+    it fails — also at cutoffs that sit exactly on an E-value, at 0
+    (passes only where the E-value underflows), and at cutoffs every
+    score or no score passes."""
     ka = KarlinAltschul(lam=0.7, k=0.2, h=1.0)
-    raw = ka.raw_for_evalue(1e-5, 500, 10 ** 6)
-    assert ka.evalue(raw, 500, 10 ** 6) == pytest.approx(1e-5)
+    m, n = 500, 10 ** 6
+    cutoffs = [1e-5, 10.0, 1e-300, 0.0, ka.evalue(40, m, n),
+               ka.evalue(40, m, n) * (1 - 1e-15)]
+    for cutoff in cutoffs:
+        s = ka.min_passing_score(cutoff, m, n)
+        assert ka.evalue(s, m, n) <= cutoff < ka.evalue(s - 1, m, n)
+    assert ka.min_passing_score(ka.evalue(40, m, n), m, n) == 40
+    assert ka.min_passing_score(ka.evalue(40, m, n) * (1 - 1e-15),
+                                m, n) == 41
+    assert ka.min_passing_score(0.0, m, n) > 1000
+    for huge in (ka.evalue(1, m, n), 1e300, math.inf):
+        assert ka.min_passing_score(huge, m, n) == 1
+    for hopeless in (-1.0, -math.inf, math.nan):
+        assert ka.min_passing_score(hopeless, m, n) is None
 
 
 def test_positive_expected_score_rejected():

@@ -6,6 +6,7 @@ the stray-transport sweep in ``ExecPool.close``."""
 import dataclasses
 import os
 import socket
+import time
 import warnings
 
 import numpy as np
@@ -231,6 +232,45 @@ def test_fleet_respawn_reserves_same_port_and_reships():
             stats = pool.node_ship_stats()[0]
             assert stats["connects"] >= 2
             assert stats["bytes_shipped"] > shipped1
+
+
+def test_mixed_pool_dropped_node_returns_to_accept():
+    """A mixed pool (a local worker and a node) whose local worker is
+    respawned — forked *after* the node's connection exists — and whose
+    node then hangs past the hard deadline, so the master drops it.
+    The forked worker must not keep that connection half-open: once the
+    node wakes it finds its master gone, returns to ``accept``, and a
+    re-dial gets it back, adopting its cached packs."""
+    db, queries, scheme, params = make_case(38)
+    expected = [dump(r) for r in serial_many(queries, db, scheme, params)]
+    qids = [f"q{i}" for i in range(len(queries))]
+    stall = 3.0
+    node_plan = FaultPlan(faults=(Fault(kind="hang", task_index=0,
+                                        delay=stall),))
+    local_plan = FaultPlan(faults=(Fault(kind="kill", rank=0,
+                                         task_index=0),))
+    t0 = time.monotonic()
+    with NodeFleet(1, plans=[node_plan]) as fleet:
+        with ExecPool(jobs=1, nodes=fleet.addresses, replication=1,
+                      heartbeat=0.1, task_timeout=1.5, hedge_after=30.0,
+                      fault_plan=local_plan) as pool:
+            got = pool.search_many(queries, db, scheme, params,
+                                   query_ids=qids)
+            assert [dump(r) for r in got] == expected
+            kinds = [(e.kind, e.rank) for e in pool.ledger.entries]
+            assert kinds[:3] == [("worker_death", 0), ("requeue", 0),
+                                 ("respawn", 0)]
+            assert ("hang_kill", 1) in kinds
+            # Past the stall, the node has woken up to a dropped master.
+            time.sleep(max(0.0, t0 + stall + 1.0 - time.monotonic()))
+            got = pool.search_many(queries, db, scheme, params,
+                                   query_ids=qids)
+            assert [dump(r) for r in got] == expected
+            assert pool._workers[1].alive
+            stats = pool.node_ship_stats()[0]
+            assert stats["connects"] >= 2
+            assert stats["packs_adopted"] > 0
+            assert pool.ledger.anomalies() == 0
 
 
 # ----------------------------------------------------------------------

@@ -81,9 +81,6 @@ ALLOWLIST: Dict[str, str] = {
         "the index's point lookup; tests read neighbourhoods through it",
     "repro.blast.psiblast.PsiBlastResult.final":
         "accessor for the last round's results; tests only",
-    "repro.blast.stats.KarlinAltschul.raw_for_evalue":
-        "inverse of evalue() (NCBI's cutoff score); pinned by one tier-1 "
-        "id, leaves with the next census PR",
     "repro.blast.translate.protein_to_dna_coords":
         "translated-search coordinate mapping blastx / tblastn reports "
         "would need; pinned by two tier-1 ids, leaves with the next "
