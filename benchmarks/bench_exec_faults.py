@@ -46,11 +46,8 @@ def workload():
 
 def _wall_time(workload, fault_plan, hedge_after, task_timeout):
     db, scheme, params, query = workload
-    # granularity=1: the straggler fault targets a specific per-fragment
-    # task index, so keep one task per fragment regardless of planning.
     with ExecPool(jobs=JOBS, fault_plan=fault_plan, task_sleep=TASK_SLEEP,
-                  hedge_after=hedge_after, task_timeout=task_timeout,
-                  task_granularity=1) as pool:
+                  hedge_after=hedge_after, task_timeout=task_timeout) as pool:
         t0 = time.perf_counter()
         pool.search(query, db, scheme, params, n_fragments=N_FRAGMENTS)
         elapsed = time.perf_counter() - t0

@@ -158,8 +158,7 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
     scheme, params = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
     pool_kw = {}
-    for kw in ("heartbeat", "join_timeout", "hedge_after", "task_timeout",
-               "task_granularity"):
+    for kw in ("heartbeat", "join_timeout", "hedge_after", "task_timeout"):
         val = getattr(args, kw)
         if val is not None:
             pool_kw[kw] = val
@@ -244,6 +243,26 @@ def _blastall(args) -> int:
     protein_db = args.program in ("blastp", "blastx")
     store = None
     db_pack = getattr(args, "db_pack", None)
+    jobs = getattr(args, "jobs", None)
+    nodes = getattr(args, "nodes", None)
+    if jobs is None:
+        # --nodes with no explicit -j runs remote-only, the pool's own
+        # default for a configured node list.
+        jobs = 0 if nodes else 1
+    if jobs < 1 and not nodes:
+        print("# --jobs 0 needs --nodes (a pool must have at least one "
+              "worker somewhere)", file=sys.stderr)
+        return 2
+    if getattr(args, "fragments", None) is not None:
+        if db_pack:
+            print("# --fragments does not apply to --db-pack (a store's "
+                  "fragments are fixed by `packdb build --fragments`)",
+                  file=sys.stderr)
+            return 2
+        if not (jobs > 1 or nodes):
+            print("# --fragments applies to pool runs only (--jobs > 1 "
+                  "or --nodes)", file=sys.stderr)
+            return 2
     if db_pack:
         if args.database:
             print("# use either -d/--database or --db-pack, not both",
@@ -284,16 +303,6 @@ def _blastall(args) -> int:
         params = replace(params, evalue_cutoff=args.evalue)
     if args.filter:
         params = replace(params, filter_low_complexity=True)
-    jobs = getattr(args, "jobs", None)
-    nodes = getattr(args, "nodes", None)
-    if jobs is None:
-        # --nodes with no explicit -j runs remote-only, the pool's own
-        # default for a configured node list.
-        jobs = 0 if nodes else 1
-    if jobs < 1 and not nodes:
-        print("# --jobs 0 needs --nodes (a pool must have at least one "
-              "worker somewhere)", file=sys.stderr)
-        return 2
     precomputed = None
     degraded = False
     if jobs > 1 or nodes:
@@ -467,10 +476,6 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--task-timeout", type=float, default=None,
                    help="hard deadline before a busy worker is presumed "
                         "hung and killed (default adaptive)")
-    g.add_argument("--task-granularity", type=int, default=None,
-                   help="fragments per pool task (1 = legacy one task "
-                        "per fragment; default adaptive overhead-aware "
-                        "ranges)")
     g.add_argument("--no-respawn", action="store_true",
                    help="do not replace crashed workers")
     g.add_argument("--no-fallback", action="store_true",
@@ -514,7 +519,8 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                         "identical to a serial run; 0 = remote-only, "
                         "needs --nodes; default 1, or 0 with --nodes)")
     p.add_argument("--fragments", type=int, default=None,
-                   help="database fragments for --jobs (default 2x jobs)")
+                   help="database fragments for --jobs / --nodes over -d "
+                        "(default: one per worker)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON (pack/index/scan/"
                         "seed/extend/gapped_bulk/gapped) to stderr; "

@@ -10,9 +10,8 @@ master/worker design on actual cores:
   zero-copy by every worker, with CRC32 integrity verification at
   publish and attach;
 * :mod:`repro.exec.schedule` — greedy heaviest-first dynamic fragment
-  scheduling with front-requeue on failure, bounded retries, hedged
-  re-issue of stuck tasks, and an overhead-aware planner that groups
-  fragments into contiguous range tasks;
+  scheduling with front-requeue on failure, bounded retries and hedged
+  re-issue of stuck tasks (a task is one pack for one query batch);
 * :mod:`repro.exec.pool` — the persistent worker pool
   (:class:`ExecPool`: the master side; its local workers are node
   agents forked onto a ``socketpair``), byte-identical to the serial
@@ -58,8 +57,10 @@ from repro.exec.nodes import (NodeAgent, NodeClient, NodeFleet, execute_task,
 from repro.exec.pool import ExecPool, JobSpec, PoolJobError, PoolStats
 from repro.exec.results import (decode_result_pairs, encode_result_pairs,
                                 estimate_payload_size)
+from repro.exec.schedule import GreedyScheduler, RetriesExceeded
+# The range planner no runtime path uses; perf/harness/layers.py still
+# times it (tools/census.py, PERF_ONLY).
 from repro.exec.schedule import (DEFAULT_SCAN_RATE, DEFAULT_TASK_OVERHEAD_S,
-                                 GreedyScheduler, RetriesExceeded,
                                  plan_task_ranges)
 from repro.exec.shm import (ArenaSpec, AttachedPack, PackDB,
                             PackIntegrityError, PackSpec, ResultArena,

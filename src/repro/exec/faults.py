@@ -252,11 +252,11 @@ class FaultInjector:
 
         *query* is one query index or, for a multi-query batched task,
         a sequence of indices; *fragment_id* likewise is one fragment
-        id or, for a fragment-range task, a sequence of ids.  A
+        id or the sequence of ids of the task's packs.  A
         ``query``/``fragment`` selector matches when the armed value is
-        anywhere in the batch/range.  Either way the task counter
-        advances once per task (one batch × range = one task), so
-        ``task_index`` keeps counting what the worker actually serves.
+        anywhere in the batch or the packs.  Either way the task
+        counter advances once per task, so ``task_index`` keeps
+        counting what the worker actually serves.
         """
         self._task_no += 1
         if query is None or isinstance(query, int):

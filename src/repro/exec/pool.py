@@ -80,10 +80,8 @@ from repro.exec.faults import FailureLedger, FaultPlan
 from repro.exec.net import NodeConnectError, parse_address
 from repro.exec.nodes import (NodeClient, SlotLost, WorkerSlot, _agent_main,
                               _end_process)
-from repro.exec.schedule import (DEFAULT_MAX_QUERY_BATCH, DEFAULT_SCAN_RATE,
-                                 GreedyScheduler, RetriesExceeded,
-                                 plan_mirror_groups, plan_query_batches,
-                                 plan_task_ranges)
+from repro.exec.schedule import (GreedyScheduler, RetriesExceeded,
+                                 plan_mirror_groups, plan_query_batches)
 from repro.exec.shm import (PackIntegrityError, PackSpec, ShmRegistry,
                             default_registry, ensure_tracker, pack_fragment,
                             publish_pack_bytes)
@@ -206,11 +204,8 @@ class _PreparedDB:
     key: tuple                       # (token, version, k, base, n_fragments)
     specs: List[PackSpec]
     ids_by_name: Dict[str, List[int]]
-    #: CEFT-style mirror placement (empty without nodes): fragment
-    #: index groups, the node ranks holding each group, and per-pack
-    #: name → holder ranks.
-    groups: List[Tuple[int, ...]] = field(default_factory=list)
-    group_nodes: List[Tuple[int, ...]] = field(default_factory=list)
+    #: CEFT-style mirror placement (empty without nodes): pack name →
+    #: the node ranks holding it, primary first.
     placement: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
 
 
@@ -341,9 +336,11 @@ class ExecPool:
     The pool prepares a database once (greedy fragment plan, one
     shared-memory pack per fragment, attach broadcast), then any number
     of searches against it reuse the packs — the warm path a query
-    stream lives on.  ``search_many`` runs a whole batch through one
-    scheduler pass, so fragments of different queries interleave and
-    no core idles at query boundaries.
+    stream lives on.  A task has one shape: one pack for one query
+    batch (at most 32 queries, scanned in one pass by
+    :func:`~repro.blast.search.search_batch`).  ``search_many`` runs a
+    whole query set through one scheduler pass, so packs of different
+    batches interleave and no core idles at batch boundaries.
 
     Every knob is a constructor keyword, set here and nowhere else
     (DESIGN.md §5e has the table with CLI flags and who sets what):
@@ -351,7 +348,9 @@ class ExecPool:
     ``jobs`` / ``n_fragments``
         local worker processes (default: the core count; 0 allowed
         with ``nodes``) and the default fragment count for ``search*``
-        calls that give none (default ``2 x`` worker slots).
+        calls that give none (default: one per worker slot, local or
+        node, so one search is one task per worker).  A pack store
+        brings its own fragment count.
     ``max_retries``
         failed attempts a task may burn before the job fails
         (default 2).
@@ -385,15 +384,6 @@ class ExecPool:
         ``None`` reads ``REPRO_EXEC_FAULT_PLAN`` — the pool's one
         environment variable, so chaos suites reach workers through
         unmodified callers — and is unarmed in production.
-    ``query_batch``
-        max queries per batched task (default 32): ``search_many``
-        groups its queries into batches of at most this size and each
-        task scans its fragment range once for the whole batch via
-        :func:`~repro.blast.search.search_batch`.  ``0`` (or ``1``)
-        disables batching — one query per task.
-    ``task_granularity``
-        pin N fragments per task (``1`` = one task per fragment);
-        ``None`` lets the overhead-aware planner size the ranges.
     ``nodes`` / ``replication``
         remote worker nodes (``host:port`` strings or pairs; see
         :mod:`repro.exec.nodes`).  Fragment packs are shipped once
@@ -432,8 +422,6 @@ class ExecPool:
                  max_respawns: Optional[int] = None,
                  serial_fallback: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
-                 query_batch: int = DEFAULT_MAX_QUERY_BATCH,
-                 task_granularity: Optional[int] = None,
                  nodes: Optional[Sequence] = None,
                  replication: int = 2,
                  node_timeout: Optional[float] = None,
@@ -450,10 +438,6 @@ class ExecPool:
             raise ValueError("jobs must be >= 0")
         self.default_fragments = n_fragments
         self.max_retries = max_retries
-        self.task_granularity = task_granularity
-        #: Max queries per batched task; <= 1 disables query batching
-        #: (every task carries a single query).
-        self.query_batch = int(query_batch)
         self.task_sleep = task_sleep
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
@@ -474,7 +458,6 @@ class ExecPool:
         #: alive.
         self._workers: List[WorkerSlot] = []
         self._prepared: Dict[tuple, _PreparedDB] = {}
-        self._pack_residues: Dict[str, int] = {}
         self._started = False
         self._closed = False
         self._epoch = 0
@@ -482,9 +465,6 @@ class ExecPool:
         self._clock = time.monotonic
         self._wait = wait
         self._task_ema: Optional[float] = None
-        #: Observed scan rate (residues/second) EMA; feeds the range
-        #: planner so task sizing tracks the actual machine.
-        self._rate_ema: Optional[float] = None
         self.last_stats: Optional[PoolStats] = None
         self.ledger = FailureLedger()
         self.total_respawns = 0
@@ -590,7 +570,7 @@ class ExecPool:
         token = db_token(db)
         version = getattr(db, "_version", 0)
         n_slots = self.jobs + len(self.node_addresses)
-        nf = n_fragments or max(1, min(len(db) or 1, 2 * n_slots))
+        nf = n_fragments or max(1, min(len(db) or 1, n_slots))
         key = (token, version, k, base, nf)
         prep = self._prepared.get(key)
         if prep is not None:
@@ -658,18 +638,18 @@ class ExecPool:
         if specs and self.node_addresses:
             # CEFT-style mirror placement over the configured node
             # ranks (dead ones included: they may reconnect, and their
-            # groups' other mirrors cover them meanwhile).
+            # groups' other mirrors cover them meanwhile).  Within a
+            # group the primary rotates across the mirrors by the
+            # pack's index, so the group's packs start on different
+            # holders.
             groups, group_nodes = plan_mirror_groups(
                 [s.total_residues for s in specs],
                 list(range(self.jobs, self.jobs + len(self.node_addresses))),
                 self.replication)
-            prep.groups = groups
-            prep.group_nodes = group_nodes
-            prep.placement = {specs[i].name: group_nodes[g]
-                              for g, idx in enumerate(groups)
-                              for i in idx}
-        for s in specs:
-            self._pack_residues[s.name] = s.total_residues
+            for idx, gn in zip(groups, group_nodes):
+                for j, i in enumerate(idx):
+                    r = j % len(gn)
+                    prep.placement[specs[i].name] = gn[r:] + gn[:r]
         self._prepared[key] = prep
         for slot in self._live():
             try:
@@ -686,7 +666,6 @@ class ExecPool:
                            self.ledger.record)
         for spec in prep.specs:
             self._registry.release(spec.name)
-            self._pack_residues.pop(spec.name, None)
 
     # ------------------------------------------------------------------
     def _soft_deadline(self) -> float:
@@ -983,7 +962,13 @@ class ExecPool:
         if hedged:
             run.note("hedge_win", rank=slot.rank, task=key)
         else:
-            self._observe(qis, names, elapsed)
+            # Only clean, sole-holder completions feed the adaptive
+            # deadlines: a hedged task's elapsed time is either the
+            # straggler's stall or a duplicate, and letting one straggler
+            # inflate the soft deadline would disable hedging for the
+            # rest of the run.
+            self._task_ema = (elapsed if self._task_ema is None
+                              else 0.5 * self._task_ema + 0.5 * elapsed)
         if run.failure is not None:
             return
         if isinstance(slot, _LocalSlot):
@@ -992,24 +977,6 @@ class ExecPool:
             run.stats.remote_results += 1
         for pack_name, tqi, res in pairs:
             run.results[tqi][pack_name] = res
-
-    def _observe(self, qis: tuple, names: tuple, elapsed: float) -> None:
-        """Feed the adaptive deadlines and the range planner — from
-        clean, sole-holder completions only: a hedged task's elapsed
-        time is either the straggler's stall or a duplicate, and
-        letting one straggler inflate the soft deadline would disable
-        hedging for the rest of the run."""
-        self._task_ema = (elapsed if self._task_ema is None
-                          else 0.5 * self._task_ema + 0.5 * elapsed)
-        if elapsed > 0:
-            # A batched task scans the range once per query in the
-            # batch, so its effective scan throughput is residues x
-            # batch size.
-            rate = (len(qis) * sum(self._pack_residues.get(n, 0)
-                                   for n in names)) / elapsed
-            if rate > 0:
-                self._rate_ema = (rate if self._rate_ema is None
-                                  else 0.5 * self._rate_ema + 0.5 * rate)
 
     def _on_error(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
         _, _rank, qis, names, tb, m_epoch = msg
@@ -1048,16 +1015,14 @@ class ExecPool:
                     query_ids: Optional[Sequence[str]] = None,
                     both_strands: bool = True,
                     n_fragments: Optional[int] = None,
-                    keep_fragment_ids: bool = False,
-                    query_batch: Optional[int] = None
+                    keep_fragment_ids: bool = False
                     ) -> List[SearchResults]:
         """Search a batch of encoded queries through one scheduler pass.
 
         Returns one :class:`SearchResults` per query, in input order,
         each byte-identical to ``search(query, db, ...)`` run serially.
-        Queries are grouped into batches of at most *query_batch*
-        (default: the pool's ``query_batch`` knob) and each task scans
-        its fragment range once for a whole batch, so a multi-query
+        Queries are grouped into batches of at most 32 and each task
+        scans one pack once for a whole batch, so a multi-query
         workload amortizes the database pass itself.  If the pool
         cannot finish the batch (capacity collapse, retry exhaustion)
         and ``serial_fallback`` is on, the batch is served by the
@@ -1096,55 +1061,20 @@ class ExecPool:
                                                          len(q), db))
             for qi, q in enumerate(queries)
         }
-        # Query-batch x fragment-range tasks: queries are grouped into
-        # contiguous batches (one shared database pass per batch) and
-        # contiguous fragments grouped per task so the master's
-        # dispatch/merge overhead is amortized (the 0.83x fix), sized
-        # by the observed scan rate once the pool has one.
-        qgroups = plan_query_batches(
-            len(jobs), self.jobs,
-            self.query_batch if query_batch is None else int(query_batch))
-        weights = [float(spec.total_residues) for spec in prep.specs]
+        # One task per (query batch, pack): a batch shares one pass
+        # over the pack, and with one pack per worker slot a search is
+        # one round trip per worker.  Under mirroring a task may run on
+        # its pack's holders, primary first, or on any local worker —
+        # local workers attach every pack.
         local_ranks = tuple(range(self.jobs))
-        range_affinity: List[Optional[Tuple[int, ...]]] = []
-        if prep.groups and any(prep.group_nodes):
-            # Mirror-aware planning: ranges are cut *inside* each
-            # placement group so no task ever spans fragments held by
-            # different node sets.  Each range's affinity lists the
-            # group's holders (primary rotated across the mirrors for
-            # balance) plus every local rank — local workers attach all
-            # packs and stay eligible for everything.
-            n_slots = max(1, self.jobs + len(self.node_addresses))
-            ranges = []
-            for g, idx in enumerate(prep.groups):
-                gjobs = max(1, round(n_slots * len(idx)
-                                     / max(1, len(prep.specs))))
-                for j, rng in enumerate(plan_task_ranges(
-                        [weights[i] for i in idx],
-                        n_queries=len(qgroups), jobs=gjobs,
-                        granularity=self.task_granularity,
-                        scan_rate=self._rate_ema or DEFAULT_SCAN_RATE,
-                        queries_per_task=max((len(g) for g in qgroups),
-                                             default=1))):
-                    ranges.append(tuple(idx[i] for i in rng))
-                    gn = prep.group_nodes[g]
-                    rot = gn[j % len(gn):] + gn[:j % len(gn)] if gn else ()
-                    range_affinity.append(rot + local_ranks)
-        else:
-            ranges = plan_task_ranges(
-                weights, n_queries=len(qgroups), jobs=self.jobs,
-                granularity=self.task_granularity,
-                scan_rate=self._rate_ema or DEFAULT_SCAN_RATE,
-                queries_per_task=max((len(g) for g in qgroups), default=1))
-            range_affinity = [None] * len(ranges)
         tasks = []
         affinity: Dict[tuple, Tuple[int, ...]] = {}
-        for qg in qgroups:
-            for rng, aff in zip(ranges, range_affinity):
-                key = (qg, tuple(prep.specs[i].name for i in rng))
-                tasks.append((key, len(qg) * sum(weights[i] for i in rng)))
-                if aff is not None:
-                    affinity[key] = aff
+        for qg in plan_query_batches(len(jobs)):
+            for spec in prep.specs:
+                key = (qg, (spec.name,))
+                tasks.append((key, len(qg) * float(spec.total_residues)))
+                if spec.name in prep.placement:
+                    affinity[key] = prep.placement[spec.name] + local_ranks
         if tasks:
             try:
                 results, _stats = self._run_tasks(jobs, tasks,

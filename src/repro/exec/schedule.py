@@ -64,18 +64,16 @@ class RetriesExceeded(RuntimeError):
         self.attempts = attempts
 
 
-def plan_query_batches(n_queries: int, jobs: int,
+def plan_query_batches(n_queries: int,
                        max_batch: int = DEFAULT_MAX_QUERY_BATCH
                        ) -> List[Tuple[int, ...]]:
     """Cut a query stream into contiguous batches for multi-query tasks.
 
     Pure batching: the group count is the fewest needed to respect
     *max_batch*, with near-equal sizes (remainder spread one-per-group
-    from the front).  Keeping workers fed is :func:`plan_task_ranges`'s
-    job — its capacity pressure sees ``n_queries = len(batches)`` and
-    issues more ranges per batch when there are fewer batches than
-    workers.  ``max_batch <= 1`` (or a single query) degenerates to one
-    query per group, the legacy per-query protocol.
+    from the front).  Keeping workers fed is the pack count's job: the
+    pool crosses every batch with every pack, one task each.
+    ``max_batch <= 1`` degenerates to one query per group.
 
     Returns tuples of query indices covering ``range(n_queries)`` in
     order.

@@ -3,8 +3,9 @@
 Every module has a docstring; every public class and function exported
 from a package ``__init__`` is documented; ``__all__`` lists resolve.
 The search library keeps one candidate pipeline, one gapped algorithm
-and its oracle its distance; the runtime keeps one result wire and one
-transport (the last five tests, read off the syntax trees).
+and its oracle its distance; the runtime keeps one result wire, one
+transport, one database reader and binning rule, and one task shape
+(the last seven tests, read off the syntax trees and signatures).
 """
 
 import ast
@@ -274,3 +275,32 @@ def test_one_reader_and_one_binning_rule():
                     and any(kw.arg == "key" for kw in node.keywords))}
     assert lightest == {"src/repro/blast/seqdb.py:plan_fragments",
                         "src/repro/exec/diskpack.py:append"}
+
+
+def test_pool_has_one_task_shape():
+    """A pool task is one pack for one query batch (DESIGN.md §5g): no
+    keyword sizes tasks any other way, and under ``src/repro/exec/`` no
+    code outside ``schedule.py`` names the range planner or the
+    scan-rate feedback that fed it — only the package ``__init__``
+    re-exports the planner, for ``perf/harness/layers.py``."""
+    from repro.exec import ExecPool
+
+    init = inspect.signature(ExecPool.__init__).parameters
+    assert not {"task_granularity", "query_batch"} & set(init)
+    assert "query_batch" not in inspect.signature(
+        ExecPool.search_many).parameters
+    retired = {"plan_task_ranges", "DEFAULT_SCAN_RATE", "_rate_ema",
+               "_pack_residues"}
+    mentions = set()
+    for rel, tree in _src_trees().items():
+        if not rel.startswith("src/repro/exec/") \
+                or rel.endswith("/schedule.py"):
+            continue
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            mentions.update((rel.rsplit("/", 1)[1], name) for name in names
+                            if name in retired)
+    assert mentions == {("__init__.py", "plan_task_ranges"),
+                        ("__init__.py", "DEFAULT_SCAN_RATE")}

@@ -198,18 +198,23 @@ def test_blastn_jobs_output_identical_to_serial(fasta_file, capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_blastn_task_granularity_flag(fasta_file, capsys):
+def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
+    """``--fragments`` sizes the pool's cut of a ``-d`` database; where
+    nothing cuts it (a serial run, or a store whose fragments were fixed
+    at build time) it is a usage error, not a silently ignored flag."""
     fasta, query, d = fasta_file
+    store = os.path.join(d, "store")
     main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", store, "--fragments", "2"])
     capsys.readouterr()
-    assert main(["blastn", "-d", f"{d}/mini", "-i", query,
-                 "-m", "tabular"]) == 0
-    serial = capsys.readouterr().out
-    # Pinned per-fragment tasks and adaptive ranges both match serial.
-    for extra in (["--task-granularity", "1"], ["--task-granularity", "2"]):
-        assert main(["blastn", "-d", f"{d}/mini", "-i", query,
-                     "-m", "tabular", "--jobs", "2"] + extra) == 0
-        assert capsys.readouterr().out == serial
+    for argv in (["-d", f"{d}/mini", "--fragments", "8"],
+                 ["-d", f"{d}/mini", "--jobs", "1", "--fragments", "8"],
+                 ["--db-pack", store, "--jobs", "2", "--fragments", "8"]):
+        assert main(["blastn", "-i", query, "-m", "tabular"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("# --fragments")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_blastall_jobs_falls_back_for_translated_programs(fasta_file, capsys):
@@ -282,7 +287,7 @@ def test_blastn_and_blastall_options_differ_only_by_program():
     blastall, blastn = ([tuple(a.option_strings) for a in
                          sub.choices[name]._actions]
                         for name in ("blastall", "blastn"))
-    assert len(blastn) == 21 and ("-j", "--jobs") in blastn
+    assert len(blastn) == 20 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
 
 

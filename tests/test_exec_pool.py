@@ -191,24 +191,14 @@ def test_pool_streaming_many_queries_one_pass():
     params = SearchParams(word_size=11)
     queries = [db.sequence(i)[:100].copy() for i in range(0, 12, 2)]
     ids = [f"stream{i}" for i in range(len(queries))]
-    # Pin granularity=1 (legacy one-task-per-fragment) and disable
-    # query batching so the task count stays an exact function of
-    # queries x fragments.
-    with ExecPool(jobs=2, task_granularity=1, query_batch=0) as pool:
+    with ExecPool(jobs=2) as pool:
         many = pool.search_many(queries, db, scheme, params, query_ids=ids,
                                 n_fragments=5)
         assert len(many) == len(queries)
         for q, qid, res in zip(queries, ids, many):
             assert dump(res) == dump(search(q, db, scheme, params,
                                             query_id=qid))
-        assert pool.last_stats.tasks_done == len(queries) * 5
-        assert pool.last_stats.fragments_done == len(queries) * 5
-        # Batched: the whole query set rides one task per fragment (6
-        # queries fit one batch), byte-identical to the serial runs.
-        batched = pool.search_many(queries, db, scheme, params,
-                                   query_ids=ids, n_fragments=5,
-                                   query_batch=32)
-        assert [dump(r) for r in batched] == [dump(r) for r in many]
+        # The six queries fit one batch: one task per pack.
         assert pool.last_stats.tasks_done == 5
         assert pool.last_stats.fragments_done == 5
 
@@ -286,10 +276,9 @@ def test_kill_worker_mid_job_requeues_and_stays_byte_identical():
     params = SearchParams(word_size=11)
     q = db.sequence(5)[:120].copy()
     serial = search(q, db, scheme, params)
-    # granularity=1 keeps eight in-flight tasks, so the kill lands
-    # while the victim still holds work (range planning would collapse
-    # this little database to one task per worker and finish first).
-    with ExecPool(jobs=2, task_sleep=0.15, task_granularity=1) as pool:
+    # Eight packs are eight tasks, so the kill lands while the victim
+    # still holds work.
+    with ExecPool(jobs=2, task_sleep=0.15) as pool:
         pool.start()
         victim = pool.worker_pids()[0]
         timer = threading.Timer(0.25, os.kill, (victim, signal.SIGKILL))

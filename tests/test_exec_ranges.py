@@ -1,8 +1,10 @@
-"""Fragment-range tasks: the overhead-aware planner and the pool
-behaviours that ride on it — EMA hygiene, send-failure death
-accounting, and the respawn attempt budget — plus unit tests of the
-columnar result codec and the result arena, which no runtime path uses
-any more (they stay while ``perf/harness/layers.py`` times them)."""
+"""Pool tasks — one pack for one query batch — and the pool
+behaviours that ride on them: exact task accounting, EMA hygiene,
+send-failure death accounting, and the respawn attempt budget.  Also
+unit tests of three things no runtime path uses any more, which stay
+while ``perf/harness/layers.py`` times them: the overhead-aware range
+planner ``plan_task_ranges`` (the runtime builds one task per pack),
+the columnar result codec and the result arena."""
 
 import dataclasses
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.blast.score import NucleotideScore
-from repro.blast.search import SearchParams, search
+from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import (ExecPool, Fault, FaultPlan, PackIntegrityError,
                         ResultArena, decode_result_pairs,
@@ -68,7 +70,7 @@ def dump(results):
 
 
 # ----------------------------------------------------------------------
-# The planner
+# The range planner (perf/harness/layers.py's shadow pool only)
 # ----------------------------------------------------------------------
 def test_plan_explicit_granularity_chunks_in_order():
     assert plan_task_ranges([1.0] * 5, 1, 2, granularity=2) == \
@@ -203,30 +205,31 @@ def test_arena_crc_mismatch_raises_integrity_error():
 # ----------------------------------------------------------------------
 # End-to-end through the pool
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("granularity", [None, 1, 2])
-def test_range_tasks_stay_byte_identical_nt(granularity):
+@pytest.mark.parametrize("n_batches", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n_fragments", [1, 3, 8])
+def test_one_task_per_pack_and_batch(n_fragments, jobs, n_batches):
+    """A task is one pack for one query batch (at most 32 queries), so
+    a run is exactly packs x batches tasks, whatever the worker count,
+    and its output is the serial engine's."""
     rng = np.random.default_rng(31)
     db = random_nt_db(rng, 28)
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
-    queries = [db.sequence(i)[:140].copy() for i in (1, 8, 15)]
-    serial = [dump(search(q, db, scheme, params, query_id=f"q{i}"))
-              for i, q in enumerate(queries)]
-    # query_batch=0 pins the one-query-per-task protocol this test's
-    # task accounting is written against.
-    with ExecPool(jobs=2, task_granularity=granularity,
-                  query_batch=0) as pool:
-        got = pool.search_many(queries, db, scheme, params,
-                               query_ids=[f"q{i}"
-                                          for i in range(len(queries))],
-                               n_fragments=6)
+    if n_batches == 1:
+        queries = [db.sequence(i)[:140].copy() for i in (1, 8, 15)]
+    else:
+        # 33 short queries: one more than a batch holds.
+        queries = [db.sequence(i % 28)[:40].copy() for i in range(33)]
+    ids = [f"q{i}" for i in range(len(queries))]
+    serial = [dump(r) for r in search_batch(queries, db, scheme, params,
+                                            query_ids=ids)]
+    with ExecPool(jobs=jobs) as pool:
+        got = pool.search_many(queries, db, scheme, params, query_ids=ids,
+                               n_fragments=n_fragments)
         stats = pool.last_stats
     assert [dump(r) for r in got] == serial
-    assert stats.fragments_done >= 6 * len(queries)
-    if granularity == 1:
-        assert stats.tasks_done == 6 * len(queries)
-    else:
-        assert stats.tasks_done <= 6 * len(queries)
+    assert stats.tasks_done == stats.fragments_done == n_fragments * n_batches
 
 
 def test_range_tasks_stay_byte_identical_aa():
@@ -280,8 +283,9 @@ def test_hedge_reissues_whole_range_task():
         hedged = [e.task for e in pool.ledger.entries if e.kind == "hedge"]
     assert [dump(r) for r in got] == serial
     assert stats.hedge_wins >= 1
-    # The hedged key is a full (query, fragment-range) task.
-    assert hedged and all(isinstance(names, tuple) and len(names) >= 1
+    # The hedged key is a whole task: a query batch crossed with one
+    # pack.
+    assert hedged and all(isinstance(names, tuple) and len(names) == 1
                           for _qi, names in hedged)
 
 
@@ -335,8 +339,7 @@ def test_respawn_budget_counts_attempts_not_successes(monkeypatch):
     params = SearchParams(word_size=11)
     q = db.sequence(2)[:120].copy()
     serial = dump(search(q, db, scheme, params))
-    with ExecPool(jobs=2, task_sleep=0.2, task_granularity=1,
-                  max_respawns=2) as pool:
+    with ExecPool(jobs=2, task_sleep=0.2, max_respawns=2) as pool:
         pool.start()
         victim = pool.worker_pids()[0]
         # Every replacement is stillborn from here on: it never says

@@ -316,17 +316,18 @@ def test_search_batch_rejects_mismatched_per_query_arguments():
 # Batch planning
 # ----------------------------------------------------------------------
 def test_plan_query_batches_shapes():
-    assert plan_query_batches(0, 2) == []
-    assert plan_query_batches(6, 2, max_batch=32) == [(0, 1, 2, 3, 4, 5)]
-    assert plan_query_batches(7, 2, max_batch=3) == [(0, 1, 2), (3, 4),
-                                                     (5, 6)]
-    # max_batch <= 1 is one query per group: the pool's "batching off"
-    # needs no arm of its own.
-    assert plan_query_batches(3, 2, max_batch=0) == [(0,), (1,), (2,)]
-    assert plan_query_batches(3, 2, max_batch=1) == [(0,), (1,), (2,)]
+    assert plan_query_batches(0) == []
+    assert plan_query_batches(6) == [(0, 1, 2, 3, 4, 5)]
+    assert plan_query_batches(33) == [tuple(range(17)),
+                                      tuple(range(17, 33))]
+    assert plan_query_batches(7, max_batch=3) == [(0, 1, 2), (3, 4),
+                                                  (5, 6)]
+    # max_batch <= 1 is one query per group.
+    assert plan_query_batches(3, max_batch=0) == [(0,), (1,), (2,)]
+    assert plan_query_batches(3, max_batch=1) == [(0,), (1,), (2,)]
     for n in (1, 2, 5, 17, 64):
         for max_batch in (1, 3, 32):
-            groups = plan_query_batches(n, 2, max_batch=max_batch)
+            groups = plan_query_batches(n, max_batch=max_batch)
             flat = [qi for g in groups for qi in g]
             assert flat == list(range(n))
             assert all(len(g) <= max_batch for g in groups)
@@ -345,15 +346,21 @@ def test_pool_batched_tasks_byte_identical_at_two_jobs():
     queries = [db.sequence(i)[:140].copy() for i in (0, 5, 12, 19, 24)]
     ids = [f"q{i}" for i in range(len(queries))]
     serial = sequential_dumps(queries, db, scheme, params)
+    # 33 queries are two batches (17 + 16), past the 32-query cap.
+    many = [db.sequence(i % 26)[:60].copy() for i in range(33)]
+    many_ids = [f"q{i}" for i in range(len(many))]
+    many_serial = sequential_dumps(many, db, scheme, params)
     with ExecPool(jobs=2) as pool:
         got = pool.search_many(queries, db, scheme, params, query_ids=ids,
                                n_fragments=4)
-        # Per-call cap: 2 groups of 3+2 queries, still byte-identical.
-        capped = pool.search_many(queries, db, scheme, params,
-                                  query_ids=ids, n_fragments=4,
-                                  query_batch=3)
+        one_batch = pool.last_stats
+        capped = pool.search_many(many, db, scheme, params,
+                                  query_ids=many_ids, n_fragments=4)
+        two_batches = pool.last_stats
     assert [dump(r) for r in got] == serial
-    assert [dump(r) for r in capped] == serial
+    assert one_batch.tasks_done == one_batch.fragments_done == 4
+    assert [dump(r) for r in capped] == many_serial
+    assert two_batches.tasks_done == two_batches.fragments_done == 4 * 2
 
 
 def test_pool_hedges_batched_range_task_under_fault():
@@ -375,12 +382,12 @@ def test_pool_hedges_batched_range_task_under_fault():
                      if e.kind in ("hedge", "requeue", "hang_kill")]
     assert [dump(r) for r in got] == serial
     assert ledger.get("hedge", 0) + ledger.get("requeue", 0) >= 1
-    # The recovered unit is a whole batched range task: a tuple of
-    # query indexes crossed with a tuple of pack names.
+    # The recovered unit is a whole task: the query batch crossed with
+    # one pack.
     assert recovered
     qis, names = recovered[0]
     assert isinstance(qis, tuple) and len(qis) == len(queries)
-    assert isinstance(names, tuple) and len(names) >= 1
+    assert isinstance(names, tuple) and len(names) == 1
 
 
 def test_injector_matches_query_inside_batch():

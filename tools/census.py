@@ -194,6 +194,8 @@ PERF_ONLY: Dict[str, str] = {
     "repro.exec.shm.ResultArena": _WIRE,
     "repro.blast.scankernel.ScanStructures.code_pos": _DENSE,
     "repro.blast.scankernel.ScanStructures.codes": _DENSE,
+    "repro.exec.schedule.plan_task_ranges": "the runtime builds one task "
+    "per pack; perf/harness/layers.py's shadow pool still plans with it",
     # -- to keep: the benchmark is their only caller among the roots ---
     "repro.blast.fasta.write_fasta": "stays: the library's FASTA writer "
     "(round-tripped by the fasta tests); the store workload writes its "

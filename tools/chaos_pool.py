@@ -111,7 +111,7 @@ def run_seed_fleet(seed, workload, verbose=False):
     with NodeFleet(N_NODES, plans=plans, task_sleep=0.05) as fleet:
         with ExecPool(jobs=0, nodes=fleet.addresses, replication=2,
                       heartbeat=0.1, hedge_after=0.3, task_timeout=2.0,
-                      node_timeout=1.0, task_granularity=1) as pool:
+                      node_timeout=1.0) as pool:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 results = pool.search_many(queries, db, scheme, params,
@@ -159,11 +159,8 @@ def run_seed(seed, workload, verbose=False):
     db, scheme, params, queries, serial = workload
     plan = random_plan(seed, n_workers=JOBS)
     violations = []
-    # granularity=1 pins the legacy one-task-per-fragment protocol so a
-    # seeded plan's task_index selectors keep meaning the same event.
     with ExecPool(jobs=JOBS, fault_plan=plan, task_sleep=0.05,
-                  hedge_after=0.3, task_timeout=1.5,
-                  task_granularity=1) as pool:
+                  hedge_after=0.3, task_timeout=1.5) as pool:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             results = pool.search_many(queries, db, scheme, params,
