@@ -29,7 +29,13 @@ gap could beat extending it, which the prefix maximum cannot see), and
 the open/extend traceback tie-break matches the scan's only for
 ``open > ext`` — so the vectorised pass runs exactly when
 ``gap_open > gap_extend`` (every standard scheme) and the reference
-scan loop handles the rest.
+scan loop handles the rest.  The scalar routine takes ``P`` with
+``np.maximum.accumulate``; the stacked sweep takes it in log-step
+doubling passes (``P[b] = max(P[b], P[b-k])`` for k = 1, 2, 4, ...
+while ``k < w``), each one elementwise maximum over a whole block —
+exact, because max is associative and idempotent; on a ``(49, 600)``
+int16 block (numpy 2.4, one Xeon core) the six passes took 21 µs,
+``accumulate`` along the band 107 µs.
 
 Three entry points share the DP:
 
@@ -53,20 +59,29 @@ Three entry points share the DP:
   replaced, which wrote three pointer matrices row by row, is the
   oracle in ``tests/oracle_gapped.py``.
 * :func:`bulk_banded_score` — many candidates at once, **score only**
-  (no pointer matrices): the same recurrences stacked candidate-major
-  so each DP row is one set of vectorised passes over a
-  ``(candidates, band)`` block.  It returns per candidate the best
-  score and its end cell, which is all the search driver needs to
-  decide which candidates deserve the (much more expensive) traceback
-  pass.
+  (no pointer matrices): the same recurrences stacked band-major, so
+  each DP row of ``a`` still-active candidates is one contiguous
+  ``(band slots, a)`` block and the band shifts (slot b+1 above, slot
+  b-1 to the left) are row offsets of it — every ufunc runs inner
+  loops ``a`` long, and only the previous row's block, once candidates
+  have finished, is read through a strided view.  Each chunk of
+  candidates sweeps in the narrowest integer type its static bound
+  fits (:func:`_dp_width`: ``rows * max(smax, 0) + gap_open +
+  gap_extend * w - min(smin, 0)``, with headroom — int16 for 350-row
+  BLOSUM62 problems, int32 or int64 past that), which is exact, not a
+  setting.  It returns per candidate the best score and its end cell,
+  which is all the search driver needs to decide which candidates
+  deserve the (much more expensive) traceback pass.
 * :func:`bulk_banded_align` — the same stacked sweep, additionally
-  recording one packed pointer byte per cell and walking every
-  candidate back: per candidate exactly the scalar routine's
-  :class:`GappedAlignment`.  The search driver runs all survivors of
-  the score pass through it in one call.
+  recording one packed pointer byte per cell, band-major like the DP
+  rows, and walking every candidate back: per candidate exactly the
+  scalar routine's :class:`GappedAlignment`.  The search driver runs
+  all survivors of the score pass through it in one call.
 
 Both routes walk back with :func:`_walk_back` over the same packed
-pointer byte.  Which problems reach a kernel at all is the driver's
+pointer byte, reading each row's slots at that row's stride (1 for the
+scalar routine's row-major cells, the row's active count for the
+stacked ones).  Which problems reach a kernel at all is the driver's
 business: a group of candidates whose best ungapped score is under the
 emit bound (``repro.blast.search._emit_bound``) can report nothing, and
 is dropped before any gapped work is planned for it.
@@ -225,7 +240,8 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
     q_end = row_lo + r_best
     b_end = int(np.argmax(H_all[r_best]))
     i, j, identities, ops = _walk_back(
-        memoryview(cells.reshape(-1)), range(0, (r_best + 1) * w, w), 0, w,
+        memoryview(cells.reshape(-1)), range(0, (r_best + 1) * w, w),
+        [1] * (r_best + 1), 0, w,
         row_lo, q_end, b_end, diag - band, id_query, -1, subject, -1)
     return GappedAlignment(
         q_start=i, q_end=q_end, s_start=j, s_end=q_end + diag - band + b_end,
@@ -282,16 +298,16 @@ def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
     return cells
 
 
-def _walk_back(cells: memoryview, row_base, cand_base: int, w: int,
+def _walk_back(cells: memoryview, row_base, row_stride, cand: int, w: int,
                row_lo: int, i: int, b: int, col0: int,
                qseq: np.ndarray, q_base: int, sseq: np.ndarray, s_base: int
                ) -> Tuple[int, int, int, str]:
     """The affine traceback from cell ``(i, b)`` over packed pointer
-    bytes: row ``r`` of the problem starts at ``row_base[r] +
-    cand_base``, and slot b of row i is subject column ``i + col0 +
-    b``.  Returns the start ``(i, j)``, the identities among the
-    aligned pairs (query row i is ``qseq[q_base + i]``, subject column
-    j ``sseq[s_base + j]``) and the ops string.
+    bytes: slot b of the problem's row ``r`` is byte ``row_base[r] +
+    row_stride[r] * b + cand``, and slot b of row i is subject column
+    ``i + col0 + b``.  Returns the start ``(i, j)``, the identities
+    among the aligned pairs (query row i is ``qseq[q_base + i]``,
+    subject column j ``sseq[s_base + j]``) and the ops string.
 
     Pointer rows exist only for ``[row_lo, ...]``; rows below row_lo
     are all-_STOP in the unclipped DP (fully invalid), so stepping
@@ -306,7 +322,8 @@ def _walk_back(cells: memoryview, row_base, cand_base: int, w: int,
     ops_rev: List[str] = []
     state = "H"
     while i >= row_lo and 0 <= b < w:
-        cell = cells[row_base[i - row_lo] + cand_base + b]
+        r = i - row_lo
+        cell = cells[row_base[r] + row_stride[r] * b + cand]
         if state == "H":
             code = cell & _CODE_MASK
             if code == _STOP:
@@ -338,8 +355,12 @@ def _walk_back(cells: memoryview, row_base, cand_base: int, w: int,
     return i, j, int(np.count_nonzero(same)), "".join(reversed(ops_rev))
 
 
-#: Candidate-chunk bound of the bulk score pass: peak scratch is about
-#: ``12 * _BULK_CANDIDATES * (2 * band + 1) * 8`` bytes per DP row.
+#: Candidate-chunk bound of the bulk score pass.  A chunk's scratch is
+#: ``13 * d + 8`` bytes per (candidate, band slot) for the row blocks,
+#: ``d`` the chunk's DP integer width in bytes (2 for the benchmark's
+#: protein problems) and 8 the gather index, plus about 32 bytes per
+#: candidate and strip row while ``_STRIP_ROWS + 2 * band`` strip rows
+#: are built — at the default band in int16, 6.8 MB and 15 MB.
 _BULK_CANDIDATES = 4096
 
 #: Candidate-chunk bound of the bulk traceback pass, which also keeps
@@ -347,6 +368,34 @@ _BULK_CANDIDATES = 4096
 #: at most ``_BULK_ALIGN_CANDIDATES * rows * (2 * band + 1)`` bytes —
 #: 2.2 MB for 350-row protein problems at the default band.
 _BULK_ALIGN_CANDIDATES = 128
+
+#: DP rows whose subject strip, validity strip and query-row codes are
+#: built at once: the strips hold ``_STRIP_ROWS + 2 * band`` rows, so
+#: their size does not grow with the query.
+_STRIP_ROWS = 64
+
+
+def _dp_width(n_rows: int, scheme: ScoringScheme,
+              w: int) -> Tuple[np.dtype, int]:
+    """The integer type of a chunk's DP and its sentinel, from a static
+    bound on what the sweep can form.
+
+    No H, E, F or prefix value of an ``n_rows``-row, ``w``-slot sweep
+    exceeds ``n_rows * max(smax, 0) + gap_extend * w`` (one substitution
+    per row, a slot offset of ``gap_extend`` per slot), and none falls
+    under ``-gap_open - max(-smin, 0)``.  The sentinel sits at
+    ``-bound``, ``bound`` the two magnitudes summed plus one, and the
+    sweep subtracts at most ``gap_extend`` from it; so a type whose
+    maximum holds ``2 * bound`` holds every value.  The narrowest such
+    of int16 / int32 / int64: a property of the inputs, not a setting.
+    """
+    matrix = scheme.matrix
+    bound = (n_rows * max(int(matrix.max()), 0) + scheme.gap_open
+             + scheme.gap_extend * w + max(-int(matrix.min()), 0) + 1)
+    for dtype in (np.int16, np.int32):
+        if 2 * bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype), -bound
+    return np.dtype(np.int64), -bound
 
 
 class _SweepChunk(NamedTuple):
@@ -358,10 +407,12 @@ class _SweepChunk(NamedTuple):
     best: np.ndarray       # best score (0 when nothing scores)
     best_i: np.ndarray     # its query row ...
     best_j: np.ndarray     # ... and subject column, both 1-based
-    #: Packed pointer bytes (``None`` unless requested): row ``r`` of
-    #: the chunk's ``k``-th candidate starts at ``row_base[r] + k * w``.
+    #: Packed pointer bytes (``None`` unless requested), band-major:
+    #: slot ``b`` of row ``r`` of the chunk's ``k``-th candidate is byte
+    #: ``row_base[r] + b * active[r] + k``.
     ptr: Optional[np.ndarray]
     row_base: Optional[np.ndarray]
+    active: np.ndarray     # candidates with a row r, per row r
 
 
 def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
@@ -369,30 +420,42 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
                 s_off: np.ndarray, s_len: np.ndarray,
                 diag: np.ndarray, scheme: ScoringScheme, band: int,
                 chunk: int, keep_pointers: bool) -> Iterator[_SweepChunk]:
-    """The candidate-major row sweep behind both bulk kernels.
+    """The band-major row sweep behind both bulk kernels.
 
     Candidates are processed longest-first in chunks of *chunk* so the
     per-row working set is always a prefix that shrinks as shorter
     candidates finish, and each candidate only sweeps the rows whose
     band overlaps its subject (the same clipping as the scalar
-    routine).  Chunks in which no candidate has a row are not yielded.
-    With *keep_pointers* every row also records the packed pointer
-    byte the scalar routine derives for each cell after its sweep.
+    routine).  A DP row of ``a`` active candidates is one contiguous
+    ``(w, a)`` block — slot-major, candidate-minor — so the band shifts
+    of the recurrences are row offsets and every ufunc runs long inner
+    loops; the chunk's integer type comes from :func:`_dp_width`.
+    Chunks in which no candidate has a row are not yielded.  With
+    *keep_pointers* every row also records, in the same layout, the
+    packed pointer byte the scalar routine derives for each cell after
+    its sweep.
     """
     w = 2 * band + 1
     go = scheme.gap_open
     ge = scheme.gap_extend
-    matrix = scheme.matrix
-    barange = np.arange(w, dtype=np.int64)
-    slot_ge = ge * barange
-    open_cost = go + slot_ge[:-1]
-    vector_scan = go > ge
-    e_ext_bit = np.uint8(_E_EXT)
+    n_cols = scheme.matrix.shape[1]
+    # A one-slot band has no within-row gap (the slot loop is a no-op).
+    vector_scan = go > ge and w > 1
+    # Doubling distances of the log-step prefix maximum: after them
+    # every slot has seen every slot to its left (w - 1 at most).
+    steps = [1 << s for s in range((w - 1).bit_length())]
+    slot = np.arange(w, dtype=np.int64)[:, None]
 
     row_lo = np.maximum(1, 1 - diag - band)
     row_hi = np.minimum(q_len, s_len - diag + band)
     n_rows = np.maximum(0, row_hi - row_lo + 1)
     order = np.argsort(-n_rows, kind="stable")
+    q_last = len(qcat) - 1
+
+    def block(buf, a, rows=w):
+        """The first ``rows * a`` items of a flat buffer as one
+        contiguous ``(rows, a)`` block."""
+        return buf[:rows * a].reshape(rows, a)
 
     for lo in range(0, len(diag), chunk):
         idx = order[lo:lo + chunk]
@@ -400,15 +463,34 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
         max_rows = int(nr[0])
         if max_rows == 0:
             break
+        dt, neg = _dp_width(max_rows, scheme, w)
+        mat = scheme.matrix.astype(dt).ravel()
+        tilt = (ge * slot).astype(dt)
+        open_cost = (go + ge * slot[:-1]).astype(dt)
         rl = row_lo[idx]
-        qo = q_off[idx]
+        qrow0 = q_off[idx] + rl - 1         # qcat index of row 0
         so = s_off[idx]
         sl = s_len[idx]
         jbase0 = rl + diag[idx] - band      # subject col at (r=0, b=0)
         c_all = len(idx)
-        H = np.zeros((c_all, w), dtype=np.int64)
-        F = np.full((c_all, w), NEG, dtype=np.int64)
-        best = np.zeros(c_all, dtype=np.int64)
+        cells = w * c_all
+        # Row state, double-buffered; the previous row's block is read
+        # through a [:, :a] view (strided only when candidates finished).
+        H_bufs = (np.empty(cells, dt), np.empty(cells, dt))
+        F_bufs = (np.empty(cells, dt), np.empty(cells, dt))
+        Fp = np.full((w, c_all), neg, dt)
+        ix_buf = np.empty(cells, np.intp)
+        sub_buf = np.empty(cells, dt)
+        Fe_buf = np.empty(cells, dt)
+        T_buf = np.empty(cells, dt)
+        P_bufs = (np.empty(cells, dt), np.empty(cells, dt))
+        # Constant operands as arrays: a Python-int operand costs a ufunc
+        # call several times an array's.
+        zero_buf = np.zeros(cells, dt)
+        go_buf = np.full(cells, go, dt)
+        ge_buf = np.full(cells, ge, dt)
+        Hp = block(zero_buf, c_all)         # the initial state, read-only
+        best = np.zeros(c_all, dt)
         best_i = np.zeros(c_all, dtype=np.int64)
         best_j = np.zeros(c_all, dtype=np.int64)
         # Active prefix of row r: the candidates with more than r rows.
@@ -418,74 +500,129 @@ def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
             row_base = np.zeros(max_rows + 1, dtype=np.int64)
             np.cumsum(active * w, out=row_base[1:])
             ptr = np.empty(int(row_base[-1]), dtype=np.uint8)
-            gap_bits = np.zeros((c_all, w), dtype=np.uint8)
+            bits_buf = np.empty(cells, np.uint8)
+            flag_buf = np.empty(cells, np.bool_)
+            tmp_buf = np.empty(cells, np.uint8)
+        a_prev = -1
         for r, a in enumerate(active.tolist()):
-            i_abs = rl[:a] + r
-            jb = jbase0[:a] + r
-            j = jb[:, None] + barange
-            valid = (j >= 1) & (j <= sl[:a, None])
-            sj = so[:a, None] + np.clip(j - 1, 0, (sl[:a] - 1)[:, None])
-            sub = matrix[qcat[qo[:a] + i_abs - 1][:, None],
-                         scat[sj]].astype(np.int64)
-            Hp = H[:a]
-            Fp = F[:a]
-            diag_score = Hp + sub
-            F_new = np.full((a, w), NEG, dtype=np.int64)
-            np.maximum(Hp[:, 1:] - go, Fp[:, 1:] - ge, out=F_new[:, :-1])
-            H_new = np.maximum(diag_score, 0)
+            t = r % _STRIP_ROWS
+            if t == 0:
+                # Strips for rows [r, r + _STRIP_ROWS): subject codes
+                # (clipped into the subject, as the scalar routine
+                # gathers them) and validity by strip row r + b,
+                # query-row offsets into the flat matrix by row.
+                n_strip = min(_STRIP_ROWS, max_rows - r)
+                pos = (jbase0[:a] + (r - 1)) + \
+                    np.arange(n_strip + w - 1)[:, None]
+                valid = (pos >= 0) & (pos < sl[:a])
+                np.maximum(pos, 0, out=pos)
+                np.minimum(pos, sl[:a] - 1, out=pos)
+                pos += so[:a]
+                S = np.take(scat, pos).astype(np.intp)
+                V = valid.astype(dt)
+                Qk = qcat[np.minimum(qrow0[:a] + r + np.arange(n_strip)[
+                    :, None], q_last)].astype(np.intp) * n_cols
+                # The row gathers clip, so check the codes here.
+                if S.max() >= n_cols or Qk.max() >= mat.size:
+                    raise IndexError("residue code outside the scoring "
+                                     "matrix")
+                if keep_pointers:
+                    Vu8 = valid.view(np.uint8)
+            if a != a_prev:                     # candidates finished
+                a_prev = a
+                zero = block(zero_buf, a)
+                go_blk = block(go_buf, a, w - 1)
+                ge_blk = block(ge_buf, a, w - 1)
+                Hp = Hp[:, :a]
+                Fp = Fp[:, :a]
+            H = block(H_bufs[r & 1], a)
+            F = block(F_bufs[r & 1], a)
+            sub = block(sub_buf, a)
+            ix = block(ix_buf, a)
+            np.add(S[t:t + w, :a], Qk[t, :a], out=ix)
+            np.take(mat, ix, out=sub, mode="clip")
+            np.add(Hp, sub, out=H)              # the diagonal move
             if keep_pointers:
-                # Same tie-break order as the scalar routine: DIAG (or
-                # STOP at zero), then F, then E, each only on a strict
-                # improvement.  F was extended iff it beats opening.
-                codes = ptr[row_base[r]:row_base[r + 1]].reshape(a, w)
-                np.greater_equal(diag_score, 0, out=codes.view(bool))
-                codes[F_new > H_new] = _FROM_F
-                bits = gap_bits[:a]
-                np.greater(F_new[:, :-1], Hp[:, 1:] - go,
-                           out=bits[:, :-1].view(bool))
-                bits[:, -1] = go > ge       # NEG - ge vs NEG - go
-                bits *= _F_EXT
-            np.maximum(H_new, F_new, out=H_new)
+                # The H code by priority (E over F over the diagonal,
+                # each only on a strict improvement), as one maximum of
+                # the codes' values: DIAG, or STOP below zero, first.
+                codes = ptr[row_base[r]:row_base[r + 1]].reshape(w, a)
+                bits = block(bits_buf, a)
+                flag = block(flag_buf, a)
+                tmp = block(tmp_buf, a)
+                np.greater_equal(H, zero, out=codes.view(np.bool_))
+            np.maximum(H, zero, out=H)
+            # F: gap in subject, from slot b+1 of the previous row (the
+            # last slot has none: the sentinel).
+            F_open = F[:-1]
+            F_ext = block(Fe_buf, a, w - 1)
+            np.subtract(Hp[1:], go_blk, out=F_open)
+            np.subtract(Fp[1:], ge_blk, out=F_ext)
+            if keep_pointers:
+                # F was extended iff extending beat opening.
+                np.greater(F_ext, F_open, out=flag[:-1])
+                flag[-1] = go > ge      # NEG - ge vs NEG - go
+                np.multiply(flag.view(np.uint8), _F_EXT, out=bits)
+            np.maximum(F_open, F_ext, out=F_open)
+            F[-1] = neg
+            if keep_pointers:
+                np.greater(F, H, out=flag)
+                np.multiply(flag.view(np.uint8), _FROM_F, out=tmp)
+                np.maximum(codes, tmp, out=codes)
+            np.maximum(H, F, out=H)
+            # E: gap in query, within the row (module docstring): the
+            # prefix maximum of T in log-step doubling passes, each
+            # reading one buffer and writing the other.
             if vector_scan:
-                # Closed-form within-row E (the module docstring's
-                # identity, rows stacked); E takes
-                # over T's storage.
-                T = H_new + slot_ge
-                P = np.maximum.accumulate(T, axis=1)
+                T = block(T_buf, a)
+                np.add(H, tilt, out=T)
+                P = T
+                for n, k in enumerate(steps):
+                    nxt = block(P_bufs[n & 1], a)
+                    np.maximum(P[k:], P[:-k], out=nxt[k:])
+                    nxt[:k] = P[:k]
+                    P = nxt
+                E = block(sub_buf, a, w - 1)     # sub is spent
+                np.subtract(P[:-1], open_cost, out=E)
                 if keep_pointers:
-                    bits[:, 2:] |= (T[:, 1:-1] < P[:, :-2]) * e_ext_bit
-                E = np.subtract(P[:, :-1], open_cost, out=T[:, 1:])
-                if keep_pointers:
-                    codes[:, 1:][E > H_new[:, 1:]] = _FROM_E
-                np.maximum(H_new[:, 1:], E, out=H_new[:, 1:])
+                    # E at b was extended iff the best opening point of
+                    # the prefix maximum lies before b-1 (never at 1).
+                    np.less(T[1:-1], P[:-2], out=flag[2:])
+                    np.multiply(flag[2:].view(np.uint8), _E_EXT, out=tmp[2:])
+                    np.bitwise_or(bits[2:], tmp[2:], out=bits[2:])
+                    np.greater(E, H[1:], out=flag[1:])
+                    np.multiply(flag[1:].view(np.uint8), _FROM_E,
+                                out=tmp[1:])
+                    np.maximum(codes[1:], tmp[1:], out=codes[1:])
+                np.maximum(H[1:], E, out=H[1:])
             else:
-                E = np.full(a, NEG, dtype=np.int64)
+                E = np.full(a, neg, dt)
                 for b in range(1, w):
-                    e_open = H_new[:, b - 1] - go
+                    e_open = H[b - 1] - go
                     e_ext = E - ge
                     np.maximum(e_open, e_ext, out=E)
                     if keep_pointers:
-                        codes[E > H_new[:, b], b] = _FROM_E
-                        bits[:, b] |= (e_ext > e_open) * e_ext_bit
-                    np.maximum(H_new[:, b], E, out=H_new[:, b])
-            # Mask after the E scan, like the scalar routine; the gap
-            # bits are left as computed, as its derived ones are.
-            invalid = ~valid
-            H_new[invalid] = 0
-            F_new[invalid] = NEG
+                        codes[b][E > H[b]] = _FROM_E
+                        bits[b] |= (e_ext > e_open).view(np.uint8) * \
+                            np.uint8(_E_EXT)
+                    np.maximum(H[b], E, out=H[b])
+            # Mask H after the E scan, like the scalar routine.  F is
+            # left as computed: an out-of-subject column's F feeds only
+            # that column, where it stays at most -gap_open and never
+            # beats H; the gap bits are left as the scalar's are.
+            np.multiply(H, V[t:t + w, :a], out=H)
             if keep_pointers:
-                codes[invalid] = _STOP
-                codes |= bits
-            row_best = H_new.max(axis=1)
-            upd = row_best > best[:a]
-            if upd.any():
-                slot = np.argmax(H_new, axis=1)
-                best[:a][upd] = row_best[upd]
-                best_i[:a][upd] = i_abs[upd]
-                best_j[:a][upd] = (jb + slot)[upd]
-            H[:a] = H_new
-            F[:a] = F_new
-        yield _SweepChunk(idx, rl, best, best_i, best_j, ptr, row_base)
+                np.multiply(codes, Vu8[t:t + w, :a], out=codes)
+                np.bitwise_or(codes, bits, out=codes)
+            row_best = H.max(axis=0)
+            upd = np.flatnonzero(row_best > best[:a])
+            if len(upd):
+                best[upd] = row_best[upd]
+                best_i[upd] = rl[upd] + r
+                best_j[upd] = jbase0[upd] + r + H[:, upd].argmax(axis=0)
+            Hp, Fp = H, F
+        yield _SweepChunk(idx, rl, best, best_i, best_j, ptr, row_base,
+                          active)
 
 
 def _as_int64(*arrays) -> List[np.ndarray]:
@@ -508,10 +645,10 @@ def bulk_banded_score(qcat: np.ndarray, scat: np.ndarray,
     gather per DP row scores candidates belonging to different queries,
     strands and subjects together.  Only ``H``/``F`` row states are
     kept, one row at a time, and the recurrences are evaluated in
-    the same order with the same int64 arithmetic, so per candidate
-    the returned ``(score, q_end, s_end)`` equals the scalar
-    alignment's ``(score, q_end, s_end)`` exactly (``0, 0, 0`` when no
-    cell scores positive).
+    the same order, in an integer type that holds every value they can
+    form (:func:`_dp_width`), so per candidate the returned ``(score,
+    q_end, s_end)`` equals the scalar alignment's ``(score, q_end,
+    s_end)`` exactly (``0, 0, 0`` when no cell scores positive).
 
     The sweep (:func:`_bulk_sweep`) runs in chunks of
     ``_BULK_CANDIDATES``.
@@ -560,6 +697,7 @@ def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
                           scheme, band, _BULK_ALIGN_CANDIDATES, True):
         cells = memoryview(ch.ptr)
         row_base = ch.row_base.tolist()
+        active = ch.active.tolist()
         per_cand = zip(*(a.tolist() for a in (ch.idx, ch.row_lo, ch.best,
                                               ch.best_i, ch.best_j)))
         for k, (c, row_lo, score, q_end, s_end) in enumerate(per_cand):
@@ -567,7 +705,7 @@ def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
                 continue
             col0 = int(diag[c]) - band
             i, j, identities, ops = _walk_back(
-                cells, row_base, k * w, w, row_lo, q_end,
+                cells, row_base, active, k, w, row_lo, q_end,
                 s_end - q_end - col0, col0, idcat, int(q_off[c]) - 1, scat,
                 int(s_off[c]) - 1)
             out[c] = GappedAlignment(

@@ -287,16 +287,17 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
 #: bulk route sweeps every triggered diagonal score-only and the
 #: survivors once more with pointers, and a stacked row costs more
 #: numpy dispatch than a scalar one until enough problems share it.
-#: Measured through ``search`` with one triggered candidate per
-#: subject (scalar / bulk route, gapped stages, ms, medians of five):
-#: 350-row protein problems 6.1 / 68.5 at 1, 47.9 / 72.0 at 8,
-#: 74.5 / 93.5 at 20, 89.7 / 87.4 at 24, 164.2 / 126.3 at 32; 568-row
-#: nt problems 8.1 / 97.5 at 1, 54.9 / 103.2 at 8, 152.5 / 153.0 at
-#: 20, 211.4 / 212.2 at 24, 271.5 / 227.4 at 32 — the crossover is at
-#: about 20 to 24 for both (it was about 8 with the per-row scalar
-#: kernel this one replaced), and 24 keeps a margin on the scalar
-#: side.  The routing only picks which kernels fill ``alns``; it is
-#: invisible in output: both are exact.
+#: Measured through ``search`` on subjects that are each a mutated
+#: copy of the query (scalar / bulk route, gapped stages, ms, medians
+#: of nine interleaved pairs, with the band-major int16 sweep): 568-row
+#: nt problems 50.7 / 62.3 at 12, 89.3 / 78.6 at 16, 101.1 / 71.3 at
+#: 20; 350-row protein problem sets (a homolog plus chance diagonals
+#: per subject) 37.1 / 39.4 at 20, 102.3 / 75.7 at 29 — the crossover
+#: is about 16 to 20 for nt and 20 to 29 for protein, and 24 sits
+#: between the two.  No benchmark workload is near it: an nt search
+#: plans one problem per query, at most 8 per pool task, and a blastp
+#: search hundreds.  The routing only picks which kernels fill
+#: ``alns``; it is invisible in output: both are exact.
 _BULK_MIN_CANDIDATES = 24
 
 

@@ -32,6 +32,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_protein
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
@@ -201,6 +203,30 @@ def test_bulk_matches_scalar_protein(band):
     _assert_bulk_matches_scalar(rng, ProteinScore(), 20, band)
 
 
+def _pssm_candidates(rng, m, n_cand, max_subject=90):
+    """*n_cand* candidates whose queries are runs of PSSM positions
+    ``0..ql-1`` (``ql < m``) and whose subjects are residues, packed
+    like :func:`_random_candidates`."""
+    q_seqs, s_seqs = [], []
+    q_off, q_len, s_off, s_len, diag = [], [], [], [], []
+    qpos = spos = 0
+    for _ in range(n_cand):
+        ql = int(rng.integers(5, m))
+        sl = int(rng.integers(5, max_subject))
+        q_seqs.append(np.arange(ql, dtype=np.int64))
+        s_seqs.append(rng.integers(0, 20, sl).astype(np.int64))
+        q_off.append(qpos)
+        q_len.append(ql)
+        s_off.append(spos)
+        s_len.append(sl)
+        diag.append(int(rng.integers(-ql - 4, sl + 4)))
+        qpos += ql
+        spos += sl
+    return (np.concatenate(q_seqs), np.concatenate(s_seqs), np.array(q_off),
+            np.array(q_len), np.array(s_off), np.array(s_len),
+            np.array(diag))
+
+
 @pytest.mark.parametrize("band", [0, 4, 24])
 def test_bulk_matches_scalar_pssm(band):
     """PSI-BLAST passes query *positions* and a per-position matrix,
@@ -212,31 +238,129 @@ def test_bulk_matches_scalar_pssm(band):
     matrix = rng.integers(-4, 9, size=(m, 25)).astype(np.int32)
     matrix.setflags(write=False)
     scheme = ScoringScheme(matrix, 11, 1, "pssm")
-    # Queries are position runs, subjects are residues — build by hand.
-    q_seqs, s_seqs = [], []
-    q_off, q_len, s_off, s_len, diag = [], [], [], [], []
-    qpos = spos = 0
-    for _ in range(200):
-        ql = int(rng.integers(5, m))
-        sl = int(rng.integers(5, 90))
-        q_seqs.append(np.arange(ql, dtype=np.int64))
-        s_seqs.append(rng.integers(0, 20, sl).astype(np.int64))
-        q_off.append(qpos)
-        q_len.append(ql)
-        s_off.append(spos)
-        s_len.append(sl)
-        diag.append(int(rng.integers(-ql - 4, sl + 4)))
-        qpos += ql
-        spos += sl
-    qcat, scat = np.concatenate(q_seqs), np.concatenate(s_seqs)
+    packed = _pssm_candidates(rng, m, 200)
+    qcat, scat = packed[:2]
     # Four-letter identity residues: identities are neither 0 nor all.
     residues = rng.integers(0, 4, len(qcat)).astype(np.uint8)
     scat %= 4
-    want = _assert_kernels_match_scalar(
-        (qcat, scat, np.array(q_off), np.array(q_len), np.array(s_off),
-         np.array(s_len), np.array(diag)), scheme, band,
-        identity_qcat=residues)
+    want = _assert_kernels_match_scalar(packed, scheme, band,
+                                        identity_qcat=residues)
     assert any(0 < a.identities < a.ops.count("M") for a in want)
+
+
+@contextmanager
+def dp_widths():
+    """The integer types the bulk sweep picks, one per chunk, in order."""
+    seen = []
+    pick = gapped_mod._dp_width
+
+    def spy(*args):
+        dtype, neg = pick(*args)
+        seen.append(dtype)
+        return dtype, neg
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapped_mod, "_dp_width", spy)
+        yield seen
+
+
+@pytest.mark.parametrize("scale,width", [(1, np.int16), (100, np.int32),
+                                         (10 ** 7, np.int64)])
+def test_bulk_integer_widths(scale, width):
+    """Each chunk sweeps in the narrowest integer type its static bound
+    (rows x the matrix maximum, plus penalties and the matrix minimum)
+    fits: a 300-position PSSM of entries up to 8 stays in int16, at
+    100x its entries the bound crosses into int32 and at 10^7x into
+    int64.  Both kernels still equal the scalar routine (int64
+    throughout), and the widths are pinned, so a sweep that silently
+    widened every chunk would fail here."""
+    rng = np.random.default_rng(400 + len(str(scale)))
+    m = 300
+    matrix = rng.integers(-4, 9, size=(m, 25)).astype(np.int64) * scale
+    matrix.setflags(write=False)
+    scheme = ScoringScheme(matrix, 11, 1, "pssm")
+    packed = _pssm_candidates(rng, m, 40, max_subject=320)
+    with dp_widths() as seen:
+        want = _assert_kernels_match_scalar(packed, scheme, 24)
+    # Pass 1 sweeps the 40 candidates as one chunk, first; the pass-2
+    # chunks of two candidates are narrower or equal.
+    assert seen[0] == width
+    assert max(seen, key=lambda d: d.itemsize) == width
+    # The best scores overflow the next narrower type.
+    narrower = {np.int32: np.int16, np.int64: np.int32}.get(width)
+    if narrower is not None:
+        assert max(a.score for a in want) > np.iinfo(narrower).max
+    assert any("I" in a.ops or "D" in a.ops for a in want)
+
+
+def test_benchmark_protein_chunks_sweep_in_int16():
+    """The protein search's DP chunks (350-row problems under BLOSUM62,
+    bound 350 x 11 plus penalties) run in int16."""
+    rng = np.random.default_rng(41)
+    db = random_aa_db(rng, 30, min_len=300, max_len=400)
+    q = mutated_query(db, 3, rng, period=9, length=350)
+    with dp_widths() as seen:
+        search(q, db, ProteinScore(), SearchParams(word_size=3),
+               query_id="q")
+    assert seen and set(seen) == {np.dtype(np.int16)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       alphabet=st.integers(2, 25),
+       band=st.integers(0, 64),
+       equal_gaps=st.booleans(),
+       short_subjects=st.booleans(),
+       n_cand=st.integers(1, 7),
+       chunk=st.integers(1, 3))
+def test_stacked_kernels_equal_scalar(seed, alphabet, band, equal_gaps,
+                                      short_subjects, n_cand, chunk):
+    """Both stacked kernels against ``banded_local_align``, field for
+    field, over random alphabets and matrices, bands 0-64, the
+    closed-form E (``gap_open > gap_extend``) and the slot loop
+    (``gap_open == gap_extend``), subjects shorter than the band, and
+    chunk bounds of 1-3 candidates for both passes."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-5, 9, size=(alphabet, alphabet)).astype(np.int64)
+    matrix.setflags(write=False)
+    ge = int(rng.integers(1, 4))
+    go = ge if equal_gaps else ge + int(rng.integers(1, 8))
+    scheme = ScoringScheme(matrix, go, ge, "aa")
+    q_seqs, s_seqs = [], []
+    for _ in range(n_cand):
+        q = rng.integers(0, alphabet, int(rng.integers(1, 60)))
+        s_max = max(2, band) if short_subjects else 80
+        s = rng.integers(0, alphabet, int(rng.integers(1, s_max + 1)))
+        if rng.random() < 0.5:         # planted homology, maybe an indel
+            k = min(len(q), len(s))
+            s[:k] = q[:k]
+            if k > 2 and rng.random() < 0.5:
+                cut = int(rng.integers(1, k - 1))
+                s = np.concatenate([s[:cut], s[cut + 1:]])
+        q_seqs.append(q)
+        s_seqs.append(s)
+    q_len = np.array([len(q) for q in q_seqs])
+    s_len = np.array([len(s) for s in s_seqs])
+    diag = np.array([int(rng.integers(-ql - band - 2, sl + band + 3))
+                     for ql, sl in zip(q_len, s_len)])
+    packed = (np.concatenate(q_seqs), np.concatenate(s_seqs),
+              np.concatenate([[0], np.cumsum(q_len)[:-1]]), q_len,
+              np.concatenate([[0], np.cumsum(s_len)[:-1]]), s_len, diag)
+    qcat, scat, q_off = packed[:3]
+    s_off = packed[4]
+    want = [banded_local_align(qcat[q_off[c]:q_off[c] + q_len[c]],
+                               scat[s_off[c]:s_off[c] + s_len[c]],
+                               int(diag[c]), scheme, band=band)
+            for c in range(n_cand)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapped_mod, "_BULK_CANDIDATES", chunk)
+        mp.setattr(gapped_mod, "_BULK_ALIGN_CANDIDATES", chunk)
+        score, qend, send = bulk_banded_score(*packed, scheme, band=band)
+        alns = bulk_banded_align(*packed, scheme, band=band)
+    assert [(int(a), int(b), int(c)) for a, b, c in zip(score, qend, send)] \
+        == [(a.score, a.q_end, a.s_end) if a.score > 0 else (0, 0, 0)
+            for a in want]
+    assert alns == want
 
 
 def test_bulk_gap_open_equals_extend_fallback():
@@ -271,6 +395,23 @@ def test_band_zero_has_no_within_row_gap():
     assert (int(score[0]), int(qend[0]), int(send[0])) == (6, 6, 6)
     assert bulk_banded_align(q, q, [0], [6], [0], [6], [0],
                              NucleotideScore(), band=0) == [aln]
+
+
+@pytest.mark.parametrize("bad", ["subject", "query"])
+def test_codes_outside_the_matrix_raise(bad):
+    """A residue code past the scoring matrix is an error in every
+    kernel (the stacked gathers clip, so the sweep checks the codes)."""
+    q = np.array([0, 1, 2, 3, 0, 1], dtype=np.int64)
+    s = q.copy()
+    (s if bad == "subject" else q)[3] = 9
+    scheme = NucleotideScore()
+    with pytest.raises(IndexError):
+        banded_local_align(q, s, 0, scheme, band=2)
+    one = ([0], [6], [0], [6], [0])
+    with pytest.raises(IndexError):
+        bulk_banded_score(q, s, *one, scheme, band=2)
+    with pytest.raises(IndexError):
+        bulk_banded_align(q, s, *one, scheme, band=2)
 
 
 def test_kernel_annotations_resolve():
