@@ -4,14 +4,20 @@ BLAST builds a lookup table from the *query*'s words and scans each
 database sequence against it (Altschul et al. 1990).  For nucleotide
 search the table holds exact w-mers (default w=11); for protein search
 it holds the *neighbourhood* of each query word: every w-mer whose
-BLOSUM62 score against the query word is at least the threshold T
-(default w=3, T=11).
+BLOSUM62 (or PSSM) score against the query word is at least the
+threshold T (default w=3, T=11).
+
+The neighbourhood is enumerated NCBI-style, as one pruned frontier
+over every query position at once: words grow a letter at a time and a
+prefix is dropped as soon as the best its remaining letters can score
+leaves it under T.  The per-position loop over all ``n_letters**w``
+words that this replaced is the test oracle's
+(``tests/oracle_search.py::protein_neighbourhood``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,28 +42,14 @@ def dna_word_codes(encoded: np.ndarray, k: int = 11) -> np.ndarray:
     return word_codes(encoded, k, 4)
 
 
-#: LRU bound on the all-words cache.  Each entry is an
-#: ``(n_letters**k, k)`` int array — 25**3 × 3 × 8 B ≈ 375 KB for the
-#: standard protein case, but exotic (k, alphabet) pairs grow fast, so
-#: the cache holds at most this many entries.
-_NEIGHBOR_CACHE_MAX = 4
-
-_NEIGHBOR_CACHE: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-
-
-def _all_words(k: int, n_letters: int) -> np.ndarray:
-    """(n_letters**k, k) array of every possible word, LRU-cached."""
-    key = (k, n_letters)
-    cached = _NEIGHBOR_CACHE.get(key)
-    if cached is None:
-        grids = np.meshgrid(*[np.arange(n_letters)] * k, indexing="ij")
-        cached = np.stack([g.ravel() for g in grids], axis=1)
-        _NEIGHBOR_CACHE[key] = cached
-        while len(_NEIGHBOR_CACHE) > _NEIGHBOR_CACHE_MAX:
-            _NEIGHBOR_CACHE.popitem(last=False)
-    else:
-        _NEIGHBOR_CACHE.move_to_end(key)
-    return cached
+def _word_mask(skip: np.ndarray, n_words: int) -> np.ndarray:
+    """*skip* as a boolean word mask, refused unless it has one entry
+    per word position."""
+    skip = np.asarray(skip, dtype=bool)
+    if len(skip) != n_words:
+        raise ValueError(f"skip mask has {len(skip)} entries for "
+                         f"{n_words} word positions")
+    return skip
 
 
 class WordIndex:
@@ -97,8 +89,8 @@ class WordIndex:
         :func:`repro.blast.filter.dust_mask`)."""
         codes = dna_word_codes(query, k)
         positions = np.arange(len(codes))
-        if skip is not None and len(skip) == len(codes):
-            keep = ~np.asarray(skip, dtype=bool)
+        if skip is not None:
+            keep = ~_word_mask(skip, len(codes))
             codes, positions = codes[keep], positions[keep]
         return cls(codes, positions, k, 4)
 
@@ -109,36 +101,45 @@ class WordIndex:
         """Neighbourhood index of a protein query.
 
         Every word scoring >= *threshold* against some query word is
-        entered at that query position.
+        entered at that query position.  *skip* is as for
+        :meth:`for_dna`.
 
         The alphabet size comes from the matrix *columns* (the subject
         axis) so rectangular position-specific matrices (PSI-BLAST
         PSSMs, rows = query positions) work unchanged.
+
+        The words grow as one frontier over every unmasked position at
+        once, a letter per step, and a prefix survives only while its
+        score plus the best its remaining letters can add reaches the
+        threshold (DESIGN.md §5i).
         """
-        n_letters = scheme.matrix.shape[1]
-        m = len(query) - k + 1
-        if m <= 0:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                       k, n_letters)
-        words = _all_words(k, n_letters)                   # (W, k)
-        powers = n_letters ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        all_codes = words @ powers                         # (W,)
-        codes_out = []
-        pos_out = []
-        for qpos in range(m):
-            if skip is not None and qpos < len(skip) and skip[qpos]:
-                continue
-            qword = query[qpos:qpos + k]
-            # score of every candidate word against this query word
-            scores = np.zeros(len(words), dtype=np.int64)
-            for j in range(k):
-                scores += scheme.matrix[qword[j], words[:, j]]
-            hits = all_codes[scores >= threshold]
-            codes_out.append(hits)
-            pos_out.append(np.full(len(hits), qpos, dtype=np.int64))
-        codes = np.concatenate(codes_out) if codes_out else np.empty(0, np.int64)
-        positions = np.concatenate(pos_out) if pos_out else np.empty(0, np.int64)
-        return cls(codes, positions, k, n_letters)
+        matrix = scheme.matrix
+        n_letters = matrix.shape[1]
+        m = max(len(query) - k + 1, 0)
+        starts = np.arange(m)
+        if skip is not None:
+            starts = starts[~_word_mask(skip, m)]
+        # rows[p, j] is the score of every letter against the query's
+        # j-th residue of the word at starts[p]; sums of them are int64.
+        rows = matrix[np.asarray(query)[starts[:, None] + np.arange(k)]]
+        # need[p, j]: what letters 0..j-1 must score for the word to
+        # still reach the threshold with the best letters j..k-1.
+        need = np.full((len(starts), k + 1), threshold, dtype=np.int64)
+        need[:, :k] -= np.cumsum(rows.max(axis=2)[:, ::-1], axis=1)[:, ::-1]
+        word = np.arange(len(starts))
+        codes = np.zeros(len(starts), dtype=np.int64)
+        scores = np.zeros(len(starts), dtype=np.int64)
+        for j in range(k):
+            gain = rows[word, j]
+            # Row-major nonzero keeps each parent's children in letter
+            # order behind its predecessors', so the frontier stays
+            # sorted by (position, code).
+            parent, letter = np.nonzero(
+                gain >= (need[word, j + 1] - scores)[:, None])
+            scores = scores[parent] + gain[parent, letter]
+            word = word[parent]
+            codes = codes[parent] * n_letters + letter
+        return cls(codes, starts[word], k, n_letters)
 
     # ------------------------------------------------------------------
     @property
@@ -148,9 +149,3 @@ class WordIndex:
     def __contains__(self, code: int) -> bool:
         i = np.searchsorted(self.unique_codes, code)
         return i < len(self.unique_codes) and self.unique_codes[i] == code
-
-    def query_positions(self, code: int) -> np.ndarray:
-        i = np.searchsorted(self.unique_codes, code)
-        if i >= len(self.unique_codes) or self.unique_codes[i] != code:
-            return np.empty(0, dtype=np.int64)
-        return self.positions[self.offsets[i]:self.offsets[i + 1]]

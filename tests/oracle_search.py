@@ -20,12 +20,15 @@ gapped pass, no ``_finalize_one``.  The single-index / single-seed /
 single-group *definitions* the library's batched forms are specified
 against are here too, moved verbatim when the driver stopped calling
 them: :func:`word_index_scan` (``WordIndex.scan`` without its bitmap
-shortcut), :func:`ungapped_extend`, :func:`one_hit_seeds`, :func:`two_hit_seeds`.
+shortcut), :func:`ungapped_extend`, :func:`one_hit_seeds`, :func:`two_hit_seeds`,
+and the per-position neighbourhood loop :func:`protein_neighbourhood`
+(``WordIndex.for_protein`` before its pruned frontier).
 What is still imported from the stages under test is the X-drop prefix
 rule ``_best_prefix`` and the ``UngappedHSP`` record
 (``tests/test_api_quality.py`` holds the import list to that), plus
-the word index and the statistics.  Its gapped kernel is the per-row
-one the library's replaced, in ``tests/oracle_gapped.py``.  So
+the word index's plain constructor and the statistics.  Its gapped
+kernel is the per-row one the library's replaced, in
+``tests/oracle_gapped.py``.  So
 equality of oracle and driver is evidence about scanning, seeding,
 extension, gapped alignment and finalizing on every path, two-hit
 blastp included.
@@ -60,6 +63,54 @@ Seed = Tuple[int, int]
 
 def protein_word_codes(encoded: np.ndarray, k: int = 3) -> np.ndarray:
     return word_codes(encoded, k, len(PROTEIN))
+
+
+def protein_neighbourhood(query: np.ndarray, matrix: np.ndarray,
+                          k: int = 3, threshold: int = 11,
+                          skip: Optional[np.ndarray] = None
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every word scoring >= *threshold* against some query word, as
+    parallel ``(codes, positions)`` arrays in (position, code) order.
+
+    The per-position loop ``WordIndex.for_protein`` ran before its
+    pruned frontier, verbatim: at each unmasked query position, score
+    all ``n_letters**k`` words with k gathers and keep those that reach
+    the threshold.  A *skip* shorter than the word count masks its
+    prefix only (the library refuses one of the wrong length)."""
+    n_letters = matrix.shape[1]
+    m = len(query) - k + 1
+    if m <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(n_letters)] * k, indexing="ij")
+    words = np.stack([g.ravel() for g in grids], axis=1)   # (W, k)
+    powers = n_letters ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    all_codes = words @ powers                             # (W,)
+    codes_out = []
+    pos_out = []
+    for qpos in range(m):
+        if skip is not None and qpos < len(skip) and skip[qpos]:
+            continue
+        qword = query[qpos:qpos + k]
+        # score of every candidate word against this query word
+        scores = np.zeros(len(words), dtype=np.int64)
+        for j in range(k):
+            scores += matrix[qword[j], words[:, j]]
+        hits = all_codes[scores >= threshold]
+        codes_out.append(hits)
+        pos_out.append(np.full(len(hits), qpos, dtype=np.int64))
+    codes = np.concatenate(codes_out) if codes_out else np.empty(0, np.int64)
+    positions = np.concatenate(pos_out) if pos_out else np.empty(0, np.int64)
+    return codes, positions
+
+
+def protein_word_index(query: np.ndarray, scheme: ScoringScheme,
+                       k: int = 3, threshold: int = 11,
+                       skip: Optional[np.ndarray] = None) -> WordIndex:
+    """The oracle's neighbourhood index: :func:`protein_neighbourhood`'s
+    pairs through the plain constructor (base = the matrix's columns)."""
+    codes, positions = protein_neighbourhood(query, scheme.matrix, k,
+                                             threshold, skip)
+    return WordIndex(codes, positions, k, scheme.matrix.shape[1])
 
 
 def word_index_scan(index: WordIndex, subject_codes: np.ndarray
@@ -377,7 +428,7 @@ def search_reference(query: np.ndarray, db, scheme,
 
     if is_protein:
         codes_of = protein_word_codes
-        orientations = [(query, WordIndex.for_protein(
+        orientations = [(query, protein_word_index(
             query, scheme, params.word_size, params.neighbor_threshold,
             skip=word_skip(query)), 1)]
     else:

@@ -175,6 +175,14 @@ def test_oracle_imports_no_driver_internals():
              if isinstance(node, ast.Import) for alias in node.names
              if alias.name.startswith("repro")]
     assert whole == []
+    # Its protein index is its own neighbourhood loop through the plain
+    # ``WordIndex`` constructor, never the library's pruned frontier.
+    builders = [node.func.attr for tree in trees.values()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "for_protein"]
+    assert builders == []
 
 
 def test_result_wire_is_off_every_runtime_path():

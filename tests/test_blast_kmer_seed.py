@@ -9,11 +9,26 @@ from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_dna, encode_protein
 from repro.blast.kmer import WordIndex, dna_word_codes, word_codes
-from repro.blast.score import ProteinScore
+from repro.blast.score import BLOSUM62, ProteinScore, ScoringScheme
 from repro.blast.seed import two_hit_seeds_grouped
 
-from oracle_search import (one_hit_seeds, protein_word_codes, two_hit_seeds,
+from oracle_search import (one_hit_seeds, protein_word_codes,
+                           protein_word_index, two_hit_seeds,
                            word_index_scan)
+
+
+def positions_of(index: WordIndex, code: int) -> list:
+    """The query positions *index* holds for *code*, read off its
+    ``unique_codes`` / ``offsets`` / ``positions`` arrays."""
+    i = int(np.searchsorted(index.unique_codes, code))
+    if i == len(index.unique_codes) or index.unique_codes[i] != code:
+        return []
+    return index.positions[index.offsets[i]:index.offsets[i + 1]].tolist()
+
+
+def assert_same_index(a: WordIndex, b: WordIndex) -> None:
+    for name in ("unique_codes", "offsets", "positions"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_word_codes_basic():
@@ -63,7 +78,7 @@ def test_index_contains_and_positions():
     idx = WordIndex.for_dna(q, k=11)
     codes = dna_word_codes(q, 11)
     assert int(codes[0]) in idx
-    assert list(idx.query_positions(int(codes[0]))) == [0]
+    assert positions_of(idx, int(codes[0])) == [0]
     assert idx.n_words == 3
 
 
@@ -71,8 +86,7 @@ def test_index_repeated_words_report_all_positions():
     q = encode_dna("ACGTACGTACGTACGT")  # repeats: word at 0 == word at 4
     idx = WordIndex.for_dna(q, k=4)
     code = int(dna_word_codes(q[:4], 4)[0])
-    positions = idx.query_positions(code)
-    assert list(positions) == [0, 4, 8, 12]
+    assert positions_of(idx, code) == [0, 4, 8, 12]
 
 
 def test_protein_neighborhood_includes_exact_word():
@@ -100,6 +114,110 @@ def test_protein_neighborhood_excludes_dissimilar_words():
     diss = encode_protein("PPP")  # W vs P = -4 each: score -12
     code = int(protein_word_codes(diss, 3)[0])
     assert code not in idx
+
+
+# ------------------------------------------- the neighbourhood frontier
+def _matrix(rng, rows, cols, scale, dtype=np.int64):
+    m = rng.integers(-scale, scale + 1, size=(rows, cols)).astype(dtype)
+    m.setflags(write=False)
+    return ScoringScheme(m, 11, 1, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frontier_equals_the_per_position_loop(data):
+    """The library's pruned frontier and the oracle's loop over every
+    word build the same index, array for array: rectangular matrices
+    (rows indexed by query letter or position), every k from 1 to 4,
+    thresholds from unreachable to always met, scores past int16, and
+    queries shorter than k."""
+    rows = data.draw(st.integers(1, 60), label="rows")
+    cols = data.draw(st.integers(2, 25), label="cols")
+    k = data.draw(st.integers(1, 4), label="k")
+    scale = data.draw(st.sampled_from([1, 4, 20, 20_000, 10**9]),
+                      label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scheme = _matrix(rng, rows, cols, scale)
+    # The oracle scores all cols**k words per position: keep it small.
+    longest = max(k - 1, min(60, 2_000_000 // cols ** k + k - 1))
+    n = data.draw(st.integers(0, longest), label="query length")
+    query = rng.integers(0, rows, size=n)
+    reach = k * scale
+    threshold = data.draw(st.integers(-reach - 1, reach + 1), label="T")
+    index = WordIndex.for_protein(query, scheme, k, threshold)
+    assert_same_index(index, protein_word_index(query, scheme, k, threshold))
+    if threshold <= -reach:
+        assert index.n_words == max(n - k + 1, 0) * cols ** k
+    if threshold > reach:
+        assert index.n_words == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 3), st.integers(-3, 3),
+       st.integers(0, 2**32 - 1))
+def test_frontier_honours_a_skip_mask_of_the_word_count(n, k, delta, seed):
+    """A mask with one entry per word drops exactly the words the loop
+    drops; one shorter or longer than the word count is refused (the
+    oracle, like the old loop, would mask a short one's prefix)."""
+    rng = np.random.default_rng(seed)
+    query = rng.integers(0, 20, size=n)
+    n_words = max(n - k + 1, 0)
+    skip = rng.random(max(n_words + delta, 0)) < 0.3
+    scheme = ProteinScore()
+    if len(skip) != n_words:
+        with pytest.raises(ValueError, match="skip mask"):
+            WordIndex.for_protein(query, scheme, k, 11, skip=skip)
+        return
+    assert_same_index(WordIndex.for_protein(query, scheme, k, 11, skip=skip),
+                      protein_word_index(query, scheme, k, 11, skip=skip))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_frontier_sums_past_the_matrix_dtype(dtype):
+    """The frontier gathers scores in the matrix's own integer type and
+    sums them in int64: a matrix filled to its type's edge, whose
+    k-letter sums do not fit that type, builds the loop's index."""
+    rng = np.random.default_rng(3)
+    edge = int(np.iinfo(dtype).max)
+    scheme = _matrix(rng, 12, 5, edge, dtype)
+    query = rng.integers(0, 12, size=16)
+    for t in (edge * 2, edge, 0, -edge):
+        assert_same_index(WordIndex.for_protein(query, scheme, 4, t),
+                          protein_word_index(query, scheme, 4, t))
+
+
+def test_frontier_on_the_standard_matrix_and_a_pssm():
+    """BLOSUM62 on a real-sized query, and a PSSM whose rows are the
+    query's positions (the PSI-BLAST shape), with and without a mask."""
+    rng = np.random.default_rng(7)
+    query = rng.integers(0, 20, size=300)
+    blosum = ProteinScore()
+    pssm = ScoringScheme(BLOSUM62[query] + rng.integers(-2, 3, size=(300, 25)),
+                         11, 1, "")
+    skip = rng.random(298) < 0.2
+    for scheme, q in ((blosum, query), (pssm, np.arange(300))):
+        for mask in (None, skip):
+            index = WordIndex.for_protein(q, scheme, 3, 11, skip=mask)
+            assert index.n_words > 0
+            assert_same_index(index,
+                              protein_word_index(q, scheme, 3, 11, skip=mask))
+
+
+@pytest.mark.parametrize("build, query", [
+    (lambda q, skip: WordIndex.for_dna(q, 11, skip=skip),
+     encode_dna("ACGTACGTACGTACGT")),
+    (lambda q, skip: WordIndex.for_protein(q, ProteinScore(), 3, 11,
+                                           skip=skip),
+     encode_protein("WWWWWWWW")),
+], ids=["for_dna", "for_protein"])
+def test_skip_mask_of_the_wrong_length_is_refused(build, query):
+    """Both builders take a mask only with one entry per word position
+    (six here; the driver passes ``filter.masked_positions`` of the same
+    query): neither ignores nor half-applies one of another length."""
+    assert build(query, np.zeros(6, dtype=bool)).n_words > 0
+    for wrong in (0, 5, 7):
+        with pytest.raises(ValueError, match="skip mask"):
+            build(query, np.zeros(wrong, dtype=bool))
 
 
 def test_scan_empty_inputs():

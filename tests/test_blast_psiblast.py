@@ -134,3 +134,24 @@ def test_psiblast_does_not_drag_in_decoys(family):
     sig = [h.description for h in res.final.hits if h.best_evalue < 1e-6]
     assert not any(d.startswith("decoy") for d in sig)
     assert sum(d.startswith("fam") for d in sig) == 6
+
+
+def test_cli_psiblast_matches_the_committed_golden(tmp_path, capsys):
+    """``repro psiblast -j 3`` prints, byte for byte, what the engine
+    printed before its neighbourhood index became a pruned frontier.
+    The corpus is a family whose members drift from the query one step
+    at a time, so rounds 2 and 3 search with PSSMs and each round
+    includes new members."""
+    from pathlib import Path
+
+    from repro.cli import main
+
+    data = Path(__file__).parent / "data"
+    assert main(["formatdb", "-p", "-i", str(data / "psiblast_db.fasta"),
+                 "-d", str(tmp_path), "-n", "psi"]) == 0
+    capsys.readouterr()
+    assert main(["psiblast", "-d", str(tmp_path / "psi"),
+                 "-i", str(data / "psiblast_query.fasta"), "-j", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "--- iteration 3 ---" in out
+    assert out.encode() == (data / "psiblast_j3.expected").read_bytes()

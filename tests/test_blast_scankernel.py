@@ -20,8 +20,7 @@ from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
 from repro.blast.alphabet import (encode_dna, encode_protein,
                                   reverse_complement)
-from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
-                              WordIndex, _all_words, word_codes)
+from repro.blast.kmer import WordIndex, word_codes
 from repro.blast.score import BLOSUM62, NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT
@@ -673,26 +672,6 @@ def test_gap_open_not_above_extend_still_works_end_to_end():
     r_loop = search_reference(query, db, scheme, params)
     assert dump(r_scan) == dump(r_loop)
     assert r_scan.hits
-
-
-# ------------------------------------------------------ neighbour cache LRU
-
-def test_neighbor_cache_is_bounded():
-    _NEIGHBOR_CACHE.clear()
-    for k, n in [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (1, 5)]:
-        words = _all_words(k, n)
-        assert words.shape == (n ** k, k)
-        assert len(_NEIGHBOR_CACHE) <= _NEIGHBOR_CACHE_MAX
-    assert len(_NEIGHBOR_CACHE) == _NEIGHBOR_CACHE_MAX
-    # (1, 2) was evicted long ago; re-deriving it works and re-caches it.
-    assert (1, 2) not in _NEIGHBOR_CACHE
-    assert _all_words(1, 2).shape == (2, 1)
-    assert (1, 2) in _NEIGHBOR_CACHE
-    # Recently-used entries survive: touch (2, 3) then add a new key.
-    _all_words(2, 3)
-    _all_words(3, 2)
-    assert (2, 3) in _NEIGHBOR_CACHE
-    _NEIGHBOR_CACHE.clear()
 
 
 # ------------------------------------------------- explicit token eviction

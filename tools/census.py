@@ -77,8 +77,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.trace.replay": "ROADMAP 1(d): replaying a real run's trace "
     "into the simulated cluster is what closes the simulator loop",
     # -- the search library and the runtime ----------------------------
-    "repro.blast.kmer.WordIndex.query_positions":
-        "the index's point lookup; tests read neighbourhoods through it",
     "repro.blast.psiblast.PsiBlastResult.final":
         "accessor for the last round's results; tests only",
     "repro.blast.translate.protein_to_dna_coords":
@@ -154,7 +152,6 @@ ALLOWLIST: Dict[str, str] = {
     "[benchmark]-checked PR",
     "SearchParams.neighbor_threshold": "blastp's T, NCBI -f; "
     "tests/test_blast_psiblast.py and the word-index tests vary it",
-    "cli --filter": "NCBI blastall -F; tests/test_cli.py drives it",
     "cli --max-hits": "output bound every render takes (NCBI -v / -b); "
     "nothing scripts a value other than the default — constant "
     "candidate for the next census PR",
