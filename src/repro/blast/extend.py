@@ -9,8 +9,9 @@ with a running maximum.
 
 :func:`bulk_ungapped_extend` is the one extension kernel the search
 driver calls, for every alphabet and seeding rule: all seeds of a batch
-— across queries, strands and subjects — are scored in one 2-D gather
-against the flat query / fragment concatenations, and the driver
+— across queries, strands and subjects — are scored together against
+the flat query / fragment concatenations, a 32-wide window first and a
+64-wide one for the rows it cannot settle, and the driver
 replays the per-diagonal coverage dedup (a seed inside an HSP already
 found on its diagonal is skipped) from the returned extents.
 The single-seed definition it is specified against
@@ -94,18 +95,21 @@ def _best_prefix(scores: np.ndarray, xdrop: int) -> Tuple[int, int]:
     return best_idx + 1, best_val
 
 
-#: Window width of the vectorised bulk X-drop pass: extensions that do
-#: not terminate within this many positions (true alignments, not the
-#: random-hit noise that dominates seed counts) fall back to the exact
-#: per-seed chunked scan.
-_BULK_WINDOW = 64
+#: The window ladder of the vectorised bulk X-drop pass: every row is
+#: scored over the first window; rows that neither drop nor end there
+#: re-run over the second, and extensions that outlast it too (true
+#: alignments, not the random-hit noise that dominates seed counts)
+#: take the exact per-seed chunked scan.  94-99 % of the benchmark's
+#: seeds drop within 32 positions in either direction.
+_BULK_WINDOWS = (32, 64)
 #: Row-chunk bound of the bulk pass: peak scratch is eight to ten
-#: ``_BULK_ROWS * _BULK_WINDOW`` int64 temporaries.  Sized by
-#: measurement when blastp's ~4 000 two-hit seeds per query started
-#: coming through here (nt's ~800 never filled a 4096-row chunk):
-#: kernel scratch (tracemalloc peak) on benchmark aa query 0, then the
-#: ``extend`` stage, best of 7-15 runs in ms, for that query / one
-#: 568-nt query / a batch of eight against 4 M residues.
+#: ``_BULK_ROWS * window`` temporaries.  Sized by measurement when
+#: blastp's ~4 000 two-hit seeds per query started coming through here
+#: (nt's ~800 never filled a 4096-row chunk), with the single 64-wide
+#: int64 window the ladder replaced: kernel scratch (tracemalloc peak)
+#: on benchmark aa query 0, then the ``extend`` stage, best of 7-15
+#: runs in ms, for that query / one 568-nt query / a batch of eight
+#: against 4 M residues.
 #:
 #: ===== ========== ===== ====== ======
 #: rows  scratch MB aa    nt x1  nt x8
@@ -120,62 +124,115 @@ _BULK_WINDOW = 64
 #:
 #: Past ~1024 rows the temporaries leave the cache and the stage gets
 #: slower as well as bigger; 512 keeps the scratch under the scan's
-#: own ~5 MB transient, so extension never sets ``peak_rss_mb``.
+#: own ~5 MB transient, so extension never sets ``peak_rss_mb``.  The
+#: ladder (a 32-wide window, int16 for both programs' defaults) peaks
+#: at 1.0 MB on the same query at 512 rows, and its stage times at 256
+#: to 4096 rows lie within run-to-run noise of each other, so the bound
+#: stays.
 _BULK_ROWS = 512
 
 
-def _bulk_prefix(qcat: np.ndarray, scat: np.ndarray,
-                 q0: np.ndarray, s0: np.ndarray, avail: np.ndarray,
-                 step: int, scheme: ScoringScheme, xdrop: int,
-                 window: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`_best_prefix` over many seeds at once.
+def _window_dtype(window: int, scheme: ScoringScheme,
+                  xdrop: int) -> np.dtype:
+    """The integer type of a *window*-position pass, from a static
+    bound on what it can form.
 
-    Row ``i`` walks ``avail[i]`` positions from ``(q0[i], s0[i])`` in
-    *step* direction (+1 right, -1 left) through the flat query /
-    subject concatenations.  The first *window* positions of every row
-    are scored in one 2-D gather; positions past a row's ``avail`` are
-    padded with ``-(xdrop + 1)``, which trips the X-drop test exactly
-    at the boundary, so any row whose scan terminates inside the window
-    gets the same (length, score) answer as the scalar pass.  Rows that
-    neither drop nor end within the window re-run the exact per-seed
-    scan.  Returns ``(lengths, scores)`` int64 arrays.
-    """
-    n = len(q0)
-    out_len = np.zeros(n, dtype=np.int64)
-    out_score = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return out_len, out_score
-    pad = -(xdrop + 1)
-    cols = np.arange(window, dtype=np.int64)
-    for lo in range(0, n, _BULK_ROWS):
-        hi = min(n, lo + _BULK_ROWS)
-        av = avail[lo:hi]
-        valid = cols < av[:, None]
-        # Out-of-window gathers are masked anyway; clamp their indexes
-        # to 0 so the matrix lookup never leaves the concatenations.
-        qi = np.where(valid, q0[lo:hi, None] + step * cols, 0)
-        si = np.where(valid, s0[lo:hi, None] + step * cols, 0)
-        pair = scheme.pair_scores(qcat[qi], scat[si]).astype(np.int64,
-                                                            copy=False)
-        scores = np.where(valid, pair, pad)
-        cum = np.cumsum(scores, axis=1, dtype=np.int64)
+    Every per-position score — a matrix entry or the ``-(xdrop + 1)``
+    pad — lies within ``±m``, ``m = max(smax, -smin, xdrop + 1)``.  So
+    no prefix sum of a row exceeds ``window * m`` in magnitude, and
+    neither does its gap under the running maximum (the positions
+    since the maximum, or since the anchor, each lose at most ``m``).
+    The narrowest of int16 / int32 / int64 that holds ``window * m``:
+    a property of the inputs, not a setting (the rule of
+    :func:`repro.blast.gapped._dp_width`)."""
+    matrix = scheme.matrix
+    bound = window * max(int(matrix.max()), -int(matrix.min()), xdrop + 1)
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _window_pass(qcat: np.ndarray, scat: np.ndarray, q0: np.ndarray,
+                 s0: np.ndarray, av: np.ndarray, step: int,
+                 scheme: ScoringScheme, xdrop: int, window: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One window of :func:`_bulk_prefix` over rows ``q0`` / ``s0`` /
+    ``av``: ``(settled, lengths, scores)``, the last two exact for the
+    settled rows — those that drop or end inside the window."""
+    dtype = _window_dtype(window, scheme, xdrop)
+    n_cols = scheme.matrix.shape[1]
+    table = scheme.matrix.astype(dtype).ravel()
+    span = np.arange(window, dtype=np.int64)
+    walk = span * step
+    settled = np.empty(len(q0), dtype=bool)
+    out_len = np.zeros(len(q0), dtype=np.int64)
+    out_score = np.zeros(len(q0), dtype=np.int64)
+    for lo in range(0, len(q0), _BULK_ROWS):
+        hi = min(len(q0), lo + _BULK_ROWS)
+        a = av[lo:hi, None]
+        # One flat (query code, subject code) index into the matrix.
+        # Gathers past a row's end may read sentinels or neighbours:
+        # every index is clipped in range and those scores padded.
+        code = np.take(qcat, q0[lo:hi, None] + walk,
+                       mode="clip").astype(np.intp)
+        code *= n_cols
+        code += np.take(scat, s0[lo:hi, None] + walk, mode="clip")
+        scores = np.where(span < a, np.take(table, code, mode="clip"),
+                          dtype.type(-(xdrop + 1)))
+        cum = np.cumsum(scores, axis=1, dtype=dtype)
         runmax = np.maximum.accumulate(np.maximum(cum, 0), axis=1)
         dropped = (runmax - cum) > xdrop
         has_drop = dropped.any(axis=1)
         stop = np.where(has_drop, np.argmax(dropped, axis=1), window)
-        head = np.where(cols < stop[:, None], cum, np.int64(-(2 ** 62)))
+        head = np.where(span < stop[:, None], cum, np.iinfo(dtype).min)
         best = np.argmax(head, axis=1)
-        val = head[np.arange(hi - lo), best]
+        val = head[np.arange(hi - lo), best].astype(np.int64)
         pos = val > 0
-        out_len[lo:hi][pos] = best[pos] + 1
-        out_score[lo:hi][pos] = val[pos]
-        # Exact re-scan of rows the window could not settle.
-        for i in np.nonzero(~has_drop & (av > window))[0]:
-            a = int(av[i])
-            walk = step * np.arange(a, dtype=np.int64)
-            row = scheme.pair_scores(qcat[int(q0[lo + i]) + walk],
-                                     scat[int(s0[lo + i]) + walk])
-            out_len[lo + i], out_score[lo + i] = _best_prefix(row, xdrop)
+        out_len[lo:hi] = np.where(pos, best + 1, 0)
+        out_score[lo:hi] = np.where(pos, val, 0)
+        settled[lo:hi] = has_drop | (a[:, 0] <= window)
+    return settled, out_len, out_score
+
+
+def _bulk_prefix(qcat: np.ndarray, scat: np.ndarray,
+                 q0: np.ndarray, s0: np.ndarray, avail: np.ndarray,
+                 step: int, scheme: ScoringScheme, xdrop: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`_best_prefix` over many seeds at once.
+
+    Row ``i`` walks ``avail[i]`` positions from ``(q0[i], s0[i])`` in
+    *step* direction (+1 right, -1 left) through the flat query /
+    subject concatenations.  Each window of :data:`_BULK_WINDOWS`
+    scores the rows still open in one flat gather, in the narrowest
+    integer type :func:`_window_dtype` admits; positions past a row's
+    ``avail`` are padded with ``-(xdrop + 1)``, which trips the X-drop
+    test exactly at the boundary, so any row whose scan terminates
+    inside a window gets the same (length, score) answer as the scalar
+    pass.  Rows that neither drop nor end within the last window
+    re-run the exact per-seed scan.  Returns ``(lengths, scores)``
+    int64 arrays.
+    """
+    n = len(q0)
+    out_len = np.zeros(n, dtype=np.int64)
+    out_score = np.zeros(n, dtype=np.int64)
+    open_rows = np.arange(n)
+    for window in _BULK_WINDOWS:
+        if not len(open_rows):
+            return out_len, out_score
+        settled, lengths, scores = _window_pass(
+            qcat, scat, q0[open_rows], s0[open_rows], avail[open_rows],
+            step, scheme, xdrop, window)
+        done = open_rows[settled]
+        out_len[done] = lengths[settled]
+        out_score[done] = scores[settled]
+        open_rows = open_rows[~settled]
+    # Exact re-scan of rows no window could settle.
+    for i in open_rows.tolist():
+        walk = step * np.arange(int(avail[i]), dtype=np.int64)
+        row = scheme.pair_scores(qcat[int(q0[i]) + walk],
+                                 scat[int(s0[i]) + walk])
+        out_len[i], out_score[i] = _best_prefix(row, xdrop)
     return out_len, out_score
 
 
@@ -201,7 +258,7 @@ def bulk_ungapped_extend(qcat: np.ndarray, scat: np.ndarray,
     computes from the equivalent per-sequence slices.
     """
     right_len, right_score = _bulk_prefix(qcat, scat, gq, gs, avail_r,
-                                          +1, scheme, xdrop, _BULK_WINDOW)
+                                          +1, scheme, xdrop)
     left_len, left_score = _bulk_prefix(qcat, scat, gq - 1, gs - 1, avail_l,
-                                        -1, scheme, xdrop, _BULK_WINDOW)
+                                        -1, scheme, xdrop)
     return left_len, left_score, right_len, right_score

@@ -590,14 +590,123 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
     parameters per job batch for the same reason.
     """
     with profiled("search_batch", n_queries=len(queries)):
-        return _search_batch_impl(queries, db, scheme, params, query_ids,
-                                  ka, both_strands, identity_queries,
-                                  scan_cache, effective_spaces)
+        prepared = prepare_queries(
+            queries, scheme, params, is_protein=db.seqtype == AA,
+            db_size=(db.total_residues, len(db)), query_ids=query_ids,
+            ka=ka, both_strands=both_strands,
+            identity_queries=identity_queries,
+            effective_spaces=effective_spaces)
+        return prepared.search(db, scan_cache)
 
 
-def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
-                       both_strands, identity_queries, scan_cache,
-                       effective_spaces) -> List[SearchResults]:
+@dataclass
+class PreparedQueries:
+    """A query batch made ready to search any number of fragments of
+    one database: what :func:`prepare_queries` builds once, and
+    :meth:`search` reads per fragment.
+
+    *entries* has one ``(query index, oriented query, strand)`` per
+    query orientation, in (query, +strand-first) order — the order HSPs
+    accumulate in when each query is searched alone, which is what
+    keeps a batch byte-identical to its queries run one by one.
+    *batch* holds their word indexes; *qcat* concatenates the oriented
+    queries at *qstarts* (lengths *qlens*), mirroring the fragment
+    concatenation, so one pair of flat arrays serves every (entry,
+    subject) extension and the bulk gapped pass.
+    """
+
+    scheme: ScoringScheme
+    params: SearchParams
+    ka: KarlinAltschul
+    is_protein: bool
+    query_ids: Sequence[str]
+    query_lens: List[int]
+    identity_queries: Sequence[Optional[np.ndarray]]
+    spaces: List[Optional[Tuple[int, int]]]
+    entries: List[Tuple[int, np.ndarray, int]]
+    batch: Optional[QueryBatch]
+    qcat: Optional[np.ndarray]
+    qstarts: Optional[np.ndarray]
+    qlens: Optional[np.ndarray]
+
+    def search(self, db: SequenceDB,
+               scan_cache: Optional[ScanCache] = None
+               ) -> List[SearchResults]:
+        """Search one fragment *db* (the whole database, or one pack of
+        it): one scan of its bytes for every orientation, then steps
+        2-5.  Results carry *db*'s own size; hits its local subject
+        ids."""
+        params = self.params
+        results = [SearchResults(query_id=qid, query_len=qlen,
+                                 db_residues=db.total_residues,
+                                 db_sequences=len(db))
+                   for qid, qlen in zip(self.query_ids, self.query_lens)]
+        if not self.entries:
+            return results
+
+        prof = current_profile()
+        cache = scan_cache if scan_cache is not None else default_scan_cache()
+        base = len(PROTEIN) if self.is_protein else len(DNA)
+        t0 = time.perf_counter() if prof is not None else 0.0
+        provider = getattr(db, "scan_structures", None)
+        structs = provider(params.word_size, base) if provider else None
+        if structs is None:
+            structs = cache.get(db, params.word_size, base)
+        if prof is not None:
+            prof.add("pack", time.perf_counter() - t0)
+
+        t0 = time.perf_counter() if prof is not None else 0.0
+        groups = scan_fragment_batch(self.batch, structs)
+        if prof is not None:
+            prof.add("scan", time.perf_counter() - t0)
+
+        jobs = _bulk_groups_to_jobs(self, groups, structs) if groups else []
+        _finalize_candidates(jobs, self.qcat, structs.concat, self.scheme,
+                             params, self.ka)
+        per_q: Dict[int, Dict[int, List[HSP]]] = {}
+        for job in jobs:
+            if job.sink:
+                per_q.setdefault(job.qi, {}).setdefault(job.sid,
+                                                        []).extend(job.sink)
+        for qi, per_sid in per_q.items():
+            res = results[qi]
+            for sid in sorted(per_sid):
+                hsps = per_sid[sid]
+                hsps.sort(key=lambda h: (h.evalue, -h.score))
+                res.hits.append(Hit(
+                    subject_id=sid,
+                    description=db.description(sid),
+                    subject_len=int(structs.lengths[sid]),
+                    hsps=hsps[:params.max_hsps],
+                    fragment_id=db.fragment_id,
+                ))
+            res.sort()
+        return results
+
+
+def prepare_queries(queries: Sequence[np.ndarray], scheme: ScoringScheme,
+                    params: Optional[SearchParams] = None, *,
+                    is_protein: bool, db_size: Tuple[int, int],
+                    query_ids: Optional[Sequence[str]] = None,
+                    ka: Optional[KarlinAltschul] = None,
+                    both_strands: bool = True,
+                    identity_queries: Optional[
+                        Sequence[Optional[np.ndarray]]] = None,
+                    effective_spaces: Optional[
+                        Sequence[Optional[Tuple[int, int]]]] = None
+                    ) -> PreparedQueries:
+    """Everything about a query batch that no fragment changes, built
+    once: per-query search spaces, low-complexity masks, one
+    :class:`~repro.blast.kmer.WordIndex` per orientation, their
+    :class:`~repro.blast.scankernel.QueryBatch`, and the flat query
+    concatenation.
+
+    *db_size* is the whole database's ``(residues, sequences)``: the
+    default search space of a query without an *effective_spaces*
+    entry.  The other arguments are :func:`search_batch`'s.  Queries
+    shorter than the word size contribute no entries and keep their
+    empty results.
+    """
     params = params or SearchParams()
     n_q = len(queries)
     if query_ids is None:
@@ -610,14 +719,9 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
             == len(effective_spaces) == n_q):
         raise ValueError("per-query argument sequences must match "
                          "len(queries)")
-    is_protein = db.seqtype == AA
     if ka is None:
         ka = resolve_ka(scheme, params, is_protein)
-
-    n_total = db.total_residues
-    results = [SearchResults(query_id=query_ids[qi], query_len=len(q),
-                             db_residues=n_total, db_sequences=len(db))
-               for qi, q in enumerate(queries)]
+    n_total, n_seqs = db_size
 
     def word_skip(oriented: np.ndarray):
         if not params.filter_low_complexity:
@@ -628,11 +732,6 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
         return skip
 
     prof = current_profile()
-    # One entry per (query, orientation), in (query, +strand-first)
-    # order — the order HSPs accumulate in when each query is searched
-    # alone, which is what keeps a batch byte-identical to its queries
-    # run one by one.  Queries shorter than the word size contribute no
-    # entries and keep their empty results.
     t0 = time.perf_counter() if prof is not None else 0.0
     entries: List[Tuple[int, np.ndarray, int]] = []
     indexes: List[WordIndex] = []
@@ -643,7 +742,7 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
         if effective_spaces[qi] is not None:
             spaces[qi] = tuple(effective_spaces[qi])
         elif params.effective_lengths:
-            spaces[qi] = effective_search_space(ka, len(q), n_total, len(db))
+            spaces[qi] = effective_search_space(ka, len(q), n_total, n_seqs)
         else:
             spaces[qi] = (len(q), n_total)
         if is_protein:
@@ -660,58 +759,20 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
                 entries.append((qi, rc, -1))
                 indexes.append(WordIndex.for_dna(rc, params.word_size,
                                                  skip=word_skip(rc)))
-    if not entries:
-        return results
-    batch = QueryBatch(indexes)
-    if prof is not None:
-        prof.add("index", time.perf_counter() - t0)
-
-    cache = scan_cache if scan_cache is not None else default_scan_cache()
-    base = len(PROTEIN) if is_protein else len(DNA)
-    t0 = time.perf_counter() if prof is not None else 0.0
-    provider = getattr(db, "scan_structures", None)
-    structs = provider(params.word_size, base) if provider else None
-    if structs is None:
-        structs = cache.get(db, params.word_size, base)
-    if prof is not None:
-        prof.add("pack", time.perf_counter() - t0)
-
-    t0 = time.perf_counter() if prof is not None else 0.0
-    groups = scan_fragment_batch(batch, structs)
-    if prof is not None:
-        prof.add("scan", time.perf_counter() - t0)
-
-    # Flat concatenation of every entry's oriented query, mirroring the
-    # fragment concatenation: one pair of flat arrays serves every
-    # (entry, subject) extension and the bulk gapped pass.
-    qlens = np.array([len(e[1]) for e in entries], dtype=np.int64)
-    qstarts = np.zeros(len(entries), dtype=np.int64)
-    np.cumsum(qlens[:-1], out=qstarts[1:])
-    qcat = np.concatenate([e[1] for e in entries])
-
-    jobs = _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                                ka, is_protein, spaces, identity_queries,
-                                qcat, qstarts, qlens) if groups else []
-    _finalize_candidates(jobs, qcat, structs.concat, scheme, params, ka)
-    per_q: Dict[int, Dict[int, List[HSP]]] = {}
-    for job in jobs:
-        if job.sink:
-            per_q.setdefault(job.qi, {}).setdefault(job.sid,
-                                                    []).extend(job.sink)
-    for qi, per_sid in per_q.items():
-        res = results[qi]
-        for sid in sorted(per_sid):
-            hsps = per_sid[sid]
-            hsps.sort(key=lambda h: (h.evalue, -h.score))
-            res.hits.append(Hit(
-                subject_id=sid,
-                description=db.description(sid),
-                subject_len=int(structs.lengths[sid]),
-                hsps=hsps[:params.max_hsps],
-                fragment_id=db.fragment_id,
-            ))
-        res.sort()
-    return results
+    batch = qcat = qstarts = qlens = None
+    if entries:
+        batch = QueryBatch(indexes)
+        if prof is not None:
+            prof.add("index", time.perf_counter() - t0)
+        qlens = np.array([len(e[1]) for e in entries], dtype=np.int64)
+        qstarts = np.zeros(len(entries), dtype=np.int64)
+        np.cumsum(qlens[:-1], out=qstarts[1:])
+        qcat = np.concatenate([e[1] for e in entries])
+    return PreparedQueries(
+        scheme=scheme, params=params, ka=ka, is_protein=is_protein,
+        query_ids=query_ids, query_lens=[len(q) for q in queries],
+        identity_queries=identity_queries, spaces=spaces, entries=entries,
+        batch=batch, qcat=qcat, qstarts=qstarts, qlens=qlens)
 
 
 #: An emit bound no score reaches (no E-value passes a negative cutoff).
@@ -732,25 +793,27 @@ def _emit_bound(ka: KarlinAltschul, params: SearchParams, m_eff: int,
     return _NO_SCORE if bound is None else bound
 
 
-def _bulk_groups_to_jobs(groups, entries, structs, scheme, params, ka,
-                         is_protein, spaces, identity_queries, qcat,
-                         qstarts, qlens) -> List[_GappedJob]:
+def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
+                         structs) -> List[_GappedJob]:
     """Steps 2-3 for every hit group of the batch at once.
 
     The whole hit stream is seeded with one grouped sort (two-hit for
     protein unless ``two_hit_window`` is 0, one-hit otherwise: read off
-    the search's inputs) and extended with one flat 2-D gather against
-    the query/subject concatenations (*qcat* with per-entry *qstarts*
-    offsets, ``structs.concat``).  A group whose best extension scores
-    under its query's :func:`_emit_bound` is dropped before anything
-    else: the coverage dedup only removes seeds, an untriggered
-    candidate is reported at its ungapped score and a triggered one
-    needs ``gapped_trigger``, so no candidate of it could be reported.
+    the search's inputs) and extended with one ``bulk_ungapped_extend``
+    call against the query/subject concatenations (``prepared.qcat``
+    with per-entry ``qstarts`` offsets, ``structs.concat``).  A group
+    whose best extension scores under its query's :func:`_emit_bound`
+    is dropped before anything else: the coverage dedup only removes
+    seeds, an untriggered candidate is reported at its ungapped score
+    and a triggered one needs ``gapped_trigger``, so no candidate of it
+    could be reported.
     The per-diagonal coverage dedup is then replayed per remaining
     group from the bulk extents; each group's surviving candidates
     become one :class:`_GappedJob`, in group order.
     """
     prof = current_profile()
+    params, entries = prepared.params, prepared.entries
+    spaces, qstarts, qlens = prepared.spaces, prepared.qstarts, prepared.qlens
     g_eid = np.array([g[0] for g in groups], dtype=np.int64)
     g_sid = np.array([g[1] for g in groups], dtype=np.int64)
     gid_of_hit = np.repeat(
@@ -760,7 +823,7 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params, ka,
     qp_all = np.concatenate([g[3] for g in groups])
 
     t0 = time.perf_counter() if prof is not None else 0.0
-    if is_protein and params.two_hit_window > 0:
+    if prepared.is_protein and params.two_hit_window > 0:
         sgid, sqp, ssp = two_hit_seeds_grouped(
             gid_of_hit, sp_all, qp_all, params.word_size,
             params.two_hit_window)
@@ -774,17 +837,17 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params, ka,
     seid = g_eid[sgid]
     ssid = g_sid[sgid]
     ll, ls, rl, rs = bulk_ungapped_extend(
-        qcat, structs.concat,
+        prepared.qcat, structs.concat,
         qstarts[seid] + sqp, structs.starts[ssid] + ssp,
         np.minimum(sqp, ssp),
         np.minimum(qlens[seid] - sqp, structs.lengths[ssid] - ssp),
-        scheme, xdrop=params.xdrop_ungapped)
+        prepared.scheme, xdrop=params.xdrop_ungapped)
     if prof is not None:
         prof.add("extend", time.perf_counter() - t0)
 
     # sgid is group-major; per-group seed slices by binary search.
     bounds = np.searchsorted(sgid, np.arange(len(groups) + 1))
-    emit_bound = np.array([_emit_bound(ka, params, *spaces[e[0]])
+    emit_bound = np.array([_emit_bound(prepared.ka, params, *spaces[e[0]])
                            for e in entries], dtype=np.int64)
     seeded = np.flatnonzero(bounds[1:] > bounds[:-1])
     if len(seeded):
@@ -825,7 +888,7 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params, ka,
             subject=structs.subject(sid), q_off=int(qstarts[eid]),
             s_off=int(structs.starts[sid]), candidates=cands, m_eff=m_eff,
             n_eff=n_eff, strand=strand,
-            identity_query=identity_queries[qi]))
+            identity_query=prepared.identity_queries[qi]))
     if prof is not None and skipped:
         prof.count("seeds_skipped", skipped)
     return jobs

@@ -195,8 +195,9 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
 def _serial_batch_results(program: str, db, queries, params):
     """All queries of a serial blastn/blastp invocation through one
     database pass, scored with the program's defaults: one
-    :func:`repro.blast.search.search_batch` over an in-RAM database,
-    one per fragment over a mmapped pack store (opened once)."""
+    :func:`repro.blast.search.search_batch` over an in-RAM database, one
+    :func:`repro.exec.diskpack.search_store_batch` over a mmapped pack
+    store (opened once, its queries prepared once for every pack)."""
     from repro.blast.alphabet import encode_dna, encode_protein
     from repro.blast.programs import program_defaults
     from repro.blast.search import search_batch as serial_batch

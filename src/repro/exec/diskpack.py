@@ -71,11 +71,10 @@ import numpy as np
 from repro.blast.alphabet import DNA, PROTEIN, encode_dna, encode_protein
 from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.blast.scankernel import ScanStructures, build_scan_structures
+from repro.blast.profile import profiled
 from repro.blast.search import (SearchParams, SearchResults,
-                                merge_fragment_results, resolve_ka,
-                                search_batch)
+                                merge_fragment_results, prepare_queries)
 from repro.blast.seqdb import AA, NT, SequenceDB, plan_fragments
-from repro.blast.stats import effective_search_space
 from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec,
                             PackView, pack_layout, pack_spec)
 
@@ -799,39 +798,36 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
 
     Exactly the pool's statistics discipline, minus the pool: one
     whole-store Karlin–Altschul resolution and a whole-store effective
-    search space per query shared by every fragment, one
-    :func:`~repro.blast.search.search_batch` pass per fragment over a
-    zero-copy :class:`~repro.exec.shm.PackDB` view, then the same
-    source-id-globalizing merge per query.  The store is opened (and
-    CRC-verified) once, however many queries there are.
+    search space per query shared by every fragment.  The queries are
+    prepared once (:func:`~repro.blast.search.prepare_queries`: word
+    indexes, query batch, concatenation), each fragment is searched
+    with them over a zero-copy :class:`~repro.exec.shm.PackDB` view,
+    then the same source-id-globalizing merge runs per query.  The
+    store is opened (and CRC-verified) once, however many queries there
+    are.
     """
-    params = params or SearchParams()
     queries = [np.asarray(q, dtype=np.uint8) for q in queries]
     if query_ids is None:
         query_ids = ["query"] * len(queries)
-    ka = resolve_ka(scheme, params, store.seqtype == AA)
-    spaces = [effective_search_space(ka, len(q), store.total_residues,
-                                     len(store))
-              if params.effective_lengths
-              else (len(q), store.total_residues) for q in queries]
-
     by_pack: List[Dict[str, SearchResults]] = [{} for _ in queries]
     ids_by_name: Dict[str, List[int]] = {}
-    packs = store.open_packs()
-    try:
-        for pack in packs:
-            db = PackDB(pack)
-            found = search_batch(queries, db, scheme, params,
-                                 query_ids=query_ids, ka=ka,
-                                 both_strands=both_strands,
-                                 effective_spaces=spaces)
-            for per_query, res in zip(by_pack, found):
-                per_query[db.name] = res
-            ids_by_name[db.name] = list(pack.spec.source_ids)
-            del db, found
-    finally:
-        for pack in packs:
-            pack.close()
+    with profiled("search_store_batch", n_queries=len(queries)):
+        prepared = prepare_queries(
+            queries, scheme, params, is_protein=store.seqtype == AA,
+            db_size=(store.total_residues, len(store)),
+            query_ids=query_ids, both_strands=both_strands)
+        packs = store.open_packs()
+        try:
+            for pack in packs:
+                db = PackDB(pack)
+                found = prepared.search(db)
+                for per_query, res in zip(by_pack, found):
+                    per_query[db.name] = res
+                ids_by_name[db.name] = list(pack.spec.source_ids)
+                del db, found
+        finally:
+            for pack in packs:
+                pack.close()
     return [merge_fragment_results(
                 by_pack[qi], ids_by_name, query_id=query_ids[qi],
                 query_len=len(q), db_residues=store.total_residues,

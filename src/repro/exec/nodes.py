@@ -61,7 +61,10 @@ _FAULT_EXIT = 86
 # Worker side: one task-serving loop, one pack holder
 # ----------------------------------------------------------------------
 def execute_task(packs, jobs, qis, names, cache=None):
-    """Scan a fragment range for a query batch.
+    """Search a task's pack for its query batch.
+
+    One :func:`~repro.blast.search.search_batch` per name in *names*;
+    a pool task names one pack.
 
     *packs* maps pack name → ``(AttachedPack, PackDB)``, *jobs* maps
     query index → job spec.  Returns ``(pairs, elapsed, fragment_ids)``

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blast.alphabet import PROTEIN, encode_dna
+from repro.blast.extend import (_BULK_WINDOWS, _window_dtype,
+                                bulk_ungapped_extend)
 from repro.blast.gapped import banded_local_align
+from repro.blast.programs import program_defaults
 from repro.blast.score import BLOSUM62, NucleotideScore, ScoringScheme
 
 from oracle_gapped import banded_local_align as oracle_banded_local_align
@@ -85,6 +88,141 @@ def test_ungapped_self_alignment_is_full_length(s, pos):
 
 
 # ---------------------------------------------------------------- gapped
+# ------------------------------------- the bulk kernel vs the single seed
+
+#: Walk lengths around the window ladder's edges (nothing / one window
+#: / the other, either side of each) and one well past it.
+_AVAILS = [0, 1, 31, 32, 33, 63, 64, 65, 150]
+#: X-drops whose static bound puts both windows in int16; the 32-wide
+#: one in int16 and the 64-wide in int32; both in int32; the 32-wide in
+#: int32 and the 64-wide in int64; both in int64.
+_XDROPS = [0, 5, 20, 600, 5000, 40_000_000, 10 ** 9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["nt", "aa", "pssm"]),
+       xdrop=st.sampled_from(_XDROPS),
+       n_seeds=st.integers(1, 12),
+       mutation=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_bulk_extension_equals_oracle_per_seed(seed, kind, xdrop, n_seeds,
+                                               mutation):
+    """``bulk_ungapped_extend`` over many seeds at once returns, for
+    every seed and in each direction, what the oracle's single-seed
+    ``ungapped_extend`` returns: seeds whose walks end around 0, 31,
+    32, 33, 63, 64 and 65 positions out (the window ladder's edges) or
+    well past it, X-drops that put the windows in int16, int32 and
+    int64, subjects from identical to unrelated, under nt, BLOSUM62 and
+    a random PSSM (positions as the query).  Subjects sit in one flat
+    concatenation with sentinels, so a window that runs past a
+    subject's end reads its neighbour's bytes and must ignore them."""
+    rng = np.random.default_rng(seed)
+    qlen = 2 * max(_AVAILS) + 8
+    alphabet = 4 if kind == "nt" else 20
+    residues = rng.integers(0, alphabet, qlen).astype(np.uint8)
+    if kind == "nt":
+        scheme = NucleotideScore()
+        query = residues
+    elif kind == "aa":
+        scheme = ScoringScheme(BLOSUM62, 11, 1, PROTEIN)
+        query = residues
+    else:
+        pssm = rng.integers(-4, 5, (qlen, len(PROTEIN))).astype(np.int32)
+        pssm[np.arange(qlen), residues] += 6
+        scheme = ScoringScheme(pssm, 11, 1, PROTEIN)
+        query = np.arange(qlen)
+    sentinel = scheme.matrix.shape[1]
+    subjects, seeds = [], []
+    for _ in range(n_seeds):
+        a_l, a_r = (int(a) for a in rng.choice(_AVAILS, 2))
+        # min(qp, sp) == a_l on the left, len(subject) - sp == a_r on
+        # the right (the query is long enough not to bind first).
+        sp = a_l
+        qp = a_l + int(rng.integers(0, qlen - a_l - a_r + 1))
+        subject = residues[qp - sp:qp + a_r].copy()
+        hit = rng.random(len(subject)) < mutation
+        subject[hit] = rng.integers(0, alphabet, int(hit.sum()))
+        subjects.append(subject)
+        seeds.append((qp, sp))
+    starts = np.cumsum([0] + [len(s) + 1 for s in subjects[:-1]])
+    scat = np.concatenate([np.append(s, sentinel) for s in subjects]
+                          ).astype(np.uint8)
+    qp = np.array([q for q, _ in seeds], dtype=np.int64)
+    sp = np.array([s for _, s in seeds], dtype=np.int64)
+    slen = np.array([len(s) for s in subjects], dtype=np.int64)
+    ll, ls, rl, rs = bulk_ungapped_extend(
+        query, scat, qp, starts + sp, np.minimum(qp, sp),
+        np.minimum(qlen - qp, slen - sp), scheme, xdrop=xdrop)
+    for i, (q0, s0) in enumerate(seeds):
+        subject = subjects[i]
+        left = ungapped_extend(query[:q0], subject[:s0], q0, s0, scheme,
+                               xdrop=xdrop)
+        right = ungapped_extend(query[q0:], subject[s0:], 0, 0, scheme,
+                                xdrop=xdrop)
+        both = ungapped_extend(query, subject, q0, s0, scheme, xdrop=xdrop)
+        assert (int(ll[i]), int(ls[i])) == (left.length, left.score)
+        assert (int(rl[i]), int(rs[i])) == (right.length, right.score)
+        assert (q0 - int(ll[i]), int(ll[i] + rl[i]),
+                int(ls[i] + rs[i])) == (both.q_start, both.length,
+                                        both.score)
+
+
+def _peak_scheme(source: str, m: int):
+    """A two-letter scheme whose width bound ``max(smax, -smin,
+    xdrop + 1)`` is *m*, set by the matrix maximum, its minimum or the
+    X-drop; returns ``(scheme, xdrop)``."""
+    if source == "smax":
+        matrix, xdrop = [[m, -1], [-1, m]], 0
+    elif source == "smin":
+        matrix, xdrop = [[1, -m], [-m, 1]], 0
+    else:
+        matrix, xdrop = [[1, -1], [-1, 1]], m - 1
+    return ScoringScheme(np.array(matrix, dtype=np.int64), 5, 2, "ab"), xdrop
+
+
+@pytest.mark.parametrize("window", _BULK_WINDOWS)
+@pytest.mark.parametrize("source", ["smax", "smin", "xdrop"])
+@pytest.mark.parametrize("narrow,wide", [(np.int16, np.int32),
+                                         (np.int32, np.int64)])
+def test_window_width_boundaries(window, source, narrow, wide):
+    """A window runs in the narrowest integer type holding ``window x
+    max(smax, -smin, xdrop + 1)``: exactly at the narrow type's maximum
+    it stays narrow, one step of the bound past it is wide, whichever
+    of the three sets the bound."""
+    top = np.iinfo(narrow).max // window
+    scheme, xdrop = _peak_scheme(source, top)
+    assert _window_dtype(window, scheme, xdrop) == narrow
+    scheme, xdrop = _peak_scheme(source, top + 1)
+    assert _window_dtype(window, scheme, xdrop) == wide
+
+
+@pytest.mark.parametrize("narrow", [np.int16, np.int32])
+def test_window_scores_past_the_narrow_type(narrow):
+    """Past a type's boundary the window really is wider: a full
+    window of the top score sums beyond the narrow type's maximum and
+    comes back exact (a narrow cumulative sum would wrap negative)."""
+    window = _BULK_WINDOWS[0]
+    m = np.iinfo(narrow).max // window + 1
+    scheme, xdrop = _peak_scheme("smax", m)
+    seq = np.zeros(window, dtype=np.uint8)
+    ll, ls, rl, rs = bulk_ungapped_extend(
+        seq, seq, np.zeros(1, np.int64), np.zeros(1, np.int64),
+        np.zeros(1, np.int64), np.full(1, window, np.int64), scheme,
+        xdrop=xdrop)
+    assert ls[0] == ll[0] == 0
+    assert rl[0] == window and rs[0] == window * m > np.iinfo(narrow).max
+
+
+def test_program_defaults_extend_in_int16():
+    """blastn's and blastp's default X-drops under their matrices keep
+    both windows in int16."""
+    for program in ("blastn", "blastp"):
+        scheme, params = program_defaults(program)
+        for window in _BULK_WINDOWS:
+            assert _window_dtype(window, scheme,
+                                 params.xdrop_ungapped) == np.int16
+
+
 def test_gapped_exact_match():
     q = encode_dna("ACGTACGTACGTACGT")
     s = encode_dna("TTTTACGTACGTACGTACGTTTTT")

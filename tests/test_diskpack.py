@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.blast.alphabet import DNA, PROTEIN, encode_dna
 from repro.blast.scankernel import build_scan_structures
 from repro.blast.score import NucleotideScore, ProteinScore
-from repro.blast.search import SearchParams, search
+from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB, segment_db
 from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.cli import EXIT_INTEGRITY, main
@@ -32,7 +32,8 @@ from repro.exec.diskpack import (BUILD_DIR_PREFIX, FORMAT_VERSION, MAGIC,
                                  PackStore, PackStoreBuilder,
                                  build_pack_store, corrupt_pack_file,
                                  open_pack_count, search_store,
-                                 sweep_build_leftovers, write_pack)
+                                 search_store_batch, sweep_build_leftovers,
+                                 write_pack)
 from repro.exec.nodes import TokenPacks
 from repro.exec.shm import (_FIELDS, AttachedPack, PackDB, PackIntegrityError,
                             PackView, ShmRegistry, corrupt_segment,
@@ -156,6 +157,58 @@ def test_round_trip_property_random_corpora(tmp_path):
             got = search_store(q, store, scheme, params, query_id="q")
             want = search(q, db, scheme, params, query_id="q")
             assert dump(got) == dump(want), (seed, seqtype)
+
+
+@pytest.fixture
+def count_query_batches(monkeypatch):
+    """The sizes of the ``QueryBatch`` objects the driver constructs."""
+    import repro.blast.scankernel as scankernel_mod
+    search_mod = sys.modules["repro.blast.search"]
+    built = []
+
+    class Counted(scankernel_mod.QueryBatch):
+        def __init__(self, indexes):
+            built.append(len(indexes))
+            super().__init__(indexes)
+
+    monkeypatch.setattr(search_mod, "QueryBatch", Counted)
+    return built
+
+
+@pytest.mark.parametrize("seqtype", [NT, AA])
+@pytest.mark.parametrize("n_fragments", [1, 3, 8])
+def test_store_search_prepares_its_queries_once(tmp_path, seqtype,
+                                                n_fragments,
+                                                count_query_batches):
+    """A store search is one search: however many packs the store has,
+    its queries' word indexes go into one ``QueryBatch``, built once
+    (one entry per query orientation), and every query renders what an
+    in-RAM ``search_batch`` renders — a query shorter than the word
+    size included, which has no entry and no hits."""
+    rng = np.random.default_rng(300 + n_fragments)
+    if seqtype == NT:
+        db = random_nt_db(rng, 24, min_len=60)
+        params = SearchParams(word_size=11)
+        scheme, strands = NucleotideScore(), 2
+    else:
+        db = random_aa_db(rng, 24, min_len=40)
+        params = SearchParams(word_size=3, neighbor_threshold=11)
+        scheme, strands = ProteinScore(), 1
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=seqtype,
+                             n_fragments=n_fragments,
+                             word_size=params.word_size)
+    assert len(store.packs) == n_fragments
+    queries = [db.sequence(3)[:120].copy(),
+               db.sequence(0)[:params.word_size - 1].copy(),
+               db.sequence(len(db) - 2)[10:].copy()]
+    ids = ["long", "short", "tail"]
+    got = search_store_batch(queries, store, scheme, params, query_ids=ids,
+                             both_strands=seqtype == NT)
+    assert count_query_batches == [2 * strands]
+    want = search_batch(queries, db, scheme, params, query_ids=ids,
+                        both_strands=seqtype == NT)
+    assert [dump(r) for r in got] == [dump(r) for r in want]
+    assert got[1].hits == [] and got[0].hits and got[2].hits
 
 
 def test_empty_and_single_sequence_stores(tmp_path):
