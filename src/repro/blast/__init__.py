@@ -36,8 +36,8 @@ from repro.blast.score import (
 )
 from repro.blast.stats import KarlinAltschul, karlin_altschul_params
 from repro.blast.seqdb import SequenceDB, segment_db
-from repro.blast.gapped import (banded_local_align, bulk_banded_align,
-                                bulk_banded_score)
+from repro.blast.gapped import (banded_local_align, banded_local_align_many,
+                                bulk_banded_align, bulk_banded_score)
 from repro.blast.search import Hit, HSP, SearchParams, SearchResults, search
 from repro.blast.programs import blastall, blastn, blastp, blastx, tblastn, tblastx
 from repro.blast.psiblast import PSSM, PsiBlastResult, build_pssm, psiblast
@@ -92,6 +92,7 @@ __all__ = [
     "SearchResults",
     "SequenceDB",
     "banded_local_align",
+    "banded_local_align_many",
     "blastn",
     "bulk_banded_align",
     "bulk_banded_score",

@@ -29,35 +29,40 @@ gap could beat extending it, which the prefix maximum cannot see), and
 the open/extend traceback tie-break matches the scan's only for
 ``open > ext`` — so the vectorised pass runs exactly when
 ``gap_open > gap_extend`` (every standard scheme) and the reference
-scan loop handles the rest.  The scalar routine takes ``P`` with
-``np.maximum.accumulate``; the stacked sweep takes it in log-step
-doubling passes (``P[b] = max(P[b], P[b-k])`` for k = 1, 2, 4, ...
-while ``k < w``), each one elementwise maximum over a whole block —
+scan loop handles the rest.  The row-stacked sweep takes ``P`` with
+one ``np.maximum.accumulate`` along its rows' blocks; the band-major
+sweep takes it in log-step doubling passes (``P[b] = max(P[b],
+P[b-k])`` for k = 1, 2, 4, ... while ``k < w``), each one
+elementwise maximum over a whole block —
 exact, because max is associative and idempotent; on a ``(49, 600)``
 int16 block (numpy 2.4, one Xeon core) the six passes took 21 µs,
 ``accumulate`` along the band 107 µs.
 
-Three entry points share the DP:
+Three kernels share the DP:
 
-* :func:`banded_local_align` — one (query, subject, diag), full affine
-  traceback.  Rows whose entire band falls outside the subject (a
-  prefix and/or suffix of the row range, since the band's column
-  window moves one column per row) are never computed: an all-invalid
-  row resets the DP state to exactly the initial one (H = 0,
-  F = -inf), so clipping them changes nothing but the allocation size.
-  The sweep writes no pointers and takes no per-row maximum: it keeps
-  every H and F row, about ten ufunc calls a row (F three, H three,
-  the closed-form E four).  After it, one ``max(axis=1)`` finds the
-  first row holding the best cell, and the pointers of every row up to
-  it are recomputed from the stored rows in a handful of 2-D passes
-  (:func:`_derive_pointers`): the pre-E cell ``Hf = max(H_prev + s, 0,
-  F)`` is exact from the stored rows, the E update took a cell iff the
-  stored H exceeds it, and the E- and F-extended bits are the same
-  comparisons the per-row recurrences make.  With ``gap_open <=
-  gap_extend`` the sweep runs the E scan slot by slot and the
-  derivation replays it column by column over all rows.  The kernel it
-  replaced, which wrote three pointer matrices row by row, is the
-  oracle in ``tests/oracle_gapped.py``.
+* :func:`banded_local_align_many` — many (query, subject, diag)
+  problems, full affine traceback, in one row sweep:
+  :func:`banded_local_align` is its one-problem call.  A DP row of
+  every problem of a chunk is one contiguous flat array of ``2 * band
+  + 2``-slot blocks, so each recurrence is one ufunc call over the
+  whole row, whatever the number of problems.  Rows whose entire band
+  falls outside the subject (a prefix and/or suffix of the row range,
+  since the band's column window moves one column per row) are never
+  computed: an all-invalid row resets the DP state to exactly the
+  initial one (H = 0, F = -inf), so clipping them changes nothing but
+  the allocation size.  The sweep writes no pointers and takes no
+  per-row maximum: it keeps every H and F row, about ten ufunc calls a
+  row (F three, H three, the closed-form E four).  After it, per
+  problem, one ``max(axis=1)`` finds the first row holding the best
+  cell, and the pointers of every row up to it are recomputed from the
+  stored rows in a handful of 2-D passes (:func:`_derive_pointers`):
+  the pre-E cell ``Hf = max(H_prev + s, 0, F)`` is exact from the
+  stored rows, the E update took a cell iff the stored H exceeds it,
+  and the E- and F-extended bits are the same comparisons the per-row
+  recurrences make.  With ``gap_open <= gap_extend`` the sweep runs
+  the E scan slot by slot and the derivation replays it column by
+  column over all rows.  The per-row kernel that wrote three pointer
+  matrices row by row is the oracle in ``tests/oracle_gapped.py``.
 * :func:`bulk_banded_score` — many candidates at once, **score only**
   (no pointer matrices): the same recurrences stacked band-major, so
   each DP row of ``a`` still-active candidates is one contiguous
@@ -69,22 +74,27 @@ Three entry points share the DP:
   fits (:func:`_dp_width`: ``rows * max(smax, 0) + gap_open +
   gap_extend * w - min(smin, 0)``, with headroom — int16 for 350-row
   BLOSUM62 problems, int32 or int64 past that), which is exact, not a
-  setting.  It returns per candidate the best score and its end cell,
-  which is all the search driver needs to decide which candidates
-  deserve the (much more expensive) traceback pass.
-* :func:`bulk_banded_align` — the same stacked sweep, additionally
+  setting; the row-stacked sweep picks its type the same way.  It
+  returns per candidate the best score and its end cell, which is all
+  the search driver needs to decide which candidates deserve the
+  (much more expensive) traceback pass.
+* :func:`bulk_banded_align` — the same band-major sweep, additionally
   recording one packed pointer byte per cell, band-major like the DP
-  rows, and walking every candidate back: per candidate exactly the
-  scalar routine's :class:`GappedAlignment`.  The search driver runs
-  all survivors of the score pass through it in one call.
+  rows, and walking every candidate back: per candidate exactly what
+  :func:`banded_local_align_many` returns.  The search driver runs all
+  survivors of the score pass through it in one call.
 
-Both routes walk back with :func:`_walk_back` over the same packed
-pointer byte, reading each row's slots at that row's stride (1 for the
-scalar routine's row-major cells, the row's active count for the
-stacked ones).  Which problems reach a kernel at all is the driver's
-business: a group of candidates whose best ungapped score is under the
-emit bound (``repro.blast.search._emit_bound``) can report nothing, and
-is dropped before any gapped work is planned for it.
+Both layouts walk back with :func:`_walk_back` over the same packed
+pointer byte, slot b of row r at ``row_base[r] + row_stride[r] * b``
+(slot-major per problem for the row-stacked kernel, so a slot column
+has stride 1; the row's active count for the band-major ones).  A
+diagonal move keeps the slot, so the walk takes a whole run of them in
+one gather of that column.  Which problems reach a kernel at all is
+the driver's business: a group of candidates whose best ungapped score
+is under the emit bound (``repro.blast.search._emit_bound``) can
+report nothing, and is dropped before any gapped work is planned for
+it; below ``repro.blast.search._BULK_MIN_CANDIDATES`` problems a batch
+takes one row-stacked call, from there the two band-major passes.
 """
 
 from __future__ import annotations
@@ -136,70 +146,152 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
     ``identity_query`` supplies the residue letters for identity
     counting when *query* holds something else — PSI-BLAST passes
     position indices as *query* (so ``scheme.matrix`` is a PSSM) and
-    the actual residues here.
+    the actual residues here.  The one-problem call of
+    :func:`banded_local_align_many`.
     """
-    id_query = query if identity_query is None else identity_query
-    m = len(query)
-    n = len(subject)
-    if m == 0 or n == 0:
-        return GappedAlignment(0, 0, 0, 0, 0, 0, 0)
+    return banded_local_align_many(
+        query, subject, [0], [len(query)], [0], [len(subject)], [diag],
+        scheme, band, identity_query)[0]
+
+
+#: Row-state bound of :func:`banded_local_align_many`: a chunk of
+#: problems keeps H, F and the substitution score of every cell it
+#: sweeps, plus a validity byte — ``3 * d + 1`` bytes per (row, slot),
+#: ``d`` the chunk's DP integer width in bytes — so problems are swept
+#: at most ``_SWEEP_BYTES`` of it at a time.  Eight 568-row nt problems
+#: at the default band are 1.6 MB in int16.
+_SWEEP_BYTES = 1 << 22
+
+
+def banded_local_align_many(qcat: np.ndarray, scat: np.ndarray,
+                            q_off: np.ndarray, q_len: np.ndarray,
+                            s_off: np.ndarray, s_len: np.ndarray,
+                            diag: np.ndarray, scheme: ScoringScheme,
+                            band: int = 24,
+                            identity_qcat: Optional[np.ndarray] = None
+                            ) -> List[GappedAlignment]:
+    """Banded affine local alignments with traceback, many problems in
+    one row sweep (module docstring).
+
+    The candidate layout of :func:`bulk_banded_align`: problem ``c``
+    aligns ``qcat[q_off[c]:q_off[c]+q_len[c]]`` against
+    ``scat[s_off[c]:s_off[c]+s_len[c]]`` around diagonal ``diag[c]``,
+    and ``identity_qcat`` holds the residue letters at the offsets of
+    *qcat* when it holds PSSM positions.  Entry ``c`` of the result is
+    that problem's :class:`GappedAlignment`, whatever else shares the
+    sweep.  Problems are swept longest-first, in chunks of at most
+    :data:`_SWEEP_BYTES` of row state, each in the integer type
+    :func:`_dp_width` picks.
+    """
+    idcat = qcat if identity_qcat is None else identity_qcat
+    q_off, q_len, s_off, s_len, diag = _as_int64(q_off, q_len, s_off,
+                                                 s_len, diag)
     w = 2 * band + 1
+    W = w + 1
+    out = [GappedAlignment(0, 0, 0, 0, 0, 0, 0) for _ in range(len(diag))]
+    row_lo = np.maximum(1, 1 - diag - band)
+    row_hi = np.minimum(q_len, s_len - diag + band)
+    n_rows = np.where((q_len > 0) & (s_len > 0),
+                      np.maximum(0, row_hi - row_lo + 1), 0)
+    order = np.argsort(-n_rows, kind="stable")
+    order = order[n_rows[order] > 0].tolist()
+    while order:
+        rows = int(n_rows[order[0]])
+        dt, neg = _dp_width(rows, scheme, w)
+        per_problem = (rows + 1) * W * (3 * dt.itemsize + 1)
+        chunk = order[:max(1, _SWEEP_BYTES // per_problem)]
+        del order[:len(chunk)]
+        _align_chunk(chunk, rows, dt, neg, qcat, scat, idcat, q_off, q_len,
+                     s_off, s_len, diag, row_lo, n_rows, scheme, band, out)
+    return out
+
+
+def _align_chunk(chunk: List[int], rows: int, dt: np.dtype, neg: int,
+                 qcat: np.ndarray, scat: np.ndarray, idcat: np.ndarray,
+                 q_off: np.ndarray, q_len: np.ndarray, s_off: np.ndarray,
+                 s_len: np.ndarray, diag: np.ndarray, row_lo: np.ndarray,
+                 n_rows: np.ndarray, scheme: ScoringScheme, band: int,
+                 out: List[GappedAlignment]) -> None:
+    """One chunk of :func:`banded_local_align_many`: sweep *rows* rows
+    of every problem in *chunk* at once, then walk each back into
+    ``out[c]``.
+
+    Block k of a row is problem ``chunk[k]``; its slot w is the NEG
+    sentinel slot w - 1 reads as "slot b+1 of the previous row".  The
+    flat moves write into the internal sentinels, so with more than
+    one problem every row ends by refilling them.  The E prefix
+    maximum runs per block (the ``(problems, w + 1)`` reshape), and a
+    block's slot 0 opens its flat E from the previous block at the
+    sentinel's magnitude, so no gap crosses a problem boundary.  Every
+    problem sweeps *rows* rows; those past its own are swept on
+    clipped gathers and never read — its best cell is searched in its
+    own rows only.
+    """
+    w = 2 * band + 1
+    W = w + 1
+    n_prob = len(chunk)
+    n = n_prob * W - 1              # a row's cells but the last sentinel
     go = scheme.gap_open
     ge = scheme.gap_extend
-
-    # Row i's band covers subject columns [i+diag-band, i+diag+band];
-    # rows whose window lies entirely outside [1, n] form a prefix
-    # and/or suffix of 1..m.  A fully-invalid row is masked to H = 0,
-    # F = NEG — exactly the DP's initial state — so the leading ones
-    # can be skipped and the trailing ones can never improve the best
-    # cell: only rows [row_lo, row_hi] are computed and allocated.
-    # Short diagonals near sequence edges stop paying full-length DP.
-    row_lo = max(1, 1 - diag - band)
-    row_hi = min(m, n - diag + band)
-    if row_lo > row_hi:
-        return GappedAlignment(0, 0, 0, 0, 0, 0, 0)
-    n_rows = row_hi - row_lo + 1
-
-    band_arange = np.arange(w)
-    slot_ge = ge * band_arange
+    slot_ge = ge * np.arange(w)
     # A one-slot band (band=0) has no within-row gap: the slot loop is
     # then a no-op, and the closed form needs a second slot.
     vector_scan = go > ge and w > 1
 
-    # Per-row substitution gathers and validity masks, computed in one
-    # shot: DP row row_lo + r uses row r of each.
-    cols = (np.arange(row_lo, row_hi + 1)[:, None] + (diag - band)
-            + band_arange)
-    valid = (cols >= 1) & (cols <= n)
-    sub = scheme.matrix[query[row_lo - 1:row_hi][:, None],
-                        subject.astype(np.intp)[np.clip(cols - 1, 0, n - 1)]
-                        ].astype(np.int64)
-
-    # Row r + 1 of Hs / Fs is DP row row_lo + r, row 0 the initial state
-    # (H = 0, F = NEG).  Slot w is a NEG column no row writes: it is
-    # what slot w-1 reads as "slot b+1 of the previous row".
-    Hs = np.zeros((n_rows + 1, w + 1), dtype=np.int64)
-    Hs[:, w] = NEG
-    Fs = np.full((n_rows + 1, w + 1), NEG, dtype=np.int64)
+    # Per-row substitution gathers and validity, one block per problem:
+    # sweep row t of problem c is DP row row_lo[c] + t.  Rows past the
+    # problem's own gather its last query residue and clipped subject
+    # columns and are never masked; the sentinel slots stay valid.
+    sub = np.zeros((rows, n_prob * W), dtype=dt)
+    valid = np.ones((rows, n_prob * W), dtype=bool)
+    t_all = np.arange(rows)
+    for k, c in enumerate(chunk):
+        nr, lo, m, ns = (int(n_rows[c]), int(row_lo[c]), int(q_len[c]),
+                         int(s_len[c]))
+        cols = t_all[:, None] + (lo + int(diag[c]) - band) + np.arange(w)
+        qi = np.minimum(t_all + (lo - 1), m - 1) + int(q_off[c])
+        block = slice(k * W, k * W + w)
+        valid[:nr, block] = (cols[:nr] >= 1) & (cols[:nr] <= ns)
+        sub[:, block] = scheme.matrix[
+            qcat[qi][:, None],
+            scat[np.clip(cols - 1, 0, ns - 1) + int(s_off[c])].astype(
+                np.intp)]
+    valid = valid[:, :n]
     masks = {r: ~valid[r]
              for r in np.flatnonzero(~valid.all(axis=1)).tolist()}
-    # Constant operands as arrays: a Python-int operand costs a ufunc
-    # call about twice an array's.
-    zero = np.zeros(w, dtype=np.int64)
-    go_row = np.full(w, go, dtype=np.int64)
-    ge_row = np.full(w, ge, dtype=np.int64)
-    open_cost = go + slot_ge[:-1]
-    F_open = np.empty(w, dtype=np.int64)
-    T = np.empty(w, dtype=np.int64)
-    P = np.empty(w, dtype=np.int64)
-    P_head = P[:-1]
-    E = np.empty(w - 1, dtype=np.int64)
+
+    # Row t + 1 of Hs / Fs is sweep row t, row 0 the initial state
+    # (H = 0, F = NEG); every block's slot w is the NEG sentinel.
+    Hs = np.zeros((rows + 1, n_prob * W), dtype=dt)
+    Hs[:, w::W] = neg
+    Fs = np.full((rows + 1, n_prob * W), neg, dtype=dt)
+    # Constant operands as arrays, tiled per block: a Python-int operand
+    # costs a ufunc call about twice an array's.  A block's first slot
+    # opens its E from the previous block's sentinel at -neg, so no E
+    # it can form beats the H = 0 floor.
+    zero = np.zeros(n, dtype=dt)
+    go_row = np.full(n, go, dtype=dt)
+    ge_row = np.full(n, ge, dtype=dt)
+    tilt = np.tile(np.append(slot_ge, 0), n_prob)[:n].astype(dt)
+    open_cost = np.tile(np.append(go + slot_ge[:-1], [0, -neg]),
+                        n_prob)[:n - 1].astype(dt)
+    F_open = np.empty(n, dtype=dt)
+    T = np.empty(n_prob * W, dtype=dt)
+    P = np.empty(n_prob * W, dtype=dt)
+    T_blocks = T.reshape(n_prob, W)
+    P_blocks = P.reshape(n_prob, W)
+    T_row = T[:n]
+    P_head = P[:n - 1]
+    E = np.empty(n - 1, dtype=dt)
 
     # The sweep: scores only, no pointers and no per-row maximum.  Row
-    # r reads row r of Hs / Fs and writes row r + 1 (views, one per row).
-    for r, (H, F, H_tail, up_H, up_F, diag_H, sub_r) in enumerate(zip(
-            Hs[1:, :w], Fs[1:, :w], Hs[1:, 1:w], Hs[:-1, 1:], Fs[:-1, 1:],
-            Hs[:-1, :w], sub)):
+    # t reads row t of Hs / Fs and writes row t + 1 (views, one per
+    # row; the internal sentinels' views are empty with one problem).
+    for r, (H, F, H_tail, up_H, up_F, diag_H, sub_r, H_sent,
+            F_sent) in enumerate(zip(
+                Hs[1:, :n], Fs[1:, :n], Hs[1:, 1:n], Hs[:-1, 1:n + 1],
+                Fs[:-1, 1:n + 1], Hs[:-1, :n], sub[:, :n],
+                Hs[1:, w:n:W], Fs[1:, w:n:W])):
         # F: gap in subject, from slot b+1 of the previous row.
         np.subtract(up_H, go_row, out=F_open)
         np.subtract(up_F, ge_row, out=F)
@@ -207,45 +299,59 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
         np.add(diag_H, sub_r, out=H)
         np.maximum(H, zero, out=H)
         np.maximum(H, F, out=H)
-        # E: gap in query, within the row (module docstring).
+        # E: gap in query, within each block (module docstring).
         if vector_scan:
-            np.add(H, slot_ge, out=T)
-            np.maximum.accumulate(T, out=P)
+            np.add(H, tilt, out=T_row)
+            np.maximum.accumulate(T_blocks, axis=1, out=P_blocks)
             np.subtract(P_head, open_cost, out=E)
             np.maximum(H_tail, E, out=H_tail)
         else:
             h = H.tolist()
-            e = NEG
-            for b in range(1, w):
-                e = max(h[b - 1] - go, e - ge)
-                if e > h[b]:
-                    h[b] = e
+            for b0 in range(0, n, W):
+                e = neg
+                for b in range(b0 + 1, b0 + w):
+                    e = max(h[b - 1] - go, e - ge)
+                    if e > h[b]:
+                        h[b] = e
             H[:] = h
         if r in masks:
             invalid = masks[r]
             H[invalid] = 0
-            F[invalid] = NEG
+            F[invalid] = neg
+        if n_prob > 1:
+            H_sent.fill(neg)
+            F_sent.fill(neg)
 
-    # The first row holding the best cell, and its first slot holding it
-    # (the per-row kernel kept a cell only on a strict improvement).
-    H_all = Hs[1:, :w]
-    row_best = H_all.max(axis=1)
-    r_best = int(np.argmax(row_best))
-    best = int(row_best[r_best])
-    if best <= 0:
-        return GappedAlignment(0, 0, 0, 0, 0, 0, 0)
-    cells = _derive_pointers(Hs[:r_best + 2], Fs[:r_best + 2],
-                             sub[:r_best + 1], valid[:r_best + 1],
-                             go, ge, slot_ge, vector_scan)
-    q_end = row_lo + r_best
-    b_end = int(np.argmax(H_all[r_best]))
-    i, j, identities, ops = _walk_back(
-        memoryview(cells.reshape(-1)), range(0, (r_best + 1) * w, w),
-        [1] * (r_best + 1), 0, w,
-        row_lo, q_end, b_end, diag - band, id_query, -1, subject, -1)
-    return GappedAlignment(
-        q_start=i, q_end=q_end, s_start=j, s_end=q_end + diag - band + b_end,
-        score=best, identities=identities, align_len=len(ops), ops=ops)
+    # Per problem, the first of its own rows holding its best cell, and
+    # the first slot holding it there (the per-row kernel kept a cell
+    # only on a strict improvement).
+    row_best = Hs[1:].reshape(rows, n_prob, W)[:, :, :w].max(axis=2)
+    for k, c in enumerate(chunk):
+        nr = int(n_rows[c])
+        r_best = int(np.argmax(row_best[:nr, k]))
+        best = int(row_best[r_best, k])
+        if best <= 0:
+            continue
+        slots = slice(k * W, k * W + w)
+        with_sentinel = slice(k * W, k * W + W)
+        cells = _derive_pointers(Hs[:r_best + 2, with_sentinel],
+                                 Fs[:r_best + 2, with_sentinel],
+                                 sub[:r_best + 1, slots],
+                                 valid[:r_best + 1, slots],
+                                 go, ge, slot_ge, vector_scan)
+        lo = int(row_lo[c])
+        col0 = int(diag[c]) - band
+        q_end = lo + r_best
+        b_end = int(np.argmax(Hs[r_best + 1, slots]))
+        # Slot-major, so a slot column of the walk is contiguous.
+        n_ptr = r_best + 1
+        i, j, identities, ops = _walk_back(
+            np.ascontiguousarray(cells.T).reshape(-1), np.arange(n_ptr),
+            np.full(n_ptr, n_ptr), 0, w, lo, q_end, b_end, col0, idcat,
+            int(q_off[c]) - 1, scat, int(s_off[c]) - 1)
+        out[c] = GappedAlignment(
+            q_start=i, q_end=q_end, s_start=j, s_end=q_end + col0 + b_end,
+            score=best, identities=identities, align_len=len(ops), ops=ops)
 
 
 def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
@@ -298,7 +404,8 @@ def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
     return cells
 
 
-def _walk_back(cells: memoryview, row_base, row_stride, cand: int, w: int,
+def _walk_back(cells: np.ndarray, row_base: np.ndarray,
+               row_stride: np.ndarray, cand: int, w: int,
                row_lo: int, i: int, b: int, col0: int,
                qseq: np.ndarray, q_base: int, sseq: np.ndarray, s_base: int
                ) -> Tuple[int, int, int, str]:
@@ -309,6 +416,12 @@ def _walk_back(cells: memoryview, row_base, row_stride, cand: int, w: int,
     among the aligned pairs (query row i is ``qseq[q_base + i]``,
     subject column j ``sseq[s_base + j]``) and the ops string.
 
+    A diagonal move keeps the slot, so a run of them is consumed in one
+    step: it ends under the last non-DIAG code of the slot's column
+    above it, read in one gather, whose code the walk takes next; the
+    run's identities are counted on its query and subject slices.  Gap
+    moves are taken one cell at a time.
+
     Pointer rows exist only for ``[row_lo, ...]``; rows below row_lo
     are all-_STOP in the unclipped DP (fully invalid), so stepping
     under row_lo ends the walk exactly where reading their codes would
@@ -317,28 +430,34 @@ def _walk_back(cells: memoryview, row_base, row_stride, cand: int, w: int,
     gap-open — and E stays within its row.)
     """
     j = i + col0 + b
-    m_rows: List[int] = []
-    m_cols: List[int] = []
+    identities = 0
     ops_rev: List[str] = []
     state = "H"
     while i >= row_lo and 0 <= b < w:
         r = i - row_lo
-        cell = cells[row_base[r] + row_stride[r] * b + cand]
+        cell = int(cells[row_base[r] + row_stride[r] * b + cand])
         if state == "H":
             code = cell & _CODE_MASK
+            if code == _DIAG:
+                # The run, same slot, down to the first non-DIAG code
+                # above it, whose move the walk takes next.
+                column = cells[row_base[:r] + row_stride[:r] * b + cand] \
+                    & _CODE_MASK
+                stops = np.flatnonzero(column != _DIAG)
+                stop = int(stops[-1]) if len(stops) else -1
+                run = r - stop
+                identities += int(np.count_nonzero(
+                    qseq[q_base + i - run + 1:q_base + i + 1]
+                    == sseq[s_base + j - run + 1:s_base + j + 1]))
+                ops_rev.append("M" * run)
+                i -= run
+                j -= run
+                if stop < 0:
+                    break
+                code = int(column[stop])
             if code == _STOP:
                 break
-            if code == _DIAG:
-                m_rows.append(i)
-                m_cols.append(j)
-                ops_rev.append("M")
-                i -= 1
-                j -= 1
-                # same slot
-            elif code == _FROM_F:
-                state = "F"
-            else:
-                state = "E"
+            state = "F" if code == _FROM_F else "E"
         elif state == "F":
             # consume one query residue (gap in subject)
             ops_rev.append("D")
@@ -350,9 +469,7 @@ def _walk_back(cells: memoryview, row_base, row_stride, cand: int, w: int,
             j -= 1
             b -= 1
             state = "E" if cell & _E_EXT else "H"
-    same = (qseq[np.array(m_rows, dtype=np.intp) + q_base]
-            == sseq[np.array(m_cols, dtype=np.intp) + s_base])
-    return i, j, int(np.count_nonzero(same)), "".join(reversed(ops_rev))
+    return i, j, identities, "".join(reversed(ops_rev))
 
 
 #: Candidate-chunk bound of the bulk score pass.  A chunk's scratch is
@@ -695,9 +812,6 @@ def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
     out = [GappedAlignment(0, 0, 0, 0, 0, 0, 0) for _ in range(len(diag))]
     for ch in _bulk_sweep(qcat, scat, q_off, q_len, s_off, s_len, diag,
                           scheme, band, _BULK_ALIGN_CANDIDATES, True):
-        cells = memoryview(ch.ptr)
-        row_base = ch.row_base.tolist()
-        active = ch.active.tolist()
         per_cand = zip(*(a.tolist() for a in (ch.idx, ch.row_lo, ch.best,
                                               ch.best_i, ch.best_j)))
         for k, (c, row_lo, score, q_end, s_end) in enumerate(per_cand):
@@ -705,7 +819,7 @@ def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
                 continue
             col0 = int(diag[c]) - band
             i, j, identities, ops = _walk_back(
-                cells, row_base, active, k, w, row_lo, q_end,
+                ch.ptr, ch.row_base, ch.active, k, w, row_lo, q_end,
                 s_end - q_end - col0, col0, idcat, int(q_off[c]) - 1, scat,
                 int(s_off[c]) - 1)
             out[c] = GappedAlignment(

@@ -6,7 +6,8 @@ line to stderr with per-stage wall times — pack, index, scan, seed,
 extend, gapped_bulk (the batched score-only gapped pass), gapped (the
 pointer-matrix tracebacks: on the bulk route the one stacked
 ``bulk_banded_align`` call over all survivors, on the scalar route
-each ``banded_local_align``) — plus counters.  ``seeds_skipped``
+the one ``banded_local_align_many`` call over every problem) — plus
+counters.  ``seeds_skipped``
 counts the seeds the per-diagonal coverage replay dropped, in the
 groups that reach the replay: a group whose best extension scores
 under the emit bound (``search._emit_bound``) is dropped whole before

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
 from repro.blast.extend import UngappedHSP, bulk_ungapped_extend
-from repro.blast.gapped import (GappedAlignment, banded_local_align,
+from repro.blast.gapped import (GappedAlignment, banded_local_align_many,
                                 bulk_banded_align, bulk_banded_score)
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
@@ -283,22 +283,25 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
-#: Below this many gapped DP problems the scalar kernels win: the
-#: bulk route sweeps every triggered diagonal score-only and the
-#: survivors once more with pointers, and a stacked row costs more
-#: numpy dispatch than a scalar one until enough problems share it.
-#: Measured through ``search`` on subjects that are each a mutated
-#: copy of the query (scalar / bulk route, gapped stages, ms, medians
-#: of nine interleaved pairs, with the band-major int16 sweep): 568-row
-#: nt problems 50.7 / 62.3 at 12, 89.3 / 78.6 at 16, 101.1 / 71.3 at
-#: 20; 350-row protein problem sets (a homolog plus chance diagonals
-#: per subject) 37.1 / 39.4 at 20, 102.3 / 75.7 at 29 — the crossover
-#: is about 16 to 20 for nt and 20 to 29 for protein, and 24 sits
-#: between the two.  No benchmark workload is near it: an nt search
-#: plans one problem per query, at most 8 per pool task, and a blastp
-#: search hundreds.  The routing only picks which kernels fill
-#: ``alns``; it is invisible in output: both are exact.
-_BULK_MIN_CANDIDATES = 24
+#: Below this many gapped DP problems the row-stacked kernel wins:
+#: the bulk route sweeps every triggered diagonal score-only and the
+#: survivors once more with pointers, band-major, where the
+#: row-stacked one sweeps every problem once, as flat rows, and derives
+#: pointers only up to each problem's best row.  Measured through
+#: ``search`` on subjects that are each a mutated copy of the query
+#: (row-stacked / bulk route, gapped stages, ms, medians of nine
+#: interleaved pairs): 568-row nt problems 27.7 / 58.6 at 24, 61.4 /
+#: 71.5 at 48, 91.7 / 107.3 at 64, 99.7 / 96.2 at 96, 132.8 / 96.9 at
+#: 128; 350-row protein problem sets (a homolog plus chance diagonals
+#: per subject) 32.7 / 60.4 at 39, 39.8 / 46.3 at 69, 62.4 / 60.7 at
+#: 99, 91.6 / 63.9 at 139 — the crossover is about 64 to 96 for nt and
+#: 69 to 99 for protein, and 64 is never slower than the previous
+#: routing (24, one scalar sweep per problem below it) on either.  No
+#: benchmark workload is near it: an nt search plans about four
+#: problems per query, at most 8 per pool task, and a blastp search
+#: hundreds.  The routing only picks which kernels fill ``alns``: both
+#: are exact.
+_BULK_MIN_CANDIDATES = 64
 
 
 @dataclass
@@ -349,8 +352,10 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
 
     Only *which kernels fill* ``alns`` is routed: the stacked passes of
     :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` problems
-    up; below that (typical blastn) one scalar kernel call per problem,
-    which measures faster there.  All exact.
+    up; below that (typical blastn) one
+    :func:`~repro.blast.gapped.banded_local_align_many` call, one row
+    sweep over every problem, which measures faster there.  All
+    exact.
     """
     prof = current_profile()
 
@@ -378,10 +383,9 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
                                 params, ka)
     elif problems:
         t0 = time.perf_counter() if prof is not None else 0.0
-        for ei, (job, diag) in enumerate(problems):
-            alns[ei] = banded_local_align(
-                job.query, job.subject, diag, scheme,
-                band=params.band, identity_query=job.identity_query)
+        alns = dict(enumerate(banded_local_align_many(
+            qcat, scat, *_problem_arrays(problems), scheme,
+            band=params.band, identity_qcat=_identity_qcat(jobs, qcat))))
         if prof is not None:
             prof.add("gapped", time.perf_counter() - t0)
     if prof is not None and problems:
@@ -406,10 +410,7 @@ def _bulk_alignments(jobs: List[_GappedJob], plans: List[_Plan],
     then :func:`~repro.blast.gapped.bulk_banded_align` over those whose
     alignment can still matter (:func:`_traceback_survivors`)."""
     prof = current_profile()
-    q_off, q_len, s_off, s_len, diag = np.array(
-        [(job.q_off, len(job.query), job.s_off, len(job.subject), diag)
-         for job, diag in problems],
-        dtype=np.int64).T
+    q_off, q_len, s_off, s_len, diag = _problem_arrays(problems)
 
     t0 = time.perf_counter() if prof is not None else 0.0
     scores, _qends, sends = bulk_banded_score(
@@ -422,21 +423,36 @@ def _bulk_alignments(jobs: List[_GappedJob], plans: List[_Plan],
     for job, plan in zip(jobs, plans):
         _traceback_survivors(job, plan, scores, sends, params, ka, survivors)
     sel = np.array(list(survivors), dtype=np.int64)
-    identity_qcat = None
-    if any(job.identity_query is not None for job in jobs):
-        identity_qcat = qcat.copy()
-        for job in jobs:
-            if job.identity_query is not None:
-                identity_qcat[job.q_off:job.q_off + len(job.query)] = \
-                    job.identity_query
     t0 = time.perf_counter() if prof is not None else 0.0
     alns = dict(zip(survivors, bulk_banded_align(
         qcat, scat, q_off[sel], q_len[sel], s_off[sel], s_len[sel],
         diag[sel], scheme, band=params.band,
-        identity_qcat=identity_qcat)))
+        identity_qcat=_identity_qcat(jobs, qcat))))
     if prof is not None:
         prof.add("gapped", time.perf_counter() - t0)
     return alns
+
+
+def _problem_arrays(problems: List[_Problem]) -> np.ndarray:
+    """The gapped DP problems in the kernels' flat layout: rows
+    ``q_off``, ``q_len``, ``s_off``, ``s_len`` and ``diag``."""
+    return np.array([(job.q_off, len(job.query), job.s_off,
+                      len(job.subject), diag) for job, diag in problems],
+                    dtype=np.int64).T
+
+
+def _identity_qcat(jobs: List[_GappedJob],
+                   qcat: np.ndarray) -> Optional[np.ndarray]:
+    """*qcat* with each PSSM group's query letters at its offsets (the
+    kernels' ``identity_qcat``), or ``None`` when no group has any."""
+    if all(job.identity_query is None for job in jobs):
+        return None
+    identity_qcat = qcat.copy()
+    for job in jobs:
+        if job.identity_query is not None:
+            identity_qcat[job.q_off:job.q_off + len(job.query)] = \
+                job.identity_query
+    return identity_qcat
 
 
 def _traceback_survivors(job: _GappedJob, plan: _Plan,

@@ -50,19 +50,3 @@ def six_frames(dna: np.ndarray) -> List[Tuple[int, np.ndarray]]:
         out.append((-(f + 1), translate(rc, f)))
     return out
 
-
-def protein_to_dna_coords(p_start: int, p_end: int, frame: int,
-                          dna_len: int) -> Tuple[int, int]:
-    """Map a protein-coordinate range back to DNA coordinates.
-
-    ``p_start``/``p_end`` are 0-based, end-exclusive protein positions in
-    the given frame's translation.  Returns 0-based, end-exclusive DNA
-    coordinates on the forward strand.
-    """
-    if frame > 0:
-        off = frame - 1
-        return off + 3 * p_start, off + 3 * p_end
-    off = -frame - 1
-    # positions counted from the reverse-complement start
-    rc_start, rc_end = off + 3 * p_start, off + 3 * p_end
-    return dna_len - rc_end, dna_len - rc_start

@@ -120,9 +120,10 @@ def test_search_library_has_one_gapped_algorithm():
     """The banded DP is the one gapped algorithm: ``SearchParams`` has
     no method switch, no module or function of the X-drop gapped
     extension exists in the library or the oracle, and each gapped
-    kernel is called from one place in the library — the scalar one by
-    the candidate finalizer, the two stacked passes by the bulk
-    route."""
+    kernel is called from one place in the library — the row-stacked
+    one by the candidate finalizer (and by its own one-problem
+    spelling, which nothing in the library calls), the two band-major
+    passes by the bulk route."""
     from repro.blast.search import SearchParams
 
     assert "gapped_method" not in {f.name for f in
@@ -136,8 +137,10 @@ def test_search_library_has_one_gapped_algorithm():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "xdrop_gapped_extend" not in defined
     del trees["tests/oracle_search.py"]
-    assert _call_sites(trees, "banded_local_align") == [
+    assert _call_sites(trees, "banded_local_align_many") == [
+        "src/repro/blast/gapped.py:banded_local_align",
         "src/repro/blast/search.py:_finalize_candidates"]
+    assert _call_sites(trees, "banded_local_align") == []
     for kernel in ("bulk_banded_score", "bulk_banded_align"):
         assert _call_sites(trees, kernel) == [
             "src/repro/blast/search.py:_bulk_alignments"]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.blast.alphabet import PROTEIN, encode_dna
 from repro.blast.extend import (_BULK_WINDOWS, _window_dtype,
                                 bulk_ungapped_extend)
-from repro.blast.gapped import banded_local_align
+from repro.blast import gapped as gapped_mod
+from repro.blast.gapped import banded_local_align, banded_local_align_many
 from repro.blast.programs import program_defaults
 from repro.blast.score import BLOSUM62, NucleotideScore, ScoringScheme
 
@@ -478,4 +479,80 @@ def test_banded_kernel_equals_oracle_kernel(seed, gaps, band, kind, m, n,
                              identity_query=identity_query)
     want = oracle_banded_local_align(query, subject, diag, scheme, band=band,
                                      identity_query=identity_query)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_prob=st.integers(1, 12),
+       gaps=st.sampled_from([(5, 2), (11, 1), (3, 3), (1, 1), (2, 5)]),
+       band=st.integers(0, 40),
+       kind=st.sampled_from(["nt", "aa", "pssm"]),
+       budget=st.sampled_from([None, 1, 30_000]))
+def test_many_problem_sweep_equals_oracle_per_problem(seed, n_prob, gaps,
+                                                      band, kind, budget):
+    """One row sweep over 1-12 problems returns, for each, what the
+    per-row oracle kernel returns for that problem alone, field for
+    field: mixed query and subject lengths, subjects shorter than the
+    band, diagonals at both edges of the sequences (rows clip, cells
+    mask), bands 0-40, ``gap_open`` above, equal to and below
+    ``gap_extend``, nt, BLOSUM62 and a random PSSM with
+    ``identity_qcat`` — swept as one chunk, one problem a chunk, or a
+    few.  Mixed lengths put the rows past a short problem's own into
+    the sweep, and planted homology ending at the query's end makes
+    those rows score."""
+    rng = np.random.default_rng(seed)
+    go, ge = gaps
+    alphabet = 4 if kind == "nt" else 20
+    if kind == "nt":
+        scheme = NucleotideScore(match=int(rng.integers(1, 4)),
+                                 mismatch=-int(rng.integers(1, 4)),
+                                 gap_open=go, gap_extend=ge)
+    elif kind == "aa":
+        scheme = ScoringScheme(BLOSUM62, go, ge, PROTEIN)
+    else:
+        pssm = rng.integers(-4, 9, (80, len(PROTEIN))).astype(np.int32)
+        scheme = ScoringScheme(pssm, go, ge, PROTEIN)
+    queries, residues, subjects, diags = [], [], [], []
+    for _ in range(n_prob):
+        m = int(rng.integers(1, 80))
+        n = int(rng.integers(1, max(2, band) + 1) if rng.random() < 0.3
+                else rng.integers(1, 90))
+        res = rng.integers(0, alphabet, m).astype(np.uint8)
+        subject = rng.integers(0, alphabet, n).astype(np.uint8)
+        if rng.random() < 0.6:         # homology, maybe with an indel
+            at = int(rng.integers(0, n))
+            k = min(m, n - at)
+            subject[at:at + k] = res[m - k:]
+            subject[at::7] = rng.integers(0, alphabet, len(subject[at::7]))
+            if k > 4 and rng.random() < 0.5:
+                cut = at + int(rng.integers(1, k - 1))
+                subject = np.delete(subject, range(cut, cut + 2))
+                n = len(subject)
+            diag = at - (m - k)
+        else:
+            edge = rng.integers(0, 3)
+            diag = (-m - band + 1 + int(rng.integers(-3, 4)) if edge == 0
+                    else n + band - 1 + int(rng.integers(-3, 4)) if edge == 1
+                    else int(rng.integers(-m, n + 1)))
+        queries.append(np.arange(m) if kind == "pssm" else res)
+        residues.append(res)
+        subjects.append(subject)
+        diags.append(diag)
+    q_len = [len(q) for q in queries]
+    s_len = [len(s) for s in subjects]
+    q_off = np.concatenate([[0], np.cumsum(q_len)[:-1]])
+    s_off = np.concatenate([[0], np.cumsum(s_len)[:-1]])
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(gapped_mod, "_SWEEP_BYTES", budget)
+        got = banded_local_align_many(
+            np.concatenate(queries), np.concatenate(subjects), q_off, q_len,
+            s_off, s_len, diags, scheme, band=band,
+            identity_qcat=(np.concatenate(residues) if kind == "pssm"
+                           else None))
+    want = [oracle_banded_local_align(
+        q, s, d, scheme, band=band,
+        identity_query=res if kind == "pssm" else None)
+        for q, res, s, d in zip(queries, residues, subjects, diags)]
     assert got == want

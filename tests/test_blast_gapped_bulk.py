@@ -16,12 +16,13 @@ checks:
    skips, the per-subject cap) never changes the rendered output:
    full result dumps and tabular text match the scalar path (forced
    by raising the driver's ``_BULK_MIN_CANDIDATES`` routing threshold
-   out of reach) through ``search``, ``search_batch`` (two-hit and
-   one-hit seeding), the process pool at two jobs, and the PSI-BLAST
-   PSSM rounds.  Both routes replay one plan through one candidate
-   loop, so what differs between them is the DP kernels only; the
-   code-disjoint comparison is the per-sequence oracle
-   (``search_reference``), which the seeding and cap cases use.
+   out of reach; the stacked side lowers it to 1) through ``search``,
+   ``search_batch`` (two-hit and one-hit seeding), the process pool at
+   two jobs, and the PSI-BLAST PSSM rounds.  Both routes replay one
+   plan through one candidate loop, so what differs between them is
+   the DP kernels only; the code-disjoint comparison is the
+   per-sequence oracle (``search_reference``), which the seeding and
+   cap cases use.
 """
 
 import dataclasses
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_protein
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
+                                banded_local_align_many,
                                 bulk_banded_align, bulk_banded_score)
 from repro.blast.profile import profiled
 from repro.blast.psiblast import psiblast
@@ -419,7 +421,8 @@ def test_kernel_annotations_resolve():
     never imported; only ``from __future__ import annotations`` hid it."""
     import typing
 
-    for fn in (banded_local_align, bulk_banded_score, bulk_banded_align):
+    for fn in (banded_local_align, banded_local_align_many,
+               bulk_banded_score, bulk_banded_align):
         assert "return" in typing.get_type_hints(fn)
 
 
@@ -432,6 +435,8 @@ def test_bulk_empty_and_degenerate_inputs():
     assert len(score) == len(qend) == len(send) == 0
     assert bulk_banded_align(empty, empty, empty, empty, empty, empty,
                              empty, scheme) == []
+    assert banded_local_align_many(empty, empty, empty, empty, empty, empty,
+                                   empty, scheme) == []
     # Single candidate whose band misses the subject entirely.
     q = np.array([0, 1, 2, 3], dtype=np.int64)
     s = np.array([0, 1, 2, 3], dtype=np.int64)
@@ -441,6 +446,8 @@ def test_bulk_empty_and_degenerate_inputs():
     assert (int(score[0]), int(qend[0]), int(send[0])) == (0, 0, 0)
     assert bulk_banded_align(q, s, *one, np.array([500]), scheme,
                              band=4) == [nothing]
+    assert banded_local_align_many(q, s, *one, np.array([500]), scheme,
+                                   band=4) == [nothing]
     # In range, but nothing scores: all mismatches.
     assert bulk_banded_align(q, (s + 1) % 4, *one, np.array([0]), scheme,
                              band=0) == [nothing]
@@ -459,6 +466,15 @@ def scalar_route():
         yield
 
 
+@contextmanager
+def stacked_route():
+    """Send every gapped refinement down the two stacked passes, however
+    few problems a batch plans."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_BULK_MIN_CANDIDATES", 1)
+        yield
+
+
 @pytest.mark.parametrize("evalue_cutoff", [10.0, 1e-2])
 def test_search_nt_byte_identical(evalue_cutoff):
     rng = np.random.default_rng(40)
@@ -466,7 +482,8 @@ def test_search_nt_byte_identical(evalue_cutoff):
     params = SearchParams(evalue_cutoff=evalue_cutoff)
     for qi in (2, 7, 11):
         q = mutated_query(db, qi, rng, period=29, length=220)
-        bulk = search(q, db, NucleotideScore(), params, query_id="q")
+        with stacked_route():
+            bulk = search(q, db, NucleotideScore(), params, query_id="q")
         with scalar_route():
             scal = search(q, db, NucleotideScore(), params, query_id="q")
         assert dump(bulk) == dump(scal)
@@ -528,7 +545,8 @@ def test_search_protein_byte_identical(band):
     params = SearchParams(word_size=3, band=band)
     for qi in (1, 5, 9):
         q = mutated_query(db, qi, rng, period=9, length=200)
-        with profiled("t", enabled=True, emit=False) as prof_bulk:
+        with stacked_route(), \
+                profiled("t", enabled=True, emit=False) as prof_bulk:
             bulk = search(q, db, ProteinScore(), params, query_id="q")
         with scalar_route(), \
                 profiled("t", enabled=True, emit=False) as prof_scal:
@@ -555,8 +573,9 @@ def test_search_batch_byte_identical(two_hit_window):
                                   query_id=qid))
             for q, qid in zip(queries, ids)]
     for n in (1, 3, 4):
-        bulk = search_batch(queries[:n], db, ProteinScore(), params,
-                            query_ids=ids[:n])
+        with stacked_route():
+            bulk = search_batch(queries[:n], db, ProteinScore(), params,
+                                query_ids=ids[:n])
         with scalar_route():
             scal = search_batch(queries[:n], db, ProteinScore(), params,
                                 query_ids=ids[:n])
@@ -601,7 +620,7 @@ def test_psiblast_pssm_rounds_byte_identical():
         stacked.append((len(args[6]), kwargs["identity_qcat"] is not None))
         return bulk_banded_align(*args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with stacked_route(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_mod, "bulk_banded_align", spy)
         bulk = psiblast(seed_seq, db, iterations=3)
     with scalar_route():
@@ -639,12 +658,44 @@ def test_tiny_workloads_route_to_scalar():
     assert dump(bulk) == dump(ref)
 
 
+def test_scalar_route_is_one_kernel_call(monkeypatch):
+    """Below ``_BULK_MIN_CANDIDATES`` problems a batch's gapped problems
+    are all aligned by one ``banded_local_align_many`` call — one row
+    sweep — and no stacked pass runs; the output is the oracle's."""
+    rng = np.random.default_rng(49)
+    db = random_nt_db(rng, 12)
+    queries = [mutated_query(db, qi, rng, period=29, length=200)
+               for qi in (2, 5, 9)]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[6]))
+        return banded_local_align_many(*args, **kwargs)
+
+    def stacked(*args, **kwargs):
+        raise AssertionError("the stacked route ran")
+
+    monkeypatch.setattr(search_mod, "banded_local_align_many", spy)
+    monkeypatch.setattr(search_mod, "bulk_banded_score", stacked)
+    params = SearchParams()
+    ids = ["q0", "q1", "q2"]
+    with profiled("t", enabled=True, emit=False) as prof:
+        got = search_batch(queries, db, NucleotideScore(), params,
+                           query_ids=ids)
+    trials = prof.counters["gapped_trials"]
+    assert 3 <= trials < search_mod._BULK_MIN_CANDIDATES
+    assert calls == [trials]
+    assert [dump(r) for r in got] == [
+        dump(search_reference(q, db, NucleotideScore(), params, query_id=i))
+        for q, i in zip(queries, ids)]
+
+
 def test_counters_traceback_bounded_by_trials():
     rng = np.random.default_rng(46)
     db = random_aa_db(rng, 25)
     q = mutated_query(db, 4, rng, period=9, length=220)
     params = SearchParams(word_size=3)
-    with profiled("t", enabled=True, emit=False) as prof:
+    with stacked_route(), profiled("t", enabled=True, emit=False) as prof:
         search(q, db, ProteinScore(), params, query_id="q")
     c = prof.counters
     assert c.get("gapped_trials", 0) > 0

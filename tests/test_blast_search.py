@@ -14,7 +14,7 @@ from repro.blast import (
 )
 from repro.blast.programs import blastall
 from repro.blast.seqdb import segment_db
-from repro.blast.translate import six_frames, translate, protein_to_dna_coords
+from repro.blast.translate import six_frames, translate
 from repro.blast.alphabet import encode_dna, decode_protein, reverse_complement
 
 
@@ -196,17 +196,6 @@ def test_six_frames_count_and_lengths(rng):
     for f, prot in frames:
         off = abs(f) - 1
         assert len(prot) == (31 - off) // 3
-
-
-def test_protein_to_dna_coords_forward():
-    assert protein_to_dna_coords(2, 5, 1, 30) == (6, 15)
-    assert protein_to_dna_coords(0, 3, 2, 30) == (1, 10)
-
-
-def test_protein_to_dna_coords_reverse():
-    # frame -1 over a 30-base dna: protein pos 0..3 maps to last 9 bases.
-    start, end = protein_to_dna_coords(0, 3, -1, 30)
-    assert (start, end) == (21, 30)
 
 
 def test_blastp_pipeline(rng):

@@ -198,6 +198,39 @@ def test_blastn_jobs_output_identical_to_serial(fasta_file, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("jobs", [None, "2"], ids=["serial", "jobs2"])
+@pytest.mark.parametrize("fmt", ["tabular", "report"])
+def test_blastn_batch_matches_the_committed_golden(fmt, jobs, tmp_path,
+                                                   capsys):
+    """A blastn batch whose gapped problems all take the scalar route
+    prints, byte for byte, what the engine printed while that route
+    still aligned one problem per call.  The five queries are extracts
+    of ``blastn_batch_db.fasta`` with 5-7 % substitutions and 1-3 short
+    indels each (two reverse-complemented, one split by a 60-base
+    insertion into two diagonals of one subject, one over a segment two
+    other subjects carry diverged copies of): one batch plans 20 gapped
+    DP problems, many of them crossing gaps.  The report prints every
+    alignment (``-a``), so the traceback's ops are compared too."""
+    from pathlib import Path
+
+    data = Path(__file__).parent / "data"
+    assert main(["formatdb", "-i", str(data / "blastn_batch_db.fasta"),
+                 "-d", str(tmp_path), "-n", "bb"]) == 0
+    capsys.readouterr()
+    argv = ["blastn", "-d", str(tmp_path / "bb"),
+            "-i", str(data / "blastn_batch_query.fasta"), "-m", fmt]
+    if fmt == "report":
+        argv.append("-a")
+    if jobs is not None:
+        argv += ["--jobs", jobs]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (data / f"blastn_batch_{fmt}.expected").read_bytes()
+    if fmt == "tabular":
+        rows = [line.split("\t") for line in out.splitlines() if line]
+        assert sum(int(row[5]) > 0 for row in rows) >= 8
+
+
 def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
     """``--fragments`` sizes the pool's cut of a ``-d`` database; where
     nothing cuts it (a serial run, or a store whose fragments were fixed

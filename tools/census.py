@@ -79,10 +79,6 @@ ALLOWLIST: Dict[str, str] = {
     # -- the search library and the runtime ----------------------------
     "repro.blast.psiblast.PsiBlastResult.final":
         "accessor for the last round's results; tests only",
-    "repro.blast.translate.protein_to_dna_coords":
-        "translated-search coordinate mapping blastx / tblastn reports "
-        "would need; pinned by two tier-1 ids, leaves with the next "
-        "census PR unless a report uses it",
     "repro.exec.diskpack.build_roots": _TEST_HOOK,
     "repro.exec.diskpack.corrupt_pack_file": _TEST_HOOK,
     "repro.exec.diskpack.open_pack_count": _TEST_HOOK,
@@ -194,6 +190,10 @@ PERF_ONLY: Dict[str, str] = {
     "repro.exec.schedule.plan_task_ranges": "the runtime builds one task "
     "per pack; perf/harness/layers.py's shadow pool still plans with it",
     # -- to keep: the benchmark is their only caller among the roots ---
+    "repro.blast.gapped.banded_local_align": "stays: the one-problem "
+    "call of banded_local_align_many (repro.blast exports it, and the "
+    "kernel tests hold it to the oracle); the driver aligns a batch's "
+    "problems in one many-call, gapped.traceback_ms_per_pair times it",
     "repro.blast.fasta.write_fasta": "stays: the library's FASTA writer "
     "(round-tripped by the fasta tests); the store workload writes its "
     "corpus with it",
