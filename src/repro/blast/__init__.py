@@ -37,14 +37,13 @@ from repro.blast.score import (
 from repro.blast.stats import KarlinAltschul, karlin_altschul_params
 from repro.blast.seqdb import SequenceDB, segment_db
 from repro.blast.gapped import (banded_local_align, banded_local_align_many,
-                                bulk_banded_align, bulk_banded_score)
+                                bulk_banded_score)
 from repro.blast.search import Hit, HSP, SearchParams, SearchResults, search
 from repro.blast.programs import blastall, blastn, blastp, blastx, tblastn, tblastx
 from repro.blast.psiblast import PSSM, PsiBlastResult, build_pssm, psiblast
 from repro.blast.queryseg import search_segmented, segment_query
 from repro.blast.render import render_hsp, render_results
 from repro.blast.filter import dust_mask, seg_mask
-from repro.blast.greedy import GreedyExtension, greedy_extend, megablast
 from repro.blast.scankernel import (ScanCache, ScanStructures,
                                     build_scan_structures,
                                     default_scan_cache, scan_fragment)
@@ -63,14 +62,11 @@ __all__ = [
     "psiblast",
     "render_hsp",
     "render_results",
-    "GreedyExtension",
     "ScanCache",
     "ScanStructures",
     "build_scan_structures",
     "default_scan_cache",
     "scan_fragment",
-    "greedy_extend",
-    "megablast",
     "load_volumes",
     "search_segmented",
     "search_volumes",
@@ -94,7 +90,6 @@ __all__ = [
     "banded_local_align",
     "banded_local_align_many",
     "blastn",
-    "bulk_banded_align",
     "bulk_banded_score",
     "blastp",
     "blastx",

@@ -3,9 +3,9 @@
 Promising ungapped HSPs are refined with a banded affine-gap local
 alignment (Smith–Waterman restricted to a diagonal band around the
 HSP's diagonal — the moral equivalent of Gapped BLAST's X-dropoff
-gapped extension).  The DP is vectorised across the band for each query
-row; exact affine traceback recovers endpoints, alignment length, and
-identity count.
+gapped extension).  The DP is vectorised across the band and across
+problems for each query row; exact affine traceback recovers
+endpoints, alignment length, and identity count.
 
 DP formulation (Gotoh): for query index i (1..m) and subject index j::
 
@@ -28,79 +28,56 @@ identity requires ``open >= ext`` (otherwise re-opening a gap inside a
 gap could beat extending it, which the prefix maximum cannot see), and
 the open/extend traceback tie-break matches the scan's only for
 ``open > ext`` — so the vectorised pass runs exactly when
-``gap_open > gap_extend`` (every standard scheme) and the reference
-scan loop handles the rest.  The row-stacked sweep takes ``P`` with
-one ``np.maximum.accumulate`` along its rows' blocks; the band-major
-sweep takes it in log-step doubling passes (``P[b] = max(P[b],
-P[b-k])`` for k = 1, 2, 4, ... while ``k < w``), each one
-elementwise maximum over a whole block —
-exact, because max is associative and idempotent; on a ``(49, 600)``
-int16 block (numpy 2.4, one Xeon core) the six passes took 21 µs,
-``accumulate`` along the band 107 µs.
+``gap_open > gap_extend`` (every standard scheme) and a slot loop
+handles the rest.
 
-Three kernels share the DP:
+One row sweep, :func:`_sweep`, runs every DP.  A DP row of a chunk of
+``a`` problems is one ``(w + 1, a)`` block — slot-major,
+problem-minor, ``w = 2 * band + 1`` — whose last slot row is a NEG
+sentinel, so the band shifts (slot b+1 above, slot b-1 to the left)
+are row offsets of the block, no gap can cross from one problem into
+another, and nothing is refilled.  A row is about ten ufunc calls over
+the whole block (F three, H three, E four).  E's prefix maximum
+(:func:`_prefix_max`) is one ``np.maximum.accumulate`` along the slots
+while the block is narrow (``a * w <= _NARROW_CELLS``) and log-step
+doubling passes when it is wide.  Problems are swept longest-first, so
+a row's block holds the prefix of them that still has the row.  Rows
+whose entire band falls outside the subject (a prefix and/or suffix of
+the row range) are never computed: an all-invalid row resets the DP
+state to exactly the initial one (H = 0, F = -inf).  Each chunk runs in
+the narrowest integer type its static bound fits (:func:`_dp_width`).
 
-* :func:`banded_local_align_many` — many (query, subject, diag)
-  problems, full affine traceback, in one row sweep:
-  :func:`banded_local_align` is its one-problem call.  A DP row of
-  every problem of a chunk is one contiguous flat array of ``2 * band
-  + 2``-slot blocks, so each recurrence is one ufunc call over the
-  whole row, whatever the number of problems.  Rows whose entire band
-  falls outside the subject (a prefix and/or suffix of the row range,
-  since the band's column window moves one column per row) are never
-  computed: an all-invalid row resets the DP state to exactly the
-  initial one (H = 0, F = -inf), so clipping them changes nothing but
-  the allocation size.  The sweep writes no pointers and takes no
-  per-row maximum: it keeps every H and F row, about ten ufunc calls a
-  row (F three, H three, the closed-form E four).  After it, per
-  problem, one ``max(axis=1)`` finds the first row holding the best
-  cell, and the pointers of every row up to it are recomputed from the
-  stored rows in a handful of 2-D passes (:func:`_derive_pointers`):
-  the pre-E cell ``Hf = max(H_prev + s, 0, F)`` is exact from the
-  stored rows, the E update took a cell iff the stored H exceeds it,
-  and the E- and F-extended bits are the same comparisons the per-row
-  recurrences make.  With ``gap_open <= gap_extend`` the sweep runs
-  the E scan slot by slot and the derivation replays it column by
-  column over all rows.  The per-row kernel that wrote three pointer
-  matrices row by row is the oracle in ``tests/oracle_gapped.py``.
-* :func:`bulk_banded_score` — many candidates at once, **score only**
-  (no pointer matrices): the same recurrences stacked band-major, so
-  each DP row of ``a`` still-active candidates is one contiguous
-  ``(band slots, a)`` block and the band shifts (slot b+1 above, slot
-  b-1 to the left) are row offsets of it — every ufunc runs inner
-  loops ``a`` long, and only the previous row's block, once candidates
-  have finished, is read through a strided view.  Each chunk of
-  candidates sweeps in the narrowest integer type its static bound
-  fits (:func:`_dp_width`: ``rows * max(smax, 0) + gap_open +
-  gap_extend * w - min(smin, 0)``, with headroom — int16 for 350-row
-  BLOSUM62 problems, int32 or int64 past that), which is exact, not a
-  setting; the row-stacked sweep picks its type the same way.  It
-  returns per candidate the best score and its end cell, which is all
-  the search driver needs to decide which candidates deserve the
-  (much more expensive) traceback pass.
-* :func:`bulk_banded_align` — the same band-major sweep, additionally
-  recording one packed pointer byte per cell, band-major like the DP
-  rows, and walking every candidate back: per candidate exactly what
-  :func:`banded_local_align_many` returns.  The search driver runs all
-  survivors of the score pass through it in one call.
+The sweep has two modes:
 
-Both layouts walk back with :func:`_walk_back` over the same packed
-pointer byte, slot b of row r at ``row_base[r] + row_stride[r] * b``
-(slot-major per problem for the row-stacked kernel, so a slot column
-has stride 1; the row's active count for the band-major ones).  A
-diagonal move keeps the slot, so the walk takes a whole run of them in
-one gather of that column.  Which problems reach a kernel at all is
-the driver's business: a group of candidates whose best ungapped score
-is under the emit bound (``repro.blast.search._emit_bound``) can
-report nothing, and is dropped before any gapped work is planned for
-it; below ``repro.blast.search._BULK_MIN_CANDIDATES`` problems a batch
-takes one row-stacked call, from there the two band-major passes.
+* **score** — :func:`bulk_banded_score`: the rows live in a two-row
+  ring, the active prefix shrinks row by row, and per problem the best
+  cell is kept as the rows go: the ``(score, q_end, s_end)`` the search
+  driver needs to decide which problems deserve a traceback.
+* **align** — :func:`banded_local_align_many` (and
+  :func:`banded_local_align`, its one-problem call): rows are swept in
+  strips, the active prefix shrinking strip by strip, and nothing but
+  the scores is written while a strip is swept.  After each strip, its
+  stored H and F rows give the packed pointer bytes of all its cells in
+  a handful of 3-D passes (:func:`_derive_pointers`) and, per row, each
+  problem's best score and the first slot holding it; only the strip's
+  last row is kept, above the next strip.  After the chunk, each
+  problem's first row holding its best cell is found and the problem is
+  walked back (:func:`_walk_back`).  The pointer bytes of a chunk take
+  half of ``_SWEEP_BYTES``, the strip being swept and derived the other
+  half.
+
+Which problems reach which mode is the driver's business
+(``repro.blast.search._finalize_candidates``): a batch whose problems
+fit one align chunk is aligned directly; a larger one is scored, and
+only the problems whose alignment can still matter are aligned.  Both
+modes are exact, and the per-row kernel that wrote three pointer
+matrices row by row is the test oracle (``tests/oracle_gapped.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,6 +91,31 @@ _STOP, _DIAG, _FROM_F, _FROM_E = 0, 1, 2, 3
 # Packed pointer byte: the H code in the low two bits, then the
 # "gap was extended" bits of E and F.
 _CODE_MASK, _E_EXT, _F_EXT = 3, 4, 8
+
+#: Byte bound of one align-mode chunk: half for what its problems keep
+#: until they are walked back (:func:`_align_chunks`), half for the
+#: strip being swept and derived (:func:`_align_strip_rows`).  At the
+#: default band one chunk holds 62 568-row nt problems (a pool task
+#: plans at most 8) or 101 of the benchmark's 350-row protein problems
+#: (a query plans 755-863 and keeps 67-113 survivors).
+_SWEEP_BYTES = 1 << 22
+
+#: Problem-chunk bound of the score mode.  A chunk's scratch is about
+#: ``13 * d + 8`` bytes per (problem, band slot) for the row blocks and
+#: 8 the gather index, plus about 32 bytes per problem and strip row
+#: while ``_STRIP_ROWS + 2 * band`` strip rows are built — at the
+#: default band in int16, 6.8 MB and 15 MB.
+_BULK_CANDIDATES = 4096
+
+#: DP rows whose subject strip, validity strip and query-row codes are
+#: built at once: the strips hold ``_STRIP_ROWS + 2 * band`` rows, so
+#: their size does not grow with the query.
+_STRIP_ROWS = 64
+
+#: Largest row block (problems x band slots) whose E prefix maximum is
+#: one ``accumulate`` along the slots; wider blocks take the log-step
+#: passes.
+_NARROW_CELLS = 3072
 
 
 @dataclass
@@ -154,15 +156,6 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
         scheme, band, identity_query)[0]
 
 
-#: Row-state bound of :func:`banded_local_align_many`: a chunk of
-#: problems keeps H, F and the substitution score of every cell it
-#: sweeps, plus a validity byte — ``3 * d + 1`` bytes per (row, slot),
-#: ``d`` the chunk's DP integer width in bytes — so problems are swept
-#: at most ``_SWEEP_BYTES`` of it at a time.  Eight 568-row nt problems
-#: at the default band are 1.6 MB in int16.
-_SWEEP_BYTES = 1 << 22
-
-
 def banded_local_align_many(qcat: np.ndarray, scat: np.ndarray,
                             q_off: np.ndarray, q_len: np.ndarray,
                             s_off: np.ndarray, s_len: np.ndarray,
@@ -170,230 +163,107 @@ def banded_local_align_many(qcat: np.ndarray, scat: np.ndarray,
                             band: int = 24,
                             identity_qcat: Optional[np.ndarray] = None
                             ) -> List[GappedAlignment]:
-    """Banded affine local alignments with traceback, many problems in
-    one row sweep (module docstring).
+    """Banded affine alignments with traceback, many problems in one
+    row sweep: the align mode (module docstring).
 
-    The candidate layout of :func:`bulk_banded_align`: problem ``c``
-    aligns ``qcat[q_off[c]:q_off[c]+q_len[c]]`` against
+    Problem ``c`` aligns ``qcat[q_off[c]:q_off[c]+q_len[c]]`` against
     ``scat[s_off[c]:s_off[c]+s_len[c]]`` around diagonal ``diag[c]``,
     and ``identity_qcat`` holds the residue letters at the offsets of
     *qcat* when it holds PSSM positions.  Entry ``c`` of the result is
     that problem's :class:`GappedAlignment`, whatever else shares the
     sweep.  Problems are swept longest-first, in chunks of at most
-    :data:`_SWEEP_BYTES` of row state, each in the integer type
-    :func:`_dp_width` picks.
+    :data:`_SWEEP_BYTES`, each in the integer type :func:`_dp_width`
+    picks; a chunk's arrays are released before the next is swept.
     """
     idcat = qcat if identity_qcat is None else identity_qcat
     q_off, q_len, s_off, s_len, diag = _as_int64(q_off, q_len, s_off,
                                                  s_len, diag)
     w = 2 * band + 1
-    W = w + 1
     out = [GappedAlignment(0, 0, 0, 0, 0, 0, 0) for _ in range(len(diag))]
-    row_lo = np.maximum(1, 1 - diag - band)
-    row_hi = np.minimum(q_len, s_len - diag + band)
-    n_rows = np.where((q_len > 0) & (s_len > 0),
-                      np.maximum(0, row_hi - row_lo + 1), 0)
-    order = np.argsort(-n_rows, kind="stable")
-    order = order[n_rows[order] > 0].tolist()
-    while order:
-        rows = int(n_rows[order[0]])
-        dt, neg = _dp_width(rows, scheme, w)
-        per_problem = (rows + 1) * W * (3 * dt.itemsize + 1)
-        chunk = order[:max(1, _SWEEP_BYTES // per_problem)]
-        del order[:len(chunk)]
-        _align_chunk(chunk, rows, dt, neg, qcat, scat, idcat, q_off, q_len,
-                     s_off, s_len, diag, row_lo, n_rows, scheme, band, out)
+    row_lo, n_rows = _dp_rows(q_len, s_len, diag, band)
+    for idx in _align_chunks(n_rows, scheme, w):
+        ch = _chunk(idx, q_off, s_off, s_len, diag, row_lo, n_rows,
+                    scheme, band)
+        cells, row_base, row_stride, row_max, row_arg = _sweep(
+            ch, qcat, scat, scheme, band, True)
+        # Per problem, the first of its own rows holding its best cell,
+        # and the first slot holding it there (the per-row kernel kept
+        # a cell only on a strict improvement).
+        rows, c = row_max.shape
+        row_max[np.arange(rows)[:, None] >= ch.n_rows] = 0
+        r_best = row_max.argmax(axis=0)
+        best = row_max[r_best, np.arange(c)]
+        b_end = row_arg[r_best, np.arange(c)].tolist()
+        for k in np.flatnonzero(best > 0).tolist():
+            cand = int(idx[k])
+            lo = int(ch.rl[k])
+            col0 = int(diag[cand]) - band
+            q_end = lo + int(r_best[k])
+            b = b_end[k]
+            i, j, identities, ops = _walk_back(
+                cells, row_base, row_stride, k, w, lo, q_end, b, col0, idcat,
+                int(q_off[cand]) - 1, scat, int(s_off[cand]) - 1)
+            out[cand] = GappedAlignment(
+                q_start=i, q_end=q_end, s_start=j, s_end=q_end + col0 + b,
+                score=int(best[k]), identities=identities,
+                align_len=len(ops), ops=ops)
+        del cells, row_max, row_arg
     return out
-
-
-def _align_chunk(chunk: List[int], rows: int, dt: np.dtype, neg: int,
-                 qcat: np.ndarray, scat: np.ndarray, idcat: np.ndarray,
-                 q_off: np.ndarray, q_len: np.ndarray, s_off: np.ndarray,
-                 s_len: np.ndarray, diag: np.ndarray, row_lo: np.ndarray,
-                 n_rows: np.ndarray, scheme: ScoringScheme, band: int,
-                 out: List[GappedAlignment]) -> None:
-    """One chunk of :func:`banded_local_align_many`: sweep *rows* rows
-    of every problem in *chunk* at once, then walk each back into
-    ``out[c]``.
-
-    Block k of a row is problem ``chunk[k]``; its slot w is the NEG
-    sentinel slot w - 1 reads as "slot b+1 of the previous row".  The
-    flat moves write into the internal sentinels, so with more than
-    one problem every row ends by refilling them.  The E prefix
-    maximum runs per block (the ``(problems, w + 1)`` reshape), and a
-    block's slot 0 opens its flat E from the previous block at the
-    sentinel's magnitude, so no gap crosses a problem boundary.  Every
-    problem sweeps *rows* rows; those past its own are swept on
-    clipped gathers and never read — its best cell is searched in its
-    own rows only.
-    """
-    w = 2 * band + 1
-    W = w + 1
-    n_prob = len(chunk)
-    n = n_prob * W - 1              # a row's cells but the last sentinel
-    go = scheme.gap_open
-    ge = scheme.gap_extend
-    slot_ge = ge * np.arange(w)
-    # A one-slot band (band=0) has no within-row gap: the slot loop is
-    # then a no-op, and the closed form needs a second slot.
-    vector_scan = go > ge and w > 1
-
-    # Per-row substitution gathers and validity, one block per problem:
-    # sweep row t of problem c is DP row row_lo[c] + t.  Rows past the
-    # problem's own gather its last query residue and clipped subject
-    # columns and are never masked; the sentinel slots stay valid.
-    sub = np.zeros((rows, n_prob * W), dtype=dt)
-    valid = np.ones((rows, n_prob * W), dtype=bool)
-    t_all = np.arange(rows)
-    for k, c in enumerate(chunk):
-        nr, lo, m, ns = (int(n_rows[c]), int(row_lo[c]), int(q_len[c]),
-                         int(s_len[c]))
-        cols = t_all[:, None] + (lo + int(diag[c]) - band) + np.arange(w)
-        qi = np.minimum(t_all + (lo - 1), m - 1) + int(q_off[c])
-        block = slice(k * W, k * W + w)
-        valid[:nr, block] = (cols[:nr] >= 1) & (cols[:nr] <= ns)
-        sub[:, block] = scheme.matrix[
-            qcat[qi][:, None],
-            scat[np.clip(cols - 1, 0, ns - 1) + int(s_off[c])].astype(
-                np.intp)]
-    valid = valid[:, :n]
-    masks = {r: ~valid[r]
-             for r in np.flatnonzero(~valid.all(axis=1)).tolist()}
-
-    # Row t + 1 of Hs / Fs is sweep row t, row 0 the initial state
-    # (H = 0, F = NEG); every block's slot w is the NEG sentinel.
-    Hs = np.zeros((rows + 1, n_prob * W), dtype=dt)
-    Hs[:, w::W] = neg
-    Fs = np.full((rows + 1, n_prob * W), neg, dtype=dt)
-    # Constant operands as arrays, tiled per block: a Python-int operand
-    # costs a ufunc call about twice an array's.  A block's first slot
-    # opens its E from the previous block's sentinel at -neg, so no E
-    # it can form beats the H = 0 floor.
-    zero = np.zeros(n, dtype=dt)
-    go_row = np.full(n, go, dtype=dt)
-    ge_row = np.full(n, ge, dtype=dt)
-    tilt = np.tile(np.append(slot_ge, 0), n_prob)[:n].astype(dt)
-    open_cost = np.tile(np.append(go + slot_ge[:-1], [0, -neg]),
-                        n_prob)[:n - 1].astype(dt)
-    F_open = np.empty(n, dtype=dt)
-    T = np.empty(n_prob * W, dtype=dt)
-    P = np.empty(n_prob * W, dtype=dt)
-    T_blocks = T.reshape(n_prob, W)
-    P_blocks = P.reshape(n_prob, W)
-    T_row = T[:n]
-    P_head = P[:n - 1]
-    E = np.empty(n - 1, dtype=dt)
-
-    # The sweep: scores only, no pointers and no per-row maximum.  Row
-    # t reads row t of Hs / Fs and writes row t + 1 (views, one per
-    # row; the internal sentinels' views are empty with one problem).
-    for r, (H, F, H_tail, up_H, up_F, diag_H, sub_r, H_sent,
-            F_sent) in enumerate(zip(
-                Hs[1:, :n], Fs[1:, :n], Hs[1:, 1:n], Hs[:-1, 1:n + 1],
-                Fs[:-1, 1:n + 1], Hs[:-1, :n], sub[:, :n],
-                Hs[1:, w:n:W], Fs[1:, w:n:W])):
-        # F: gap in subject, from slot b+1 of the previous row.
-        np.subtract(up_H, go_row, out=F_open)
-        np.subtract(up_F, ge_row, out=F)
-        np.maximum(F, F_open, out=F)
-        np.add(diag_H, sub_r, out=H)
-        np.maximum(H, zero, out=H)
-        np.maximum(H, F, out=H)
-        # E: gap in query, within each block (module docstring).
-        if vector_scan:
-            np.add(H, tilt, out=T_row)
-            np.maximum.accumulate(T_blocks, axis=1, out=P_blocks)
-            np.subtract(P_head, open_cost, out=E)
-            np.maximum(H_tail, E, out=H_tail)
-        else:
-            h = H.tolist()
-            for b0 in range(0, n, W):
-                e = neg
-                for b in range(b0 + 1, b0 + w):
-                    e = max(h[b - 1] - go, e - ge)
-                    if e > h[b]:
-                        h[b] = e
-            H[:] = h
-        if r in masks:
-            invalid = masks[r]
-            H[invalid] = 0
-            F[invalid] = neg
-        if n_prob > 1:
-            H_sent.fill(neg)
-            F_sent.fill(neg)
-
-    # Per problem, the first of its own rows holding its best cell, and
-    # the first slot holding it there (the per-row kernel kept a cell
-    # only on a strict improvement).
-    row_best = Hs[1:].reshape(rows, n_prob, W)[:, :, :w].max(axis=2)
-    for k, c in enumerate(chunk):
-        nr = int(n_rows[c])
-        r_best = int(np.argmax(row_best[:nr, k]))
-        best = int(row_best[r_best, k])
-        if best <= 0:
-            continue
-        slots = slice(k * W, k * W + w)
-        with_sentinel = slice(k * W, k * W + W)
-        cells = _derive_pointers(Hs[:r_best + 2, with_sentinel],
-                                 Fs[:r_best + 2, with_sentinel],
-                                 sub[:r_best + 1, slots],
-                                 valid[:r_best + 1, slots],
-                                 go, ge, slot_ge, vector_scan)
-        lo = int(row_lo[c])
-        col0 = int(diag[c]) - band
-        q_end = lo + r_best
-        b_end = int(np.argmax(Hs[r_best + 1, slots]))
-        # Slot-major, so a slot column of the walk is contiguous.
-        n_ptr = r_best + 1
-        i, j, identities, ops = _walk_back(
-            np.ascontiguousarray(cells.T).reshape(-1), np.arange(n_ptr),
-            np.full(n_ptr, n_ptr), 0, w, lo, q_end, b_end, col0, idcat,
-            int(q_off[c]) - 1, scat, int(s_off[c]) - 1)
-        out[c] = GappedAlignment(
-            q_start=i, q_end=q_end, s_start=j, s_end=q_end + col0 + b_end,
-            score=best, identities=identities, align_len=len(ops), ops=ops)
 
 
 def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
                      valid: np.ndarray, go: int, ge: int,
                      slot_ge: np.ndarray, vector_scan: bool) -> np.ndarray:
     """Packed pointer bytes (``_CODE_MASK`` / ``_E_EXT`` / ``_F_EXT``)
-    of every swept cell, recomputed from the stored H and F rows.
+    of ``n`` swept rows of a chunk, recomputed from its stored H and F
+    rows.
 
-    *Hs* / *Fs* are the sweep's ``(rows + 1, w + 1)`` arrays (row 0 the
-    initial state, slot w the NEG column).  The H cell before its E
-    update, ``Hf = max(H_prev + sub, 0, F)``, is exact from the stored
-    rows on every cell — on an out-of-subject cell the unmasked F was
-    at most ``-gap_open``, below ``max(..., 0)`` for the non-negative
-    penalties a scheme carries — and the E update took a valid cell iff
-    the stored H exceeds it.
+    *Hs* / *Fs* are ``(n + 1, w + 1, a)``: the row above the first, then
+    the ``n`` rows, each with the NEG sentinel as slot w; *sub* and
+    *valid* are the rows' ``(n, w, a)`` substitution scores and
+    validity, *slot_ge* is ``gap_extend * b`` as a ``(w, 1)`` column of
+    the DP integer type.
+    The H cell before its E update, ``Hf = max(H_prev + sub, 0, F)``, is
+    exact from the stored rows on every cell — on an out-of-subject
+    cell F was at most ``-gap_open``, below ``max(..., 0)`` for the
+    non-negative penalties a scheme carries — and the E update took a
+    valid cell iff the stored H exceeds it.
     """
     w = Hs.shape[1] - 1
     H_prev = Hs[:-1]
     H = Hs[1:, :w]
     F = Fs[1:, :w]
+    # One DP-typed buffer holds the diagonal score, then H0 =
+    # max(diagonal, 0), then Hf, then T.
     diag_score = H_prev[:, :w] + sub
-    H0 = np.maximum(diag_score, 0)
-    Hf = np.maximum(H0, F)
     # The H code by priority (E over F over the diagonal), as one
     # maximum of the codes' values; out-of-subject cells are _STOP.
     cells = (diag_score >= 0).view(np.uint8)          # _DIAG / _STOP
+    H0 = np.maximum(diag_score, 0, out=diag_score)
     np.maximum(cells, (F > H0).view(np.uint8) * np.uint8(_FROM_F), out=cells)
+    Hf = np.maximum(H0, F, out=H0)
     np.maximum(cells, (H > Hf).view(np.uint8) * np.uint8(_FROM_E), out=cells)
     cells *= valid.view(np.uint8)
     # F was extended iff extending beat opening from slot b+1 above.
-    cells |= (Fs[:-1, 1:] - ge > H_prev[:, 1:] - go).view(np.uint8) * \
+    cells |= (Fs[:-1, 1:] > H_prev[:, 1:] - (go - ge)).view(np.uint8) * \
         np.uint8(_F_EXT)
     if vector_scan:
         # E at b was extended iff the best opening point of the prefix
         # maximum lies before b-1 (never at b = 1).
-        T = Hf + slot_ge
-        P = np.maximum.accumulate(T, axis=1)
+        T = np.add(Hf, slot_ge, out=Hf)
+        # Slots first.  Each pass covers all the strip's rows, so the
+        # log-step passes' per-call cost is spread over them and the one
+        # accumulate (a strided pass per row and problem) wins only for
+        # a few problems: below about 5 at the default band.
+        P = np.empty_like(T)
+        _prefix_max(T.transpose(1, 0, 2), P.transpose(1, 0, 2),
+                    np.empty_like(T).transpose(1, 0, 2),
+                    T.shape[2] * w <= _NARROW_CELLS // 12)
         cells[:, 2:] |= (T[:, 1:-1] < P[:, :-2]).view(np.uint8) * \
             np.uint8(_E_EXT)
     else:
-        # The slot loop's recurrence, one column of every row at a time.
-        E = np.full(len(Hf), NEG, dtype=np.int64)
+        # The slot loop's recurrence, one slot of every row at a time.
+        E = np.full(Hf[:, 0].shape, NEG, dtype=np.int64)
         h = Hf[:, 0]
         for b in range(1, w):
             e_open = h - go
@@ -472,26 +342,6 @@ def _walk_back(cells: np.ndarray, row_base: np.ndarray,
     return i, j, identities, "".join(reversed(ops_rev))
 
 
-#: Candidate-chunk bound of the bulk score pass.  A chunk's scratch is
-#: ``13 * d + 8`` bytes per (candidate, band slot) for the row blocks,
-#: ``d`` the chunk's DP integer width in bytes (2 for the benchmark's
-#: protein problems) and 8 the gather index, plus about 32 bytes per
-#: candidate and strip row while ``_STRIP_ROWS + 2 * band`` strip rows
-#: are built — at the default band in int16, 6.8 MB and 15 MB.
-_BULK_CANDIDATES = 4096
-
-#: Candidate-chunk bound of the bulk traceback pass, which also keeps
-#: one packed pointer byte per DP cell until the chunk is walked back:
-#: at most ``_BULK_ALIGN_CANDIDATES * rows * (2 * band + 1)`` bytes —
-#: 2.2 MB for 350-row protein problems at the default band.
-_BULK_ALIGN_CANDIDATES = 128
-
-#: DP rows whose subject strip, validity strip and query-row codes are
-#: built at once: the strips hold ``_STRIP_ROWS + 2 * band`` rows, so
-#: their size does not grow with the query.
-_STRIP_ROWS = 64
-
-
 def _dp_width(n_rows: int, scheme: ScoringScheme,
               w: int) -> Tuple[np.dtype, int]:
     """The integer type of a chunk's DP and its sentinel, from a static
@@ -502,7 +352,7 @@ def _dp_width(n_rows: int, scheme: ScoringScheme,
     per row, a slot offset of ``gap_extend`` per slot), and none falls
     under ``-gap_open - max(-smin, 0)``.  The sentinel sits at
     ``-bound``, ``bound`` the two magnitudes summed plus one, and the
-    sweep subtracts at most ``gap_extend`` from it; so a type whose
+    sweep subtracts at most ``gap_open`` from it; so a type whose
     maximum holds ``2 * bound`` holds every value.  The narrowest such
     of int16 / int32 / int64: a property of the inputs, not a setting.
     """
@@ -515,231 +365,311 @@ def _dp_width(n_rows: int, scheme: ScoringScheme,
     return np.dtype(np.int64), -bound
 
 
-class _SweepChunk(NamedTuple):
-    """What :func:`_bulk_sweep` yields for one chunk of candidates;
-    per-candidate arrays are in the chunk's longest-first order."""
-
-    idx: np.ndarray        # candidate numbers of the chunk
-    row_lo: np.ndarray     # first DP row (1-based query index)
-    best: np.ndarray       # best score (0 when nothing scores)
-    best_i: np.ndarray     # its query row ...
-    best_j: np.ndarray     # ... and subject column, both 1-based
-    #: Packed pointer bytes (``None`` unless requested), band-major:
-    #: slot ``b`` of row ``r`` of the chunk's ``k``-th candidate is byte
-    #: ``row_base[r] + b * active[r] + k``.
-    ptr: Optional[np.ndarray]
-    row_base: Optional[np.ndarray]
-    active: np.ndarray     # candidates with a row r, per row r
-
-
-def _bulk_sweep(qcat: np.ndarray, scat: np.ndarray,
-                q_off: np.ndarray, q_len: np.ndarray,
-                s_off: np.ndarray, s_len: np.ndarray,
-                diag: np.ndarray, scheme: ScoringScheme, band: int,
-                chunk: int, keep_pointers: bool) -> Iterator[_SweepChunk]:
-    """The band-major row sweep behind both bulk kernels.
-
-    Candidates are processed longest-first in chunks of *chunk* so the
-    per-row working set is always a prefix that shrinks as shorter
-    candidates finish, and each candidate only sweeps the rows whose
-    band overlaps its subject (the same clipping as the scalar
-    routine).  A DP row of ``a`` active candidates is one contiguous
-    ``(w, a)`` block — slot-major, candidate-minor — so the band shifts
-    of the recurrences are row offsets and every ufunc runs long inner
-    loops; the chunk's integer type comes from :func:`_dp_width`.
-    Chunks in which no candidate has a row are not yielded.  With
-    *keep_pointers* every row also records, in the same layout, the
-    packed pointer byte the scalar routine derives for each cell after
-    its sweep.
-    """
-    w = 2 * band + 1
-    go = scheme.gap_open
-    ge = scheme.gap_extend
-    n_cols = scheme.matrix.shape[1]
-    # A one-slot band has no within-row gap (the slot loop is a no-op).
-    vector_scan = go > ge and w > 1
-    # Doubling distances of the log-step prefix maximum: after them
-    # every slot has seen every slot to its left (w - 1 at most).
-    steps = [1 << s for s in range((w - 1).bit_length())]
-    slot = np.arange(w, dtype=np.int64)[:, None]
-
+def _dp_rows(q_len: np.ndarray, s_len: np.ndarray, diag: np.ndarray,
+             band: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per problem, the first DP row whose band overlaps the subject
+    (1-based query index) and the number of such rows (0 for an empty
+    query or subject)."""
     row_lo = np.maximum(1, 1 - diag - band)
     row_hi = np.minimum(q_len, s_len - diag + band)
-    n_rows = np.maximum(0, row_hi - row_lo + 1)
+    n_rows = np.where((q_len > 0) & (s_len > 0),
+                      np.maximum(0, row_hi - row_lo + 1), 0)
+    return row_lo, n_rows
+
+
+def _align_chunks(n_rows: np.ndarray, scheme: ScoringScheme,
+                  w: int) -> List[np.ndarray]:
+    """The align mode's chunks: problems with rows, longest-first, as
+    many a chunk as half of :data:`_SWEEP_BYTES` holds (at least one).
+
+    A problem keeps, until it is walked back, one pointer byte per
+    (row, slot) and per row its best score and slot (``d + 8`` bytes,
+    ``d`` the DP integer width); the strip being swept and derived
+    takes the other half (:func:`_align_strip_rows`).
+    """
     order = np.argsort(-n_rows, kind="stable")
-    q_last = len(qcat) - 1
+    order = order[n_rows[order] > 0]
+    chunks = []
+    lo = 0
+    while lo < len(order):
+        rows = int(n_rows[order[lo]])
+        d = _dp_width(rows, scheme, w)[0].itemsize
+        take = max(1, (_SWEEP_BYTES // 2) // (rows * (w + d + 8)))
+        chunks.append(order[lo:lo + take])
+        lo += take
+    return chunks
 
-    def block(buf, a, rows=w):
-        """The first ``rows * a`` items of a flat buffer as one
-        contiguous ``(rows, a)`` block."""
-        return buf[:rows * a].reshape(rows, a)
 
-    for lo in range(0, len(diag), chunk):
-        idx = order[lo:lo + chunk]
-        nr = n_rows[idx]
-        max_rows = int(nr[0])
-        if max_rows == 0:
-            break
-        dt, neg = _dp_width(max_rows, scheme, w)
-        mat = scheme.matrix.astype(dt).ravel()
-        tilt = (ge * slot).astype(dt)
-        open_cost = (go + ge * slot[:-1]).astype(dt)
-        rl = row_lo[idx]
-        qrow0 = q_off[idx] + rl - 1         # qcat index of row 0
-        so = s_off[idx]
-        sl = s_len[idx]
-        jbase0 = rl + diag[idx] - band      # subject col at (r=0, b=0)
-        c_all = len(idx)
-        cells = w * c_all
-        # Row state, double-buffered; the previous row's block is read
-        # through a [:, :a] view (strided only when candidates finished).
-        H_bufs = (np.empty(cells, dt), np.empty(cells, dt))
-        F_bufs = (np.empty(cells, dt), np.empty(cells, dt))
-        Fp = np.full((w, c_all), neg, dt)
-        ix_buf = np.empty(cells, np.intp)
-        sub_buf = np.empty(cells, dt)
-        Fe_buf = np.empty(cells, dt)
-        T_buf = np.empty(cells, dt)
-        P_bufs = (np.empty(cells, dt), np.empty(cells, dt))
-        # Constant operands as arrays: a Python-int operand costs a ufunc
-        # call several times an array's.
-        zero_buf = np.zeros(cells, dt)
-        go_buf = np.full(cells, go, dt)
-        ge_buf = np.full(cells, ge, dt)
-        Hp = block(zero_buf, c_all)         # the initial state, read-only
-        best = np.zeros(c_all, dt)
-        best_i = np.zeros(c_all, dtype=np.int64)
-        best_j = np.zeros(c_all, dtype=np.int64)
-        # Active prefix of row r: the candidates with more than r rows.
-        active = np.searchsorted(-nr, -np.arange(max_rows), side="left")
-        ptr = row_base = None
-        if keep_pointers:
-            row_base = np.zeros(max_rows + 1, dtype=np.int64)
-            np.cumsum(active * w, out=row_base[1:])
-            ptr = np.empty(int(row_base[-1]), dtype=np.uint8)
-            bits_buf = np.empty(cells, np.uint8)
-            flag_buf = np.empty(cells, np.bool_)
-            tmp_buf = np.empty(cells, np.uint8)
-        a_prev = -1
-        for r, a in enumerate(active.tolist()):
-            t = r % _STRIP_ROWS
-            if t == 0:
-                # Strips for rows [r, r + _STRIP_ROWS): subject codes
-                # (clipped into the subject, as the scalar routine
-                # gathers them) and validity by strip row r + b,
-                # query-row offsets into the flat matrix by row.
-                n_strip = min(_STRIP_ROWS, max_rows - r)
-                pos = (jbase0[:a] + (r - 1)) + \
-                    np.arange(n_strip + w - 1)[:, None]
-                valid = (pos >= 0) & (pos < sl[:a])
-                np.maximum(pos, 0, out=pos)
-                np.minimum(pos, sl[:a] - 1, out=pos)
-                pos += so[:a]
-                S = np.take(scat, pos).astype(np.intp)
-                V = valid.astype(dt)
-                Qk = qcat[np.minimum(qrow0[:a] + r + np.arange(n_strip)[
-                    :, None], q_last)].astype(np.intp) * n_cols
-                # The row gathers clip, so check the codes here.
-                if S.max() >= n_cols or Qk.max() >= mat.size:
-                    raise IndexError("residue code outside the scoring "
-                                     "matrix")
-                if keep_pointers:
-                    Vu8 = valid.view(np.uint8)
-            if a != a_prev:                     # candidates finished
-                a_prev = a
-                zero = block(zero_buf, a)
-                go_blk = block(go_buf, a, w - 1)
-                ge_blk = block(ge_buf, a, w - 1)
-                Hp = Hp[:, :a]
-                Fp = Fp[:, :a]
-            H = block(H_bufs[r & 1], a)
-            F = block(F_bufs[r & 1], a)
-            sub = block(sub_buf, a)
-            ix = block(ix_buf, a)
-            np.add(S[t:t + w, :a], Qk[t, :a], out=ix)
-            np.take(mat, ix, out=sub, mode="clip")
-            np.add(Hp, sub, out=H)              # the diagonal move
-            if keep_pointers:
-                # The H code by priority (E over F over the diagonal,
-                # each only on a strict improvement), as one maximum of
-                # the codes' values: DIAG, or STOP below zero, first.
-                codes = ptr[row_base[r]:row_base[r + 1]].reshape(w, a)
-                bits = block(bits_buf, a)
-                flag = block(flag_buf, a)
-                tmp = block(tmp_buf, a)
-                np.greater_equal(H, zero, out=codes.view(np.bool_))
+def _align_strip_rows(w: int, a: int, d: int) -> int:
+    """Rows per strip of an align-mode chunk of *a* problems: a strip
+    holds its H and F rows and substitution scores, and either its
+    gather indices or the pointer derivation's temporaries — at most
+    ``6 * d + 8`` bytes per (row, slot, problem) — in half of
+    :data:`_SWEEP_BYTES`."""
+    return max(1, (_SWEEP_BYTES // 2) // (w * a * (6 * d + 8)))
+
+
+def fits_one_align_chunk(q_len: np.ndarray, s_len: np.ndarray,
+                         diag: np.ndarray, scheme: ScoringScheme,
+                         band: int = 24) -> bool:
+    """Whether :func:`banded_local_align_many` sweeps these problems as
+    one chunk — the search driver's route rule: such a batch is
+    aligned directly, a larger one scored first."""
+    _row_lo, n_rows = _dp_rows(*_as_int64(q_len, s_len, diag), band)
+    return len(_align_chunks(n_rows, scheme, 2 * band + 1)) <= 1
+
+
+class _Chunk(NamedTuple):
+    """One chunk of problems, longest-first, and what the sweep needs
+    of it; the per-problem arrays are in the chunk's order."""
+
+    n_rows: np.ndarray     # DP rows swept
+    rl: np.ndarray         # first DP row (1-based query index)
+    qrow0: np.ndarray      # qcat index of row 0's query residue
+    so: np.ndarray         # subject offset in scat
+    sl: np.ndarray         # subject length
+    jbase0: np.ndarray     # subject column of (row 0, slot 0), 1-based
+    dt: np.dtype           # the chunk's DP integer type ...
+    neg: int               # ... and its sentinel
+    mat: np.ndarray        # the flat scoring matrix in that type
+    n_cols: int            # the matrix's columns (subject codes)
+
+
+def _chunk(idx: np.ndarray, q_off: np.ndarray, s_off: np.ndarray,
+           s_len: np.ndarray, diag: np.ndarray, row_lo: np.ndarray,
+           n_rows: np.ndarray, scheme: ScoringScheme, band: int) -> _Chunk:
+    """The chunk of problems *idx* (longest-first), in the integer type
+    its longest problem's rows need."""
+    rl = row_lo[idx]
+    nr = n_rows[idx]
+    dt, neg = _dp_width(int(nr[0]), scheme, 2 * band + 1)
+    return _Chunk(nr, rl, q_off[idx] + rl - 1, s_off[idx], s_len[idx],
+                  rl + diag[idx] - band, dt, neg,
+                  scheme.matrix.astype(dt).ravel(), scheme.matrix.shape[1])
+
+
+def _strip(ch: _Chunk, qcat: np.ndarray, scat: np.ndarray, w: int,
+           r: int, n: int, a: int
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of rows ``[r, r + n)`` of the chunk's first *a* problems:
+    subject codes (clipped into the subject) and validity by strip row
+    ``t + b`` (``(n + w - 1, a)``), and each row's query-residue offset
+    into the flat matrix (``(n, a)``).  A row past a problem's own
+    gathers the last residue of *qcat*; its cells are never read."""
+    # Each index array is overwritten by what it gathers.
+    S = (ch.jbase0[:a] + (r - 1)) + np.arange(n + w - 1, dtype=np.intp)[
+        :, None]
+    valid = (S >= 0) & (S < ch.sl[:a])
+    np.maximum(S, 0, out=S)
+    np.minimum(S, ch.sl[:a] - 1, out=S)
+    S += ch.so[:a]
+    S[...] = scat.take(S)
+    Qk = ch.qrow0[:a] + r + np.arange(n, dtype=np.intp)[:, None]
+    np.minimum(Qk, len(qcat) - 1, out=Qk)
+    Qk[...] = qcat.take(Qk)
+    Qk *= ch.n_cols
+    # The gathers clip, so check the codes here.
+    if S.max() >= ch.n_cols or Qk.max() >= ch.mat.size:
+        raise IndexError("residue code outside the scoring matrix")
+    return S, valid, Qk
+
+
+def _prefix_max(T: np.ndarray, P: np.ndarray, tmp: np.ndarray,
+                narrow: bool) -> None:
+    """The running maximum of *T* along its first axis, the band slots,
+    into *P*: one ``accumulate`` when *narrow*, else log-step doubling
+    passes (``P[b] = max(P[b], P[b-k])`` for k = 1, 2, 4, ... while
+    ``k < w``), each one elementwise maximum reading one buffer and
+    writing the other (*P* or *tmp*, starting where the last pass lands
+    in *P*) — exact, because max is associative and idempotent."""
+    if narrow:
+        np.maximum.accumulate(T, axis=0, out=P)
+        return
+    w = len(T)
+    src, dst = T, (P if (w - 1).bit_length() % 2 else tmp)
+    k = 1
+    while k < w:
+        np.maximum(src[k:], src[:-k], out=dst[k:])
+        dst[:k] = src[:k]
+        src, dst = dst, (tmp if dst is P else P)
+        k *= 2
+
+
+def _sweep(ch: _Chunk, qcat: np.ndarray, scat: np.ndarray,
+           scheme: ScoringScheme, band: int, align: bool) -> tuple:
+    """The one DP row sweep, over one chunk (module docstring).
+
+    Rows are taken in strips (:func:`_strip`).  A strip's blocks hold
+    the problems that still have its first row — the active prefix, the
+    chunk being longest-first; a problem whose rows end inside the strip
+    runs to its end on clipped gathers, and those cells are never read.
+    Score mode keeps the rows in a two-row ring and returns per problem
+    the best score (0 when nothing scores) and its 1-based query row and
+    subject column.  Align mode stores the strip's rows and after each
+    strip derives their packed pointer bytes (:func:`_derive_pointers`)
+    and per row each problem's best score and the first slot holding
+    it; it returns the pointer bytes (slot b of row r of the chunk's
+    k-th problem is byte ``row_base[r] + row_stride[r] * b + k``),
+    ``row_base``, ``row_stride`` and the ``(rows, a)`` best scores and
+    slots.
+    """
+    w = 2 * band + 1
+    go, ge = scheme.gap_open, scheme.gap_extend
+    # A one-slot band has no within-row gap (the slot loop is a no-op).
+    vector_scan = go > ge and w > 1
+    dt, neg, mat = ch.dt, ch.neg, ch.mat
+    c = len(ch.rl)
+    rows = int(ch.n_rows[0])
+    active = np.searchsorted(-ch.n_rows, -np.arange(rows),
+                             side="left").tolist()
+    slot_ge = (ge * np.arange(w)).astype(dt)
+    # Scratch and constant operands as arrays (a Python-int operand
+    # costs a ufunc call several times an array's), cut to a strip's
+    # block width.
+    bufs = [np.empty(w * c, dt) for _ in range(5)]
+    consts = [np.zeros(w * c, dt), np.full(w * c, go, dt),
+              np.full(w * c, ge, dt)]
+    if align:
+        strip = min(rows, _align_strip_rows(w, c, dt.itemsize))
+        ptr = np.empty(sum(min(strip, rows - r0) * w * active[r0]
+                           for r0 in range(0, rows, strip)), dtype=np.uint8)
+        row_base = np.empty(rows, dtype=np.int64)
+        row_stride = np.empty(rows, dtype=np.int64)
+        row_max = np.zeros((rows, c), dt)
+        row_arg = np.zeros((rows, c), dtype=np.intp)
+        strip_tb = np.arange(strip)[:, None] + np.arange(w)
+        depth = strip + 1
+    else:
+        strip = _STRIP_ROWS
+        best = np.zeros(c, dt)
+        best_i = np.zeros(c, dtype=np.int64)
+        best_j = np.zeros(c, dtype=np.int64)
+        sub = np.empty(w * c, dt)
+        ix = np.empty(w * c, np.intp)
+        depth = 2
+    # The stored rows (the whole strip, or a ring of two), each a
+    # contiguous (w + 1, a) block ending in the NEG sentinel slot row;
+    # block 0 holds the row above the strip.
+    Hst = np.empty((depth, (w + 1) * c), dt)
+    Fst = np.empty((depth, (w + 1) * c), dt)
+    carry = (np.zeros((w, c), dt), np.full((w, c), neg, dt))
+    base = 0
+    for r0 in range(0, rows, strip):
+        n = min(strip, rows - r0)
+        a = active[r0]
+        wa = w * a
+        S = valid = Qk = V = None       # the last strip's, released first
+        S, valid, Qk = _strip(ch, qcat, scat, w, r0, n, a)
+        V = valid.astype(dt).reshape(-1)
+        # Rows whose band has an out-of-subject cell are masked.
+        bad = np.concatenate([[0], np.cumsum(~valid.all(axis=1))])
+        masked = (bad[w:] > bad[:n]).tolist()
+        # A row's operands are flat views of its (w, a) block — one
+        # contiguous run each, whatever a is — and 2-D where the slots
+        # matter (the prefix maximum, E, the per-problem best).
+        zero, go_row, ge_row, Fe, T, E, P, tmp = [
+            buf[:wa] for buf in consts + bufs]
+        E = E[:wa - a]
+        P_head = P[:wa - a]
+        T2, P2, tmp2 = T.reshape(w, a), P.reshape(w, a), tmp.reshape(w, a)
+        tilt_row = np.repeat(slot_ge, a)
+        open_row = np.repeat(go + slot_ge[:-1], a)
+        narrow = wa <= _NARROW_CELLS
+        Hb = Hst[:, :(w + 1) * a]
+        Fb = Fst[:, :(w + 1) * a]
+        Hb3 = Hb.reshape(depth, w + 1, a)
+        Fb3 = Fb.reshape(depth, w + 1, a)
+        Hb3[0, :w] = carry[0][:, :a]
+        Fb3[0, :w] = carry[1][:, :a]
+        Hb3[:, w] = neg
+        Fb3[:, w] = neg
+        if align:
+            # The strip's substitution scores, every row at once: slot b
+            # of row t reads strip row t + b.
+            codes = S[strip_tb[:n]]
+            codes += Qk[:, None]
+            subs = mat.take(codes, mode="clip")
+            del codes
+            views = list(zip(Hb[1:, :wa], Fb[1:, :wa], Hb[1:, a:wa],
+                             Hb[:-1, :wa], Hb[:-1, a:], Fb[:-1, a:],
+                             subs.reshape(n, wa)))
+        else:
+            sub2 = sub[:wa].reshape(w, a)
+            ix2 = ix[:wa].reshape(w, a)
+            views = [(Hb[1 - p, :wa], Fb[1 - p, :wa], Hb[1 - p, a:wa],
+                      Hb[p, :wa], Hb[p, a:], Fb[p, a:], sub[:wa])
+                     for p in (0, 1)] * ((n + 1) // 2)
+        for t in range(n):
+            H, F, H_tail, Hp, Hp_up, Fp_up, sub_r = views[t]
+            if not align:
+                np.add(S[t:t + w], Qk[t], out=ix2)
+                mat.take(ix2, out=sub2, mode="clip")
+            # H: the diagonal move, floored at zero.
+            np.add(Hp, sub_r, out=H)
             np.maximum(H, zero, out=H)
             # F: gap in subject, from slot b+1 of the previous row (the
-            # last slot has none: the sentinel).
-            F_open = F[:-1]
-            F_ext = block(Fe_buf, a, w - 1)
-            np.subtract(Hp[1:], go_blk, out=F_open)
-            np.subtract(Fp[1:], ge_blk, out=F_ext)
-            if keep_pointers:
-                # F was extended iff extending beat opening.
-                np.greater(F_ext, F_open, out=flag[:-1])
-                flag[-1] = go > ge      # NEG - ge vs NEG - go
-                np.multiply(flag.view(np.uint8), _F_EXT, out=bits)
-            np.maximum(F_open, F_ext, out=F_open)
-            F[-1] = neg
-            if keep_pointers:
-                np.greater(F, H, out=flag)
-                np.multiply(flag.view(np.uint8), _FROM_F, out=tmp)
-                np.maximum(codes, tmp, out=codes)
+            # sentinel for the last slot).
+            np.subtract(Hp_up, go_row, out=F)
+            np.subtract(Fp_up, ge_row, out=Fe)
+            np.maximum(F, Fe, out=F)
             np.maximum(H, F, out=H)
-            # E: gap in query, within the row (module docstring): the
-            # prefix maximum of T in log-step doubling passes, each
-            # reading one buffer and writing the other.
+            # E: gap in query, within the row (module docstring).
             if vector_scan:
-                T = block(T_buf, a)
-                np.add(H, tilt, out=T)
-                P = T
-                for n, k in enumerate(steps):
-                    nxt = block(P_bufs[n & 1], a)
-                    np.maximum(P[k:], P[:-k], out=nxt[k:])
-                    nxt[:k] = P[:k]
-                    P = nxt
-                E = block(sub_buf, a, w - 1)     # sub is spent
-                np.subtract(P[:-1], open_cost, out=E)
-                if keep_pointers:
-                    # E at b was extended iff the best opening point of
-                    # the prefix maximum lies before b-1 (never at 1).
-                    np.less(T[1:-1], P[:-2], out=flag[2:])
-                    np.multiply(flag[2:].view(np.uint8), _E_EXT, out=tmp[2:])
-                    np.bitwise_or(bits[2:], tmp[2:], out=bits[2:])
-                    np.greater(E, H[1:], out=flag[1:])
-                    np.multiply(flag[1:].view(np.uint8), _FROM_E,
-                                out=tmp[1:])
-                    np.maximum(codes[1:], tmp[1:], out=codes[1:])
-                np.maximum(H[1:], E, out=H[1:])
+                np.add(H, tilt_row, out=T)
+                if narrow:
+                    np.maximum.accumulate(T2, axis=0, out=P2)
+                else:
+                    _prefix_max(T2, P2, tmp2, False)
+                np.subtract(P_head, open_row, out=E)
+                np.maximum(H_tail, E, out=H_tail)
             else:
-                E = np.full(a, neg, dt)
+                H2 = H.reshape(w, a)
+                e = np.full(a, neg, dt)
                 for b in range(1, w):
-                    e_open = H[b - 1] - go
-                    e_ext = E - ge
-                    np.maximum(e_open, e_ext, out=E)
-                    if keep_pointers:
-                        codes[b][E > H[b]] = _FROM_E
-                        bits[b] |= (e_ext > e_open).view(np.uint8) * \
-                            np.uint8(_E_EXT)
-                    np.maximum(H[b], E, out=H[b])
-            # Mask H after the E scan, like the scalar routine.  F is
-            # left as computed: an out-of-subject column's F feeds only
-            # that column, where it stays at most -gap_open and never
-            # beats H; the gap bits are left as the scalar's are.
-            np.multiply(H, V[t:t + w, :a], out=H)
-            if keep_pointers:
-                np.multiply(codes, Vu8[t:t + w, :a], out=codes)
-                np.bitwise_or(codes, bits, out=codes)
-            row_best = H.max(axis=0)
-            upd = np.flatnonzero(row_best > best[:a])
-            if len(upd):
-                best[upd] = row_best[upd]
-                best_i[upd] = rl[upd] + r
-                best_j[upd] = jbase0[upd] + r + H[:, upd].argmax(axis=0)
-            Hp, Fp = H, F
-        yield _SweepChunk(idx, rl, best, best_i, best_j, ptr, row_base,
-                          active)
+                    e_open = H2[b - 1] - go
+                    e_ext = e - ge
+                    np.maximum(e_open, e_ext, out=e)
+                    np.maximum(H2[b], e, out=H2[b])
+            # Mask H after the E scan.  F is left as computed: an
+            # out-of-subject column's F feeds only that column, where it
+            # stays at most -gap_open and never beats H.
+            if masked[t]:
+                np.multiply(H, V[t * a:(t + w) * a], out=H)
+            if not align:
+                # Only the problems that have this row.
+                r = r0 + t
+                a_r = active[r]
+                H2 = H.reshape(w, a)
+                row_best = H2[:, :a_r].max(axis=0)
+                upd = np.flatnonzero(row_best > best[:a_r])
+                if len(upd):
+                    best[upd] = row_best[upd]
+                    best_i[upd] = ch.rl[upd] + r
+                    best_j[upd] = ch.jbase0[upd] + r + \
+                        H2[:, upd].argmax(axis=0)
+        last = n if align else n & 1
+        carry = (Hb3[last, :w].copy(), Fb3[last, :w].copy())
+        if align:
+            # Per row, each problem's first best slot and its score; the
+            # strip's pointer bytes.
+            Hw = Hb3[1:n + 1, :w]
+            arg = Hw.argmax(axis=1)
+            row_arg[r0:r0 + n, :a] = arg
+            row_max[r0:r0 + n, :a] = np.take_along_axis(
+                Hw, arg[:, None], axis=1)[:, 0]
+            tb = strip_tb[:n, :, None]
+            first = ch.jbase0[:a] + (r0 - 1)
+            strip_ptr = _derive_pointers(
+                Hb3[:n + 1], Fb3[:n + 1], subs,
+                (tb >= -first) & (tb < ch.sl[:a] - first), go, ge,
+                slot_ge[:, None], vector_scan)
+            ptr[base:base + strip_ptr.size] = strip_ptr.reshape(-1)
+            row_base[r0:r0 + n] = base + np.arange(n) * (w * a)
+            row_stride[r0:r0 + n] = a
+            base += strip_ptr.size
+    if align:
+        return ptr, row_base, row_stride, row_max, row_arg
+    return best, best_i, best_j
 
 
 def _as_int64(*arrays) -> List[np.ndarray]:
@@ -752,7 +682,8 @@ def bulk_banded_score(qcat: np.ndarray, scat: np.ndarray,
                       diag: np.ndarray, scheme: ScoringScheme,
                       band: int = 24
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score-only banded affine DP over many candidates at once.
+    """Score-only banded affine DP over many candidates at once: the
+    score mode (module docstring).
 
     Candidate ``c`` is the alignment :func:`banded_local_align` would
     compute for ``(qcat[q_off[c]:q_off[c]+q_len[c]],
@@ -760,69 +691,28 @@ def bulk_banded_score(qcat: np.ndarray, scat: np.ndarray,
     live as slices of flat concatenations (the scan kernel's fragment
     concatenation and the driver's query concatenation), so one 2-D
     gather per DP row scores candidates belonging to different queries,
-    strands and subjects together.  Only ``H``/``F`` row states are
-    kept, one row at a time, and the recurrences are evaluated in
-    the same order, in an integer type that holds every value they can
-    form (:func:`_dp_width`), so per candidate the returned ``(score,
-    q_end, s_end)`` equals the scalar alignment's ``(score, q_end,
+    strands and subjects together.  Per candidate the returned
+    ``(score, q_end, s_end)`` equals the alignment's ``(score, q_end,
     s_end)`` exactly (``0, 0, 0`` when no cell scores positive).
-
-    The sweep (:func:`_bulk_sweep`) runs in chunks of
+    Candidates are swept longest-first in chunks of
     ``_BULK_CANDIDATES``.
     """
+    q_off, q_len, s_off, s_len, diag = _as_int64(q_off, q_len, s_off,
+                                                 s_len, diag)
     n_cand = len(diag)
     out_score = np.zeros(n_cand, dtype=np.int64)
     out_qend = np.zeros(n_cand, dtype=np.int64)
     out_send = np.zeros(n_cand, dtype=np.int64)
-    for ch in _bulk_sweep(qcat, scat,
-                          *_as_int64(q_off, q_len, s_off, s_len, diag),
-                          scheme, band, _BULK_CANDIDATES, False):
-        pos = ch.best > 0
-        out_score[ch.idx[pos]] = ch.best[pos]
-        out_qend[ch.idx[pos]] = ch.best_i[pos]
-        out_send[ch.idx[pos]] = ch.best_j[pos]
+    row_lo, n_rows = _dp_rows(q_len, s_len, diag, band)
+    order = np.argsort(-n_rows, kind="stable")
+    order = order[n_rows[order] > 0]
+    for lo in range(0, len(order), _BULK_CANDIDATES):
+        idx = order[lo:lo + _BULK_CANDIDATES]
+        ch = _chunk(idx, q_off, s_off, s_len, diag, row_lo, n_rows, scheme,
+                    band)
+        best, best_i, best_j = _sweep(ch, qcat, scat, scheme, band, False)
+        pos = best > 0
+        out_score[idx[pos]] = best[pos]
+        out_qend[idx[pos]] = best_i[pos]
+        out_send[idx[pos]] = best_j[pos]
     return out_score, out_qend, out_send
-
-
-def bulk_banded_align(qcat: np.ndarray, scat: np.ndarray,
-                      q_off: np.ndarray, q_len: np.ndarray,
-                      s_off: np.ndarray, s_len: np.ndarray,
-                      diag: np.ndarray, scheme: ScoringScheme,
-                      band: int = 24,
-                      identity_qcat: Optional[np.ndarray] = None
-                      ) -> List[GappedAlignment]:
-    """Banded affine alignments with traceback, many candidates at once.
-
-    Same candidate layout and the same row sweep as
-    :func:`bulk_banded_score`, additionally keeping one packed pointer
-    byte per DP cell and walking each candidate back, so entry ``c``
-    of the result equals — field for field, ``ops`` included — what
-    :func:`banded_local_align` returns for that candidate.
-    ``identity_qcat`` is the flat counterpart of its ``identity_query``
-    (residue letters at the offsets of *qcat*, for PSSM rounds).
-
-    Pointer storage is bounded by sweeping ``_BULK_ALIGN_CANDIDATES``
-    candidates at a time; each chunk is walked back before the next is
-    swept.
-    """
-    idcat = qcat if identity_qcat is None else identity_qcat
-    q_off, q_len, s_off, s_len, diag = _as_int64(q_off, q_len, s_off,
-                                                 s_len, diag)
-    w = 2 * band + 1
-    out = [GappedAlignment(0, 0, 0, 0, 0, 0, 0) for _ in range(len(diag))]
-    for ch in _bulk_sweep(qcat, scat, q_off, q_len, s_off, s_len, diag,
-                          scheme, band, _BULK_ALIGN_CANDIDATES, True):
-        per_cand = zip(*(a.tolist() for a in (ch.idx, ch.row_lo, ch.best,
-                                              ch.best_i, ch.best_j)))
-        for k, (c, row_lo, score, q_end, s_end) in enumerate(per_cand):
-            if score <= 0:
-                continue
-            col0 = int(diag[c]) - band
-            i, j, identities, ops = _walk_back(
-                ch.ptr, ch.row_base, ch.active, k, w, row_lo, q_end,
-                s_end - q_end - col0, col0, idcat, int(q_off[c]) - 1, scat,
-                int(s_off[c]) - 1)
-            out[c] = GappedAlignment(
-                q_start=i, q_end=q_end, s_start=j, s_end=s_end, score=score,
-                identities=identities, align_len=len(ops), ops=ops)
-    return out

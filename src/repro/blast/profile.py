@@ -3,10 +3,10 @@
 ``REPRO_PROFILE=1`` (or the CLI's ``--profile``) makes every top-level
 :func:`repro.blast.search.search` / ``search_batch`` call emit one JSON
 line to stderr with per-stage wall times — pack, index, scan, seed,
-extend, gapped_bulk (the batched score-only gapped pass), gapped (the
-pointer-matrix tracebacks: on the bulk route the one stacked
-``bulk_banded_align`` call over all survivors, on the scalar route
-the one ``banded_local_align_many`` call over every problem) — plus
+extend, gapped_bulk (the score-mode pass, run when a batch's gapped
+problems do not fit one align chunk), gapped (the one
+``banded_local_align_many`` call of the batch: over the score pass's
+survivors, or over every problem when there was none) — plus
 counters.  ``seeds_skipped``
 counts the seeds the per-diagonal coverage replay dropped, in the
 groups that reach the replay: a group whose best extension scores
@@ -15,11 +15,12 @@ it, and its seeds are counted under ``seeds`` only.  The gapped stage
 threads three
 counters, the same on both routes since both replay one plan:
 ``gapped_trials`` (distinct gapped DP problems, one per (group,
-diagonal)), ``gapped_traceback`` (pointer-matrix DPs actually run —
-the problems in the stacked call, or every problem on the scalar
-route) and
+diagonal)), ``gapped_traceback`` (problems aligned with traceback —
+the score pass's survivors, or every problem when a batch is aligned
+directly) and
 ``gapped_culled`` (triggered candidates minus tracebacks: memo hits
-and, on the bulk route, zero-score results and E-value-reject skips).
+and, after a score pass, zero-score results and E-value-reject
+skips).
 Until PR 22 the scalar route ran and counted one DP per triggered
 candidate; distinct problems are never more, and the same on every
 benchmark query.  The scan stage reports ``scan_step`` (4 when the

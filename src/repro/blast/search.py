@@ -22,8 +22,8 @@ alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
 ``bulk_ungapped_extend`` → the emit bound (a group whose best
 extension cannot be reported goes no further) → the per-diagonal
 coverage replay → one plan per group → the gapped DP problems →
-:func:`_finalize_one`.  The only routing left is which exact kernels
-run the DP problems.  The
+:func:`_finalize_one`.  The only routing left is whether a batch's DP
+problems are scored before the ones that matter are aligned.  The
 per-sequence, per-group implementation the driver is checked against
 lives with the tests (``tests/oracle_search.py``) and shares none of it.
 
@@ -42,7 +42,7 @@ import numpy as np
 from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
 from repro.blast.extend import UngappedHSP, bulk_ungapped_extend
 from repro.blast.gapped import (GappedAlignment, banded_local_align_many,
-                                bulk_banded_align, bulk_banded_score)
+                                bulk_banded_score, fits_one_align_chunk)
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
@@ -283,27 +283,6 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
-#: Below this many gapped DP problems the row-stacked kernel wins:
-#: the bulk route sweeps every triggered diagonal score-only and the
-#: survivors once more with pointers, band-major, where the
-#: row-stacked one sweeps every problem once, as flat rows, and derives
-#: pointers only up to each problem's best row.  Measured through
-#: ``search`` on subjects that are each a mutated copy of the query
-#: (row-stacked / bulk route, gapped stages, ms, medians of nine
-#: interleaved pairs): 568-row nt problems 27.7 / 58.6 at 24, 61.4 /
-#: 71.5 at 48, 91.7 / 107.3 at 64, 99.7 / 96.2 at 96, 132.8 / 96.9 at
-#: 128; 350-row protein problem sets (a homolog plus chance diagonals
-#: per subject) 32.7 / 60.4 at 39, 39.8 / 46.3 at 69, 62.4 / 60.7 at
-#: 99, 91.6 / 63.9 at 139 — the crossover is about 64 to 96 for nt and
-#: 69 to 99 for protein, and 64 is never slower than the previous
-#: routing (24, one scalar sweep per problem below it) on either.  No
-#: benchmark workload is near it: an nt search plans about four
-#: problems per query, at most 8 per pool task, and a blastp search
-#: hundreds.  The routing only picks which kernels fill ``alns``: both
-#: are exact.
-_BULK_MIN_CANDIDATES = 64
-
-
 @dataclass
 class _GappedJob:
     """One orientation/subject group's ungapped candidates awaiting
@@ -350,12 +329,12 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     :func:`_finalize_one` replays each plan reading alignments from
     ``alns``, problem number → alignment.
 
-    Only *which kernels fill* ``alns`` is routed: the stacked passes of
-    :func:`_bulk_alignments` from :data:`_BULK_MIN_CANDIDATES` problems
-    up; below that (typical blastn) one
-    :func:`~repro.blast.gapped.banded_local_align_many` call, one row
-    sweep over every problem, which measures faster there.  All
-    exact.
+    The route picks which problems the align mode aligns: all of them
+    when they fit one of its chunks
+    (:func:`~repro.blast.gapped.fits_one_align_chunk`, typical
+    blastn), otherwise the score mode scores them all first and only
+    those whose alignment can still matter are aligned
+    (:func:`_traceback_survivors`).  Both modes are exact.
     """
     prof = current_profile()
 
@@ -378,14 +357,25 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         plans.append(plan)
 
     alns: Dict[int, GappedAlignment] = {}
-    if len(problems) >= _BULK_MIN_CANDIDATES:
-        alns = _bulk_alignments(jobs, plans, problems, qcat, scat, scheme,
-                                params, ka)
-    elif problems:
+    if problems:
+        arrays = _problem_arrays(problems)
+        sel: List[int] = list(range(len(problems)))
+        if not fits_one_align_chunk(arrays[1], arrays[3], arrays[4], scheme,
+                                    params.band):
+            t0 = time.perf_counter() if prof is not None else 0.0
+            scores, _qends, sends = bulk_banded_score(
+                qcat, scat, *arrays, scheme, band=params.band)
+            if prof is not None:
+                prof.add("gapped_bulk", time.perf_counter() - t0)
+            survivors: Dict[int, None] = {}     # ordered set of problems
+            for job, plan in zip(jobs, plans):
+                _traceback_survivors(job, plan, scores, sends, params, ka,
+                                     survivors)
+            sel = list(survivors)
         t0 = time.perf_counter() if prof is not None else 0.0
-        alns = dict(enumerate(banded_local_align_many(
-            qcat, scat, *_problem_arrays(problems), scheme,
-            band=params.band, identity_qcat=_identity_qcat(jobs, qcat))))
+        alns = dict(zip(sel, banded_local_align_many(
+            qcat, scat, *arrays[:, sel], scheme, band=params.band,
+            identity_qcat=_identity_qcat(jobs, qcat))))
         if prof is not None:
             prof.add("gapped", time.perf_counter() - t0)
     if prof is not None and problems:
@@ -398,39 +388,6 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
 
     for job, plan in zip(jobs, plans):
         _finalize_one(job, plan, alns, params, ka)
-
-
-def _bulk_alignments(jobs: List[_GappedJob], plans: List[_Plan],
-                     problems: List[_Problem], qcat: np.ndarray,
-                     scat: np.ndarray, scheme: ScoringScheme,
-                     params: SearchParams, ka: KarlinAltschul
-                     ) -> Dict[int, GappedAlignment]:
-    """The gapped problems of a batch in two stacked kernel calls:
-    :func:`~repro.blast.gapped.bulk_banded_score` over all of them,
-    then :func:`~repro.blast.gapped.bulk_banded_align` over those whose
-    alignment can still matter (:func:`_traceback_survivors`)."""
-    prof = current_profile()
-    q_off, q_len, s_off, s_len, diag = _problem_arrays(problems)
-
-    t0 = time.perf_counter() if prof is not None else 0.0
-    scores, _qends, sends = bulk_banded_score(
-        qcat, scat, q_off, q_len, s_off, s_len, diag, scheme,
-        band=params.band)
-    if prof is not None:
-        prof.add("gapped_bulk", time.perf_counter() - t0)
-
-    survivors: Dict[int, None] = {}     # ordered set of DP problems
-    for job, plan in zip(jobs, plans):
-        _traceback_survivors(job, plan, scores, sends, params, ka, survivors)
-    sel = np.array(list(survivors), dtype=np.int64)
-    t0 = time.perf_counter() if prof is not None else 0.0
-    alns = dict(zip(survivors, bulk_banded_align(
-        qcat, scat, q_off[sel], q_len[sel], s_off[sel], s_len[sel],
-        diag[sel], scheme, band=params.band,
-        identity_qcat=_identity_qcat(jobs, qcat))))
-    if prof is not None:
-        prof.add("gapped", time.perf_counter() - t0)
-    return alns
 
 
 def _problem_arrays(problems: List[_Problem]) -> np.ndarray:

@@ -117,13 +117,17 @@ def test_search_library_has_one_candidate_pipeline():
 
 
 def test_search_library_has_one_gapped_algorithm():
-    """The banded DP is the one gapped algorithm: ``SearchParams`` has
-    no method switch, no module or function of the X-drop gapped
-    extension exists in the library or the oracle, and each gapped
-    kernel is called from one place in the library — the row-stacked
-    one by the candidate finalizer (and by its own one-problem
-    spelling, which nothing in the library calls), the two band-major
-    passes by the bulk route."""
+    """The banded DP is the one gapped algorithm, and one row sweep runs
+    it: ``SearchParams`` has no method switch, no module or function of
+    the X-drop gapped extension exists in the library or the oracle,
+    ``repro.blast.gapped`` has exactly one function with a DP row loop
+    (a loop whose body makes the recurrence's ``np.add`` /
+    ``np.subtract`` / ``np.maximum`` calls), ``bulk_banded_align`` is
+    not exported, and each mode of the sweep has one library call site
+    — the align mode's entry point the candidate finalizer (and its own
+    one-problem spelling, which nothing in the library calls), the score
+    mode's the finalizer alone."""
+    import repro.blast
     from repro.blast.search import SearchParams
 
     assert "gapped_method" not in {f.name for f in
@@ -137,13 +141,29 @@ def test_search_library_has_one_gapped_algorithm():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "xdrop_gapped_extend" not in defined
     del trees["tests/oracle_search.py"]
+
+    def row_loop(loop):
+        called = {node.func.attr for node in ast.walk(loop)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)}
+        return {"add", "subtract", "maximum"} <= called
+
+    gapped = trees["src/repro/blast/gapped.py"]
+    sweeps = [fn.name for fn in ast.walk(gapped)
+              if isinstance(fn, ast.FunctionDef)
+              and any(isinstance(loop, (ast.For, ast.While)) and row_loop(loop)
+                      for loop in ast.walk(fn))]
+    assert sweeps == ["_sweep"]
+    assert "bulk_banded_align" not in repro.blast.__all__
+    assert _call_sites(trees, "_sweep") == [
+        "src/repro/blast/gapped.py:banded_local_align_many",
+        "src/repro/blast/gapped.py:bulk_banded_score"]
     assert _call_sites(trees, "banded_local_align_many") == [
         "src/repro/blast/gapped.py:banded_local_align",
         "src/repro/blast/search.py:_finalize_candidates"]
     assert _call_sites(trees, "banded_local_align") == []
-    for kernel in ("bulk_banded_score", "bulk_banded_align"):
-        assert _call_sites(trees, kernel) == [
-            "src/repro/blast/search.py:_bulk_alignments"]
+    assert _call_sites(trees, "bulk_banded_score") == [
+        "src/repro/blast/search.py:_finalize_candidates"]
 
 
 def test_oracle_imports_no_driver_internals():

@@ -1,28 +1,28 @@
-"""Equivalence battery for the batched gapped stage.
+"""Equivalence battery for the gapped stage.
 
-The two-pass gapped pipeline (``bulk_banded_score`` forward pass +
-one stacked ``bulk_banded_align`` traceback over the survivors) must
-be *byte-identical* to the scalar reference path.  Two layers of
-checks:
+The one row sweep of ``repro.blast.gapped`` runs in two modes — score
+(``bulk_banded_score``) and align (``banded_local_align_many``) — and
+the driver either aligns a batch's problems directly or scores them
+first and aligns the survivors.  Two layers of checks:
 
-1. Kernel level — per candidate ``bulk_banded_score`` returns exactly
-   the scalar ``banded_local_align``'s ``(score, q_end, s_end)`` and
-   ``bulk_banded_align`` its whole ``GappedAlignment`` (``ops``
-   included), over random nt / protein / PSSM corpora with planted
-   indels, band widths 0/4/24/64, the ``gap_open == gap_extend``
-   recurrence fallback, and traceback chunks of two candidates.
+1. Kernel level — per problem the score mode returns exactly the
+   oracle's (``tests/oracle_gapped.py``, the per-row scalar kernel)
+   ``(score, q_end, s_end)`` and the align mode its whole
+   ``GappedAlignment`` (``ops`` included), over random nt / protein /
+   PSSM corpora with planted indels, band widths 0-64, ``gap_open``
+   above, equal to and below ``gap_extend``, both forms of E's prefix
+   maximum, every DP integer width, and chunks of one or two problems.
 
 2. Pipeline level — culling (diagonal memoization, E-value reject
    skips, the per-subject cap) never changes the rendered output:
-   full result dumps and tabular text match the scalar path (forced
-   by raising the driver's ``_BULK_MIN_CANDIDATES`` routing threshold
-   out of reach; the stacked side lowers it to 1) through ``search``,
-   ``search_batch`` (two-hit and one-hit seeding), the process pool at
-   two jobs, and the PSI-BLAST PSSM rounds.  Both routes replay one
-   plan through one candidate loop, so what differs between them is
-   the DP kernels only; the code-disjoint comparison is the
-   per-sequence oracle (``search_reference``), which the seeding and
-   cap cases use.
+   full result dumps and tabular text match between the routes (the
+   direct one forced by a chunk budget out of reach, the scored one by
+   a budget of one byte) through ``search``, ``search_batch`` (two-hit
+   and one-hit seeding), the process pool at two jobs, and the
+   PSI-BLAST PSSM rounds.  Both routes replay one plan through one
+   candidate loop, so what differs between them is which problems are
+   aligned; the code-disjoint comparison is the per-sequence oracle
+   (``search_reference``), which the seeding and cap cases use.
 """
 
 import dataclasses
@@ -38,8 +38,7 @@ from hypothesis import strategies as st
 
 from repro.blast.alphabet import encode_protein
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
-                                banded_local_align_many,
-                                bulk_banded_align, bulk_banded_score)
+                                banded_local_align_many, bulk_banded_score)
 from repro.blast.profile import profiled
 from repro.blast.psiblast import psiblast
 from repro.blast.score import (
@@ -51,6 +50,7 @@ from repro.blast.score import (
 from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB
 
+from oracle_gapped import banded_local_align as oracle_banded_local_align
 from oracle_search import search_reference
 
 # The package re-exports the ``search`` function under the module's own
@@ -99,7 +99,7 @@ def dump(results):
 
 
 # ----------------------------------------------------------------------
-# 1. Kernel equivalence: bulk scores == scalar traceback scores
+# 1. Kernel equivalence: both modes == the oracle
 # ----------------------------------------------------------------------
 def _random_candidates(rng, alphabet_size, n_cand, max_len=90):
     """Random (query, subject, diag) triples packed into flat
@@ -145,39 +145,44 @@ def _random_candidates(rng, alphabet_size, n_cand, max_len=90):
 
 
 def _assert_kernels_match_scalar(packed, scheme, band, identity_qcat=None):
-    """Both stacked kernels against the scalar routine, per candidate:
-    the score pass on ``(score, q_end, s_end)``, the traceback pass on
-    every ``GappedAlignment`` field — at the default chunk bound and in
-    chunks of two candidates (chunk boundaries, and an active prefix
-    that shrinks inside every chunk)."""
+    """Both modes against the oracle (the per-row scalar kernel), per
+    problem: the score mode on ``(score, q_end, s_end)``, the align
+    mode on every ``GappedAlignment`` field — each at its default chunk
+    bound and in chunks of two problems (score) or one (align: a
+    one-byte budget), so chunk boundaries and, in the score mode, an
+    active prefix that shrinks inside every chunk are crossed."""
     qcat, scat, q_off, q_len, s_off, s_len, diag = packed
     want = []
     for c in range(len(diag)):
         rows = slice(q_off[c], q_off[c] + q_len[c])
-        want.append(banded_local_align(
+        want.append(oracle_banded_local_align(
             qcat[rows], scat[s_off[c]:s_off[c] + s_len[c]], int(diag[c]),
             scheme, band=band,
             identity_query=(None if identity_qcat is None
                             else identity_qcat[rows])))
 
     def where(c):
-        return (f"candidate {c} (ql={q_len[c]} sl={s_len[c]} "
+        return (f"problem {c} (ql={q_len[c]} sl={s_len[c]} "
                 f"diag={diag[c]} band={band})")
 
-    score, qend, send = bulk_banded_score(*packed, scheme, band=band)
-    for c, aln in enumerate(want):
-        ends = ((aln.score, aln.q_end, aln.s_end) if aln.score > 0
-                else (0, 0, 0))
-        got = (int(score[c]), int(qend[c]), int(send[c]))
-        assert got == ends, f"{where(c)}: bulk {got} != scalar {ends}"
-    for chunk in (gapped_mod._BULK_ALIGN_CANDIDATES, 2):
+    ends = [(a.score, a.q_end, a.s_end) if a.score > 0 else (0, 0, 0)
+            for a in want]
+    for chunk in (gapped_mod._BULK_CANDIDATES, 2):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gapped_mod, "_BULK_ALIGN_CANDIDATES", chunk)
-            alns = bulk_banded_align(*packed, scheme, band=band,
-                                     identity_qcat=identity_qcat)
+            mp.setattr(gapped_mod, "_BULK_CANDIDATES", chunk)
+            score, qend, send = bulk_banded_score(*packed, scheme, band=band)
+        for c in range(len(want)):
+            got = (int(score[c]), int(qend[c]), int(send[c]))
+            assert got == ends[c], \
+                f"{where(c)}, chunks of {chunk}: {got} != {ends[c]}"
+    for budget in (gapped_mod._SWEEP_BYTES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gapped_mod, "_SWEEP_BYTES", budget)
+            alns = banded_local_align_many(*packed, scheme, band=band,
+                                           identity_qcat=identity_qcat)
         assert len(alns) == len(want)
         for c, aln in enumerate(want):
-            assert alns[c] == aln, f"{where(c)}, chunks of {chunk}"
+            assert alns[c] == aln, f"{where(c)}, budget {budget}"
     return want
 
 
@@ -273,9 +278,9 @@ def test_bulk_integer_widths(scale, width):
     (rows x the matrix maximum, plus penalties and the matrix minimum)
     fits: a 300-position PSSM of entries up to 8 stays in int16, at
     100x its entries the bound crosses into int32 and at 10^7x into
-    int64.  Both kernels still equal the scalar routine (int64
-    throughout), and the widths are pinned, so a sweep that silently
-    widened every chunk would fail here."""
+    int64.  Both modes still equal the oracle (int64 throughout), and
+    the widths are pinned, so a sweep that silently widened every chunk
+    would fail here."""
     rng = np.random.default_rng(400 + len(str(scale)))
     m = 300
     matrix = rng.integers(-4, 9, size=(m, 25)).astype(np.int64) * scale
@@ -284,8 +289,8 @@ def test_bulk_integer_widths(scale, width):
     packed = _pssm_candidates(rng, m, 40, max_subject=320)
     with dp_widths() as seen:
         want = _assert_kernels_match_scalar(packed, scheme, 24)
-    # Pass 1 sweeps the 40 candidates as one chunk, first; the pass-2
-    # chunks of two candidates are narrower or equal.
+    # The score mode sweeps the 40 problems as one chunk, first; every
+    # later chunk is narrower or equal.
     assert seen[0] == width
     assert max(seen, key=lambda d: d.itemsize) == width
     # The best scores overflow the next narrower type.
@@ -307,27 +312,49 @@ def test_benchmark_protein_chunks_sweep_in_int16():
     assert seen and set(seen) == {np.dtype(np.int16)}
 
 
+@contextmanager
+def pinned_width(dtype):
+    """Every chunk swept in *dtype* (``None``: the type ``_dp_width``
+    picks), when that is at least as wide as the picked one."""
+    pick = gapped_mod._dp_width
+
+    def pinned(*args):
+        picked, neg = pick(*args)
+        return max(picked, np.dtype(dtype), key=lambda d: d.itemsize), neg
+
+    with pytest.MonkeyPatch.context() as mp:
+        if dtype is not None:
+            mp.setattr(gapped_mod, "_dp_width", pinned)
+        yield
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        alphabet=st.integers(2, 25),
        band=st.integers(0, 64),
-       equal_gaps=st.booleans(),
+       gaps=st.sampled_from(["open>extend", "open==extend", "open<extend"]),
        short_subjects=st.booleans(),
-       n_cand=st.integers(1, 7),
-       chunk=st.integers(1, 3))
-def test_stacked_kernels_equal_scalar(seed, alphabet, band, equal_gaps,
-                                      short_subjects, n_cand, chunk):
-    """Both stacked kernels against ``banded_local_align``, field for
-    field, over random alphabets and matrices, bands 0-64, the
-    closed-form E (``gap_open > gap_extend``) and the slot loop
-    (``gap_open == gap_extend``), subjects shorter than the band, and
-    chunk bounds of 1-3 candidates for both passes."""
+       n_cand=st.integers(1, 12),
+       pssm=st.booleans(),
+       narrow_cells=st.sampled_from([None, 0, 10 ** 9]),
+       budget=st.sampled_from([None, 1, 20_000]),
+       width=st.sampled_from([None, np.int32, np.int64]))
+def test_stacked_kernels_equal_scalar(seed, alphabet, band, gaps,
+                                      short_subjects, n_cand, pssm,
+                                      narrow_cells, budget, width):
+    """Both modes of the one row sweep against the oracle (the per-row
+    scalar kernel), field for field for the align mode and ``(score,
+    q_end, s_end)`` for the score mode: random alphabets and matrices
+    or a PSSM with ``identity_qcat``, bands 0-64, ``gap_open`` above,
+    equal to and below ``gap_extend``, subjects shorter than the band,
+    E's prefix maximum as one ``accumulate`` and as log-step passes
+    (the switch pinned either way, or left at the problem count), a
+    chunk budget of one byte, a few problems and the default, and every
+    DP integer width."""
     rng = np.random.default_rng(seed)
-    matrix = rng.integers(-5, 9, size=(alphabet, alphabet)).astype(np.int64)
-    matrix.setflags(write=False)
     ge = int(rng.integers(1, 4))
-    go = ge if equal_gaps else ge + int(rng.integers(1, 8))
-    scheme = ScoringScheme(matrix, go, ge, "aa")
+    go = {"open>extend": ge + int(rng.integers(1, 8)), "open==extend": ge,
+          "open<extend": int(rng.integers(0, ge))}[gaps]
     q_seqs, s_seqs = [], []
     for _ in range(n_cand):
         q = rng.integers(0, alphabet, int(rng.integers(1, 60)))
@@ -342,27 +369,30 @@ def test_stacked_kernels_equal_scalar(seed, alphabet, band, equal_gaps,
         q_seqs.append(q)
         s_seqs.append(s)
     q_len = np.array([len(q) for q in q_seqs])
+    identity_qcat = None
+    if pssm:
+        # Queries are PSSM positions; the residues count identities.
+        matrix = rng.integers(-5, 9, size=(int(q_len.max()), alphabet))
+        identity_qcat = np.concatenate(q_seqs)
+        q_seqs = [np.arange(n) for n in q_len]
+    else:
+        matrix = rng.integers(-5, 9, size=(alphabet, alphabet))
+    matrix = matrix.astype(np.int64)
+    matrix.setflags(write=False)
+    scheme = ScoringScheme(matrix, go, ge, "aa")
     s_len = np.array([len(s) for s in s_seqs])
     diag = np.array([int(rng.integers(-ql - band - 2, sl + band + 3))
                      for ql, sl in zip(q_len, s_len)])
     packed = (np.concatenate(q_seqs), np.concatenate(s_seqs),
               np.concatenate([[0], np.cumsum(q_len)[:-1]]), q_len,
               np.concatenate([[0], np.cumsum(s_len)[:-1]]), s_len, diag)
-    qcat, scat, q_off = packed[:3]
-    s_off = packed[4]
-    want = [banded_local_align(qcat[q_off[c]:q_off[c] + q_len[c]],
-                               scat[s_off[c]:s_off[c] + s_len[c]],
-                               int(diag[c]), scheme, band=band)
-            for c in range(n_cand)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gapped_mod, "_BULK_CANDIDATES", chunk)
-        mp.setattr(gapped_mod, "_BULK_ALIGN_CANDIDATES", chunk)
-        score, qend, send = bulk_banded_score(*packed, scheme, band=band)
-        alns = bulk_banded_align(*packed, scheme, band=band)
-    assert [(int(a), int(b), int(c)) for a, b, c in zip(score, qend, send)] \
-        == [(a.score, a.q_end, a.s_end) if a.score > 0 else (0, 0, 0)
-            for a in want]
-    assert alns == want
+    with pinned_width(width), pytest.MonkeyPatch.context() as mp:
+        if narrow_cells is not None:
+            mp.setattr(gapped_mod, "_NARROW_CELLS", narrow_cells)
+        if budget is not None:
+            mp.setattr(gapped_mod, "_SWEEP_BYTES", budget)
+        _assert_kernels_match_scalar(packed, scheme, band,
+                                     identity_qcat=identity_qcat)
 
 
 def test_bulk_gap_open_equals_extend_fallback():
@@ -377,8 +407,8 @@ def test_bulk_gap_open_equals_extend_fallback():
 
 def test_bulk_tie_breaks_on_flat_scores():
     """+1/-1 with gaps 2/1 makes DIAG / F / E and open / extend ties
-    common on the traceback path; the stacked pointers must break them
-    in the scalar routine's order (``go > ge``: the closed-form scan)."""
+    common on the traceback path; the derived pointers must break them
+    in the oracle's order (``go > ge``: the closed-form scan)."""
     rng = np.random.default_rng(11)
     scheme = NucleotideScore(match=1, mismatch=-1, gap_open=2, gap_extend=1)
     _assert_bulk_matches_scalar(rng, scheme, 4, band=8, n_cand=400)
@@ -386,8 +416,8 @@ def test_bulk_tie_breaks_on_flat_scores():
 
 
 def test_band_zero_has_no_within_row_gap():
-    """A one-slot band used to crash the scalar routine's closed-form
-    E scan while the bulk kernel answered — so with
+    """A one-slot band used to crash the one-problem kernel's
+    closed-form E scan while the bulk kernel answered — so with
     ``SearchParams(band=0)`` the result depended on the routing."""
     q = np.array([0, 1, 2, 3, 0, 1], dtype=np.int64)
     aln = banded_local_align(q, q, 0, NucleotideScore(), band=0)
@@ -395,14 +425,14 @@ def test_band_zero_has_no_within_row_gap():
     score, qend, send = bulk_banded_score(
         q, q, [0], [6], [0], [6], [0], NucleotideScore(), band=0)
     assert (int(score[0]), int(qend[0]), int(send[0])) == (6, 6, 6)
-    assert bulk_banded_align(q, q, [0], [6], [0], [6], [0],
-                             NucleotideScore(), band=0) == [aln]
+    assert banded_local_align_many(q, q, [0], [6], [0], [6], [0],
+                                   NucleotideScore(), band=0) == [aln]
 
 
 @pytest.mark.parametrize("bad", ["subject", "query"])
 def test_codes_outside_the_matrix_raise(bad):
-    """A residue code past the scoring matrix is an error in every
-    kernel (the stacked gathers clip, so the sweep checks the codes)."""
+    """A residue code past the scoring matrix is an error in both modes
+    (the gathers clip, so the sweep checks the codes)."""
     q = np.array([0, 1, 2, 3, 0, 1], dtype=np.int64)
     s = q.copy()
     (s if bad == "subject" else q)[3] = 9
@@ -413,7 +443,7 @@ def test_codes_outside_the_matrix_raise(bad):
     with pytest.raises(IndexError):
         bulk_banded_score(q, s, *one, scheme, band=2)
     with pytest.raises(IndexError):
-        bulk_banded_align(q, s, *one, scheme, band=2)
+        banded_local_align_many(q, s, *one, scheme, band=2)
 
 
 def test_kernel_annotations_resolve():
@@ -422,7 +452,7 @@ def test_kernel_annotations_resolve():
     import typing
 
     for fn in (banded_local_align, banded_local_align_many,
-               bulk_banded_score, bulk_banded_align):
+               bulk_banded_score):
         assert "return" in typing.get_type_hints(fn)
 
 
@@ -433,8 +463,6 @@ def test_bulk_empty_and_degenerate_inputs():
     score, qend, send = bulk_banded_score(
         empty, empty, empty, empty, empty, empty, empty, scheme)
     assert len(score) == len(qend) == len(send) == 0
-    assert bulk_banded_align(empty, empty, empty, empty, empty, empty,
-                             empty, scheme) == []
     assert banded_local_align_many(empty, empty, empty, empty, empty, empty,
                                    empty, scheme) == []
     # Single candidate whose band misses the subject entirely.
@@ -444,13 +472,11 @@ def test_bulk_empty_and_degenerate_inputs():
     score, qend, send = bulk_banded_score(
         q, s, *one, np.array([500]), scheme, band=4)
     assert (int(score[0]), int(qend[0]), int(send[0])) == (0, 0, 0)
-    assert bulk_banded_align(q, s, *one, np.array([500]), scheme,
-                             band=4) == [nothing]
     assert banded_local_align_many(q, s, *one, np.array([500]), scheme,
                                    band=4) == [nothing]
     # In range, but nothing scores: all mismatches.
-    assert bulk_banded_align(q, (s + 1) % 4, *one, np.array([0]), scheme,
-                             band=0) == [nothing]
+    assert banded_local_align_many(q, (s + 1) % 4, *one, np.array([0]),
+                                   scheme, band=0) == [nothing]
     assert banded_local_align(q, (s + 1) % 4, 0, scheme, band=0) == nothing
 
 
@@ -458,20 +484,20 @@ def test_bulk_empty_and_degenerate_inputs():
 # 2. Pipeline equivalence: culling never changes rendered output
 # ----------------------------------------------------------------------
 @contextmanager
-def scalar_route():
-    """Send every gapped refinement down the scalar route: no batch
-    ever has enough triggered candidates for the bulk pass."""
+def direct_route():
+    """Align every batch's problems directly: with the align mode's
+    chunk budget out of reach, every batch fits one chunk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_mod, "_BULK_MIN_CANDIDATES", 10**9)
+        mp.setattr(gapped_mod, "_SWEEP_BYTES", 10 ** 12)
         yield
 
 
 @contextmanager
-def stacked_route():
-    """Send every gapped refinement down the two stacked passes, however
-    few problems a batch plans."""
+def scored_route():
+    """Score every batch of two or more problems first and align only
+    its survivors: a one-byte budget holds one problem a chunk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_mod, "_BULK_MIN_CANDIDATES", 1)
+        mp.setattr(gapped_mod, "_SWEEP_BYTES", 1)
         yield
 
 
@@ -482,9 +508,9 @@ def test_search_nt_byte_identical(evalue_cutoff):
     params = SearchParams(evalue_cutoff=evalue_cutoff)
     for qi in (2, 7, 11):
         q = mutated_query(db, qi, rng, period=29, length=220)
-        with stacked_route():
+        with scored_route():
             bulk = search(q, db, NucleotideScore(), params, query_id="q")
-        with scalar_route():
+        with direct_route():
             scal = search(q, db, NucleotideScore(), params, query_id="q")
         assert dump(bulk) == dump(scal)
         assert bulk.tabular() == scal.tabular()
@@ -545,10 +571,10 @@ def test_search_protein_byte_identical(band):
     params = SearchParams(word_size=3, band=band)
     for qi in (1, 5, 9):
         q = mutated_query(db, qi, rng, period=9, length=200)
-        with stacked_route(), \
+        with scored_route(), \
                 profiled("t", enabled=True, emit=False) as prof_bulk:
             bulk = search(q, db, ProteinScore(), params, query_id="q")
-        with scalar_route(), \
+        with direct_route(), \
                 profiled("t", enabled=True, emit=False) as prof_scal:
             scal = search(q, db, ProteinScore(), params, query_id="q")
         # The two sides really took the two routes.
@@ -573,10 +599,10 @@ def test_search_batch_byte_identical(two_hit_window):
                                   query_id=qid))
             for q, qid in zip(queries, ids)]
     for n in (1, 3, 4):
-        with stacked_route():
+        with scored_route():
             bulk = search_batch(queries[:n], db, ProteinScore(), params,
                                 query_ids=ids[:n])
-        with scalar_route():
+        with direct_route():
             scal = search_batch(queries[:n], db, ProteinScore(), params,
                                 query_ids=ids[:n])
         assert [dump(r) for r in bulk] == [dump(r) for r in scal] == refs[:n]
@@ -595,7 +621,7 @@ def test_pool_two_jobs_byte_identical():
     with ExecPool(jobs=2) as pool:
         pooled = pool.search_many(queries, db, scheme, params,
                                   query_ids=ids, n_fragments=4)
-    with scalar_route():
+    with direct_route():
         serial = [search(q, db, scheme, params, query_id=qid)
                   for q, qid in zip(queries, ids)]
     assert [dump(r) for r in pooled] == [dump(r) for r in serial]
@@ -603,7 +629,7 @@ def test_pool_two_jobs_byte_identical():
 
 def test_psiblast_pssm_rounds_byte_identical():
     """Round >= 2 searches position indices against a PSSM scheme with
-    ``identity_query`` set — the bulk path must survive that too."""
+    ``identity_query`` set — the scored route must survive that too."""
     rng = np.random.default_rng(44)
     db = random_aa_db(rng, 15, min_len=80, max_len=200)
     # Plant a family so the PSSM rounds have material to include.
@@ -618,15 +644,15 @@ def test_psiblast_pssm_rounds_byte_identical():
 
     def spy(*args, **kwargs):
         stacked.append((len(args[6]), kwargs["identity_qcat"] is not None))
-        return bulk_banded_align(*args, **kwargs)
+        return banded_local_align_many(*args, **kwargs)
 
-    with stacked_route(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_mod, "bulk_banded_align", spy)
+    with scored_route(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "banded_local_align_many", spy)
         bulk = psiblast(seed_seq, db, iterations=3)
-    with scalar_route():
+    with direct_route():
         scal = psiblast(seed_seq, db, iterations=3)
-    # The PSSM round really went through the stacked traceback, with
-    # its identity residues: 32 survivors of 45 scored diagonals.
+    # The PSSM round really aligned only the survivors, with its
+    # identity residues: 32 survivors of 45 scored diagonals.
     assert stacked[-1] == (32, True)
     assert bulk.n_iterations == scal.n_iterations == 2
     assert bulk.converged == scal.converged
@@ -643,9 +669,8 @@ def test_psiblast_pssm_rounds_byte_identical():
 
 
 def test_tiny_workloads_route_to_scalar():
-    """Below ``_BULK_MIN_CANDIDATES`` triggered candidates the batched
-    pass costs more than it culls, so the driver routes to the scalar
-    path — no ``gapped_bulk`` stage, identical output (both exact)."""
+    """A batch whose problems fit one align chunk is aligned directly:
+    no score pass (no ``gapped_bulk`` stage), the oracle's output."""
     rng = np.random.default_rng(49)
     db = random_nt_db(rng, 10)
     q = mutated_query(db, 2, rng, period=29, length=200)
@@ -659,9 +684,9 @@ def test_tiny_workloads_route_to_scalar():
 
 
 def test_scalar_route_is_one_kernel_call(monkeypatch):
-    """Below ``_BULK_MIN_CANDIDATES`` problems a batch's gapped problems
-    are all aligned by one ``banded_local_align_many`` call — one row
-    sweep — and no stacked pass runs; the output is the oracle's."""
+    """When a batch's gapped problems fit one align chunk they are all
+    aligned by one ``banded_local_align_many`` call — one row sweep —
+    and no score pass runs; the output is the oracle's."""
     rng = np.random.default_rng(49)
     db = random_nt_db(rng, 12)
     queries = [mutated_query(db, qi, rng, period=29, length=200)
@@ -673,7 +698,7 @@ def test_scalar_route_is_one_kernel_call(monkeypatch):
         return banded_local_align_many(*args, **kwargs)
 
     def stacked(*args, **kwargs):
-        raise AssertionError("the stacked route ran")
+        raise AssertionError("the score pass ran")
 
     monkeypatch.setattr(search_mod, "banded_local_align_many", spy)
     monkeypatch.setattr(search_mod, "bulk_banded_score", stacked)
@@ -683,7 +708,7 @@ def test_scalar_route_is_one_kernel_call(monkeypatch):
         got = search_batch(queries, db, NucleotideScore(), params,
                            query_ids=ids)
     trials = prof.counters["gapped_trials"]
-    assert 3 <= trials < search_mod._BULK_MIN_CANDIDATES
+    assert trials >= 3
     assert calls == [trials]
     assert [dump(r) for r in got] == [
         dump(search_reference(q, db, NucleotideScore(), params, query_id=i))
@@ -695,7 +720,7 @@ def test_counters_traceback_bounded_by_trials():
     db = random_aa_db(rng, 25)
     q = mutated_query(db, 4, rng, period=9, length=220)
     params = SearchParams(word_size=3)
-    with stacked_route(), profiled("t", enabled=True, emit=False) as prof:
+    with scored_route(), profiled("t", enabled=True, emit=False) as prof:
         search(q, db, ProteinScore(), params, query_id="q")
     c = prof.counters
     assert c.get("gapped_trials", 0) > 0
@@ -731,8 +756,8 @@ def test_candidates_on_one_diagonal_share_one_dp_problem(route, monkeypatch):
     alignment (the second is a duplicate span), so the subject reports
     the joined A..B alignment once, then C — as the per-candidate
     oracle does, running the DP twice."""
-    monkeypatch.setattr(search_mod, "_BULK_MIN_CANDIDATES",
-                        10 ** 9 if route == "scalar" else 1)
+    monkeypatch.setattr(gapped_mod, "_SWEEP_BYTES",
+                        10 ** 12 if route == "scalar" else 1)
     q, db, sid = _two_candidates_on_one_diagonal()
     scheme = ProteinScore()
     params = SearchParams(word_size=3, xdrop_ungapped=16)

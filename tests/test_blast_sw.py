@@ -18,8 +18,7 @@ from repro.blast.seqdb import AA, NT, SequenceDB
 
 from oracle_sw import smith_waterman, smith_waterman_score
 
-# ``repro.blast.search`` the attribute is the function; this is the module.
-search_mod = importlib.import_module("repro.blast.search")
+gapped_mod = importlib.import_module("repro.blast.gapped")
 SCHEME = NucleotideScore()  # +1/-3, gap 5/2
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 
@@ -187,20 +186,19 @@ def planted_case(seed, seqtype, n_planted, identity):
        extra=st.integers(0, 2), identity=st.floats(0.9, 1.0))
 def test_search_hsps_bounded_by_sw_and_plants_found(route, seed, seqtype,
                                                     extra, identity):
-    """Through ``search_batch`` on both families of gapped kernels —
-    the scalar ones (a few DP problems) and, from
-    ``_BULK_MIN_CANDIDATES`` problems up, the stacked ones — every
-    reported HSP scores no more than the Smith-Waterman optimum of its
-    (oriented query, subject) pair, its ops replay to exactly its
-    score and extent, and every planted >= 90 %-identity insert is
-    reported on its strand."""
-    threshold = search_mod._BULK_MIN_CANDIDATES
-    n_planted = extra + (1 if route == "scalar" else threshold)
+    """Through ``search_batch`` on both gapped routes — every problem
+    aligned directly (the batch fits one align chunk), and scored first
+    with only the survivors aligned (a chunk budget of one byte holds
+    one problem a chunk) — every reported HSP scores no more than the
+    Smith-Waterman optimum of its (oriented query, subject) pair, its
+    ops replay to exactly its score and extent, and every planted
+    >= 90 %-identity insert is reported on its strand."""
+    n_planted = extra + (1 if route == "scalar" else 4)
     query, db, scheme, params, plants = planted_case(
         seed, seqtype, n_planted, identity)
     with pytest.MonkeyPatch.context() as mp:
-        if route == "scalar":       # chance candidates must not tip it
-            mp.setattr(search_mod, "_BULK_MIN_CANDIDATES", 10 ** 9)
+        mp.setattr(gapped_mod, "_SWEEP_BYTES",
+                   10 ** 12 if route == "scalar" else 1)
         with profiled("t", enabled=True, emit=False) as prof:
             [results] = search_batch([query], db, scheme, params)
     assert ("gapped_bulk" in prof.stages) == (route == "stacked")

@@ -231,6 +231,79 @@ def test_blastn_batch_matches_the_committed_golden(fmt, jobs, tmp_path,
         assert sum(int(row[5]) > 0 for row in rows) >= 8
 
 
+@pytest.mark.parametrize("jobs", [None, "2"], ids=["serial", "jobs2"])
+@pytest.mark.parametrize("fmt", ["tabular", "report"])
+def test_blastp_batch_matches_the_committed_golden(fmt, jobs, tmp_path,
+                                                   capsys):
+    """A blastp batch prints, byte for byte, what the engine printed
+    while its gapped problems still ran on separate kernels (the
+    row-stacked one below 64 problems, two band-major passes from
+    there).  The database holds two families of four mutated copies
+    (10-35 % substitutions, up to two short indels) of a random
+    ancestor, four short unrelated sequences and one of 1900 unknown
+    residues; the four queries are mutated extracts of the ancestors
+    with two short indels each.  Serially the batch plans 176 gapped
+    problems, more than one align chunk holds, so it is scored first
+    and only its survivors are aligned; at ``--jobs 2`` the pack with
+    the unknown residues plans 16, which fit one chunk and are aligned
+    directly.  The report prints every alignment (``-a``)."""
+    from pathlib import Path
+
+    data = Path(__file__).parent / "data"
+    assert main(["formatdb", "-p", "-i", str(data / "blastp_batch_db.fasta"),
+                 "-d", str(tmp_path), "-n", "bp"]) == 0
+    capsys.readouterr()
+    argv = ["blastall", "-p", "blastp", "-d", str(tmp_path / "bp"),
+            "-i", str(data / "blastp_batch_query.fasta"), "-m", fmt]
+    if fmt == "report":
+        argv.append("-a")
+    if jobs is not None:
+        argv += ["--jobs", jobs]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (data / f"blastp_batch_{fmt}.expected").read_bytes()
+    if fmt == "tabular":
+        rows = [line.split("\t") for line in out.splitlines() if line]
+        assert sum(int(row[5]) > 0 for row in rows) >= 10
+
+
+def test_blastp_batch_golden_takes_both_gapped_routes():
+    """The blastp golden's batch is scored first as a whole, and aligned
+    directly in the pool's lighter pack (what the pool's workers run
+    per pack, replayed in-process)."""
+    import importlib
+    from pathlib import Path
+
+    from repro.blast.alphabet import encode_protein
+    from repro.blast.fasta import parse_fasta
+    from repro.blast.programs import program_defaults
+    from repro.blast.search import search_batch
+    from repro.blast.seqdb import SequenceDB, segment_db
+
+    search_mod = importlib.import_module("repro.blast.search")
+    data = Path(__file__).parent / "data"
+    db = SequenceDB.from_fasta_text(
+        (data / "blastp_batch_db.fasta").read_text(), "aa")
+    queries = [encode_protein(rec.sequence) for rec in parse_fasta(
+        (data / "blastp_batch_query.fasta").read_text())]
+    scheme, params = program_defaults("blastp")
+    routes = []
+    real = search_mod.fits_one_align_chunk
+
+    def spy(q_len, *args, **kwargs):
+        routes.append((len(q_len), real(q_len, *args, **kwargs)))
+        return routes[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "fits_one_align_chunk", spy)
+        search_batch(queries, db, scheme, params, both_strands=False)
+        for fragment in segment_db(db, 2):
+            search_batch(queries, fragment, scheme, params,
+                         both_strands=False)
+    assert routes[0] == (176, False)
+    assert sorted(fits for _n, fits in routes[1:]) == [False, True]
+
+
 def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
     """``--fragments`` sizes the pool's cut of a ``-d`` database; where
     nothing cuts it (a serial run, or a store whose fragments were fixed

@@ -31,8 +31,7 @@ from repro.exec.shm import NAME_PREFIX, PackDB
 
 from oracle_search import search_reference
 
-# ``repro.blast.search`` the attribute is the function; this is the module.
-search_mod = importlib.import_module("repro.blast.search")
+gapped_mod = importlib.import_module("repro.blast.gapped")
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -203,11 +202,13 @@ def packdb_case(stack, tmp_path):
     return case
 
 
-def routed(case, min_candidates):
-    """Pin which kernels run the gapped DP problems: the scalar ones
-    (threshold out of reach) or the stacked ones (one problem is
-    enough).  Left alone, the driver picks by problem count."""
-    case["bulk_min_candidates"] = min_candidates
+def routed(case, sweep_bytes):
+    """Pin the gapped route through the align mode's chunk budget: out
+    of reach, every batch fits one chunk and is aligned directly; at
+    one byte, every chunk holds one problem, so a batch of two or more
+    is scored first and only its survivors are aligned.  Left alone,
+    the driver picks by whether a batch fits one chunk."""
+    case["sweep_bytes"] = sweep_bytes
     return case
 
 
@@ -228,7 +229,7 @@ CASES = {
     # the candidates, and on each DP route.
     "protein-two-hit-ungapped": lambda stack, tmp: aa_case(71, gapped=False),
     "protein-two-hit-scalar-route": lambda stack, tmp: routed(
-        aa_case(53), 10 ** 9),
+        aa_case(53), 10 ** 12),
     "protein-two-hit-bulk-route": lambda stack, tmp: routed(aa_case(53), 1),
     "pssm-bulk-route": lambda stack, tmp: routed(pssm_case(), 1),
     "nt-bulk-route": lambda stack, tmp: routed(nt_case(52), 1),
@@ -239,9 +240,9 @@ CASES = {
 def test_search_batch_matches_sequential(name, tmp_path, monkeypatch):
     with ExitStack() as stack:
         case = CASES[name](stack, tmp_path)
-        if "bulk_min_candidates" in case:
-            monkeypatch.setattr(search_mod, "_BULK_MIN_CANDIDATES",
-                                case["bulk_min_candidates"])
+        if "sweep_bytes" in case:
+            monkeypatch.setattr(gapped_mod, "_SWEEP_BYTES",
+                                case["sweep_bytes"])
         queries, db = case["queries"], case["db"]
         scheme, params = case["scheme"], case["params"]
         both = case["both_strands"]

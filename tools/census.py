@@ -8,8 +8,8 @@ things somebody runs — ``repro.cli`` and every ``.py`` under ``perf/``,
 a module only its own test imports is listed.  From the roots the walk
 follows *uses*, not imports: an ``import`` statement only binds a name,
 and a binding reaches its target when live code mentions the name.  A
-package ``__init__`` that re-exports ``megablast`` therefore keeps
-``greedy.py`` alive only if somebody imports that name from the package
+package ``__init__`` that re-exports ``search_volumes`` therefore keeps
+``volumes.py`` alive only if somebody imports that name from the package
 and uses it.  (In a root file the import itself counts as the use.)
 
 Units of liveness are a module's top-level functions, classes and
@@ -72,7 +72,6 @@ _TEST_HOOK = ("fault-injection / leak-check hook of the pack store: "
 #: test just like a finding with no entry.
 ALLOWLIST: Dict[str, str] = {
     # -- modules -------------------------------------------------------
-    "repro.blast.greedy": _FLOOR.format(12),
     "repro.blast.volumes": _FLOOR.format(10),
     "repro.trace.replay": "ROADMAP 1(d): replaying a real run's trace "
     "into the simulated cluster is what closes the simulator loop",
