@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test bench perf perf-full examples reproduce figures clean
+.PHONY: install test census bench perf perf-full examples reproduce figures clean
 
 install:
 	pip install -e .
@@ -12,6 +12,11 @@ install:
 # Tier-1 (ROADMAP.md).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The library-surface census: what no entry point reaches, and its pins.
+census:
+	$(PYTHON) tools/census.py
+	$(PYTHON) -m pytest -q tests/test_census.py tests/test_knob_inventory.py
 
 # The simulated paper figures (plus the pool's fault benchmark).
 bench:

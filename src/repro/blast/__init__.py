@@ -48,8 +48,6 @@ from repro.blast.scankernel import (ScanCache, ScanStructures,
                                     build_scan_structures,
                                     default_scan_cache, scan_fragment)
 from repro.blast.translate import translate, six_frames
-from repro.blast.volumes import (load_volumes, search_volumes,
-                                 split_volumes, write_volumes)
 from repro.blast.xmlout import to_xml
 
 __all__ = [
@@ -67,14 +65,10 @@ __all__ = [
     "build_scan_structures",
     "default_scan_cache",
     "scan_fragment",
-    "load_volumes",
     "search_segmented",
-    "search_volumes",
     "seg_mask",
     "segment_query",
-    "split_volumes",
     "to_xml",
-    "write_volumes",
     "DNA",
     "FastaRecord",
     "HSP",

@@ -63,10 +63,6 @@ class PsiBlastResult:
     converged: bool = False
 
     @property
-    def final(self) -> SearchResults:
-        return self.iterations[-1]
-
-    @property
     def n_iterations(self) -> int:
         return len(self.iterations)
 

@@ -18,7 +18,7 @@ groups with word hits.
 
 Downstream of the scan there is one candidate pipeline, for every
 alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
-(one-hit or two-hit, read off the search's inputs) →
+(one-hit for nucleotide, two-hit for protein) →
 ``bulk_ungapped_extend`` → the emit bound (a group whose best
 extension cannot be reported goes no further) → the per-diagonal
 coverage replay → one plan per group → the gapped DP problems →
@@ -70,12 +70,8 @@ class SearchParams:
     band: int = 24
     #: Report cutoff.
     evalue_cutoff: float = 10.0
-    #: Two-hit window A (protein only; 0 disables two-hit seeding).
-    two_hit_window: int = 40
     #: Keep at most this many HSPs per subject sequence.
     max_hsps: int = 10
-    #: Do gapped refinement at all (BLAST 1.x behaviour when False).
-    gapped: bool = True
     #: Mask low-complexity query regions before seeding (DUST / SEG).
     filter_low_complexity: bool = False
     #: Apply NCBI's length adjustment (edge-effect correction) to the
@@ -269,17 +265,17 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     Exposed so the parallel runtime (:mod:`repro.exec`) can compute the
     exact same statistics on the master and ship them to every worker —
     fragment results stay bit-identical to a serial whole-database
-    search.
+    search.  *params* selects nothing (every search has a gapped stage,
+    so the gapped table applies); ``perf/harness/layers.py`` passes it,
+    so it stays until the benchmark's next edit.
     """
     if is_protein:
-        key = (f"aa:blosum62:{scheme.gap_open}/{scheme.gap_extend}"
-               if params.gapped else None)
+        key = f"aa:blosum62:{scheme.gap_open}/{scheme.gap_extend}"
     else:
         match = int(scheme.matrix[0, 0])
         mis = int(scheme.matrix[0, 1])
         key = (f"nt:{'+' if match > 0 else ''}{match}/{mis}:"
-               f"{scheme.gap_open}/{scheme.gap_extend}"
-               if params.gapped else None)
+               f"{scheme.gap_open}/{scheme.gap_extend}")
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
@@ -345,7 +341,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         memo: Dict[int, int] = {}
         plan: _Plan = []
         for cand in job.candidates[:params.max_hsps]:
-            if not params.gapped or cand.score < params.gapped_trigger:
+            if cand.score < params.gapped_trigger:
                 plan.append((cand, -1))
                 continue
             diag = cand.s_start - cand.q_start
@@ -748,22 +744,21 @@ def prepare_queries(queries: Sequence[np.ndarray], scheme: ScoringScheme,
         batch=batch, qcat=qcat, qstarts=qstarts, qlens=qlens)
 
 
-#: An emit bound no score reaches (no E-value passes a negative cutoff).
-_NO_SCORE = np.iinfo(np.int64).max
+#: The two-hit window A: two word hits on one diagonal at most this far
+#: apart seed a protein extension.
+_TWO_HIT_WINDOW = 40
 
 
 def _emit_bound(ka: KarlinAltschul, params: SearchParams, m_eff: int,
                 n_eff: int) -> int:
     """The smallest ungapped score a candidate needs for its group to
     report anything: ``s*``, the least positive score whose E-value
-    passes the cutoff, capped at ``gapped_trigger`` when gapped
-    extension runs (a triggered candidate is reported at its gapped
-    score, which the ungapped one does not bound)."""
+    passes the cutoff, capped at ``gapped_trigger`` (a triggered
+    candidate is reported at its gapped score, which the ungapped one
+    does not bound)."""
     bound = ka.min_passing_score(params.evalue_cutoff, m_eff, n_eff)
-    if params.gapped:
-        return (params.gapped_trigger if bound is None
-                else min(bound, params.gapped_trigger))
-    return _NO_SCORE if bound is None else bound
+    return (params.gapped_trigger if bound is None
+            else min(bound, params.gapped_trigger))
 
 
 def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
@@ -771,10 +766,10 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
     """Steps 2-3 for every hit group of the batch at once.
 
     The whole hit stream is seeded with one grouped sort (two-hit for
-    protein unless ``two_hit_window`` is 0, one-hit otherwise: read off
-    the search's inputs) and extended with one ``bulk_ungapped_extend``
-    call against the query/subject concatenations (``prepared.qcat``
-    with per-entry ``qstarts`` offsets, ``structs.concat``).  A group
+    protein, one-hit for nucleotide) and extended with one
+    ``bulk_ungapped_extend`` call against the query/subject
+    concatenations (``prepared.qcat`` with per-entry ``qstarts``
+    offsets, ``structs.concat``).  A group
     whose best extension scores under its query's :func:`_emit_bound`
     is dropped before anything else: the coverage dedup only removes
     seeds, an untriggered candidate is reported at its ungapped score
@@ -796,10 +791,9 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
     qp_all = np.concatenate([g[3] for g in groups])
 
     t0 = time.perf_counter() if prof is not None else 0.0
-    if prepared.is_protein and params.two_hit_window > 0:
+    if prepared.is_protein:
         sgid, sqp, ssp = two_hit_seeds_grouped(
-            gid_of_hit, sp_all, qp_all, params.word_size,
-            params.two_hit_window)
+            gid_of_hit, sp_all, qp_all, params.word_size, _TWO_HIT_WINDOW)
     else:
         sgid, sqp, ssp = one_hit_seeds_grouped(gid_of_hit, sp_all, qp_all)
     if prof is not None:

@@ -158,10 +158,8 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
     scheme, params = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
     pool_kw = {}
-    for kw in ("heartbeat", "join_timeout", "hedge_after", "task_timeout"):
-        val = getattr(args, kw)
-        if val is not None:
-            pool_kw[kw] = val
+    if args.task_timeout is not None:
+        pool_kw["task_timeout"] = args.task_timeout
     if args.no_respawn:
         pool_kw["respawn"] = False
     if args.no_fallback:
@@ -461,20 +459,25 @@ def cmd_node(args) -> int:
     return 0
 
 
+def _at_least(kind, low, strict: bool = False):
+    """An argparse ``type``: a *kind* (``int`` or ``float``) of at least
+    *low* (above it when *strict*); anything else is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse's "invalid int value"
+    return parse
+
+
 def _add_pool_args(p: argparse.ArgumentParser) -> None:
     """Fault-tolerance knobs shared by the parallel (``--jobs``)
     subcommands; an unset flag leaves the pool's default."""
     g = p.add_argument_group("pool fault tolerance (with --jobs)")
-    g.add_argument("--heartbeat", type=float, default=None,
-                   help="liveness/deadline sweep interval, seconds "
-                        "(default 0.2)")
-    g.add_argument("--join-timeout", type=float, default=None,
-                   help="per-worker shutdown budget before terminate/kill "
-                        "escalation (default 2.0)")
-    g.add_argument("--hedge-after", type=float, default=None,
-                   help="soft deadline before a stuck task is hedged to an "
-                        "idle worker (default adaptive)")
-    g.add_argument("--task-timeout", type=float, default=None,
+    g.add_argument("--task-timeout", type=_at_least(float, 0, strict=True),
+                   default=None,
                    help="hard deadline before a busy worker is presumed "
                         "hung and killed (default adaptive)")
     g.add_argument("--no-respawn", action="store_true",
@@ -514,12 +517,12 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                    choices=["report", "tabular", "xml"],
                    help="output format (tabular = NCBI outfmt 6, "
                         "xml = BlastOutput XML)")
-    p.add_argument("-j", "--jobs", type=int, default=None,
+    p.add_argument("-j", "--jobs", type=_at_least(int, 0), default=None,
                    help="local worker processes for blastn/blastp "
                         "(multi-core database segmentation; results are "
                         "identical to a serial run; 0 = remote-only, "
                         "needs --nodes; default 1, or 0 with --nodes)")
-    p.add_argument("--fragments", type=int, default=None,
+    p.add_argument("--fragments", type=_at_least(int, 1), default=None,
                    help="database fragments for --jobs / --nodes over -d "
                         "(default: one per worker)")
     p.add_argument("--profile", action="store_true",
@@ -569,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="store directory (created if missing)")
     b.add_argument("-n", "--name", default=None, help="store name")
     b.add_argument("-p", "--protein", action="store_true")
-    b.add_argument("--fragments", type=int, default=4,
+    b.add_argument("--fragments", type=_at_least(int, 1), default=4,
                    help="fragment packs to cut the corpus into")
     b.add_argument("--word-size", type=int, default=None,
                    help="word size recorded in the manifest; a store "
@@ -595,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split a database into balanced fragments")
     p.add_argument("-d", "--database", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("-n", "--n-fragments", type=int, required=True)
+    p.add_argument("-n", "--n-fragments", type=_at_least(int, 1),
+                   required=True)
     p.add_argument("-p", "--protein", action="store_true")
     p.set_defaults(fn=cmd_segmentdb)
 

@@ -380,9 +380,8 @@ class PackStore:
     ``name``, plus the ScanCache identity pair ``_scan_token`` /
     ``_version``), so ``ExecPool.search_many(query, store, ...)`` cold-
     starts straight from disk.  ``_version`` is the store's
-    ``db_version`` — bumped by :meth:`append` exactly like
-    ``SequenceDB._version``, so the pool's stale-pack invalidation
-    works unchanged.
+    ``db_version``; a committed store is never modified, so it stays
+    what the builder wrote.
     """
 
     is_pack_store = True
@@ -465,90 +464,6 @@ class PackStore:
         for pack in self.open_packs():
             pack.close()
         return len(self.packs)
-
-    def _write_manifest(self) -> None:
-        path = os.path.join(self.directory, MANIFEST_NAME)
-        _write_manifest_file(path, self.manifest)
-
-    # ------------------------------------------------------------------
-    def append(self, records: Iterable[FastaRecord]) -> int:
-        """Incrementally add records: only the lightest fragment is
-        re-packed (re-indexed), every other pack file is untouched.
-
-        Bumps the store's ``db_version`` and the rebuilt pack's own
-        version — the pool's ``(token, version, ...)`` invalidation
-        then republishes exactly what changed... at today's pool
-        granularity, the whole prepared set; the per-pack identities
-        are what a finer-grained invalidation would key on.  Returns
-        the number of sequences added.
-        """
-        encode = encode_dna if self.seqtype == NT else encode_protein
-        added: List[Tuple[str, np.ndarray]] = []
-        for rec in records:
-            seq = rec.sequence
-            enc = encode(seq) if isinstance(seq, str) else np.asarray(
-                seq, dtype=np.uint8)
-            if len(enc) == 0:
-                raise ValueError(f"empty sequence for {rec.description!r}")
-            added.append((rec.description, enc))
-        if not added:
-            return 0
-
-        new_version = self._version + 1
-        if self.packs:
-            target = min(range(len(self.packs)),
-                         key=lambda i: self.packs[i].total_residues)
-            entry = self.packs[target]
-            # Load the one fragment being rebuilt (bounded by fragment
-            # size, not store size).
-            sub = SequenceDB(self.seqtype,
-                             name=f"{self.name}.{entry.fragment_id:03d}",
-                             fragment_id=entry.fragment_id)
-            source_ids: List[int] = []
-            with DiskPack(self.pack_path(entry)) as pack:
-                pdb = PackDB(pack)
-                for i in range(len(pdb)):
-                    sub.add(pdb.description(i), np.array(pdb.sequence(i)))
-                source_ids = list(pack.spec.source_ids)
-        else:
-            target = 0
-            entry = None
-            sub = SequenceDB(self.seqtype, name=f"{self.name}.000",
-                             fragment_id=0)
-            source_ids = []
-
-        next_gid = len(self)
-        for desc, enc in added:
-            sub.add(desc, enc)
-            source_ids.append(next_gid)
-            next_gid += 1
-
-        structs = build_scan_structures(sub, self.k, self.base)
-        fragment_id = entry.fragment_id if entry else 0
-        fname = entry.file if entry else f"{self.name}.000{PACK_SUFFIX}"
-        write_pack(self.pack_path(
-            PackEntry(fname, fragment_id, 0, 0, 0)), structs,
-            [sub.description(i) for i in range(len(sub))],
-            seqtype=self.seqtype, store_id=self.store_id,
-            version=new_version, fragment_id=fragment_id,
-            source_ids=source_ids)
-        new_entry = PackEntry(file=fname, fragment_id=fragment_id,
-                              version=new_version,
-                              n_sequences=len(sub),
-                              total_residues=sub.total_residues)
-        if entry:
-            self.packs[target] = new_entry
-        else:
-            self.packs.append(new_entry)
-
-        self.manifest["db_version"] = new_version
-        self.manifest["n_sequences"] = len(self) + len(added)
-        self.manifest["total_residues"] = (
-            self.total_residues + sum(len(e) for _d, e in added))
-        self.manifest["packs"] = [vars(p) for p in self.packs]
-        self._version = new_version
-        self._write_manifest()
-        return len(added)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<PackStore {self.directory!r} {self.seqtype} "

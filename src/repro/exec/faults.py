@@ -336,12 +336,6 @@ class FailureLedger:
         self.entries.append(entry)
         return entry
 
-    def count(self, kind: Optional[str] = None) -> int:
-        """Entries of one kind (or all of them)."""
-        if kind is None:
-            return len(self.entries)
-        return sum(1 for e in self.entries if e.kind == kind)
-
     def summary(self) -> Dict[str, int]:
         """``{kind: count}`` over every recorded entry."""
         out: Dict[str, int] = {}
@@ -352,10 +346,6 @@ class FailureLedger:
     def anomalies(self) -> int:
         """Events the hardened pool should never produce (CI gate)."""
         return sum(1 for e in self.entries if e.kind in ANOMALY_KINDS)
-
-    def clear(self) -> None:
-        """Drop all entries (per-sweep reuse in chaos tools)."""
-        self.entries.clear()
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -49,8 +49,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 #: Wire protocol version: both ends state it in the hello handshake and
 #: refuse a peer stating another (3: a shipped pack has no position
 #: table; 4: no word codes; 5: a result message carries its pairs;
-#: 6: a job's ``SearchParams`` has no ``gapped_method``).
-PROTO_VERSION = 6
+#: 6: a job's ``SearchParams`` has no ``gapped_method``; 7: nor
+#: ``gapped`` or ``two_hit_window``).
+PROTO_VERSION = 7
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).

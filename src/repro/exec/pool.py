@@ -95,6 +95,19 @@ _HEDGE_MULT = 4.0
 #: Seconds a freshly spawned worker gets to report ``ready``.
 _START_TIMEOUT = 30.0
 
+#: Failed attempts a task may burn before its job fails.
+_MAX_RETRIES = 2
+
+#: Respawn budget of one run: this many per worker slot, plus two.
+_RESPAWNS_PER_SLOT = 2
+
+#: Dial attempts per node at start.
+_NODE_CONNECT_ATTEMPTS = 3
+
+#: Seconds ``close()`` gives each worker to drain and join before it is
+#: escalated ``terminate()`` → ``kill()``.
+_JOIN_TIMEOUT = 2.0
+
 
 class PoolJobError(RuntimeError):
     """A parallel job could not be completed (workers exhausted or a
@@ -221,6 +234,13 @@ def _effective_space(ka: KarlinAltschul, params: SearchParams,
     return query_len, db.total_residues
 
 
+def _check_positive(**values) -> None:
+    """``ValueError`` for a count or duration given as zero or less."""
+    for name, value in values.items():
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def _terminate_workers(workers: List[WorkerSlot]) -> None:  # pragma: no cover
     """GC/exit safety net (module-level so weakref.finalize can hold it
     without keeping the pool alive); ``close()`` is the normal path."""
@@ -277,7 +297,7 @@ class _LocalSlot(NodeClient):
 
     def lost(self) -> None:
         self.abort()
-        self._reap(min(0.5, self.pool.join_timeout))
+        self._reap(min(0.5, _JOIN_TIMEOUT))
 
     def install(self, prepared) -> None:
         try:
@@ -321,8 +341,7 @@ class _LocalSlot(NodeClient):
 
     def _reap(self, grace: float) -> None:
         if self.process is not None:
-            _end_process(self.process, grace,
-                         max(0.5, self.pool.join_timeout / 2))
+            _end_process(self.process, grace, max(0.5, _JOIN_TIMEOUT / 2))
 
 
 class ExecPool:
@@ -351,19 +370,12 @@ class ExecPool:
         calls that give none (default: one per worker slot, local or
         node, so one search is one task per worker).  A pack store
         brings its own fragment count.
-    ``max_retries``
-        failed attempts a task may burn before the job fails
-        (default 2).
     ``task_sleep``
         stall every task by this many seconds — the test / chaos hook
         that widens the window for mid-task faults (default 0).
     ``heartbeat``
         idle-tick interval for the liveness/deadline sweeps and the
         PINGs to idle workers, seconds (default 0.2).
-    ``join_timeout``
-        budget for draining and joining workers at ``close()``; a
-        worker that survives it is escalated ``terminate()`` →
-        ``kill()`` so teardown can never hang (default 2.0).
     ``hedge_after``
         soft per-task deadline before speculative re-issue to an idle
         worker; ``None`` adapts from the observed task-time EMA.
@@ -371,9 +383,9 @@ class ExecPool:
         hard per-task deadline before the holding worker is presumed
         hung, killed, and respawned; ``None`` adapts from the soft
         deadline.
-    ``respawn`` / ``max_respawns``
-        whether (and how often per run; default ``2 x slots + 2``) lost
-        workers are replaced so the pool recovers its configured
+    ``respawn``
+        whether lost workers are replaced (at most ``2 x slots + 2``
+        attempts per run) so the pool recovers its configured
         capacity.
     ``serial_fallback``
         degrade to the serial scan engine (byte-identical, with a
@@ -397,13 +409,20 @@ class ExecPool:
         With nodes configured, ``jobs`` may be 0 (remote-only pool);
         local workers, when present, hold every fragment and are
         eligible for everything.
-    ``node_timeout`` / ``node_connect_attempts``
+    ``node_timeout``
         seconds of heartbeat silence from an *idle* worker, local or
         node, before it is declared dead (default ``max(1.0, 5 *
         heartbeat)``; a *busy* one is covered by the hard task
-        deadline), and dial attempts per node at start (default 3).
-        Dead nodes are re-dialed with bounded exponential backoff +
-        jitter under the same respawn budget as local workers.
+        deadline).  A node is dialed up to 3 times at start; dead
+        nodes are re-dialed with bounded exponential backoff + jitter
+        under the same respawn budget as local workers.
+
+    ``n_fragments`` and every duration above must be positive
+    (``ValueError`` otherwise).  Values nothing sets are module
+    constants: the retry budget (2 failed attempts per task), the
+    respawn budget, the dial attempts and the 2 s drain-and-join
+    budget ``close()`` gives each worker before escalating
+    ``terminate()`` → ``kill()``, so teardown can never hang.
 
     Every recovery action is appended to :attr:`ledger`, a
     :class:`~repro.exec.faults.FailureLedger` spanning the pool's
@@ -412,23 +431,21 @@ class ExecPool:
 
     def __init__(self, jobs: Optional[int] = None, *,
                  n_fragments: Optional[int] = None,
-                 max_retries: int = 2,
                  task_sleep: float = 0.0,
                  heartbeat: float = 0.2,
-                 join_timeout: float = 2.0,
                  hedge_after: Optional[float] = None,
                  task_timeout: Optional[float] = None,
                  respawn: bool = True,
-                 max_respawns: Optional[int] = None,
                  serial_fallback: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  nodes: Optional[Sequence] = None,
                  replication: int = 2,
-                 node_timeout: Optional[float] = None,
-                 node_connect_attempts: int = 3):
+                 node_timeout: Optional[float] = None):
+        _check_positive(n_fragments=n_fragments, heartbeat=heartbeat,
+                        hedge_after=hedge_after, task_timeout=task_timeout,
+                        node_timeout=node_timeout)
         self.node_addresses = [parse_address(a) for a in (nodes or [])]
         self.replication = max(1, int(replication))
-        self.node_connect_attempts = max(1, int(node_connect_attempts))
         if jobs is None and self.node_addresses:
             jobs = 0            # remote-only by default when nodes given
         self.jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
@@ -437,22 +454,18 @@ class ExecPool:
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0")
         self.default_fragments = n_fragments
-        self.max_retries = max_retries
         self.task_sleep = task_sleep
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._heartbeat = heartbeat
-        self.join_timeout = join_timeout
         self.hedge_after = hedge_after
         self.task_timeout = task_timeout
         self.respawn = respawn
-        n_slots = self.jobs + len(self.node_addresses)
-        self.max_respawns = (2 * n_slots + 2 if max_respawns is None
-                             else int(max_respawns))
         self.serial_fallback = serial_fallback
-        self.node_timeout = node_timeout or max(1.0, 5 * heartbeat)
+        self.node_timeout = (max(1.0, 5 * heartbeat) if node_timeout is None
+                             else node_timeout)
         self._registry: ShmRegistry = default_registry()
         #: One slot per configured worker, local ranks first, dead or
         #: alive.
@@ -498,7 +511,7 @@ class ExecPool:
         # mirror placement covers its fragments meanwhile.
         for i, address in enumerate(self.node_addresses):
             slot = NodeClient(address, self.jobs + i,
-                              connect_attempts=self.node_connect_attempts,
+                              connect_attempts=_NODE_CONNECT_ATTEMPTS,
                               heartbeat=self._heartbeat,
                               node_timeout=self.node_timeout)
             self._workers.append(slot)
@@ -570,7 +583,8 @@ class ExecPool:
         token = db_token(db)
         version = getattr(db, "_version", 0)
         n_slots = self.jobs + len(self.node_addresses)
-        nf = n_fragments or max(1, min(len(db) or 1, n_slots))
+        nf = (max(1, min(len(db) or 1, n_slots)) if n_fragments is None
+              else n_fragments)
         key = (token, version, k, base, nf)
         prep = self._prepared.get(key)
         if prep is not None:
@@ -778,7 +792,7 @@ class ExecPool:
                    ) -> Tuple[Dict[int, Dict[str, SearchResults]], PoolStats]:
         self._epoch += 1
         run = _Run(self.ledger, jobs,
-                   GreedyScheduler(tasks, max_retries=self.max_retries,
+                   GreedyScheduler(tasks, max_retries=_MAX_RETRIES,
                                    affinity=affinity),
                    self._epoch, {qi: {} for qi in jobs})
         try:
@@ -853,9 +867,9 @@ class ExecPool:
         """
         if not self.respawn or run.failure is not None:
             return
+        budget = _RESPAWNS_PER_SLOT * len(self._workers) + 2
         for slot in self._workers:
-            if not slot.alive \
-                    and run.stats.respawn_attempts < self.max_respawns:
+            if not slot.alive and run.stats.respawn_attempts < budget:
                 self._revive(slot, now, run.note)
 
     def _check_stranded(self, run: _Run) -> bool:
@@ -1032,6 +1046,9 @@ class ExecPool:
         :class:`~repro.exec.shm.PackIntegrityError`.
         """
         params = params or SearchParams()
+        if n_fragments is None:
+            n_fragments = self.default_fragments
+        _check_positive(n_fragments=n_fragments)
         is_protein = db.seqtype == AA
         base = len(PROTEIN) if is_protein else len(DNA)
         queries = [np.asarray(q, dtype=np.uint8) for q in queries]
@@ -1052,8 +1069,7 @@ class ExecPool:
                                        params, both_strands, exc)
 
         ka = resolve_ka(scheme, params, is_protein)
-        prep = self._prepare(db, params.word_size, base,
-                             n_fragments or self.default_fragments)
+        prep = self._prepare(db, params.word_size, base, n_fragments)
         jobs = {
             qi: JobSpec(query=q, query_id=query_ids[qi], scheme=scheme,
                         params=params, both_strands=both_strands, ka=ka,
@@ -1116,8 +1132,8 @@ class ExecPool:
     def close(self) -> None:
         """Stop every worker and release all shared-memory segments.
 
-        Bounded: draining and joining share one ``join_timeout``
-        budget per worker, after which the worker is escalated
+        Bounded: draining and joining share one 2 s budget per
+        worker (``_JOIN_TIMEOUT``), after which the worker is escalated
         ``terminate()`` → ``kill()`` — a hung or fault-injected worker
         can therefore never hang teardown (or CI).
         """
@@ -1133,6 +1149,6 @@ class ExecPool:
         # by a revive that never made it back to alive must not survive
         # close() as a half-open socket.
         for w in self._workers:
-            w.stop(time.monotonic() + self.join_timeout)
+            w.stop(time.monotonic() + _JOIN_TIMEOUT)
         for key in list(self._prepared):
             self._release_prepared(self._prepared.pop(key), notify=False)

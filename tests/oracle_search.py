@@ -60,6 +60,10 @@ from oracle_gapped import banded_local_align
 #: A seed: (query position, subject position).
 Seed = Tuple[int, int]
 
+#: Protein seeds pair two word hits on one diagonal at most this far
+#: apart (BLAST's two-hit window A).
+TWO_HIT_WINDOW = 40
+
 
 def protein_word_codes(encoded: np.ndarray, k: int = 3) -> np.ndarray:
     return word_codes(encoded, k, len(PROTEIN))
@@ -311,8 +315,8 @@ def _collect_candidates(query: np.ndarray, subject: np.ndarray,
     orientation/subject pair."""
     prof = current_profile()
     t0 = time.perf_counter() if prof is not None else 0.0
-    if is_protein and params.two_hit_window > 0:
-        seeds = two_hit_seeds(spos, qpos, params.word_size, params.two_hit_window)
+    if is_protein:
+        seeds = two_hit_seeds(spos, qpos, params.word_size, TWO_HIT_WINDOW)
     else:
         seeds = one_hit_seeds(spos, qpos)
     if prof is not None:
@@ -351,7 +355,7 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
     out: List[HSP] = []
     seen_spans: List[Tuple[int, int]] = []
     for cand in candidates:
-        if params.gapped and cand.score >= params.gapped_trigger:
+        if cand.score >= params.gapped_trigger:
             mid_q = cand.q_start + cand.length // 2
             mid_s = cand.s_start + cand.length // 2
             t0 = time.perf_counter() if prof is not None else 0.0

@@ -262,11 +262,8 @@ def test_one_reader_and_one_binning_rule():
     kernel asks no database for a preload hook.  Fragmenting a database
     has one binning rule: the greedy lightest-bin step is written in
     ``plan_fragments``, which ``segment_db`` and the store builder call
-    and through ``segment_db`` the pool.  The one other lightest-bin
-    pick, ``PackStore.append``'s, is incremental placement onto an
-    existing store by design (only the fragment it picks is re-packed),
-    so a store holds ``segment_db``'s fragments only until it is first
-    appended to."""
+    and through ``segment_db`` the pool, and nowhere else, so every
+    store holds ``segment_db``'s fragments."""
     assert not (ROOT / "src" / "repro" / "blast" / "lazydb.py").exists()
     trees = _src_trees()
     defined = {node.name: rel for rel, tree in trees.items()
@@ -304,8 +301,7 @@ def test_one_reader_and_one_binning_rule():
                     and node.args and is_min(node.args[0]))
                 or (is_min(node)
                     and any(kw.arg == "key" for kw in node.keywords))}
-    assert lightest == {"src/repro/blast/seqdb.py:plan_fragments",
-                        "src/repro/exec/diskpack.py:append"}
+    assert lightest == {"src/repro/blast/seqdb.py:plan_fragments"}
 
 
 def test_pool_has_one_task_shape():

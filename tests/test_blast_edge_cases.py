@@ -96,17 +96,6 @@ def test_query_is_entire_subject():
     assert best.identity == 1.0
 
 
-def test_gapped_disabled_blast1_mode():
-    rng = np.random.default_rng(0)
-    target = "".join(rng.choice(list("ACGT"), 300))
-    db = SequenceDB("nt")
-    db.add("t", target)
-    params = SearchParams(word_size=11, gapped=False)
-    res = blastn(target[50:170], db, params=params)
-    assert res.hits
-    assert res.best().ops == "M" * res.best().align_len
-
-
 def test_max_hsps_cap_enforced():
     # A subject with many repeated copies of the query region.
     unit = "ACGGTTAACCGGTTAACCGTATATGCGCAT"

@@ -532,27 +532,25 @@ def _planted_at_score(rng, core_len, query_len=120, flank=20):
 
 
 @pytest.mark.parametrize("delta", [-1, 0])
-@pytest.mark.parametrize("gapped,trigger", [(False, 22), (True, 22),
-                                            (True, 13)])
-def test_emit_bound_boundary_matches_oracle(gapped, trigger, delta):
+@pytest.mark.parametrize("trigger", [22, 13])
+def test_emit_bound_boundary_matches_oracle(trigger, delta):
     """A group is dropped before the dedup replay when its best
     ungapped extension scores under ``s*`` (the least score whose
-    E-value passes), capped at ``gapped_trigger`` with gapped
-    extension on.  Planted at exactly one under the bound and exactly
-    at it, the driver renders what the oracle, which has no bound,
-    renders — and reports the plant iff it reaches ``s*``."""
+    E-value passes), capped at ``gapped_trigger``.  Planted at exactly
+    one under the bound and exactly at it, the driver renders what the
+    oracle, which has no bound, renders — and reports the plant iff it
+    reaches ``s*``."""
     scheme = NucleotideScore()
     s_star = 16
-    bound = min(s_star, trigger) if gapped else s_star
+    bound = min(s_star, trigger)
     rng = np.random.default_rng(53)
     q, db, sid = _planted_at_score(rng, bound + delta)
-    ka = search_mod.resolve_ka(scheme, SearchParams(gapped=gapped), False)
+    ka = search_mod.resolve_ka(scheme, SearchParams(), False)
     space = (len(q), db.total_residues)
     cutoff = ka.evalue(s_star, *space)
     assert ka.evalue(s_star - 1, *space) > cutoff
     assert ka.min_passing_score(cutoff, *space) == s_star
-    params = SearchParams(gapped=gapped, gapped_trigger=trigger,
-                          evalue_cutoff=cutoff)
+    params = SearchParams(gapped_trigger=trigger, evalue_cutoff=cutoff)
     got = search(q, db, scheme, params, query_id="q")
     want = search_reference(q, db, scheme, params, query_id="q")
     assert dump(got) == dump(want)
@@ -584,14 +582,13 @@ def test_search_protein_byte_identical(band):
         assert bulk.tabular() == scal.tabular()
 
 
-@pytest.mark.parametrize("two_hit_window", [40, 0])
-def test_search_batch_byte_identical(two_hit_window):
-    """Both seeding rules — two-hit and one-hit, each through its
-    grouped seeder and the one bulk extension kernel — at batch sizes
-    1, 3 and 4, on both DP routes, against the per-sequence oracle."""
+def test_search_batch_byte_identical():
+    """Two-hit seeds through their grouped seeder and the one bulk
+    extension kernel, at batch sizes 1, 3 and 4, on both DP routes,
+    against the per-sequence oracle."""
     rng = np.random.default_rng(42)
     db = random_aa_db(rng, 20)
-    params = SearchParams(word_size=3, two_hit_window=two_hit_window)
+    params = SearchParams(word_size=3)
     queries = [mutated_query(db, qi, rng, period=9, length=180)
                for qi in (0, 3, 6, 12)]
     ids = [f"q{i}" for i in range(len(queries))]
@@ -792,7 +789,7 @@ def test_benchmark_protein_query_counters_pinned():
         mp.syspath_prepend(perf)
         make_aa = importlib.import_module("harness.inputs").make_aa
     aa = make_aa(1)
-    assert aa.params.two_hit_window == 40
+    assert search_mod._TWO_HIT_WINDOW == 40
     with profiled("t", enabled=True, emit=False) as prof:
         search(aa.encoded[0], aa.db, aa.scheme, aa.params, query_id="q")
     c = prof.counters

@@ -63,7 +63,7 @@ def test_iteration_one_is_plain_blastp(family):
     res = psiblast(ancestor, db, iterations=1)
     plain = blastp(ancestor, db)
     assert res.n_iterations == 1
-    assert {h.subject_id for h in res.final.hits} == \
+    assert {h.subject_id for h in res.iterations[-1].hits} == \
         {h.subject_id for h in plain.hits}
 
 
@@ -131,7 +131,8 @@ def test_pssm_no_hits_falls_back_to_blosum():
 def test_psiblast_does_not_drag_in_decoys(family):
     ancestor, db, _ = family
     res = psiblast(ancestor, db, iterations=3, inclusion_evalue=1e-3)
-    sig = [h.description for h in res.final.hits if h.best_evalue < 1e-6]
+    sig = [h.description for h in res.iterations[-1].hits
+           if h.best_evalue < 1e-6]
     assert not any(d.startswith("decoy") for d in sig)
     assert sum(d.startswith("fam") for d in sig) == 6
 

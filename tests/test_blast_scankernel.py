@@ -490,12 +490,11 @@ def test_engines_equivalent_randomized_nt_both_strands():
         planted = "".join(query_arr[20:120])
         db.add("planted", planted)
         query = encode_dna("".join(query_arr))
-        for gapped in (True, False):
-            params = SearchParams(gapped=gapped)
-            r_scan = search(query, db, NucleotideScore(), params,
-                            scan_cache=ScanCache())
-            r_loop = search_reference(query, db, NucleotideScore(), params)
-            assert dump(r_scan) == dump(r_loop)
+        params = SearchParams()
+        r_scan = search(query, db, NucleotideScore(), params,
+                        scan_cache=ScanCache())
+        r_loop = search_reference(query, db, NucleotideScore(), params)
+        assert dump(r_scan) == dump(r_loop)
         assert any(h.description == "planted" for h in r_scan.hits)
 
 

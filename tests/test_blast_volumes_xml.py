@@ -1,19 +1,11 @@
-"""Tests for multi-volume databases, alias files, and XML output."""
+"""Tests for the BlastOutput XML renderer."""
 
-import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from repro.blast import SequenceDB, blastn
-from repro.blast.volumes import (
-    AliasFile,
-    load_volumes,
-    search_volumes,
-    split_volumes,
-    write_volumes,
-)
 from repro.blast.xmlout import to_xml
 
 
@@ -28,70 +20,6 @@ def db():
     return db
 
 
-# ---------------------------------------------------------------- volumes
-def test_split_volumes_respects_cap(db):
-    vols = split_volumes(db, max_bytes=2000)
-    assert len(vols) > 1
-    assert sum(len(v) for v in vols) == len(db)
-    # Order preserved across volume boundaries.
-    descs = [d for v in vols for d, _ in v]
-    assert descs == [db.description(i) for i in range(len(db))]
-
-
-def test_split_volumes_single_when_cap_large(db):
-    vols = split_volumes(db, max_bytes=10 ** 9)
-    assert len(vols) == 1
-    assert len(vols[0]) == len(db)
-
-
-def test_split_volumes_validation(db):
-    with pytest.raises(ValueError):
-        split_volumes(db, max_bytes=0)
-
-
-def test_volume_names_numbered(db):
-    vols = split_volumes(db, max_bytes=2000)
-    assert vols[0].name == "mini.00"
-    assert vols[1].name == "mini.01"
-
-
-def test_write_and_load_volumes(db, tmp_path):
-    alias_path = write_volumes(db, str(tmp_path), max_bytes=2000)
-    assert alias_path.endswith("mini.nal")
-    assert os.path.exists(alias_path)
-    vols = load_volumes(str(tmp_path), "mini")
-    assert sum(len(v) for v in vols) == len(db)
-    assert sum(v.total_residues for v in vols) == db.total_residues
-
-
-def test_alias_file_roundtrip():
-    alias = AliasFile("nt", ["nt.00", "nt.01"])
-    back = AliasFile.parse(alias.render())
-    assert back == alias
-
-
-def test_alias_file_rejects_empty():
-    with pytest.raises(ValueError):
-        AliasFile.parse("TITLE x\n")
-
-
-def test_search_volumes_equals_whole_search(db):
-    target = db.sequence_str(3)
-    query = target[50:min(250, len(target))]
-    whole = blastn(query, db)
-    vols = split_volumes(db, max_bytes=2000)
-    merged = search_volumes(blastn, query, vols)
-    assert merged.best().score == whole.best().score
-    assert merged.hits[0].description == whole.hits[0].description
-    assert merged.db_residues == whole.db_residues
-
-
-def test_search_volumes_requires_volumes():
-    with pytest.raises(ValueError):
-        search_volumes(blastn, "ACGT", [])
-
-
-# ---------------------------------------------------------------- xml
 def test_xml_is_well_formed_and_complete(db):
     target = db.sequence_str(5)
     query = target[20:min(220, len(target))]

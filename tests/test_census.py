@@ -4,7 +4,9 @@
 its allowlist, every entry of which says why it stays — so the list can
 only shrink (the ``test_knob_inventory.py`` pattern).  A second pass
 without ``perf/`` pins the names only the benchmark keeps alive.  The
-walk itself is checked on a synthetic package tree."""
+walk itself, the ``ExecPool`` keyword pass, the knob table's exclusion
+from flag spellings and the rule for methods named like ``list``'s are
+checked on synthetic package trees."""
 
 import importlib.util
 import pathlib
@@ -35,7 +37,8 @@ def test_findings_are_exactly_the_allowlist():
 
 
 def test_every_allowlist_entry_states_a_reason():
-    for name, reason in {**census.ALLOWLIST, **census.PERF_ONLY}.items():
+    for name, reason in {**census.ALLOWLIST, **census.PERF_ONLY,
+                         **census.CALLED_BY}.items():
         assert len(reason.split()) >= 5, f"{name}: {reason!r} is not a reason"
 
 
@@ -129,3 +132,95 @@ def test_walk_on_a_synthetic_tree(tmp_path):
     assert walk.unreached_modules() == ["pkg.dead", "pkg.only_dead_uses"]
     assert walk.unreached_names() == [
         "pkg.live.Record", "pkg.live.Thing.unused", "pkg.live.unused_fn"]
+
+
+def test_called_by_names_only_list_named_methods():
+    assert census.stale_called_by(ROOT) == []
+
+
+def _pool_tree(tmp_path, table_rows, cli_flags, roots):
+    """A ``repro`` tree with an ``ExecPool`` of three keywords, a CLI
+    with *cli_flags*, DESIGN.md's knob table of *table_rows* and the
+    root scripts *roots*; a test passes ``max_retries`` too."""
+    flags = "".join(f"    p.add_argument({flag!r})\n" for flag in cli_flags)
+    _write_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/cli.py": "import argparse\n"
+                            "def build_parser():\n"
+                            "    p = argparse.ArgumentParser()\n"
+                            + flags + "    return p\n",
+        "src/repro/blast/search.py": """
+            class SearchParams:
+                word_size: int = 11
+            """,
+        "src/repro/exec/pool.py": """
+            class ExecPool:
+                def __init__(self, jobs=None, *, max_retries=2,
+                             join_timeout=2.0):
+                    self.jobs = jobs
+            """,
+        "DESIGN.md": "<!-- knob-table:begin -->\n"
+                     "| keyword | CLI flag / env | default | who |\n"
+                     "|---|---|---|---|\n"
+                     + "".join(f"| `{kw}` | {flag} | x | y |\n"
+                               for kw, flag in table_rows)
+                     + "<!-- knob-table:end -->\n",
+        "tests/test_pool.py": """
+            from repro.exec.pool import ExecPool
+            ExecPool(jobs=1, max_retries=0)
+            """,
+        **roots,
+    })
+
+
+def test_a_pool_keyword_only_a_test_passes_is_reported(tmp_path):
+    """A keyword counts as passed when a root names it in an
+    ``ExecPool(...)`` call or spells the flag the knob table pairs it
+    with; a test passing it does not count."""
+    _pool_tree(tmp_path, [("jobs", "`--jobs`"), ("max_retries", "—"),
+                          ("join_timeout", "`--join-timeout`")],
+               ["--jobs", "--join-timeout"],
+               {"tools/run.py": """
+                    from repro.exec.pool import ExecPool
+                    ExecPool(jobs=2)
+                    """,
+                "README.md": "Close faster with `--join-timeout 0.5`.\n"})
+    assert census.unpassed_pool_keywords(tmp_path) == [
+        "ExecPool max_retries"]
+    (tmp_path / "README.md").write_text("")
+    assert census.unpassed_pool_keywords(tmp_path) == [
+        "ExecPool join_timeout", "ExecPool max_retries"]
+
+
+def test_a_flag_spelled_only_in_the_knob_table_is_reported(tmp_path):
+    _pool_tree(tmp_path, [("jobs", "`--jobs`"),
+                          ("join_timeout", "`--join-timeout`")],
+               ["--jobs", "--join-timeout"],
+               {"Makefile": "run:\n\trepro blastn --jobs 2\n"})
+    assert census.unused_cli_flags(tmp_path) == ["cli --join-timeout"]
+
+
+def test_a_method_named_like_a_list_method_is_not_live_by_name(tmp_path):
+    """Every ``xs.append(x)`` names ``append``: a ``PackStore.append``
+    nobody calls is still reported, and stays live only through a
+    ``CALLED_BY`` line."""
+    _write_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/store.py": """
+            class PackStore:
+                def open(self):
+                    return self
+                def append(self, records):
+                    return len(records)
+            """,
+        "examples/run.py": """
+            from pkg.store import PackStore
+            found = []
+            found.append(PackStore().open())
+            """,
+    })
+    walk = census.reachability(tmp_path, package="pkg", root_modules=())
+    assert walk.unreached_names() == ["pkg.store.PackStore.append"]
+    walk = census.reachability(tmp_path, package="pkg", root_modules=(),
+                               called_by=["pkg.store.PackStore.append"])
+    assert walk.unreached_names() == []

@@ -323,6 +323,44 @@ def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+_BLASTN = ["blastn", "-d", "db", "-i", "query.fasta"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(_BLASTN + ["--jobs", "2", "--fragments", "-3"],
+                 "repro blastn: error: argument --fragments: must be >= 1, "
+                 "got -3", id="fragments-negative"),
+    pytest.param(_BLASTN + ["--jobs", "2", "--fragments", "0"],
+                 "repro blastn: error: argument --fragments: must be >= 1, "
+                 "got 0", id="fragments-zero"),
+    pytest.param(_BLASTN + ["--jobs", "-1", "--nodes", "127.0.0.1:9"],
+                 "repro blastn: error: argument -j/--jobs: must be >= 0, "
+                 "got -1", id="jobs-negative"),
+    pytest.param(_BLASTN + ["--jobs", "2", "--task-timeout", "0"],
+                 "repro blastn: error: argument --task-timeout: must be > 0, "
+                 "got 0", id="task-timeout-zero"),
+    pytest.param(["packdb", "build", "-o", "store", "--fragments", "0"],
+                 "repro packdb build: error: argument --fragments: must be "
+                 ">= 1, got 0", id="packdb-fragments-zero"),
+    pytest.param(["segmentdb", "-d", "db", "-o", "out", "-n", "0"],
+                 "repro segmentdb: error: argument -n/--n-fragments: must "
+                 "be >= 1, got 0", id="segmentdb-zero"),
+])
+def test_out_of_range_counts_and_deadlines_are_usage_errors(argv, error,
+                                                            capsys):
+    """A fragment count, worker count or deadline out of range is
+    refused while the arguments are parsed (exit 2, one line naming the
+    flag), before any file is read: not a ``ValueError`` traceback, a
+    silently ignored ``--fragments 0``, or a zero deadline that kills
+    every task into the serial fallback."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == error
+
+
 def test_blastall_jobs_falls_back_for_translated_programs(fasta_file, capsys):
     fasta, query, d = fasta_file
     main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
@@ -393,7 +431,7 @@ def test_blastn_and_blastall_options_differ_only_by_program():
     blastall, blastn = ([tuple(a.option_strings) for a in
                          sub.choices[name]._actions]
                         for name in ("blastall", "blastn"))
-    assert len(blastn) == 20 and ("-j", "--jobs") in blastn
+    assert len(blastn) == 17 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
 
 

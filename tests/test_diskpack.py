@@ -24,7 +24,7 @@ from repro.blast.scankernel import build_scan_structures
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB, segment_db
-from repro.blast.fasta import FastaRecord, iter_fasta
+from repro.blast.fasta import iter_fasta
 from repro.cli import EXIT_INTEGRITY, main
 from repro.exec import ExecPool, FrameConnection
 from repro.exec.diskpack import (BUILD_DIR_PREFIX, FORMAT_VERSION, MAGIC,
@@ -573,7 +573,8 @@ def test_degraded_pool_opens_each_pack_once_for_the_batch(tmp_path,
     s.bind(("127.0.0.1", 0))
     addr = s.getsockname()[:2]
     s.close()
-    pool = ExecPool(jobs=0, nodes=[addr], node_connect_attempts=1)
+    monkeypatch.setattr("repro.exec.pool._NODE_CONNECT_ATTEMPTS", 1)
+    pool = ExecPool(jobs=0, nodes=[addr])
     try:
         with pytest.warns(RuntimeWarning):
             got = pool.search_many(queries, store, scheme, params,
@@ -795,64 +796,6 @@ def test_builder_abort_on_exception_cleans_spools(tmp_path):
     assert not os.path.exists(os.path.join(d, MANIFEST_NAME))
     assert [f for f in store_files(d) if f.startswith(BUILD_DIR_PREFIX)] == []
     assert sweep_build_leftovers(d) == []
-
-
-# ----------------------------------------------------------------------
-# Incremental append
-# ----------------------------------------------------------------------
-def test_append_rebuilds_only_lightest_fragment(tmp_path):
-    rng = np.random.default_rng(71)
-    db = random_nt_db(rng, 15)
-    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
-                             n_fragments=3)
-    before = {e.fragment_id: e.version for e in store.packs}
-    assert set(before.values()) == {0}
-    v0 = store._version
-
-    extra = [FastaRecord(f"x{i} new",
-                         "".join(NT_LETTERS[rng.integers(0, 4, 80)]))
-             for i in range(4)]
-    for rec in extra:
-        db.add(rec.description, rec.sequence)
-    store.append(extra)
-
-    after = {e.fragment_id: e.version for e in store.packs}
-    bumped = [f for f in after if after[f] != before[f]]
-    assert len(bumped) == 1, "append must re-pack exactly one fragment"
-    assert store._version == v0 + 1
-    assert len(store) == len(db)
-    assert store.total_residues == db.total_residues
-
-    params = SearchParams(word_size=11)
-    scheme = NucleotideScore()
-    for target in (store, PackStore.open(str(tmp_path / "store"))):
-        q = db.sequence(len(db) - 2)[:80].copy()
-        got = search_store(q, target, scheme, params, query_id="q")
-        want = search(q, db, scheme, params, query_id="q")
-        assert dump(got) == dump(want)
-
-
-def test_append_invalidates_pool_cache(tmp_path):
-    """The store's version bump must flow through the pool's staleness
-    check: results after append reflect the new records."""
-    rng = np.random.default_rng(73)
-    db = random_nt_db(rng, 8)
-    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
-                             n_fragments=2)
-    params = SearchParams(word_size=11)
-    scheme = NucleotideScore()
-    from repro.blast.alphabet import encode_dna
-    novel = "".join(NT_LETTERS[rng.integers(0, 4, 120)])
-    q = encode_dna(novel)
-    with ExecPool(jobs=2) as pool:
-        cold = pool.search(q, store, scheme, params, query_id="q")
-        store.append([FastaRecord("novel seq", novel)])
-        db.add("novel seq", novel)
-        warm = pool.search(q, store, scheme, params, query_id="q")
-        assert dump(warm) == dump(search(q, db, scheme, params,
-                                         query_id="q"))
-        assert warm.db_sequences == cold.db_sequences + 1
-        assert any(h.description == "novel seq" for h in warm.hits)
 
 
 # ----------------------------------------------------------------------

@@ -417,7 +417,7 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
     versions and the session ends, the task sent behind it never served
     — and the agent keeps accepting: the next master, speaking this
     version, is served."""
-    assert PROTO_VERSION == 6   # 5 shipped a gapped_method in SearchParams
+    assert PROTO_VERSION == 7   # 6 shipped gapped / two_hit_window params
     agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
     server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
                               daemon=True)
@@ -449,7 +449,8 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
     assert not server.is_alive()
 
 
-def test_client_refuses_a_node_speaking_another_protocol():
+def test_client_refuses_a_node_speaking_another_protocol(
+        monkeypatch):
     """A node answering ``ready`` under another version is a failed
     dial: ``NodeConnectError`` naming both versions, which the pool
     records as ``node_unreachable`` like any other — and the master
@@ -483,13 +484,13 @@ def test_client_refuses_a_node_speaking_another_protocol():
         assert f"speaks {PROTO_VERSION}" in str(err.value)
         assert client.conn is None
 
-        pool = ExecPool(jobs=0, nodes=[address], serial_fallback=False,
-                        node_connect_attempts=1)
+        monkeypatch.setattr("repro.exec.pool._NODE_CONNECT_ATTEMPTS", 1)
+        pool = ExecPool(jobs=0, nodes=[address], serial_fallback=False)
         try:
             with pytest.warns(RuntimeWarning, match="protocol version"):
                 with pytest.raises(PoolJobError):
                     pool.start()
-            assert pool.ledger.count("node_unreachable") == 1
+            assert pool.ledger.summary().get("node_unreachable", 0) == 1
         finally:
             pool.close()
     finally:

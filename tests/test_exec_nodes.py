@@ -169,7 +169,7 @@ def test_last_mirror_lost_degrades_to_serial():
             assert [dump(r) for r in got] == expected
             assert pool.last_stats.fallback
             assert any("serial" in str(w.message) for w in caught)
-            assert pool.ledger.count("fallback") == 1
+            assert pool.ledger.summary().get("fallback", 0) == 1
             assert pool.ledger.anomalies() == 0
 
 
@@ -336,7 +336,7 @@ def test_close_aborts_node_client_outside_worker_slots():
         assert client.conn is None or client.conn.closed
 
 
-def test_unreachable_node_is_a_typed_failure():
+def test_unreachable_node_is_a_typed_failure(monkeypatch):
     """A configured node nobody listens on: start() must fail with
     PoolJobError after the bounded dial budget, never hang, and leave
     no half-open client."""
@@ -344,13 +344,13 @@ def test_unreachable_node_is_a_typed_failure():
     s.bind(("127.0.0.1", 0))
     addr = s.getsockname()[:2]
     s.close()                          # port is now closed: refused dials
-    pool = ExecPool(jobs=0, nodes=[addr], serial_fallback=False,
-                    node_connect_attempts=1)
+    monkeypatch.setattr("repro.exec.pool._NODE_CONNECT_ATTEMPTS", 1)
+    pool = ExecPool(jobs=0, nodes=[addr], serial_fallback=False)
     try:
         with pytest.warns(RuntimeWarning, match="unreachable"):
             with pytest.raises(PoolJobError):
                 pool.start()
-        assert pool.ledger.count("node_unreachable") >= 1
+        assert pool.ledger.summary().get("node_unreachable", 0) >= 1
     finally:
         pool.close()
     assert pool._workers

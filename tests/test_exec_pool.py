@@ -251,19 +251,36 @@ def test_pool_validation_and_close_semantics():
     with pytest.raises(ValueError):
         ExecPool(jobs=0)
     pool = ExecPool(jobs=1)
-    assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
-            pool.task_timeout, pool.task_sleep) == \
-        (0.2, 2.0, None, None, 0.0)
+    assert (pool._heartbeat, pool.hedge_after, pool.task_timeout,
+            pool.task_sleep) == (0.2, None, None, 0.0)
     pool.close()
     pool.close()                           # idempotent
-    pool = ExecPool(jobs=1, heartbeat=0.3, join_timeout=0.7,
-                    hedge_after=1.0, task_timeout=9.0, task_sleep=0.5)
-    assert (pool._heartbeat, pool.join_timeout, pool.hedge_after,
-            pool.task_timeout, pool.task_sleep) == \
-        (0.3, 0.7, 1.0, 9.0, 0.5)
+    pool = ExecPool(jobs=1, heartbeat=0.3, hedge_after=1.0,
+                    task_timeout=9.0, task_sleep=0.5)
+    assert (pool._heartbeat, pool.hedge_after, pool.task_timeout,
+            pool.task_sleep) == (0.3, 1.0, 9.0, 0.5)
     pool.close()
     with pytest.raises(PoolJobError):
         pool.start()                       # closed pools do not restart
+
+
+@pytest.mark.parametrize("keyword", ["n_fragments", "heartbeat",
+                                     "hedge_after", "task_timeout",
+                                     "node_timeout"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_pool_refuses_non_positive_counts_and_durations(keyword, value):
+    """A fragment count or a duration of zero or less is a caller's
+    error, refused before a worker starts — not a default in disguise
+    (``--fragments 0`` was ignored) or a deadline every task misses."""
+    with pytest.raises(ValueError, match=f"{keyword} must be positive"):
+        ExecPool(jobs=1, **{keyword: value})
+    rng = np.random.default_rng(4)
+    db = random_nt_db(rng, 4)
+    pool = ExecPool(jobs=1)
+    with pytest.raises(ValueError, match="n_fragments must be positive"):
+        pool.search(db.sequence(0), db, NucleotideScore(), n_fragments=value)
+    assert pool._workers == []
+    pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +314,7 @@ def test_kill_worker_mid_job_requeues_and_stays_byte_identical():
         assert pool.last_stats.worker_deaths == []
 
 
-def test_all_workers_dead_fails_job_cleanly():
+def test_all_workers_dead_fails_job_cleanly(monkeypatch):
     rng = np.random.default_rng(9)
     db = random_nt_db(rng, 20, min_len=100, max_len=300)
     scheme = NucleotideScore()
@@ -306,7 +323,8 @@ def test_all_workers_dead_fails_job_cleanly():
     # Respawn and serial fallback are the new default recovery paths;
     # disable both to pin the PR 1 contract: losing every worker fails
     # the job cleanly instead of hanging or leaking.
-    with ExecPool(jobs=1, task_sleep=0.3, max_retries=0,
+    monkeypatch.setattr("repro.exec.pool._MAX_RETRIES", 0)
+    with ExecPool(jobs=1, task_sleep=0.3,
                   respawn=False, serial_fallback=False) as pool:
         pool.start()
         pid = pool.worker_pids()[0]
@@ -323,13 +341,14 @@ def test_all_workers_dead_fails_job_cleanly():
     # fixture asserts /dev/shm is clean).
 
 
-def test_worker_error_exhausts_retries_without_killing_pool():
+def test_worker_error_exhausts_retries_without_killing_pool(monkeypatch):
     rng = np.random.default_rng(10)
     db = random_nt_db(rng, 10)
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     q = db.sequence(0)[:90].copy()
-    with ExecPool(jobs=1, max_retries=1) as pool:
+    monkeypatch.setattr("repro.exec.pool._MAX_RETRIES", 1)
+    with ExecPool(jobs=1) as pool:
         pool.start()
         prep = pool._prepare(db, params.word_size, 4, 2)
         # Poison the job table: the worker raises on every task, which
@@ -369,7 +388,8 @@ def test_worker_killed_between_runs_is_ledgered_before_its_respawn():
     assert ledger == ["worker_death", "respawn"]
 
 
-def test_idle_worker_that_stops_answering_is_lost_and_respawned():
+def test_idle_worker_that_stops_answering_is_lost_and_respawned(
+        monkeypatch):
     """A stopped process keeps its socket open, so no EOF ever comes;
     an idle local worker is PINGed like a node, and one that misses
     its heartbeats is declared lost, killed and replaced while the
@@ -379,8 +399,9 @@ def test_idle_worker_that_stops_answering_is_lost_and_respawned():
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     q = db.sequence(6)[:120].copy()
+    monkeypatch.setattr("repro.exec.pool._JOIN_TIMEOUT", 0.2)
     with ExecPool(jobs=2, heartbeat=0.05, node_timeout=0.5,
-                  join_timeout=0.2, hedge_after=100.0, task_timeout=100.0,
+                  hedge_after=100.0, task_timeout=100.0,
                   task_sleep=1.5) as pool:
         pool.start()
         stopped = pool.worker_pids()[1]

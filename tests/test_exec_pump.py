@@ -195,7 +195,8 @@ def test_a_pause_between_runs_is_not_a_heartbeat_loss():
     assert stats.heartbeat_losses == 0 and pool.ledger.entries == []
 
 
-def test_down_node_is_dialed_once_per_backoff_window_within_budget():
+def test_down_node_is_dialed_once_per_backoff_window_within_budget(
+        monkeypatch):
     clock = SteppedClock()
     worker = ScriptedSlot(0, clock, delay=30.0)
     node = NodeClient(("127.0.0.1", 1), 1, heartbeat=TICK, node_timeout=1.0)
@@ -206,7 +207,9 @@ def test_down_node_is_dialed_once_per_backoff_window_within_budget():
         raise NodeConnectError("refused")
 
     node.connect = connect
-    pool, ticks = scripted_pool(clock, [worker, node], max_respawns=4)
+    # A budget of four attempts: one per slot, plus the two spare.
+    monkeypatch.setattr("repro.exec.pool._RESPAWNS_PER_SLOT", 1)
+    pool, ticks = scripted_pool(clock, [worker, node])
     try:
         results, stats = pool._run_tasks({0: None}, ONE_TASK)
         assert not node.alive

@@ -339,7 +339,9 @@ def test_respawn_budget_counts_attempts_not_successes(monkeypatch):
     params = SearchParams(word_size=11)
     q = db.sequence(2)[:120].copy()
     serial = dump(search(q, db, scheme, params))
-    with ExecPool(jobs=2, task_sleep=0.2, max_respawns=2) as pool:
+    # A budget of two attempts: none per slot, plus the two spare.
+    monkeypatch.setattr("repro.exec.pool._RESPAWNS_PER_SLOT", 0)
+    with ExecPool(jobs=2, task_sleep=0.2) as pool:
         pool.start()
         victim = pool.worker_pids()[0]
         # Every replacement is stillborn from here on: it never says

@@ -217,17 +217,13 @@ CASES = {
     "nt-plus-strand-only": lambda stack, tmp: nt_case(62,
                                                       both_strands=False),
     "protein-two-hit": lambda stack, tmp: aa_case(53),
-    "protein-one-hit": lambda stack, tmp: aa_case(63, two_hit_window=0),
     "pssm-identity-query": lambda stack, tmp: pssm_case(),
     "low-complexity-filter": lambda stack, tmp: masked_case(),
     "query-shorter-than-word": lambda stack, tmp: short_query_case(),
-    "ungapped": lambda stack, tmp: nt_case(64, gapped=False),
     "explicit-effective-space": lambda stack, tmp: effective_space_case(),
     "packdb": packdb_case,
     # Default blastp (two-hit seeds through the bulk extension kernel)
-    # under every option that changes what the finalizer does with
-    # the candidates, and on each DP route.
-    "protein-two-hit-ungapped": lambda stack, tmp: aa_case(71, gapped=False),
+    # on each DP route.
     "protein-two-hit-scalar-route": lambda stack, tmp: routed(
         aa_case(53), 10 ** 12),
     "protein-two-hit-bulk-route": lambda stack, tmp: routed(aa_case(53), 1),

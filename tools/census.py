@@ -8,15 +8,19 @@ things somebody runs — ``repro.cli`` and every ``.py`` under ``perf/``,
 a module only its own test imports is listed.  From the roots the walk
 follows *uses*, not imports: an ``import`` statement only binds a name,
 and a binding reaches its target when live code mentions the name.  A
-package ``__init__`` that re-exports ``search_volumes`` therefore keeps
-``volumes.py`` alive only if somebody imports that name from the package
-and uses it.  (In a root file the import itself counts as the use.)
+package ``__init__`` that re-exports ``search_segmented`` therefore
+keeps ``queryseg.py`` alive only if somebody imports that name from the
+package and uses it.  (In a root file the import itself counts as the
+use.)
 
 Units of liveness are a module's top-level functions, classes and
 assignments, and each method of a class separately: a method is live
 when its class is and its name occurs as an attribute (or a
 ``getattr`` literal) anywhere in live code — name-based, so it
-under-reports rather than over-reports.
+under-reports rather than over-reports.  The exception is a method
+named like one of ``list``'s (``append``, ``count``, ``clear``, …),
+which every list in live code would keep alive: it is live only
+through a :data:`CALLED_BY` line naming who calls it.
 
 Reported, each with its allowlist reason or ``UNLISTED``:
 
@@ -24,7 +28,10 @@ Reported, each with its allowlist reason or ``UNLISTED``:
 * public top-level names and public methods no root reaches;
 * ``SearchParams`` fields no root, library caller or doc sets to a
   non-default value;
-* CLI flags no root, doc, workflow or Makefile spells.
+* ``ExecPool`` keywords no root passes, in an ``ExecPool(...)`` call or
+  through the CLI flag DESIGN.md's knob table pairs the keyword with;
+* CLI flags no root, doc, workflow or Makefile spells.  The knob table
+  names every pool flag, so it does not count as spelling one.
 
 A second pass drops ``perf/`` from the roots: what only the benchmark
 reaches is the deletion list of the ``[benchmark]`` PR that may edit
@@ -53,9 +60,6 @@ ROOT_DIRS = ("perf", "benchmarks", "examples", "tools")
 DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
              "perf/README.md", ".github/workflows/*.yml", "Makefile")
 
-_FLOOR = ("dead, and due to leave (ROADMAP 9): deleting it retires {} "
-          "tier-1 test ids, more than rode along with the PR that "
-          "committed this census")
 _AUDIT = ("the simulator's drain / consistency audit (repro.sim.check): "
           "safety tooling that tests, REPRO_STRICT_INVARIANTS=1 runs and "
           "the verify recipe's assert_drained() call; no root does")
@@ -72,12 +76,9 @@ _TEST_HOOK = ("fault-injection / leak-check hook of the pack store: "
 #: test just like a finding with no entry.
 ALLOWLIST: Dict[str, str] = {
     # -- modules -------------------------------------------------------
-    "repro.blast.volumes": _FLOOR.format(10),
     "repro.trace.replay": "ROADMAP 1(d): replaying a real run's trace "
     "into the simulated cluster is what closes the simulator loop",
     # -- the search library and the runtime ----------------------------
-    "repro.blast.psiblast.PsiBlastResult.final":
-        "accessor for the last round's results; tests only",
     "repro.exec.diskpack.build_roots": _TEST_HOOK,
     "repro.exec.diskpack.corrupt_pack_file": _TEST_HOOK,
     "repro.exec.diskpack.open_pack_count": _TEST_HOOK,
@@ -108,6 +109,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.parallel.mpi.Messenger.pending": _SIM_STAT,
     "repro.sim.events.Event.ok": _SIM_STAT,
     "repro.sim.fuzz.FuzzReport.ok": _SIM_STAT,
+    "repro.sim.monitor.Monitor.count": _SIM_STAT,
     "repro.sim.monitor.Monitor.series": _SIM_STAT,
     "repro.sim.monitor.Monitor.stddev": _SIM_STAT,
     "repro.sim.monitor.Monitor.variance": _SIM_STAT,
@@ -133,20 +135,25 @@ ALLOWLIST: Dict[str, str] = {
     "repro.workloads.queries.sample_query_length": _SIM_API,
     "repro.workloads.queries.synthetic_query": _SIM_API,
     "repro.workloads.synthdb.synthetic_nt_fasta": _SIM_API,
+    "repro.trace.collector.TraceCollector.clear": "empties a simulated "
+    "run's I/O trace; only tests/test_trace.py calls it, simulator half "
+    "of ROADMAP 9",
     # -- options nobody sets ---------------------------------------------
-    "SearchParams.gapped": "False is BLAST 1.x (no gapped stage, the "
-    "ungapped Karlin-Altschul table); the path matrix of "
-    "tests/test_query_batch.py runs it, nothing else does — next census "
-    "PR",
-    "SearchParams.two_hit_window": "0 selects one-hit protein seeding "
-    "(the 1990 rule, the grouped one-hit seeder on an aa database); "
-    "only the path-matrix tests set it — next census PR",
     "SearchParams.max_hsps": "bounds candidates and reported HSPs per "
     "subject (NCBI's default behaviour); a constant unless a workload "
     "needs another value — making it one is a driver edit for a "
     "[benchmark]-checked PR",
     "SearchParams.neighbor_threshold": "blastp's T, NCBI -f; "
     "tests/test_blast_psiblast.py and the word-index tests vary it",
+    "ExecPool respawn": "reached only through --no-respawn, which "
+    "tests/test_cli.py uses to reach exits 3 and 5 (a pool that cannot "
+    "recover)",
+    "cli --no-respawn": "tests/test_cli.py reaches exits 3 and 5 through "
+    "it: with respawn on, a killed worker is replaced and the run "
+    "recovers",
+    "cli --task-timeout": "the workaround for a task longer than the "
+    "adaptive hard deadline until ROADMAP 13 decides the deadline rule "
+    "(and with it this flag's row)",
     "cli --max-hits": "output bound every render takes (NCBI -v / -b); "
     "nothing scripts a value other than the default — constant "
     "candidate for the next census PR",
@@ -209,8 +216,30 @@ PERF_ONLY: Dict[str, str] = {
     "generator behind aa_gapped_serial and the blastp tests",
 }
 
+#: Methods named like one of ``list``'s (see :data:`_LIST_NAMES`) that
+#: live code does call → the caller.  Such a method is live only
+#: through its line here; a method that leaves takes its line with it.
+CALLED_BY: Dict[str, str] = {
+    "repro.blast.profile.StageProfile.count": "repro.blast.search and "
+    "repro.blast.scankernel count seeds, DP problems and scan candidates "
+    "on the active profile (prof.count)",
+    "repro.blast.scankernel.ScanCache.clear": "perf/harness (workloads.py, "
+    "checker.py, layers.py) empties default_scan_cache() so every block "
+    "starts cold",
+    "repro.blast.search.SearchResults.sort": "merge_fragment_results, "
+    "render.render_results and xmlout.to_xml put every result in "
+    "report order",
+    "repro.cluster.memory.PageCache.insert": "repro.fs.localfs and "
+    "repro.fs.dataserver fill a node's page cache on every simulated read",
+    "repro.sim.resources.Resource.count": "repro.cluster.network reads "
+    "nic.tx.count / rx.count to drive the link-busy monitors",
+}
+
 _MODULE_UNIT = "<module>"
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: A method named like one of ``list``'s is not live by name: every
+#: ``xs.append(x)`` would otherwise keep each ``append`` alive.
+_LIST_NAMES = frozenset(n for n in dir(list) if not n.startswith("_"))
 
 
 class Module:
@@ -305,8 +334,10 @@ def load_package(src: pathlib.Path, package: str = "repro"
 class Census:
     """Liveness fixpoint over *modules* from a set of roots."""
 
-    def __init__(self, modules: Dict[str, Module]):
+    def __init__(self, modules: Dict[str, Module],
+                 called_by: Iterable[str] = ()):
         self.modules = modules
+        self.called_by = set(called_by)
         self.live: Set[Tuple[str, str]] = set()
         self.used_attrs: Set[str] = set()
         self._todo: List[Tuple[Module, List[ast.AST]]] = []
@@ -414,7 +445,10 @@ class Census:
             before = len(self.live)
             for modname, unit in sorted(self.live):
                 for method in self.modules[modname].methods(unit):
-                    if method.split(".", 1)[1] in self.used_attrs:
+                    name = method.split(".", 1)[1]
+                    if name in self.used_attrs and (
+                            name not in _LIST_NAMES
+                            or f"{modname}.{method}" in self.called_by):
                         self._mark(modname, method)
             if len(self.live) == before:
                 return
@@ -455,8 +489,9 @@ def root_files(repo: pathlib.Path,
 
 def reachability(repo: pathlib.Path, package: str = "repro",
                  root_modules: Iterable[str] = ROOT_MODULES,
-                 root_dirs: Iterable[str] = ROOT_DIRS) -> Census:
-    census = Census(load_package(repo / "src", package))
+                 root_dirs: Iterable[str] = ROOT_DIRS,
+                 called_by: Iterable[str] = CALLED_BY) -> Census:
+    census = Census(load_package(repo / "src", package), called_by)
     for name in root_modules:
         census.add_root_module(name)
     for path in root_files(repo, root_dirs):
@@ -465,9 +500,17 @@ def reachability(repo: pathlib.Path, package: str = "repro",
     return census
 
 
+#: DESIGN.md §5e's knob table pairs each pool keyword with its CLI
+#: flag; it names every flag, so it is no evidence that anybody sets one.
+_KNOB_TABLE = re.compile(
+    r"<!-- knob-table:begin -->\n(.*?)<!-- knob-table:end -->", re.S)
+
+
 def _doc_text(repo: pathlib.Path) -> str:
-    return "\n".join(path.read_text() for glob in DOC_GLOBS
-                     for path in sorted(repo.glob(glob)))
+    """The docs, workflows and Makefile, the knob table cut out."""
+    return _KNOB_TABLE.sub("", "\n".join(
+        path.read_text() for glob in DOC_GLOBS
+        for path in sorted(repo.glob(glob))))
 
 
 def unset_search_params(repo: pathlib.Path) -> List[str]:
@@ -498,14 +541,25 @@ def unset_search_params(repo: pathlib.Path) -> List[str]:
                   if f not in set_somewhere)
 
 
+def _spelling_text(repo: pathlib.Path) -> str:
+    """Where a flag counts as spelled: roots, docs, workflows and the
+    Makefile (``cli.py``'s own text and this file's do not count)."""
+    return _doc_text(repo) + "\n".join(
+        path.read_text() for path in root_files(repo)
+        if path != pathlib.Path(__file__).resolve())
+
+
+def _spelled(flag: str, text: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])",
+                     text) is not None
+
+
 def unused_cli_flags(repo: pathlib.Path) -> List[str]:
     """Options of ``repro.cli`` none of whose spellings (``-e`` or
     ``--evalue``) is written as a word in a root, doc, workflow or
-    Makefile (``cli.py``'s own text does not count)."""
+    Makefile."""
     tree = ast.parse((repo / "src/repro/cli.py").read_text())
-    text = _doc_text(repo) + "\n".join(
-        path.read_text() for path in root_files(repo)
-        if path != pathlib.Path(__file__).resolve())
+    text = _spelling_text(repo)
     unused = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and \
@@ -513,11 +567,38 @@ def unused_cli_flags(repo: pathlib.Path) -> List[str]:
             spellings = [a.value for a in node.args
                          if isinstance(a, ast.Constant)
                          and str(a.value).startswith("-")]
-            if spellings and not any(
-                    re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", text)
-                    for s in spellings):
+            if spellings and not any(_spelled(s, text) for s in spellings):
                 unused.add(f"cli {spellings[-1]}")
     return sorted(unused)
+
+
+def unpassed_pool_keywords(repo: pathlib.Path) -> List[str]:
+    """``ExecPool`` keywords no root passes: none names it in an
+    ``ExecPool(...)`` call, and no root, doc, workflow or Makefile
+    spells the CLI flag the knob table pairs it with (the CLI is
+    reached through its flags, so ``cli.py``'s own call does not
+    count)."""
+    tree = ast.parse((repo / "src/repro/exec/pool.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "ExecPool")
+    init = next(n for n in cls.body
+                if isinstance(n, _FUNCTIONS) and n.name == "__init__")
+    keywords = [a.arg for a in init.args.args[1:] + init.args.kwonlyargs]
+    passed = set()
+    for path in root_files(repo):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "ExecPool" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                passed.update(kw.arg for kw in node.keywords)
+    text = _spelling_text(repo)
+    table = _KNOB_TABLE.search((repo / "DESIGN.md").read_text())
+    for row in (table.group(1).splitlines() if table else ()):
+        cells = row.split("|")
+        if len(cells) > 2 and any(_spelled(flag, text) for flag in
+                                  re.findall(r"--[\w-]+", cells[2])):
+            passed.add(cells[1].strip().strip("`"))
+    return sorted(f"ExecPool {kw}" for kw in keywords if kw not in passed)
 
 
 def _unreached(census: Census) -> List[str]:
@@ -525,8 +606,8 @@ def _unreached(census: Census) -> List[str]:
 
 
 def findings(repo: pathlib.Path = REPO) -> List[str]:
-    return (_unreached(reachability(repo))
-            + unset_search_params(repo) + unused_cli_flags(repo))
+    return (_unreached(reachability(repo)) + unset_search_params(repo)
+            + unpassed_pool_keywords(repo) + unused_cli_flags(repo))
 
 
 def perf_only(repo: pathlib.Path = REPO) -> List[str]:
@@ -557,8 +638,21 @@ def _table(title: str, found: List[str], listed: Dict[str, str]) -> bool:
     return not (unlisted or stale)
 
 
+def stale_called_by(repo: pathlib.Path = REPO) -> List[str]:
+    """:data:`CALLED_BY` lines that name no list-named method."""
+    modules = load_package(repo / "src")
+    defined = {f"{name}.{unit}" for name, mod in modules.items()
+               for unit in mod.defs}
+    return sorted(name for name in CALLED_BY if name not in defined
+                  or name.rpartition(".")[2] not in _LIST_NAMES)
+
+
 def main() -> int:
     ok = _table("no entry point reaches", findings(), ALLOWLIST)
+    for name in stale_called_by():
+        print(f"{name}  STALE: no such list-named method, drop its "
+              f"CALLED_BY line")
+        ok = False
     print()
     ok &= _table("only perf/ reaches", perf_only(), PERF_ONLY)
     return 0 if ok else 1
