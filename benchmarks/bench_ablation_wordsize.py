@@ -56,14 +56,19 @@ def _run():
 def test_ablation_word_size(once):
     results = once(_run)
     rows = []
-    for w, (found, elapsed) in results.items():
+    for w, (found, _t) in results.items():
         marks = ["x" if f"target@{i:.2f}" in found else "-"
                  for i in IDENTITIES]
-        rows.append([w, *marks, round(1000 * elapsed, 1)])
+        rows.append([w, *marks])
     save_report("ablation_wordsize", format_table(
         "A6: word-size ablation (found targets by identity; x = found)",
-        ["word size", *(f"{i:.0%}" for i in IDENTITIES), "ms/search"],
-        rows))
+        ["word size", *(f"{i:.0%}" for i in IDENTITIES)], rows))
+    # Wall-clock time of the real engine varies run to run, so it goes
+    # to stdout only: the committed table regenerates byte for byte.
+    print(format_table("A6: wall-clock per search (this run)",
+                       ["word size", "ms/search"],
+                       [[w, round(1000 * t, 1)]
+                        for w, (_f, t) in results.items()]))
 
     # Everybody finds the exact target.
     for w, (found, _t) in results.items():

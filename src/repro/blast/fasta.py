@@ -6,6 +6,9 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, TextIO, Union
 
+#: Sequence columns per line that :func:`write_fasta` writes.
+FASTA_WIDTH = 70
+
 
 @dataclass(frozen=True)
 class FastaRecord:
@@ -71,12 +74,12 @@ def parse_fasta(source: Union[str, TextIO]) -> List[FastaRecord]:
     return list(iter_fasta(source))
 
 
-def write_fasta(records: Iterable[FastaRecord], width: int = 70) -> str:
-    """Render records as FASTA text."""
+def write_fasta(records: Iterable[FastaRecord]) -> str:
+    """Render records as FASTA text, :data:`FASTA_WIDTH` residues a line."""
     out: List[str] = []
     for rec in records:
         out.append(f">{rec.description}")
         seq = rec.sequence
-        for i in range(0, len(seq), width):
-            out.append(seq[i:i + width])
+        for i in range(0, len(seq), FASTA_WIDTH):
+            out.append(seq[i:i + FASTA_WIDTH])
     return "\n".join(out) + ("\n" if out else "")

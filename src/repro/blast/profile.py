@@ -93,10 +93,9 @@ class StageProfile:
             out["counters"] = dict(self.counters)
         return out
 
-    def emit(self, stream=None) -> None:
+    def emit(self) -> None:
         """One JSON line to stderr (never stdout — results live there)."""
-        print(json.dumps(self.as_dict()),
-              file=stream if stream is not None else sys.stderr)
+        print(json.dumps(self.as_dict()), file=sys.stderr)
 
 
 @contextmanager

@@ -144,7 +144,6 @@ def _hit_set(results: SearchResults, inclusion_evalue: float) -> Set[int]:
 
 def psiblast(query: str, db: SequenceDB, iterations: int = 3,
              inclusion_evalue: float = 1e-3,
-             params: Optional[SearchParams] = None,
              query_id: str = "query") -> PsiBlastResult:
     """Iterated position-specific search.
 
@@ -155,8 +154,8 @@ def psiblast(query: str, db: SequenceDB, iterations: int = 3,
         raise ValueError("psiblast needs a protein database")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    params = params or SearchParams(word_size=3, neighbor_threshold=11,
-                                    xdrop_ungapped=16, gapped_trigger=22)
+    params = SearchParams(word_size=3, neighbor_threshold=11,
+                          xdrop_ungapped=16, gapped_trigger=22)
     enc = encode_protein(query)
     scheme = ProteinScore()
     result = PsiBlastResult()

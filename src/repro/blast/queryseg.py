@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from repro.blast.search import SearchParams, SearchResults
+from repro.blast.search import SearchResults
 from repro.blast.seqdb import SequenceDB
 
 
@@ -100,15 +100,13 @@ def merge_segment_results(full_query_len: int,
 
 
 def search_segmented(program: Callable[..., SearchResults], query: str,
-                     db: SequenceDB, n_segments: int, overlap: int = 50,
-                     params: SearchParams | None = None,
-                     query_id: str = "query") -> SearchResults:
+                     db: SequenceDB, n_segments: int, overlap: int = 50
+                     ) -> SearchResults:
     """Run *program* (e.g. :func:`repro.blast.blastn`) over a segmented
     query and merge — what a query-segmentation worker pool computes."""
     segments = segment_query(query, n_segments, overlap)
     pieces = []
     for seg in segments:
-        res = program(seg.text, db, params=params,
-                      query_id=f"{query_id}|seg{seg.index}")
+        res = program(seg.text, db, query_id=f"query|seg{seg.index}")
         pieces.append((seg, res))
     return merge_segment_results(len(query), pieces)

@@ -46,6 +46,10 @@ EXIT_POOL_FAILURE = 3
 EXIT_INTEGRITY = 4
 #: Results produced, but via serial fallback after pool collapse.
 EXIT_DEGRADED = 5
+#: Hits a report lists per query (NCBI's -v / -b): ``blastall`` prints
+#: 25, each ``psiblast`` round 15.
+BLASTALL_MAX_HITS = 25
+PSIBLAST_MAX_HITS = 15
 
 
 def _load_db(dbpath: str, protein: bool):
@@ -62,13 +66,11 @@ def _open_store(directory: str):
     return PackStore.open(directory)
 
 
-def _print_store(store, verbose: bool = True) -> None:
+def _print_store(store) -> None:
     print(f"pack store {store.directory}: {store.seqtype}, "
           f"{len(store)} sequences, {store.total_residues} residues, "
           f"{len(store.packs)} pack(s), word size {store.k}, "
           f"db version {store._version}")
-    if not verbose:
-        return
     for entry in store.packs:
         nbytes = os.path.getsize(store.pack_path(entry))
         print(f"  {entry.file}: fragment {entry.fragment_id} "
@@ -350,7 +352,7 @@ def _blastall(args) -> int:
             results = blastall(args.program, rec.sequence, db, params=params,
                                query_id=rec.id or "query")
         if args.outfmt == "tabular":
-            print(results.tabular(max_hits=args.max_hits))
+            print(results.tabular(max_hits=BLASTALL_MAX_HITS))
         elif args.outfmt == "xml":
             from repro.blast.xmlout import to_xml
 
@@ -359,9 +361,9 @@ def _blastall(args) -> int:
         elif args.alignments and store is None and \
                 args.program in ("blastn", "blastp"):
             print(render_results(rec.sequence, db, results,
-                                 max_hits=args.max_hits))
+                                 max_hits=BLASTALL_MAX_HITS))
         else:
-            print(results.report(max_hits=args.max_hits))
+            print(results.report(max_hits=BLASTALL_MAX_HITS))
         print()
     return EXIT_DEGRADED if degraded else 0
 
@@ -379,7 +381,7 @@ def cmd_psiblast(args) -> int:
                           query_id=rec.id or "query")
         for i, res in enumerate(result.iterations, 1):
             print(f"--- iteration {i} ---")
-            print(res.report(max_hits=args.max_hits))
+            print(res.report(max_hits=PSIBLAST_MAX_HITS))
         status = "converged" if result.converged else "not converged"
         print(f"[{status} after {result.n_iterations} iteration(s)]")
         print()
@@ -492,7 +494,7 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
                         "packs are shipped once, cached by content "
                         "identity, and mirrored --replication ways so a "
                         "node loss is served from a surviving mirror")
-    g.add_argument("--replication", type=int, default=None,
+    g.add_argument("--replication", type=_at_least(int, 1), default=None,
                    help="copies of each fragment pack across nodes "
                         "(default 2, clamped to the node count)")
 
@@ -512,7 +514,6 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                    help="mask low-complexity query regions (DUST/SEG)")
     p.add_argument("-a", "--alignments", action="store_true",
                    help="print pairwise alignments")
-    p.add_argument("--max-hits", type=int, default=25)
     p.add_argument("-m", "--outfmt", default="report",
                    choices=["report", "tabular", "xml"],
                    help="output format (tabular = NCBI outfmt 6, "
@@ -591,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="FASTA query file")
     p.add_argument("-j", "--iterations", type=int, default=3)
     p.add_argument("-h-incl", "--inclusion-evalue", type=float, default=1e-3)
-    p.add_argument("--max-hits", type=int, default=15)
     p.set_defaults(fn=cmd_psiblast)
 
     p = sub.add_parser("segmentdb",
@@ -661,13 +661,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.fn(args)
 
 
-def node_main(argv: Optional[List[str]] = None) -> int:
+def node_main() -> int:
     """Entry point for the ``repro-node`` console script: a bare
     ``repro node`` so cluster job scripts can launch agents without
     spelling the subcommand."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["node", *argv])
+    return main(["node", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ class Network:
         return self._nics[node_name]
 
     # ------------------------------------------------------------------
-    def transfer(self, src: "Node", dst: "Node", size: int, charge_cpu: bool = True):
+    def transfer(self, src: "Node", dst: "Node", size: int):
         """Generator: move *size* bytes from *src* to *dst*.
 
         Completes when the last byte is delivered.  Local transfers
@@ -90,12 +90,11 @@ class Network:
         p = self.params
         if size < 0:
             raise ValueError("size must be >= 0")
-        if charge_cpu:
-            cpu_cost = p.per_message_cpu + size * p.per_byte_cpu
-            # TCP stack work on both endpoints; overlapped with transfer
-            # on the wire, so charge it first (send side) and last
-            # (receive side) without double-counting wall time.
-            yield src.cpu.consume(cpu_cost)
+        cpu_cost = p.per_message_cpu + size * p.per_byte_cpu
+        # TCP stack work on both endpoints; overlapped with transfer on
+        # the wire, so charge it first (send side) and last (receive
+        # side) without double-counting wall time.
+        yield src.cpu.consume(cpu_cost)
         if src is dst and size > 0:
             # Loopback: no wire, but the stack still moves the bytes.
             yield src.cpu.consume(size / p.loopback_bandwidth)
@@ -137,9 +136,7 @@ class Network:
                     dnic.rx_busy.set(1 if dnic.rx.count else 0)
             snic.bytes_sent += size
             dnic.bytes_received += size
-        if charge_cpu:
-            cpu_cost = p.per_message_cpu + size * p.per_byte_cpu
-            yield dst.cpu.consume(cpu_cost)
+        yield dst.cpu.consume(cpu_cost)
         self.messages_delivered += 1
         self.bytes_delivered += size
 

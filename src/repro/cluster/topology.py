@@ -15,8 +15,6 @@ class Cluster:
 
     Parameters
     ----------
-    sim:
-        The simulator everything runs in.
     n_nodes:
         Number of nodes (named ``node00``, ``node01``, ...).
     params:
@@ -25,11 +23,11 @@ class Cluster:
         Root seed for the cluster's random streams.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, n_nodes: int = 8,
+    def __init__(self, n_nodes: int = 8,
                  params: Optional[NodeParams] = None, seed: int = 0):
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.params = params or prairiefire_params()
         self.network = Network(self.sim, self.params.network)
         self.streams = RandomStreams(seed)

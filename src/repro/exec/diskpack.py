@@ -332,8 +332,7 @@ class DiskPack(PackView):
                 f"residues={s.total_residues}>")
 
 
-def corrupt_pack_file(path: str, field: Optional[str] = None,
-                      nbytes: int = 8) -> str:
+def corrupt_pack_file(path: str, field: Optional[str] = None) -> str:
     """Scribble bytes inside one region of a pack file (test hook).
 
     *field* is a section name from the header's table, or the pseudo
@@ -354,7 +353,7 @@ def corrupt_pack_file(path: str, field: Optional[str] = None,
         else:
             spec, data_off = _read_header(f, path)
             with PackView(spec, mm, data_off) as view:
-                field = view.corrupt(field, nbytes)
+                field = view.corrupt(field)
     return field
 
 
@@ -704,8 +703,7 @@ def build_pack_store(source, directory: str, *, seqtype: str = NT,
 def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
                        scheme, params: Optional[SearchParams] = None, *,
                        query_ids: Optional[Sequence[str]] = None,
-                       both_strands: bool = True,
-                       keep_fragment_ids: bool = False
+                       both_strands: bool = True
                        ) -> List[SearchResults]:
     """Serial search of N queries against a mmapped store, each result
     byte-identical to ``search(query, db, ...)`` over the equivalent
@@ -746,18 +744,16 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
     return [merge_fragment_results(
                 by_pack[qi], ids_by_name, query_id=query_ids[qi],
                 query_len=len(q), db_residues=store.total_residues,
-                db_sequences=len(store), fragment_id=None,
-                keep_fragment_ids=keep_fragment_ids)
+                db_sequences=len(store))
             for qi, q in enumerate(queries)]
 
 
 def search_store(query: np.ndarray, store: PackStore, scheme,
                  params: Optional[SearchParams] = None, *,
-                 query_id: str = "query", both_strands: bool = True,
-                 keep_fragment_ids: bool = False) -> SearchResults:
+                 query_id: str = "query", both_strands: bool = True
+                 ) -> SearchResults:
     """One query against a mmapped store: a :func:`search_store_batch`
     of one."""
     return search_store_batch(
         [query], store, scheme, params, query_ids=[query_id],
-        both_strands=both_strands,
-        keep_fragment_ids=keep_fragment_ids)[0]
+        both_strands=both_strands)[0]

@@ -500,15 +500,11 @@ class NodeClient(WorkerSlot):
 
     def __init__(self, address, rank: int, *,
                  connect_attempts: int = 3,
-                 connect_timeout: float = 2.0,
-                 backoff_base: float = 0.05,
                  heartbeat: float = 0.2,
                  node_timeout: float = 1.0):
         super().__init__(rank)
         self.address = parse_address(address)
         self.connect_attempts = max(1, int(connect_attempts))
-        self.connect_timeout = connect_timeout
-        self.backoff_base = backoff_base
         self.heartbeat = heartbeat
         self.node_timeout = node_timeout
         self.node_info: dict = {}
@@ -560,8 +556,7 @@ class NodeClient(WorkerSlot):
         """A socket connected to the agent: a dial, bounded backoff."""
         return connect_backoff(
             self.address,
-            attempts=self.connect_attempts if attempts is None else attempts,
-            base_delay=self.backoff_base, timeout=self.connect_timeout)
+            attempts=self.connect_attempts if attempts is None else attempts)
 
     def _await_ready(self, conn: FrameConnection, timeout: float) -> dict:
         """The ready wait: the agent's info from its answer to the hello,
@@ -806,9 +801,9 @@ class NodeFleet:
     scenarios.  Requires the ``fork`` start method (socket inheritance).
     """
 
-    def __init__(self, n: int, *, fault_plan: Optional[FaultPlan] = None,
+    def __init__(self, n: int, *,
                  plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-                 task_sleep: float = 0.0, host: str = "127.0.0.1"):
+                 task_sleep: float = 0.0):
         if "fork" not in mp.get_all_start_methods():  # pragma: no cover
             raise RuntimeError("NodeFleet needs the fork start method")
         self._ctx = mp.get_context("fork")
@@ -818,14 +813,14 @@ class NodeFleet:
         # the moment the agent is killed — racing the supervisor reap.
         ensure_tracker()
         self.task_sleep = task_sleep
-        self._plans = list(plans) if plans is not None else [fault_plan] * n
+        self._plans = list(plans) if plans is not None else [None] * n
         self.socks: List[socket.socket] = []
         self.addresses: List[Tuple[str, int]] = []
         self.procs: List[Optional[mp.process.BaseProcess]] = [None] * n
         for _ in range(n):
             s = socket.socket()
             s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            s.bind((host, 0))
+            s.bind(("127.0.0.1", 0))
             s.listen(8)
             self.socks.append(s)
             self.addresses.append(s.getsockname()[:2])

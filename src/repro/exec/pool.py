@@ -417,8 +417,8 @@ class ExecPool:
         nodes are re-dialed with bounded exponential backoff + jitter
         under the same respawn budget as local workers.
 
-    ``n_fragments`` and every duration above must be positive
-    (``ValueError`` otherwise).  Values nothing sets are module
+    ``n_fragments``, ``replication`` and every duration above must be
+    positive (``ValueError`` otherwise).  Values nothing sets are module
     constants: the retry budget (2 failed attempts per task), the
     respawn budget, the dial attempts and the 2 s drain-and-join
     budget ``close()`` gives each worker before escalating
@@ -443,9 +443,9 @@ class ExecPool:
                  node_timeout: Optional[float] = None):
         _check_positive(n_fragments=n_fragments, heartbeat=heartbeat,
                         hedge_after=hedge_after, task_timeout=task_timeout,
-                        node_timeout=node_timeout)
+                        node_timeout=node_timeout, replication=replication)
         self.node_addresses = [parse_address(a) for a in (nodes or [])]
-        self.replication = max(1, int(replication))
+        self.replication = int(replication)
         if jobs is None and self.node_addresses:
             jobs = 0            # remote-only by default when nodes given
         self.jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)

@@ -204,17 +204,13 @@ class DataServer:
 
     # ------------------------------------------------------------------
     def store_local(self, client: "Node", path: str,
-                    extents: List[Tuple[int, int, int]], sync: bool = True):
+                    extents: List[Tuple[int, int, int]]):
         """Process: write extent data that is *already on this node*
         (server-to-server mirroring forwards use this with the data
         source being the primary server)."""
         stream = self._stream_id(path)
         for pos, size in self._units(extents):
-            if sync:
-                yield self.node.disk.write(pos, size, stream=stream)
-            else:
-                yield self.node.cpu.consume(
-                    size / self.node.params.memory.cache_bandwidth)
+            yield self.node.disk.write(pos, size, stream=stream)
             if self.use_cache:
                 self.node.cache.insert(stream, pos, size)
         return sum(e[2] for e in extents)

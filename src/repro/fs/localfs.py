@@ -34,10 +34,11 @@ class LocalFS(FileSystem):
         self.sim = node.sim
 
     # ------------------------------------------------------------------
-    def create(self, client: "Node", path: str, size: int = 0):
-        """Create *path* (instantaneous metadata; sized files represent
-        pre-existing data, e.g. a copied-in database fragment)."""
-        self._create_meta(path, size)
+    def create(self, client: "Node", path: str):
+        """Create an empty *path* (instantaneous metadata; a file of
+        pre-existing data, e.g. a copied-in database fragment, is
+        :meth:`populate`'s)."""
+        self._create_meta(path)
         return
         yield  # pragma: no cover - make this a generator
 
@@ -102,9 +103,9 @@ class LocalFS(FileSystem):
         self._trace(client, "write", path, size, start, self.sim.now)
 
     # ------------------------------------------------------------------
-    def truncate(self, client: "Node", path: str, size: int = 0):
+    def truncate(self, client: "Node", path: str):
         meta = self.lookup(path)
-        meta.size = size
+        meta.size = 0
         self.node.cache.invalidate(path)
         return
         yield  # pragma: no cover

@@ -32,15 +32,14 @@ class PVFS(FileSystem):
 
     def __init__(self, mds_node: "Node", data_nodes: List["Node"],
                  stripe_size: int = 64 * KiB,
-                 tracer: Optional["TraceCollector"] = None,
-                 server_cache: bool = True):
+                 tracer: Optional["TraceCollector"] = None):
         if not data_nodes:
             raise ValueError("PVFS needs at least one data server")
         super().__init__(tracer)
         self.sim = mds_node.sim
         self.stripe_size = stripe_size
         self.mds = MetadataServer(self, mds_node)
-        self.servers = [DataServer(self, node, i, stripe_size, server_cache)
+        self.servers = [DataServer(self, node, i, stripe_size)
                         for i, node in enumerate(data_nodes)]
         self.layout = StripeLayout(len(data_nodes), stripe_size)
 
@@ -79,9 +78,9 @@ class PVFSClient:
         self._layouts[path] = self.fs.layout
         return meta
 
-    def create(self, path: str, size: int = 0):
-        """Generator: create a file (metadata op)."""
-        meta = self.fs._create_meta(path, size)
+    def create(self, path: str):
+        """Generator: create an empty file (metadata op)."""
+        meta = self.fs._create_meta(path)
         yield from self.fs.mds.rpc(self.node)
         self._layouts[path] = self.fs.layout
         return meta
@@ -162,12 +161,12 @@ class PVFSClient:
         self.fs._trace(self.node, "write", path, size, start, self.sim.now)
         return size
 
-    def truncate(self, path: str, size: int = 0):
-        """Generator: truncate a file (metadata op; servers drop their
-        stripes lazily)."""
+    def truncate(self, path: str):
+        """Generator: truncate a file to zero bytes (metadata op;
+        servers drop their stripes lazily)."""
         meta = self.fs.lookup(path)
         yield from self.fs.mds.rpc(self.node)
-        meta.size = size
+        meta.size = 0
         for server in self.fs.servers:
             server.node.cache.invalidate(f"{path}#s{server.index}")
         return meta

@@ -35,7 +35,7 @@ _STRICT_OVERRIDE: Optional[bool] = None
 
 
 def default_tie_break_seed() -> Optional[int]:
-    """The tie-break seed new simulators pick up when none is given:
+    """The tie-break seed new simulators pick up:
     the active :func:`repro.sim.fuzz.perturbed` context, else the
     ``REPRO_TIE_BREAK_SEED`` environment variable, else ``None``
     (insertion order)."""
@@ -77,26 +77,22 @@ class Simulator:
     ----------
     start:
         Initial value of the simulation clock, in seconds.
-    tie_break_seed:
-        When given, same-(time, priority) events fire in a seeded
-        pseudo-random order instead of insertion order (schedule
-        perturbation, see :mod:`repro.sim.fuzz`).  Still fully
-        deterministic for a fixed seed.
     strict:
         Run the :class:`~repro.sim.check.InvariantMonitor` in strict
         mode (extra conservation-ledger checks during audits).
 
     Notes
     -----
-    The simulator is single-threaded and deterministic: two runs with the
-    same seed and the same process structure produce identical event
-    orderings.  All user code runs inside generator-based processes (see
+    Under :func:`repro.sim.fuzz.perturbed` (or ``REPRO_TIE_BREAK_SEED``)
+    same-(time, priority) events fire in a seeded pseudo-random order
+    instead of insertion order — still fully deterministic for a fixed
+    seed.  The simulator is single-threaded and deterministic: two runs
+    with the same seed and the same process structure produce identical
+    event orderings.  All user code runs inside generator-based processes (see
     :class:`repro.sim.process.Process`).
     """
 
-    def __init__(self, start: float = 0.0,
-                 tie_break_seed: Optional[int] = None,
-                 strict: Optional[bool] = None):
+    def __init__(self, start: float = 0.0, strict: Optional[bool] = None):
         from repro.sim.check import InvariantMonitor
 
         self._now = float(start)
@@ -104,11 +100,9 @@ class Simulator:
         self._seq = 0
         self._active: int = 0  # events on the heap that are not cancelled
         self._processes: set = set()  # live Process objects (see orphans())
-        if tie_break_seed is None:
-            tie_break_seed = default_tie_break_seed()
-        self.tie_break_seed = tie_break_seed
-        self._tie_rng = (random.Random(tie_break_seed)
-                         if tie_break_seed is not None else None)
+        self.tie_break_seed = default_tie_break_seed()
+        self._tie_rng = (random.Random(self.tie_break_seed)
+                         if self.tie_break_seed is not None else None)
         if strict is None:
             strict = default_strict()
         #: Runtime invariant checker (see :mod:`repro.sim.check`).
@@ -175,11 +169,11 @@ class Simulator:
         return None
 
     # ------------------------------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> "Event":
+    def timeout(self, delay: float) -> "Event":
         """Convenience constructor for :class:`repro.sim.events.Timeout`."""
         from repro.sim.events import Timeout
 
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     # ------------------------------------------------------------------
     def event(self) -> "Event":

@@ -68,10 +68,10 @@ class Event:
         return self.triggered and not self._failed
 
     # ------------------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with an optional payload."""
         self._value = value
-        self.sim.schedule(self, delay, priority)
+        self.sim.schedule(self, priority=priority)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":

@@ -52,8 +52,11 @@ class ScheduleDivergence(AssertionError):
 
 @contextlib.contextmanager
 def perturbed(seed: Optional[int]):
-    """Context manager: simulators constructed inside pick up
-    ``tie_break_seed=seed`` (``None`` restores insertion order)."""
+    """Context manager: simulators constructed inside break ties by seed.
+
+    Same-(time, priority) events fire in an order drawn from a
+    generator seeded *seed*; ``None`` restores insertion order.
+    """
     prev = engine._TIE_BREAK_OVERRIDE
     engine._TIE_BREAK_OVERRIDE = seed
     try:
@@ -63,11 +66,11 @@ def perturbed(seed: Optional[int]):
 
 
 @contextlib.contextmanager
-def strict_checking(enabled: bool = True):
+def strict_checking():
     """Context manager: simulators constructed inside run their
     invariant monitor in strict mode."""
     prev = engine._STRICT_OVERRIDE
-    engine._STRICT_OVERRIDE = enabled
+    engine._STRICT_OVERRIDE = True
     try:
         yield
     finally:
@@ -140,19 +143,18 @@ class ScheduleFuzzer:
         *inside* the call so the perturbation context applies.
     seeds:
         Perturbation seeds to try (default ``range(25)``).
-    strict:
-        Run every simulator (baseline and perturbed) with strict
-        invariant checking on.
+
+    Every simulator (baseline and perturbed) runs with strict invariant
+    checking on.
     """
 
     def __init__(self, scenario: Callable[[], Any],
-                 seeds: Iterable[int] = range(25), strict: bool = True):
+                 seeds: Iterable[int] = range(25)):
         self.scenario = scenario
         self.seeds = list(seeds)
-        self.strict = strict
 
     def _run_once(self, seed: Optional[int]) -> Any:
-        with strict_checking(self.strict), perturbed(seed):
+        with strict_checking(), perturbed(seed):
             return self.scenario()
 
     def run(self, raise_on_divergence: bool = True) -> FuzzReport:

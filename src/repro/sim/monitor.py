@@ -67,14 +67,14 @@ class TimeWeightedMonitor:
     """Tracks a piecewise-constant level (e.g. queue length, utilization)
     and integrates it over time."""
 
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = ""):
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self._level = float(initial)
+        self._level = 0.0
         self._last_t = sim.now
         self._start_t = sim.now
         self._area = 0.0
-        self._max = float(initial)
+        self._max = 0.0
 
     @property
     def level(self) -> float:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.blast.fasta import FastaRecord, parse_fasta, write_fasta
+from repro.blast.fasta import (FASTA_WIDTH, FastaRecord, parse_fasta,
+                               write_fasta)
 
 
 def test_parse_single_record():
@@ -46,15 +47,15 @@ def test_parse_empty_input():
 
 def test_write_roundtrip():
     recs = [FastaRecord("a desc", "ACGT" * 30), FastaRecord("b", "TTTT")]
-    text = write_fasta(recs, width=50)
+    text = write_fasta(recs)
     back = parse_fasta(text)
     assert back == recs
 
 
 def test_write_wraps_lines():
-    text = write_fasta([FastaRecord("a", "A" * 100)], width=30)
+    text = write_fasta([FastaRecord("a", "A" * 200)])
     body = [l for l in text.splitlines() if not l.startswith(">")]
-    assert max(len(l) for l in body) == 30
+    assert max(len(l) for l in body) == FASTA_WIDTH == 70
 
 
 def test_write_empty():

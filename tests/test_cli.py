@@ -336,6 +336,9 @@ _BLASTN = ["blastn", "-d", "db", "-i", "query.fasta"]
     pytest.param(_BLASTN + ["--jobs", "-1", "--nodes", "127.0.0.1:9"],
                  "repro blastn: error: argument -j/--jobs: must be >= 0, "
                  "got -1", id="jobs-negative"),
+    pytest.param(_BLASTN + ["--nodes", "127.0.0.1:9", "--replication", "0"],
+                 "repro blastn: error: argument --replication: must be >= 1, "
+                 "got 0", id="replication-zero"),
     pytest.param(_BLASTN + ["--jobs", "2", "--task-timeout", "0"],
                  "repro blastn: error: argument --task-timeout: must be > 0, "
                  "got 0", id="task-timeout-zero"),
@@ -431,7 +434,7 @@ def test_blastn_and_blastall_options_differ_only_by_program():
     blastall, blastn = ([tuple(a.option_strings) for a in
                          sub.choices[name]._actions]
                         for name in ("blastall", "blastn"))
-    assert len(blastn) == 17 and ("-j", "--jobs") in blastn
+    assert len(blastn) == 16 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
 
 

@@ -61,12 +61,13 @@ def test_disk_stressor_saturates_disk():
     assert node.cpu.utilization() < 0.10
 
 
-def test_disk_stressor_truncates_at_limit():
+def test_disk_stressor_truncates_at_limit(monkeypatch):
     c = Cluster(n_nodes=1)
     sim = c.sim
     node = c[0]
     # Tiny limit so the truncate branch triggers quickly.
-    sim.process(disk_stressor(node, buffer_size=MiB, limit=10 * MiB))
+    monkeypatch.setattr("repro.cluster.stress._STRESSOR_LIMIT", 10 * MiB)
+    sim.process(disk_stressor(node))
     sim.run(until=5.0)
     assert node.disk.bytes_written > 10 * MiB  # wrapped at least once
 

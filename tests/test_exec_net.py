@@ -242,15 +242,14 @@ def test_parse_address():
 
 
 def test_backoff_delay_grows_and_caps():
-    delays = [backoff_delay(i, base=0.1, factor=2.0, max_delay=1.0,
-                            jitter=0.0) for i in range(6)]
+    delays = [backoff_delay(i, base=0.1, max_delay=1.0, jitter=0.0)
+              for i in range(6)]
     assert delays == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
     # Jitter only ever stretches the delay (anti-stampede), bounded by
     # the jitter fraction.
     rng = random.Random(42)
     for i in range(6):
-        d = backoff_delay(i, base=0.1, factor=2.0, max_delay=1.0,
-                          jitter=0.5, rng=rng)
+        d = backoff_delay(i, base=0.1, max_delay=1.0, jitter=0.5, rng=rng)
         assert delays[i] <= d <= delays[i] * 1.5
 
 
@@ -265,7 +264,7 @@ def test_connect_backoff_schedule_with_fake_clock():
         return "SOCK"
 
     sock = connect_backoff("127.0.0.1:9", attempts=5, base_delay=0.05,
-                           factor=2.0, max_delay=10.0, jitter=0.0,
+                           max_delay=10.0, jitter=0.0,
                            sleep=sleeps.append, connect=dial)
     assert sock == "SOCK"
     assert len(tries) == 4

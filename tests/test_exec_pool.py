@@ -283,6 +283,18 @@ def test_pool_refuses_non_positive_counts_and_durations(keyword, value):
     pool.close()
 
 
+def test_pool_refuses_zero_replication():
+    """A mirror count under one is refused like the other pool numbers,
+    not silently run with one copy; above the node count it is clamped
+    (``plan_mirror_groups``)."""
+    for value in (0, -2):
+        with pytest.raises(ValueError, match="replication must be positive"):
+            ExecPool(jobs=1, replication=value)
+    pool = ExecPool(jobs=1, replication=5)
+    assert pool.replication == 5
+    pool.close()
+
+
 # ----------------------------------------------------------------------
 # Fault handling
 # ----------------------------------------------------------------------

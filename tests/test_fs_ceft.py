@@ -258,8 +258,8 @@ def test_truncate_and_unlink():
 
     def proc():
         yield from client.read("db", 0, 1 * MiB)
-        yield from client.truncate("db", 10)
-        assert fs.lookup("db").size == 10
+        yield from client.truncate("db")
+        assert fs.lookup("db").size == 0
         yield from client.unlink("db")
 
     run(c, proc())

@@ -228,8 +228,8 @@ def test_truncate_and_unlink():
 
     def proc():
         yield from client.read("db", 0, 1 * MiB)
-        yield from client.truncate("db", 100)
-        assert fs.lookup("db").size == 100
+        yield from client.truncate("db")
+        assert fs.lookup("db").size == 0
         yield from client.unlink("db")
 
     run(c, proc())

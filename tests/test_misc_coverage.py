@@ -4,18 +4,8 @@ import pytest
 
 from repro.cluster import Cluster, memory_stressor
 from repro.cluster.params import MB
-from repro.core.plot import ascii_chart
 from repro.fs.metadata import MD_REQUEST_SIZE, MetadataServer
 from repro.fs.pvfs import PVFS
-
-
-def test_ascii_chart_log_x():
-    text = ascii_chart({"a": [(1, 1), (10, 2), (100, 3), (1000, 4)]},
-                       log_x=True)
-    # All four points present under log spacing (exclude the legend).
-    marks = sum(line.count("o") for line in text.splitlines()
-                if "|" in line)
-    assert marks == 4
 
 
 def test_memory_stressor_shrinks_cache():

@@ -307,7 +307,7 @@ def test_monitor_statistics():
 
 def test_time_weighted_monitor_average():
     sim = Simulator()
-    mon = TimeWeightedMonitor(sim, initial=0.0)
+    mon = TimeWeightedMonitor(sim)
 
     def proc(sim, mon):
         yield Timeout(sim, 2.0)
