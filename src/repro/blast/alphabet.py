@@ -8,8 +8,6 @@ flag available to callers who care.  Protein uses a 25-letter alphabet
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 DNA = "ACGT"
@@ -87,29 +85,3 @@ def decode_protein(encoded: np.ndarray) -> str:
 def reverse_complement(encoded: np.ndarray) -> np.ndarray:
     """Reverse-complement an encoded DNA array."""
     return _DNA_COMP[np.asarray(encoded, dtype=np.uint8)][::-1]
-
-
-def pack_2bit(encoded: np.ndarray) -> Tuple[bytes, int]:
-    """Pack an encoded DNA array 4 bases/byte (big-endian within byte).
-
-    Returns (packed bytes, number of bases).
-    """
-    enc = np.asarray(encoded, dtype=np.uint8)
-    n = len(enc)
-    pad = (-n) % 4
-    if pad:
-        enc = np.concatenate([enc, np.zeros(pad, dtype=np.uint8)])
-    quads = enc.reshape(-1, 4)
-    packed = (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
-    return packed.astype(np.uint8).tobytes(), n
-
-
-def unpack_2bit(data: bytes, n_bases: int) -> np.ndarray:
-    """Inverse of :func:`pack_2bit`."""
-    packed = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(len(packed) * 4, dtype=np.uint8)
-    out[0::4] = (packed >> 6) & 3
-    out[1::4] = (packed >> 4) & 3
-    out[2::4] = (packed >> 2) & 3
-    out[3::4] = packed & 3
-    return out[:n_bases]

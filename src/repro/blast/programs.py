@@ -40,8 +40,8 @@ def program_defaults(program: str, params: Optional[SearchParams] = None
     """The ``(scheme, params)`` pair a program runs with by default.
 
     This is the single source of truth the CLI derives its ``-e`` /
-    ``-F`` overrides from and its serial, ``--jobs`` and ``--db-pack``
-    paths share with the dispatch below, so none of them can drift
+    ``-F`` overrides from and its serial and ``--jobs`` paths share
+    with the dispatch below, so none of them can drift
     from what ``blastall`` would have used.  The three translated
     programs compare in protein space and take blastp's.
     """

@@ -1,14 +1,11 @@
-"""Sequence databases: the ``formatdb`` equivalent.
+"""In-memory sequence databases and their segmentation.
 
 A :class:`SequenceDB` holds encoded sequences with their descriptions,
-either nucleotide (``nt``) or protein (``aa``).  It can be written to /
-loaded from a three-file on-disk format modelled on NCBI's::
-
-    <name>.nin / .pin   index: magic, type, counts, offset tables
-    <name>.nsq / .psq   sequence data (2-bit packed nt, raw aa codes)
-    <name>.nhr / .phr   concatenated description strings
-
-:meth:`SequenceDB.load` is the one reader of that format.
+either nucleotide (``nt``) or protein (``aa``).  It has no on-disk
+format of its own: the one on-disk database is the pack store
+(:mod:`repro.exec.diskpack`, ``repro packdb build``), and
+:meth:`repro.exec.diskpack.PackStore.load_db` reads a store back into a
+:class:`SequenceDB`.
 
 :func:`plan_fragments` is mpiBLAST-style database segmentation:
 sequences are partitioned into fragments balanced by residue count
@@ -18,9 +15,7 @@ each fragment being a database in its own right.
 
 from __future__ import annotations
 
-import os
-import struct
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,18 +24,11 @@ from repro.blast.alphabet import (
     decode_protein,
     encode_dna,
     encode_protein,
-    pack_2bit,
-    unpack_2bit,
 )
-from repro.blast.fasta import FastaRecord, parse_fasta
-
-MAGIC = b"RPDB"
-VERSION = 1
+from repro.blast.fasta import parse_fasta
 
 NT = "nt"
 AA = "aa"
-
-_EXT = {NT: ("nin", "nsq", "nhr"), AA: ("pin", "psq", "phr")}
 
 
 class SequenceDB:
@@ -85,17 +73,12 @@ class SequenceDB:
         return len(self._seqs) - 1
 
     @classmethod
-    def from_records(cls, records: Iterable[FastaRecord], seqtype: str = NT,
-                     name: str = "db") -> "SequenceDB":
-        db = cls(seqtype, name)
-        for rec in records:
+    def from_fasta_text(cls, text: str) -> "SequenceDB":
+        """A nucleotide database of the records of FASTA *text*."""
+        db = cls()
+        for rec in parse_fasta(text):
             db.add(rec.description, rec.sequence)
         return db
-
-    @classmethod
-    def from_fasta_text(cls, text: str, seqtype: str = NT,
-                        name: str = "db") -> "SequenceDB":
-        return cls.from_records(parse_fasta(text), seqtype, name)
 
     # ------------------------------------------------------------------
     # Access
@@ -140,80 +123,6 @@ class SequenceDB:
             sub.add(self._descriptions[i], self._seqs[i])
         sub.source_ids = [int(i) for i in ids]
         return sub
-
-    # ------------------------------------------------------------------
-    # On-disk format
-    # ------------------------------------------------------------------
-    def paths(self, directory: str) -> Tuple[str, str, str]:
-        idx, seq, hdr = _EXT[self.seqtype]
-        base = os.path.join(directory, self.name)
-        return (f"{base}.{idx}", f"{base}.{seq}", f"{base}.{hdr}")
-
-    def write(self, directory: str) -> Tuple[str, str, str]:
-        """Write the three database files; returns their paths."""
-        os.makedirs(directory, exist_ok=True)
-        idx_path, seq_path, hdr_path = self.paths(directory)
-        seq_blobs: List[bytes] = []
-        seq_offsets = [0]
-        lengths: List[int] = []
-        for enc in self._seqs:
-            if self.seqtype == NT:
-                blob, n = pack_2bit(enc)
-            else:
-                blob, n = enc.tobytes(), len(enc)
-            seq_blobs.append(blob)
-            seq_offsets.append(seq_offsets[-1] + len(blob))
-            lengths.append(n)
-        hdr_blobs = [d.encode() for d in self._descriptions]
-        hdr_offsets = [0]
-        for b in hdr_blobs:
-            hdr_offsets.append(hdr_offsets[-1] + len(b))
-
-        with open(seq_path, "wb") as f:
-            for blob in seq_blobs:
-                f.write(blob)
-        with open(hdr_path, "wb") as f:
-            for blob in hdr_blobs:
-                f.write(blob)
-        with open(idx_path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<IBQ", VERSION, 0 if self.seqtype == NT else 1,
-                                len(self._seqs)))
-            f.write(np.asarray(seq_offsets, dtype="<u8").tobytes())
-            f.write(np.asarray(hdr_offsets, dtype="<u8").tobytes())
-            f.write(np.asarray(lengths, dtype="<u8").tobytes())
-        return idx_path, seq_path, hdr_path
-
-    @classmethod
-    def load(cls, directory: str, name: str, seqtype: str = NT) -> "SequenceDB":
-        """Load a database previously written with :meth:`write`."""
-        db = cls(seqtype, name)
-        idx_path, seq_path, hdr_path = db.paths(directory)
-        with open(idx_path, "rb") as f:
-            magic = f.read(4)
-            if magic != MAGIC:
-                raise ValueError(f"{idx_path}: bad magic {magic!r}")
-            version, type_code, n = struct.unpack("<IBQ", f.read(13))
-            if version != VERSION:
-                raise ValueError(f"unsupported version {version}")
-            if (type_code == 0) != (seqtype == NT):
-                raise ValueError("database type mismatch")
-            seq_offsets = np.frombuffer(f.read(8 * (n + 1)), dtype="<u8")
-            hdr_offsets = np.frombuffer(f.read(8 * (n + 1)), dtype="<u8")
-            lengths = np.frombuffer(f.read(8 * n), dtype="<u8")
-        with open(seq_path, "rb") as f:
-            seq_data = f.read()
-        with open(hdr_path, "rb") as f:
-            hdr_data = f.read()
-        for i in range(n):
-            blob = seq_data[seq_offsets[i]:seq_offsets[i + 1]]
-            if seqtype == NT:
-                enc = unpack_2bit(blob, int(lengths[i]))
-            else:
-                enc = np.frombuffer(blob, dtype=np.uint8).copy()
-            desc = hdr_data[hdr_offsets[i]:hdr_offsets[i + 1]].decode()
-            db.add(desc, enc)
-        return db
 
     def __repr__(self) -> str:  # pragma: no cover
         frag = f" frag={self.fragment_id}" if self.fragment_id is not None else ""

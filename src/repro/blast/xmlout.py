@@ -8,9 +8,14 @@ familiar to chew on.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from repro.blast.search import SearchResults
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities — what
+    ``xml.sax.saxutils.escape`` does, without the import, which pulls
+    ``urllib`` / ``http`` / ``email`` into every CLI start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def to_xml(results: SearchResults, program: str = "blastn",
@@ -20,9 +25,9 @@ def to_xml(results: SearchResults, program: str = "blastn",
     lines = [
         '<?xml version="1.0"?>',
         "<BlastOutput>",
-        f"  <BlastOutput_program>{escape(program)}</BlastOutput_program>",
-        f"  <BlastOutput_db>{escape(database)}</BlastOutput_db>",
-        f"  <BlastOutput_query-ID>{escape(results.query_id)}</BlastOutput_query-ID>",
+        f"  <BlastOutput_program>{_escape(program)}</BlastOutput_program>",
+        f"  <BlastOutput_db>{_escape(database)}</BlastOutput_db>",
+        f"  <BlastOutput_query-ID>{_escape(results.query_id)}</BlastOutput_query-ID>",
         f"  <BlastOutput_query-len>{results.query_len}</BlastOutput_query-len>",
         "  <BlastOutput_iterations>",
         "    <Iteration>",
@@ -33,8 +38,8 @@ def to_xml(results: SearchResults, program: str = "blastn",
         lines += [
             "        <Hit>",
             f"          <Hit_num>{num}</Hit_num>",
-            f"          <Hit_id>{escape(hit.description.split()[0] if hit.description else str(hit.subject_id))}</Hit_id>",
-            f"          <Hit_def>{escape(hit.description)}</Hit_def>",
+            f"          <Hit_id>{_escape(hit.description.split()[0] if hit.description else str(hit.subject_id))}</Hit_id>",
+            f"          <Hit_def>{_escape(hit.description)}</Hit_def>",
             f"          <Hit_len>{hit.subject_len}</Hit_len>",
             "          <Hit_hsps>",
         ]

@@ -2,22 +2,21 @@
 
 Mirrors the tools of the paper's era plus the experiment layer::
 
-    python -m repro.cli formatdb  -i seqs.fasta -d DIR -n nt [-p]
-    python -m repro.cli blastall  -p blastn -d DIR/nt -i query.fasta
-    python -m repro.cli packdb    build -i seqs.fasta -o PACKDIR
-    python -m repro.cli blastall  -p blastn --db-pack PACKDIR -i query.fasta
-    python -m repro.cli segmentdb -d DIR/nt -o OUTDIR -n 8
+    python -m repro.cli packdb    build -i seqs.fasta -o DIR [-p] [--fragments 8]
+    python -m repro.cli blastall  -p blastn -d DIR -i query.fasta
+    python -m repro.cli psiblast  -d DIR -i query.fasta -j 3
     python -m repro.cli experiment --variant ceft-pvfs --workers 8 \\
         --servers 8 --stress 1 --scale 0.1
     python -m repro.cli synthdb   -o DIR -n nt --residues 1000000
 
 ``blastall`` dispatches the five programs through one interface, like
-NCBI's binary (paper Section 2.1).  ``packdb`` is this engine's
-``formatdb``: it streams FASTA into a persistent on-disk pack store
-(checksummed, mmap-able — :mod:`repro.exec.diskpack`) that
-``--db-pack`` runs then cold-start from without rebuilding anything,
+NCBI's binary (paper Section 2.1).  ``packdb build`` is this engine's
+``formatdb`` and mpiformatdb in one: it streams FASTA into a persistent
+on-disk pack store (checksummed, mmap-able fragment packs —
+:mod:`repro.exec.diskpack`), the one database format every ``-d``
+opens.  blastn / blastp cold-start from it without rebuilding anything,
 serially (zero-copy mmap) or with ``--jobs`` (one memcpy into shared
-memory per fragment).
+memory per fragment); the other programs read it into memory.
 
 Exit codes (parallel ``--jobs`` runs):
 
@@ -52,18 +51,34 @@ BLASTALL_MAX_HITS = 25
 PSIBLAST_MAX_HITS = 15
 
 
-def _load_db(dbpath: str, protein: bool):
-    from repro.blast.seqdb import SequenceDB
-
-    directory, name = os.path.split(dbpath)
-    return SequenceDB.load(directory or ".", name,
-                           seqtype="aa" if protein else "nt")
-
-
 def _open_store(directory: str):
     from repro.exec.diskpack import PackStore
 
     return PackStore.open(directory)
+
+
+def _open_search_store(directory: str, seqtype: str, program: str):
+    """The store ``-d`` names, opened, for a *program* that searches
+    *seqtype*: ``(store, 0)``, or ``(None, exit code)`` after one line
+    on stderr — a path that holds no store, a damaged or older store, a
+    store of the other alphabet."""
+    from repro.exec.diskpack import MANIFEST_NAME
+    from repro.exec.shm import PackIntegrityError
+
+    if not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
+        print(f"# -d {directory}: not a pack store; build one with "
+              f"`repro packdb build -i FASTA -o DIR`", file=sys.stderr)
+        return None, 2
+    try:
+        store = _open_store(directory)
+    except PackIntegrityError as exc:
+        print(f"# pack integrity failure: {exc}", file=sys.stderr)
+        return None, EXIT_INTEGRITY
+    if store.seqtype != seqtype:
+        print(f"# {program} needs a {seqtype} pack store; {directory} "
+              f"holds {store.seqtype}", file=sys.stderr)
+        return None, 2
+    return store, 0
 
 
 def _print_store(store) -> None:
@@ -81,22 +96,11 @@ def _print_store(store) -> None:
 def cmd_packdb_build(args) -> int:
     from repro.exec.diskpack import build_pack_store
 
-    if bool(args.input) == bool(args.from_db):
-        print("# packdb build: exactly one of -i/--input or --from-db "
-              "is required", file=sys.stderr)
-        return 2
-    if args.from_db:
-        source = _load_db(args.from_db, args.protein)
+    with open(args.input) as f:
         store = build_pack_store(
-            source, args.output, seqtype=source.seqtype,
-            name=args.name or source.name, n_fragments=args.fragments,
+            f, args.output, seqtype="aa" if args.protein else "nt",
+            name=args.name, n_fragments=args.fragments,
             word_size=args.word_size)
-    else:
-        with open(args.input) as f:
-            store = build_pack_store(
-                f, args.output, seqtype="aa" if args.protein else "nt",
-                name=args.name or "db", n_fragments=args.fragments,
-                word_size=args.word_size)
     _print_store(store)
     return 0
 
@@ -125,38 +129,20 @@ def cmd_packdb_verify(args) -> int:
     return 0
 
 
-def cmd_formatdb(args) -> int:
-    from repro.blast.seqdb import SequenceDB
-
-    with open(args.input) as f:
-        text = f.read()
-    db = SequenceDB.from_fasta_text(text, seqtype="aa" if args.protein else "nt",
-                                    name=args.name)
-    paths = db.write(args.directory)
-    print(f"formatted {len(db)} sequences ({db.total_residues} residues)")
-    for p in paths:
-        print(f"  {p}")
-    return 0
-
-
-def _parallel_results(program: str, db, queries, params, jobs: int,
-                      n_fragments: Optional[int], args):
+def _parallel_results(program: str, store, queries, params, jobs: int,
+                      args):
     """Run every query of a ``--jobs N`` invocation through one
-    persistent pool (packs attach once; queries stream through the
-    shared work queue).  Results are byte-identical to the serial
-    program dispatch.  Returns ``(results, degraded)`` — *degraded* is
-    True when the pool collapsed and the batch was served by the
-    serial fallback engine."""
+    persistent pool (the store's packs attach once; queries stream
+    through the shared work queue).  Results are byte-identical to the
+    serial program dispatch.  Returns ``(results, degraded)`` —
+    *degraded* is True when the pool collapsed and the batch was served
+    by the serial fallback engine."""
     import warnings
 
     from repro.blast.alphabet import encode_dna, encode_protein
     from repro.blast.programs import program_defaults
-    from repro.blast.seqdb import AA, NT
     from repro.exec import ExecPool
 
-    need = NT if program == "blastn" else AA
-    if db.seqtype != need:
-        raise ValueError(f"{program} needs a {need} database")
     scheme, params = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
     pool_kw = {}
@@ -172,11 +158,12 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
                             if a.strip()]
         if args.replication is not None:
             pool_kw["replication"] = args.replication
-    with ExecPool(jobs=jobs, n_fragments=n_fragments, **pool_kw) as pool:
+    with ExecPool(jobs=jobs, **pool_kw) as pool:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             results = pool.search_many(
-                [encode(rec.sequence) for rec in queries], db, scheme, params,
+                [encode(rec.sequence) for rec in queries], store, scheme,
+                params,
                 query_ids=[rec.id or "query" for rec in queries],
                 both_strands=(program == "blastn"))
         for w in caught:
@@ -192,26 +179,19 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
         return results, degraded
 
 
-def _serial_batch_results(program: str, db, queries, params):
+def _serial_batch_results(program: str, store, queries, params):
     """All queries of a serial blastn/blastp invocation through one
-    database pass, scored with the program's defaults: one
-    :func:`repro.blast.search.search_batch` over an in-RAM database, one
-    :func:`repro.exec.diskpack.search_store_batch` over a mmapped pack
-    store (opened once, its queries prepared once for every pack)."""
+    pass over the mmapped store, scored with the program's defaults:
+    one :func:`repro.exec.diskpack.search_store_batch` (the store opened
+    once, its queries prepared once for every pack)."""
     from repro.blast.alphabet import encode_dna, encode_protein
     from repro.blast.programs import program_defaults
-    from repro.blast.search import search_batch as serial_batch
-    from repro.blast.seqdb import AA, NT
+    from repro.exec.diskpack import search_store_batch
 
-    need = NT if program == "blastn" else AA
-    if db.seqtype != need:
-        raise ValueError(f"{program} needs a {need} database")
-    if getattr(db, "is_pack_store", False):
-        from repro.exec.diskpack import search_store_batch as serial_batch
     scheme, sparams = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
-    return serial_batch(
-        [encode(rec.sequence) for rec in queries], db, scheme, sparams,
+    return search_store_batch(
+        [encode(rec.sequence) for rec in queries], store, scheme, sparams,
         query_ids=[rec.id or "query" for rec in queries],
         both_strands=(program == "blastn"))
 
@@ -240,12 +220,9 @@ def _blastall(args) -> int:
     from repro.blast.fasta import parse_fasta
     from repro.blast.programs import blastall, program_defaults
     from repro.blast.render import render_results
+    from repro.exec.shm import PackIntegrityError
 
-    protein_db = args.program in ("blastp", "blastx")
-    store = None
-    db_pack = getattr(args, "db_pack", None)
-    jobs = getattr(args, "jobs", None)
-    nodes = getattr(args, "nodes", None)
+    jobs, nodes = args.jobs, args.nodes
     if jobs is None:
         # --nodes with no explicit -j runs remote-only, the pool's own
         # default for a configured node list.
@@ -254,48 +231,11 @@ def _blastall(args) -> int:
         print("# --jobs 0 needs --nodes (a pool must have at least one "
               "worker somewhere)", file=sys.stderr)
         return 2
-    if getattr(args, "fragments", None) is not None:
-        if db_pack:
-            print("# --fragments does not apply to --db-pack (a store's "
-                  "fragments are fixed by `packdb build --fragments`)",
-                  file=sys.stderr)
-            return 2
-        if not (jobs > 1 or nodes):
-            print("# --fragments applies to pool runs only (--jobs > 1 "
-                  "or --nodes)", file=sys.stderr)
-            return 2
-    if db_pack:
-        if args.database:
-            print("# use either -d/--database or --db-pack, not both",
-                  file=sys.stderr)
-            return 2
-        if args.program not in ("blastn", "blastp"):
-            print(f"# --db-pack supports blastn/blastp only, "
-                  f"not {args.program}", file=sys.stderr)
-            return 2
-        from repro.exec import PackIntegrityError
-
-        try:
-            store = _open_store(db_pack)
-        except PackIntegrityError as exc:
-            print(f"# pack integrity failure: {exc}", file=sys.stderr)
-            return EXIT_INTEGRITY
-        need = "nt" if args.program == "blastn" else "aa"
-        if store.seqtype != need:
-            print(f"# {args.program} needs a {need} pack store; "
-                  f"{db_pack} holds {store.seqtype}", file=sys.stderr)
-            return 2
-        if args.alignments:
-            print("# --db-pack ignores -a/--alignments (pack stores "
-                  "serve hit reports, not pairwise renders)",
-                  file=sys.stderr)
-        db = store
-    elif args.database:
-        db = _load_db(args.database, protein_db)
-    else:
-        print("# one of -d/--database or --db-pack is required",
-              file=sys.stderr)
-        return 2
+    store, refused = _open_search_store(
+        args.database, "aa" if args.program in ("blastp", "blastx") else "nt",
+        args.program)
+    if store is None:
+        return refused
     with open(args.input) as f:
         queries = parse_fasta(f.read())
     # -e / -F override the program's own defaults, never the class's.
@@ -304,47 +244,34 @@ def _blastall(args) -> int:
         params = replace(params, evalue_cutoff=args.evalue)
     if args.filter:
         params = replace(params, filter_low_complexity=True)
-    precomputed = None
+    pooled = jobs > 1 or bool(nodes)
+    if pooled and args.program not in ("blastn", "blastp"):
+        print(f"# --jobs applies to blastn/blastp only; "
+              f"running {args.program} serially", file=sys.stderr)
+    # blastn / blastp: one pass over the store (or the pool) serves
+    # every query of the FASTA file; the other programs and -a
+    # rendering read the store into memory.
+    precomputed = db = None
     degraded = False
-    if jobs > 1 or nodes:
-        if args.program in ("blastn", "blastp"):
-            from repro.exec import PackIntegrityError, PoolJobError
+    try:
+        if args.program in ("blastn", "blastp") and pooled:
+            from repro.exec import PoolJobError
 
             try:
                 precomputed, degraded = _parallel_results(
-                    args.program, db, queries, params, jobs,
-                    getattr(args, "fragments", None), args)
-            except PackIntegrityError as exc:
-                print(f"# pack integrity failure: {exc}", file=sys.stderr)
-                return EXIT_INTEGRITY
+                    args.program, store, queries, params, jobs, args)
             except PoolJobError as exc:
                 print(f"# pool failure: {exc}", file=sys.stderr)
                 return EXIT_POOL_FAILURE
-            except ValueError as exc:
-                if store is None:
-                    raise
-                print(f"# {exc}", file=sys.stderr)
-                return 2
-        else:
-            print(f"# --jobs applies to blastn/blastp only; "
-                  f"running {args.program} serially", file=sys.stderr)
-    # Serial blastn/blastp: one database pass serves every query of
-    # the FASTA file, however many there are.
-    if precomputed is None and store is not None:
-        from repro.exec import PackIntegrityError
-
-        try:
+        elif args.program in ("blastn", "blastp"):
             precomputed = _serial_batch_results(args.program, store,
                                                 queries, params)
-        except PackIntegrityError as exc:
-            print(f"# pack integrity failure: {exc}", file=sys.stderr)
-            return EXIT_INTEGRITY
-        except ValueError as exc:
-            print(f"# {exc}", file=sys.stderr)
-            return 2
-    elif precomputed is None and args.program in ("blastn", "blastp"):
-        precomputed = _serial_batch_results(args.program, db, queries,
-                                            params)
+        if precomputed is None or (args.alignments
+                                   and args.outfmt == "report"):
+            db = store.load_db()
+    except PackIntegrityError as exc:
+        print(f"# pack integrity failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
     for qi, rec in enumerate(queries):
         if precomputed is not None:
             results = precomputed[qi]
@@ -357,9 +284,8 @@ def _blastall(args) -> int:
             from repro.blast.xmlout import to_xml
 
             print(to_xml(results, program=args.program,
-                         database=args.database or db_pack))
-        elif args.alignments and store is None and \
-                args.program in ("blastn", "blastp"):
+                         database=args.database))
+        elif args.alignments and precomputed is not None:
             print(render_results(rec.sequence, db, results,
                                  max_hits=BLASTALL_MAX_HITS))
         else:
@@ -371,8 +297,16 @@ def _blastall(args) -> int:
 def cmd_psiblast(args) -> int:
     from repro.blast.fasta import parse_fasta
     from repro.blast.psiblast import psiblast
+    from repro.exec.shm import PackIntegrityError
 
-    db = _load_db(args.database, protein=True)
+    store, refused = _open_search_store(args.database, "aa", "psiblast")
+    if store is None:
+        return refused
+    try:
+        db = store.load_db()
+    except PackIntegrityError as exc:
+        print(f"# pack integrity failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
     with open(args.input) as f:
         queries = parse_fasta(f.read())
     for rec in queries:
@@ -388,25 +322,14 @@ def cmd_psiblast(args) -> int:
     return 0
 
 
-def cmd_segmentdb(args) -> int:
-    from repro.blast.seqdb import segment_db
-
-    db = _load_db(args.database, args.protein)
-    frags = segment_db(db, args.n_fragments)
-    for frag in frags:
-        frag.write(args.output)
-        print(f"fragment {frag.fragment_id}: {len(frag)} sequences, "
-              f"{frag.total_residues} residues -> {args.output}/{frag.name}.*")
-    return 0
-
-
 def cmd_synthdb(args) -> int:
+    from repro.exec.diskpack import build_pack_store
     from repro.workloads.synthdb import synthetic_nt_db
 
     db = synthetic_nt_db(args.residues, seed=args.seed, name=args.name)
-    db.write(args.output)
+    build_pack_store(db, args.output, name=args.name)
     print(f"wrote {len(db)} synthetic sequences "
-          f"({db.total_residues} residues) to {args.output}/{args.name}.*")
+          f"({db.total_residues} residues) to the pack store {args.output}")
     return 0
 
 
@@ -502,12 +425,9 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     """Every option ``blastall`` and ``blastn`` share (``blastall``
     adds only ``-p``)."""
-    p.add_argument("-d", "--database", default=None,
-                   help="database path (directory/name)")
-    p.add_argument("--db-pack", default=None, metavar="DIR",
-                   help="search a persistent on-disk pack store (built "
-                        "with `packdb build`) instead of -d: cold start "
-                        "via mmap, no rebuild; blastn/blastp only")
+    p.add_argument("-d", "--database", required=True, metavar="DIR",
+                   help="pack store directory (built with `repro packdb "
+                        "build`)")
     p.add_argument("-i", "--input", required=True, help="FASTA query file")
     p.add_argument("-e", "--evalue", type=float, default=None)
     p.add_argument("-F", "--filter", action="store_true",
@@ -523,9 +443,6 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                         "(multi-core database segmentation; results are "
                         "identical to a serial run; 0 = remote-only, "
                         "needs --nodes; default 1, or 0 with --nodes)")
-    p.add_argument("--fragments", type=_at_least(int, 1), default=None,
-                   help="database fragments for --jobs / --nodes over -d "
-                        "(default: one per worker)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON (pack/index/scan/"
                         "seed/extend/gapped_bulk/gapped) to stderr; "
@@ -538,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("formatdb", help="format a FASTA file into a database")
-    p.add_argument("-i", "--input", required=True, help="FASTA file")
-    p.add_argument("-d", "--directory", required=True, help="output directory")
-    p.add_argument("-n", "--name", default="db", help="database name")
-    p.add_argument("-p", "--protein", action="store_true")
-    p.set_defaults(fn=cmd_formatdb)
 
     p = sub.add_parser("blastall", help="run one of the five BLAST programs")
     p.add_argument("-p", "--program", required=True,
@@ -559,19 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "packdb",
-        help="persistent on-disk fragment packs (formatdb for the "
-             "multi-core engine): build, inspect, verify")
+        help="the on-disk database (formatdb): build, inspect, verify "
+             "a pack store")
     psub = p.add_subparsers(dest="packdb_cmd", required=True)
-    b = psub.add_parser("build", help="stream FASTA (or an existing "
-                                      "database) into a pack store")
-    b.add_argument("-i", "--input", default=None, help="FASTA file "
+    b = psub.add_parser("build", help="stream FASTA into a pack store")
+    b.add_argument("-i", "--input", required=True, help="FASTA file "
                    "(streamed — bounded memory at any corpus size)")
-    b.add_argument("--from-db", default=None, metavar="DIR/NAME",
-                   help="pack an existing formatdb-style database "
-                        "instead of FASTA")
     b.add_argument("-o", "--output", required=True,
                    help="store directory (created if missing)")
-    b.add_argument("-n", "--name", default=None, help="store name")
+    b.add_argument("-n", "--name", default="db", help="store name")
     b.add_argument("-p", "--protein", action="store_true")
     b.add_argument("--fragments", type=_at_least(int, 1), default=4,
                    help="fragment packs to cut the corpus into")
@@ -588,25 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_packdb_verify)
 
     p = sub.add_parser("psiblast", help="position-specific iterated search")
-    p.add_argument("-d", "--database", required=True)
+    p.add_argument("-d", "--database", required=True, metavar="DIR",
+                   help="protein pack store directory")
     p.add_argument("-i", "--input", required=True, help="FASTA query file")
-    p.add_argument("-j", "--iterations", type=int, default=3)
+    p.add_argument("-j", "--iterations", type=_at_least(int, 1), default=3)
     p.add_argument("-h-incl", "--inclusion-evalue", type=float, default=1e-3)
     p.set_defaults(fn=cmd_psiblast)
 
-    p = sub.add_parser("segmentdb",
-                       help="split a database into balanced fragments")
-    p.add_argument("-d", "--database", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("-n", "--n-fragments", type=_at_least(int, 1),
-                   required=True)
-    p.add_argument("-p", "--protein", action="store_true")
-    p.set_defaults(fn=cmd_segmentdb)
-
-    p = sub.add_parser("synthdb", help="generate a synthetic nt-like database")
-    p.add_argument("-o", "--output", required=True)
+    p = sub.add_parser("synthdb", help="generate a synthetic nt-like "
+                                       "pack store")
+    p.add_argument("-o", "--output", required=True,
+                   help="store directory (created if missing)")
     p.add_argument("-n", "--name", default="synth-nt")
-    p.add_argument("--residues", type=int, default=1_000_000)
+    p.add_argument("--residues", type=_at_least(int, 1), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synthdb)
 

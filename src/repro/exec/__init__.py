@@ -23,10 +23,10 @@ master/worker design on actual cores:
   disconnect / partition / delay / reorder kinds) and the structured
   :class:`FailureLedger` the pool's recovery actions append to;
 * :mod:`repro.exec.diskpack` — the persistent on-disk pack format
-  (``formatdb`` for this engine): checksummed mmap-able pack files
-  whose data region matches the shm layout byte-for-byte, a streaming
-  bounded-memory builder with atomic commit, and the pool's
-  mmap-then-memcpy cold-start path;
+  (``formatdb`` for this engine, and its one on-disk database):
+  checksummed mmap-able pack files whose data region matches the shm
+  layout byte-for-byte, a streaming bounded-memory builder with atomic
+  commit, and the pool's mmap-then-memcpy cold-start path;
 * :mod:`repro.exec.net` — the one transport (CRC32-checked
   length-prefixed frames, per-connection sequence numbers, PING/PONG
   keepalives, bounded reconnect backoff), local or across hosts;

@@ -409,7 +409,8 @@ class PackStore:
         if not os.path.isfile(path):
             raise PackFormatError(
                 f"{directory!r}: no {MANIFEST_NAME} — not a pack store "
-                f"(or an uncommitted build)")
+                f"(or an uncommitted build); build one with "
+                f"`repro packdb build -i FASTA -o DIR`")
         try:
             with open(path) as f:
                 manifest = json.load(f)
@@ -457,6 +458,27 @@ class PackStore:
                 pack.close()
             raise
         return packs
+
+    def load_db(self) -> SequenceDB:
+        """The whole store as one in-RAM database, in source-id order —
+        what the translated programs, PSI-BLAST and alignment rendering
+        read.  Every pack is CRC-verified on the way in."""
+        records: List[Tuple[str, np.ndarray]] = [None] * len(self)
+        packs = self.open_packs()
+        try:
+            for pack in packs:
+                view = PackDB(pack)
+                for i, gid in enumerate(pack.spec.source_ids):
+                    records[gid] = (view.description(i),
+                                    view.sequence(i).copy())
+                del view
+        finally:
+            for pack in packs:
+                pack.close()
+        db = SequenceDB(self.seqtype, self.name)
+        for description, sequence in records:
+            db.add(description, sequence)
+        return db
 
     def verify(self) -> int:
         """CRC-verify every pack; returns the number checked."""

@@ -364,11 +364,11 @@ class ExecPool:
     Every knob is a constructor keyword, set here and nowhere else
     (DESIGN.md §5e has the table with CLI flags and who sets what):
 
-    ``jobs`` / ``n_fragments``
+    ``jobs``
         local worker processes (default: the core count; 0 allowed
-        with ``nodes``) and the default fragment count for ``search*``
-        calls that give none (default: one per worker slot, local or
-        node, so one search is one task per worker).  A pack store
+        with ``nodes``).  A ``search*`` call cuts an in-RAM database
+        into its ``n_fragments``, by default one per worker slot, local
+        or node, so one search is one task per worker; a pack store
         brings its own fragment count.
     ``task_sleep``
         stall every task by this many seconds — the test / chaos hook
@@ -417,8 +417,7 @@ class ExecPool:
         nodes are re-dialed with bounded exponential backoff + jitter
         under the same respawn budget as local workers.
 
-    ``n_fragments``, ``replication`` and every duration above must be
-    positive (``ValueError`` otherwise).  Values nothing sets are module
+    ``replication`` and every duration above must be positive (``ValueError`` otherwise).  Values nothing sets are module
     constants: the retry budget (2 failed attempts per task), the
     respawn budget, the dial attempts and the 2 s drain-and-join
     budget ``close()`` gives each worker before escalating
@@ -430,7 +429,6 @@ class ExecPool:
     """
 
     def __init__(self, jobs: Optional[int] = None, *,
-                 n_fragments: Optional[int] = None,
                  task_sleep: float = 0.0,
                  heartbeat: float = 0.2,
                  hedge_after: Optional[float] = None,
@@ -441,9 +439,9 @@ class ExecPool:
                  nodes: Optional[Sequence] = None,
                  replication: int = 2,
                  node_timeout: Optional[float] = None):
-        _check_positive(n_fragments=n_fragments, heartbeat=heartbeat,
-                        hedge_after=hedge_after, task_timeout=task_timeout,
-                        node_timeout=node_timeout, replication=replication)
+        _check_positive(heartbeat=heartbeat, hedge_after=hedge_after,
+                        task_timeout=task_timeout, node_timeout=node_timeout,
+                        replication=replication)
         self.node_addresses = [parse_address(a) for a in (nodes or [])]
         self.replication = int(replication)
         if jobs is None and self.node_addresses:
@@ -453,7 +451,6 @@ class ExecPool:
             raise ValueError("jobs must be >= 1 (or give nodes=...)")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0")
-        self.default_fragments = n_fragments
         self.task_sleep = task_sleep
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
@@ -1046,8 +1043,6 @@ class ExecPool:
         :class:`~repro.exec.shm.PackIntegrityError`.
         """
         params = params or SearchParams()
-        if n_fragments is None:
-            n_fragments = self.default_fragments
         _check_positive(n_fragments=n_fragments)
         is_protein = db.seqtype == AA
         base = len(PROTEIN) if is_protein else len(DNA)

@@ -12,7 +12,8 @@ fragments):
   340 MB fragment);
 * writes are 50-778-byte temporary-result records (mean ≈ 690 B).
 
-A fragment's on-disk footprint splits into the three formatdb files:
+A fragment's on-disk footprint splits into the three files NCBI's
+formatdb writes (the paper's format; this repo's own is the pack store):
 ``.nsq`` (packed sequences, 65 %), ``.nhr`` (headers, 30 %), ``.nin``
 (index, 5 %).  The compute phases between reads total
 ``residues / scan_rate`` CPU seconds (see

@@ -256,30 +256,32 @@ def test_every_worker_is_an_agent_on_one_transport():
 
 
 def test_one_reader_and_one_binning_rule():
-    """The three-file database has one reader, ``SequenceDB.load``: no
-    lazy view of it exists, nothing outside ``seqdb`` imports the
-    format's magic or version to parse it a second way, and the scan
-    kernel asks no database for a preload hook.  Fragmenting a database
-    has one binning rule: the greedy lightest-bin step is written in
-    ``plan_fragments``, which ``segment_db`` and the store builder call
-    and through ``segment_db`` the pool, and nowhere else, so every
-    store holds ``segment_db``'s fragments."""
+    """The pack store is the one on-disk database and
+    ``PackStore.load_db`` its one reader into RAM: ``SequenceDB`` has
+    no file format of its own (no ``write`` / ``load`` / ``paths``, no
+    magic or version), no lazy view of a database exists, the scan
+    kernel asks no database for a preload hook, and the CLI alone calls
+    the reader.  Fragmenting a database has one binning rule: the
+    greedy lightest-bin step is written in ``plan_fragments``, which
+    ``segment_db`` and the store builder call and through
+    ``segment_db`` the pool, and nowhere else, so every store holds
+    ``segment_db``'s fragments."""
+    from repro.blast import seqdb
+
     assert not (ROOT / "src" / "repro" / "blast" / "lazydb.py").exists()
+    assert not {"write", "load", "paths"} & set(vars(seqdb.SequenceDB))
+    assert not {"MAGIC", "VERSION", "_EXT"} & set(vars(seqdb))
     trees = _src_trees()
     defined = {node.name: rel for rel, tree in trees.items()
                for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not set(defined) & {"LazySequenceDB", "preload_sequences",
-                               "_SpoolDB"}
+                               "_SpoolDB", "pack_2bit", "unpack_2bit"}
     assert not [rel for rel in trees
                 if "preload_sequences" in (ROOT / rel).read_text()]
-    format_imports = [rel for rel, tree in trees.items()
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.ImportFrom)
-                      and node.module == "repro.blast.seqdb"
-                      for alias in node.names
-                      if alias.name in ("MAGIC", "VERSION")]
-    assert format_imports == []
+    assert defined["load_db"] == "src/repro/exec/diskpack.py"
+    assert sorted(_call_sites(trees, "load_db")) == [
+        "src/repro/cli.py:_blastall", "src/repro/cli.py:cmd_psiblast"]
     assert defined["plan_fragments"] == "src/repro/blast/seqdb.py"
     assert sorted(_call_sites(trees, "plan_fragments")) == [
         "src/repro/blast/seqdb.py:segment_db",

@@ -1,4 +1,4 @@
-"""Tests for alphabets, encodings, and 2-bit packing."""
+"""Tests for alphabets and encodings."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from repro.blast.alphabet import (
     decode_protein,
     encode_dna,
     encode_protein,
-    pack_2bit,
     reverse_complement,
-    unpack_2bit,
 )
 
 dna_strings = st.text(alphabet="ACGT", min_size=0, max_size=300)
@@ -79,22 +77,6 @@ def test_reverse_complement_known():
 def test_reverse_complement_is_involution(s):
     enc = encode_dna(s)
     assert np.array_equal(reverse_complement(reverse_complement(enc)), enc)
-
-
-@settings(max_examples=100)
-@given(dna_strings.filter(lambda s: len(s) > 0))
-def test_pack_unpack_roundtrip(s):
-    enc = encode_dna(s)
-    packed, n = pack_2bit(enc)
-    assert n == len(s)
-    assert len(packed) == (n + 3) // 4
-    assert np.array_equal(unpack_2bit(packed, n), enc)
-
-
-def test_pack_empty():
-    packed, n = pack_2bit(np.array([], dtype=np.uint8))
-    assert n == 0 and packed == b""
-    assert len(unpack_2bit(packed, 0)) == 0
 
 
 @settings(max_examples=50)

@@ -148,8 +148,9 @@ def test_cli_psiblast_matches_the_committed_golden(tmp_path, capsys):
     from repro.cli import main
 
     data = Path(__file__).parent / "data"
-    assert main(["formatdb", "-p", "-i", str(data / "psiblast_db.fasta"),
-                 "-d", str(tmp_path), "-n", "psi"]) == 0
+    assert main(["packdb", "build", "-p",
+                 "-i", str(data / "psiblast_db.fasta"),
+                 "-o", str(tmp_path / "psi")]) == 0
     capsys.readouterr()
     assert main(["psiblast", "-d", str(tmp_path / "psi"),
                  "-i", str(data / "psiblast_query.fasta"), "-j", "3"]) == 0

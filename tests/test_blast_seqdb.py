@@ -1,4 +1,4 @@
-"""Tests for the sequence database format and segmentation."""
+"""Tests for the in-memory sequence database and its segmentation."""
 
 import numpy as np
 import pytest
@@ -44,52 +44,6 @@ def test_iteration():
     assert descs == ["s1 first", "s2 second", "s3 third"]
 
 
-def test_write_load_roundtrip_nt(tmp_path):
-    db = SequenceDB.from_fasta_text(FASTA, name="mini")
-    paths = db.write(str(tmp_path))
-    assert all(p.startswith(str(tmp_path)) for p in paths)
-    back = SequenceDB.load(str(tmp_path), "mini")
-    assert len(back) == len(db)
-    for i in range(len(db)):
-        assert back.description(i) == db.description(i)
-        assert np.array_equal(back.sequence(i), db.sequence(i))
-
-
-def test_write_load_roundtrip_aa(tmp_path):
-    db = SequenceDB("aa", name="prots")
-    db.add("p1", "MKVLAW")
-    db.add("p2", "ARNDCQEGHIKLM")
-    db.write(str(tmp_path))
-    back = SequenceDB.load(str(tmp_path), "prots", seqtype="aa")
-    assert back.sequence_str(0) == "MKVLAW"
-    assert back.sequence_str(1) == "ARNDCQEGHIKLM"
-
-
-def test_load_type_mismatch(tmp_path):
-    db = SequenceDB.from_fasta_text(FASTA, name="mini")
-    db.write(str(tmp_path))
-    # Loading nt db as aa fails on the paths (different extension) -> OSError,
-    # and with matched name+ext but wrong declared type -> ValueError.
-    with pytest.raises((OSError, ValueError)):
-        SequenceDB.load(str(tmp_path), "mini", seqtype="aa")
-
-
-def test_load_bad_magic(tmp_path):
-    p = tmp_path / "junk.nin"
-    p.write_bytes(b"XXXX" + b"\0" * 32)
-    db = SequenceDB(name="junk")
-    with pytest.raises(ValueError, match="magic"):
-        SequenceDB.load(str(tmp_path), "junk")
-
-
-def test_nt_disk_format_packs_2bit(tmp_path):
-    db = SequenceDB(name="packed")
-    db.add("x", "A" * 4000)
-    _, seq_path, _ = db.write(str(tmp_path))
-    import os
-    assert os.path.getsize(seq_path) == 1000  # 4 bases/byte
-
-
 # ---------------------------------------------------------------- segmentation
 def test_segment_balances_residues():
     db = SequenceDB()
@@ -128,7 +82,7 @@ def test_segment_fragments_map_back_to_the_parent():
 def test_segment_of_an_empty_database_is_no_fragments():
     """``plan_fragments`` clamps the fragment count to the number of
     sequences, so an empty database cuts into no fragments at all (not
-    ``n`` empty ones) and ``repro segmentdb`` writes no files for it."""
+    ``n`` empty ones)."""
     assert segment_db(SequenceDB(), 3) == []
 
 

@@ -40,12 +40,15 @@ def test_xml_is_well_formed_and_complete(db):
 
 
 def test_xml_escapes_descriptions():
+    """``&``, ``<`` and ``>`` become entities and quotes stay as they
+    are: the bytes ``xml.sax.saxutils.escape`` gave."""
     db = SequenceDB("nt")
-    db.add("weird <&> description", "ACGTACGTACGTACGTACGT")
+    db.add("weird <&> \"q\" 'a' description", "ACGTACGTACGTACGTACGT")
     res = blastn("ACGTACGTACGTACGTACGT", db)
     xml = to_xml(res)
     ET.fromstring(xml)  # must parse despite special characters
-    assert "&lt;&amp;&gt;" in xml
+    assert "<Hit_def>weird &lt;&amp;&gt; \"q\" 'a' description</Hit_def>" \
+        in xml
 
 
 def test_xml_empty_results():

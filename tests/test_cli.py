@@ -21,11 +21,11 @@ def fasta_file(tmp_path):
     return str(path), str(query), str(tmp_path)
 
 
-def test_formatdb_and_blastall(fasta_file, capsys):
+def test_packdb_build_and_blastall(fasta_file, capsys):
     fasta, query, d = fasta_file
-    assert main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"]) == 0
+    assert main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"]) == 0
     out = capsys.readouterr().out
-    assert "formatted 2 sequences" in out
+    assert "2 sequences" in out
 
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query]) == 0
@@ -35,7 +35,7 @@ def test_formatdb_and_blastall(fasta_file, capsys):
 
 def test_blastall_with_alignments(fasta_file, capsys):
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query, "-a"]) == 0
@@ -46,7 +46,7 @@ def test_blastall_with_alignments(fasta_file, capsys):
 
 def test_blastall_evalue_and_filter_flags(fasta_file, capsys):
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query, "-e", "1e-10", "-F"]) == 0
@@ -54,23 +54,16 @@ def test_blastall_evalue_and_filter_flags(fasta_file, capsys):
     assert "s1 target" in out
 
 
-def test_segmentdb(fasta_file, capsys):
-    fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
-    outdir = os.path.join(d, "frags")
-    assert main(["segmentdb", "-d", f"{d}/mini", "-o", outdir,
-                 "-n", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "fragment 0" in out and "fragment 1" in out
-    assert os.path.exists(os.path.join(outdir, "mini.000.nin"))
-
-
 def test_synthdb(tmp_path, capsys):
     assert main(["synthdb", "-o", str(tmp_path), "-n", "syn",
                  "--residues", "20000"]) == 0
     out = capsys.readouterr().out
     assert "synthetic sequences" in out
-    assert os.path.exists(tmp_path / "syn.nin")
+    from repro.exec.diskpack import PackStore
+
+    store = PackStore.open(str(tmp_path))
+    assert (store.name, store.seqtype, store.total_residues) \
+        == ("syn", "nt", 20000)
 
 
 def test_experiment_command(capsys):
@@ -103,7 +96,7 @@ def test_reproduce_command(capsys):
 
 def test_blastall_tabular_output(fasta_file, capsys):
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query, "-m", "tabular"]) == 0
@@ -115,7 +108,7 @@ def test_blastall_xml_output(fasta_file, capsys):
     import xml.etree.ElementTree as ET
 
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query, "-m", "xml"]) == 0
@@ -139,7 +132,7 @@ def test_blastn_profile_flag_is_scoped_to_its_command(fasta_file, capsys,
     else:
         monkeypatch.setenv(PROFILE_ENV, previous)
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     argv = ["blastn", "-d", f"{d}/mini", "-i", query, "-m", "tabular"]
     assert main(argv) == 0
@@ -152,7 +145,8 @@ def test_blastn_profile_flag_is_scoped_to_its_command(fasta_file, capsys,
     lines = flagged.err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["profile"] == "search_batch" and "scan" in record["stages"]
+    assert record["profile"] == "search_store_batch" \
+        and "scan" in record["stages"]
     assert os.environ.get(PROFILE_ENV) == previous
 
     assert main(argv) == 0
@@ -169,8 +163,8 @@ def test_psiblast_command(tmp_path, capsys):
     fasta = tmp_path / "prots.fasta"
     fasta.write_text(f">p1 target\n{prot}\n>p2 decoy\n"
                      + "".join(rng.choice(list(aas), 200)) + "\n")
-    main(["formatdb", "-i", str(fasta), "-d", str(tmp_path), "-n",
-          "prot", "-p"])
+    main(["packdb", "build", "-p", "-i", str(fasta),
+          "-o", f"{tmp_path}/prot"])
     query = tmp_path / "q.fasta"
     query.write_text(f">q\n{prot[40:160]}\n")
     capsys.readouterr()
@@ -183,7 +177,7 @@ def test_psiblast_command(tmp_path, capsys):
 
 def test_blastn_jobs_output_identical_to_serial(fasta_file, capsys):
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
                  "-i", query, "-m", "tabular"]) == 0
@@ -192,9 +186,12 @@ def test_blastn_jobs_output_identical_to_serial(fasta_file, capsys):
                  "-m", "tabular", "--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == serial
-    assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
-                 "-i", query, "-m", "tabular", "--jobs", "2",
-                 "--fragments", "3"]) == 0
+    # Fewer packs than workers: a store of one pack on two.
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/one",
+          "--fragments", "1"])
+    capsys.readouterr()
+    assert main(["blastall", "-p", "blastn", "-d", f"{d}/one",
+                 "-i", query, "-m", "tabular", "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
 
 
@@ -210,12 +207,15 @@ def test_blastn_batch_matches_the_committed_golden(fmt, jobs, tmp_path,
     insertion into two diagonals of one subject, one over a segment two
     other subjects carry diverged copies of): one batch plans 20 gapped
     DP problems, many of them crossing gaps.  The report prints every
-    alignment (``-a``), so the traceback's ops are compared too."""
+    alignment (``-a``), so the traceback's ops are compared too.  A
+    serial run searches a store of one pack, a ``--jobs 2`` run one of
+    two: the fragments the pool cut from the same database."""
     from pathlib import Path
 
     data = Path(__file__).parent / "data"
-    assert main(["formatdb", "-i", str(data / "blastn_batch_db.fasta"),
-                 "-d", str(tmp_path), "-n", "bb"]) == 0
+    assert main(["packdb", "build", "-i", str(data / "blastn_batch_db.fasta"),
+                 "-o", str(tmp_path / "bb"),
+                 "--fragments", "1" if jobs is None else "2"]) == 0
     capsys.readouterr()
     argv = ["blastn", "-d", str(tmp_path / "bb"),
             "-i", str(data / "blastn_batch_query.fasta"), "-m", fmt]
@@ -246,12 +246,15 @@ def test_blastp_batch_matches_the_committed_golden(fmt, jobs, tmp_path,
     problems, more than one align chunk holds, so it is scored first
     and only its survivors are aligned; at ``--jobs 2`` the pack with
     the unknown residues plans 16, which fit one chunk and are aligned
-    directly.  The report prints every alignment (``-a``)."""
+    directly (a serial run searches a store of one pack, a ``--jobs 2``
+    run one of two).  The report prints every alignment (``-a``)."""
     from pathlib import Path
 
     data = Path(__file__).parent / "data"
-    assert main(["formatdb", "-p", "-i", str(data / "blastp_batch_db.fasta"),
-                 "-d", str(tmp_path), "-n", "bp"]) == 0
+    assert main(["packdb", "build", "-p",
+                 "-i", str(data / "blastp_batch_db.fasta"),
+                 "-o", str(tmp_path / "bp"),
+                 "--fragments", "1" if jobs is None else "2"]) == 0
     capsys.readouterr()
     argv = ["blastall", "-p", "blastp", "-d", str(tmp_path / "bp"),
             "-i", str(data / "blastp_batch_query.fasta"), "-m", fmt]
@@ -282,8 +285,9 @@ def test_blastp_batch_golden_takes_both_gapped_routes():
 
     search_mod = importlib.import_module("repro.blast.search")
     data = Path(__file__).parent / "data"
-    db = SequenceDB.from_fasta_text(
-        (data / "blastp_batch_db.fasta").read_text(), "aa")
+    db = SequenceDB("aa")
+    for rec in parse_fasta((data / "blastp_batch_db.fasta").read_text()):
+        db.add(rec.description, rec.sequence)
     queries = [encode_protein(rec.sequence) for rec in parse_fasta(
         (data / "blastp_batch_query.fasta").read_text())]
     scheme, params = program_defaults("blastp")
@@ -304,35 +308,51 @@ def test_blastp_batch_golden_takes_both_gapped_routes():
     assert sorted(fits for _n, fits in routes[1:]) == [False, True]
 
 
-def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
-    """``--fragments`` sizes the pool's cut of a ``-d`` database; where
-    nothing cuts it (a serial run, or a store whose fragments were fixed
-    at build time) it is a usage error, not a silently ignored flag."""
-    fasta, query, d = fasta_file
-    store = os.path.join(d, "store")
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
-    main(["packdb", "build", "-i", fasta, "-o", store, "--fragments", "2"])
-    capsys.readouterr()
-    for argv in (["-d", f"{d}/mini", "--fragments", "8"],
-                 ["-d", f"{d}/mini", "--jobs", "1", "--fragments", "8"],
-                 ["--db-pack", store, "--jobs", "2", "--fragments", "8"]):
-        assert main(["blastn", "-i", query, "-m", "tabular"] + argv) == 2
+@pytest.mark.parametrize("program", ["blastn", "tblastx", "psiblast"])
+def test_d_refuses_a_path_that_holds_no_store(program, fasta_file, capsys):
+    """``-d`` opens a pack store directory and nothing else: a path of
+    the retired three-file format (``DIR/NAME`` beside ``NAME.nin`` /
+    ``.nsq`` / ``.nhr``), a directory without a manifest and a missing
+    path are each refused in one line naming the build command — exit
+    2, nothing on stdout, no traceback."""
+    _fasta, query, d = fasta_file
+    for ext in ("nin", "nsq", "nhr"):
+        with open(os.path.join(d, f"mini.{ext}"), "wb") as f:
+            f.write(b"RPDB")
+    argv = ["blastall", "-p", program] if program == "tblastx" else [program]
+    for path in (f"{d}/mini", d, f"{d}/absent"):
+        assert main(argv + ["-d", path, "-i", query]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("# --fragments")
-        assert len(captured.err.splitlines()) == 1
+        assert captured.err == (f"# -d {path}: not a pack store; build one "
+                                f"with `repro packdb build -i FASTA -o "
+                                f"DIR`\n")
+
+
+def test_fragments_outside_a_pool_is_refused(fasta_file, capsys):
+    """A store's packs are fixed when it is built (``packdb build
+    --fragments``): a search takes no ``--fragments``, so the flag is
+    refused while the arguments are parsed, not silently ignored."""
+    _fasta, query, d = fasta_file
+    for argv in (["blastn"], ["blastall", "-p", "blastn"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["-d", d, "-i", query, "--jobs", "2",
+                         "--fragments", "8"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --fragments 8")
 
 
 _BLASTN = ["blastn", "-d", "db", "-i", "query.fasta"]
 
 
 @pytest.mark.parametrize("argv,error", [
-    pytest.param(_BLASTN + ["--jobs", "2", "--fragments", "-3"],
-                 "repro blastn: error: argument --fragments: must be >= 1, "
-                 "got -3", id="fragments-negative"),
-    pytest.param(_BLASTN + ["--jobs", "2", "--fragments", "0"],
-                 "repro blastn: error: argument --fragments: must be >= 1, "
-                 "got 0", id="fragments-zero"),
+    pytest.param(["packdb", "build", "-i", "seqs.fasta", "-o", "store",
+                  "--fragments", "-3"],
+                 "repro packdb build: error: argument --fragments: must be "
+                 ">= 1, got -3", id="fragments-negative"),
     pytest.param(_BLASTN + ["--jobs", "-1", "--nodes", "127.0.0.1:9"],
                  "repro blastn: error: argument -j/--jobs: must be >= 0, "
                  "got -1", id="jobs-negative"),
@@ -345,17 +365,20 @@ _BLASTN = ["blastn", "-d", "db", "-i", "query.fasta"]
     pytest.param(["packdb", "build", "-o", "store", "--fragments", "0"],
                  "repro packdb build: error: argument --fragments: must be "
                  ">= 1, got 0", id="packdb-fragments-zero"),
-    pytest.param(["segmentdb", "-d", "db", "-o", "out", "-n", "0"],
-                 "repro segmentdb: error: argument -n/--n-fragments: must "
-                 "be >= 1, got 0", id="segmentdb-zero"),
+    pytest.param(["synthdb", "-o", "store", "--residues", "0"],
+                 "repro synthdb: error: argument --residues: must be >= 1, "
+                 "got 0", id="synthdb-residues-zero"),
+    pytest.param(["psiblast", "-d", "db", "-i", "query.fasta", "-j", "-1"],
+                 "repro psiblast: error: argument -j/--iterations: must be "
+                 ">= 1, got -1", id="psiblast-iterations-negative"),
 ])
 def test_out_of_range_counts_and_deadlines_are_usage_errors(argv, error,
                                                             capsys):
-    """A fragment count, worker count or deadline out of range is
-    refused while the arguments are parsed (exit 2, one line naming the
-    flag), before any file is read: not a ``ValueError`` traceback, a
-    silently ignored ``--fragments 0``, or a zero deadline that kills
-    every task into the serial fallback."""
+    """A fragment, residue, iteration or worker count or a deadline out
+    of range is refused while the arguments are parsed (exit 2, one line
+    naming the flag), before any file is read: not a ``ValueError``
+    traceback, a silently ignored ``--fragments 0``, or a zero deadline
+    that kills every task into the serial fallback."""
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 2
@@ -366,7 +389,7 @@ def test_out_of_range_counts_and_deadlines_are_usage_errors(argv, error,
 
 def test_blastall_jobs_falls_back_for_translated_programs(fasta_file, capsys):
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastall", "-p", "tblastx", "-d", f"{d}/mini",
                  "-i", query, "--jobs", "2"]) == 0
@@ -382,7 +405,7 @@ def test_blastn_jobs_corrupt_pack_exit_code(fasta_file, capsys, monkeypatch):
     from repro.cli import EXIT_INTEGRITY
 
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     monkeypatch.setenv("REPRO_EXEC_FAULT_PLAN",
                        '[{"kind": "corrupt_pack", "rank": 0}]')
@@ -397,7 +420,7 @@ def test_blastn_jobs_pool_failure_exit_code(fasta_file, capsys, monkeypatch):
     from repro.cli import EXIT_POOL_FAILURE
 
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     monkeypatch.setenv("REPRO_EXEC_FAULT_PLAN", '[{"kind": "kill"}]')
     assert main(["blastn", "-d", f"{d}/mini", "-i", query, "--jobs", "2",
@@ -410,7 +433,7 @@ def test_blastn_jobs_degraded_exit_code(fasta_file, capsys, monkeypatch):
     from repro.cli import EXIT_DEGRADED
 
     fasta, query, d = fasta_file
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    main(["packdb", "build", "-i", fasta, "-o", f"{d}/mini"])
     capsys.readouterr()
     assert main(["blastn", "-d", f"{d}/mini", "-i", query,
                  "-m", "tabular"]) == 0
@@ -434,7 +457,7 @@ def test_blastn_and_blastall_options_differ_only_by_program():
     blastall, blastn = ([tuple(a.option_strings) for a in
                          sub.choices[name]._actions]
                         for name in ("blastall", "blastn"))
-    assert len(blastn) == 16 and ("-j", "--jobs") in blastn
+    assert len(blastn) == 14 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
 
 
@@ -464,7 +487,7 @@ def _evalue_flag_case(program, tmp_path):
     fasta.write_text("".join(f">s{i} seq\n{s}\n" for i, s in enumerate(seqs)))
     qfile = tmp_path / "q.fasta"
     qfile.write_text(f">q\n{query}\n")
-    main(["formatdb", "-i", str(fasta), "-d", str(tmp_path), "-n", "db"]
+    main(["packdb", "build", "-i", str(fasta), "-o", f"{tmp_path}/db"]
          + (["-p"] if program == "blastp" else []))
     return ["blastall", "-p", program, "-d", f"{tmp_path}/db",
             "-i", str(qfile), "-m", "tabular"]

@@ -1,8 +1,8 @@
-"""The on-disk pack format: round-trip fidelity against the in-RAM
-engine, byte-identity with the shm layout, mmap cold start through the
-pool, a per-section corruption matrix, crash-mid-build atomicity, the
-incremental append path, and the ``packdb`` / ``blastall --db-pack``
-CLI surface."""
+"""The on-disk pack format, the repo's one database format: round-trip
+fidelity against the in-RAM engine, byte-identity with the shm layout,
+mmap cold start through the pool, a per-section corruption matrix,
+crash-mid-build atomicity, and the ``packdb`` / ``blastall -d`` CLI
+surface."""
 
 import dataclasses
 import json
@@ -43,19 +43,12 @@ NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
 
 
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith("psm_") or n.startswith("repro"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 @pytest.fixture(autouse=True)
-def no_leaks():
-    before = shm_segments()
+def no_open_packs():
     yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
     assert open_pack_count() == 0, "test leaked an open DiskPack mapping"
 
 
@@ -244,6 +237,24 @@ def test_builder_source_ids_cover_corpus(tmp_path):
     assert sorted(seen) == list(range(len(db)))
 
 
+@pytest.mark.parametrize("seqtype", [NT, AA])
+def test_load_db_reads_the_store_back_in_source_order(tmp_path, seqtype):
+    """``PackStore.load_db`` is the one reader of a store into RAM: the
+    records come back in the order they were added, whatever packs they
+    were cut into, under the store's name and alphabet."""
+    rng = np.random.default_rng(61)
+    db = random_nt_db(rng, 25) if seqtype == NT else random_aa_db(rng, 25)
+    store = build_pack_store(db, str(tmp_path), seqtype=seqtype,
+                             name="mini", n_fragments=3)
+    back = store.load_db()
+    assert (back.name, back.seqtype, len(back)) == ("mini", seqtype, len(db))
+    assert back.total_residues == db.total_residues
+    for i in range(len(db)):
+        assert back.description(i) == db.description(i)
+        assert np.array_equal(back.sequence(i), db.sequence(i))
+    assert open_pack_count() == 0
+
+
 @pytest.mark.parametrize("n_fragments", [1, 3, 8])
 def test_store_has_the_fragments_segment_db_cuts(tmp_path, n_fragments):
     """One binning rule: a store built from a database, in memory or
@@ -360,8 +371,7 @@ def _assert_refused_before_any_search(old, version, capsys, tmp_path):
         DiskPack(os.path.join(old, "golden.000.rpk"))
     query = tmp_path / "q.fasta"
     query.write_text(">gq\nCCGGTCATCACAACATTCGCCAGATACAGC\n")
-    assert main(["blastn", "--db-pack", old, "-i", str(query)]) \
-        == EXIT_INTEGRITY
+    assert main(["blastn", "-d", old, "-i", str(query)]) == EXIT_INTEGRITY
     out, err = capsys.readouterr()
     assert out == "" and re.search(said, err)
 
@@ -621,8 +631,7 @@ def test_protein_store_refuses_a_nucleotide_search(tmp_path, capsys):
                              n_fragments=2)
     query = tmp_path / "q.fasta"
     query.write_text(">q\n" + "ACGT" * 20 + "\n")
-    assert main(["blastn", "--db-pack", store.directory,
-                 "-i", str(query)]) == 2
+    assert main(["blastn", "-d", store.directory, "-i", str(query)]) == 2
     assert "needs a nt pack store" in capsys.readouterr().err
     with ExecPool(jobs=1) as pool:
         with pytest.raises(ValueError, match="base"):
@@ -799,7 +808,7 @@ def test_builder_abort_on_exception_cleans_spools(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# CLI: packdb build / info / verify and blastall --db-pack
+# CLI: packdb build / info / verify and blastall -d
 # ----------------------------------------------------------------------
 @pytest.fixture
 def cli_corpus(tmp_path):
@@ -825,8 +834,9 @@ def test_cli_packdb_build_info_verify(cli_corpus, capsys):
     assert "fragment" in out.lower()
     assert main(["packdb", "verify", out_dir]) == 0
     capsys.readouterr()
-    # Both -i and --from-db, or neither, is a usage error.
-    assert main(["packdb", "build", "-o", out_dir + "2"]) == 2
+    # The input is FASTA, and it is required.
+    with pytest.raises(SystemExit):
+        main(["packdb", "build", "-o", out_dir + "2"])
     capsys.readouterr()
 
 
@@ -846,20 +856,27 @@ def test_cli_packdb_verify_exit_code_on_corruption(cli_corpus, capsys):
     capsys.readouterr()
 
 
-def test_cli_blastall_db_pack_matches_ram_path(cli_corpus, capsys):
+def test_cli_blastall_store_matches_ram_path(cli_corpus, capsys):
+    """``-d`` prints what the library's in-RAM search of the same
+    records prints, serially and on two workers."""
+    from repro.blast.programs import blastall, program_defaults
+
     fasta, query, d = cli_corpus
     out_dir = os.path.join(d, "store")
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
     main(["packdb", "build", "-i", fasta, "-o", out_dir,
           "--fragments", "2"])
     capsys.readouterr()
-    assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
-                 "-i", query]) == 0
-    ram = capsys.readouterr().out
-    assert main(["blastall", "-p", "blastn", "--db-pack", out_dir,
+    with open(fasta) as f:
+        db = SequenceDB.from_fasta_text(f.read())
+    with open(query) as f:
+        rec = next(iter_fasta(f))
+    ram = blastall("blastn", rec.sequence, db,
+                   params=program_defaults("blastn")[1],
+                   query_id=rec.id).report(max_hits=25) + "\n\n"
+    assert main(["blastall", "-p", "blastn", "-d", out_dir,
                  "-i", query]) == 0
     disk = capsys.readouterr().out
-    assert main(["blastall", "-p", "blastn", "--db-pack", out_dir,
+    assert main(["blastall", "-p", "blastn", "-d", out_dir,
                  "-i", query, "--jobs", "2"]) == 0
     disk_par = capsys.readouterr().out
     assert "s1 target" in ram
@@ -867,23 +884,23 @@ def test_cli_blastall_db_pack_matches_ram_path(cli_corpus, capsys):
     assert disk_par == ram
 
 
-def test_cli_blastall_db_pack_usage_and_integrity(cli_corpus, capsys):
+def test_cli_blastall_store_usage_and_integrity(cli_corpus, capsys):
     fasta, query, d = cli_corpus
     out_dir = os.path.join(d, "store")
-    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
     main(["packdb", "build", "-i", fasta, "-o", out_dir,
           "--fragments", "1"])
     capsys.readouterr()
-    # -d and --db-pack are mutually exclusive.
-    assert main(["blastall", "-p", "blastn", "-d", f"{d}/mini",
-                 "--db-pack", out_dir, "-i", query]) == 2
-    # Pack stores are nt here; a protein program is a usage error.
-    assert main(["blastall", "-p", "blastp", "--db-pack", out_dir,
-                 "-i", query]) == 2
+    # The store is nt here; a protein program is a usage error.
+    for program in ("blastp", "blastx"):
+        assert main(["blastall", "-p", program, "-d", out_dir,
+                     "-i", query]) == 2
+    assert main(["psiblast", "-d", out_dir, "-i", query]) == 2
     capsys.readouterr()
     store = PackStore.open(out_dir)
     corrupt_pack_file(store.pack_path(store.packs[0]))
-    assert main(["blastall", "-p", "blastn", "--db-pack", out_dir,
-                 "-i", query]) == EXIT_INTEGRITY
+    for argv in (["blastall", "-p", "blastn"], ["blastall", "-p", "tblastx"],
+                 ["blastn", "-a"], ["blastn", "--jobs", "2"]):
+        assert main(argv + ["-d", out_dir, "-i", query]) == EXIT_INTEGRITY
+        assert "pack integrity failure" in capsys.readouterr().err
     capsys.readouterr()
     assert open_pack_count() == 0

@@ -6,7 +6,6 @@ degrades gracefully to the serial engine, and tears down in bounded
 time — all without leaking a single /dev/shm segment."""
 
 import dataclasses
-import os
 import threading
 import time
 
@@ -20,24 +19,11 @@ from repro.exec import (ExecPool, Fault, FaultInjector, FaultPlan,
                         GreedyScheduler, PackIntegrityError, PoolJobError,
                         random_plan)
 from repro.exec.faults import FAULT_PLAN_ENV, HANG_FOREVER, FailureLedger
-from repro.exec.shm import NAME_PREFIX
 
 NT_LETTERS = np.array(list("ACGT"))
 
 
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
-    yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def random_nt_db(rng, n_seqs, min_len=100, max_len=300):

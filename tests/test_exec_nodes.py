@@ -4,7 +4,6 @@ killed node, last-mirror loss degrading to serial, reconnect-adopt, and
 the stray-transport sweep in ``ExecPool.close``."""
 
 import dataclasses
-import os
 import socket
 import time
 import warnings
@@ -18,24 +17,11 @@ from repro.blast.seqdb import NT, SequenceDB
 from repro.exec import ExecPool, PoolJobError
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.nodes import NodeFleet
-from repro.exec.shm import NAME_PREFIX
 
 NT_LETTERS = np.array(list("ACGT"))
 
 
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
-    yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def random_nt_db(rng, n_seqs, min_len=5, max_len=300):

@@ -22,21 +22,12 @@ from repro.exec import (ExecPool, FrameConnection, GreedyScheduler,
                         PoolJobError, RetriesExceeded, plan_fragments)
 from repro.exec.nodes import PROTO_VERSION, NodeAgent, _agent_main
 from repro.exec.pool import JobSpec
-from repro.exec.shm import (NAME_PREFIX, ShmRegistry, pack_fragment,
-                            read_pack_bytes)
+from repro.exec.shm import ShmRegistry, pack_fragment, read_pack_bytes
 
 from oracle_search import search_reference
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
-
-
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def diskpack_leftovers():
@@ -56,11 +47,12 @@ def diskpack_leftovers():
     return found
 
 
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
+
+
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
+def no_build_leftovers():
     yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
     assert diskpack_leftovers() == [], "test leaked pack build artifacts"
 
 
@@ -271,9 +263,13 @@ def test_pool_validation_and_close_semantics():
 def test_pool_refuses_non_positive_counts_and_durations(keyword, value):
     """A fragment count or a duration of zero or less is a caller's
     error, refused before a worker starts — not a default in disguise
-    (``--fragments 0`` was ignored) or a deadline every task misses."""
-    with pytest.raises(ValueError, match=f"{keyword} must be positive"):
-        ExecPool(jobs=1, **{keyword: value})
+    (``--fragments 0`` was ignored) or a deadline every task misses.
+    The constructor checks the durations, a search its fragment
+    count."""
+    if keyword != "n_fragments":
+        with pytest.raises(ValueError, match=f"{keyword} must be positive"):
+            ExecPool(jobs=1, **{keyword: value})
+        return
     rng = np.random.default_rng(4)
     db = random_nt_db(rng, 4)
     pool = ExecPool(jobs=1)

@@ -23,25 +23,15 @@ from repro.exec import (ExecPool, Fault, FaultPlan, PackIntegrityError,
                         plan_task_ranges)
 from repro.exec.net import NodeConnectError
 from repro.exec.pool import _LocalSlot
-from repro.exec.shm import NAME_PREFIX, ShmRegistry
+from repro.exec.shm import ShmRegistry
+
+from conftest import own_segments
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
 
 
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
-    yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def random_nt_db(rng, n_seqs, min_len=5, max_len=300):
@@ -256,11 +246,11 @@ def test_pool_run_creates_no_arena_segment():
     params = SearchParams(word_size=11)
     q = db.sequence(2)[:150].copy()
     serial = dump(search(q, db, scheme, params))
-    before = set(shm_segments())
+    before = set(own_segments())
     with ExecPool(jobs=2) as pool:
         got = pool.search(q, db, scheme, params, n_fragments=4)
         stats = pool.last_stats
-        live = set(shm_segments()) - before
+        live = set(own_segments()) - before
     assert dump(got) == serial
     assert len(live) == 4 and not [n for n in live if "arena" in n]
     assert stats.inline_results == stats.tasks_done > 0

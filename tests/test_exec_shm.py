@@ -3,6 +3,9 @@ registry lifetime discipline, and the /dev/shm leak invariant."""
 
 import dataclasses
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,16 +20,10 @@ from repro.exec.shm import (_ALIGN, _FIELDS, NAME_PREFIX, AttachedPack,
                             ShmRegistry, corrupt_segment, create_pack,
                             default_registry, pack_fragment, pack_layout)
 
+from conftest import own_segments
+
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
-
-
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def random_nt_db(rng, n_seqs, min_len=5, max_len=300):
@@ -45,11 +42,7 @@ def random_aa_db(rng, n_seqs, min_len=5, max_len=200):
     return db
 
 
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
-    yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def test_pack_roundtrip_preserves_structures_and_headers():
@@ -112,12 +105,12 @@ def test_registry_unmap_drops_the_mapping_not_the_segment():
     try:
         assert mapped(spec.name)
         registry.unmap(spec.name)
-        assert not mapped(spec.name) and spec.name in shm_segments()
+        assert not mapped(spec.name) and spec.name in own_segments()
         with AttachedPack(spec):            # still there, still intact
             assert mapped(spec.name)
     finally:
         assert registry.release(spec.name)  # ... and still ours to unlink
-    assert spec.name not in shm_segments()
+    assert spec.name not in own_segments()
 
 
 def test_packdb_serves_scan_search_identically():
@@ -316,3 +309,64 @@ def test_empty_descriptions_and_single_sequence():
     finally:
         pack.close()
         registry.release(spec.name)
+
+
+# A pool in a process that is not this one's descendant: the child
+# starts it in a grandchild and exits, so the grandchild is re-parented
+# away from this process.  The grandchild prints its pid and its
+# segments once its packs are published, and keeps them until its
+# stdin closes.
+_FOREIGN_POOL = r"""
+import os, subprocess, sys
+if sys.argv[1] == "child":
+    subprocess.Popen([sys.executable, "-c", sys.argv[2], "pool"])
+    os._exit(0)
+from repro.blast.score import NucleotideScore
+from repro.blast.search import SearchParams
+from repro.exec import ExecPool
+from repro.workloads import synthetic_nt_db
+db = synthetic_nt_db(20000, seed=2)
+with ExecPool(jobs=2) as pool:
+    pool.search(db.sequence(0)[:200].copy(), db, NucleotideScore(),
+                SearchParams(word_size=11))
+    mine = [n for n in os.listdir("/dev/shm")
+            if n.startswith(f"repro_{os.getpid()}_")]
+    print(os.getpid(), *mine, flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_leak_fixture_counts_this_process_tree_only():
+    """``no_segment_leaks`` (tests/conftest.py) fails a test that leaves
+    a segment of its own behind, and ignores the segments a live pool in
+    another process holds meanwhile."""
+    before = own_segments()
+    registry = ShmRegistry()
+    spec = pack_fragment(random_nt_db(np.random.default_rng(9), 10), 11, 4,
+                         cache_token=("t", 0, 0), registry=registry)
+    try:
+        assert own_segments() == sorted(before + [spec.name])
+    finally:
+        registry.release_all()
+    assert own_segments() == before
+
+    child = subprocess.Popen(
+        [sys.executable, "-c", _FOREIGN_POOL, "child", _FOREIGN_POOL],
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(__file__)) or ".",
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.wait(timeout=60) == 0
+    pid, *names = child.stdout.readline().split() or ["0"]
+    try:
+        assert names and all(os.path.exists(f"/dev/shm/{n}") for n in names)
+        assert own_segments() == before
+    finally:
+        child.stdin.close()             # the grandchild closes its pool
+        child.stdout.close()
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and [
+                n for n in os.listdir("/dev/shm")
+                if n.startswith(f"repro_{pid}_")]:
+            time.sleep(0.05)
+    assert not [n for n in os.listdir("/dev/shm")
+                if n.startswith(f"repro_{pid}_")]

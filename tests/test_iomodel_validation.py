@@ -7,9 +7,10 @@ no nt database), so two anchors are used:
 
 * the aggregate statistics the paper reports for its own trace
   (Section 4.2): operation mix, size extremes, write-size range;
-* the real engine's database loader: reading a formatted fragment from
-  disk is dominated by the sequence file, with small index reads first —
-  the same structure the model generates.
+* the real engine's database format: opening a fragment pack reads its
+  preamble and header first, in small reads, and its bytes are
+  dominated by the sequence section — the same structure the model
+  generates.
 """
 
 import io
@@ -18,7 +19,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.blast import SequenceDB, blastn, segment_db
+from repro.blast import blastn
+from repro.blast.alphabet import encode_dna
+from repro.blast.programs import program_defaults
 from repro.core.calibration import default_cost_model
 from repro.parallel.iomodel import (
     FragmentSpec,
@@ -26,6 +29,8 @@ from repro.parallel.iomodel import (
     fragment_steps,
     steps_summary,
 )
+from repro.exec.diskpack import (DiskPack, PackStore, build_pack_store,
+                                 search_store)
 from repro.workloads import extract_query, synthetic_nt_db
 
 MB = 1_000_000
@@ -66,67 +71,86 @@ def test_model_total_read_volume_close_to_fragment_size():
 class _CountingReader(io.FileIO):
     """File wrapper recording read sizes."""
 
-    reads = []  # class-level log: [(path-suffix, size)]
+    log = []  # class-level, in order: [("read" | "mmap", bytes)]
 
     def read(self, size=-1):
         data = super().read(size)
-        type(self).reads.append((os.path.basename(self.name), len(data)))
+        type(self).log.append(("read", len(data)))
         return data
 
 
-def _load_with_counting(tmp_path, name):
+def _open_with_counting(path):
+    """Open one pack file, logging in order each read through ``open``
+    and the mapping that follows them."""
     import builtins
+    import mmap
 
-    _CountingReader.reads = []
-    real_open = builtins.open
+    log = _CountingReader.log = []
+    real_open, real_mmap = builtins.open, mmap.mmap
 
-    def counting_open(path, mode="r", *a, **kw):
-        if "b" in mode and "r" in mode and str(path).startswith(str(tmp_path)):
-            return _CountingReader(path, "r")
-        return real_open(path, mode, *a, **kw)
+    def counting_open(p, mode="r", *a, **kw):
+        if str(p) == path and "b" in mode and "r" in mode:
+            return _CountingReader(p, "r")
+        return real_open(p, mode, *a, **kw)
 
-    builtins.open = counting_open
-    try:
-        return SequenceDB.load(str(tmp_path), name), list(_CountingReader.reads)
-    finally:
-        builtins.open = real_open
+    def logging_mmap(fileno, length, *a, **kw):
+        log.append(("mmap", os.fstat(fileno).st_size))
+        return real_mmap(fileno, length, *a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "open", counting_open)
+        mp.setattr(mmap, "mmap", logging_mmap)
+        return DiskPack(path), list(log)
 
 
 def test_real_fragment_load_matches_model_structure(tmp_path):
-    """Loading a real formatted fragment: sequence-file bytes dominate,
-    index metadata is read first in small pieces — the structure the
-    model's step timeline encodes."""
+    """Opening a real fragment pack: the preamble and the header are
+    read first, in two small reads, before the file is mapped, and the
+    sequence section dominates the pack's bytes — the structure the
+    model's step timeline encodes (small index reads, then the pass
+    over the sequences)."""
     db = synthetic_nt_db(200_000, seed=11)
-    frag = segment_db(db, 4)[0]
-    frag.write(str(tmp_path))
-    loaded, reads = _load_with_counting(tmp_path, frag.name)
+    store = build_pack_store(db, str(tmp_path), n_fragments=4)
+    path = store.pack_path(store.packs[0])
+    pack, log = _open_with_counting(path)
+    try:
+        sections = {field: int(np.prod(shape)) * np.dtype(dtype).itemsize
+                    for field, dtype, shape, _off in pack.spec.arrays}
+    finally:
+        pack.close()
 
-    assert len(loaded) == len(frag)
-    by_ext = {}
-    for name, size in reads:
-        by_ext.setdefault(name.rsplit(".", 1)[1], []).append(size)
-    # Sequence data dominates the bytes moved.
-    assert sum(by_ext["nsq"]) > sum(by_ext["nhr"])
-    assert sum(by_ext["nsq"]) > sum(by_ext["nin"])
-    # The index is consulted first, starting with a small magic read.
-    first_file, first_size = reads[0]
-    assert first_file.endswith(".nin")
-    assert first_size <= 16
-    # Total bytes read ~= on-disk footprint (each file read once).
-    total = sum(size for _, size in reads)
-    on_disk = sum(os.path.getsize(p) for p in frag.paths(str(tmp_path)))
-    assert total == pytest.approx(on_disk, rel=0.01)
+    assert [kind for kind, _ in log] == ["read", "read", "mmap"]
+    (_, preamble), (_, header), (_, mapped) = log
+    # The preamble is a fixed 32 bytes; header and preamble together
+    # are a sliver of the sequence section.
+    assert preamble == 32
+    assert preamble + header < sections["concat"] / 20
+    # Sequence data dominates the bytes the mapping serves.
+    assert sections["concat"] > 2 * sum(
+        size for field, size in sections.items() if field != "concat")
+    # The mapping is the whole file: the small reads plus the sections
+    # (and their 64-byte alignment) are its footprint.
+    assert mapped == os.path.getsize(path)
+    assert preamble + header + sum(sections.values()) \
+        == pytest.approx(mapped, rel=0.01)
 
 
 def test_real_search_is_read_only(tmp_path):
     """The search path itself issues no database writes (the paper's 11%
-    writes are temp-result records, not database mutations)."""
+    writes are temp-result records, not database mutations): searching
+    a store, mapped and read into memory, leaves every file as it was."""
     db = synthetic_nt_db(50_000, seed=12)
-    db.write(str(tmp_path))
-    before = {p: os.path.getmtime(p) for p in db.paths(str(tmp_path))}
-    loaded = SequenceDB.load(str(tmp_path), db.name)
-    query = extract_query(loaded, length=300, seed=1)
-    res = blastn(query, loaded)
+    store = build_pack_store(db, str(tmp_path), n_fragments=2)
+
+    def stamps():
+        return {name: os.path.getmtime(tmp_path / name)
+                for name in sorted(os.listdir(tmp_path))}
+
+    before = stamps()
+    query = extract_query(db, length=300, seed=1)
+    scheme, params = program_defaults("blastn")
+    res = search_store(encode_dna(query), PackStore.open(str(tmp_path)),
+                       scheme, params)
     assert res.hits  # the planted query hits its source
-    after = {p: os.path.getmtime(p) for p in db.paths(str(tmp_path))}
-    assert before == after
+    assert blastn(query, store.load_db()).hits
+    assert stamps() == before

@@ -9,7 +9,6 @@ included); and per-stage profiling output."""
 import dataclasses
 import importlib
 import json
-import os
 from contextlib import ExitStack
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import ExecPool, Fault, FaultPlan
 from repro.exec.diskpack import DiskPack, write_pack
 from repro.exec.schedule import plan_query_batches
-from repro.exec.shm import NAME_PREFIX, PackDB
+from repro.exec.shm import PackDB
 
 from oracle_search import search_reference
 
@@ -37,19 +36,7 @@ NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
 
 
-def shm_segments():
-    try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", NAME_PREFIX)))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = shm_segments()
-    yield
-    assert shm_segments() == before, "test leaked shared-memory segments"
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def random_nt_db(rng, n_seqs, min_len=50, max_len=300):
