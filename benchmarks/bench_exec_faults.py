@@ -44,10 +44,10 @@ def workload():
     return db, NucleotideScore(), SearchParams(word_size=11), query
 
 
-def _wall_time(workload, fault_plan, hedge_after, task_timeout):
+def _wall_time(workload, fault_plan, hedge_after):
     db, scheme, params, query = workload
     with ExecPool(jobs=JOBS, fault_plan=fault_plan, task_sleep=TASK_SLEEP,
-                  hedge_after=hedge_after, task_timeout=task_timeout) as pool:
+                  hedge_after=hedge_after) as pool:
         t0 = time.perf_counter()
         pool.search(query, db, scheme, params, n_fragments=N_FRAGMENTS)
         elapsed = time.perf_counter() - t0
@@ -58,12 +58,9 @@ def _wall_time(workload, fault_plan, hedge_after, task_timeout):
 def test_hedged_reissue_beats_straggler(workload):
     straggler = FaultPlan(faults=(Fault("slow", rank=0, task_index=2,
                                         delay=STRAGGLER_DELAY),))
-    fault_free, _ = _wall_time(workload, None, hedge_after=100.0,
-                               task_timeout=100.0)
-    unhedged, us = _wall_time(workload, straggler, hedge_after=100.0,
-                              task_timeout=100.0)
-    hedged, hs = _wall_time(workload, straggler, hedge_after=HEDGE_AFTER,
-                            task_timeout=100.0)
+    fault_free, _ = _wall_time(workload, None, hedge_after=100.0)
+    unhedged, us = _wall_time(workload, straggler, hedge_after=100.0)
+    hedged, hs = _wall_time(workload, straggler, hedge_after=HEDGE_AFTER)
 
     report = "\n".join([
         "Hedged re-issue vs injected straggler "

@@ -146,8 +146,6 @@ def _parallel_results(program: str, store, queries, params, jobs: int,
     scheme, params = program_defaults(program, params)
     encode = encode_dna if program == "blastn" else encode_protein
     pool_kw = {}
-    if args.task_timeout is not None:
-        pool_kw["task_timeout"] = args.task_timeout
     if args.no_respawn:
         pool_kw["respawn"] = False
     if args.no_fallback:
@@ -384,14 +382,13 @@ def cmd_node(args) -> int:
     return 0
 
 
-def _at_least(kind, low, strict: bool = False):
-    """An argparse ``type``: a *kind* (``int`` or ``float``) of at least
-    *low* (above it when *strict*); anything else is a usage error."""
+def _at_least(kind, low):
+    """An argparse ``type``: a *kind* (e.g. ``int``) of at least *low*;
+    anything else is a usage error."""
     def parse(text: str):
         value = kind(text)
-        if value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
     parse.__name__ = kind.__name__      # argparse's "invalid int value"
     return parse
@@ -401,10 +398,6 @@ def _add_pool_args(p: argparse.ArgumentParser) -> None:
     """Fault-tolerance knobs shared by the parallel (``--jobs``)
     subcommands; an unset flag leaves the pool's default."""
     g = p.add_argument_group("pool fault tolerance (with --jobs)")
-    g.add_argument("--task-timeout", type=_at_least(float, 0, strict=True),
-                   default=None,
-                   help="hard deadline before a busy worker is presumed "
-                        "hung and killed (default adaptive)")
     g.add_argument("--no-respawn", action="store_true",
                    help="do not replace crashed workers")
     g.add_argument("--no-fallback", action="store_true",

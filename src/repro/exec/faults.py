@@ -25,15 +25,18 @@ Fault semantics (all applied worker-side):
     ``os._exit`` at task receipt — the process dies without cleanup,
     exactly like the paper's dead data server (SIGKILL semantics).
 ``hang``
-    sleep ``delay`` (default effectively forever) before serving the
-    task — the hot server that stops answering; only the master's
-    hard deadline gets the capacity back.
+    freeze the whole agent for ``delay`` (default effectively
+    forever) before serving the task, PONGs included — the server
+    that stops answering; the master kills it after ``node_timeout``
+    of silence.
 ``slow``
-    sleep ``delay`` then serve normally — the straggling hot server
-    of Figures 8–9; the soft deadline hedges around it.
+    sleep ``delay`` then serve normally, answering PINGs meanwhile —
+    the straggling hot server of Figures 8–9; the soft deadline
+    hedges around it.
 ``drop_result``
-    serve nothing and send nothing — a lost reply; indistinguishable
-    from a hang at the master, and recovered the same way.
+    serve nothing, send nothing and let go of the task — a lost
+    reply; the next PONG no longer names the task, and the master
+    writes the worker off as it would a silent one.
 ``corrupt_pack``
     scribble into the shared segment before attaching it — the torn
     or corrupted read that CRC verification must catch *before* any
@@ -51,11 +54,12 @@ remote node and on a local worker):
 ``partition``
     go completely silent for ``delay`` seconds (no result, no
     heartbeat replies), then resume — the network partition that is
-    indistinguishable from a hang until it heals; the master's
-    deadlines decide first.
+    indistinguishable from a hang until it heals; ``node_timeout``
+    decides first.
 ``delay``
-    sleep ``delay`` then send normally — the slow link; the hedge
-    races it and the late duplicate is discarded as stale.
+    hold the result, and the PONGs, for ``delay`` seconds, then send
+    normally — the slow link; the hedge races it and the late
+    duplicate is discarded as stale.
 ``reorder``
     hold this result and release it *after* the next one — delivery
     reordering, which per-task keys make harmless and per-connection
@@ -84,8 +88,8 @@ NET_FAULT_KINDS = frozenset({"disconnect", "partition", "delay", "reorder"})
 #: The only environment variable :mod:`repro.exec` reads.
 FAULT_PLAN_ENV = "REPRO_EXEC_FAULT_PLAN"
 
-#: A ``hang`` with no explicit delay sleeps this long — far past any
-#: reasonable hard deadline, i.e. "forever" for the pool's purposes.
+#: A ``hang`` with no explicit delay freezes this long — far past any
+#: reasonable ``node_timeout``, i.e. "forever" for the pool's purposes.
 HANG_FOREVER = 3600.0
 #: :func:`random_plan` arms this many faults, each at a task index from
 #: 0 to the second value.
@@ -200,7 +204,7 @@ def random_plan(seed: int, n_workers: int,
 
     Picks :data:`_RANDOM_FAULTS` (kind, rank, task_index) triples from
     the given kinds; ``slow`` faults get a short *slow_delay* so sweeps
-    stay fast, ``hang``/``drop_result`` rely on the pool's deadlines.
+    stay fast, ``hang``/``drop_result`` rely on the pool's heartbeat.
     The same seed always yields the same plan (plain ``random.Random``, no
     global state).
     """

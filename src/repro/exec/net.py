@@ -18,9 +18,10 @@ failure-first:
   :class:`FrameSequenceError`) instead of hanging or deserializing
   garbage;
 * **heartbeat keepalives** (PING/PONG frames, handled inside the
-  connection so callers never see them) let the master distinguish a
-  live-but-idle worker from a silently dead one via
-  :attr:`FrameConnection.last_heard`;
+  connection so callers never see them) let the master tell a live
+  worker, busy or idle, from a silently dead one via
+  :attr:`FrameConnection.last_heard`, and each PONG names what the
+  answering end holds (:attr:`FrameConnection.holding`);
 * connection establishment uses **bounded retry with exponential
   backoff + jitter** (:func:`connect_backoff`), with the clock, RNG,
   and connect function injectable so the retry schedule is testable
@@ -40,6 +41,7 @@ import random
 import select
 import socket
 import struct
+import threading
 import time
 import zlib
 from collections import deque
@@ -188,9 +190,14 @@ class FrameConnection:
     ``multiprocessing.connection.wait``, and a closed peer surfaces as
     :class:`EOFError` (clean close at a frame boundary) or
     :class:`FrameTruncated` (close mid-frame).  PING/PONG keepalives
-    are answered inside ``poll``/``recv`` — callers only ever see DATA
+    are handled inside the connection — callers only ever see DATA
     messages — and every received frame (of any type) refreshes
     :attr:`last_heard`, the master's missed-heartbeat signal.
+
+    ``recv`` answers a PING in frame order, after returning every DATA
+    message read before it, with a PONG carrying :attr:`holding`.  Sends
+    take :attr:`send_lock`, so one thread may ``recv`` while another
+    sends; holding it keeps the PONGs back.
     """
 
     def __init__(self, sock: socket.socket, name: str = "peer"):
@@ -208,14 +215,20 @@ class FrameConnection:
         self._closed = False
         self.last_heard = time.monotonic()
         self.last_ping = 0.0
+        self.send_lock = threading.RLock()
+        #: What this end's PONGs say (an agent: the task it holds); PINGs
+        #: sent, PONGs received and what the last one said.
+        self.holding = self.peer_holding = None
+        self.pings = self.pongs = 0
 
     # -- outbound ------------------------------------------------------
     def _send_frame(self, ftype: bytes, payload: bytes = b"") -> None:
         if self._closed:
             raise OSError(errno.EBADF, "connection is closed")
-        frame = encode_frame(ftype, self._send_seq, payload)
-        self._send_seq += 1
-        self._sock.sendall(frame)
+        with self.send_lock:
+            frame = encode_frame(ftype, self._send_seq, payload)
+            self._send_seq += 1
+            self._sock.sendall(frame)
 
     def send(self, obj) -> None:
         """Pickle *obj* into one DATA frame.  Raises ``OSError`` when
@@ -225,6 +238,7 @@ class FrameConnection:
     def ping(self) -> None:
         """Send one keepalive frame (the reply refreshes *last_heard*)."""
         self.last_ping = time.monotonic()
+        self.pings += 1
         self._send_frame(PING)
 
     # -- inbound -------------------------------------------------------
@@ -233,29 +247,42 @@ class FrameConnection:
         if ftype == DATA:
             self._queue.append(pickle.loads(payload))
         elif ftype == PING:
+            self._queue.append(PING)        # answered by recv, in order
+        else:
+            self.pongs += 1
+            self.peer_holding = pickle.loads(payload)
+
+    def _pong(self) -> None:
+        with self.send_lock:
             try:
-                self._send_frame(PONG)
+                self._send_frame(PONG, pickle.dumps(self.holding))
             except OSError:  # pragma: no cover - peer died mid-exchange
                 pass
-        # PONG: nothing beyond the last_heard refresh.
 
-    def _read_chunk(self) -> bool:
-        """One blocking socket read; returns False on EOF."""
+    def _read_chunk(self) -> None:
+        """One blocking socket read."""
         try:
             data = self._sock.recv(_CHUNK)
         except (ConnectionResetError, BrokenPipeError):
             data = b""
         if not data:
             self._eof = True
-            return False
+            return
         self._decoder.feed(data)
         for ftype, _seq, payload in self._decoder.frames():
             self._on_frame(ftype, payload)
-        return True
+
+    def _ready(self) -> bool:
+        """Answer the PINGs at the head of the queue; True when a DATA
+        message (or EOF) is next."""
+        while self._queue and self._queue[0] is PING:
+            self._queue.popleft()
+            self._pong()
+        return bool(self._queue) or self._eof
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True when ``recv`` would return (or raise) immediately."""
-        if self._queue or self._eof:
+        if self._ready():
             return True
         if self._closed:
             raise OSError(errno.EBADF, "connection is closed")
@@ -265,7 +292,8 @@ class FrameConnection:
             readable, _, _ = select.select([self._sock], [], [], left)
             if not readable:
                 return False
-            if not self._read_chunk() or self._queue:
+            self._read_chunk()
+            if self._ready():
                 return True             # a message, or EOF for recv()
             if time.monotonic() >= deadline:
                 return False
@@ -274,15 +302,14 @@ class FrameConnection:
         """The next DATA message; blocks until one arrives.  A closed
         peer raises :class:`EOFError` (frame boundary) or
         :class:`FrameTruncated` (mid-frame)."""
-        while True:
-            if self._queue:
-                return self._queue.popleft()
-            if self._eof:
-                self._decoder.check_eof()
-                raise EOFError(f"{self.name}: connection closed")
+        while not self._ready():
             if self._closed:
                 raise OSError(errno.EBADF, "connection is closed")
             self._read_chunk()
+        if self._queue:
+            return self._queue.popleft()
+        self._decoder.check_eof()
+        raise EOFError(f"{self.name}: connection closed")
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -301,6 +328,13 @@ class FrameConnection:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def shutdown(self) -> None:
+        """Wake a thread blocked in ``recv`` (it sees EOF)."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def close(self) -> None:
         if self._closed:

@@ -33,8 +33,10 @@ import signal
 import socket
 import stat
 import sys
+import threading
 import time
 import traceback
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blast.search import search_batch
@@ -50,8 +52,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 #: refuse a peer stating another (3: a shipped pack has no position
 #: table; 4: no word codes; 5: a result message carries its pairs;
 #: 6: a job's ``SearchParams`` has no ``gapped_method``; 7: nor
-#: ``gapped`` or ``two_hit_window``).
-PROTO_VERSION = 7
+#: ``gapped`` or ``two_hit_window``; 8: a PONG names the task the
+#: agent holds).
+PROTO_VERSION = 8
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
@@ -199,6 +202,70 @@ class TokenPacks:
                 pass
 
 
+class _Inbox:
+    """One agent session's receiving half.  :func:`serve_tasks` reads
+    ``conn`` itself while it waits; while it computes a task, a thread
+    reads for it, so PINGs are still answered.  Whoever reads a
+    ``task`` sets ``conn.holding`` to it before reading on, so every
+    later PONG names it."""
+
+    def __init__(self, conn):
+        self.conn, self._msgs = conn, deque()
+        self._cv = threading.Condition()
+        self._computing = self._reading = self._closed = False
+        self._thread = threading.Thread(target=self._read, daemon=True)
+        self._thread.start()
+
+    def _recv(self):
+        msg = self.conn.recv()
+        if msg[0] == "task":
+            with self.conn.send_lock:
+                self.conn.holding = (msg[3], msg[1], msg[2])
+        return msg
+
+    def _read(self) -> None:
+        while True:
+            with self._cv:
+                self._cv.wait_for(lambda: self._closed or self._computing)
+                if self._closed:
+                    return
+                self._reading = True
+            try:
+                msg = self._recv()
+            except BaseException as exc:    # EOF, framing, a shut socket
+                msg = exc
+            with self._cv:
+                self._msgs.append(msg)
+                self._reading = False
+                self._cv.notify_all()
+            if isinstance(msg, BaseException):
+                return
+            del msg
+
+    def get(self):
+        """The next message; raises what ended the reading."""
+        with self._cv:
+            self._computing = False
+            self._cv.wait_for(lambda: self._msgs or not self._reading)
+            msg = self._msgs.popleft() if self._msgs else None
+        if msg is None:
+            msg = self._recv()
+        elif isinstance(msg, BaseException):
+            raise msg
+        if msg[0] == "task":
+            with self._cv:
+                self._computing = True
+                self._cv.notify_all()
+        return msg
+
+    def close(self) -> None:
+        with self._cv:
+            self._closed = True
+            self._cv.notify_all()
+        self.conn.shutdown()
+        self._thread.join()
+
+
 def serve_tasks(conn, rank: int, holder, *,
                 injector: Optional[FaultInjector] = None,
                 task_sleep: float = 0.0) -> None:
@@ -217,83 +284,98 @@ def serve_tasks(conn, rank: int, holder, *,
     the *holder*'s (see :class:`TokenPacks`); anything else gets the
     unknown-message error reply.
 
+    PINGs are answered all the while (:class:`_Inbox`), each PONG
+    naming the task held from its read until its reply is sent.
     *injector* arms deterministic faults: ``kill`` / ``hang`` / ``slow``
-    / ``drop_result`` at task receipt, the network kinds at reply time.
-    *task_sleep* stalls every task (a test and chaos hook that widens
-    the window for mid-task faults).
+    / ``drop_result`` at task receipt, the network kinds at reply time;
+    ``hang`` / ``partition`` / ``delay`` stall holding the send lock (no
+    PONG), ``slow`` and *task_sleep* (every task: a test and chaos hook
+    that widens the window for mid-task faults) where the compute runs.
     """
     jobs: Dict[int, object] = {}
     tasks = fragments = 0
     held_back: Optional[tuple] = None       # reorder-fault holdback
-    while True:
-        msg = conn.recv()
-        kind = msg[0]
-        if kind == "job":
-            jobs[msg[1]] = msg[2]
-        elif kind == "forget_job":
-            jobs.pop(msg[1], None)
-        elif kind == "task":
-            _, qis, names, epoch = msg
-            if injector is not None:
-                frag_ids = holder.fragment_ids(names)
-                fault = injector.on_task(qis, frag_ids)
-                if fault is not None:
-                    if fault.kind == "kill":
-                        os._exit(_FAULT_EXIT)
-                    elif fault.kind in ("hang", "slow"):
-                        time.sleep(fault.stall)
-                    if fault.kind == "drop_result":
-                        continue        # serve nothing, say nothing
-            try:
-                if task_sleep > 0:
-                    time.sleep(task_sleep)
-                pairs, elapsed, done = execute_task(
-                    holder.packs_for(names), jobs, qis, names)
-                out = ("result", rank, qis, names, pairs, elapsed, epoch)
-                tasks += 1
-                fragments += len(done)
-            except Exception:
-                out = ("error", rank, qis, names, traceback.format_exc(),
-                       epoch)
-            if injector is not None:
-                fault = injector.on_result(qis, frag_ids)
-                if fault is not None:
-                    if fault.kind == "disconnect":
-                        return          # close without a goodbye
-                    if fault.kind in ("partition", "delay"):
-                        # Silent for the stall: no result, no heartbeat
-                        # replies (we are not in recv), then resume as
-                        # if healed.
-                        time.sleep(fault.stall)
-                    elif fault.kind == "reorder":
-                        held_back = out
-                        continue
-            conn.send(out)
-            if held_back is not None:
-                conn.send(held_back)    # delivered out of order
-                held_back = None
-        elif kind == "stop":
-            if held_back is not None:
-                conn.send(held_back)
-            conn.send(("stopped", rank,
-                       {"rank": rank, "tasks": tasks,
-                        "fragments": fragments, **holder.stats()}))
-            return
-        elif kind in holder.verbs:
-            try:
-                holder.verbs[kind](msg, injector)
-            except PackIntegrityError as exc:
-                conn.send(("integrity", rank, holder.pack_name(msg),
-                           str(exc)))
-            except Exception:
-                conn.send(("error", rank, None, holder.pack_name(msg),
-                           traceback.format_exc(), -1))
-            # Before the next read: a pack's bytes held across it would
-            # pin the heap under the next payload (DESIGN.md §5k).
-            del msg
-        else:
-            conn.send(("error", rank, None, None,
-                       f"unknown message {kind!r}", -1))
+    inbox = _Inbox(conn)
+    try:
+        while True:
+            msg = inbox.get()
+            kind = msg[0]
+            if kind == "job":
+                jobs[msg[1]] = msg[2]
+            elif kind == "forget_job":
+                jobs.pop(msg[1], None)
+            elif kind == "task":
+                _, qis, names, epoch = msg
+                if injector is not None:
+                    frag_ids = holder.fragment_ids(names)
+                    fault = injector.on_task(qis, frag_ids)
+                    if fault is not None:
+                        if fault.kind == "kill":
+                            os._exit(_FAULT_EXIT)
+                        elif fault.kind == "hang":
+                            with conn.send_lock:
+                                time.sleep(fault.stall)
+                        elif fault.kind == "slow":
+                            time.sleep(fault.stall)
+                        if fault.kind == "drop_result":
+                            with conn.send_lock:    # serve nothing, say
+                                conn.holding = None  # nothing, hold nothing
+                            continue
+                try:
+                    if task_sleep > 0:
+                        time.sleep(task_sleep)
+                    pairs, elapsed, done = execute_task(
+                        holder.packs_for(names), jobs, qis, names)
+                    out = ("result", rank, qis, names, pairs, elapsed, epoch)
+                    tasks += 1
+                    fragments += len(done)
+                except Exception:
+                    out = ("error", rank, qis, names, traceback.format_exc(),
+                           epoch)
+                if injector is not None:
+                    fault = injector.on_result(qis, frag_ids)
+                    if fault is not None:
+                        if fault.kind == "disconnect":
+                            return          # close without a goodbye
+                        if fault.kind in ("partition", "delay"):
+                            # Silent for the stall: no result, no PONG,
+                            # then resume as if healed.
+                            with conn.send_lock:
+                                time.sleep(fault.stall)
+                        elif fault.kind == "reorder":
+                            held_back = out
+                            continue
+                with conn.send_lock:
+                    conn.send(out)
+                    conn.holding = None
+                if held_back is not None:
+                    conn.send(held_back)    # delivered out of order
+                    held_back = None
+            elif kind == "stop":
+                if held_back is not None:
+                    conn.send(held_back)
+                conn.send(("stopped", rank,
+                           {"rank": rank, "tasks": tasks,
+                            "fragments": fragments, **holder.stats()}))
+                return
+            elif kind in holder.verbs:
+                try:
+                    holder.verbs[kind](msg, injector)
+                except PackIntegrityError as exc:
+                    conn.send(("integrity", rank, holder.pack_name(msg),
+                               str(exc)))
+                except Exception:
+                    conn.send(("error", rank, None, holder.pack_name(msg),
+                               traceback.format_exc(), -1))
+                # Before the next read: a pack's bytes held across it
+                # would pin the heap under the next payload (DESIGN.md
+                # §5k).
+                del msg
+            else:
+                conn.send(("error", rank, None, None,
+                           f"unknown message {kind!r}", -1))
+    finally:
+        inbox.close()
 
 
 # ----------------------------------------------------------------------
@@ -423,15 +505,16 @@ class WorkerSlot:
     """One worker as the master sees it: the seam the pump drives.
 
     The pump owns the bookkeeping — *alive* (the master's belief),
-    *busy* / *busy_since* (the ``(epoch, qis, names)`` task in flight;
+    *busy* / *busy_since* / *busy_pings* (the ``(epoch, qis, names)``
+    task in flight, when it was sent and how many PINGs went before it;
     pool-level, so a straggler from a previous run is still recognised
     across run boundaries; reset when a revive brings the slot back),
     *jobs_sent* (likewise) — and talks through *conn*.  A few questions
     an implementation answers, or raises :class:`SlotLost`; besides the
     defaults below:
     ``is_alive()`` (does the transport still look up), ``kill()`` (stop
-    a worker presumed hung), ``lost()`` (declared dead: let go of the
-    transport), ``install(prepared)`` (make the worker hold these
+    a worker that stopped answering), ``lost()`` (declared dead: let go
+    of the transport), ``install(prepared)`` (make the worker hold these
     fragment sets) and ``revive(now, prepared, force=False)`` — bring a
     dead slot back holding *prepared*: ``None`` when no attempt was due
     (pacing, which *force* ignores), else the ``(ledger kind, detail)``
@@ -447,10 +530,11 @@ class WorkerSlot:
         self.jobs_sent: set = set()
         self.busy: Optional[tuple] = None
         self.busy_since = 0.0
+        self.busy_pings = 0
 
-    def idle_check(self, now: float) -> None:
-        """Probe an idle worker (a busy one is covered by the task
-        deadlines); the default probes nothing."""
+    def probe(self, now: float) -> None:
+        """Check that the worker answers, busy or idle; the default
+        probes nothing."""
 
     def has_queued(self) -> bool:
         """Messages decoded and waiting, which a wait on fds misses."""
@@ -494,8 +578,9 @@ class NodeClient(WorkerSlot):
     Owns the dial/backoff/hello lifecycle and the ship-or-adopt
     decision: packs whose identity the node already reported holding
     are adopted (bytes saved — the mirror re-read), everything else is
-    shipped once and remembered.  An idle worker is PINGed every
-    *heartbeat* seconds and lost after *node_timeout* of silence.
+    shipped once and remembered.  The worker, busy or idle, is PINGed
+    every *heartbeat* seconds and lost after *node_timeout* of silence
+    or when it answers without the task it was given.
     """
 
     def __init__(self, address, rank: int, *,
@@ -659,13 +744,16 @@ class NodeClient(WorkerSlot):
                                             max_delay=5.0)
         return "reconnect_failed", detail
 
-    def idle_check(self, now: float) -> None:
-        """Missed-heartbeat detection: an idle worker that stops
-        answering PINGs would otherwise look healthy forever.  PINGs
-        are paced by the heartbeat; PONGs refresh ``last_heard`` inside
-        the connection's poll/recv.  Silence counts from the oldest
+    def probe(self, now: float) -> None:
+        """A worker is alive while it answers, busy or idle.  PINGs are
+        paced by the heartbeat; PONGs refresh ``last_heard`` inside the
+        connection's poll/recv.  Silence counts from the oldest
         unanswered PING, and one older than *node_timeout* restarts the
-        count: between runs nobody pings, and a pause is not a death."""
+        count: between runs nobody pings, and a pause is not a death.
+        Each PONG names the task the agent holds; one answering a PING
+        sent after this slot's task, read once every message before it
+        was handled, that names another task means the reply will never
+        come."""
         conn = self.conn
         if now - conn.last_ping >= self.heartbeat:
             if conn.last_heard > conn.last_ping \
@@ -680,6 +768,11 @@ class NodeClient(WorkerSlot):
             raise SlotLost("heartbeat_lost",
                            f"silent {silent:.2f}s "
                            f"> {self.node_timeout:.2f}s")
+        if self.busy is not None and conn.pongs > self.busy_pings \
+                and not conn.queued and conn.peer_holding != self.busy:
+            raise SlotLost("heartbeat_lost",
+                           f"holds {conn.peer_holding!r}, not the task "
+                           f"{self.busy!r}")
 
     def stop(self, deadline: float) -> None:
         super().stop(deadline)

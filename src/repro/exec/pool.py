@@ -19,17 +19,19 @@ Fault handling upgrades PR 1's "fail cleanly" into CEFT-style "keep
 serving" (the paper's dead-server and hot-spot experiments, Figs 7–9):
 
 * a worker dying mid-task is detected by EOF on its socket (plus a
-  liveness sweep; an idle worker that stops answering misses its
-  heartbeats), the task is requeued at the front, and the pool
+  liveness sweep), the task is requeued at the front, and the pool
   **respawns** the lost worker so capacity recovers instead of
   shrinking toward job failure;
-* a task stuck past its **soft deadline** is **hedged**: re-issued
-  speculatively to an idle worker, the direct analog of skipping a hot
-  server and reading from the mirror group — first result wins, the
-  loser's late duplicate is discarded by run-epoch tag;
-* a worker stuck past the **hard deadline** (a hang or a dropped
-  reply) is killed, its task requeued if still needed, and its slot
-  respawned;
+* a worker is alive while it answers: every worker, busy or idle, is
+  PINGed each heartbeat, and one silent for ``node_timeout`` (a hang)
+  or whose answer disowns its task (a dropped reply) is killed, its
+  task requeued if still needed, and its slot respawned — the CEFT
+  client's dead server, which stops answering;
+* a worker that answers but is slow is a straggler: a task past its
+  **soft deadline** is **hedged**, re-issued speculatively to an idle
+  worker, the direct analog of skipping a hot server and reading from
+  the mirror group — first result wins, the loser's late duplicate is
+  discarded by run-epoch tag;
 * every pack carries CRC32 checksums verified at publish and attach,
   so a corrupted or torn segment raises a typed
   :class:`~repro.exec.shm.PackIntegrityError` before any hit is
@@ -147,7 +149,6 @@ class PoolStats:
     #: so a slot whose replacement keeps failing to start cannot spin
     #: the pump loop forever.
     respawn_attempts: int = 0
-    hang_kills: int = 0
     integrity_failures: int = 0
     #: Results received from local workers and from remote nodes; the
     #: third is always 0 and stays because perf/ reads all three names.
@@ -158,7 +159,7 @@ class PoolStats:
     #: also count into ``respawns`` — a reconnect *is* a remote node's
     #: respawn.
     reconnects: int = 0
-    #: Idle workers declared dead for missing heartbeats.
+    #: Workers, busy or idle, declared dead for missing heartbeats.
     heartbeat_losses: int = 0
     fallback: bool = False
 
@@ -166,7 +167,6 @@ class PoolStats:
 #: The ``PoolStats`` counters each ledger kind bumps (``worker_death``
 #: appends its rank to ``worker_deaths`` instead).
 _COUNTERS = {
-    "hang_kill": ("hang_kills",),
     "heartbeat_lost": ("heartbeat_losses",),
     "hedge": ("hedges",),
     "hedge_win": ("hedge_wins",),
@@ -374,15 +374,11 @@ class ExecPool:
         stall every task by this many seconds — the test / chaos hook
         that widens the window for mid-task faults (default 0).
     ``heartbeat``
-        idle-tick interval for the liveness/deadline sweeps and the
-        PINGs to idle workers, seconds (default 0.2).
+        the pump's longest wait, which paces the liveness sweeps and
+        the PINGs to every worker, busy or idle, seconds (default 0.2).
     ``hedge_after``
         soft per-task deadline before speculative re-issue to an idle
         worker; ``None`` adapts from the observed task-time EMA.
-    ``task_timeout``
-        hard per-task deadline before the holding worker is presumed
-        hung, killed, and respawned; ``None`` adapts from the soft
-        deadline.
     ``respawn``
         whether lost workers are replaced (at most ``2 x slots + 2``
         attempts per run) so the pool recovers its configured
@@ -410,12 +406,13 @@ class ExecPool:
         local workers, when present, hold every fragment and are
         eligible for everything.
     ``node_timeout``
-        seconds of heartbeat silence from an *idle* worker, local or
-        node, before it is declared dead (default ``max(1.0, 5 *
-        heartbeat)``; a *busy* one is covered by the hard task
-        deadline).  A node is dialed up to 3 times at start; dead
-        nodes are re-dialed with bounded exponential backoff + jitter
-        under the same respawn budget as local workers.
+        seconds of heartbeat silence from any worker, busy or idle,
+        local or node, before it is killed and declared dead (default
+        ``max(1.0, 5 * heartbeat)``).  There is no task deadline: a
+        task may run as long as its worker keeps answering.  A node is
+        dialed up to 3 times at start; dead nodes are re-dialed with
+        bounded exponential backoff + jitter under the same respawn
+        budget as local workers.
 
     ``replication`` and every duration above must be positive (``ValueError`` otherwise).  Values nothing sets are module
     constants: the retry budget (2 failed attempts per task), the
@@ -432,7 +429,6 @@ class ExecPool:
                  task_sleep: float = 0.0,
                  heartbeat: float = 0.2,
                  hedge_after: Optional[float] = None,
-                 task_timeout: Optional[float] = None,
                  respawn: bool = True,
                  serial_fallback: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
@@ -440,8 +436,7 @@ class ExecPool:
                  replication: int = 2,
                  node_timeout: Optional[float] = None):
         _check_positive(heartbeat=heartbeat, hedge_after=hedge_after,
-                        task_timeout=task_timeout, node_timeout=node_timeout,
-                        replication=replication)
+                        node_timeout=node_timeout, replication=replication)
         self.node_addresses = [parse_address(a) for a in (nodes or [])]
         self.replication = int(replication)
         if jobs is None and self.node_addresses:
@@ -458,7 +453,6 @@ class ExecPool:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._heartbeat = heartbeat
         self.hedge_after = hedge_after
-        self.task_timeout = task_timeout
         self.respawn = respawn
         self.serial_fallback = serial_fallback
         self.node_timeout = (max(1.0, 5 * heartbeat) if node_timeout is None
@@ -686,12 +680,6 @@ class ExecPool:
         ema = self._task_ema
         return max(_HEDGE_FLOOR, _HEDGE_MULT * ema if ema else 0.0)
 
-    def _hard_deadline(self) -> float:
-        """Seconds before a busy worker is presumed hung and killed."""
-        if self.task_timeout is not None:
-            return self.task_timeout
-        return max(4 * self._soft_deadline(), 2.0)
-
     def _requeue(self, slot: WorkerSlot, run: _Run, task: tuple,
                  why: str) -> None:
         """Give back the current-run *task* that *slot* failed: front
@@ -753,7 +741,7 @@ class ExecPool:
         worker holds a job spec it never received."""
         qis, names = task
         slot.busy = (run.epoch, qis, names)
-        slot.busy_since = now
+        slot.busy_since, slot.busy_pings = now, slot.conn.pings
         try:
             for qi in qis:
                 if qi not in slot.jobs_sent:
@@ -813,8 +801,7 @@ class ExecPool:
         while not run.sched.done:
             now = self._clock()
             self._sweep_liveness(run)
-            self._enforce_deadlines(run, now)
-            self._idle_checks(run, now)
+            self._probe(run, now)
             self._revive_dead(run, now)
             if not self._check_stranded(run):
                 break
@@ -833,26 +820,17 @@ class ExecPool:
             if not slot.is_alive():
                 self._handle_death(slot, run)
 
-    def _enforce_deadlines(self, run: _Run, now: float) -> None:
-        """Hard deadline: a worker stuck this long is hung (or its
-        reply was lost) — kill it and recover the capacity.  The CEFT
-        analog: stop waiting on a dead server, period."""
-        hard = self._hard_deadline()
+    def _probe(self, run: _Run, now: float) -> None:
+        """One liveness rule, busy or idle: a worker that stops
+        answering (or disowns its task) is killed — a stopped process is
+        not waited out — and its task requeued.  The CEFT analog: stop
+        waiting on a dead server; a slow one that answers is hedged."""
         for slot in self._live():
-            if slot.busy is not None and now - slot.busy_since > hard:
-                run.note("hang_kill", rank=slot.rank, task=slot.busy[1:],
-                         detail=f"busy {now - slot.busy_since:.2f}s"
-                                f" > {hard:.2f}s")
+            try:
+                slot.probe(now)
+            except SlotLost as lost:
                 slot.kill()
-                self._handle_death(slot, run)
-
-    def _idle_checks(self, run: _Run, now: float) -> None:
-        for slot in self._live():
-            if slot.busy is None:
-                try:
-                    slot.idle_check(now)
-                except SlotLost as lost:
-                    self._handle_death(slot, run, lost)
+                self._handle_death(slot, run, lost)
 
     def _revive_dead(self, run: _Run, now: float) -> None:
         """Budgeted per-run capacity recovery.  The budget counts
@@ -974,7 +952,7 @@ class ExecPool:
             run.note("hedge_win", rank=slot.rank, task=key)
         else:
             # Only clean, sole-holder completions feed the adaptive
-            # deadlines: a hedged task's elapsed time is either the
+            # soft deadline: a hedged task's elapsed time is either the
             # straggler's stall or a duplicate, and letting one straggler
             # inflate the soft deadline would disable hedging for the
             # rest of the run.

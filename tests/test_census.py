@@ -144,17 +144,36 @@ def test_called_by_names_only_list_named_methods():
     assert census.stale_called_by(ROOT) == []
 
 
-def _pool_tree(tmp_path, table_rows, cli_flags, roots):
+def _pool_tree(tmp_path, table_rows, cli_flags, roots, other_flags=()):
     """A ``repro`` tree with an ``ExecPool`` of three keywords, a CLI
-    with *cli_flags*, DESIGN.md's knob table of *table_rows* and the
+    whose ``search`` command defines *cli_flags* and passes ``jobs`` and
+    ``join_timeout`` and whose ``other`` command defines *other_flags*
+    and passes nothing, DESIGN.md's knob table of *table_rows* and the
     root scripts *roots*; a test passes ``max_retries`` too."""
-    flags = "".join(f"    p.add_argument({flag!r})\n" for flag in cli_flags)
+    def add(flags):
+        return "".join(f"    p.add_argument({flag!r})\n" for flag in flags)
     _write_tree(tmp_path, {
         "src/repro/__init__.py": "",
         "src/repro/cli.py": "import argparse\n"
+                            "from repro.exec.pool import ExecPool\n"
+                            "def _pool(args):\n"
+                            "    kw = {}\n"
+                            "    kw['join_timeout'] = args.join_timeout\n"
+                            "    return ExecPool(jobs=args.jobs, **kw)\n"
+                            "def cmd_search(args):\n"
+                            "    return _pool(args)\n"
+                            "def cmd_other(args):\n"
+                            "    return 0\n"
                             "def build_parser():\n"
-                            "    p = argparse.ArgumentParser()\n"
-                            + flags + "    return p\n",
+                            "    parser = argparse.ArgumentParser()\n"
+                            "    sub = parser.add_subparsers()\n"
+                            "    p = sub.add_parser('search')\n"
+                            + add(cli_flags)
+                            + "    p.set_defaults(fn=cmd_search)\n"
+                              "    p = sub.add_parser('other')\n"
+                            + add(other_flags)
+                            + "    p.set_defaults(fn=cmd_other)\n"
+                              "    return parser\n",
         "src/repro/blast/search.py": """
             class SearchParams:
                 word_size: int = 11
@@ -194,6 +213,20 @@ def test_a_pool_keyword_only_a_test_passes_is_reported(tmp_path):
     assert census.unpassed_pool_keywords(tmp_path) == [
         "ExecPool max_retries"]
     (tmp_path / "README.md").write_text("")
+    assert census.unpassed_pool_keywords(tmp_path) == [
+        "ExecPool join_timeout", "ExecPool max_retries"]
+
+
+def test_a_flag_only_another_command_defines_passes_nothing(tmp_path):
+    """The knob table pairs ``join_timeout`` with ``--join-timeout``,
+    and a doc spells it, but only a command whose handler builds no
+    pool defines a flag of that spelling: the keyword is unpassed."""
+    _pool_tree(tmp_path, [("jobs", "`--jobs`"), ("max_retries", "—"),
+                          ("join_timeout", "`--join-timeout`")],
+               ["--jobs"],
+               {"README.md": "Run `--jobs 2`; close faster with "
+                             "`--join-timeout 0.5`.\n"},
+               other_flags=["--join-timeout"])
     assert census.unpassed_pool_keywords(tmp_path) == [
         "ExecPool join_timeout", "ExecPool max_retries"]
 

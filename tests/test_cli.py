@@ -359,9 +359,6 @@ _BLASTN = ["blastn", "-d", "db", "-i", "query.fasta"]
     pytest.param(_BLASTN + ["--nodes", "127.0.0.1:9", "--replication", "0"],
                  "repro blastn: error: argument --replication: must be >= 1, "
                  "got 0", id="replication-zero"),
-    pytest.param(_BLASTN + ["--jobs", "2", "--task-timeout", "0"],
-                 "repro blastn: error: argument --task-timeout: must be > 0, "
-                 "got 0", id="task-timeout-zero"),
     pytest.param(["packdb", "build", "-o", "store", "--fragments", "0"],
                  "repro packdb build: error: argument --fragments: must be "
                  ">= 1, got 0", id="packdb-fragments-zero"),
@@ -457,7 +454,7 @@ def test_blastn_and_blastall_options_differ_only_by_program():
     blastall, blastn = ([tuple(a.option_strings) for a in
                          sub.choices[name]._actions]
                         for name in ("blastall", "blastn"))
-    assert len(blastn) == 14 and ("-j", "--jobs") in blastn
+    assert len(blastn) == 13 and ("-j", "--jobs") in blastn
     assert blastall == blastn[:1] + [("-p", "--program")] + blastn[1:]
 
 

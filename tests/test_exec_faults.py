@@ -235,16 +235,20 @@ def test_kill_fault_respawn_restores_capacity(workload):
     assert ledger.get("requeue", 0) >= 1
 
 
-def test_hang_fault_hard_deadline_kills_and_recovers(workload):
+def test_hang_fault_silent_worker_is_killed_and_recovers(workload):
+    """A hung agent stops answering PINGs while it holds a task; after
+    ``node_timeout`` of silence it is killed, its task requeued and its
+    slot respawned."""
     db, scheme, params, queries, serial = workload
     plan = FaultPlan(faults=(Fault("hang", rank=0, task_index=0),))
     got, live, stats, ledger = run_pool(
         db, scheme, params, queries, fault_plan=plan,
-        hedge_after=100.0, task_timeout=0.8)
+        hedge_after=100.0, node_timeout=0.8)
     assert got == serial
     assert live == 2
-    assert stats.hang_kills >= 1
-    assert ledger.get("hang_kill", 0) >= 1
+    assert stats.heartbeat_losses >= 1
+    assert ledger.get("heartbeat_lost", 0) >= 1
+    assert ledger.get("requeue", 0) >= 1
     assert ledger.get("respawn", 0) >= 1
 
 
@@ -254,15 +258,16 @@ def test_slow_fault_hedged_reissue_wins(workload):
                                    delay=3.0),))
     got, live, stats, ledger = run_pool(
         db, scheme, params, queries, fault_plan=plan,
-        hedge_after=0.25, task_timeout=30.0)
+        hedge_after=0.25)
     assert got == serial
     assert stats.hedges >= 1
     assert stats.hedge_wins >= 1, \
         "an idle worker should beat a 3 s straggler"
     assert ledger.get("hedge", 0) >= 1
     assert ledger.get("hedge_win", 0) >= 1
-    # No kill was needed: the straggler is routed around, not shot.
-    assert stats.hang_kills == 0 and stats.respawns == 0
+    # No kill was needed: the straggler answers, so it is routed
+    # around, not shot.
+    assert stats.heartbeat_losses == 0 and stats.respawns == 0
 
 
 def test_drop_result_fault_is_recovered(workload):
@@ -270,9 +275,9 @@ def test_drop_result_fault_is_recovered(workload):
     plan = FaultPlan(faults=(Fault("drop_result", rank=0, task_index=0),))
     got, live, stats, ledger = run_pool(
         db, scheme, params, queries, fault_plan=plan,
-        hedge_after=0.25, task_timeout=2.0)
+        hedge_after=0.25)
     assert got == serial
-    assert stats.hedges >= 1 or stats.hang_kills >= 1
+    assert stats.hedges >= 1 or stats.heartbeat_losses >= 1
 
 
 def test_corrupt_pack_raises_integrity_error(workload):
@@ -371,7 +376,7 @@ def test_close_escalates_past_hung_worker(workload, monkeypatch):
                                    delay=60.0),))
     monkeypatch.setattr("repro.exec.pool._JOIN_TIMEOUT", 0.3)
     pool = ExecPool(jobs=1, fault_plan=plan,
-                    hedge_after=100.0, task_timeout=100.0,
+                    hedge_after=100.0,
                     respawn=False, serial_fallback=False)
     errors = []
 

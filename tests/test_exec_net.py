@@ -416,7 +416,7 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
     versions and the session ends, the task sent behind it never served
     — and the agent keeps accepting: the next master, speaking this
     version, is served."""
-    assert PROTO_VERSION == 7   # 6 shipped gapped / two_hit_window params
+    assert PROTO_VERSION == 8   # 7's PONG named no task
     agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
     server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
                               daemon=True)

@@ -223,7 +223,8 @@ def test_fleet_respawn_reserves_same_port_and_reships():
 def test_mixed_pool_dropped_node_returns_to_accept():
     """A mixed pool (a local worker and a node) whose local worker is
     respawned — forked *after* the node's connection exists — and whose
-    node then hangs past the hard deadline, so the master drops it.
+    node then hangs, silent past ``node_timeout``, so the master drops
+    it.
     The forked worker must not keep that connection half-open: once the
     node wakes it finds its master gone, returns to ``accept``, and a
     re-dial gets it back, adopting its cached packs."""
@@ -238,7 +239,7 @@ def test_mixed_pool_dropped_node_returns_to_accept():
     t0 = time.monotonic()
     with NodeFleet(1, plans=[node_plan]) as fleet:
         with ExecPool(jobs=1, nodes=fleet.addresses, replication=1,
-                      heartbeat=0.1, task_timeout=1.5, hedge_after=30.0,
+                      heartbeat=0.1, node_timeout=1.5, hedge_after=30.0,
                       fault_plan=local_plan) as pool:
             got = pool.search_many(queries, db, scheme, params,
                                    query_ids=qids)
@@ -246,7 +247,7 @@ def test_mixed_pool_dropped_node_returns_to_accept():
             kinds = [(e.kind, e.rank) for e in pool.ledger.entries]
             assert kinds[:3] == [("worker_death", 0), ("requeue", 0),
                                  ("respawn", 0)]
-            assert ("hang_kill", 1) in kinds
+            assert ("heartbeat_lost", 1) in kinds
             # Past the stall, the node has woken up to a dropped master.
             time.sleep(max(0.0, t0 + stall + 1.0 - time.monotonic()))
             got = pool.search_many(queries, db, scheme, params,

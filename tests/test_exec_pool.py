@@ -243,22 +243,21 @@ def test_pool_validation_and_close_semantics():
     with pytest.raises(ValueError):
         ExecPool(jobs=0)
     pool = ExecPool(jobs=1)
-    assert (pool._heartbeat, pool.hedge_after, pool.task_timeout,
-            pool.task_sleep) == (0.2, None, None, 0.0)
+    assert (pool._heartbeat, pool.hedge_after,
+            pool.task_sleep) == (0.2, None, 0.0)
     pool.close()
     pool.close()                           # idempotent
     pool = ExecPool(jobs=1, heartbeat=0.3, hedge_after=1.0,
-                    task_timeout=9.0, task_sleep=0.5)
-    assert (pool._heartbeat, pool.hedge_after, pool.task_timeout,
-            pool.task_sleep) == (0.3, 1.0, 9.0, 0.5)
+                    task_sleep=0.5)
+    assert (pool._heartbeat, pool.hedge_after,
+            pool.task_sleep) == (0.3, 1.0, 0.5)
     pool.close()
     with pytest.raises(PoolJobError):
         pool.start()                       # closed pools do not restart
 
 
 @pytest.mark.parametrize("keyword", ["n_fragments", "heartbeat",
-                                     "hedge_after", "task_timeout",
-                                     "node_timeout"])
+                                     "hedge_after", "node_timeout"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_pool_refuses_non_positive_counts_and_durations(keyword, value):
     """A fragment count or a duration of zero or less is a caller's
@@ -396,6 +395,58 @@ def test_worker_killed_between_runs_is_ledgered_before_its_respawn():
     assert ledger == ["worker_death", "respawn"]
 
 
+def test_tasks_longer_than_any_deadline_run_clean():
+    """A worker is alive while it answers: tasks of 2.5 s each (longer
+    than the 2 s the pool once called hung) finish with no death and
+    the serial bytes; at most the later one is hedged."""
+    rng = np.random.default_rng(15)
+    db = random_nt_db(rng, 16, min_len=100, max_len=300)
+    scheme = NucleotideScore()
+    params = SearchParams(word_size=11)
+    q = db.sequence(6)[:120].copy()
+    with ExecPool(jobs=2, task_sleep=2.5) as pool:
+        got = pool.search(q, db, scheme, params, n_fragments=2)
+        stats = pool.last_stats
+        kinds = {e.kind for e in pool.ledger.entries}
+    assert dump(got) == dump(search(q, db, scheme, params))
+    assert kinds <= {"hedge", "hedge_win", "stale_result"}
+    assert stats.worker_deaths == [] and stats.tasks_done == 2
+    assert not stats.fallback
+
+
+def test_busy_worker_that_stops_answering_is_lost_and_respawned(
+        monkeypatch):
+    """A busy local worker SIGSTOPped mid-task answers no PING: it is
+    killed (not waited out) once silent for ``node_timeout``, its task
+    requeued, its slot respawned — output byte-identical."""
+    rng = np.random.default_rng(15)
+    db = random_nt_db(rng, 16, min_len=100, max_len=300)
+    scheme = NucleotideScore()
+    params = SearchParams(word_size=11)
+    q = db.sequence(6)[:120].copy()
+    monkeypatch.setattr("repro.exec.pool._JOIN_TIMEOUT", 0.2)
+    with ExecPool(jobs=2, heartbeat=0.05, node_timeout=0.5,
+                  hedge_after=100.0, task_sleep=1.0) as pool:
+        pool.start()
+        stopped = pool.worker_pids()[1]
+        timer = threading.Timer(0.3, os.kill, (stopped, signal.SIGSTOP))
+        timer.start()
+        try:
+            got = pool.search(q, db, scheme, params, n_fragments=2)
+        finally:
+            timer.join()
+            try:
+                os.kill(stopped, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        ledger = [(e.kind, e.rank) for e in pool.ledger.entries]
+        assert pool.worker_pids()[1] != stopped
+        assert len(pool.worker_pids()) == 2
+    assert dump(got) == dump(search(q, db, scheme, params))
+    assert ledger == [("heartbeat_lost", 1), ("worker_death", 1),
+                      ("requeue", 1), ("respawn", 1)]
+
+
 def test_idle_worker_that_stops_answering_is_lost_and_respawned(
         monkeypatch):
     """A stopped process keeps its socket open, so no EOF ever comes;
@@ -409,8 +460,7 @@ def test_idle_worker_that_stops_answering_is_lost_and_respawned(
     q = db.sequence(6)[:120].copy()
     monkeypatch.setattr("repro.exec.pool._JOIN_TIMEOUT", 0.2)
     with ExecPool(jobs=2, heartbeat=0.05, node_timeout=0.5,
-                  hedge_after=100.0, task_timeout=100.0,
-                  task_sleep=1.5) as pool:
+                  hedge_after=100.0, task_sleep=1.5) as pool:
         pool.start()
         stopped = pool.worker_pids()[1]
         os.kill(stopped, signal.SIGSTOP)

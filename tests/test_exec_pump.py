@@ -6,6 +6,9 @@ clock is all it takes to walk a run through heartbeat loss, revive
 pacing and the respawn budget, cross-run staleness, hedging, and the
 loss of a fragment's last mirror."""
 
+import pickle
+import socket
+import threading
 import warnings
 from collections import deque
 from types import SimpleNamespace
@@ -17,8 +20,9 @@ from repro.blast.score import NucleotideScore
 from repro.blast.search import search_batch
 from repro.blast.seqdb import NT, SequenceDB
 from repro.exec import ExecPool, NodeClient, PoolJobError
-from repro.exec.net import NodeConnectError
-from repro.exec.nodes import WorkerSlot
+from repro.exec.net import (DATA, PING, FrameConnection, NodeConnectError,
+                            encode_frame)
+from repro.exec.nodes import WorkerSlot, serve_tasks
 
 TICK = 0.25                 # binary-exact, so stepped sums are too
 
@@ -33,39 +37,62 @@ class SteppedClock:
 
 class ScriptedConn:
     """A connection that answers each task *delay* stepped seconds
-    after it was sent (``None``: never) and never answers a PING.
-    *mark* is appended to every result it returns, to tell two
-    answers to one task apart."""
+    after it was sent (``None``: never).  By default it never answers a
+    PING; with *answers* it answers each one a tick later, the PONG
+    naming the task it holds (the last one sent whose answer was not due
+    yet at the PING) — or nothing at all with *disowns*, an agent that
+    let go of its task.  *mark* is appended to every result it returns,
+    to tell two answers to one task apart."""
 
     queued = 0
     closed = False
     mark = ""
 
-    def __init__(self, clock, rank, delay=None):
+    def __init__(self, clock, rank, delay=None, answers=False,
+                 disowns=False):
         self.clock, self.rank, self.delay = clock, rank, delay
+        self.answers, self.disowns = answers, disowns
         self.sent = []
         self.due = []
         self.inbox = deque()
-        self.pings = 0
+        self.pings = self.pongs = 0
+        self.peer_holding = None
         self.last_ping = 0.0
         self.last_heard = clock()
+        self.holding, self.done_at = None, None
+        self.pending_pongs = []
 
     def send(self, msg):
         self.sent.append(msg)
-        if msg[0] == "task" and self.delay is not None:
+        if msg[0] == "task":
             _, qis, names, epoch = msg
-            pairs = [(name, qi, f"{name}/{qi}{self.mark}")
-                     for name in names for qi in qis]
-            self.due.append((self.clock() + self.delay,
-                             ("result", self.rank, qis, names, pairs,
-                              0.01, epoch)))
+            self.holding, self.done_at = (epoch, qis, names), None
+            if self.delay is not None:
+                self.done_at = self.clock() + self.delay
+                pairs = [(name, qi, f"{name}/{qi}{self.mark}")
+                         for name in names for qi in qis]
+                self.due.append((self.done_at,
+                                 ("result", self.rank, qis, names, pairs,
+                                  0.01, epoch)))
 
     def ping(self):
+        now = self.clock()
         self.pings += 1
-        self.last_ping = self.clock()
+        self.last_ping = now
+        if self.answers:
+            held = self.holding
+            if self.disowns or (self.done_at is not None
+                                and self.done_at <= now):
+                held = None
+            self.pending_pongs.append((now + TICK, held))
 
     def deliver(self):
         now = self.clock()
+        for t, held in self.pending_pongs:
+            if t <= now:
+                self.pongs += 1
+                self.peer_holding, self.last_heard = held, now
+        self.pending_pongs = [p for p in self.pending_pongs if p[0] > now]
         self.inbox.extend(m for t, m in self.due if t <= now)
         self.due = [(t, m) for t, m in self.due if t > now]
         return bool(self.inbox)
@@ -104,13 +131,14 @@ class ScriptedSlot(WorkerSlot):
 def scripted_pool(clock, slots, **kw):
     """An ``ExecPool`` whose slots, clock and wait are the test's."""
     kw = {"jobs": 1, "hedge_after": 1e6, **kw}
-    pool = ExecPool(heartbeat=TICK, task_timeout=1e6, **kw)
+    pool = ExecPool(heartbeat=TICK, **kw)
     pool._workers.extend(slots)
     pool._started = True
     pool._clock = clock
     ticks = []
 
     def wait(conns, timeout):
+        assert len(ticks) < 4000, "the run never ended"
         ticks.append(clock.t)
         clock.t += timeout
         return [c for c in conns if c.deliver()]
@@ -155,25 +183,6 @@ def test_idle_node_silent_past_node_timeout_is_lost_and_revived():
     assert first.pings == 6
 
 
-class AnsweringConn(ScriptedConn):
-    """A :class:`ScriptedConn` that answers each PING one tick later."""
-
-    def __init__(self, clock, rank, delay=None):
-        super().__init__(clock, rank, delay)
-        self.pongs = []
-
-    def ping(self):
-        super().ping()
-        self.pongs.append(self.clock() + TICK)
-
-    def deliver(self):
-        now = self.clock()
-        if any(t <= now for t in self.pongs):
-            self.last_heard = now
-            self.pongs = [t for t in self.pongs if t > now]
-        return super().deliver()
-
-
 def test_a_pause_between_runs_is_not_a_heartbeat_loss():
     """Between runs nobody PINGs and nobody listens: an idle worker
     that answers as soon as it is asked again must not be declared
@@ -181,7 +190,7 @@ def test_a_pause_between_runs_is_not_a_heartbeat_loss():
     clock = SteppedClock()
     worker = ScriptedSlot(0, clock, delay=0.5)
     node = NodeClient(("127.0.0.1", 1), 1, heartbeat=TICK, node_timeout=1.0)
-    node.conn = AnsweringConn(clock, 1)
+    node.conn = ScriptedConn(clock, 1, answers=True)
     node.alive = True
     pool, _ticks = scripted_pool(clock, [worker, node])
     try:
@@ -193,6 +202,142 @@ def test_a_pause_between_runs_is_not_a_heartbeat_loss():
         pool.close()
     assert results == {0: {"p0": "p0/0"}}
     assert stats.heartbeat_losses == 0 and pool.ledger.entries == []
+
+
+def _node(clock, conn):
+    """A live node slot on *conn* whose re-dial brings up a healthy
+    node (answers PINGs, each task in one stepped second); the dial
+    times land in the returned list."""
+    node = NodeClient(("127.0.0.1", 1), 1, heartbeat=TICK, node_timeout=1.0)
+    node.conn = conn
+    node.alive = True
+    dials = []
+
+    def connect(attempts=None, hello_timeout=10.0):
+        dials.append(clock.t)
+        node.conn = ScriptedConn(clock, 1, delay=1.0, answers=True)
+
+    node.connect = connect
+    return node, dials
+
+
+def test_a_busy_worker_that_answers_is_never_lost():
+    """Liveness is an answer, not a clock: a task that takes 10 s of
+    stepped time, on a worker answering every PING meanwhile (and
+    naming the task), finishes with no death, no requeue and no
+    fallback — even under the adaptive soft deadline, with nobody idle
+    to hedge to."""
+    clock = SteppedClock()
+    conn = ScriptedConn(clock, 1, delay=10.0, answers=True)
+    node, dials = _node(clock, conn)
+    pool, ticks = scripted_pool(clock, [node], jobs=0,
+                                nodes=["127.0.0.1:1"], hedge_after=None)
+    try:
+        results, stats = pool._run_tasks({0: None}, ONE_TASK)
+        assert node.alive and not dials
+    finally:
+        pool.close()
+    assert results == {0: {"p0": "p0/0"}}
+    assert stats.worker_deaths == [] and stats.requeues == 0
+    assert not stats.fallback and pool.ledger.entries == []
+    assert ticks[-1] - ticks[0] == 10.0 - TICK
+    # Busy or idle, the slot was PINGed every tick and it answered.
+    assert conn.pings == len(ticks)
+    assert conn.peer_holding == (pool._epoch, (0,), ("p0",))
+
+
+def test_a_busy_worker_that_falls_silent_is_lost_and_its_task_requeued():
+    clock = SteppedClock()
+    silent = ScriptedConn(clock, 1)                 # never answers
+    node, dials = _node(clock, silent)
+    pool, ticks = scripted_pool(clock, [node], jobs=0,
+                                nodes=["127.0.0.1:1"])
+    try:
+        results, stats = pool._run_tasks({0: None}, ONE_TASK)
+    finally:
+        pool.close()
+    assert results == {0: {"p0": "p0/0"}}
+    task = ((0,), ("p0",))
+    assert [(e.kind, e.task) for e in pool.ledger.entries] == [
+        ("heartbeat_lost", None), ("worker_death", task),
+        ("requeue", task), ("reconnect", None)]
+    assert silent.sent[-1][0] == "task" and silent.closed
+    # Sent the task at the first tick, lost (and re-dialed) within
+    # node_timeout plus one heartbeat of it.
+    assert ticks[0] < dials[0] <= ticks[0] + node.node_timeout + TICK
+    assert stats.heartbeat_losses == 1 and stats.requeues == 1
+
+
+def test_a_pong_that_disowns_the_task_loses_the_worker():
+    """A worker that answers but no longer holds its task (a dropped
+    reply) will never answer the task: it is written off at the first
+    PONG that answers a PING sent after the task, long before any
+    silence would count."""
+    clock = SteppedClock()
+    node, dials = _node(clock, ScriptedConn(clock, 1, answers=True,
+                                            disowns=True))
+    pool, ticks = scripted_pool(clock, [node], jobs=0,
+                                nodes=["127.0.0.1:1"])
+    try:
+        results, stats = pool._run_tasks({0: None}, ONE_TASK)
+    finally:
+        pool.close()
+    assert results == {0: {"p0": "p0/0"}}
+    lost = pool.ledger.entries[0]
+    assert (lost.kind, lost.rank) == ("heartbeat_lost", 1)
+    assert "holds None" in lost.detail
+    # The PING of the dispatch tick went out before the task; the next
+    # tick's PING is the first after it, answered a tick later.
+    assert dials == [ticks[0] + 2 * TICK]
+    assert stats.requeues == 1 and stats.worker_deaths == [1]
+
+
+def test_a_ping_right_behind_a_task_is_answered_as_holding_it():
+    """The agent's side: a PING that arrives in the same read as a
+    ``task`` frame is answered after the task is read, so the PONG
+    names the task — an agent busy computing it cannot be mistaken for
+    one that dropped it."""
+    ours, theirs = socket.socketpair()
+    master = FrameConnection(ours, name="master")
+    agent = FrameConnection(theirs, name="agent")
+    release = threading.Event()
+
+    class Holder:
+        verbs = {}
+
+        def packs_for(self, names):
+            release.wait()
+            raise LookupError("no packs here")
+
+        def stats(self):
+            return {}
+
+    serving = threading.Thread(target=serve_tasks,
+                               args=(agent, 0, Holder()), daemon=True)
+    serving.start()
+    try:
+        task = ("task", (0, 1), ("p0",), 7)
+        ours.sendall(encode_frame(DATA, 0, pickle.dumps(task))
+                     + encode_frame(PING, 1))
+        while master.pongs == 0:
+            assert not master.poll(0.05)
+        assert master.peer_holding == (7, (0, 1), ("p0",))
+        release.set()
+        reply = master.recv()
+        assert reply[:4] == ("error", 0, (0, 1), ("p0",))
+        master._send_seq = 2    # the raw frames above were 0 and 1
+        master.ping()           # after the reply: the task is let go
+        while master.pongs == 1:
+            assert not master.poll(0.05)
+        assert master.peer_holding is None
+        master.send(("stop",))
+        assert master.recv()[0] == "stopped"
+        serving.join(timeout=5.0)
+        assert not serving.is_alive()
+    finally:
+        release.set()
+        master.close()
+        agent.close()
 
 
 def test_down_node_is_dialed_once_per_backoff_window_within_budget(

@@ -266,8 +266,7 @@ def test_hedge_reissues_whole_range_task():
     serial = [dump(search(q, db, scheme, params)) for q in queries]
     plan = FaultPlan(faults=(Fault("slow", rank=0, task_index=0,
                                    delay=3.0),))
-    with ExecPool(jobs=2, fault_plan=plan, hedge_after=0.25,
-                  task_timeout=30.0) as pool:
+    with ExecPool(jobs=2, fault_plan=plan, hedge_after=0.25) as pool:
         got = pool.search_many(queries, db, scheme, params, n_fragments=4)
         stats = pool.last_stats
         hedged = [e.task for e in pool.ledger.entries if e.kind == "hedge"]
@@ -287,8 +286,7 @@ def test_hedged_completion_does_not_feed_task_ema():
     queries = [db.sequence(i)[:150].copy() for i in (2, 9, 17)]
     plan = FaultPlan(faults=(Fault("slow", rank=0, task_index=0,
                                    delay=3.0),))
-    with ExecPool(jobs=2, fault_plan=plan, hedge_after=0.25,
-                  task_timeout=30.0) as pool:
+    with ExecPool(jobs=2, fault_plan=plan, hedge_after=0.25) as pool:
         pool.search_many(queries, db, scheme, params, n_fragments=4)
         ema = pool._task_ema
         assert pool.last_stats.hedges >= 1

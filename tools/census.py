@@ -198,9 +198,6 @@ ALLOWLIST: Dict[str, str] = {
     "cli --no-respawn": "tests/test_cli.py reaches exits 3 and 5 through "
     "it: with respawn on, a killed worker is replaced and the run "
     "recovers",
-    "cli --task-timeout": "the workaround for a task longer than the "
-    "adaptive hard deadline until ROADMAP 13 decides the deadline rule "
-    "(and with it this flag's row)",
     "cli --inclusion-evalue": "psiblast's -h (NCBI); library callers pass "
     "inclusion_evalue= directly, nothing scripts the flag",
     "cli --word-size": "packdb build: recorded in the manifest and read "
@@ -692,12 +689,101 @@ def unused_cli_flags(repo: pathlib.Path) -> List[str]:
     return sorted(unused)
 
 
+def _pool_keywords_by_flag(repo: pathlib.Path) -> Dict[str, Set[str]]:
+    """Each ``cli.py`` flag → the ``ExecPool`` keywords the handlers of
+    the commands defining it pass.  A command is a parser a function
+    of ``cli.py`` builds (``X = ….add_parser(…)``), with the flags
+    added to it there or by the helpers it is handed to, and its
+    handler ``X.set_defaults(fn=…)``; a handler passes what it and the
+    ``cli.py`` functions it calls name in an ``ExecPool(...)`` call or
+    assign into a dict the call spreads."""
+    tree = ast.parse((repo / "src/repro/cli.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, _FUNCTIONS)}
+
+    def called(fn) -> Set[str]:
+        return {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id in funcs}
+
+    def closure(name: str) -> Set[str]:
+        seen, todo = set(), [name]
+        while todo:
+            f = todo.pop()
+            if f in funcs and f not in seen:
+                seen.add(f)
+                todo.extend(called(funcs[f]))
+        return seen
+
+    def passes(name: str) -> Set[str]:
+        kws: Set[str] = set()
+        for f in closure(name):
+            spread = set()
+            for n in ast.walk(funcs[f]):
+                if isinstance(n, ast.Call) and "ExecPool" in (
+                        getattr(n.func, "id", None),
+                        getattr(n.func, "attr", None)):
+                    kws.update(k.arg for k in n.keywords if k.arg)
+                    spread.update(k.value.id for k in n.keywords
+                                  if k.arg is None
+                                  and isinstance(k.value, ast.Name))
+            for n in ast.walk(funcs[f]):
+                if isinstance(n, ast.Subscript) and isinstance(
+                        n.ctx, ast.Store) and getattr(
+                        n.value, "id", None) in spread and isinstance(
+                        n.slice, ast.Constant):
+                    kws.add(n.slice.value)
+        return kws
+
+    def flags(nodes) -> Set[str]:
+        calls = [n for n in nodes if isinstance(n, ast.Call)
+                 and getattr(n.func, "attr", None) == "add_argument"]
+        return {a.value for n in calls for a in n.args
+                if isinstance(a, ast.Constant)
+                and str(a.value).startswith("--")}
+
+    by_flag: Dict[str, Set[str]] = {}
+    for fn in funcs.values():
+        records: List[list] = []            # [flags, handler] per command
+        commands: Dict[str, list] = {}      # parser variable -> its record
+        for stmt in fn.body:
+            if isinstance(stmt, ast.Assign) and isinstance(
+                    stmt.value, ast.Call) and getattr(
+                    stmt.value.func, "attr", None) == "add_parser":
+                for t in stmt.targets:
+                    if isinstance(t, ast.Name):
+                        commands[t.id] = [set(), None]
+                        records.append(commands[t.id])
+                continue
+            for n in ast.walk(stmt):
+                if not isinstance(n, ast.Call):
+                    continue
+                attr = getattr(n.func, "attr", None)
+                owner = getattr(getattr(n.func, "value", None), "id", None)
+                if owner in commands and attr == "add_argument":
+                    commands[owner][0] |= flags([n])
+                elif owner in commands and attr == "set_defaults":
+                    commands[owner][1] = next(
+                        (k.value.id for k in n.keywords if k.arg == "fn"
+                         and isinstance(k.value, ast.Name)), None)
+                elif isinstance(n.func, ast.Name) and n.func.id in funcs:
+                    for a in n.args:
+                        if getattr(a, "id", None) in commands:
+                            commands[a.id][0] |= flags(
+                                node for f in closure(n.func.id)
+                                for node in ast.walk(funcs[f]))
+        for cmd_flags, handler in records:
+            if handler is not None:
+                for flag in cmd_flags:
+                    by_flag.setdefault(flag, set()).update(passes(handler))
+    return by_flag
+
+
 def unpassed_pool_keywords(repo: pathlib.Path) -> List[str]:
     """``ExecPool`` keywords no root passes: none names it in an
     ``ExecPool(...)`` call, and no root, doc, workflow or Makefile
-    spells the CLI flag the knob table pairs it with (the CLI is
-    reached through its flags, so ``cli.py``'s own call does not
-    count)."""
+    spells a CLI flag the knob table pairs it with that a command
+    passing the keyword defines (the CLI is reached through its flags,
+    so ``cli.py``'s own call does not count, and a flag of the same
+    spelling on another command passes nothing)."""
     tree = ast.parse((repo / "src/repro/exec/pool.py").read_text())
     cls = next(n for n in tree.body
                if isinstance(n, ast.ClassDef) and n.name == "ExecPool")
@@ -712,12 +798,16 @@ def unpassed_pool_keywords(repo: pathlib.Path) -> List[str]:
                     getattr(node.func, "attr", None)):
                 passed.update(kw.arg for kw in node.keywords)
     text = _spelling_text(repo)
+    by_flag = _pool_keywords_by_flag(repo)
     table = _KNOB_TABLE.search((repo / "DESIGN.md").read_text())
     for row in (table.group(1).splitlines() if table else ()):
         cells = row.split("|")
-        if len(cells) > 2 and any(_spelled(flag, text) for flag in
-                                  re.findall(r"--[\w-]+", cells[2])):
-            passed.add(cells[1].strip().strip("`"))
+        if len(cells) <= 2:
+            continue
+        keyword = cells[1].strip().strip("`")
+        if any(_spelled(flag, text) and keyword in by_flag.get(flag, ())
+               for flag in re.findall(r"--[\w-]+", cells[2])):
+            passed.add(keyword)
     return sorted(f"ExecPool {kw}" for kw in keywords if kw not in passed)
 
 

@@ -110,7 +110,7 @@ def run_seed_fleet(seed, workload, verbose=False):
     violations = []
     with NodeFleet(N_NODES, plans=plans, task_sleep=0.05) as fleet:
         with ExecPool(jobs=0, nodes=fleet.addresses, replication=2,
-                      heartbeat=0.1, hedge_after=0.3, task_timeout=2.0,
+                      heartbeat=0.1, hedge_after=0.3,
                       node_timeout=1.0) as pool:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -160,7 +160,7 @@ def run_seed(seed, workload, verbose=False):
     plan = random_plan(seed, n_workers=JOBS)
     violations = []
     with ExecPool(jobs=JOBS, fault_plan=plan, task_sleep=0.05,
-                  hedge_after=0.3, task_timeout=1.5) as pool:
+                  hedge_after=0.3) as pool:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             results = pool.search_many(queries, db, scheme, params,
