@@ -19,9 +19,10 @@ master/worker design on actual cores:
   knob is an ``ExecPool`` keyword, and ``REPRO_EXEC_FAULT_PLAN`` is the
   only environment variable the package reads;
 * :mod:`repro.exec.faults` — deterministic fault injection (kill /
-  hang / slow / drop-result / corrupt-pack, plus the reply-time
-  disconnect / partition / delay / reorder kinds) and the structured
-  :class:`FailureLedger` the pool's recovery actions append to;
+  hang / slow / drop-result / disconnect at task receipt, corrupt-pack
+  at attach: one kind per thing the master can tell apart) and the
+  structured :class:`FailureLedger` the pool's recovery actions append
+  to;
 * :mod:`repro.exec.diskpack` — the persistent on-disk pack format
   (``formatdb`` for this engine, and its one on-disk database):
   checksummed mmap-able pack files whose data region matches the shm

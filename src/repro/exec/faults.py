@@ -3,14 +3,14 @@
 The paper's robustness experiments (dead server, Figure 7; hot-spot
 server, Figures 8–9) perturb a *running* system and measure how the
 I/O layer degrades.  This module is the real-runtime analog of those
-perturbations: a seeded :class:`FaultPlan` arms kill / hang / slow /
-drop-result / corrupt-pack faults against specific workers or tasks,
-and the pool's workers consult a :class:`FaultInjector` built from the
-plan at the three points where a real machine would betray them — pack
-attach, task receipt and result reply.  The production code path is unchanged:
-with no plan armed the injector never exists, and a plan can be fed
-through the ``REPRO_EXEC_FAULT_PLAN`` environment variable so the CLI
-and CI chaos suites exercise the exact code users run.
+perturbations: a seeded :class:`FaultPlan` arms faults against specific
+workers or tasks, and the pool's workers consult a
+:class:`FaultInjector` built from the plan at the two points where a
+real machine would betray them — pack attach and task receipt.  The
+production code path is unchanged: with no plan armed the injector
+never exists, and a plan can be fed through the
+``REPRO_EXEC_FAULT_PLAN`` environment variable so the CLI and CI chaos
+suites exercise the exact code users run.
 
 Every recovery action the pool takes — death, requeue, hedge, respawn,
 integrity failure, serial fallback — is recorded in a structured
@@ -19,16 +19,21 @@ ledger (PR 2): chaos runs assert on its counters instead of scraping
 logs, and CI fails on any *anomaly* entry (an event the hardened pool
 should never produce, like a cross-run result mismatch).
 
-Fault semantics (all applied worker-side):
+Once it has sent a task, the master can observe an answer, silence or
+a dead connection, and nothing else; there is one fault kind per thing
+it can tell apart.  All are applied worker-side, by the one worker
+loop, :func:`repro.exec.nodes.serve_tasks`, so they mean the same on a
+remote node and on a local worker:
 
 ``kill``
     ``os._exit`` at task receipt — the process dies without cleanup,
     exactly like the paper's dead data server (SIGKILL semantics).
 ``hang``
-    freeze the whole agent for ``delay`` (default effectively
-    forever) before serving the task, PONGs included — the server
-    that stops answering; the master kills it after ``node_timeout``
-    of silence.
+    go silent for ``delay`` seconds (default effectively forever) at
+    task receipt, PONGs included, then serve the task — the server
+    that stops answering, or the network partition that looks the same
+    until it heals; the master kills it after ``node_timeout`` of
+    silence, and a shorter silence is a late result.
 ``slow``
     sleep ``delay`` then serve normally, answering PINGs meanwhile —
     the straggling hot server of Figures 8–9; the soft deadline
@@ -41,29 +46,11 @@ Fault semantics (all applied worker-side):
     scribble into the shared segment before attaching it — the torn
     or corrupted read that CRC verification must catch *before* any
     hit is produced.
-
-Network fault kinds (applied at result-send time by the one worker
-loop, :func:`repro.exec.nodes.serve_tasks`, so they mean the same on a
-remote node and on a local worker):
-
 ``disconnect``
-    leave the session abruptly instead of sending the result — the
-    dropped TCP connection; the master sees EOF and requeues (to a
-    mirror).  A node's agent survives to accept a reconnect; a local
-    worker's process ends and is respawned.
-``partition``
-    go completely silent for ``delay`` seconds (no result, no
-    heartbeat replies), then resume — the network partition that is
-    indistinguishable from a hang until it heals; ``node_timeout``
-    decides first.
-``delay``
-    hold the result, and the PONGs, for ``delay`` seconds, then send
-    normally — the slow link; the hedge races it and the late
-    duplicate is discarded as stale.
-``reorder``
-    hold this result and release it *after* the next one — delivery
-    reordering, which per-task keys make harmless and per-connection
-    frame sequence numbers keep distinguishable from loss.
+    leave the session at task receipt — the dropped TCP connection;
+    the master sees EOF on a busy slot and requeues (to a mirror).  A
+    node's agent survives to accept a reconnect; a local worker's
+    process ends and is respawned.
 """
 
 from __future__ import annotations
@@ -74,13 +61,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Recognised fault kinds, in documentation order.
+#: Recognised fault kinds, in documentation order.  ``corrupt_pack``
+#: fires at attach (``on_attach``), the rest at task receipt
+#: (``on_task``).
 FAULT_KINDS = ("kill", "hang", "slow", "drop_result", "corrupt_pack",
-               "disconnect", "partition", "delay", "reorder")
-
-#: The subset applied at result-send time (``on_result``), on either
-#: transport; the rest fire at task receipt (``on_task``) or attach.
-NET_FAULT_KINDS = frozenset({"disconnect", "partition", "delay", "reorder"})
+               "disconnect")
 
 #: Environment variable carrying a JSON fault plan (or ``@/path/to``
 #: a JSON file); read by :class:`~repro.exec.pool.ExecPool` when no
@@ -272,28 +257,6 @@ class FaultInjector:
         else:
             frags = tuple(fragment_id)
         return self._take(lambda f: f.kind != "corrupt_pack"
-                          and f.kind not in NET_FAULT_KINDS
-                          and (f.task_index is None
-                               or f.task_index == self._task_no)
-                          and (f.query is None or f.query in queries)
-                          and (f.fragment is None
-                               or f.fragment in frags))
-
-    def on_result(self, query, fragment_id=None) -> Optional[Fault]:
-        """The network fault (if any) armed against the result the
-        worker is about to send.  Selector semantics match
-        :meth:`on_task` but against the task counter *as already
-        advanced* by the paired ``on_task`` call — the two hooks see
-        the same task index for the same task."""
-        if query is None or isinstance(query, int):
-            queries = (query,)
-        else:
-            queries = tuple(query)
-        if fragment_id is None or isinstance(fragment_id, int):
-            frags = (fragment_id,)
-        else:
-            frags = tuple(fragment_id)
-        return self._take(lambda f: f.kind in NET_FAULT_KINDS
                           and (f.task_index is None
                                or f.task_index == self._task_no)
                           and (f.query is None or f.query in queries)

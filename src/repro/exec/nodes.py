@@ -53,8 +53,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 #: table; 4: no word codes; 5: a result message carries its pairs;
 #: 6: a job's ``SearchParams`` has no ``gapped_method``; 7: nor
 #: ``gapped`` or ``two_hit_window``; 8: a PONG names the task the
-#: agent holds).
-PROTO_VERSION = 8
+#: agent holds; 9: a task carries its queries' job specs, so an agent
+#: keeps no query table, and ``stopped`` is ``("stopped", rank)``).
+PROTO_VERSION = 9
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
@@ -191,9 +192,6 @@ class TokenPacks:
         return [self._lookup(n)[0].spec.fragment_id
                 if n in self._aliases else None for n in names]
 
-    def stats(self) -> dict:
-        return {"node": self.node_id, "held": len(self._store)}
-
     def close(self) -> None:
         for token in list(self._store):
             try:
@@ -274,89 +272,61 @@ def serve_tasks(conn, rank: int, holder, *,
     (or an injected ``disconnect``); a vanished master raises
     ``EOFError`` / ``OSError`` to the entry point.
 
-    ``job`` / ``forget_job`` maintain the query table; a ``task`` is a
-    query batch (tuple of query indexes) crossed with a contiguous
-    fragment range (tuple of pack names) tagged with the master's run
-    epoch — every pack is scanned once for the whole batch and the
-    per-(pack, query) results go back in one ``result`` message as the
-    plain ``(name, query_index, SearchResults)`` list, the epoch echoed
-    so the master can discard cross-run stragglers.  Pack management is
-    the *holder*'s (see :class:`TokenPacks`); anything else gets the
-    unknown-message error reply.
+    A ``task`` is a query batch (tuple of query indexes, with their job
+    specs) crossed with a contiguous fragment range (tuple of pack
+    names) tagged with the master's run epoch — every pack is scanned
+    once for the whole batch and the per-(pack, query) results go back
+    in one ``result`` message as the plain ``(name, query_index,
+    SearchResults)`` list, the epoch echoed so the master can discard
+    cross-run stragglers.  Pack management is the *holder*'s (see
+    :class:`TokenPacks`), the only state an agent keeps between
+    tasks; anything else gets the unknown-message error reply.
 
     PINGs are answered all the while (:class:`_Inbox`), each PONG
     naming the task held from its read until its reply is sent.
-    *injector* arms deterministic faults: ``kill`` / ``hang`` / ``slow``
-    / ``drop_result`` at task receipt, the network kinds at reply time;
-    ``hang`` / ``partition`` / ``delay`` stall holding the send lock (no
-    PONG), ``slow`` and *task_sleep* (every task: a test and chaos hook
-    that widens the window for mid-task faults) where the compute runs.
+    *injector* arms deterministic faults, all at task receipt: ``hang``
+    stalls holding the send lock (no PONG), ``slow`` and *task_sleep*
+    (every task: a test and chaos hook that widens the window for
+    mid-task faults) where the compute runs.
     """
-    jobs: Dict[int, object] = {}
-    tasks = fragments = 0
-    held_back: Optional[tuple] = None       # reorder-fault holdback
     inbox = _Inbox(conn)
     try:
         while True:
             msg = inbox.get()
             kind = msg[0]
-            if kind == "job":
-                jobs[msg[1]] = msg[2]
-            elif kind == "forget_job":
-                jobs.pop(msg[1], None)
-            elif kind == "task":
-                _, qis, names, epoch = msg
+            if kind == "task":
+                _, qis, names, epoch, specs = msg
                 if injector is not None:
-                    frag_ids = holder.fragment_ids(names)
-                    fault = injector.on_task(qis, frag_ids)
+                    fault = injector.on_task(qis, holder.fragment_ids(names))
                     if fault is not None:
                         if fault.kind == "kill":
                             os._exit(_FAULT_EXIT)
+                        elif fault.kind == "disconnect":
+                            return          # close without a goodbye
                         elif fault.kind == "hang":
                             with conn.send_lock:
                                 time.sleep(fault.stall)
                         elif fault.kind == "slow":
                             time.sleep(fault.stall)
-                        if fault.kind == "drop_result":
+                        elif fault.kind == "drop_result":
                             with conn.send_lock:    # serve nothing, say
                                 conn.holding = None  # nothing, hold nothing
                             continue
                 try:
                     if task_sleep > 0:
                         time.sleep(task_sleep)
-                    pairs, elapsed, done = execute_task(
-                        holder.packs_for(names), jobs, qis, names)
+                    pairs, elapsed, _ = execute_task(
+                        holder.packs_for(names), dict(zip(qis, specs)),
+                        qis, names)
                     out = ("result", rank, qis, names, pairs, elapsed, epoch)
-                    tasks += 1
-                    fragments += len(done)
                 except Exception:
                     out = ("error", rank, qis, names, traceback.format_exc(),
                            epoch)
-                if injector is not None:
-                    fault = injector.on_result(qis, frag_ids)
-                    if fault is not None:
-                        if fault.kind == "disconnect":
-                            return          # close without a goodbye
-                        if fault.kind in ("partition", "delay"):
-                            # Silent for the stall: no result, no PONG,
-                            # then resume as if healed.
-                            with conn.send_lock:
-                                time.sleep(fault.stall)
-                        elif fault.kind == "reorder":
-                            held_back = out
-                            continue
                 with conn.send_lock:
                     conn.send(out)
                     conn.holding = None
-                if held_back is not None:
-                    conn.send(held_back)    # delivered out of order
-                    held_back = None
             elif kind == "stop":
-                if held_back is not None:
-                    conn.send(held_back)
-                conn.send(("stopped", rank,
-                           {"rank": rank, "tasks": tasks,
-                            "fragments": fragments, **holder.stats()}))
+                conn.send(("stopped", rank))
                 return
             elif kind in holder.verbs:
                 try:
@@ -504,12 +474,12 @@ class SlotLost(Exception):
 class WorkerSlot:
     """One worker as the master sees it: the seam the pump drives.
 
-    The pump owns the bookkeeping — *alive* (the master's belief),
+    The pump owns the bookkeeping — *alive* (the master's belief) and
     *busy* / *busy_since* / *busy_pings* (the ``(epoch, qis, names)``
     task in flight, when it was sent and how many PINGs went before it;
     pool-level, so a straggler from a previous run is still recognised
-    across run boundaries; reset when a revive brings the slot back),
-    *jobs_sent* (likewise) — and talks through *conn*.  A few questions
+    across run boundaries; reset when a revive brings the slot back) —
+    and talks through *conn*.  A few questions
     an implementation answers, or raises :class:`SlotLost`; besides the
     defaults below:
     ``is_alive()`` (does the transport still look up), ``kill()`` (stop
@@ -527,7 +497,6 @@ class WorkerSlot:
         self.rank = rank
         self.conn = None
         self.alive = False
-        self.jobs_sent: set = set()
         self.busy: Optional[tuple] = None
         self.busy_since = 0.0
         self.busy_pings = 0

@@ -552,7 +552,6 @@ class ExecPool:
             note(event[0], rank=slot.rank, detail=event[1])
         if slot.alive:
             slot.busy = None
-            slot.jobs_sent.clear()
             self.total_respawns += 1
 
     def _ensure_capacity(self) -> None:
@@ -667,8 +666,11 @@ class ExecPool:
                           notify: bool = True) -> None:
         if notify:
             for w in self._live():
-                self._tell(w, [("detach", s.name) for s in prep.specs],
-                           self.ledger.record)
+                try:
+                    for spec in prep.specs:
+                        w.conn.send(("detach", spec.name))
+                except OSError:
+                    self._write_off(w, self.ledger.record)
         for spec in prep.specs:
             self._registry.release(spec.name)
 
@@ -715,14 +717,6 @@ class ExecPool:
         slot.lost()
         return task
 
-    def _tell(self, slot: WorkerSlot, msgs: List[tuple], note) -> None:
-        """Pack and job-table upkeep: a broken transport is a death."""
-        try:
-            for msg in msgs:
-                slot.conn.send(msg)
-        except OSError:
-            self._write_off(slot, note)
-
     def _handle_death(self, slot: WorkerSlot, run: _Run,
                       lost: Optional[SlotLost] = None) -> None:
         """Write *slot* off and resolve the task it held — ignored when
@@ -734,23 +728,17 @@ class ExecPool:
 
     def _send_task(self, slot: WorkerSlot, run: _Run, task: tuple,
                    now: float) -> None:
-        """Ship (any new jobs, then task) to *slot*; busy bookkeeping is
-        set first so a send failure resolves the assignment as a death.
-        ``jobs_sent`` is only updated after every send succeeded — a
-        half-delivered dispatch must not leave the record claiming the
-        worker holds a job spec it never received."""
+        """Send *task* to *slot* in one message carrying its queries' job
+        specs; busy bookkeeping is set first so a send failure resolves
+        the assignment as a death."""
         qis, names = task
         slot.busy = (run.epoch, qis, names)
         slot.busy_since, slot.busy_pings = now, slot.conn.pings
         try:
-            for qi in qis:
-                if qi not in slot.jobs_sent:
-                    slot.conn.send(("job", qi, run.jobs[qi]))
-            slot.conn.send(("task", qis, names, run.epoch))
+            slot.conn.send(("task", qis, names, run.epoch,
+                            [run.jobs[qi] for qi in qis]))
         except OSError:
             self._handle_death(slot, run)
-            return
-        slot.jobs_sent.update(qis)
 
     def _hedge_candidate(self, run: _Run, now: float, soft: float,
                          rank: int) -> Optional[tuple]:
@@ -783,12 +771,6 @@ class ExecPool:
         try:
             self._pump(run)
         finally:
-            # Drop the job tables win or lose: a failed run must not
-            # leave workers holding stale specs for reused query ids.
-            for w in self._live():
-                self._tell(w, [("forget_job", qi) for qi in w.jobs_sent],
-                           run.note)
-                w.jobs_sent.clear()
             run.stats.requeues = run.sched.requeues
             self.last_stats = run.stats
         return run.results, run.stats
@@ -921,9 +903,9 @@ class ExecPool:
                 continue
             kind = msg[0] if msg is not None else None
             if kind == "result":
-                self._on_result(slot, run, msg)
+                self._take_result(slot, run, msg)
             elif kind == "error":
-                self._on_error(slot, run, msg)
+                self._take_error(slot, run, msg)
             elif kind == "integrity":
                 _, _rank, pack_name, detail = msg
                 run.note("integrity", rank=slot.rank,
@@ -932,7 +914,7 @@ class ExecPool:
             elif kind == "stopped":  # pragma: no cover - close path
                 slot.alive = False
 
-    def _on_result(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
+    def _take_result(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
         _, _rank, qis, names, pairs, elapsed, m_epoch = msg
         sched = run.sched
         slot.busy = None
@@ -967,7 +949,7 @@ class ExecPool:
         for pack_name, tqi, res in pairs:
             run.results[tqi][pack_name] = res
 
-    def _on_error(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
+    def _take_error(self, slot: WorkerSlot, run: _Run, msg: tuple) -> None:
         _, _rank, qis, names, tb, m_epoch = msg
         run.note("worker_error", rank=slot.rank, task=(qis, names),
                  detail=tb.strip().splitlines()[-1] if tb else "")

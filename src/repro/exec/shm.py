@@ -146,6 +146,51 @@ def _segment_name(fragment_id: Optional[int]) -> str:
     return (f"{NAME_PREFIX}_{os.getpid()}_f{frag}_{secrets.token_hex(6)}")
 
 
+def _parent_pid(pid: int) -> Optional[int]:
+    """*pid*'s parent, or ``None`` when *pid* is not alive."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    # The command name (field 2) may hold spaces; the parent pid is the
+    # second field after its closing parenthesis.
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+
+def _ours(pid: int) -> bool:
+    """Whether a segment *pid* created may be this process's leak: *pid*
+    is this process, one of its descendants, or no longer alive (and
+    without ``/proc`` every segment counts)."""
+    me = os.getpid()
+    if _parent_pid(pid) is None:
+        return True
+    while pid is not None and pid > 1:
+        if pid == me:
+            return True
+        pid = _parent_pid(pid)
+    return False
+
+
+def own_segments() -> List[str]:
+    """The ``repro_<pid>_…`` segments in ``/dev/shm`` (the names
+    :func:`_segment_name` writes) that this process, one of its
+    descendants or a process now gone created, sorted: what a leak
+    check may blame on this process while another process's pool runs
+    on the same machine."""
+    try:
+        names = os.listdir("/dev/shm")
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return []
+    own = []
+    for name in names:
+        parts = name.split("_")
+        if (parts[0] == NAME_PREFIX and len(parts) > 2
+                and parts[1].isdigit() and _ours(int(parts[1]))):
+            own.append(name)
+    return sorted(own)
+
+
 def ensure_tracker() -> None:
     """Start the resource-tracker daemon in *this* process now.
 

@@ -2,8 +2,8 @@
 
 Every stochastic component in the simulation draws from its own named
 stream, derived from a single root seed.  Adding a new component or
-reordering draws in one component therefore never perturbs another
-component's sequence — the standard trick for reproducible parallel
+changing the order of draws in one component therefore never perturbs
+another component's sequence — the standard trick for reproducible parallel
 simulations.
 """
 

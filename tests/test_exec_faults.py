@@ -89,6 +89,9 @@ def test_fault_plan_bare_list_shorthand():
     '"a string"',
     '[{"kind": "explode"}]',
     '[{"kind": "kill", "bogus_field": 1}]',
+    '[{"kind": "partition"}]',
+    '[{"kind": "delay", "delay": 0.3}]',
+    '[{"kind": "reorder"}]',
 ])
 def test_fault_plan_bad_input_raises(text):
     with pytest.raises(ValueError):
@@ -341,9 +344,9 @@ def test_env_fault_plan_reaches_the_pool(workload, monkeypatch):
 
 
 def test_disconnect_fault_on_a_pipe_worker(workload):
-    """The reply-time network kinds live in the one worker loop, so a
-    local worker honours them too: ``disconnect`` leaves without a
-    goodbye — the master sees EOF on the socket, requeues, respawns."""
+    """Every fault kind lives in the one worker loop, so a local worker
+    honours ``disconnect`` too: it leaves without a goodbye — the master
+    sees EOF on the socket, requeues, respawns."""
     db, scheme, params, queries, serial = workload
     plan = FaultPlan(faults=(Fault("disconnect", rank=0, task_index=0),))
     got, live, stats, ledger = run_pool(db, scheme, params, queries,
@@ -355,8 +358,10 @@ def test_disconnect_fault_on_a_pipe_worker(workload):
 
 
 def test_delay_fault_on_a_pipe_worker(workload):
+    """A ``hang`` shorter than ``node_timeout`` is a late result, not a
+    death: the worker is silent for its ``delay``, then serves."""
     db, scheme, params, queries, serial = workload
-    plan = FaultPlan(faults=(Fault("delay", rank=0, task_index=0,
+    plan = FaultPlan(faults=(Fault("hang", rank=0, task_index=0,
                                    delay=0.3),))
     with ExecPool(jobs=2, fault_plan=plan, task_sleep=0.05) as pool:
         results = pool.search_many(queries, db, scheme, params,

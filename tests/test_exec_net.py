@@ -341,8 +341,7 @@ def test_agent_session_protocol_and_stale_epoch():
         assert info["node"] == "proto-test" and info["held"] == []
 
         conn.send(("publish", spec, read_pack_bytes(spec)))
-        conn.send(("job", 0, job))
-        conn.send(("task", (0,), (spec.name,), 7))
+        conn.send(("task", (0,), (spec.name,), 7, [job]))
         msg = conn.recv()
         assert msg[0] == "result" and msg[1] == 9
         assert msg[2] == (0,) and msg[3] == (spec.name,)
@@ -355,13 +354,12 @@ def test_agent_session_protocol_and_stale_epoch():
         # An epoch the master has already left behind still comes back
         # tagged — the pool-side pump is what discards it; the agent
         # must never silently swallow a task.
-        conn.send(("task", (0,), (spec.name,), 3))
+        conn.send(("task", (0,), (spec.name,), 3, [job]))
         stale = conn.recv()
         assert stale[0] == "result" and stale[6] == 3
 
         conn.send(("stop",))
-        stopped = conn.recv()
-        assert stopped[0] == "stopped" and stopped[2]["tasks"] == 2
+        assert conn.recv() == ("stopped", 9)
         conn.close()
 
         # Reconnect: the hello reply advertises the cached identity and
@@ -372,8 +370,7 @@ def test_agent_session_protocol_and_stale_epoch():
         _, _, info = conn.recv()
         assert tuple(spec.cache_token) in {tuple(t) for t in info["held"]}
         conn.send(("adopt", spec.name, spec.cache_token))
-        conn.send(("job", 0, job))
-        conn.send(("task", (0,), (spec.name,), 0))
+        conn.send(("task", (0,), (spec.name,), 0, [job]))
         msg = conn.recv()
         assert msg[0] == "result"
         conn.send(("stop",))
@@ -416,7 +413,7 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
     versions and the session ends, the task sent behind it never served
     — and the agent keeps accepting: the next master, speaking this
     version, is served."""
-    assert PROTO_VERSION == 8   # 7's PONG named no task
+    assert PROTO_VERSION == 9   # 8's task carried no job specs
     agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
     server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
                               daemon=True)
@@ -425,7 +422,7 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
         conn = FrameConnection(
             socket.create_connection(agent.address, timeout=5.0), name="old")
         conn.send(("hello", hello))
-        conn.send(("task", (0,), ("any",), 1))
+        conn.send(("task", (0,), ("any",), 1, []))
         msg = conn.recv()
         assert msg[0] == "error" and "protocol version" in msg[4]
         assert repr(hello.get("proto")) in msg[4]

@@ -526,8 +526,10 @@ def test_worker_main_protocol_in_process():
     """One script through the one agent session, its packs brought in
     both ways — ``attach`` by shm name (a pool's local worker) and
     ``publish`` as bytes (a remote node): reply kinds, epoch echo,
-    error texts, exit counters and the result payload itself — a list
-    of ``(name, qi, SearchResults)`` — are identical."""
+    error texts, the goodbye and the result payload itself — a list of
+    ``(name, qi, SearchResults)`` — are identical.  A task carries its
+    queries' job specs; the agent keeps no query table, so a ``job``
+    message is an unknown one."""
     rng = np.random.default_rng(11)
     db = random_nt_db(rng, 12)
     scheme = NucleotideScore()
@@ -541,12 +543,12 @@ def test_worker_main_protocol_in_process():
                            registry=registry)
              for i, ids in enumerate(plan_fragments(db, 2))]
     names = tuple(s.name for s in specs)
+    job = _job_for(db, q, scheme, params)
     script = [
-        ("job", 0, _job_for(db, q, scheme, params)),
-        ("task", (0,), names, 7),           # one task, two fragments
-        ("task", (0,), ("no-such-pack",), 8),   # -> error reply
+        ("task", (0,), names, 7, [job]),    # one task, two fragments
+        ("task", (0,), ("no-such-pack",), 8, [job]),    # -> error reply
         ("bogus",),                         # -> unknown-message error
-        ("forget_job", 0),
+        ("job", 0, job),                    # -> unknown-message error
         ("detach", names[0]),
         ("detach", names[0]),               # idempotent re-detach
         ("stop",),
@@ -560,8 +562,8 @@ def test_worker_main_protocol_in_process():
             # Loading every pack twice is idempotent either way.
             replies = _session_replies(3, load + load + script)
             assert [m[0] for m in replies] == \
-                ["result", "error", "error", "stopped"]
-            result, bad_pack, bogus, stopped = replies
+                ["result", "error", "error", "error", "stopped"]
+            result, bad_pack, bogus, old_job, stopped = replies
             assert result[1:4] == (3, (0,), names)
             assert len(result) == 7 and result[6] == 7  # epoch echoed
             pairs = result[4]
@@ -580,9 +582,9 @@ def test_worker_main_protocol_in_process():
             assert "KeyError" in bad_pack[4] and bad_pack[5] == 8
             assert bogus[2:4] == (None, None) and bogus[5] == -1
             assert "unknown message 'bogus'" in bogus[4]
-            assert stopped[1:] == (3, {"rank": 3, "tasks": 1,
-                                       "fragments": 2, "node": "proto",
-                                       "held": 1})
+            assert old_job[2:4] == (None, None) and old_job[5] == -1
+            assert "unknown message 'job'" in old_job[4]
+            assert stopped == ("stopped", 3)
             # Everything but the elapsed time, results by their bytes.
             seen[verb] = [result[:4] + ([(n, qi, dump(r))
                                          for n, qi, r in pairs],

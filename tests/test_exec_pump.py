@@ -65,7 +65,7 @@ class ScriptedConn:
     def send(self, msg):
         self.sent.append(msg)
         if msg[0] == "task":
-            _, qis, names, epoch = msg
+            _, qis, names, epoch, _specs = msg
             self.holding, self.done_at = (epoch, qis, names), None
             if self.delay is not None:
                 self.done_at = self.clock() + self.delay
@@ -309,14 +309,11 @@ def test_a_ping_right_behind_a_task_is_answered_as_holding_it():
             release.wait()
             raise LookupError("no packs here")
 
-        def stats(self):
-            return {}
-
     serving = threading.Thread(target=serve_tasks,
                                args=(agent, 0, Holder()), daemon=True)
     serving.start()
     try:
-        task = ("task", (0, 1), ("p0",), 7)
+        task = ("task", (0, 1), ("p0",), 7, [None, None])
         ours.sendall(encode_frame(DATA, 0, pickle.dumps(task))
                      + encode_frame(PING, 1))
         while master.pongs == 0:

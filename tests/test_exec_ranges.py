@@ -23,9 +23,8 @@ from repro.exec import (ExecPool, Fault, FaultPlan, PackIntegrityError,
                         plan_task_ranges)
 from repro.exec.net import NodeConnectError
 from repro.exec.pool import _LocalSlot
-from repro.exec.shm import ShmRegistry
+from repro.exec.shm import ShmRegistry, own_segments
 
-from conftest import own_segments
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))

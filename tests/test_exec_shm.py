@@ -18,9 +18,8 @@ from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec.shm import (_ALIGN, _FIELDS, NAME_PREFIX, AttachedPack,
                             PackDB, PackIntegrityError, PackSpec,
                             ShmRegistry, corrupt_segment, create_pack,
-                            default_registry, pack_fragment, pack_layout)
-
-from conftest import own_segments
+                            default_registry, own_segments, pack_fragment,
+                            pack_layout)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -337,9 +336,10 @@ with ExecPool(jobs=2) as pool:
 
 
 def test_leak_fixture_counts_this_process_tree_only():
-    """``no_segment_leaks`` (tests/conftest.py) fails a test that leaves
-    a segment of its own behind, and ignores the segments a live pool in
-    another process holds meanwhile."""
+    """``own_segments`` (what ``no_segment_leaks`` in tests/conftest.py
+    and ``tools/chaos_pool.py`` count) sees a segment of this process,
+    and ignores the segments a live pool in another process holds
+    meanwhile."""
     before = own_segments()
     registry = ShmRegistry()
     spec = pack_fragment(random_nt_db(np.random.default_rng(9), 10), 11, 4,
@@ -370,3 +370,22 @@ def test_leak_fixture_counts_this_process_tree_only():
             time.sleep(0.05)
     assert not [n for n in os.listdir("/dev/shm")
                 if n.startswith(f"repro_{pid}_")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/1"), reason="needs /proc")
+def test_own_segments_skips_a_live_foreign_creator():
+    """A name the package's pattern makes for a live process outside
+    this process tree (pid 1) is not counted; the same name for this
+    process is."""
+    tag = os.urandom(6).hex()
+    foreign = f"/dev/shm/{NAME_PREFIX}_1_f0_{tag}"
+    mine = f"/dev/shm/{NAME_PREFIX}_{os.getpid()}_f0_{tag}"
+    before = own_segments()
+    try:
+        for path in (foreign, mine):
+            open(path, "x").close()
+        assert own_segments() == sorted(before + [os.path.basename(mine)])
+    finally:
+        for path in (foreign, mine):
+            if os.path.exists(path):
+                os.unlink(path)

@@ -12,7 +12,9 @@ paper's "keeps serving" contract:
   recovered every injected crash);
 * the failure ledger contains **zero anomalies** (events the hardened
   pool must never produce);
-* no ``repro_``/``psm_`` shared-memory segment survives in /dev/shm.
+* no shared-memory segment survives in /dev/shm: no ``psm_`` one,
+  and no ``repro_`` one this sweep's processes made (another process's
+  pool running meanwhile is not this sweep's leak).
 
 Any violation prints the offending seed (replay with
 ``--seed N --verbose``) and the tool exits non-zero, so CI can run it
@@ -25,10 +27,10 @@ as a smoke gate::
 By default the pool forks its own local workers (node agents on a
 ``socketpair``, packs attached by shm name).  ``--fleet`` runs the same
 contract against two listening :class:`repro.exec.NodeFleet` agents
-instead: the pool dials them over TCP, the seeded plans draw from the
-network fault kinds too (disconnect / partition / delay / reorder), and
-every fragment is mirrored onto both agents so one killed mid-job is
-served by its mirror.  Between batches the fleet respawns any dead
+instead: the pool dials them over TCP, the seeded plans draw from every
+fault kind but ``corrupt_pack`` (``disconnect`` too), and every
+fragment is mirrored onto both agents so one killed mid-job is served
+by its mirror.  Between batches the fleet respawns any dead
 agent healthy, so the post-recovery batch also proves reconnect (and
 the ship-once pack cache) rather than a lucky survivor::
 
@@ -52,11 +54,15 @@ N_QUERIES = 3
 
 
 def shm_segments():
+    """Every ``psm_`` segment (the stdlib's anonymous default, which the
+    package never creates) and this process tree's ``repro_`` ones."""
+    from repro.exec.shm import own_segments
+
     try:
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith(("psm_", "repro_")))
+        psm = [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
     except FileNotFoundError:  # non-Linux
-        return []
+        psm = []
+    return sorted(psm + own_segments())
 
 
 def dump(results):
@@ -93,17 +99,16 @@ def run_seed_fleet(seed, workload, verbose=False):
     (mirrored fragments); returns violation strings."""
     import warnings
 
-    from repro.exec import ExecPool, random_plan
-    from repro.exec.faults import NET_FAULT_KINDS
+    from repro.exec import FAULT_KINDS, ExecPool, random_plan
     from repro.exec.nodes import NodeFleet
 
     db, scheme, params, queries, serial = workload
-    # The recoverable vocabulary plus every network kind; corrupt_pack
-    # stays out, as in the default sweep — a corrupted pack is a *fatal*
-    # integrity stop (exit 4) by design, not a survivable fault.  Each
-    # agent gets its own plan (rank-blind selectors would fire on both
-    # mirrors at once and defeat the survival test).
-    kinds = ("kill", "hang", "slow", "drop_result", *sorted(NET_FAULT_KINDS))
+    # Every kind but corrupt_pack, which stays out as in the default
+    # sweep — a corrupted pack is a *fatal* integrity stop (exit 4) by
+    # design, not a survivable fault.  Each agent gets its own plan
+    # (rank-blind selectors would fire on both mirrors at once and
+    # defeat the survival test).
+    kinds = tuple(k for k in FAULT_KINDS if k != "corrupt_pack")
     plans = [random_plan(seed * 2 + i, n_workers=1, kinds=kinds,
                          slow_delay=0.5)
              for i in range(N_NODES)]
@@ -198,8 +203,8 @@ def main(argv=None):
                         help="print each seed's plan and ledger summary")
     parser.add_argument("--fleet", action="store_true",
                         help="sweep two listening localhost agents with "
-                             "mirrored fragments and the network fault "
-                             "kinds (default: the pool's own local "
+                             "mirrored fragments and every survivable "
+                             "fault kind (default: the pool's own local "
                              "workers)")
     args = parser.parse_args(argv)
     sweep = run_seed_fleet if args.fleet else run_seed
