@@ -21,10 +21,11 @@ The single-seed definition it is specified against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
+from repro.blast.scankernel import TwoBitResidues
 from repro.blast.score import ScoringScheme
 
 
@@ -153,7 +154,8 @@ def _window_dtype(window: int, scheme: ScoringScheme,
     return np.dtype(np.int64)
 
 
-def _window_pass(qcat: np.ndarray, scat: np.ndarray, q0: np.ndarray,
+def _window_pass(qcat: np.ndarray,
+                 scat: Union[np.ndarray, TwoBitResidues], q0: np.ndarray,
                  s0: np.ndarray, av: np.ndarray, step: int,
                  scheme: ScoringScheme, xdrop: int, window: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +179,7 @@ def _window_pass(qcat: np.ndarray, scat: np.ndarray, q0: np.ndarray,
         code = np.take(qcat, q0[lo:hi, None] + walk,
                        mode="clip").astype(np.intp)
         code *= n_cols
-        code += np.take(scat, s0[lo:hi, None] + walk, mode="clip")
+        code += scat.take(s0[lo:hi, None] + walk, mode="clip")
         scores = np.where(span < a, np.take(table, code, mode="clip"),
                           dtype.type(-(xdrop + 1)))
         cum = np.cumsum(scores, axis=1, dtype=dtype)
@@ -195,7 +197,7 @@ def _window_pass(qcat: np.ndarray, scat: np.ndarray, q0: np.ndarray,
     return settled, out_len, out_score
 
 
-def _bulk_prefix(qcat: np.ndarray, scat: np.ndarray,
+def _bulk_prefix(qcat: np.ndarray, scat: Union[np.ndarray, TwoBitResidues],
                  q0: np.ndarray, s0: np.ndarray, avail: np.ndarray,
                  step: int, scheme: ScoringScheme, xdrop: int
                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -231,12 +233,13 @@ def _bulk_prefix(qcat: np.ndarray, scat: np.ndarray,
     for i in open_rows.tolist():
         walk = step * np.arange(int(avail[i]), dtype=np.int64)
         row = scheme.pair_scores(qcat[int(q0[i]) + walk],
-                                 scat[int(s0[i]) + walk])
+                                 scat.take(int(s0[i]) + walk))
         out_len[i], out_score[i] = _best_prefix(row, xdrop)
     return out_len, out_score
 
 
-def bulk_ungapped_extend(qcat: np.ndarray, scat: np.ndarray,
+def bulk_ungapped_extend(qcat: np.ndarray,
+                         scat: Union[np.ndarray, TwoBitResidues],
                          gq: np.ndarray, gs: np.ndarray,
                          avail_l: np.ndarray, avail_r: np.ndarray,
                          scheme: ScoringScheme, xdrop: int = 20
@@ -246,7 +249,9 @@ def bulk_ungapped_extend(qcat: np.ndarray, scat: np.ndarray,
 
     The batched search driver's extension kernel: *gq*/*gs* are seed
     anchors as **flat positions** into the query concatenation *qcat*
-    and the packed fragment *scat*, so one 2-D gather scores seeds
+    and the fragment's residues *scat* (a one-byte array or a
+    :class:`~repro.blast.scankernel.TwoBitResidues`: anything with
+    ``take``), so one 2-D gather scores seeds
     belonging to different queries, strands and subjects together —
     no per-(query, subject) numpy dispatch at all.  ``avail_l`` /
     ``avail_r`` bound each seed's walk to its own sequence, which is

@@ -77,10 +77,11 @@ matrices row by row is the test oracle (``tests/oracle_gapped.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.blast.scankernel import TwoBitResidues
 from repro.blast.score import ScoringScheme
 
 NEG = -(10 ** 9)
@@ -156,7 +157,8 @@ def banded_local_align(query: np.ndarray, subject: np.ndarray,
         scheme, band, identity_query)[0]
 
 
-def banded_local_align_many(qcat: np.ndarray, scat: np.ndarray,
+def banded_local_align_many(qcat: np.ndarray,
+                            scat: Union[np.ndarray, TwoBitResidues],
                             q_off: np.ndarray, q_len: np.ndarray,
                             s_off: np.ndarray, s_len: np.ndarray,
                             diag: np.ndarray, scheme: ScoringScheme,
@@ -277,7 +279,8 @@ def _derive_pointers(Hs: np.ndarray, Fs: np.ndarray, sub: np.ndarray,
 def _walk_back(cells: np.ndarray, row_base: np.ndarray,
                row_stride: np.ndarray, cand: int, w: int,
                row_lo: int, i: int, b: int, col0: int,
-               qseq: np.ndarray, q_base: int, sseq: np.ndarray, s_base: int
+               qseq: np.ndarray, q_base: int,
+               sseq: Union[np.ndarray, TwoBitResidues], s_base: int
                ) -> Tuple[int, int, int, str]:
     """The affine traceback from cell ``(i, b)`` over packed pointer
     bytes: slot b of the problem's row ``r`` is byte ``row_base[r] +
@@ -448,8 +451,9 @@ def _chunk(idx: np.ndarray, q_off: np.ndarray, s_off: np.ndarray,
                   scheme.matrix.astype(dt).ravel(), scheme.matrix.shape[1])
 
 
-def _strip(ch: _Chunk, qcat: np.ndarray, scat: np.ndarray, w: int,
-           r: int, n: int, a: int
+def _strip(ch: _Chunk, qcat: np.ndarray,
+           scat: Union[np.ndarray, TwoBitResidues], w: int, r: int, n: int,
+           a: int
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of rows ``[r, r + n)`` of the chunk's first *a* problems:
     subject codes (clipped into the subject) and validity by strip row
@@ -495,8 +499,9 @@ def _prefix_max(T: np.ndarray, P: np.ndarray, tmp: np.ndarray,
         k *= 2
 
 
-def _sweep(ch: _Chunk, qcat: np.ndarray, scat: np.ndarray,
-           scheme: ScoringScheme, band: int, align: bool) -> tuple:
+def _sweep(ch: _Chunk, qcat: np.ndarray,
+           scat: Union[np.ndarray, TwoBitResidues], scheme: ScoringScheme,
+           band: int, align: bool) -> tuple:
     """The one DP row sweep, over one chunk (module docstring).
 
     Rows are taken in strips (:func:`_strip`).  A strip's blocks hold
@@ -676,7 +681,8 @@ def _as_int64(*arrays) -> List[np.ndarray]:
     return [np.asarray(a, dtype=np.int64) for a in arrays]
 
 
-def bulk_banded_score(qcat: np.ndarray, scat: np.ndarray,
+def bulk_banded_score(qcat: np.ndarray,
+                      scat: Union[np.ndarray, TwoBitResidues],
                       q_off: np.ndarray, q_len: np.ndarray,
                       s_off: np.ndarray, s_len: np.ndarray,
                       diag: np.ndarray, scheme: ScoringScheme,

@@ -11,14 +11,21 @@ This module makes the **fragment**, not the sequence, the unit of the
 hot loop (the same contiguous-layout lesson the paper's parallel file
 systems apply to I/O: pack once, then operate in bulk):
 
-* :func:`build_scan_structures` concatenates a fragment's encoded
-  sequences into one flat array with one-symbol sentinel separators.
-  That array and its per-sequence offsets are all a pack holds: no
-  word code is stored, cached or shipped anywhere;
+* :func:`build_scan_structures` lays a fragment's encoded sequences
+  out back to back at *flat positions*, one separator slot between
+  neighbours, and stores them as one residue section: four residues
+  to the byte for nucleotides (the 2-bit database NCBI's formatdb
+  writes), one byte per residue otherwise.  That section and its
+  per-sequence offsets are all a pack holds: no word code is stored,
+  cached or shipped anywhere;
+* :class:`TwoBitResidues` is the one reader of a 2-bit section's codes
+  at flat positions; a one-byte section is its own reader.  Extension,
+  the gapped kernels and :meth:`ScanStructures.subject` read residues
+  through :attr:`ScanStructures.scat`, never a one-byte copy;
 * :class:`QueryBatch` folds every query orientation's words into one
-  table and finds their hits in one pass over the database bytes
-  themselves.  For nucleotide words that pass packs four residues into
-  a byte, looks up every byte-aligned 8-mer in a 64 KiB table and
+  table and finds their hits in one pass over the residue section
+  itself.  For nucleotide words that pass reads the 2-bit bytes as
+  stored, looks up every byte-aligned 8-mer in a 64 KiB table and
   rebuilds full 11-mers only around the survivors — how NCBI blastn
   scans its 2-bit database, and why its default word is 8 + 3.  Other
   alphabets and crowded batches derive dense word codes a chunk at a
@@ -27,7 +34,7 @@ systems apply to I/O: pack once, then operate in bulk):
   ``searchsorted`` that maps a hit to ``(sequence id, offset)``;
 * :func:`scan_fragment` / :func:`scan_fragment_batch` group those hits
   per entry and sequence for the seeding stage;
-* :class:`ScanCache` keeps the per-fragment concatenation in a bounded
+* :class:`ScanCache` keeps the per-fragment structures in a bounded
   LRU keyed by fragment identity, so a stream of queries against the
   same fragments — the warm-cache and query-stream workloads — pays the
   packing cost once per fragment.
@@ -43,7 +50,7 @@ import itertools
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,8 +58,9 @@ from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile
 
 #: Default bounds of the process-wide ScanCache: at most 8 fragments
-#: and ~256 MB of cached structures (1 byte per residue, the
-#: concatenation, plus 16 per sequence).
+#: and ~256 MB of cached structures (the residue section — a quarter
+#: byte per nucleotide, one byte per amino acid — plus 16 per
+#: sequence).
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
@@ -69,13 +77,27 @@ _MAX_TABLE_DENSITY = 0.5
 #: streaming through DRAM — flat from 2**14 to 2**16.
 _SAMPLE_CHUNK = 1 << 15
 
-#: The packed scan's fold: a little-endian ``<u4`` holds residues
-#: r0…r3 in bytes 0…3; keeping their low 2 bits (the sentinel reads as
-#: symbol 0) and multiplying lands r0·64 + r1·16 + r2·4 + r3 in the top
-#: byte with every other partial product in a 2-bit field of its own
-#: below it — no carries.
+#: The build's 2-bit fold: a little-endian ``<u4`` holds residues
+#: r0…r3 in bytes 0…3; keeping their low 2 bits (the separator, staged
+#: as ``base`` = 4, folds to 0) and multiplying lands r0·64 + r1·16 +
+#: r2·4 + r3 in the top byte with every other partial product in a
+#: 2-bit field of its own below it — no carries.
 _LOW2 = np.uint32(0x03030303)
 _FOLD = np.uint32(2 ** 30 + 2 ** 20 + 2 ** 10 + 1)
+
+#: Flat positions per block of the build's fold (a multiple of 4): the
+#: one-byte staging block and the fold's ``<u4`` temporaries stay in
+#: L2 whatever the fragment's size, so a build's peak is the 2-bit
+#: section itself.
+_FOLD_BLOCK = 1 << 17
+
+#: The alphabet size stored two bits per residue: nucleotides.
+TWO_BIT_BASE = 4
+
+#: The four codes of every 2-bit byte value, first residue (the top
+#: two bits) first: a contiguous run decodes with one gather.
+_UNPACK = ((np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+           ).astype(np.uint8)
 
 _token_counter = itertools.count(1)
 
@@ -99,33 +121,105 @@ def db_token(db) -> int:
     return token
 
 
+class TwoBitResidues:
+    """Residue codes of a 2-bit residue section, read at flat positions.
+
+    *packed* is the section as stored: byte ``j + 1`` holds flat
+    positions 4j … 4j+3, the first in the top two bits; separator slots
+    are 0, and so are byte 0 and the two bytes past the last residue's,
+    which the packed scan reads.  *n* is the number of flat positions.
+
+    It answers the two reads a one-byte array answers — ``take`` at
+    any positions and a contiguous slice — with the same codes, so the
+    extension and gapped kernels read either kind of section through
+    one duck type.  A gather costs a byte ``take`` plus a shift per
+    position, against one ``take`` on one byte per residue (DESIGN.md
+    §5d has the measurements).
+    """
+
+    __slots__ = ("packed", "n")
+
+    def __init__(self, packed: np.ndarray, n: int):
+        self.packed = packed
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def take(self, positions, mode: str = "raise") -> np.ndarray:
+        """The codes at *positions* (an integer array of any shape), as
+        ``uint8``.  Like a one-byte array's ``take``, a position outside
+        ``[0, n)`` raises ``IndexError`` — unless *mode* is ``"clip"``,
+        under which it reads some code in 0…3 (not necessarily the edge
+        one): the extension window gathers past its rows' ends and pads
+        what it read there."""
+        pos = np.asarray(positions)
+        if mode != "clip" and pos.size and (pos.min() < 0
+                                            or pos.max() >= self.n):
+            raise IndexError(f"flat position outside [0, {self.n})")
+        byte = self.packed[1:].take(pos >> 2, mode="clip")
+        # Lane l of a byte is bits 7-2l and 6-2l: shifting left by 2l
+        # (uint8, so the lanes before it fall off) puts it on top.
+        lane = pos.astype(np.uint8)
+        lane &= 3
+        lane <<= 1
+        byte <<= lane
+        byte >>= 6
+        return byte
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        """The codes of a contiguous run of flat positions."""
+        if not isinstance(key, slice):
+            raise TypeError("a 2-bit section is sliced; gather with take()")
+        lo, hi, step = key.indices(self.n)
+        if step != 1:
+            raise ValueError("a 2-bit section slices with step 1")
+        if hi <= lo:
+            return np.empty(0, dtype=np.uint8)
+        first = lo >> 2
+        codes = _UNPACK[self.packed[first + 1:((hi - 1) >> 2) + 2]]
+        return codes.reshape(-1)[lo - 4 * first:hi - 4 * first]
+
+
 @dataclass
 class ScanStructures:
     """Cached per-fragment scan artifacts.
 
-    ``concat`` holds every sequence of the fragment back to back,
-    separated by single sentinel symbols (value ``base``, one above the
-    alphabet); ``starts``/``lengths`` give each sequence's slice of it.
-    Nothing derived per residue is kept: the scan reads ``concat``.
+    Sequence ``i`` occupies flat positions ``starts[i]`` …
+    ``starts[i] + lengths[i] - 1``; one separator slot lies between
+    neighbours.  ``residues`` stores those positions' codes: 2 bits
+    each for the nucleotide alphabet (``base`` 4, separators 0, laid
+    out as :class:`TwoBitResidues` reads it), one byte each otherwise
+    (separators ``base``, one above the alphabet).  :attr:`scat` reads
+    codes at flat positions, :meth:`subject` one sequence.  Nothing
+    derived per residue is kept: the scan reads ``residues``.
     """
 
     k: int
     base: int
     n_sequences: int
     total_residues: int
-    concat: np.ndarray      # uint8, length sum(lengths) + (n-1) sentinels
-    starts: np.ndarray      # int64 (n,), start offset of each sequence
+    residues: np.ndarray    # uint8, the residue section (above)
+    starts: np.ndarray      # int64 (n,), flat start of each sequence
     lengths: np.ndarray     # int64 (n,)
+
+    def __post_init__(self):
+        n_flat = self.total_residues + max(self.n_sequences - 1, 0)
+        #: The one accessor of residue codes at flat positions: the
+        #: one-byte section itself, or a reader of the 2-bit one.
+        self.scat = (TwoBitResidues(self.residues, n_flat)
+                     if self.base == TWO_BIT_BASE else self.residues)
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the cached arrays."""
-        return self.concat.nbytes + self.starts.nbytes + self.lengths.nbytes
+        return self.residues.nbytes + self.starts.nbytes + self.lengths.nbytes
 
     def subject(self, sid: int) -> np.ndarray:
-        """View of sequence *sid* inside the concatenation."""
+        """The codes of sequence *sid* (a view of a one-byte section,
+        decoded from a 2-bit one)."""
         lo = int(self.starts[sid])
-        return self.concat[lo:lo + int(self.lengths[sid])]
+        return self.scat[lo:lo + int(self.lengths[sid])]
 
     # The dense definition of "the word at every window", derived on
     # every read.  No scan uses it: it survives because
@@ -135,8 +229,8 @@ class ScanStructures:
     # into ``tests/test_blast_scankernel.py``, whose oracle they are.
     @property
     def code_pos(self) -> np.ndarray:
-        """Position in ``concat`` of every window lying wholly inside
-        one sequence, sequence after sequence."""
+        """Flat position of every window lying wholly inside one
+        sequence, sequence after sequence."""
         per_seq = np.maximum(self.lengths - (self.k - 1), 0)
         rank0 = np.cumsum(per_seq) - per_seq     # first window's rank
         return (np.arange(int(per_seq.sum()), dtype=np.int64)
@@ -146,11 +240,12 @@ class ScanStructures:
     def codes(self) -> np.ndarray:
         """Rolling word code of each :attr:`code_pos` window (Horner)."""
         at = self.code_pos
+        digits = self.scat[0:len(self.scat)]
         codes = np.zeros(len(at), dtype=np.int32 if self.base ** self.k
                          < 2 ** 31 else np.int64)
         for j in range(self.k):
             codes *= self.base
-            codes += self.concat[at + j]
+            codes += digits[at + j]
         return codes
 
 
@@ -161,24 +256,62 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
     access surface (``__len__``, ``lengths``, ``sequence``).  Sequences
     shorter than *k* (including empty ones) hold no window and
     therefore can never produce hits — exactly like the per-sequence
-    scan, where their code arrays are empty.
+    scan, where their code arrays are empty.  A nucleotide section is
+    folded to 2 bits here, once, a block at a time
+    (:func:`_two_bit_section`).
     """
     n = len(db)
     lengths = np.asarray(db.lengths() if n else [], dtype=np.int64)
-    # Sequence i starts after all previous sequences plus i sentinels.
+    # Sequence i starts after all previous sequences plus i separators.
     starts = np.zeros(n, dtype=np.int64)
     if n:
         np.cumsum(lengths[:-1] + 1, out=starts[1:])
     total = int(lengths.sum()) if n else 0
+    n_flat = total + max(n - 1, 0)
 
-    concat = np.full(total + max(n - 1, 0), base, dtype=np.uint8)
-    for i in range(n):
-        lo = int(starts[i])
-        concat[lo:lo + int(lengths[i])] = db.sequence(i)
+    if base == TWO_BIT_BASE:
+        residues = _two_bit_section(db, starts.tolist(), lengths.tolist(),
+                                    n_flat)
+    else:
+        residues = np.full(n_flat, base, dtype=np.uint8)
+        for i in range(n):
+            lo = int(starts[i])
+            residues[lo:lo + int(lengths[i])] = db.sequence(i)
 
     return ScanStructures(k=k, base=base, n_sequences=n,
-                          total_residues=total, concat=concat,
+                          total_residues=total, residues=residues,
                           starts=starts, lengths=lengths)
+
+
+def _two_bit_section(db, starts: List[int], lengths: List[int],
+                     n_flat: int) -> np.ndarray:
+    """*db*'s residues as a 2-bit section (:class:`TwoBitResidues`).
+
+    Flat positions are staged one byte each, :data:`_FOLD_BLOCK` at a
+    time — separators staged as 4, which the fold's mask reads as 0 —
+    and each block is folded into its quarter of the section, so no
+    one-byte copy of the fragment ever exists.
+    """
+    packed = np.zeros(-(-n_flat // 4) + 3, dtype=np.uint8)
+    block = np.empty(_FOLD_BLOCK, dtype=np.uint8)
+    i, n = 0, len(starts)
+    for lo in range(0, n_flat, _FOLD_BLOCK):
+        hi = min(lo + _FOLD_BLOCK, n_flat)
+        block.fill(TWO_BIT_BASE)
+        if i < n and starts[i] < lo:        # goes on from the last block
+            s0, s1 = starts[i], starts[i] + lengths[i]
+            block[:min(s1, hi) - lo] = db.sequence(i)[lo - s0:hi - s0]
+            i += s1 <= hi
+        while i < n and starts[i] + lengths[i] <= hi:
+            s0 = starts[i] - lo
+            block[s0:s0 + lengths[i]] = db.sequence(i)
+            i += 1
+        if i < n and lo <= starts[i] < hi:  # goes on in the next block
+            block[starts[i] - lo:hi - lo] = \
+                db.sequence(i)[:hi - starts[i]]
+        m = -(-(hi - lo) // 4)
+        packed[lo // 4 + 1:lo // 4 + 1 + m] = _fold4(block[:4 * m].view("<u4"))
+    return packed
 
 
 def _fold4(words: np.ndarray) -> np.ndarray:
@@ -213,8 +346,8 @@ class QueryBatch:
     ``offsets`` into parallel ``positions``/``eids`` arrays, plus one
     shared presence bitmap — so a single pass serves all N entries and
     every hit comes back tagged with the entry id it belongs to.  The
-    pass reads the fragment's ``concat`` itself: packed four residues
-    to the byte through an 8-mer filter for nucleotide words
+    pass reads the fragment's residue section itself: the stored 2-bit
+    bytes through an 8-mer filter for nucleotide words
     (:meth:`_packed_hits` has the exactness argument,
     :meth:`_sub_word_table` the rule for taking it), dense per-chunk
     codes otherwise (:meth:`_dense_hits`).
@@ -314,35 +447,28 @@ class QueryBatch:
         4th window, the dense one at every window."""
         return 1 if self._sub_present is None else 4
 
-    def _packed_hits(self, concat: np.ndarray
+    def _packed_hits(self, packed: np.ndarray, n_flat: int
                      ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Candidate ``(positions, codes)`` of query words in *concat*,
-        ascending, read from the 2-bit packing of *concat* itself.
+        """Candidate ``(positions, codes)`` of query words among *n_flat*
+        flat positions, ascending, read from their 2-bit section
+        *packed* as stored (:class:`TwoBitResidues`).
 
-        Stage 1 folds each aligned 4 residues into one byte and looks
-        up every aligned 8-mer — two adjacent bytes — in the 64 KiB
-        table; stage 2 rebuilds, by shifts of the four bytes around
-        each survivor, the four words that contain its 8-mer and tests
-        them in the bitmap.  Nothing is lost: a word inside one
+        Stage 1 looks up every aligned 8-mer — two adjacent bytes — in
+        the 64 KiB table; stage 2 rebuilds, by shifts of the four bytes
+        around each survivor, the four words that contain its 8-mer and
+        tests them in the bitmap.  Nothing is lost: a word inside one
         sequence contains exactly one aligned 8-mer, which is one of
-        its own sub-words, so stage 1 keeps it.  Sentinels and the
+        its own sub-words, so stage 1 keeps it.  Separators and the
         padding read as symbol 0, which can only *add* candidates that
         cross a sequence end; :meth:`scan` drops those.
         """
-        n4 = len(concat) // 4
-        words = concat[:4 * n4].view("<u4")
-        # packed[j + 1] holds residues 4j … 4j+3, first residue on top;
-        # one zero byte in front and two past the end keep j-1 … j+2 in
-        # range for every j.
-        packed = np.zeros(n4 + 4, dtype=np.uint8)
-        last = np.zeros(4, dtype=np.uint8)
-        last[:len(concat) - 4 * n4] = concat[4 * n4:]
-        packed[n4 + 1] = _fold4(last.view("<u4"))[0]
+        # packed[j + 1] holds positions 4j … 4j+3; the zero byte in
+        # front and the two past the end keep j-1 … j+2 in range for
+        # every j.
+        n4 = n_flat // 4
         survivors = []
         for lo in range(0, n4, _SAMPLE_CHUNK):
             n = min(_SAMPLE_CHUNK, n4 - lo)
-            ahead = _fold4(words[lo:lo + n + 1])    # a key reads j + 1
-            packed[lo + 1:lo + 1 + len(ahead)] = ahead
             pair = packed[lo + 1:lo + n + 2].astype(np.intp)
             key = pair[:-1] << 8
             key |= pair[1:]
@@ -364,17 +490,17 @@ class QueryBatch:
         return (np.concatenate(pos_parts or [empty]),
                 np.concatenate(code_parts or [empty]), 4 * len(survivors))
 
-    def _dense_hits(self, concat: np.ndarray
+    def _dense_hits(self, scat: Union[np.ndarray, TwoBitResidues]
                     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """:meth:`_packed_hits` for any alphabet and word size: every
-        window's code, derived a chunk at a time (Horner, sentinels as
-        symbol 0) and tested in the bitmap — or, past the bitmap limit,
-        against the sorted word list."""
+        window's code, derived a chunk at a time from the codes *scat*
+        reads (Horner, separators as symbol 0) and tested in the bitmap
+        — or, past the bitmap limit, against the sorted word list."""
         k, base, words = self.k, self.base, self.unique_codes
-        n_windows = len(concat) - k + 1
+        n_windows = len(scat) - k + 1
         pos_parts, code_parts = [], []
         for lo in range(0, n_windows, _SAMPLE_CHUNK):
-            digits = concat[lo:lo + _SAMPLE_CHUNK + k - 1] % base
+            digits = scat[lo:lo + _SAMPLE_CHUNK + k - 1] % base
             n = len(digits) - k + 1
             codes = np.zeros(n, dtype=np.int64)
             for i in range(k):
@@ -397,24 +523,26 @@ class QueryBatch:
 
         Returns ``(sequence_ids, subject_positions, entry_ids,
         query_positions)``, one row per (subject word, matching entry
-        word) pair in ascending ``concat`` order — the multi-entry,
+        word) pair in ascending flat order — the multi-entry,
         multi-sequence form of :meth:`WordIndex.scan`; positions are
         local to their sequence.
         """
         empty = (np.empty(0, dtype=np.int64),) * 4
-        concat = structs.concat
-        if len(concat) < self.k or len(self.unique_codes) == 0:
+        scat = structs.scat
+        if len(scat) < self.k or len(self.unique_codes) == 0:
             return empty
-        find = (self._dense_hits if self._sub_present is None
-                else self._packed_hits)
-        pos, codes, tested = find(concat)
+        if self._sub_present is None:
+            pos, codes, tested = self._dense_hits(scat)
+        else:
+            pos, codes, tested = self._packed_hits(structs.residues,
+                                                   len(scat))
         prof = current_profile()
         if prof is not None:
             prof.counters["scan_step"] = self.step
             prof.count("scan_candidates", tested)
         # A candidate is a hit iff its window lies inside the sequence
-        # its position maps to; the rest read a sentinel or the padding
-        # as symbol 0.
+        # its position maps to; the rest read a separator or the
+        # padding as symbol 0.
         sids = np.searchsorted(structs.starts, pos, side="right") - 1
         local = pos - structs.starts[sids]
         real = (pos >= 0) & (local + self.k <= structs.lengths[sids])

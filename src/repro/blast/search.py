@@ -9,12 +9,12 @@ Pipeline (Altschul et al. 1990/1997):
 5. Karlin–Altschul E-values; keep hits under the E-value cutoff.
 
 One driver runs every search: a single query is a batch of one.  The
-whole database fragment is packed into one sentinel-separated
-concatenation (:mod:`repro.blast.scankernel`; cached across queries in
-the :class:`~repro.blast.scankernel.ScanCache`), every query orientation
-of the batch is scanned against its bytes in one shot, and only then
-does the driver drop to per-(query, subject) work for the handful of
-groups with word hits.
+whole database fragment is laid out at flat positions in one residue
+section (:mod:`repro.blast.scankernel`: 2 bits per nucleotide; cached
+across queries in the :class:`~repro.blast.scankernel.ScanCache`),
+every query orientation of the batch is scanned against its bytes in
+one shot, and only then does the driver drop to per-(query, subject)
+work for the handful of groups with word hits.
 
 Downstream of the scan there is one candidate pipeline, for every
 alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from repro.blast.gapped import (GappedAlignment, banded_local_align_many,
                                 bulk_banded_score, fits_one_align_chunk)
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
-from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
-                                    scan_fragment_batch)
+from repro.blast.scankernel import (QueryBatch, ScanCache, TwoBitResidues,
+                                    default_scan_cache, scan_fragment_batch)
 from repro.blast.score import ScoringScheme
 from repro.blast.seed import (one_hit_seeds_grouped,
                               two_hit_seeds_grouped)
@@ -285,16 +285,17 @@ class _GappedJob:
     steps 4-5, plus everything needed to finalize them into HSPs.
 
     *qi* / *sid* say whose hit the group is; *q_off* / *s_off* locate
-    the oriented query and the subject inside the flat concatenations.
+    the oriented query and the subject (*s_len* residues) at flat
+    positions of the query concatenation and the fragment's residues.
     Finalized HSPs land in *sink*.
     """
 
     qi: int
     sid: int
     query: np.ndarray
-    subject: np.ndarray
     q_off: int
     s_off: int
+    s_len: int
     candidates: List[UngappedHSP]
     m_eff: int
     n_eff: int
@@ -314,9 +315,13 @@ _Problem = Tuple[_GappedJob, int]
 
 
 def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
-                         scat: np.ndarray, scheme: ScoringScheme,
+                         scat: Union[np.ndarray, TwoBitResidues],
+                         scheme: ScoringScheme,
                          params: SearchParams, ka: KarlinAltschul) -> None:
     """Steps 4-5 for every orientation/subject group of a batch.
+
+    *scat* is the fragment's residue accessor
+    (:attr:`~repro.blast.scankernel.ScanStructures.scat`).
 
     One preamble, one replay.  The preamble turns each group's
     candidates into a :data:`_Plan` (best-first, ``max_hsps``) and
@@ -330,7 +335,10 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     (:func:`~repro.blast.gapped.fits_one_align_chunk`, typical
     blastn), otherwise the score mode scores them all first and only
     those whose alignment can still matter are aligned
-    (:func:`_traceback_survivors`).  Both modes are exact.
+    (:func:`_traceback_survivors`), each over its rows up to the best
+    one the score pass found: the DP only looks back, and no earlier
+    row holds the best score, so the rows after it change nothing the
+    alignment reports.  Both modes are exact.
     """
     prof = current_profile()
 
@@ -359,7 +367,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         if not fits_one_align_chunk(arrays[1], arrays[3], arrays[4], scheme,
                                     params.band):
             t0 = time.perf_counter() if prof is not None else 0.0
-            scores, _qends, sends = bulk_banded_score(
+            scores, qends, sends = bulk_banded_score(
                 qcat, scat, *arrays, scheme, band=params.band)
             if prof is not None:
                 prof.add("gapped_bulk", time.perf_counter() - t0)
@@ -368,6 +376,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
                 _traceback_survivors(job, plan, scores, sends, params, ka,
                                      survivors)
             sel = list(survivors)
+            arrays[1, sel] = qends[sel]
         t0 = time.perf_counter() if prof is not None else 0.0
         alns = dict(zip(sel, banded_local_align_many(
             qcat, scat, *arrays[:, sel], scheme, band=params.band,
@@ -383,14 +392,14 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         prof.count("gapped_culled", triggered - len(alns))
 
     for job, plan in zip(jobs, plans):
-        _finalize_one(job, plan, alns, params, ka)
+        _finalize_one(job, plan, alns, scat, params, ka)
 
 
 def _problem_arrays(problems: List[_Problem]) -> np.ndarray:
     """The gapped DP problems in the kernels' flat layout: rows
     ``q_off``, ``q_len``, ``s_off``, ``s_len`` and ``diag``."""
     return np.array([(job.q_off, len(job.query), job.s_off,
-                      len(job.subject), diag) for job, diag in problems],
+                      job.s_len, diag) for job, diag in problems],
                     dtype=np.int64).T
 
 
@@ -453,11 +462,13 @@ def _traceback_survivors(job: _GappedJob, plan: _Plan,
 
 def _finalize_one(job: _GappedJob, plan: _Plan,
                   alns: Dict[int, GappedAlignment],
+                  scat: Union[np.ndarray, TwoBitResidues],
                   params: SearchParams, ka: KarlinAltschul) -> None:
     """The one candidate loop: replay a group's plan into HSPs, reading
-    gapped alignments from *alns*.  A triggered candidate whose DP
-    problem is not there was culled; one whose alignment scores
-    nothing is dropped before it can claim a span."""
+    gapped alignments from *alns* and an ungapped candidate's subject
+    residues from *scat*.  A triggered candidate whose DP problem is
+    not there was culled; one whose alignment scores nothing is dropped
+    before it can claim a span."""
     out = job.sink
     id_query = (job.query if job.identity_query is None
                 else job.identity_query)
@@ -475,7 +486,7 @@ def _finalize_one(job: _GappedJob, plan: _Plan,
             q0, q1 = cand.q_start, cand.q_end
             s0, s1 = cand.s_start, cand.s_end
             score = cand.score
-            matches = id_query[q0:q1] == job.subject[s0:s1]
+            matches = id_query[q0:q1] == scat[job.s_off + s0:job.s_off + s1]
             identities = int(np.count_nonzero(matches))
             align_len = cand.length
             ops = "M" * align_len
@@ -630,7 +641,7 @@ class PreparedQueries:
             prof.add("scan", time.perf_counter() - t0)
 
         jobs = _bulk_groups_to_jobs(self, groups, structs) if groups else []
-        _finalize_candidates(jobs, self.qcat, structs.concat, self.scheme,
+        _finalize_candidates(jobs, self.qcat, structs.scat, self.scheme,
                              params, self.ka)
         per_q: Dict[int, Dict[int, List[HSP]]] = {}
         for job in jobs:
@@ -767,9 +778,9 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
 
     The whole hit stream is seeded with one grouped sort (two-hit for
     protein, one-hit for nucleotide) and extended with one
-    ``bulk_ungapped_extend`` call against the query/subject
-    concatenations (``prepared.qcat`` with per-entry ``qstarts``
-    offsets, ``structs.concat``).  A group
+    ``bulk_ungapped_extend`` call against the query concatenation
+    (``prepared.qcat`` with per-entry ``qstarts`` offsets) and the
+    fragment's residues (``structs.scat``).  A group
     whose best extension scores under its query's :func:`_emit_bound`
     is dropped before anything else: the coverage dedup only removes
     seeds, an untriggered candidate is reported at its ungapped score
@@ -804,7 +815,7 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
     seid = g_eid[sgid]
     ssid = g_sid[sgid]
     ll, ls, rl, rs = bulk_ungapped_extend(
-        prepared.qcat, structs.concat,
+        prepared.qcat, structs.scat,
         qstarts[seid] + sqp, structs.starts[ssid] + ssp,
         np.minimum(sqp, ssp),
         np.minimum(qlens[seid] - sqp, structs.lengths[ssid] - ssp),
@@ -851,9 +862,9 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
         qi, oriented_query, strand = entries[eid]
         m_eff, n_eff = spaces[qi]
         jobs.append(_GappedJob(
-            qi=qi, sid=sid, query=oriented_query,
-            subject=structs.subject(sid), q_off=int(qstarts[eid]),
-            s_off=int(structs.starts[sid]), candidates=cands, m_eff=m_eff,
+            qi=qi, sid=sid, query=oriented_query, q_off=int(qstarts[eid]),
+            s_off=int(structs.starts[sid]),
+            s_len=int(structs.lengths[sid]), candidates=cands, m_eff=m_eff,
             n_eff=n_eff, strand=strand,
             identity_query=prepared.identity_queries[qi]))
     if prof is not None and skipped:

@@ -20,7 +20,9 @@ Layout of one ``.rpk`` pack file::
                        CRC32s — the same fields, order and 64-byte
                        alignment as a shm segment
     [pad to 64 B    ]
-    [data region    ]  the sections themselves
+    [data region    ]  the sections themselves: the residue section
+                       (2 bits per nucleotide, 1 byte per amino acid),
+                       starts, lengths, descriptions
 
 A *pack store* is a directory of pack files plus a ``manifest.json``
 naming them.  The manifest is written last via atomic rename, making it
@@ -49,7 +51,11 @@ file as they arrive; finalize bins them with
 from the same database) and packs one fragment at a time, copying each
 bin's records out of the spool, so peak memory is one fragment's scan
 structures, never the corpus.  The spool itself stays on disk until the
-last fragment is packed.
+last fragment is packed.  Each fragment's nucleotides are folded to 2
+bits there, a block at a time
+(:func:`~repro.blast.scankernel.build_scan_structures`), so a store
+holds a quarter byte per residue and every open CRC-verifies that
+quarter.
 """
 
 from __future__ import annotations
@@ -84,8 +90,10 @@ MAGIC = b"RPKPACK1"
 #: On-disk format version; bumped on any incompatible layout change.
 #: Readers reject any other version (version negotiation is explicit:
 #: there is exactly one readable version per build).  2: a pack has no
-#: position-table section; 3: no word-code section either.
-FORMAT_VERSION = 3
+#: position-table section; 3: no word-code section either; 4: the
+#: residue section (``residues``, was ``concat``) holds a nucleotide
+#: pack's residues at 2 bits each (:mod:`repro.exec.shm`).
+FORMAT_VERSION = 4
 
 #: Pack files end in this; the manifest names them relative to the
 #: store directory.
@@ -462,7 +470,8 @@ class PackStore:
     def load_db(self) -> SequenceDB:
         """The whole store as one in-RAM database, in source-id order —
         what the translated programs, PSI-BLAST and alignment rendering
-        read.  Every pack is CRC-verified on the way in."""
+        read (a nucleotide store's sequences decoded from their 2 bits).
+        Every pack is CRC-verified on the way in."""
         records: List[Tuple[str, np.ndarray]] = [None] * len(self)
         packs = self.open_packs()
         try:

@@ -54,8 +54,10 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 #: 6: a job's ``SearchParams`` has no ``gapped_method``; 7: nor
 #: ``gapped`` or ``two_hit_window``; 8: a PONG names the task the
 #: agent holds; 9: a task carries its queries' job specs, so an agent
-#: keeps no query table, and ``stopped`` is ``("stopped", rank)``).
-PROTO_VERSION = 9
+#: keeps no query table, and ``stopped`` is ``("stopped", rank)``; 10:
+#: a shipped nucleotide pack's residue section, ``residues``, holds 2
+#: bits per residue).
+PROTO_VERSION = 10
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
@@ -717,19 +719,24 @@ class NodeClient(WorkerSlot):
         """A worker is alive while it answers, busy or idle.  PINGs are
         paced by the heartbeat; PONGs refresh ``last_heard`` inside the
         connection's poll/recv.  Silence counts from the oldest
-        unanswered PING, and one older than *node_timeout* restarts the
-        count: between runs nobody pings, and a pause is not a death.
-        Each PONG names the task the agent holds; one answering a PING
-        sent after this slot's task, read once every message before it
-        was handled, that names another task means the reply will never
-        come."""
+        unanswered PING: a worker that answered its last one is asked
+        afresh, one that did not stays silent — across runs too, so a
+        straggler that stopped answering is written off however short
+        the runs are.  The connection is read before that judgement:
+        between runs nobody reads, and a PONG that came in during the
+        pause is an answer.  Each PONG names the task the agent holds;
+        one answering a PING sent after this slot's task, read once
+        every message before it was handled, that names another task
+        means the reply will never come."""
         conn = self.conn
         if now - conn.last_ping >= self.heartbeat:
-            if conn.last_heard > conn.last_ping \
-                    or now - conn.last_ping > self.node_timeout:
-                self.asked_at = now
             try:
+                conn.poll(0)
+                if conn.last_heard > conn.last_ping:
+                    self.asked_at = now
                 conn.ping()
+            except FrameError as exc:
+                raise SlotLost("transport_error", str(exc)) from exc
             except OSError as exc:
                 raise SlotLost() from exc
         silent = now - max(conn.last_heard, self.asked_at)

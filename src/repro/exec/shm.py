@@ -1,9 +1,9 @@
 """Shared-memory fragment packs.
 
-A fragment's packed scan structures (the flat sentinel-separated
-concatenation and its per-sequence offsets tables, one byte per residue
-— see :mod:`repro.blast.scankernel`) are immutable once built, which makes
-them ideal for ``multiprocessing.shared_memory``: the master packs each
+A fragment's packed scan structures (its residue section and the
+per-sequence offsets tables — see :mod:`repro.blast.scankernel`) are
+immutable once built, which makes them ideal for
+``multiprocessing.shared_memory``: the master packs each
 fragment **once**, and every pool worker attaches the segment and
 reconstructs zero-copy ``numpy`` views over it.  The description
 strings ride along in the same segment (a UTF-8 blob plus an offsets
@@ -26,6 +26,21 @@ simulated I/O processes):
 
 Segment names carry the ``repro_`` prefix so a leak check is one
 ``ls /dev/shm`` away (CI fails the job if any survive the suite).
+
+A pack's sections (:data:`_FIELDS`, the same on every carrier):
+
+* ``residues`` — every sequence's codes at flat positions, one
+  separator slot between neighbours.  A nucleotide pack stores them 2
+  bits each, four to the byte, first residue in the top bits, behind one
+  zero byte and ahead of two more (the bytes the packed scan reads), so
+  a fragment of N residues in n sequences takes ``ceil((N + n - 1) / 4)
+  + 3`` bytes; separators are 0.  A protein pack stores one byte each,
+  separators ``base``.  The quarter byte is what every copy, ship and
+  CRC pass of a nucleotide pack moves;
+* ``starts`` / ``lengths`` — int64 per sequence: where it starts among
+  the flat positions and how many it holds;
+* ``hdr_blob`` / ``hdr_offsets`` — the descriptions, UTF-8 back to back,
+  and int64 offsets into them.
 """
 
 from __future__ import annotations
@@ -52,8 +67,9 @@ _ALIGN = 64
 NAME_PREFIX = "repro"
 
 #: The ScanStructures array fields serialized into a pack, in layout
-#: order.  ``hdr_blob``/``hdr_offsets`` carry the description strings.
-_FIELDS = ("concat", "starts", "lengths", "hdr_blob", "hdr_offsets")
+#: order (module docstring).  ``hdr_blob``/``hdr_offsets`` carry the
+#: description strings.
+_FIELDS = ("residues", "starts", "lengths", "hdr_blob", "hdr_offsets")
 #: Bytes :meth:`PackView.corrupt` flips.
 _CORRUPT_BYTES = 8
 
@@ -292,7 +308,7 @@ def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
     hdr_blob = np.frombuffer(b"".join(hdr_parts), dtype=np.uint8)
 
     arrays = {
-        "concat": structs.concat, "starts": structs.starts,
+        "residues": structs.residues, "starts": structs.starts,
         "lengths": structs.lengths,
         "hdr_blob": hdr_blob, "hdr_offsets": hdr_offsets,
     }
@@ -329,7 +345,7 @@ class PackView:
         self.hdr_offsets: np.ndarray = views["hdr_offsets"]
         self.structs = ScanStructures(
             k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
-            total_residues=spec.total_residues, concat=views["concat"],
+            total_residues=spec.total_residues, residues=views["residues"],
             starts=views["starts"], lengths=views["lengths"])
 
     def verify(self) -> None:
@@ -344,8 +360,8 @@ class PackView:
 
     def corrupt(self, field: Optional[str] = None) -> str:
         """Flip :data:`_CORRUPT_BYTES` in the middle of *field*
-        (default: whichever field has the most bytes — ``concat`` on any
-        corpus-sized pack, a per-sequence table on a tiny one) and
+        (default: whichever field has the most bytes — ``residues`` on
+        any corpus-sized pack, a per-sequence table on a tiny one) and
         return the field's name.
         The one fault hook behind every scribbler — a segment, a mapped
         file, a payload about to be republished — so the damage always
@@ -589,12 +605,13 @@ class AttachedPack(PackView):
 class PackDB:
     """Duck-typed ``SequenceDB`` surface over an attached pack.
 
-    Serves the search driver in a worker without ever copying
-    sequence payloads: ``sequence(i)`` is a slice view into the shared
-    concatenation, descriptions decode lazily from the shared header
-    blob.  Answers the driver's ``scan_structures`` question itself —
-    the pack *is* the scan structure — and carries the pack's identity
-    as ``_scan_token``.
+    Serves the search driver in a worker without ever copying the
+    residue section: ``sequence(i)`` reads one sequence out of it (a
+    view of a protein pack's bytes, decoded from a nucleotide pack's
+    2 bits), descriptions decode lazily from the shared header blob.
+    Answers the driver's ``scan_structures`` question itself — the pack
+    *is* the scan structure — and carries the pack's identity as
+    ``_scan_token``.
     """
 
     def __init__(self, pack: AttachedPack):

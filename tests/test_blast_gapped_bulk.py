@@ -328,29 +328,13 @@ def pinned_width(dtype):
         yield
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       alphabet=st.integers(2, 25),
-       band=st.integers(0, 64),
-       gaps=st.sampled_from(["open>extend", "open==extend", "open<extend"]),
-       short_subjects=st.booleans(),
-       n_cand=st.integers(1, 12),
-       pssm=st.booleans(),
-       narrow_cells=st.sampled_from([None, 0, 10 ** 9]),
-       budget=st.sampled_from([None, 1, 20_000]),
-       width=st.sampled_from([None, np.int32, np.int64]))
-def test_stacked_kernels_equal_scalar(seed, alphabet, band, gaps,
-                                      short_subjects, n_cand, pssm,
-                                      narrow_cells, budget, width):
-    """Both modes of the one row sweep against the oracle (the per-row
-    scalar kernel), field for field for the align mode and ``(score,
-    q_end, s_end)`` for the score mode: random alphabets and matrices
-    or a PSSM with ``identity_qcat``, bands 0-64, ``gap_open`` above,
-    equal to and below ``gap_extend``, subjects shorter than the band,
-    E's prefix maximum as one ``accumulate`` and as log-step passes
-    (the switch pinned either way, or left at the problem count), a
-    chunk budget of one byte, a few problems and the default, and every
-    DP integer width."""
+def _random_problems(seed, alphabet, band, gaps, short_subjects, n_cand,
+                     pssm):
+    """``(packed, scheme, identity_qcat)``: *n_cand* random problems
+    over a random *alphabet*-letter matrix or a PSSM (whose residues
+    count identities), half with planted homology and maybe an indel,
+    subjects shorter than the band when *short_subjects*, ``gap_open``
+    above, equal to or below ``gap_extend`` as *gaps* says."""
     rng = np.random.default_rng(seed)
     ge = int(rng.integers(1, 4))
     go = {"open>extend": ge + int(rng.integers(1, 8)), "open==extend": ge,
@@ -386,6 +370,34 @@ def test_stacked_kernels_equal_scalar(seed, alphabet, band, gaps,
     packed = (np.concatenate(q_seqs), np.concatenate(s_seqs),
               np.concatenate([[0], np.cumsum(q_len)[:-1]]), q_len,
               np.concatenate([[0], np.cumsum(s_len)[:-1]]), s_len, diag)
+    return packed, scheme, identity_qcat
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       alphabet=st.integers(2, 25),
+       band=st.integers(0, 64),
+       gaps=st.sampled_from(["open>extend", "open==extend", "open<extend"]),
+       short_subjects=st.booleans(),
+       n_cand=st.integers(1, 12),
+       pssm=st.booleans(),
+       narrow_cells=st.sampled_from([None, 0, 10 ** 9]),
+       budget=st.sampled_from([None, 1, 20_000]),
+       width=st.sampled_from([None, np.int32, np.int64]))
+def test_stacked_kernels_equal_scalar(seed, alphabet, band, gaps,
+                                      short_subjects, n_cand, pssm,
+                                      narrow_cells, budget, width):
+    """Both modes of the one row sweep against the oracle (the per-row
+    scalar kernel), field for field for the align mode and ``(score,
+    q_end, s_end)`` for the score mode: random alphabets and matrices
+    or a PSSM with ``identity_qcat``, bands 0-64, ``gap_open`` above,
+    equal to and below ``gap_extend``, subjects shorter than the band,
+    E's prefix maximum as one ``accumulate`` and as log-step passes
+    (the switch pinned either way, or left at the problem count), a
+    chunk budget of one byte, a few problems and the default, and every
+    DP integer width."""
+    packed, scheme, identity_qcat = _random_problems(
+        seed, alphabet, band, gaps, short_subjects, n_cand, pssm)
     with pinned_width(width), pytest.MonkeyPatch.context() as mp:
         if narrow_cells is not None:
             mp.setattr(gapped_mod, "_NARROW_CELLS", narrow_cells)
@@ -393,6 +405,35 @@ def test_stacked_kernels_equal_scalar(seed, alphabet, band, gaps,
             mp.setattr(gapped_mod, "_SWEEP_BYTES", budget)
         _assert_kernels_match_scalar(packed, scheme, band,
                                      identity_qcat=identity_qcat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       alphabet=st.integers(2, 25),
+       band=st.integers(0, 32),
+       gaps=st.sampled_from(["open>extend", "open==extend", "open<extend"]),
+       short_subjects=st.booleans(),
+       n_cand=st.integers(1, 12),
+       pssm=st.booleans())
+def test_aligning_to_the_best_row_equals_the_full_alignment(
+        seed, alphabet, band, gaps, short_subjects, n_cand, pssm):
+    """What lets the driver align a scored batch's survivors only up to
+    their best rows: for every problem with a positive score, aligning
+    query rows ``[1, q_end]`` — ``q_end`` the score mode's — gives the
+    full alignment, field for field.  The DP only looks back, and no
+    earlier row holds the best score."""
+    packed, scheme, identity_qcat = _random_problems(
+        seed, alphabet, band, gaps, short_subjects, n_cand, pssm)
+    qcat, scat, q_off, q_len, s_off, s_len, diag = packed
+    score, q_end, _s_end = bulk_banded_score(*packed, scheme, band=band)
+    full = banded_local_align_many(*packed, scheme, band=band,
+                                   identity_qcat=identity_qcat)
+    pos = np.flatnonzero(score > 0)
+    cut = banded_local_align_many(
+        qcat, scat, q_off[pos], q_end[pos], s_off[pos], s_len[pos],
+        diag[pos], scheme, band=band, identity_qcat=identity_qcat)
+    assert cut == [full[c] for c in pos]
+    assert all(full[c].q_end == q_end[c] for c in pos)
 
 
 def test_bulk_gap_open_equals_extend_fallback():

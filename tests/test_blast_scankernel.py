@@ -65,11 +65,18 @@ def test_structures_layout_and_codes_match_per_sequence():
     assert structs.n_sequences == len(db)
     assert structs.total_residues == db.total_residues
     # Layout: every sequence is recoverable from its slice, and the gap
-    # between consecutive sequences is exactly one sentinel symbol.
+    # between consecutive sequences is exactly one separator slot, which
+    # the 2-bit section stores as 0 behind one zero byte and ahead of
+    # two more.
     for i in range(len(db)):
         assert np.array_equal(structs.subject(i), db.sequence(i))
-    sentinels = np.nonzero(structs.concat == 4)[0]
-    assert len(sentinels) == len(db) - 1
+    starts, lengths = structs.starts, structs.lengths
+    assert np.array_equal(starts[1:], starts[:-1] + lengths[:-1] + 1)
+    n_flat = len(structs.scat)
+    assert n_flat == structs.total_residues + len(db) - 1
+    assert len(structs.residues) == -(-n_flat // 4) + 3
+    assert not structs.scat.take(starts[1:] - 1).any()
+    assert structs.residues[0] == 0 and not structs.residues[-2:].any()
 
     # The concatenated codes at each valid position equal the
     # per-sequence rolling codes at the corresponding local position.
@@ -128,7 +135,7 @@ def test_single_sequence_fragment_and_empty_db():
     db = SequenceDB(NT)
     db.add("only", "ACGTACGTACGTACGTACGTACGT")
     structs = build_scan_structures(db, k=11, base=4)
-    assert np.count_nonzero(structs.concat == 4) == 0   # no sentinels
+    assert len(structs.scat) == 24                      # no separators
     per = word_codes(db.sequence(0), 11, 4)
     assert np.array_equal(structs.codes, per)
     assert np.array_equal(structs.code_pos, np.arange(len(per)))
@@ -163,7 +170,7 @@ def test_scan_fragment_matches_per_sequence_scan():
     assert got == {}  # no spurious subjects
 
 
-# ------------------------------------ the packed scan reads ``concat``
+# --------------------------- the packed scan reads the residue section
 
 K = 11
 
@@ -317,7 +324,7 @@ def _scan_case(draw):
     sequences of 0-40 symbols (empty ones, ones shorter than the word
     size, possibly all of them), a query that contains sequence
     ``source`` whole — so a subject's first and last windows, the
-    windows next to a sentinel and (``source`` 0) a window at concat
+    windows next to a separator and (``source`` 0) a window at flat
     position 0 are among the hits — and a run of query words to mask."""
     seqtype = draw(st.sampled_from([NT, AA]))
     symbol = st.integers(0, 3 if seqtype == NT else 19)
@@ -377,26 +384,27 @@ def test_packed_scan_matches_per_sequence_oracle(case):
         assert spos[0] == 0 and spos[-1] == len(seqs[source]) - k
 
 
-def _no_sentinel_mask(batch, structs, monkeypatch):
+def _no_sentinel_mask(batch, db, monkeypatch):
     from repro.blast import scankernel
     monkeypatch.setattr(scankernel, "_LOW2", np.uint32(0xFFFFFFFF))
-    return structs
+    return build_scan_structures(db, K, 4)
 
 
-def _no_bounds_filter(batch, structs, monkeypatch):
+def _no_bounds_filter(batch, db, monkeypatch):
+    structs = build_scan_structures(db, K, 4)
     return dataclasses.replace(structs, lengths=np.full_like(
-        structs.lengths, len(structs.concat)))
+        structs.lengths, len(structs.scat)))
 
 
-def _prefix_only_table(batch, structs, monkeypatch):
+def _prefix_only_table(batch, db, monkeypatch):
     batch._sub_present = np.zeros_like(batch._sub_present)
     batch._sub_present[(batch.unique_codes >> 2 * (K - 8)) & 0xFFFF] = True
-    return structs
+    return build_scan_structures(db, K, 4)
 
 
-def _shifted_words(batch, structs, monkeypatch):
+def _shifted_words(batch, db, monkeypatch):
     batch._word_shifts = batch._word_shifts + 2
-    return structs
+    return build_scan_structures(db, K, 4)
 
 
 @pytest.mark.parametrize("mutant,invents", [
@@ -421,7 +429,7 @@ def test_strided_scan_mutants_lose_hits(mutant, invents, monkeypatch):
 
     want = rows(_oracle_groups(indexes, db))
     assert rows(_groups(batch, structs)) == want
-    got = rows(_groups(batch, mutant(batch, structs, monkeypatch)))
+    got = rows(_groups(batch, mutant(batch, db, monkeypatch)))
     if invents:
         assert got > want
     else:

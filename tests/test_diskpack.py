@@ -5,6 +5,7 @@ crash-mid-build atomicity, and the ``packdb`` / ``blastall -d`` CLI
 surface."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -19,12 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.blast.alphabet import DNA, PROTEIN, encode_dna
-from repro.blast.scankernel import build_scan_structures
+from repro.blast.alphabet import DNA, PROTEIN, encode_dna, reverse_complement
+from repro.blast.kmer import WordIndex
+from repro.blast.scankernel import QueryBatch, build_scan_structures
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search, search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB, segment_db
-from repro.blast.fasta import iter_fasta
+from repro.blast.fasta import FastaRecord, iter_fasta
 from repro.cli import EXIT_INTEGRITY, main
 from repro.exec import ExecPool, FrameConnection
 from repro.exec.diskpack import (BUILD_DIR_PREFIX, FORMAT_VERSION, MAGIC,
@@ -322,7 +324,7 @@ def _golden_records():
 def test_golden_store_opens_verifies_and_searches():
     """``tests/data/golden_store`` was written by ``build_pack_store``
     (from ``golden.fasta``) at the commit that made the format version
-    3; it must open, verify, report the identity recorded then and
+    4; it must open, verify, report the identity recorded then and
     render the search bytes recorded for the version-1 store."""
     with open(os.path.join(GOLDEN, "golden_store.expected.json")) as f:
         expected = json.load(f)
@@ -330,11 +332,15 @@ def test_golden_store_opens_verifies_and_searches():
     store = PackStore.open(os.path.join(GOLDEN, "golden_store"))
     assert store.verify() == 1
     (pack,) = store.open_packs()
+    records = _golden_records()
     try:
         assert pack.identity == ((tag, store_id), version, fragment_id)
+        assert sorted(pack.spec.source_ids) == list(range(len(records)))
         pdb = PackDB(pack)
-        assert [pdb.description(i) for i in range(len(pdb))] \
-            == [r.description for r in _golden_records()]
+        for i, gid in enumerate(pack.spec.source_ids):
+            assert pdb.description(i) == records[gid].description
+            assert np.array_equal(pdb.sequence(i),
+                                  encode_dna(records[gid].sequence))
         del pdb
     finally:
         pack.close()
@@ -347,16 +353,21 @@ def test_golden_store_opens_verifies_and_searches():
 def test_write_pack_is_byte_identical_to_the_golden_pack(tmp_path):
     """``write_pack`` on the golden inputs reproduces the golden file
     bit for bit: header key order, number formatting, padding and the
-    data region are all part of the committed format."""
+    data region are all part of the committed format.  The records go in
+    in the order the store's binning put them in its one pack."""
     store = PackStore.open(os.path.join(GOLDEN, "golden_store"))
+    (pack,) = store.open_packs()
+    order = list(pack.spec.source_ids)
+    pack.close()
+    records = _golden_records()
     db = SequenceDB(NT)
-    for rec in _golden_records():
-        db.add(rec.description, rec.sequence)
+    for gid in order:
+        db.add(records[gid].description, records[gid].sequence)
     path = str(tmp_path / "again.rpk")
     write_pack(path, build_scan_structures(db, store.k, store.base),
                [db.description(i) for i in range(len(db))], seqtype=NT,
                store_id=store.store_id, version=0, fragment_id=0,
-               source_ids=range(len(db)))
+               source_ids=order)
     with open(path, "rb") as ours, \
             open(store.pack_path(store.packs[0]), "rb") as golden:
         assert ours.read() == golden.read()
@@ -391,6 +402,14 @@ def test_version_2_golden_store_is_refused_before_any_search(capsys,
     format 3, gets the same refusal."""
     _assert_refused_before_any_search(
         os.path.join(GOLDEN, "golden_store_v2"), 2, capsys, tmp_path)
+
+
+def test_version_3_golden_store_is_refused_before_any_search(capsys,
+                                                              tmp_path):
+    """The store with one byte per nucleotide, kept from the commit
+    before format 4, gets the same refusal."""
+    _assert_refused_before_any_search(
+        os.path.join(GOLDEN, "golden_store_v3"), 3, capsys, tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +525,101 @@ def test_disk_layout_matches_shm_layout(case):
             registry.release(spec.name)
 
 
+#: FASTA residues as found in the wild: IUPAC codes (encoded as A) and
+#: lowercase next to the four bases.
+_FASTA_NT = "ACGTacgtNRYSWKMBDHVnrywkmbdhv"
+
+
+@st.composite
+def _two_bit_case(draw):
+    """``(sequences, query text)``: 0-40 sequences of 0-37 residues, so
+    every length mod 4, empty and one-residue sequences all occur and a
+    sequence starts at every byte lane; the query holds a few of them
+    whole between random flanks, so their first and last windows are
+    hits."""
+    seqs = draw(st.lists(st.text(alphabet=_FASTA_NT, max_size=37),
+                         max_size=40))
+    picks = draw(st.lists(st.integers(0, max(len(seqs) - 1, 0)),
+                          max_size=3)) if seqs else []
+    flank = st.text(alphabet="ACGT", min_size=8, max_size=20)
+    query = draw(flank) + "".join(seqs[i] + draw(flank) for i in picks)
+    return seqs, query
+
+
+def _assert_reads_the_one_byte_layout(structs, encoded, query):
+    """*structs* reads back *encoded* (the one-byte codes of each
+    record) at every flat position and per subject, and its scan finds
+    the dense ``codes`` / ``code_pos`` definition's hits at word sizes
+    11 and 12 (the packed scan) and 7 and 16 (the dense one)."""
+    flat = np.zeros(len(structs.scat), dtype=np.uint8)
+    for i, seq in enumerate(encoded):
+        assert np.array_equal(structs.subject(i), seq)
+        flat[structs.starts[i]:structs.starts[i] + len(seq)] = seq
+    assert np.array_equal(structs.scat.take(np.arange(len(flat))), flat)
+    assert np.array_equal(structs.scat[0:len(flat)], flat)
+    for k in (11, 12, 7, 16):
+        probe = dataclasses.replace(structs, k=k)
+        batch = QueryBatch([WordIndex.for_dna(query, k),
+                            WordIndex.for_dna(reverse_complement(query), k)])
+        assert batch.step == (4 if k in (11, 12) else 1)
+        sids, local, _eids, _qpos = batch.scan(probe)
+        dense = probe.code_pos[np.isin(probe.codes, batch.unique_codes)]
+        assert np.array_equal(np.unique(structs.starts[sids] + local),
+                              dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_two_bit_case())
+@example(case=([], "ACGTACGTACGTACGTAC"))                      # no records
+@example(case=(["C", "", "nacgtRYacgtacgtAC"], "ACGTACGTACGTACGT"))
+def test_two_bit_layout_reads_back_on_every_carrier(case):
+    """A nucleotide pack stores 2 bits per residue, and every carrier
+    reads back what one byte per residue held: built in RAM, written to
+    and mapped from an ``.rpk`` file, published to shm and attached, and
+    shipped to a node as a payload and republished there.  The records
+    come from FASTA; an empty one, which FASTA cannot hold, is added
+    raw."""
+    seqs, query_text = case
+    fasta = "".join(f">r{i} {s}\n{s}\n" for i, s in enumerate(seqs) if s)
+    parsed = iter(iter_fasta(io.StringIO(fasta)))
+    records = [next(parsed) if s else FastaRecord(f"r{i}", "")
+               for i, s in enumerate(seqs)]
+    encoded = [encode_dna(r.sequence) for r in records]
+    db = SequenceDB(NT)
+    for rec, seq in zip(records, encoded):
+        db._seqs.append(seq)
+        db._descriptions.append(rec.description)
+        db._residues += len(seq)
+    query = encode_dna(query_text)
+    structs = build_scan_structures(db, 11, len(DNA))
+    n_flat = db.total_residues + max(len(db) - 1, 0)
+    assert len(structs.residues) == -(-n_flat // 4) + 3
+    _assert_reads_the_one_byte_layout(structs, encoded, query)
+
+    descriptions = [r.description for r in records]
+    registry = ShmRegistry()
+    holder = TokenPacks("layout")
+    spec = create_pack(structs, descriptions, NT, ("layout", 0, 0),
+                       fragment_id=0, registry=registry)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "frag.rpk")
+            write_pack(path, structs, descriptions, seqtype=NT,
+                       store_id="sid", version=0, fragment_id=0,
+                       source_ids=range(len(db)))
+            with DiskPack(path) as pack:
+                _assert_reads_the_one_byte_layout(pack.structs, encoded,
+                                                  query)
+        with AttachedPack(spec) as pack:
+            _assert_reads_the_one_byte_layout(pack.structs, encoded, query)
+        holder.verbs["publish"](_through_the_wire(spec), None)
+        (shipped, _pdb), = holder._store.values()
+        _assert_reads_the_one_byte_layout(shipped.structs, encoded, query)
+    finally:
+        holder.close()
+        registry.release(spec.name)
+
+
 def test_diskpack_feeds_scan_engine_directly(tmp_path):
     """PackDB over a mapping is a first-class scan database: the search
     engine consumes its pre-built structures without touching the
@@ -600,7 +714,7 @@ def test_degraded_pool_opens_each_pack_once_for_the_batch(tmp_path,
 
 
 def test_one_store_serves_every_word_size(tmp_path):
-    """A pack is ``concat`` + ``starts`` + ``lengths``: nothing in it
+    """A pack is ``residues`` + ``starts`` + ``lengths``: nothing in it
     depends on the word size it was built at, so a store built at 11
     answers 7, 11 and 28 (TUTORIAL §5's megablast recipe) like the
     in-RAM database — serially and through the pool, which publishes

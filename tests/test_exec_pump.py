@@ -38,7 +38,8 @@ class SteppedClock:
 class ScriptedConn:
     """A connection that answers each task *delay* stepped seconds
     after it was sent (``None``: never).  By default it never answers a
-    PING; with *answers* it answers each one a tick later, the PONG
+    PING; with *answers* it answers each one *pong_delay* later (a
+    tick by default), the PONG
     naming the task it holds (the last one sent whose answer was not due
     yet at the PING) — or nothing at all with *disowns*, an agent that
     let go of its task.  *mark* is appended to every result it returns,
@@ -49,9 +50,10 @@ class ScriptedConn:
     mark = ""
 
     def __init__(self, clock, rank, delay=None, answers=False,
-                 disowns=False):
+                 disowns=False, pong_delay=TICK):
         self.clock, self.rank, self.delay = clock, rank, delay
         self.answers, self.disowns = answers, disowns
+        self.pong_delay = pong_delay
         self.sent = []
         self.due = []
         self.inbox = deque()
@@ -84,7 +86,7 @@ class ScriptedConn:
             if self.disowns or (self.done_at is not None
                                 and self.done_at <= now):
                 held = None
-            self.pending_pongs.append((now + TICK, held))
+            self.pending_pongs.append((now + self.pong_delay, held))
 
     def deliver(self):
         now = self.clock()
@@ -98,7 +100,8 @@ class ScriptedConn:
         return bool(self.inbox)
 
     def poll(self, timeout=0.0):
-        return bool(self.inbox)
+        # A read, like a socket's: whatever is due arrives.
+        return self.deliver()
 
     def recv(self):
         return self.inbox.popleft()
@@ -202,6 +205,73 @@ def test_a_pause_between_runs_is_not_a_heartbeat_loss():
         pool.close()
     assert results == {0: {"p0": "p0/0"}}
     assert stats.heartbeat_losses == 0 and pool.ledger.entries == []
+
+
+def _straggler(clock, pool, conn):
+    """A live node slot on *conn*, still busy with a task of the run
+    before the next one (its re-dial brings up a healthy node)."""
+    node, dials = _node(clock, conn)
+    node.busy = conn.holding = (pool._epoch, (0,), ("old",))
+    node.busy_since = clock()
+    return node, dials
+
+
+def _short_runs_with_pauses(clock, pool, n_runs, pause=2.0):
+    """*n_runs* runs of one 0.3 s task each, *pause* stepped seconds
+    apart; their stats."""
+    stats = []
+    for _ in range(n_runs):
+        results, run_stats = pool._run_tasks({0: None}, ONE_TASK)
+        assert results == {0: {"p0": "p0/0"}}
+        stats.append(run_stats)
+        clock.t += pause
+    return stats
+
+
+def test_a_silent_straggler_is_lost_across_short_runs():
+    """A worker still busy with an earlier run's task that stopped
+    answering is written off once its silence passes node_timeout, even
+    when every run is shorter than that: a pause between runs restarts
+    the count only of a worker that answered its last PING."""
+    clock = SteppedClock()
+    worker = ScriptedSlot(0, clock, delay=0.3)
+    pool, _ticks = scripted_pool(clock, [worker])
+    node, dials = _straggler(clock, pool, ScriptedConn(clock, 1))
+    pool._workers.append(node)
+    try:
+        stats = _short_runs_with_pauses(clock, pool, 3)
+        assert node.alive and node.busy is None
+    finally:
+        pool.close()
+    # Silent since the first run's PING: lost at the second run's first
+    # tick, and revived in it.
+    assert [s.heartbeat_losses for s in stats] == [0, 1, 0]
+    assert [(e.kind, e.rank, e.task) for e in pool.ledger.entries] == [
+        ("heartbeat_lost", 1, None), ("worker_death", 1, ((0,), ("old",))),
+        ("reconnect", 1, None)]
+    assert dials == [100.0 + 0.5 + 2.0]
+
+
+def test_an_answering_straggler_is_kept_across_pauses():
+    """The same straggler answering every PING over a slow link (each
+    PONG three ticks behind its PING) is kept, busy, however long the
+    pauses: a run ends with its PONGs still in flight, and they are
+    read before the next run judges it."""
+    clock = SteppedClock()
+    worker = ScriptedSlot(0, clock, delay=0.3)
+    pool, _ticks = scripted_pool(clock, [worker])
+    conn = ScriptedConn(clock, 1, answers=True, pong_delay=3 * TICK)
+    node, dials = _straggler(clock, pool, conn)
+    pool._workers.append(node)
+    try:
+        stats = _short_runs_with_pauses(clock, pool, 3)
+        assert conn.pending_pongs        # the last run's PONGs, in flight
+        assert node.alive
+    finally:
+        pool.close()
+    assert [s.heartbeat_losses for s in stats] == [0, 0, 0]
+    assert pool.ledger.entries == [] and not dials
+    assert node.busy == (0, (0,), ("old",))
 
 
 def _node(clock, conn):

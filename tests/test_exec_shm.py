@@ -55,7 +55,7 @@ def test_pack_roundtrip_preserves_structures_and_headers():
     assert spec.name.startswith(NAME_PREFIX + "_")
     pack = AttachedPack(spec)
     try:
-        for field in ("concat", "starts", "lengths"):
+        for field in ("residues", "starts", "lengths"):
             np.testing.assert_array_equal(getattr(pack.structs, field),
                                           getattr(structs, field))
         pdb = PackDB(pack)
@@ -225,7 +225,7 @@ def test_pack_spec_carries_checksums_and_attach_verifies():
     try:
         assert spec.checksums, "publish must record per-field CRCs"
         fields = [f for f, _crc in spec.checksums]
-        assert "concat" in fields and "starts" in fields
+        assert "residues" in fields and "starts" in fields
         pack = AttachedPack(spec)          # verifies on attach
         pack.verify()                      # and is re-verifiable
         pack.close()

@@ -124,15 +124,16 @@ def test_real_fragment_load_matches_model_structure(tmp_path):
     # The preamble is a fixed 32 bytes; header and preamble together
     # are a sliver of the sequence section.
     assert preamble == 32
-    assert preamble + header < sections["concat"] / 20
+    assert preamble + header < sections["residues"] / 20
     # Sequence data dominates the bytes the mapping serves.
-    assert sections["concat"] > 2 * sum(
-        size for field, size in sections.items() if field != "concat")
+    assert sections["residues"] > 2 * sum(
+        size for field, size in sections.items() if field != "residues")
     # The mapping is the whole file: the small reads plus the sections
-    # (and their 64-byte alignment) are its footprint.
+    # (and their 64-byte alignment: under 64 bytes after the header and
+    # after each section) are its footprint.
     assert mapped == os.path.getsize(path)
-    assert preamble + header + sum(sections.values()) \
-        == pytest.approx(mapped, rel=0.01)
+    padding = mapped - (preamble + header + sum(sections.values()))
+    assert 0 <= padding < 64 * (len(sections) + 1)
 
 
 def test_real_search_is_read_only(tmp_path):
