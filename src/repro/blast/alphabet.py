@@ -14,22 +14,25 @@ DNA = "ACGT"
 #: Protein alphabet in BLOSUM62 row order.
 PROTEIN = "ARNDCQEGHILKMFPSTWYVBZX*U"
 
-_DNA_LUT = np.full(256, 255, dtype=np.uint8)
-for _i, _c in enumerate(DNA):
-    _DNA_LUT[ord(_c)] = _i
-    _DNA_LUT[ord(_c.lower())] = _i
+
+def _table(alphabet: str, folds: str, fold_to: int) -> bytes:
+    """A 256-byte :meth:`bytes.translate` table: each letter of
+    *alphabet* (either case) to its index, each of *folds* to *fold_to*,
+    every other byte to 255."""
+    table = bytearray(b"\xff" * 256)
+    for i, c in enumerate(alphabet):
+        table[ord(c)] = table[ord(c.lower())] = i
+    for c in folds:
+        table[ord(c)] = fold_to
+    return bytes(table)
+
+
 # IUPAC ambiguity codes fold to A (matching the common "mask to A"
 # preprocessing; BLAST itself scores them as mismatches almost always).
-for _c in "NRYSWKMBDHVnryswkmbdhv":
-    _DNA_LUT[ord(_c)] = 0
-
-_PROT_LUT = np.full(256, 255, dtype=np.uint8)
-for _i, _c in enumerate(PROTEIN):
-    _PROT_LUT[ord(_c)] = _i
-    _PROT_LUT[ord(_c.lower())] = _i
+_DNA_TABLE = _table(DNA, "NRYSWKMBDHVnryswkmbdhv", 0)
+_DNA_STRICT_TABLE = _table(DNA, "", 0)
 # Rare letters fold to X.
-for _c in "JOjo":
-    _PROT_LUT[ord(_c)] = PROTEIN.index("X")
+_PROT_TABLE = _table(PROTEIN, "JOjo", PROTEIN.index("X"))
 
 _DNA_COMP = np.array([3, 2, 1, 0], dtype=np.uint8)  # A<->T, C<->G
 
@@ -41,6 +44,30 @@ class AlphabetError(ValueError):
     """Raised on characters outside the alphabet."""
 
 
+def _codes(seq: str, table: bytes, error: str) -> bytes:
+    """*seq* through *table*, one C pass and no index temporary; the
+    first character the table has no code for raises *error* naming
+    it."""
+    codes = seq.encode("ascii").translate(table)
+    bad = codes.find(255)
+    if bad >= 0:
+        raise AlphabetError(error.format(seq[bad]))
+    return codes
+
+
+_TABLES = {DNA: (_DNA_TABLE, "invalid DNA character {!r}"),
+           PROTEIN: (_PROT_TABLE, "invalid protein character {!r}")}
+
+
+def encode_codes(seq: str, alphabet: str) -> bytes:
+    """*seq*'s codes in *alphabet* (:data:`DNA` or :data:`PROTEIN`) as
+    bytes: what :func:`encode_dna` / :func:`encode_protein` return,
+    before they copy it into an array of its own (an array viewing the
+    bytes would carry their wrapper, ≈ 370 B a sequence, for as long as
+    a database keeps it)."""
+    return _codes(seq, *_TABLES[alphabet])
+
+
 def encode_dna(seq: str, strict: bool = False) -> np.ndarray:
     """Encode a DNA string to a uint8 array (A=0 C=1 G=2 T=3).
 
@@ -48,17 +75,11 @@ def encode_dna(seq: str, strict: bool = False) -> np.ndarray:
     unknown characters raise too (they are never silently accepted —
     only recognised ambiguity codes fold to A).
     """
-    raw = np.frombuffer(seq.encode("ascii", "strict"), dtype=np.uint8)
-    out = _DNA_LUT[raw]
-    if (out == 255).any():
-        bad = chr(raw[int(np.argmax(out == 255))])
-        raise AlphabetError(f"invalid DNA character {bad!r}")
+    out = np.frombuffer(encode_codes(seq, DNA), dtype=np.uint8).copy()
     if strict:
         # Re-check: ambiguity codes are not allowed in strict mode.
-        ok = np.isin(raw, np.frombuffer(b"ACGTacgt", dtype=np.uint8))
-        if not ok.all():
-            bad = chr(raw[int(np.argmax(~ok))])
-            raise AlphabetError(f"ambiguous DNA character {bad!r} (strict)")
+        _codes(seq, _DNA_STRICT_TABLE,
+               "ambiguous DNA character {!r} (strict)")
     return out
 
 
@@ -69,12 +90,7 @@ def decode_dna(encoded: np.ndarray) -> str:
 
 def encode_protein(seq: str) -> np.ndarray:
     """Encode a protein string to BLOSUM62 row indices."""
-    raw = np.frombuffer(seq.encode("ascii", "strict"), dtype=np.uint8)
-    out = _PROT_LUT[raw]
-    if (out == 255).any():
-        bad = chr(raw[int(np.argmax(out == 255))])
-        raise AlphabetError(f"invalid protein character {bad!r}")
-    return out
+    return np.frombuffer(encode_codes(seq, PROTEIN), dtype=np.uint8).copy()
 
 
 def decode_protein(encoded: np.ndarray) -> str:

@@ -262,13 +262,7 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
     """
     n = len(db)
     lengths = np.asarray(db.lengths() if n else [], dtype=np.int64)
-    # Sequence i starts after all previous sequences plus i separators.
-    starts = np.zeros(n, dtype=np.int64)
-    if n:
-        np.cumsum(lengths[:-1] + 1, out=starts[1:])
-    total = int(lengths.sum()) if n else 0
-    n_flat = total + max(n - 1, 0)
-
+    starts, n_flat = flat_starts(lengths)
     if base == TWO_BIT_BASE:
         residues = _two_bit_section(db, starts.tolist(), lengths.tolist(),
                                     n_flat)
@@ -277,10 +271,42 @@ def build_scan_structures(db, k: int, base: int) -> ScanStructures:
         for i in range(n):
             lo = int(starts[i])
             residues[lo:lo + int(lengths[i])] = db.sequence(i)
-
     return ScanStructures(k=k, base=base, n_sequences=n,
-                          total_residues=total, residues=residues,
-                          starts=starts, lengths=lengths)
+                          total_residues=int(lengths.sum()),
+                          residues=residues, starts=starts, lengths=lengths)
+
+
+def flat_starts(lengths: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each sequence's first flat position (after every previous
+    sequence and one separator slot each), and the flat length."""
+    n = len(lengths)
+    starts = np.zeros(n, dtype=np.int64)
+    if n:
+        np.cumsum(lengths[:-1] + 1, out=starts[1:])
+    return starts, int(lengths.sum()) + max(n - 1, 0)
+
+
+def staged_scan_structures(staged: np.ndarray, lengths: np.ndarray,
+                           k: int, base: int) -> ScanStructures:
+    """Scan structures of a fragment already staged one byte per flat
+    position (:func:`flat_starts`, separators ``base``): the same
+    structures :func:`build_scan_structures` makes of its sequences.  A
+    protein staging is the section; a nucleotide one, padded with
+    separators to a multiple of 4, is folded to 2 bits a block at a
+    time."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts, n_flat = flat_starts(lengths)
+    if base == TWO_BIT_BASE:
+        residues = np.zeros(-(-n_flat // 4) + 3, dtype=np.uint8)
+        for lo in range(0, n_flat, _FOLD_BLOCK):
+            m = -(-(min(lo + _FOLD_BLOCK, n_flat) - lo) // 4)
+            residues[lo // 4 + 1:lo // 4 + 1 + m] = _fold4(
+                staged[lo:lo + 4 * m].view("<u4"))
+    else:
+        residues = staged[:n_flat]
+    return ScanStructures(k=k, base=base, n_sequences=len(lengths),
+                          total_residues=int(lengths.sum()),
+                          residues=residues, starts=starts, lengths=lengths)
 
 
 def _two_bit_section(db, starts: List[int], lengths: List[int],

@@ -15,6 +15,7 @@ each fragment being a database in its own right.
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -92,8 +93,8 @@ class SequenceDB:
 
     @property
     def total_residues(self) -> int:
-        """Running total kept by :meth:`add` (every constructor goes
-        through it): the search driver reads this twice per query."""
+        """Running total kept by :meth:`add` (and set in bulk by
+        :meth:`subset`): the search driver reads this twice per query."""
         return self._residues
 
     def sequence(self, i: int) -> np.ndarray:
@@ -119,9 +120,13 @@ class SequenceDB:
         sub = SequenceDB(self.seqtype,
                          name if name is not None else f"{self.name}.sub",
                          fragment_id=fragment_id)
-        for i in ids:
-            sub.add(self._descriptions[i], self._seqs[i])
-        sub.source_ids = [int(i) for i in ids]
+        sub.source_ids = list(map(int, ids))
+        sub._seqs = list(map(self._seqs.__getitem__, sub.source_ids))
+        sub._descriptions = list(map(self._descriptions.__getitem__,
+                                     sub.source_ids))
+        # What one add per sequence would leave.
+        sub._version = len(sub._seqs)
+        sub._residues = sum(map(len, sub._seqs))
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -134,11 +139,13 @@ def plan_fragments(db, n_fragments: int) -> List[List[int]]:
     """Partition a database's sequence ids into balanced fragments.
 
     Greedy longest-first binning by residue count: each sequence, longest
-    first, goes to the currently lightest fragment.  *db* needs only
-    ``__len__`` and ``lengths()``.  Clamps to ``len(db)`` fragments and
-    drops nothing: every id lands in exactly one fragment.  This is the
-    one binning rule — :func:`segment_db`, the process pool and the pack
-    store builder all cut a database through it.
+    first (ties in id order), goes to the currently lightest fragment
+    (ties to the lowest-numbered) — the top of a ``(load, fragment)``
+    heap.  *db* needs only ``__len__`` and ``lengths()``.  Clamps to
+    ``len(db)`` fragments and drops nothing: every id lands in exactly
+    one fragment.  This is the one binning rule — :func:`segment_db`,
+    the process pool and the pack store builder all cut a database
+    through it.
     """
     n = len(db)
     if n_fragments < 1:
@@ -146,13 +153,14 @@ def plan_fragments(db, n_fragments: int) -> List[List[int]]:
     if n == 0:
         return []
     n_fragments = min(n_fragments, n)
-    lengths = db.lengths()
+    lengths = np.asarray(db.lengths(), dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
     bins: List[List[int]] = [[] for _ in range(n_fragments)]
-    loads = [0] * n_fragments
-    for i in sorted(range(n), key=lambda i: -lengths[i]):
-        target = loads.index(min(loads))
-        bins[target].append(i)
-        loads[target] += lengths[i]
+    heap = [(0, b) for b in range(n_fragments)]
+    for i, length in zip(order.tolist(), lengths[order].tolist()):
+        load, b = heap[0]
+        heapq.heapreplace(heap, (load + length, b))
+        bins[b].append(i)
     return bins
 
 

@@ -507,8 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve this machine as a worker node for "
                             "blastall --nodes (also installed as "
                             "`repro-node`)")
-    p.add_argument("--host", default="0.0.0.0",
-                   help="interface to listen on (default all)")
+    p.add_argument("--host", default="127.0.0.1",
+                   help="interface to listen on (default 127.0.0.1, "
+                        "this machine only; 0.0.0.0 for all)")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (default 0 = ephemeral; the chosen "
                         "port is announced on stdout)")

@@ -44,23 +44,24 @@ Integrity taxonomy (the "never a wrong answer" contract):
 Both are raised before a single hit can be computed from the data.
 
 The streaming builder (:class:`PackStoreBuilder`) formats arbitrarily
-large FASTA in bounded memory: records stream in one at a time
-(:func:`repro.blast.fasta.iter_fasta`) and are spilled to one spool
-file as they arrive; finalize bins them with
-:func:`repro.blast.seqdb.plan_fragments` (the fragments the pool cuts
-from the same database) and packs one fragment at a time, copying each
-bin's records out of the spool, so peak memory is one fragment's scan
-structures, never the corpus.  The spool itself stays on disk until the
-last fragment is packed.  Each fragment's nucleotides are folded to 2
-bits there, a block at a time
-(:func:`~repro.blast.scankernel.build_scan_structures`), so a store
-holds a quarter byte per residue and every open CRC-verifies that
-quarter.
+large FASTA in bounded memory, a block at a time: the text arrives in
+blocks of whole lines (:func:`repro.blast.fasta.iter_fasta_blocks`),
+each block's residues are encoded in one pass and spilled, with its
+descriptions, to one spool file in one write each.  Finalize bins the
+records with :func:`repro.blast.seqdb.plan_fragments` (the fragments
+the pool cuts from the same database) and packs one fragment at a time:
+it reads the bin's residues from the spool straight into a staging of
+one byte per flat position, one read per record in file order
+(:func:`_gather`), folds nucleotides to 2 bits a block at a time
+(:func:`~repro.blast.scankernel.staged_scan_structures`) and writes the
+pack.  Peak memory is one text block and one fragment's staging and
+section, never the corpus: the spool is never mapped or read whole,
+and stays on disk until the last fragment is packed.  A store holds a quarter byte per nucleotide and every open
+CRC-verifies that quarter.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import mmap
 import os
@@ -68,15 +69,17 @@ import secrets
 import shutil
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 import numpy as np
 
-from repro.blast.alphabet import DNA, PROTEIN, encode_dna, encode_protein
-from repro.blast.fasta import FastaRecord, iter_fasta
-from repro.blast.scankernel import ScanStructures, build_scan_structures
+from repro.blast.alphabet import DNA, PROTEIN, encode_codes
+from repro.blast.fasta import FastaRecord, iter_fasta_blocks, split_sequences
+from repro.blast.scankernel import (ScanStructures, flat_starts,
+                                    staged_scan_structures)
 from repro.blast.profile import profiled
 from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, prepare_queries)
@@ -536,9 +539,10 @@ def sweep_build_leftovers(directory: str) -> List[str]:
 # ----------------------------------------------------------------------
 class _Spool:
     """A streaming build's spool: encoded residues and description bytes
-    append to two flat files in arrival order; only the per-record
-    lengths stay in memory.  It has the ``__len__`` / ``lengths()``
-    surface :func:`~repro.blast.seqdb.plan_fragments` bins by, and
+    append to two flat files in arrival order, a block of records per
+    ``write``; only the per-record lengths stay in memory, as arrays.
+    It has the ``__len__`` / ``lengths()`` surface
+    :func:`~repro.blast.seqdb.plan_fragments` bins by, and
     :meth:`fragments` reads the bins back one at a time."""
 
     def __init__(self, build_dir: str):
@@ -546,61 +550,99 @@ class _Spool:
         self.hdr_path = os.path.join(build_dir, "records.hdr")
         self._seq_f = open(self.seq_path, "wb")
         self._hdr_f = open(self.hdr_path, "wb")
-        self._lengths: List[int] = []
-        self._hdr_lens: List[int] = []
+        self._lengths = array("q")
+        self._hdr_lens = array("q")
 
     def __len__(self) -> int:
         return len(self._lengths)
 
-    def lengths(self) -> List[int]:
-        return self._lengths
+    def lengths(self) -> np.ndarray:
+        return np.frombuffer(self._lengths, dtype=np.int64)
 
-    def add(self, description: str, encoded: np.ndarray) -> None:
-        self._seq_f.write(memoryview(np.ascontiguousarray(encoded)))
-        blob = description.encode()
+    def write(self, descriptions: Sequence[str], codes,
+              lengths: Sequence[int]) -> None:
+        """Append a block of records: their descriptions, their residue
+        codes concatenated and each one's length."""
+        self._seq_f.write(codes)
+        blob = "".join(descriptions).encode()
         self._hdr_f.write(blob)
-        self._lengths.append(len(encoded))
-        self._hdr_lens.append(len(blob))
+        self._lengths.extend(lengths)
+        self._hdr_lens.extend(map(len, descriptions) if blob.isascii()
+                              else (len(d.encode()) for d in descriptions))
 
     def close_writes(self) -> None:
         self._seq_f.close()
         self._hdr_f.close()
 
-    def fragments(self, n_fragments: int, seqtype: str, name: str
-                  ) -> Iterator[Tuple[List[int], SequenceDB]]:
+    def fragments(self, n_fragments: int, sep: int
+                  ) -> Iterator[Tuple[int, List[int], np.ndarray, np.ndarray,
+                                      List[str]]]:
         """Close the spool and yield each bin of
-        :func:`~repro.blast.seqdb.plan_fragments` with its records as a
-        database of its own, read back record by record, so memory holds
-        one fragment, never the spool."""
+        :func:`~repro.blast.seqdb.plan_fragments` as ``(fragment_id,
+        ids, staged, lengths, descriptions)``: *staged* holds the bin's
+        residues one byte per flat position
+        (:func:`~repro.blast.scankernel.flat_starts`), separators *sep*,
+        padded with *sep* to a multiple of 4.  Each bin is read from the
+        spool record by record (:func:`_gather`), so memory holds one
+        fragment, never the spool — the caller must drop a fragment
+        before asking for the next."""
         self.close_writes()
-        seq_at = list(itertools.accumulate(self._lengths, initial=0))
-        hdr_at = list(itertools.accumulate(self._hdr_lens, initial=0))
-        for fragment_id, ids in enumerate(plan_fragments(self, n_fragments)):
-            sub = SequenceDB(seqtype, f"{name}.{fragment_id:03d}",
-                             fragment_id=fragment_id)
-            for hdr, seq in zip(_read_records(self.hdr_path, hdr_at, ids),
-                                _read_records(self.seq_path, seq_at, ids)):
-                sub.add(hdr.decode(), np.frombuffer(seq, dtype=np.uint8))
-            yield ids, sub
+        lengths = self.lengths()
+        hdr_lens = np.frombuffer(self._hdr_lens, dtype=np.int64)
+        seq_at, hdr_at = _offsets(lengths), _offsets(hdr_lens)
+        with open(self.seq_path, "rb") as seq_f, \
+                open(self.hdr_path, "rb") as hdr_f:
+            for fragment_id, ids in enumerate(plan_fragments(self,
+                                                             n_fragments)):
+                sel = np.asarray(ids, dtype=np.int64)
+                lens = lengths[sel]
+                starts, n_flat = flat_starts(lens)
+                staged = np.full(-(-n_flat // 4) * 4, sep, dtype=np.uint8)
+                _gather(seq_f, seq_at[sel], lens, starts, staged)
+                hdr_to = _offsets(hdr_lens[sel])
+                blob = bytearray(int(hdr_to[-1]))
+                _gather(hdr_f, hdr_at[sel], hdr_lens[sel], hdr_to, blob)
+                bounds = hdr_to.tolist()
+                yield (fragment_id, ids, staged, lens,
+                       [blob[a:b].decode()
+                        for a, b in zip(bounds, bounds[1:])])
+                del staged, blob
 
 
-def _read_records(path: str, at: List[int], ids: List[int]) -> List[bytes]:
-    """Bytes ``at[i]:at[i + 1]`` of *path* for each id in *ids*, one
-    positioned read each: only the bin's bytes are ever in memory."""
-    with open(path, "rb") as f:
-        fd = f.fileno()
-        return [os.pread(fd, at[i + 1] - at[i], at[i]) for i in ids]
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Where each of back-to-back records of *lengths* starts, and
+    (last) where they end."""
+    at = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=at[1:])
+    return at
+
+
+def _gather(f, src: np.ndarray, sizes: np.ndarray, dst: np.ndarray,
+            out) -> None:
+    """Copy bytes ``src[j] : src[j] + sizes[j]`` of the file *f* to
+    ``out[dst[j]:]`` for every *j*: one read each, in file order, so
+    the file's buffer serves neighbouring records."""
+    order = np.argsort(src, kind="stable")
+    out = memoryview(out).cast("B")
+    for at, size, to in zip(src[order].tolist(), sizes[order].tolist(),
+                            dst[order].tolist()):
+        f.seek(at)
+        f.readinto(out[to:to + size])
 
 
 class PackStoreBuilder:
     """Streaming pack-store builder (bounded memory, atomic commit).
 
-    Records are spilled to one spool as they arrive; :meth:`finalize`
-    bins them with :func:`~repro.blast.seqdb.plan_fragments` — the
-    fragments the pool would cut from the same database — packs one
-    fragment at a time and commits the manifest last.  Use as a context
-    manager — an exception aborts the build and removes the spool
-    directory, leaving the destination exactly as found.
+    Records are spilled to one spool as they arrive, a block at a time
+    (:meth:`add_fasta` encodes each text block of
+    :func:`~repro.blast.fasta.iter_fasta_blocks` in one pass);
+    :meth:`finalize` bins them with
+    :func:`~repro.blast.seqdb.plan_fragments` — the fragments the pool
+    would cut from the same database — stages one fragment at a time
+    from the spool, folds it, writes it, and commits the manifest last.
+    Use as a context manager — an exception aborts the build and
+    removes the spool directory, leaving the destination exactly as
+    found.
     """
 
     def __init__(self, directory: str, *, seqtype: str = NT,
@@ -616,7 +658,7 @@ class PackStoreBuilder:
         self.word_size = int(word_size if word_size is not None
                              else (3 if seqtype == AA else 11))
         self.base = len(PROTEIN) if seqtype == AA else len(DNA)
-        self._encode = encode_dna if seqtype == NT else encode_protein
+        self._alphabet = DNA if seqtype == NT else PROTEIN
         os.makedirs(directory, exist_ok=True)
         sweep_build_leftovers(directory)
         _BUILD_ROOTS.add(os.path.abspath(directory))
@@ -628,17 +670,22 @@ class PackStoreBuilder:
         self._residues = 0
         self._done = False
 
-    def add(self, description: str, sequence) -> int:
-        """Add one record; returns its global ordinal id."""
+    def _write(self, descriptions: Sequence[str], codes,
+               lengths: Sequence[int]) -> None:
         if self._done:
             raise RuntimeError("builder already finalized/aborted")
-        enc = (self._encode(sequence) if isinstance(sequence, str)
-               else np.asarray(sequence, dtype=np.uint8))
+        self._spool.write(descriptions, codes, lengths)
+        self._residues += sum(lengths)
+
+    def add(self, description: str, sequence) -> int:
+        """Add one record; returns its global ordinal id."""
+        enc = (encode_codes(sequence, self._alphabet)
+               if isinstance(sequence, str)
+               else np.ascontiguousarray(sequence, dtype=np.uint8))
         if len(enc) == 0:
             raise ValueError(f"empty sequence for {description!r}")
         gid = len(self._spool)
-        self._spool.add(description, enc)
-        self._residues += len(enc)
+        self._write([description], enc, [len(enc)])
         return gid
 
     def add_records(self, records: Iterable[FastaRecord]) -> int:
@@ -647,24 +694,39 @@ class PackStoreBuilder:
             self.add(rec.description, rec.sequence)
         return len(self._spool) - n0
 
+    def add_fasta(self, source) -> int:
+        """Add every record of FASTA text or a text handle, one encode
+        and one spool write per text block; returns how many."""
+        n0 = len(self._spool)
+        for descriptions, text, lengths in iter_fasta_blocks(source):
+            try:
+                codes = encode_codes(text, self._alphabet)
+            except UnicodeEncodeError:  # name the record's own position
+                for seq in split_sequences(text, lengths):
+                    encode_codes(seq, self._alphabet)
+                raise
+            self._write(descriptions, codes, lengths)
+        return len(self._spool) - n0
+
     def finalize(self) -> PackStore:
         """Pack every fragment and commit the manifest."""
         if self._done:
             raise RuntimeError("builder already finalized/aborted")
         store_id = secrets.token_hex(8)
         entries: List[dict] = []
-        for ids, sub in self._spool.fragments(self.n_fragments,
-                                              self.seqtype, self.name):
-            structs = build_scan_structures(sub, self.word_size, self.base)
-            fname = f"{sub.name}{PACK_SUFFIX}"
+        for fragment_id, ids, staged, lengths, descriptions in \
+                self._spool.fragments(self.n_fragments, self.base):
+            structs = staged_scan_structures(staged, lengths,
+                                             self.word_size, self.base)
+            fname = f"{self.name}.{fragment_id:03d}{PACK_SUFFIX}"
             write_pack(os.path.join(self.directory, fname), structs,
-                       [sub.description(i) for i in range(len(sub))],
-                       seqtype=self.seqtype, store_id=store_id, version=0,
-                       fragment_id=sub.fragment_id, source_ids=ids)
-            entries.append({"file": fname, "fragment_id": sub.fragment_id,
-                            "version": 0, "n_sequences": len(sub),
-                            "total_residues": sub.total_residues})
-            del sub, structs
+                       descriptions, seqtype=self.seqtype,
+                       store_id=store_id, version=0,
+                       fragment_id=fragment_id, source_ids=ids)
+            entries.append({"file": fname, "fragment_id": fragment_id,
+                            "version": 0, "n_sequences": len(ids),
+                            "total_residues": structs.total_residues})
+            del staged, structs
         _maybe_crash_before_manifest()
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -720,9 +782,9 @@ def build_pack_store(source, directory: str, *, seqtype: str = NT,
                 builder.add(source.description(i), source.sequence(i))
         elif isinstance(source, (str, os.PathLike)):
             with open(source) as f:
-                builder.add_records(iter_fasta(f))
+                builder.add_fasta(f)
         elif hasattr(source, "read"):
-            builder.add_records(iter_fasta(source))
+            builder.add_fasta(source)
         else:
             builder.add_records(source)
         return builder.finalize()

@@ -69,6 +69,28 @@ _CHUNK = 1 << 16
 #: Reconnect delays grow by this factor; a dial waits this many seconds.
 BACKOFF_FACTOR, DIAL_TIMEOUT = 2.0, 2.0
 
+#: Every global a frame's pickle may name: the classes the protocol
+#: sends (a task's ``JobSpec`` with its parameters, scheme and
+#: statistics, a pack's ``PackSpec``, a result's ``SearchResults``) and
+#: numpy's array rebuild (``numpy.core`` under numpy 1).  Containers and
+#: scalars need none.  ``tests/test_exec_net.py`` derives this set from
+#: every message kind the pool and its agents send, so a new kind fails
+#: a test, not a run.  Anything else — ``builtins.open``, ``os.system``
+#: — is a :class:`FrameError` before it is looked up.
+WIRE_GLOBALS = frozenset({
+    ("repro.exec.pool", "JobSpec"),
+    ("repro.exec.shm", "PackSpec"),
+    ("repro.blast.search", "SearchParams"),
+    ("repro.blast.search", "SearchResults"),
+    ("repro.blast.search", "Hit"),
+    ("repro.blast.search", "HSP"),
+    ("repro.blast.score", "ScoringScheme"),
+    ("repro.blast.stats", "KarlinAltschul"),
+    ("numpy", "dtype"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy.core.numeric", "_frombuffer"),
+})
+
 
 class TransportError(RuntimeError):
     """Base class for socket-transport failures."""
@@ -181,6 +203,61 @@ class FrameDecoder:
                 f"of an incomplete frame buffered)")
 
 
+class _WireUnpickler(pickle.Unpickler):
+    """Unpickles a frame's payload, looking up only
+    :data:`WIRE_GLOBALS`."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in WIRE_GLOBALS:
+            raise FrameError(f"frame names {module}.{name}, which the "
+                             f"protocol never sends (refused unread)")
+        return super().find_class(module, name)
+
+
+class _PayloadFile:
+    """A frame's payload as the file :class:`_WireUnpickler` reads.
+
+    ``peek`` hands over the rest of the payload as one view, which the
+    unpickler then reads from as it does from ``pickle.loads``' bytes:
+    nothing is copied but what the objects keep (``io.BytesIO`` would
+    copy the payload first, and read it 11× slower at 8 MB)."""
+
+    def __init__(self, payload):
+        self._view = memoryview(payload)
+        self._at = 0
+
+    def peek(self, n: int = 0) -> memoryview:
+        return self._view[self._at:]
+
+    def read(self, n: int = -1) -> memoryview:
+        end = len(self._view) if n < 0 else self._at + n
+        chunk = self._view[self._at:end]
+        self._at += len(chunk)
+        return chunk
+
+    def readinto(self, buf) -> int:
+        chunk = self.read(len(buf))
+        buf[:len(chunk)] = chunk
+        return len(chunk)
+
+    readline = read
+
+
+def wire_loads(payload) -> object:
+    """A frame's payload back to its message, through
+    :data:`WIRE_GLOBALS` only.  A payload that is no such message — a
+    global outside the set, bytes that are no pickle, a pickle cut
+    short or one whose objects refuse their arguments — raises
+    :class:`FrameError`, like a damaged frame."""
+    try:
+        return _WireUnpickler(_PayloadFile(payload)).load()
+    except FrameError:
+        raise
+    except Exception as exc:
+        raise FrameError(f"frame payload is no message: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
 class FrameConnection:
     """A framed, heartbeat-aware message connection over one socket.
 
@@ -194,8 +271,11 @@ class FrameConnection:
     messages — and every received frame (of any type) refreshes
     :attr:`last_heard`, the master's missed-heartbeat signal.
 
-    ``recv`` answers a PING in frame order, after returning every DATA
-    message read before it, with a PONG carrying :attr:`holding`.  Sends
+    A payload is unpickled through :func:`wire_loads`, which names no
+    global outside :data:`WIRE_GLOBALS`: a frame asking for any other
+    raises :class:`FrameError`, like a damaged one.  ``recv`` answers a
+    PING in frame order, after returning every DATA message read before
+    it, with a PONG carrying :attr:`holding`.  Sends
     take :attr:`send_lock`, so one thread may ``recv`` while another
     sends; holding it keeps the PONGs back.
     """
@@ -245,12 +325,12 @@ class FrameConnection:
     def _on_frame(self, ftype: bytes, payload: bytes) -> None:
         self.last_heard = time.monotonic()
         if ftype == DATA:
-            self._queue.append(pickle.loads(payload))
+            self._queue.append(wire_loads(payload))
         elif ftype == PING:
             self._queue.append(PING)        # answered by recv, in order
         else:
             self.pongs += 1
-            self.peer_holding = pickle.loads(payload)
+            self.peer_holding = wire_loads(payload)
 
     def _pong(self) -> None:
         with self.send_lock:

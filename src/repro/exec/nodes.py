@@ -29,6 +29,7 @@ from __future__ import annotations
 import glob
 import multiprocessing as mp
 import os
+import reprlib
 import signal
 import socket
 import stat
@@ -420,10 +421,16 @@ class NodeAgent:
         task loop over the framed (CRC-checked) socket."""
         conn = FrameConnection(sock, name="master")
         try:
-            msg = conn.recv()
-            if msg[0] != "hello":
-                conn.send(("error", -1, None, None,
-                           f"expected hello, got {msg[0]!r}", -1))
+            try:
+                msg = conn.recv()
+            except FrameError as exc:
+                self._refuse(conn, str(exc))
+                return
+            if not (type(msg) is tuple and len(msg) == 2
+                    and msg[0] == "hello" and type(msg[1]) is dict
+                    and isinstance(msg[1].get("rank", 0), int)):
+                self._refuse(conn, f"expected ('hello', {{..., 'rank': "
+                                   f"int}}), got {reprlib.repr(msg)}")
                 return
             if msg[1].get("proto") != PROTO_VERSION:
                 conn.send(("error", -1, None, None,
@@ -431,7 +438,7 @@ class NodeAgent:
                            f"{msg[1].get('proto')!r}, node {self.node_id} "
                            f"speaks {PROTO_VERSION}", -1))
                 return
-            rank = int(msg[1].get("rank", 0))
+            rank = msg[1].get("rank", 0)
             if self.fault_plan is not None and self._injector is None:
                 self._injector = FaultInjector(self.fault_plan, rank)
             conn.send(("ready", rank, {
@@ -446,6 +453,17 @@ class NodeAgent:
             return          # master went away; keep cache, re-accept
         finally:
             conn.close()
+
+    def _refuse(self, conn: FrameConnection, why: str) -> None:
+        """End a session whose first message is no hello: one line on
+        stderr, one error reply (if the peer still reads); the agent
+        goes back to ``accept``."""
+        print(f"repro-node {self.node_id}: refused a session: {why}",
+              file=sys.stderr, flush=True)
+        try:
+            conn.send(("error", -1, None, None, why, -1))
+        except OSError:
+            pass
 
     def close(self) -> None:
         """Release every cached pack and the listening socket."""
@@ -950,7 +968,7 @@ class NodeFleet:
 
 
 # ----------------------------------------------------------------------
-def run_node(host: str = "0.0.0.0", port: int = 0, *,
+def run_node(host: str = "127.0.0.1", port: int = 0, *,
              node_id: Optional[str] = None,
              max_sessions: Optional[int] = None,
              announce=None) -> None:

@@ -293,8 +293,8 @@ def test_one_reader_and_one_binning_rule():
         return (isinstance(node, ast.Call)
                 and getattr(node.func, "id", None) == "min")
 
-    # Either spelling of "the lightest bin": loads.index(min(loads)) or
-    # min(bins, key=load).
+    # Any spelling of "the lightest bin": loads.index(min(loads)),
+    # min(bins, key=load), or the top of a (load, bin) heap replaced.
     lightest = {f"{rel}:{fn.name}" for rel, tree in trees.items()
                 for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 for node in ast.walk(fn)
@@ -302,7 +302,11 @@ def test_one_reader_and_one_binning_rule():
                     and getattr(node.func, "attr", None) == "index"
                     and node.args and is_min(node.args[0]))
                 or (is_min(node)
-                    and any(kw.arg == "key" for kw in node.keywords))}
+                    and any(kw.arg == "key" for kw in node.keywords))
+                or (isinstance(node, ast.Call)
+                    and (getattr(node.func, "attr", None)
+                         or getattr(node.func, "id", None))
+                    in {"heapreplace", "heappushpop"})}
     assert lightest == {"src/repro/blast/seqdb.py:plan_fragments"}
 
 

@@ -83,3 +83,47 @@ def test_reverse_complement_is_involution(s):
 @given(dna_strings)
 def test_encode_decode_roundtrip_property(s):
     assert decode_dna(encode_dna(s)) == s
+
+
+def _lut_encode(seq, letters, folds, fold_to, strict=False):
+    """The numpy lookup-table encoder the translate tables replaced:
+    its codes, or the error it raised (type and message)."""
+    lut = np.full(256, 255, dtype=np.uint8)
+    for i, c in enumerate(letters):
+        lut[ord(c)] = lut[ord(c.lower())] = i
+    for c in folds:
+        lut[ord(c)] = fold_to
+    try:
+        raw = np.frombuffer(seq.encode("ascii", "strict"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        return type(exc), str(exc)
+    out = lut[raw]
+    what = "DNA" if letters == DNA else "protein"
+    if (out == 255).any():
+        bad = chr(raw[int(np.argmax(out == 255))])
+        return AlphabetError, f"invalid {what} character {bad!r}"
+    if strict:
+        ok = np.isin(raw, np.frombuffer(b"ACGTacgt", dtype=np.uint8))
+        if not ok.all():
+            bad = chr(raw[int(np.argmax(~ok))])
+            return AlphabetError, f"ambiguous DNA character {bad!r} (strict)"
+    return out.tolist()
+
+
+def _outcome(encode, *args, **kw):
+    try:
+        return encode(*args, **kw).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(seq=st.text(alphabet=st.characters(max_codepoint=300), max_size=40),
+       strict=st.booleans())
+def test_translate_tables_encode_as_the_lookup_table_did(seq, strict):
+    """Same codes, same errors and messages, over every ASCII byte and
+    beyond."""
+    assert _outcome(encode_dna, seq, strict=strict) == _lut_encode(
+        seq, DNA, "NRYSWKMBDHVnryswkmbdhv", 0, strict)
+    assert _outcome(encode_protein, seq) == _lut_encode(
+        seq, PROTEIN, "JOjo", PROTEIN.index("X"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blast.fasta import FastaRecord
-from repro.blast.seqdb import SequenceDB, segment_db
+from repro.blast.seqdb import SequenceDB, plan_fragments, segment_db
 
 FASTA = """>s1 first
 ACGTACGTAC
@@ -123,3 +123,60 @@ def test_segment_property_conserves_everything(n_seqs, k, seed):
     frags = segment_db(db, k)
     assert sum(f.total_residues for f in frags) == db.total_residues
     assert sum(len(f) for f in frags) == len(db)
+
+
+def _plan_fragments_loop(lengths, n_fragments):
+    """The binning rule as first written, one ``min`` per sequence: the
+    oracle of :func:`plan_fragments`' heap."""
+    n_fragments = min(n_fragments, len(lengths))
+    bins = [[] for _ in range(n_fragments)]
+    loads = [0] * n_fragments
+    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        target = loads.index(min(loads))
+        bins[target].append(i)
+        loads[target] += lengths[i]
+    return bins
+
+
+class _Lengths:
+    def __init__(self, lengths):
+        self._lengths = lengths
+
+    def __len__(self):
+        return len(self._lengths)
+
+    def lengths(self):
+        return self._lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.one_of(
+           st.lists(st.integers(1, 40), min_size=1, max_size=60),
+           st.lists(st.sampled_from([3, 3, 7]), min_size=1, max_size=60),
+           st.lists(st.integers(1, 10 ** 9), min_size=1, max_size=3)),
+       k=st.integers(1, 70))
+def test_plan_fragments_equals_the_per_sequence_loop(lengths, k):
+    """The heap's bins are the loop's, id for id and in order: ties in
+    length keep id order, ties in load go to the lowest fragment, more
+    fragments than sequences clamp, a single sequence is one bin."""
+    assert plan_fragments(_Lengths(lengths), k) \
+        == _plan_fragments_loop(lengths, k)
+    assert plan_fragments(_Lengths(np.asarray(lengths)), k) \
+        == _plan_fragments_loop(lengths, k)
+
+
+def test_subset_is_what_one_add_per_sequence_leaves():
+    db = SequenceDB.from_fasta_text(FASTA)
+    sub = db.subset([2, 0], name="sub", fragment_id=5)
+    ref = SequenceDB("nt", "ref", fragment_id=5)
+    for i in (2, 0):
+        ref.add(db.description(i), db.sequence(i))
+    assert (sub.name, sub.fragment_id, sub.source_ids) == ("sub", 5, [2, 0])
+    assert (sub._version, sub.total_residues, len(sub)) \
+        == (ref._version, ref.total_residues, len(ref))
+    assert [sub.description(i) for i in range(2)] \
+        == [ref.description(i) for i in range(2)]
+    assert all(np.array_equal(sub.sequence(i), ref.sequence(i))
+               for i in range(2))
+    sub.add("more", "ACGT")
+    assert len(db) == 3 and sub._version == 3

@@ -4,6 +4,8 @@ disconnect — must surface as a *typed* error, never a hang or garbage,
 and the reconnect backoff schedule must be assertable against a fake
 clock (no real sleeping)."""
 
+import inspect
+import io
 import mmap
 import pickle
 import random
@@ -15,18 +17,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blast.scankernel import db_token
 from repro.blast.score import NucleotideScore
 from repro.blast.search import SearchParams, resolve_ka, search
 from repro.blast.seqdb import NT, SequenceDB
+from repro.exec import net
 from repro.exec.net import (DATA, FRAME_MAGIC, HEADER_SIZE,
                             MAX_FRAME_PAYLOAD, PING, PONG, FrameConnection,
                             FrameCRCError, FrameDecoder, FrameError,
                             FrameSequenceError, FrameTruncated,
                             NodeConnectError, backoff_delay, connect_backoff,
                             encode_frame, parse_address)
-from repro.exec.nodes import PROTO_VERSION, NodeAgent, NodeClient
+from repro.exec.nodes import (PROTO_VERSION, NodeAgent, NodeClient,
+                              NodeFleet, run_node)
 from repro.exec.pool import ExecPool, JobSpec, PoolJobError
 from repro.exec.shm import ShmRegistry, pack_fragment, read_pack_bytes
 
@@ -494,3 +500,201 @@ def test_client_refuses_a_node_speaking_another_protocol(
         lsock.close()
     assert not peer.is_alive() and after_hello == []
 
+
+
+# ----------------------------------------------------------------------
+# The wire unpickles only what the protocol sends
+# ----------------------------------------------------------------------
+class _Recorder(pickle.Unpickler):
+    """Unpickles freely, noting every global the pickle names."""
+
+    def __init__(self, data, seen):
+        super().__init__(io.BytesIO(data))
+        self.seen = seen
+
+    def find_class(self, module, name):
+        self.seen.add((module, name))
+        return super().find_class(module, name)
+
+
+def _globals_named(message):
+    seen = set()
+    _Recorder(pickle.dumps(message, pickle.HIGHEST_PROTOCOL), seen).load()
+    return seen
+
+
+def test_wire_globals_are_what_the_protocol_sends(monkeypatch):
+    """Every message the pool and its agents exchange — local agents
+    (attach), a node (publish), tasks, results, PONGs, goodbyes — names
+    only globals of ``WIRE_GLOBALS``, and every entry is named by one
+    (the array rebuild under the other numpy's spelling aside)."""
+    sent, got = [], []
+    real_send, real_loads = FrameConnection.send, net.wire_loads
+    monkeypatch.setattr(FrameConnection, "send",
+                        lambda self, obj: (sent.append(obj),
+                                           real_send(self, obj))[1])
+    monkeypatch.setattr(net, "wire_loads",
+                        lambda payload: got.append(real_loads(payload))
+                        or got[-1])
+    rng = np.random.default_rng(5)
+    db = _nt_db(rng, 12)
+    queries = [db.sequence(i)[:70].copy() for i in (2, 7)]
+    scheme, params = NucleotideScore(), SearchParams(word_size=11)
+    with ExecPool(jobs=2, heartbeat=0.05) as pool:
+        pool.search_many(queries, db, scheme, params)
+    with NodeFleet(1) as fleet, \
+            ExecPool(jobs=0, nodes=fleet.addresses) as pool:
+        pool.search_many(queries, db, scheme, params)
+    messages = sent + got + [
+        ("adopt", "p", ("tok", 0, 0)), ("detach", "p"),
+        ("error", 0, (0,), ("p",), "Traceback ...", 1),
+        ("integrity", 0, "p", "CRC32 mismatch"), None, ((0,), ("p",), 1)]
+    kinds = {m[0] for m in messages if type(m) is tuple and m
+             and type(m[0]) is str}
+    assert {"hello", "ready", "attach", "publish", "task", "result",
+            "stop", "stopped"} <= kinds
+    named = set().union(*map(_globals_named, messages))
+    assert named <= net.WIRE_GLOBALS
+    # numpy names its array rebuild under numpy._core (2) or numpy.core (1).
+    rebuild = {("numpy._core.numeric", "_frombuffer"),
+               ("numpy.core.numeric", "_frombuffer")}
+    assert len(named & rebuild) == 1
+    assert net.WIRE_GLOBALS - named == rebuild - named
+
+
+class _Evil:
+    """Pickles as a call of *func* with *args*."""
+
+    def __init__(self, func, *args):
+        self.call = (func, args)
+
+    def __reduce__(self):
+        return self.call
+
+
+def _evil_payloads(target):
+    import os
+    import subprocess
+    return {"builtins.open": _Evil(open, str(target), "w"),
+            "os.system": _Evil(os.system, f"touch {target}"),
+            "subprocess.Popen": _Evil(subprocess.Popen, ["touch",
+                                                          str(target)])}
+
+
+@pytest.mark.parametrize("name", ["builtins.open", "os.system",
+                                  "subprocess.Popen"])
+def test_a_frame_naming_another_global_is_refused_unrun(tmp_path, name):
+    target = tmp_path / "side-effect"
+    evil = _evil_payloads(target)[name]
+    payload = pickle.dumps(("task", evil), pickle.HIGHEST_PROTOCOL)
+    assert name.split(".")[-1].encode() in payload
+    a, b = _conn_pair()
+    try:
+        a._send_frame(DATA, payload)
+        with pytest.raises(FrameError, match="never sends"):
+            b.recv()
+    finally:
+        a.close()
+        b.close()
+    time.sleep(0.05)
+    assert not target.exists()
+
+
+_HELLO = pickle.dumps(("hello", {"proto": PROTO_VERSION, "rank": 0}), 5)
+#: Frame payloads that are no message: no pickle, a pickle cut short, a
+#: pickle whose object refuses its arguments.
+_NO_MESSAGE = {"no pickle": b"not a pickle", "cut short": _HELLO[:-4],
+               "bad args": pickle.dumps(np.dtype("u1"), 5).replace(
+                   b"u1", b"zz")}
+
+
+@pytest.mark.parametrize("payload", sorted(_NO_MESSAGE))
+def test_a_payload_that_is_no_message_is_a_frame_error(payload):
+    with pytest.raises(FrameError, match="no message"):
+        net.wire_loads(_NO_MESSAGE[payload])
+
+
+@pytest.mark.parametrize("first", [
+    42, "hello", ("hello",), ("hello", "proto"), ["hello", {}],
+    ("hello", {}, 1), ("hello", {"proto": PROTO_VERSION, "rank": "0"}),
+    "evil", *sorted(_NO_MESSAGE)])
+def test_agent_refuses_a_first_message_that_is_no_hello(tmp_path, capfd,
+                                                        first):
+    """One line on stderr, one error reply, no traceback and no side
+    effect — and the agent serves the next master."""
+    target = tmp_path / "side-effect"
+    agent = NodeAgent("127.0.0.1", 0, node_id="strict")
+    server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
+                              daemon=True)
+    server.start()
+    try:
+        conn = FrameConnection(
+            socket.create_connection(agent.address, timeout=5.0), name="x")
+        if first == "evil":
+            conn._send_frame(DATA, pickle.dumps(
+                _evil_payloads(target)["os.system"], 5))
+            why = "never sends"
+        elif isinstance(first, str) and first in _NO_MESSAGE:
+            conn._send_frame(DATA, _NO_MESSAGE[first])
+            why = "no message"
+        else:
+            conn.send(first)
+            why = "expected ('hello'"
+        msg = conn.recv()
+        assert msg[0] == "error" and msg[1] == -1
+        assert why in msg[4]
+        with pytest.raises(EOFError):
+            conn.recv()
+        conn.close()
+
+        conn = FrameConnection(
+            socket.create_connection(agent.address, timeout=5.0), name="ok")
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 0}))
+        assert conn.recv()[0] == "ready"
+        conn.send(("stop",))
+        assert conn.recv()[0] == "stopped"
+        conn.close()
+    finally:
+        server.join(timeout=10.0)
+        agent.close()
+    err = capfd.readouterr().err
+    assert err.count("refused a session") == 1 and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_node_listens_on_loopback_unless_told_otherwise():
+    from repro.cli import build_parser
+    args = build_parser().parse_args(["node"])
+    assert args.host == "127.0.0.1"
+    assert inspect.signature(run_node).parameters["host"].default \
+        == "127.0.0.1"
+
+
+_WIRE_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False), st.text(max_size=8),
+                          st.binary(max_size=8))
+_WIRE_VALUES = st.recursive(
+    _WIRE_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["hello", "ready", "attach", "publish", "adopt",
+                             "detach", "task", "result", "error",
+                             "integrity", "stop", "stopped"]),
+       body=st.lists(_WIRE_VALUES, max_size=5))
+def test_every_message_shape_round_trips_the_wire(kind, body):
+    """Containers and scalars name no global: any message built of them
+    crosses the closed unpickler unchanged."""
+    message = (kind, *body)
+    a, b = _conn_pair()
+    try:
+        a.send(message)
+        assert b.recv() == message
+    finally:
+        a.close()
+        b.close()
