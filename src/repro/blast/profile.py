@@ -27,7 +27,10 @@ benchmark query.  The scan stage reports ``scan_step`` (4 when the
 batch took the packed scan, which looks at every 4th window through
 its 8-mer filter; 1 = the dense scan) and ``scan_candidates`` (windows whose full word was tested
 against the bitmap — every window at step 1, four per filter survivor
-otherwise), so the filter's selectivity can be read off one line.  The
+otherwise), so the filter's selectivity can be read off one line, and
+``hit_groups``: the (query orientation, subject) groups with a word
+hit that the scan formed, summed over fragments — beside ``seeds``, the
+number the candidate pipeline's per-group work scales with.  The
 point is to stop guessing where the numpy passes go: kernel PRs read
 the stage split instead of re-deriving it with ad-hoc timers.
 

@@ -32,8 +32,9 @@ systems apply to I/O: pack once, then operate in bulk):
   time.  Either way the hits are exactly the per-sequence ones: a
   window that crosses a sequence end is dropped by the same
   ``searchsorted`` that maps a hit to ``(sequence id, offset)``;
-* :func:`scan_fragment` / :func:`scan_fragment_batch` group those hits
-  per entry and sequence for the seeding stage;
+* :func:`scan_fragment_batch` groups those hits per (entry, sequence)
+  as flat arrays (:class:`HitGroups`) for the seeding stage;
+  :func:`scan_fragment` is one index's per-group view of them;
 * :class:`ScanCache` keeps the per-fragment structures in a bounded
   LRU keyed by fragment identity, so a stream of queries against the
   same fragments — the warm-cache and query-stream workloads — pays the
@@ -50,7 +51,7 @@ import itertools
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -348,6 +349,20 @@ def _fold4(words: np.ndarray) -> np.ndarray:
     return folded
 
 
+class HitGroups(NamedTuple):
+    """A batch scan's hits, grouped per (entry, subject) and kept flat:
+    group ``g`` is entry ``eid[g]`` against subject ``sid[g]``, groups
+    in ascending ``(eid, sid)``; hit ``i`` is subject position
+    ``spos[i]`` (local) and query position ``qpos[i]`` of group
+    ``gid[i]``, hits group-major and in scan order within a group."""
+
+    eid: np.ndarray
+    sid: np.ndarray
+    gid: np.ndarray
+    spos: np.ndarray
+    qpos: np.ndarray
+
+
 def scan_fragment(index: WordIndex, structs: ScanStructures
                   ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
     """Scan a query word index against a packed fragment.
@@ -355,11 +370,13 @@ def scan_fragment(index: WordIndex, structs: ScanStructures
     Returns ``(sid, subject_positions, query_positions)`` triples in
     ascending ``sid`` order, one per sequence with at least one word
     hit; positions are local to the sequence, exactly as the
-    per-sequence ``index.scan`` would have produced them.  This is
-    :func:`scan_fragment_batch` for a batch of one.
+    per-sequence ``index.scan`` would have produced them.  This is the
+    per-group view of :func:`scan_fragment_batch` for a batch of one.
     """
-    return [group[1:] for group in
-            scan_fragment_batch(QueryBatch([index]), structs)]
+    hits = scan_fragment_batch(QueryBatch([index]), structs)
+    cuts = np.flatnonzero(np.diff(hits.gid)) + 1
+    return list(zip(hits.sid.tolist(), np.split(hits.spos, cuts),
+                    np.split(hits.qpos, cuts)))
 
 
 class QueryBatch:
@@ -588,20 +605,27 @@ class QueryBatch:
 
 
 def scan_fragment_batch(batch: QueryBatch, structs: ScanStructures
-                        ) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
-    """Scan a whole query batch against a packed fragment in one pass.
+                        ) -> HitGroups:
+    """Scan a whole query batch against a packed fragment in one pass
+    and group its hits per (entry, subject), flat (:class:`HitGroups`).
 
-    Returns ``(entry_id, sid, subject_positions, query_positions)``
-    groups, entry-major with ascending ``sid`` inside each entry.  For
-    every entry the groups are exactly what a batch of that entry's
-    index alone (:func:`scan_fragment`) produces — one combined pass
-    over the fragment, ``searchsorted`` hit-mapping pass, and grouping
-    sort serve all N entries instead of N separate traversals.
+    For every entry the groups are exactly what a batch of that entry's
+    index alone (:func:`scan_fragment`) produces.  Within an entry the
+    scan runs in ascending flat order, so after one stable sort by entry
+    a group starts wherever the entry or the subject changes.  Entry
+    ids sort as the narrowest unsigned type that holds them: a stable
+    sort of 8- or 16-bit keys is a radix pass, about 7x faster than
+    sorting them as int64 (140 k hits of eight queries, 64 M residues).
     """
-    from repro.blast.seed import group_hits_by_entry
-
     sids, local, eids, qpos = batch.scan(structs)
-    return group_hits_by_entry(eids, sids, local, qpos)
+    order = np.argsort(eids.astype(np.min_scalar_type(eids.max(initial=0))),
+                       kind="stable")
+    e, s = eids[order], sids[order]
+    head = np.ones(len(e), dtype=bool)
+    head[1:] = (e[1:] != e[:-1]) | (s[1:] != s[:-1])
+    heads = np.flatnonzero(head)
+    return HitGroups(e[heads], s[heads], np.cumsum(head) - 1, local[order],
+                     qpos[order])
 
 
 class ScanCache:

@@ -13,11 +13,12 @@ whole database fragment is laid out at flat positions in one residue
 section (:mod:`repro.blast.scankernel`: 2 bits per nucleotide; cached
 across queries in the :class:`~repro.blast.scankernel.ScanCache`),
 every query orientation of the batch is scanned against its bytes in
-one shot, and only then does the driver drop to per-(query, subject)
-work for the handful of groups with word hits.
+one shot; its hits stay flat arrays (``scankernel.HitGroups``), and
+Python runs per (query, subject) group only for the groups whose best
+extension passes the emit bound.
 
 Downstream of the scan there is one candidate pipeline, for every
-alphabet and seeding rule: ``group_hits_by_entry`` → a grouped seeder
+alphabet and seeding rule: a grouped seeder over the flat hits
 (one-hit for nucleotide, two-hit for protein) →
 ``bulk_ungapped_extend`` → the emit bound (a group whose best
 extension cannot be reported goes no further) → the per-diagonal
@@ -45,8 +46,9 @@ from repro.blast.gapped import (GappedAlignment, banded_local_align_many,
                                 bulk_banded_score, fits_one_align_chunk)
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
-from repro.blast.scankernel import (QueryBatch, ScanCache, TwoBitResidues,
-                                    default_scan_cache, scan_fragment_batch)
+from repro.blast.scankernel import (HitGroups, QueryBatch, ScanCache,
+                                    TwoBitResidues, default_scan_cache,
+                                    scan_fragment_batch)
 from repro.blast.score import ScoringScheme
 from repro.blast.seed import (one_hit_seeds_grouped,
                               two_hit_seeds_grouped)
@@ -636,11 +638,13 @@ class PreparedQueries:
             prof.add("pack", time.perf_counter() - t0)
 
         t0 = time.perf_counter() if prof is not None else 0.0
-        groups = scan_fragment_batch(self.batch, structs)
+        hits = scan_fragment_batch(self.batch, structs)
         if prof is not None:
             prof.add("scan", time.perf_counter() - t0)
+            prof.count("hit_groups", len(hits.eid))
 
-        jobs = _bulk_groups_to_jobs(self, groups, structs) if groups else []
+        jobs = (_bulk_groups_to_jobs(self, hits, structs) if len(hits.eid)
+                else [])
         _finalize_candidates(jobs, self.qcat, structs.scat, self.scheme,
                              params, self.ka)
         per_q: Dict[int, Dict[int, List[HSP]]] = {}
@@ -772,48 +776,43 @@ def _emit_bound(ka: KarlinAltschul, params: SearchParams, m_eff: int,
             else min(bound, params.gapped_trigger))
 
 
-def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
+def _bulk_groups_to_jobs(prepared: PreparedQueries, hits: HitGroups,
                          structs) -> List[_GappedJob]:
     """Steps 2-3 for every hit group of the batch at once.
 
-    The whole hit stream is seeded with one grouped sort (two-hit for
-    protein, one-hit for nucleotide) and extended with one
-    ``bulk_ungapped_extend`` call against the query concatenation
-    (``prepared.qcat`` with per-entry ``qstarts`` offsets) and the
-    fragment's residues (``structs.scat``).  A group
+    The whole hit stream — *hits*, the scan's flat groups — is seeded
+    with one grouped sort (two-hit for protein, one-hit for nucleotide)
+    and extended with one ``bulk_ungapped_extend`` call against the
+    query concatenation (``prepared.qcat`` with per-entry ``qstarts``
+    offsets) and the fragment's residues (``structs.scat``).  A group
     whose best extension scores under its query's :func:`_emit_bound`
     is dropped before anything else: the coverage dedup only removes
     seeds, an untriggered candidate is reported at its ungapped score
     and a triggered one needs ``gapped_trigger``, so no candidate of it
-    could be reported.
-    The per-diagonal coverage dedup is then replayed per remaining
-    group from the bulk extents; each group's surviving candidates
-    become one :class:`_GappedJob`, in group order.
+    could be reported.  Until here nothing runs per group; the
+    per-diagonal coverage dedup is then replayed per remaining group
+    from the bulk extents, and each group's surviving candidates become
+    one :class:`_GappedJob`, in group order.
     """
     prof = current_profile()
     params, entries = prepared.params, prepared.entries
     spaces, qstarts, qlens = prepared.spaces, prepared.qstarts, prepared.qlens
-    g_eid = np.array([g[0] for g in groups], dtype=np.int64)
-    g_sid = np.array([g[1] for g in groups], dtype=np.int64)
-    gid_of_hit = np.repeat(
-        np.arange(len(groups), dtype=np.int64),
-        np.array([len(g[2]) for g in groups], dtype=np.int64))
-    sp_all = np.concatenate([g[2] for g in groups])
-    qp_all = np.concatenate([g[3] for g in groups])
 
     t0 = time.perf_counter() if prof is not None else 0.0
     if prepared.is_protein:
         sgid, sqp, ssp = two_hit_seeds_grouped(
-            gid_of_hit, sp_all, qp_all, params.word_size, _TWO_HIT_WINDOW)
+            hits.gid, hits.spos, hits.qpos, params.word_size,
+            _TWO_HIT_WINDOW)
     else:
-        sgid, sqp, ssp = one_hit_seeds_grouped(gid_of_hit, sp_all, qp_all)
+        sgid, sqp, ssp = one_hit_seeds_grouped(hits.gid, hits.spos,
+                                               hits.qpos)
     if prof is not None:
         prof.add("seed", time.perf_counter() - t0)
         prof.count("seeds", len(sgid))
 
     t0 = time.perf_counter() if prof is not None else 0.0
-    seid = g_eid[sgid]
-    ssid = g_sid[sgid]
+    seid = hits.eid[sgid]
+    ssid = hits.sid[sgid]
     ll, ls, rl, rs = bulk_ungapped_extend(
         prepared.qcat, structs.scat,
         qstarts[seid] + sqp, structs.starts[ssid] + ssp,
@@ -823,22 +822,25 @@ def _bulk_groups_to_jobs(prepared: PreparedQueries, groups,
     if prof is not None:
         prof.add("extend", time.perf_counter() - t0)
 
-    # sgid is group-major; per-group seed slices by binary search.
-    bounds = np.searchsorted(sgid, np.arange(len(groups) + 1))
+    # sgid is group-major, a seeded group's seeds one run of it; only
+    # the seeds of groups that pass the emit bound leave numpy.
+    first = np.flatnonzero(np.diff(sgid, prepend=-1))
+    n_seeds = np.diff(first, append=len(sgid))
     emit_bound = np.array([_emit_bound(prepared.ka, params, *spaces[e[0]])
                            for e in entries], dtype=np.int64)
-    seeded = np.flatnonzero(bounds[1:] > bounds[:-1])
-    if len(seeded):
-        best = np.maximum.reduceat(ls + rs, bounds[seeded])
-        seeded = seeded[best >= emit_bound[g_eid[seeded]]]
-    sqp_l, ssp_l = sqp.tolist(), ssp.tolist()
-    ll_l, ls_l = ll.tolist(), ls.tolist()
-    rl_l, rs_l = rl.tolist(), rs.tolist()
+    passing = (np.maximum.reduceat(ls + rs, first)
+               >= emit_bound[hits.eid[sgid[first]]])
+    pick = np.repeat(passing, n_seeds)
+    sqp_l, ssp_l = sqp[pick].tolist(), ssp[pick].tolist()
+    ll_l, ls_l = ll[pick].tolist(), ls[pick].tolist()
+    rl_l, rs_l = rl[pick].tolist(), rs[pick].tolist()
+    kept, ends = sgid[first[passing]], np.cumsum(n_seeds[passing])
     jobs: List[_GappedJob] = []
     skipped = 0
-    for gi in seeded.tolist():
-        eid, sid = groups[gi][0], groups[gi][1]
-        lo, hi = int(bounds[gi]), int(bounds[gi + 1])
+    for eid, sid, lo, hi in zip(hits.eid[kept].tolist(),
+                                hits.sid[kept].tolist(),
+                                (ends - n_seeds[passing]).tolist(),
+                                ends.tolist()):
         # Replay of the per-diagonal coverage dedup: a seed inside the
         # extent of the previously accepted extension on its diagonal
         # contributes nothing.

@@ -89,7 +89,8 @@ def test_search_library_has_one_candidate_pipeline():
     kernel and the candidate loop have one call site each, the span
     dedup list one home, and what moved to the oracle — the per-group
     route, the single-seed / single-group definitions, the one-index
-    scan — is defined nowhere in the library."""
+    scan — is defined nowhere in the library, nor is the tuple-per-group
+    grouping the scan's flat hit groups replaced."""
     trees = _src_trees()
     assert _call_sites(trees, "bulk_ungapped_extend") == [
         "src/repro/blast/search.py:_bulk_groups_to_jobs"]
@@ -108,7 +109,8 @@ def test_search_library_has_one_candidate_pipeline():
     assert assigned == ["src/repro/blast/search.py:_finalize_one"]
     assert not defined & {"_collect_candidates", "_candidates_to_hsps",
                           "batched_ungapped_extend", "ungapped_extend",
-                          "one_hit_seeds", "two_hit_seeds"}
+                          "one_hit_seeds", "two_hit_seeds",
+                          "group_hits_by_entry"}
     word_index = next(node for node in ast.walk(
         trees["src/repro/blast/kmer.py"])
         if isinstance(node, ast.ClassDef) and node.name == "WordIndex")

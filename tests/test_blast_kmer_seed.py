@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.blast.alphabet import encode_dna, encode_protein
 from repro.blast.kmer import WordIndex, dna_word_codes, word_codes
 from repro.blast.score import BLOSUM62, ProteinScore, ScoringScheme
-from repro.blast.seed import two_hit_seeds_grouped
+from repro.blast import seed as seed_mod
+from repro.blast.seed import one_hit_seeds_grouped, two_hit_seeds_grouped
 
 from oracle_search import (one_hit_seeds, protein_word_codes,
                            protein_word_index, two_hit_seeds,
@@ -360,12 +361,47 @@ def test_two_hit_seeds_grouped_is_two_hit_seeds_per_group(case):
     _check_grouped(two_hit_seeds_grouped, *case)
 
 
+def _check_one_hit_grouped(seeder, hits):
+    """:func:`_check_grouped` for one-hit seeds: *seeder*'s result, cut
+    at the group labels, is one_hit_seeds of each group on its own."""
+    g, s, q = (np.array(col, dtype=np.int64) for col in
+               (zip(*hits) if hits else ((), (), ())))
+    sg, sq, ss = seeder(g, s, q)
+    want = [(gi, qp, sp) for gi in np.unique(g).tolist()
+            for qp, sp in one_hit_seeds(s[g == gi], q[g == gi])]
+    assert list(zip(sg.tolist(), sq.tolist(), ss.tolist())) == want
+    assert sg.dtype == sq.dtype == ss.dtype == np.int64
+
+
+@_named_streams_as_examples
+@settings(max_examples=300, deadline=None)
+@given(_hit_streams())
+def test_one_hit_seeds_grouped_is_one_hit_seeds_per_group(case):
+    _check_one_hit_grouped(one_hit_seeds_grouped, case[3])
+
+
+def test_one_hit_runs_stop_where_the_next_key_is_one_more():
+    """A run never crosses a diagonal, even where the next key is one
+    more: the last position of one diagonal next to position 0 of the
+    following one.  Keys without the stride's spare slot merge them."""
+    edge = _track(0, -1, 49, 50) + _track(0, 0, 0, 1) + _track(1, -1, 0)
+    _check_one_hit_grouped(one_hit_seeds_grouped, edge)
+    too_narrow = _mutated(one_hit_seeds_grouped,
+                          "_sorted_hit_keys(gids, spos, qpos, 1)",
+                          "_sorted_hit_keys(gids, spos, qpos, 0)")
+    with pytest.raises(AssertionError):
+        _check_one_hit_grouped(too_narrow, edge)
+
+
 def _mutated(fn, old, new):
-    """*fn* recompiled with one source fragment replaced."""
-    src = inspect.getsource(fn)
-    assert src.count(old) == 1, old
+    """*fn* recompiled with one source fragment replaced — in its own
+    source or in the key builder it calls, recompiled beside it."""
+    sources = [inspect.getsource(f)
+               for f in (seed_mod._sorted_hit_keys, fn)]
+    assert sum(src.count(old) for src in sources) == 1, old
     namespace = dict(vars(inspect.getmodule(fn)))
-    exec(src.replace(old, new), namespace)
+    for src in sources:
+        exec(src.replace(old, new), namespace)
     return namespace[fn.__name__]
 
 
@@ -385,6 +421,9 @@ def test_two_hit_seeds_grouped_ranks_keys_that_do_not_fit():
     with pytest.raises(OverflowError):
         unranked(g, s, q, 3, 40)
     assert len(unranked(np.minimum(g, 3), s, q, 3, 40)[0]) == 4   # fits
+    # One-hit seeds take the same keys: ranked, each group's runs
+    # still collapse to their first hit.
+    _check_one_hit_grouped(one_hit_seeds_grouped, hits)
 
 
 @pytest.mark.parametrize("old,new,killed_by", [

@@ -202,13 +202,20 @@ def _oracle_groups(indexes, db):
 
 
 def _groups(batch, structs):
+    """``scan_fragment_batch``'s flat form regrouped into one ``(eid,
+    sid, spos, qpos)`` tuple per group, the oracle's shape: group ``g``
+    is every hit row whose ``gid`` is ``g``, in row order."""
     from repro.blast.scankernel import scan_fragment_batch
 
-    got = scan_fragment_batch(batch, structs)
-    for _eid, _sid, spos, qpos in got:
-        assert spos.dtype == qpos.dtype == np.int64
-    return [(eid, sid, spos.tolist(), qpos.tolist())
-            for eid, sid, spos, qpos in got]
+    hits = scan_fragment_batch(batch, structs)
+    for column in hits:
+        assert column.dtype == np.int64
+    assert len(hits.eid) == len(hits.sid)
+    assert len(hits.gid) == len(hits.spos) == len(hits.qpos)
+    return [(eid, sid, hits.spos[hits.gid == g].tolist(),
+             hits.qpos[hits.gid == g].tolist())
+            for g, (eid, sid) in enumerate(zip(hits.eid.tolist(),
+                                               hits.sid.tolist()))]
 
 
 def _prefilter_case(seed, n_queries):
@@ -382,6 +389,118 @@ def test_packed_scan_matches_per_sequence_oracle(case):
     if seqtype == NT and len(seqs[source]) >= k and skip_n == 0:
         spos = next(g[2] for g in want if g[:2] == (0, source))
         assert spos[0] == 0 and spos[-1] == len(seqs[source]) - k
+
+
+# ------------------------------------- the flat groups at their edges
+
+def _grouping_case(name):
+    """``(db, indexes)`` for one edge of the flat grouping.  Fillers are
+    ``ACGT`` repeats, which hold no word of the random queries (nor of
+    their reverse complements) and no 11-mer of ``G`` or ``C`` runs."""
+    rng = np.random.default_rng(11)
+    q = _rand_nt(rng, 60)
+    db = SequenceDB(NT)
+    for _ in range(3):
+        _add_raw(db, [0, 1, 2, 3] * 10)
+
+    def strands(query, skip=None):
+        return [WordIndex.for_dna(query, K, skip=skip),
+                WordIndex.for_dna(reverse_complement(query), K,
+                                  skip=None if skip is None else skip[::-1])]
+    if name == "no_hits":
+        return db, strands(np.full(20, 2, dtype=np.uint8))
+    if name == "single_hit":
+        _add_raw(db, q[40:40 + K])
+        return db, strands(q)
+    _add_raw(db, np.concatenate([q[5:30], [0, 1, 2, 3] * 5, q[30:55]]))
+    if name == "no_words":
+        # A query shorter than k and a fully masked one: entries that
+        # hold no word, before and between ones that do.
+        return db, (strands(q[:K - 1]) + strands(q)
+                    + strands(q, np.ones(len(q) - K + 1, dtype=bool))
+                    + strands(q[10:50].copy()))
+    if name == "last_sequence_only":
+        return db, strands(q)
+    assert name == "identical_queries"
+    return db, strands(q) + strands(q.copy())
+
+
+@pytest.mark.parametrize("name", ["no_hits", "no_words", "single_hit",
+                                  "last_sequence_only",
+                                  "identical_queries"])
+def test_flat_groups_at_the_edges(name):
+    """The flat groups regroup to the per-sequence oracle's groups on
+    the packed and the dense scan, at each edge the grouping has: no
+    hit at all, entries without words, one hit, hits only in the last
+    sequence, and two identical queries (their entries' groups equal
+    group for group)."""
+    from repro.blast.scankernel import QueryBatch
+
+    db, indexes = _grouping_case(name)
+    structs = build_scan_structures(db, K, 4)
+    want = _oracle_groups(indexes, db)
+    assert _groups(QueryBatch(indexes), structs) == want
+    assert _groups(_force_dense(QueryBatch(indexes)), structs) == want
+    last = len(db) - 1
+    if name == "no_hits":
+        assert want == []
+    elif name == "no_words":
+        assert [eid for eid, *_ in want] == [2, 6]
+    elif name == "single_hit":
+        assert want == [(0, last, [0], [40])]
+    elif name == "last_sequence_only":
+        assert want and {sid for _e, sid, *_ in want} == {last}
+    else:
+        assert [g[1:] for g in want if g[0] in (0, 1)] == [
+            g[1:] for g in want if g[0] in (2, 3)] != []
+
+
+@st.composite
+def _grouping_batch(draw):
+    """Up to eight sequences of 0-60 bases and one to four queries, each
+    a piece of one of them between random flanks (so hits are common,
+    repeats across entries too) or, if short, a query with no words."""
+    base = st.integers(0, 3)
+    seqs = draw(st.lists(st.lists(base, max_size=60), min_size=1,
+                         max_size=8))
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        src = seqs[draw(st.integers(0, len(seqs) - 1))]
+        lo = draw(st.integers(0, len(src)))
+        hi = draw(st.integers(lo, len(src)))
+        flank = st.lists(base, max_size=6)
+        queries.append(draw(flank) + src[lo:hi] + draw(flank))
+    return seqs, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_grouping_batch())
+def test_flat_groups_are_ordered_and_keep_scan_order(case):
+    """Group keys ``(eid, sid)`` strictly increase, hits are group-major,
+    every group has a hit, and each group's rows are the scan's own
+    rows of that (entry, subject), in the order the scan returned
+    them."""
+    from repro.blast.scankernel import QueryBatch, scan_fragment_batch
+
+    seqs, queries = case
+    db = SequenceDB(NT)
+    for seq in seqs:
+        _add_raw(db, seq)
+    indexes = [WordIndex.for_dna(np.asarray(q, dtype=np.uint8), K)
+               for q in queries]
+    structs = build_scan_structures(db, K, 4)
+    batch = QueryBatch(indexes)
+    hits = scan_fragment_batch(batch, structs)
+    keys = list(zip(hits.eid.tolist(), hits.sid.tolist()))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert np.array_equal(np.unique(hits.gid), np.arange(len(keys)))
+    assert np.all(np.diff(hits.gid) >= 0)
+    sids, spos, eids, qpos = batch.scan(structs)
+    for g, (eid, sid) in enumerate(keys):
+        mine = (eids == eid) & (sids == sid)
+        assert np.array_equal(hits.spos[hits.gid == g], spos[mine])
+        assert np.array_equal(hits.qpos[hits.gid == g], qpos[mine])
+    assert len(hits.gid) == len(sids)
 
 
 def _no_sentinel_mask(batch, db, monkeypatch):

@@ -21,7 +21,8 @@ from repro.blast.psiblast import build_pssm
 from repro.blast.scankernel import (QueryBatch, build_scan_structures,
                                     scan_fragment, scan_fragment_batch)
 from repro.blast.score import NucleotideScore, ProteinScore
-from repro.blast.search import SearchParams, search, search_batch
+from repro.blast.search import (SearchParams, prepare_queries, search,
+                                search_batch)
 from repro.blast.seqdb import AA, NT, SequenceDB
 from repro.exec import ExecPool, Fault, FaultPlan
 from repro.exec.diskpack import DiskPack, write_pack
@@ -78,6 +79,16 @@ def batch_dumps(queries, db, scheme, params, **kw):
 # ----------------------------------------------------------------------
 # The combined lookup structure
 # ----------------------------------------------------------------------
+def _groups(batch, structs):
+    """``scan_fragment_batch``'s flat form regrouped into one ``(eid,
+    sid, spos, qpos)`` tuple per group (positions as lists)."""
+    hits = scan_fragment_batch(batch, structs)
+    return [(eid, sid, hits.spos[hits.gid == g].tolist(),
+             hits.qpos[hits.gid == g].tolist())
+            for g, (eid, sid) in enumerate(zip(hits.eid.tolist(),
+                                               hits.sid.tolist()))]
+
+
 def test_query_batch_scan_matches_per_index_scans():
     rng = np.random.default_rng(50)
     db = random_nt_db(rng, 15)
@@ -86,9 +97,9 @@ def test_query_batch_scan_matches_per_index_scans():
     indexes = [WordIndex.for_dna(q, 11) for q in queries]
     batch = QueryBatch(indexes)
 
-    batched = scan_fragment_batch(batch, structs)
+    batched = _groups(batch, structs)
     for eid, ix in enumerate(indexes):
-        mine = [(sid, spos.tolist(), qpos.tolist())
+        mine = [(sid, spos, qpos)
                 for geid, sid, spos, qpos in batched if geid == eid]
         solo = [(sid, spos.tolist(), qpos.tolist())
                 for sid, spos, qpos in scan_fragment(ix, structs)]
@@ -413,6 +424,13 @@ def test_profile_emits_stage_json_to_stderr(monkeypatch, capsys):
                                       "extend", "gapped", "gapped_bulk"}
         assert doc["total_s"] >= 0.0
     assert batched["counters"].get("seeds", 0) >= 0
+    # hit_groups counts the (orientation, subject) groups of the scan.
+    prepared = prepare_queries(queries, scheme, params, is_protein=False,
+                               db_size=(db.total_residues, len(db)))
+    hits = scan_fragment_batch(prepared.batch,
+                               build_scan_structures(db, 11, 4))
+    assert batched["counters"]["hit_groups"] == len(hits.eid) > 0
+    assert 0 < single["counters"]["hit_groups"] < len(hits.eid)
 
 
 def test_profile_disabled_is_silent(monkeypatch, capsys):

@@ -312,9 +312,10 @@ PERF_ONLY: Dict[str, str] = {
     "repro.blast.fasta.write_fasta": "stays: the library's FASTA writer "
     "(round-tripped by the fasta tests); the store workload writes its "
     "corpus with it",
-    "repro.blast.scankernel.scan_fragment": "stays while the scan layer "
-    "is timed per index: scan_fragment_batch of one, which the "
-    "scankernel tests compare the batch scan against",
+    "repro.blast.scankernel.scan_fragment": "stays while perf/ reads "
+    "it: the per-group view of scan_fragment_batch for one index, which "
+    "perf/harness/layers.py times and counts hits from; it leaves with "
+    "ROADMAP 2(a)",
     "repro.exec.diskpack.search_store": "stays: the documented one-query "
     "spelling of search_store_batch (README, TUTORIAL); nt_store_restart "
     "is it",
