@@ -31,6 +31,10 @@ otherwise), so the filter's selectivity can be read off one line, and
 ``hit_groups``: the (query orientation, subject) groups with a word
 hit that the scan formed, summed over fragments — beside ``seeds``, the
 number the candidate pipeline's per-group work scales with.  The
+extend stage counts ``seeds_rescanned``: the (seed, direction) walks
+that neither bulk route settled within its last 64-position window and
+that took the exact per-seed walk (``extend._best_prefix``) — true
+alignments, not the random-hit noise the windows are sized for.  The
 point is to stop guessing where the numpy passes go: kernel PRs read
 the stage split instead of re-deriving it with ad-hoc timers.
 

@@ -6,12 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blast.alphabet import PROTEIN, encode_dna
-from repro.blast.extend import (_BULK_WINDOWS, _window_dtype,
-                                bulk_ungapped_extend)
+from repro.blast.extend import (_AUTOMATON_BYTES, _BULK_WINDOWS,
+                                _STATE_ENTRIES, _window_dtype,
+                                _xdrop_automaton, bulk_ungapped_extend)
 from repro.blast import gapped as gapped_mod
 from repro.blast.gapped import banded_local_align, banded_local_align_many
+from repro.blast.profile import profiled
 from repro.blast.programs import program_defaults
+from repro.blast.scankernel import build_scan_structures
 from repro.blast.score import BLOSUM62, NucleotideScore, ScoringScheme
+from repro.blast.seqdb import NT, SequenceDB
 
 from oracle_gapped import banded_local_align as oracle_banded_local_align
 from oracle_search import ungapped_extend
@@ -222,6 +226,128 @@ def test_program_defaults_extend_in_int16():
         for window in _BULK_WINDOWS:
             assert _window_dtype(window, scheme,
                                  params.xdrop_ungapped) == np.int16
+
+
+# ------------------------------- the 2-bit automaton vs the single seed
+
+#: Where planted walks end, in positions from their anchor: nothing, a
+#: table step's edges (7 / 8 / 9), the first pass's (31 / 32 / 33), the
+#: second's (63 / 64 / 65) and well past both.
+_RUNS = [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 150]
+#: The largest X-drop whose automaton table fits its byte bound.
+_TOP_XDROP = _AUTOMATON_BYTES // (_STATE_ENTRIES * 8) - 2
+#: X-drops with a table (blastp's and blastn's defaults among them) and
+#: without one, either side of the bound.
+_TWO_BIT_XDROPS = [0, 1, 5, 16, 20, _TOP_XDROP, _TOP_XDROP + 1, 300]
+_NT_SCORES = [(1, -3), (2, -3), (1, -2), (5, -4)]
+
+
+def _two_bit_case(subjects, seeds, query, scheme, xdrop):
+    """Extend *seeds* — ``(sid, qp, sp)`` into *query* and the
+    *subjects*, stored as one 2-bit section — on the section, on its
+    one-byte decoding, and seed by seed with the oracle; assert all
+    three agree in each direction.  Returns the section route's
+    ``seeds_rescanned`` count and the number of walks whose best
+    extension reaches past the automaton's last window."""
+    db = SequenceDB(NT)
+    for i, subject in enumerate(subjects):
+        db.add(f"s{i}", subject)
+    structs = build_scan_structures(db, 11, 4)
+    assert ((_xdrop_automaton(structs.scat, scheme, xdrop) is not None)
+            == (xdrop <= _TOP_XDROP))
+    sid = np.array([s for s, _, _ in seeds], dtype=np.int64)
+    qp = np.array([q for _, q, _ in seeds], dtype=np.int64)
+    sp = np.array([p for _, _, p in seeds], dtype=np.int64)
+    args = (qp, structs.starts[sid] + sp, np.minimum(qp, sp),
+            np.minimum(len(query) - qp, structs.lengths[sid] - sp))
+    with profiled("automaton", enabled=True, emit=False) as prof:
+        packed = bulk_ungapped_extend(query, structs.scat, *args, scheme,
+                                      xdrop=xdrop)
+    one_byte = bulk_ungapped_extend(
+        query, structs.scat[0:len(structs.scat)], *args, scheme,
+        xdrop=xdrop)
+    for got, want in zip(packed, one_byte):
+        assert np.array_equal(got, want)
+    ll, ls, rl, rs = packed
+    past = 0
+    for i, (s, q0, s0) in enumerate(seeds):
+        subject = subjects[s]
+        left = ungapped_extend(query[:q0], subject[:s0], q0, s0, scheme,
+                               xdrop=xdrop)
+        right = ungapped_extend(query[q0:], subject[s0:], 0, 0, scheme,
+                                xdrop=xdrop)
+        assert (int(ll[i]), int(ls[i])) == (left.length, left.score)
+        assert (int(rl[i]), int(rs[i])) == (right.length, right.score)
+        past += (left.length > _BULK_WINDOWS[-1]) + (right.length
+                                                     > _BULK_WINDOWS[-1])
+    return prof.counters.get("seeds_rescanned", 0), past
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       score=st.sampled_from(_NT_SCORES),
+       xdrop=st.sampled_from(_TWO_BIT_XDROPS),
+       n_subjects=st.integers(1, 6),
+       mutation=st.sampled_from([0.05, 0.3, 1.0]))
+def test_two_bit_extension_equals_oracle_and_one_byte_route(
+        seed, score, xdrop, n_subjects, mutation):
+    """On a real 2-bit section (``SequenceDB`` → ``build_scan_structures``)
+    the kernel answers every seed as the oracle's ``ungapped_extend``
+    does and as the one-byte route does on the decoded section: walks
+    that end at the subject's edges or after a planted identical run 0,
+    1, 7–9, 31–33, 63–65 or 150 positions out, anchors in every lane
+    and query phase, each score pair at X-drops with and without an
+    automaton table.  Every walk whose best reaches past the
+    automaton's last window is counted as ``seeds_rescanned``."""
+    rng = np.random.default_rng(seed)
+    scheme = NucleotideScore(*score)
+    qlen = 2 * max(_RUNS) + 8
+    query = rng.integers(0, 4, qlen).astype(np.uint8)
+    subjects, seeds = [], []
+    for s in range(n_subjects):
+        a_l, a_r, r_l, r_r = (int(a) for a in rng.choice(_RUNS, 4))
+        a_r = max(a_r, 1 - a_l)
+        q0 = a_l + int(rng.integers(0, qlen - a_l - a_r + 1))
+        subject = query[q0 - a_l:q0 + a_r].copy()
+        # Identical from a_l - r_l to a_l + r_r, mutated elsewhere.
+        hit = rng.random(len(subject)) < mutation
+        hit[max(a_l - r_l, 0):a_l + r_r] = False
+        subject[hit] = (subject[hit] + rng.integers(1, 4, int(hit.sum()))) % 4
+        subjects.append(subject)
+        seeds.append((s, q0, a_l))
+        seeds.append((s, int(rng.integers(0, qlen)),
+                      int(rng.integers(0, len(subject)))))
+    rescanned, past = _two_bit_case(subjects, seeds, query, scheme, xdrop)
+    assert rescanned >= past
+
+
+@pytest.mark.parametrize("score", _NT_SCORES)
+def test_two_bit_extension_at_section_edges_in_every_lane(score):
+    """Anchors in all four lanes against all four query phases, at the
+    section's first position, beside each separator and at its last
+    position, with identical runs reaching the edges and far past the
+    automaton's windows (so the exact per-seed walk runs too)."""
+    rng = np.random.default_rng(sum(score) + 17)
+    scheme = NucleotideScore(*score)
+    query = rng.integers(0, 4, 400).astype(np.uint8)
+    # Each subject copies the query from an offset in every phase, so
+    # seeds on its diagonal are planted runs to the subject's edges.
+    subjects = [query[off:off + length].copy()
+                for off, length in ((0, 97), (5, 130), (10, 3), (15, 201),
+                                    (2, 1), (7, 64))]
+    seeds = []
+    for s, subject in enumerate(subjects):
+        off = (0, 5, 10, 15, 2, 7)[s]
+        for sp in sorted({0, 1, 2, 3, len(subject) // 2,
+                          len(subject) - 1} & set(range(len(subject)))):
+            seeds.append((s, off + sp, sp))
+            # Off-diagonal query partners: every query phase.
+            for shift in (1, 2, 3):
+                seeds.append((s, min(off + sp + shift, len(query) - 1), sp))
+    for xdrop in (0, 20, _TOP_XDROP):
+        rescanned, past = _two_bit_case(subjects, seeds, query, scheme,
+                                        xdrop)
+        assert rescanned >= past > 0
 
 
 def test_gapped_exact_match():

@@ -4,15 +4,17 @@ with a higher score never has a larger E-value.
 Every HSP of a query is scored against one search space, so its
 E-value is a decreasing function of its raw score alone.  The property
 is checked through the public API only — ``search_batch`` over a
-database in RAM and ``search_store_batch`` over a 3-pack store built
-from the same records — on random corpora with planted, mutated copies
-of the queries, so each result holds HSPs of many different scores.
+database in RAM, ``search_store_batch`` over a 3-pack store built from
+the same records and ``ExecPool(jobs=2).search_many`` over the same
+database — on random corpora with planted, mutated copies of the
+queries, so each result holds HSPs of many different scores.
 """
 
 import dataclasses
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,8 @@ from repro.blast.alphabet import reverse_complement
 from repro.blast.programs import program_defaults
 from repro.blast.search import search_batch
 from repro.blast.seqdb import AA, NT, SequenceDB
-from repro.exec import build_pack_store, search_store_batch
+from repro.exec import ExecPool, build_pack_store, search_store_batch
+from repro.exec.shm import own_segments
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -66,9 +69,19 @@ def _assert_monotone(result):
             assert hi_e <= lo_e, (result.query_id, pairs)
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """One two-worker pool for every drawn corpus (a pool per example
+    would fork two workers each time); it must leave no segment."""
+    before = own_segments()
+    with ExecPool(jobs=2) as pool:
+        yield pool
+    assert own_segments() == before, "the pool leaked shared-memory segments"
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_corpus())
-def test_evalues_are_monotone_in_score(case):
+def test_evalues_are_monotone_in_score(pool, case):
     seqtype, db, queries = case
     scheme, params = program_defaults("blastn" if seqtype == NT
                                       else "blastp")
@@ -81,6 +94,8 @@ def test_evalues_are_monotone_in_score(case):
         store = build_pack_store(db, tmp, seqtype=seqtype, n_fragments=3)
         from_store = search_store_batch(queries, store, scheme, params,
                                         query_ids=ids)
+    pooled = pool.search_many(queries, db, scheme, params, query_ids=ids)
+    assert not pool.last_stats.fallback
     assert any(r.hits for r in in_ram)
-    for result in in_ram + from_store:
+    for result in in_ram + from_store + pooled:
         _assert_monotone(result)
