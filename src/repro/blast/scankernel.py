@@ -152,8 +152,12 @@ class TwoBitResidues:
         ``uint8``.  Like a one-byte array's ``take``, a position outside
         ``[0, n)`` raises ``IndexError`` — unless *mode* is ``"clip"``,
         under which it reads some code in 0…3 (not necessarily the edge
-        one): the extension window gathers past its rows' ends and pads
-        what it read there."""
+        one).  The one caller that gathers past its rows' ends, and pads
+        what it read there, is the extension's 1-byte window ladder,
+        which meets a 2-bit section only when
+        ``extend._xdrop_automaton`` has no table for its matrix and
+        X-drop; nucleotide extension otherwise reads :attr:`packed`
+        itself, as the scan does."""
         pos = np.asarray(positions)
         if mode != "clip" and pos.size and (pos.min() < 0
                                             or pos.max() >= self.n):
