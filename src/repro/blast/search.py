@@ -220,7 +220,7 @@ class SearchResults:
 
 # ----------------------------------------------------------------------
 def merge_fragment_results(by_pack: Dict[str, "SearchResults"],
-                           ids_by_name: Dict[str, List[int]], *,
+                           ids_by_name: Dict[str, Sequence[int]], *,
                            query_id: str, query_len: int,
                            db_residues: int, db_sequences: int,
                            fragment_id: Optional[int] = None,
@@ -230,7 +230,8 @@ def merge_fragment_results(by_pack: Dict[str, "SearchResults"],
 
     *by_pack* maps pack name to that fragment's ``SearchResults`` (hits
     carry fragment-local subject ids); *ids_by_name* maps pack name to
-    the fragment's global id table.  Because every worker searched with
+    the fragment's global id table (a list, or a pack's int64
+    ``source_ids`` section).  Because every worker searched with
     the whole database's Karlin–Altschul parameters and effective
     space (shipped in the job spec), scores and E-values need no
     rescaling here — the merge is pure relabelling plus the serial
@@ -246,7 +247,7 @@ def merge_fragment_results(by_pack: Dict[str, "SearchResults"],
     for pack_name, res in by_pack.items():
         ids = ids_by_name[pack_name]
         for hit in res.hits:
-            hit.subject_id = ids[hit.subject_id]
+            hit.subject_id = int(ids[hit.subject_id])
             if not keep_fragment_ids:
                 hit.fragment_id = fragment_id
             merged.hits.append(hit)

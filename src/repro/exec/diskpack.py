@@ -6,23 +6,24 @@ rebuilt in RAM per process, so every restart repaid the whole publish
 cost.  This module makes a pack *persistent*: a versioned, checksummed,
 mmap-able file whose data region is **byte-identical** to a
 shared-memory segment's (:func:`repro.exec.shm.pack_layout` defines the
-layout for both), so a cold start is either a zero-copy ``mmap``
-(serial search) or one ``memcpy`` into shm (the pool) — never a
-re-encode.
+layout for both), so a cold start is a zero-copy ``mmap`` — in the
+serial search and in each of the pool's local workers, which map the
+file by path and data offset (:class:`~repro.exec.shm.AttachedPack`)
+— never a copy or a re-encode.
 
 Layout of one ``.rpk`` pack file::
 
     [preamble, 32 B ]  magic ``RPKPACK1``, format version, flags,
                        header length, header CRC32, padding
-    [header,   JSON ]  seqtype, word size/base, counts, global source
-                       ids, the ScanCache identity, the section table
-                       ``(field, dtype, shape, offset)`` and per-field
-                       CRC32s — the same fields, order and 64-byte
-                       alignment as a shm segment
+    [header,   JSON ]  seqtype, word size/base, counts, the ScanCache
+                       identity, the section table ``(field, dtype,
+                       shape, offset)`` and per-field CRC32s — the same
+                       fields, order and 64-byte alignment as a shm
+                       segment; its size does not grow with the pack
     [pad to 64 B    ]
     [data region    ]  the sections themselves: the residue section
                        (2 bits per nucleotide, 1 byte per amino acid),
-                       starts, lengths, descriptions
+                       starts, lengths, descriptions, global source ids
 
 A *pack store* is a directory of pack files plus a ``manifest.json``
 naming them.  The manifest is written last via atomic rename, making it
@@ -84,8 +85,8 @@ from repro.blast.profile import profiled
 from repro.blast.search import (SearchParams, SearchResults,
                                 merge_fragment_results, prepare_queries)
 from repro.blast.seqdb import AA, NT, SequenceDB, plan_fragments
-from repro.exec.shm import (_ALIGN, PackDB, PackIntegrityError, PackSpec,
-                            PackView, pack_layout, pack_spec)
+from repro.exec.shm import (_ALIGN, AttachedPack, PackDB, PackIntegrityError,
+                            PackSpec, PackView, pack_layout, pack_spec)
 
 #: File magic: 8 bytes, ASCII, format generation baked into the name.
 MAGIC = b"RPKPACK1"
@@ -95,8 +96,9 @@ MAGIC = b"RPKPACK1"
 #: there is exactly one readable version per build).  2: a pack has no
 #: position-table section; 3: no word-code section either; 4: the
 #: residue section (``residues``, was ``concat``) holds a nucleotide
-#: pack's residues at 2 bits each (:mod:`repro.exec.shm`).
-FORMAT_VERSION = 4
+#: pack's residues at 2 bits each (:mod:`repro.exec.shm`); 5: the
+#: global ids are a section (``source_ids``), not a header list.
+FORMAT_VERSION = 5
 
 #: Pack files end in this; the manifest names them relative to the
 #: store directory.
@@ -127,7 +129,7 @@ _CRASH_EXIT = 86
 _BUILD_ROOTS: Set[str] = set()
 
 #: Live DiskPack mappings in this process (id → path): the pool's
-#: cold start must publish-and-close, and ``ExecPool.close()`` must
+#: cold start must verify-and-close, and ``ExecPool.close()`` must
 #: leave this empty — the mmap-still-open regression check.
 _OPEN_PACKS: Dict[int, str] = {}
 
@@ -196,9 +198,9 @@ def write_pack(path: str, structs: ScanStructures,
     dict.
     """
     spec, arrays = pack_layout(
-        structs, descriptions, name=path,
+        structs, descriptions, source_ids, name=path,
         cache_token=(("rpk", store_id), int(version), int(fragment_id)),
-        seqtype=seqtype, fragment_id=fragment_id, source_ids=source_ids)
+        seqtype=seqtype, fragment_id=fragment_id)
     # Key order is part of the committed format: json.dumps keeps it
     # and the header CRC32 covers it.  _read_header is the inverse.
     header = {
@@ -211,7 +213,6 @@ def write_pack(path: str, structs: ScanStructures,
         "fragment_id": spec.fragment_id,
         "store_id": store_id,
         "version": int(version),
-        "source_ids": list(spec.source_ids),
         "sections": [[f, d, list(s), o] for f, d, s, o in spec.arrays],
         "data_size": spec.size,
         "checksums": [[f, c] for f, c in spec.checksums],
@@ -239,9 +240,10 @@ def write_pack(path: str, structs: ScanStructures,
     return header
 
 
-def _read_header(f, path: str) -> Tuple[PackSpec, int]:
+def _read_header(f, path: str) -> PackSpec:
     """Parse and validate preamble + header; returns the spec the
-    header records (named after *path*) and the data region's offset."""
+    header records, named after *path* and with the data region's
+    offset."""
     raw = f.read(_PREAMBLE_SIZE)
     if len(raw) < _PREAMBLE_SIZE:
         raise PackIntegrityError(
@@ -275,42 +277,28 @@ def _read_header(f, path: str) -> Tuple[PackSpec, int]:
         cache_token=(("rpk", header["store_id"]), header["version"],
                      header["fragment_id"]),
         seqtype=header["seqtype"], fragment_id=header["fragment_id"],
-        source_ids=header["source_ids"])
-    return spec, _align64(_PREAMBLE_SIZE + hlen)
+        offset=_align64(_PREAMBLE_SIZE + hlen))
+    return spec
 
 
-class DiskPack(PackView):
+class DiskPack(AttachedPack):
     """One pack file mapped read-only into this process.
 
     Opening verifies the preamble, the header CRC32 and every section's
     CRC32 against the header's table, so a corrupted file raises a
     typed :class:`~repro.exec.shm.PackIntegrityError` before any search
-    can see its bytes.  :attr:`spec` is the header decoded; the
-    reconstructed :attr:`structs` views are zero-copy into the mapping
-    and :attr:`data` is the raw data region for the pool's bulk copy
-    into shm (:func:`~repro.exec.shm.publish_pack_bytes`).
+    can see its bytes.  :attr:`spec` is the header decoded, and mapping
+    it is :class:`~repro.exec.shm.AttachedPack`'s — what a pool worker
+    handed that spec does; the reconstructed :attr:`structs` views are
+    zero-copy into the mapping and :attr:`data` is the raw data region.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._file = open(path, "rb")
-        self._mmap: Optional[mmap.mmap] = None
-        try:
-            spec, data_off = _read_header(self._file, path)
-            file_size = os.fstat(self._file.fileno()).st_size
-            if file_size < data_off + spec.size:
-                raise PackIntegrityError(
-                    f"pack {path!r}: truncated data region "
-                    f"({file_size} bytes on disk, header expects "
-                    f"{data_off + spec.size})")
-            self._mmap = mmap.mmap(self._file.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            super().__init__(spec, self._mmap, data_off)
-            _OPEN_PACKS[id(self)] = path
-            self.verify()
-        except BaseException:
-            self.close()
-            raise
+        with open(path, "rb") as f:
+            spec = _read_header(f, path)
+        super().__init__(spec)
+        _OPEN_PACKS[id(self)] = path
 
     @property
     def identity(self) -> tuple:
@@ -323,18 +311,9 @@ class DiskPack(PackView):
     def close(self) -> None:
         """Release the views and unmap.  A caller still holding
         exported views (e.g. a live :class:`~repro.exec.shm.PackDB`)
-        keeps the mapping alive until those die; the file descriptor is
-        closed either way."""
+        keeps the mapping alive until those die."""
         _OPEN_PACKS.pop(id(self), None)
-        if hasattr(self, "data"):
-            super().close()
-        if self._mmap is not None:
-            try:
-                self._mmap.close()
-                self._mmap = None
-            except BufferError:  # pragma: no cover - external live views
-                pass
-        self._file.close()
+        super().close()
 
     def __repr__(self) -> str:  # pragma: no cover
         s = self.spec
@@ -362,8 +341,8 @@ def corrupt_pack_file(path: str, field: Optional[str] = None) -> str:
             hlen = _PREAMBLE.unpack_from(mm)[3]
             mm[_PREAMBLE_SIZE + hlen // 2] ^= 0xFF
         else:
-            spec, data_off = _read_header(f, path)
-            with PackView(spec, mm, data_off) as view:
+            spec = _read_header(f, path)
+            with PackView(spec, mm, spec.offset) as view:
                 field = view.corrupt(field)
     return field
 
@@ -480,7 +459,7 @@ class PackStore:
         try:
             for pack in packs:
                 view = PackDB(pack)
-                for i, gid in enumerate(pack.spec.source_ids):
+                for i, gid in enumerate(pack.source_ids.tolist()):
                     records[gid] = (view.description(i),
                                     view.sequence(i).copy())
                 del view
@@ -816,7 +795,7 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
     if query_ids is None:
         query_ids = ["query"] * len(queries)
     by_pack: List[Dict[str, SearchResults]] = [{} for _ in queries]
-    ids_by_name: Dict[str, List[int]] = {}
+    ids_by_name: Dict[str, np.ndarray] = {}
     with profiled("search_store_batch", n_queries=len(queries)):
         prepared = prepare_queries(
             queries, scheme, params, is_protein=store.seqtype == AA,
@@ -829,7 +808,7 @@ def search_store_batch(queries: Sequence[np.ndarray], store: PackStore,
                 found = prepared.search(db)
                 for per_query, res in zip(by_pack, found):
                     per_query[db.name] = res
-                ids_by_name[db.name] = list(pack.spec.source_ids)
+                ids_by_name[db.name] = pack.source_ids.copy()
                 del db, found
         finally:
             for pack in packs:

@@ -43,9 +43,10 @@ remote node and on a local worker:
     reply; the next PONG no longer names the task, and the master
     writes the worker off as it would a silent one.
 ``corrupt_pack``
-    scribble into the shared segment before attaching it — the torn
-    or corrupted read that CRC verification must catch *before* any
-    hit is produced.
+    scribble into the pack's mapping before verifying it (a segment,
+    or a copy-on-write view of a store's file) or into the shipped
+    bytes before republishing them — the torn or corrupted read that
+    CRC verification must catch *before* any hit is produced.
 ``disconnect``
     leave the session at task receipt — the dropped TCP connection;
     the master sees EOF on a busy slot and requeues (to a mirror).  A

@@ -7,12 +7,13 @@ that shape: every worker is a :class:`NodeAgent` running one loop,
 :func:`serve_tasks`, over one framed connection, with one pack holder,
 :class:`TokenPacks`.  Only how the packs arrive differs.  A pool's
 local worker is an agent forked onto one end of a ``socketpair`` that
-``attach``-es the master's own shared-memory segments by name; a
-remote node (``repro-node`` / ``python -m repro.cli node``) listens on
-TCP and receives each pack **once** as bytes (``publish``, CRC-checked
-field by field), cached by content identity across sessions, so a
-master that reconnects sends a tiny ``adopt`` instead — the CEFT
-mirror's re-read, not a re-ship.
+``attach``-es each pack where the master found it — the master's own
+shared-memory segment by name, or a pack store's ``.rpk`` file by path
+and data offset; a remote node (``repro-node`` / ``python -m repro.cli
+node``) listens on TCP and receives each pack **once** as bytes
+(``publish``, CRC-checked field by field), cached by content identity
+across sessions, so a master that reconnects sends a tiny ``adopt``
+instead — the CEFT mirror's re-read, not a re-ship.
 
 The master side has the same shape: one surface, :class:`WorkerSlot`,
 that the pool's pump drives, and one implementation of it for a real
@@ -45,9 +46,8 @@ from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.net import (FrameConnection, FrameError, NodeConnectError,
                             backoff_delay, connect_backoff, parse_address)
 from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
-                            PackView, ShmRegistry, corrupt_segment,
-                            ensure_tracker, publish_pack_bytes,
-                            read_pack_bytes)
+                            PackView, ShmRegistry, ensure_tracker,
+                            publish_pack_bytes, read_pack_bytes)
 
 #: Wire protocol version: both ends state it in the hello handshake and
 #: refuse a peer stating another (3: a shipped pack has no position
@@ -57,8 +57,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
 #: agent holds; 9: a task carries its queries' job specs, so an agent
 #: keeps no query table, and ``stopped`` is ``("stopped", rank)``; 10:
 #: a shipped nucleotide pack's residue section, ``residues``, holds 2
-#: bits per residue).
-PROTO_VERSION = 10
+#: bits per residue; 11: a pack's global ids are its ``source_ids``
+#: section, and a spec carries the data region's ``offset``).
+PROTO_VERSION = 11
 
 #: Exit code of an injected ``kill`` fault (``os._exit``, i.e. SIGKILL
 #: semantics: no cleanup, no goodbye to the master).
@@ -107,9 +108,11 @@ class TokenPacks:
     ``cache_token``) so they outlive sessions, and addressed by tasks
     through the *master's* segment names, kept as aliases.
 
-    ``attach`` opens the master's own segment zero-copy by name (a
-    local agent); ``publish`` republishes shipped bytes in the agent's
-    shared memory (a remote one); ``adopt`` re-binds a name to an
+    ``attach`` maps the pack zero-copy where the master found it (a
+    local agent): the master's own segment by name, or a store's
+    ``.rpk`` file by path and data offset, CRC-verified either way;
+    ``publish`` republishes shipped bytes in the agent's shared memory
+    (a remote one); ``adopt`` re-binds a name to an
     identity already held (a returning master ships nothing);
     ``detach`` drops a name, and the pack with its last name — the
     segment unlinked only if this holder published it.  These are the
@@ -128,11 +131,6 @@ class TokenPacks:
                       "adopt": self._adopt, "detach": self._detach}
 
     @staticmethod
-    def _open(spec, verify: bool = True) -> tuple:
-        pack = AttachedPack(spec, verify=verify)
-        return pack, PackDB(pack)
-
-    @staticmethod
     def pack_name(msg) -> str:
         # Every pack verb carries the master's PackSpec or its name.
         return getattr(msg[1], "name", msg[1])
@@ -142,11 +140,21 @@ class TokenPacks:
 
     def _attach(self, msg, injector) -> None:
         spec = msg[1]
-        if injector is not None and \
-                injector.on_attach(spec.fragment_id) is not None:
-            corrupt_segment(spec)
+        torn = (injector is not None
+                and injector.on_attach(spec.fragment_id) is not None)
         if spec.cache_token not in self._store:
-            self._store[spec.cache_token] = self._open(spec)
+            # A torn pack: the fault scribbles this agent's mapping (a
+            # file's is copy-on-write, so the store stays intact) and
+            # the verify below must catch it.
+            pack = AttachedPack(spec, verify=False, writable=torn)
+            try:
+                if torn:
+                    pack.corrupt()
+                pack.verify()
+            except BaseException:
+                pack.close()
+                raise
+            self._store[spec.cache_token] = (pack, PackDB(pack))
         self._aliases[spec.name] = spec.cache_token
 
     def _publish(self, msg, injector) -> None:
@@ -162,7 +170,8 @@ class TokenPacks:
             # One mapping per pack, the attach below: pages mapped twice
             # are resident twice, as far as the tasks served reached.
             self._registry.unmap(local.name)
-            self._store[token] = self._open(local, verify=False)
+            pack = AttachedPack(local, verify=False)
+            self._store[token] = (pack, PackDB(pack))
         self._aliases[spec.name] = token
 
     def _adopt(self, msg, injector=None) -> None:

@@ -6,12 +6,14 @@ This is the real-execution twin of the simulated master/worker in
 actual cores instead of simulated nodes.  A persistent
 :class:`ExecPool` of worker *processes* (not threads — the scan kernel
 is numpy-heavy but the seeding/extension half is pure Python and GIL-
-bound) attaches each fragment's shared-memory pack once, then serves
-``(query, fragment)`` tasks handed out greedily by the master-side
-:class:`~repro.exec.schedule.GreedyScheduler`.  A local worker is a
-:class:`~repro.exec.nodes.NodeAgent` forked onto one end of a
-``socketpair``: the same agent, loop and framed connection as a remote
-node, its packs attached by shm name instead of shipped.  Queries
+bound) attaches each fragment's pack once — an in-RAM database's
+shared-memory segment, or a pack store's ``.rpk`` file itself — then
+serves ``(query, fragment)`` tasks handed out greedily by the
+master-side :class:`~repro.exec.schedule.GreedyScheduler`.  A local
+worker is a :class:`~repro.exec.nodes.NodeAgent` forked onto one end of
+a ``socketpair``: the same agent, loop and framed connection as a
+remote node, its packs attached by segment name or file path instead
+of shipped.  Queries
 stream through the same work queue, so a multi-query workload keeps
 every core busy across query boundaries.
 
@@ -32,8 +34,8 @@ serving" (the paper's dead-server and hot-spot experiments, Figs 7–9):
   worker, the direct analog of skipping a hot server and reading from
   the mirror group — first result wins, the loser's late duplicate is
   discarded by run-epoch tag;
-* every pack carries CRC32 checksums verified at publish and attach,
-  so a corrupted or torn segment raises a typed
+* every pack carries CRC32 checksums verified at publish, open and
+  attach, so a corrupted or torn pack raises a typed
   :class:`~repro.exec.shm.PackIntegrityError` before any hit is
   produced from it;
 * when the pool still cannot finish a job (retry budget exhausted,
@@ -52,7 +54,7 @@ Byte-identity with the serial engine is a hard invariant, not a
 goal: workers receive the master's Karlin–Altschul parameters and the
 *whole-database* effective search space (so per-fragment E-values and
 cutoff filtering match a serial run exactly), fragment-local subject
-ids map back through each pack's ``source_ids``, and the merge
+ids map back through each pack's ``source_ids`` section, and the merge
 pre-sorts hits by global subject id before the standard result sort —
 the same deterministic tie-break order a serial scan produces.
 """
@@ -85,8 +87,7 @@ from repro.exec.nodes import (NodeClient, SlotLost, WorkerSlot, _agent_main,
 from repro.exec.schedule import (GreedyScheduler, RetriesExceeded,
                                  plan_mirror_groups, plan_query_batches)
 from repro.exec.shm import (PackIntegrityError, PackSpec, ShmRegistry,
-                            default_registry, ensure_tracker, pack_fragment,
-                            publish_pack_bytes)
+                            default_registry, ensure_tracker, pack_fragment)
 
 #: Adaptive soft-deadline floor and multiplier: with no observed task
 #: times yet a task is hedge-eligible after this many seconds; once an
@@ -216,7 +217,7 @@ class _PreparedDB:
 
     key: tuple                       # (token, version, k, base, n_fragments)
     specs: List[PackSpec]
-    ids_by_name: Dict[str, List[int]]
+    ids_by_name: Dict[str, Sequence[int]]
     #: CEFT-style mirror placement (empty without nodes): pack name →
     #: the node ranks holding it, primary first.
     placement: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
@@ -253,8 +254,9 @@ class _LocalSlot(NodeClient):
     ``socketpair``.  Hello, heartbeat, receive and goodbye are
     :class:`~repro.exec.nodes.NodeClient`'s; what differs is where the
     socket comes from (a fork, not a dial), that the agent attaches
-    every prepared pack by shm name (no bytes cross the socket), and
-    that the process is the pool's to signal, join and replace."""
+    every prepared pack by segment name or file path (no bytes cross
+    the socket), and that the process is the pool's to signal, join and
+    replace."""
 
     def __init__(self, pool: "ExecPool", rank: int):
         super().__init__(("local", rank), rank, heartbeat=pool._heartbeat,
@@ -353,7 +355,8 @@ class ExecPool:
             results = pool.search(query, db, scheme, params)
 
     The pool prepares a database once (greedy fragment plan, one
-    shared-memory pack per fragment, attach broadcast), then any number
+    shared-memory pack per fragment — or a store's verified pack files
+    — and an attach broadcast), then any number
     of searches against it reuse the packs — the warm path a query
     stream lives on.  A task has one shape: one pack for one query
     batch (at most 32 queries, scanned in one pass by
@@ -582,21 +585,28 @@ class ExecPool:
         self._drop_stale(token, version)
         # The fragment count is part of the identity: fragment 0 of a
         # 3-way split is not fragment 0 of a 9-way one.
+        subs = segment_db(db, nf)
         specs = [pack_fragment(sub, k, base, registry=self._registry,
                                cache_token=(token, version, nf,
                                             sub.fragment_id))
-                 for sub in segment_db(db, nf)]
-        return self._install_prepared(key, specs)
+                 for sub in subs]
+        return self._install_prepared(key, specs,
+                                      [sub.source_ids for sub in subs])
 
     def _prepare_from_store(self, store, base: int) -> _PreparedDB:
-        """Cold start from an on-disk pack store: mmap each committed
-        pack, bulk-copy its data region into a fresh shm segment (one
-        memcpy per fragment — no scan structures are rebuilt), verify
-        CRCs from the segment, and drop the mappings immediately.  The
-        packs keep their own ``(("rpk", store_id), version,
-        fragment_id)`` identities, so stale-version invalidation
-        behaves exactly as for in-RAM databases, and serve every word
-        size (nothing in a pack depends on it)."""
+        """Cold start from an on-disk pack store: map and CRC-verify
+        every committed pack (``open_packs``, so a damaged store fails
+        before any task), keep its spec — the file's path and data
+        offset — and a copy of its ``source_ids`` section, and close the
+        mappings at once (verify-and-close: the master holds no mmap or
+        store fd after this).  Nothing is copied into shared memory:
+        each local agent maps the files itself and verifies its mapping
+        (:class:`~repro.exec.nodes.TokenPacks`), and a node is shipped
+        the bytes read from the file.  The packs keep their own
+        ``(("rpk", store_id), version, fragment_id)`` identities, so
+        stale-version invalidation behaves exactly as for in-RAM
+        databases, and serve every word size (nothing in a pack depends
+        on it)."""
         if base != store.base:
             raise ValueError(
                 f"pack store {store.directory!r} was built over base "
@@ -607,38 +617,33 @@ class ExecPool:
         prep = self._prepared.get(key)
         if prep is not None:
             return prep
-        self._drop_stale(token, version)
-        specs: List[PackSpec] = []
         packs = store.open_packs()
         try:
-            for pack in packs:
-                specs.append(publish_pack_bytes(pack.data, pack.spec,
-                                                registry=self._registry))
-        except BaseException:
-            for spec in specs:
-                self._registry.release(spec.name)
-            raise
+            specs = [pack.spec for pack in packs]
+            ids = [pack.source_ids.copy() for pack in packs]
         finally:
-            # Publish-and-close: after this point the pool serves from
-            # shm only; no mmap or store fd survives (ExecPool.close()
-            # therefore has nothing disk-side to leak).
             for pack in packs:
                 pack.close()
-        return self._install_prepared(key, specs)
+        self._drop_stale(token, version, {spec.name for spec in specs})
+        return self._install_prepared(key, specs, ids)
 
-    def _drop_stale(self, token, version) -> None:
+    def _drop_stale(self, token, version, paths=frozenset()) -> None:
         """The registry is keyed by token+version: a mutated database
-        invalidates every pack built from its previous version."""
-        stale = [kk for kk in self._prepared
-                 if kk[0] == token and kk[1] != version]
+        invalidates every pack built from its previous version.  A
+        store's packs are named by their file *paths*, and a store
+        rebuilt in place reuses them, so a prepared set naming any of
+        them is stale too."""
+        stale = [kk for kk, prep in self._prepared.items()
+                 if (kk[0] == token and kk[1] != version)
+                 or any(s.name in paths for s in prep.specs)]
         for kk in stale:
             self._release_prepared(self._prepared.pop(kk))
 
-    def _install_prepared(self, key: tuple,
-                          specs: List[PackSpec]) -> _PreparedDB:
+    def _install_prepared(self, key: tuple, specs: List[PackSpec],
+                          ids: List[Sequence[int]]) -> _PreparedDB:
         prep = _PreparedDB(key=key, specs=specs,
-                           ids_by_name={s.name: list(s.source_ids)
-                                        for s in specs})
+                           ids_by_name={s.name: i
+                                        for s, i in zip(specs, ids)})
         if specs and self.node_addresses:
             # CEFT-style mirror placement over the configured node
             # ranks (dead ones included: they may reconnect, and their

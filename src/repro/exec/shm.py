@@ -1,14 +1,19 @@
-"""Shared-memory fragment packs.
+"""Fragment packs in shared memory, and the one way to map a pack.
 
 A fragment's packed scan structures (its residue section and the
 per-sequence offsets tables — see :mod:`repro.blast.scankernel`) are
 immutable once built, which makes them ideal for
-``multiprocessing.shared_memory``: the master packs each
+``multiprocessing.shared_memory``: the master packs each in-RAM
 fragment **once**, and every pool worker attaches the segment and
 reconstructs zero-copy ``numpy`` views over it.  The description
-strings ride along in the same segment (a UTF-8 blob plus an offsets
-table), so a worker needs nothing but the :class:`PackSpec` — a small
-picklable descriptor — to serve searches against the fragment.
+strings and the global ids ride along in the same segment, so a worker
+needs nothing but the :class:`PackSpec` — a small picklable descriptor
+whose size does not grow with the pack — to serve searches against the
+fragment.  A pack store's ``.rpk`` file holds the same bytes after its
+header (:mod:`repro.exec.diskpack`), so a spec naming a file path and
+the data region's offset is attached the same way: mapped read-only
+from the file, nothing copied into shared memory
+(:class:`AttachedPack`, which CRC-verifies either carrier).
 
 Lifetime discipline (the same orphan-cleanup lesson PR 1 applied to
 simulated I/O processes):
@@ -40,12 +45,15 @@ A pack's sections (:data:`_FIELDS`, the same on every carrier):
 * ``starts`` / ``lengths`` — int64 per sequence: where it starts among
   the flat positions and how many it holds;
 * ``hdr_blob`` / ``hdr_offsets`` — the descriptions, UTF-8 back to back,
-  and int64 offsets into them.
+  and int64 offsets into them;
+* ``source_ids`` — int64 per sequence: its ordinal in the whole
+  database, what the merge relabels a fragment's hits with.
 """
 
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import secrets
 import zlib
@@ -66,10 +74,11 @@ _ALIGN = 64
 #: anonymous default, which we never use on purpose).
 NAME_PREFIX = "repro"
 
-#: The ScanStructures array fields serialized into a pack, in layout
-#: order (module docstring).  ``hdr_blob``/``hdr_offsets`` carry the
-#: description strings.
-_FIELDS = ("residues", "starts", "lengths", "hdr_blob", "hdr_offsets")
+#: The sections serialized into a pack, in layout order (module
+#: docstring): the ScanStructures arrays, the description strings
+#: (``hdr_blob``/``hdr_offsets``) and the global ids.
+_FIELDS = ("residues", "starts", "lengths", "hdr_blob", "hdr_offsets",
+           "source_ids")
 #: Bytes :meth:`PackView.corrupt` flips.
 _CORRUPT_BYTES = 8
 
@@ -107,8 +116,12 @@ class PackSpec:
     payload shipped to a node hold the same bytes (:func:`pack_layout`)
     under this one description: a local worker is sent it alone, a node
     beside the payload, and the ``.rpk`` header is its JSON form.  Only
-    ``name`` (segment name or file path) and ``cache_token`` say where
-    a pack lives.  Built by :func:`pack_spec`, read by :class:`PackView`.
+    ``name`` (segment name or file path), ``offset`` and
+    ``cache_token`` say where a pack lives: ``offset`` is where the
+    data region starts in what ``name`` names — 0 in a segment, past
+    the header in an ``.rpk`` file, which is how :class:`AttachedPack`
+    tells the two apart.  Built by :func:`pack_spec`, read by
+    :class:`PackView`.
 
     ``cache_token`` is the pack's ScanCache identity, minted from the
     parent database's existing token+version scheme as
@@ -125,18 +138,25 @@ class PackSpec:
     base: int
     n_sequences: int
     total_residues: int
-    source_ids: Tuple[int, ...]   # parent ordinal of each local sequence
     arrays: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
     size: int
     #: CRC32 per serialized field, of the source arrays; a publish
     #: re-checks them from the segment's own bytes (a torn write fails
     #: at once) and every open re-verifies, a missing CRC failing it.
     checksums: Tuple[Tuple[str, int], ...]
+    offset: int = 0               # data region's start in ``name``
+
+    @property
+    def source_ids(self) -> np.ndarray:
+        """A copy of the pack's ``source_ids`` section, read from the
+        carrier the spec names."""
+        with AttachedPack(self, verify=False) as pack:
+            return pack.source_ids.copy()
 
 
 def pack_spec(dims: Mapping, layout, size: int, checksums, *, name: str,
               cache_token: tuple, seqtype: str, fragment_id: Optional[int],
-              source_ids: Sequence[int]) -> PackSpec:
+              offset: int = 0) -> PackSpec:
     """Build a pack's descriptor — the only place one is made.
 
     *dims* maps ``k`` / ``base`` / ``n_sequences`` / ``total_residues``:
@@ -151,10 +171,10 @@ def pack_spec(dims: Mapping, layout, size: int, checksums, *, name: str,
         k=int(dims["k"]), base=int(dims["base"]),
         n_sequences=int(dims["n_sequences"]),
         total_residues=int(dims["total_residues"]),
-        source_ids=tuple(int(i) for i in source_ids),
         arrays=tuple((f, d, tuple(s), int(o)) for f, d, s, o in layout),
         size=int(size),
-        checksums=tuple((f, int(c)) for f, c in checksums))
+        checksums=tuple((f, int(c)) for f, c in checksums),
+        offset=int(offset))
 
 
 def _segment_name(fragment_id: Optional[int]) -> str:
@@ -287,19 +307,22 @@ def default_registry() -> ShmRegistry:
 
 # ----------------------------------------------------------------------
 def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
+                source_ids: Sequence[int],
                 **where) -> Tuple[PackSpec, Dict[str, np.ndarray]]:
     """Lay *structs* out as a pack: the canonical byte layout.
 
-    Returns the pack's :class:`PackSpec` (*where* is :func:`pack_spec`'s
-    keywords) and the contiguous source arrays by field name.  The
-    spec's section table puts every field at an offset rounded up to
-    :data:`_ALIGN`; its checksums are the **source** arrays' CRC32s, so
-    whoever copies the arrays somewhere proves the copy by
-    re-checksumming it against the spec.  This single function defines
-    the layout for shared-memory segments (:func:`create_pack`), on-disk
-    packs (:mod:`repro.exec.diskpack`) and shipped payloads alike, which
-    is what lets a pack file be bulk-copied into a segment without
-    re-encoding.
+    *descriptions* and *source_ids* are the sequences' description
+    strings and their ordinals in the whole database.  Returns the
+    pack's :class:`PackSpec` (*where* is :func:`pack_spec`'s keywords)
+    and the contiguous source arrays by field name.  The spec's section
+    table puts every field at an offset rounded up to :data:`_ALIGN`;
+    its checksums are the **source** arrays' CRC32s, so whoever copies
+    the arrays somewhere proves the copy by re-checksumming it against
+    the spec.  This single function defines the layout for shared-memory
+    segments (:func:`create_pack`), on-disk packs
+    (:mod:`repro.exec.diskpack`) and shipped payloads alike, which is
+    what lets a pool worker map a pack file where a segment would be,
+    and a node republish shipped bytes, without re-encoding.
     """
     hdr_parts = [d.encode() for d in descriptions]
     hdr_offsets = np.zeros(len(hdr_parts) + 1, dtype=np.int64)
@@ -311,6 +334,7 @@ def pack_layout(structs: ScanStructures, descriptions: Sequence[str],
         "residues": structs.residues, "starts": structs.starts,
         "lengths": structs.lengths,
         "hdr_blob": hdr_blob, "hdr_offsets": hdr_offsets,
+        "source_ids": np.asarray(source_ids, dtype=np.int64),
     }
     layout, checksums = [], []
     offset = 0
@@ -343,6 +367,7 @@ class PackView:
         self._views: Optional[Dict[str, np.ndarray]] = views
         self.hdr_blob: np.ndarray = views["hdr_blob"]
         self.hdr_offsets: np.ndarray = views["hdr_offsets"]
+        self.source_ids: np.ndarray = views["source_ids"]
         self.structs = ScanStructures(
             k=spec.k, base=spec.base, n_sequences=spec.n_sequences,
             total_residues=spec.total_residues, residues=views["residues"],
@@ -379,7 +404,8 @@ class PackView:
     def close(self) -> None:
         """Drop the views and the data region (idempotent).  Whoever
         opened the buffer closes it after this."""
-        self.structs = self.hdr_blob = self.hdr_offsets = self._views = None
+        self.structs = self.hdr_blob = self.hdr_offsets = None
+        self.source_ids = self._views = None
         self.data.release()
 
     def __enter__(self):
@@ -395,7 +421,7 @@ def _publish(spec: PackSpec, source,
     field arrays by name: one copy per field; or the data region as one
     buffer: one bulk copy), re-checksum it from the segment's own bytes,
     register it for unlink and return the spec under its new name."""
-    spec = replace(spec, name=_segment_name(spec.fragment_id))
+    spec = replace(spec, name=_segment_name(spec.fragment_id), offset=0)
     shm = _shm.SharedMemory(name=spec.name, create=True,
                             size=max(spec.size, 1))
     try:
@@ -429,9 +455,10 @@ def create_pack(structs: ScanStructures, descriptions: Sequence[str],
     one).
     """
     spec, arrays = pack_layout(
-        structs, descriptions, name="", cache_token=cache_token,
-        seqtype=seqtype, fragment_id=fragment_id,
-        source_ids=source_ids or range(structs.n_sequences))
+        structs, descriptions,
+        range(structs.n_sequences) if source_ids is None else source_ids,
+        name="", cache_token=cache_token, seqtype=seqtype,
+        fragment_id=fragment_id)
     return _publish(spec, arrays, registry)
 
 
@@ -451,15 +478,12 @@ def publish_pack_bytes(data, spec: PackSpec, *,
                        registry: Optional[ShmRegistry] = None) -> PackSpec:
     """Publish an already-encoded pack data region into shared memory.
 
-    *data* is the raw byte region *spec* describes, wherever it came
-    from — a ``memoryview`` over a mmapped on-disk pack
-    (:class:`repro.exec.diskpack.DiskPack`) or a payload a node
+    *data* is the raw byte region *spec* describes: the payload a node
     received.  The bytes are bulk-copied into a fresh segment (one
     memcpy, no re-encoding) and every field is re-checksummed from the
     segment itself against the spec's CRC32s, so a torn copy or a
     corrupted source fails with :class:`PackIntegrityError` before any
-    worker can attach; returns *spec* under the segment's name.  This is
-    the pool's cold-start path: disk → shm, no scan structure rebuilt.
+    task can read it; returns *spec* under the segment's name.
     """
     if len(data) != spec.size:
         raise PackIntegrityError(f"pack data region is {len(data)} bytes, "
@@ -468,14 +492,14 @@ def publish_pack_bytes(data, spec: PackSpec, *,
 
 
 def read_pack_bytes(spec: PackSpec) -> bytes:
-    """Copy a published pack's whole data region out of shared memory.
+    """Copy a pack's whole data region out of its carrier: a segment,
+    or the ``.rpk`` file a store's spec names.
 
     This is the master-side half of pack *shipping*: the bytes follow
-    the canonical :func:`pack_layout` (the same region an on-disk
-    ``.rpk`` pack carries), so a remote node can republish them through
-    :func:`publish_pack_bytes` — which re-verifies every per-field
-    CRC32 from its own fresh segment, catching corruption introduced
-    anywhere along the copy → frame → copy chain.
+    the canonical :func:`pack_layout`, so a remote node can republish
+    them through :func:`publish_pack_bytes` — which re-verifies every
+    per-field CRC32 from its own fresh segment, catching corruption
+    introduced anywhere along the read → frame → copy chain.
     """
     with AttachedPack(spec, verify=False) as pack:
         return bytes(pack.data)
@@ -571,19 +595,44 @@ class ResultArena:
             pass
 
 
+def _map_file(path: str, end: int, writable: bool) -> mmap.mmap:
+    """Map the pack file *path*, which must hold at least *end* bytes:
+    read-only, or copy-on-write when *writable* (the file is never
+    written either way)."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < end:
+            raise PackIntegrityError(
+                f"pack {path!r}: truncated data region ({size} bytes on "
+                f"disk, header expects {end})")
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY
+                         if writable else mmap.ACCESS_READ)
+
+
 class AttachedPack(PackView):
     """A pack mapped into this process: zero-copy views, no ownership.
 
-    Attach verifies the segment against the spec's recorded CRC32s by
-    default (*verify=False* skips it, e.g. for hot re-attach of a
-    segment this process just published), so a corrupted or torn
-    mapping raises :class:`PackIntegrityError` before a single hit can
-    be computed from it.
+    A spec whose ``offset`` is 0 names a shared-memory segment, opened
+    by name; any other names an ``.rpk`` file, mapped by path and read
+    from that offset on (*writable* maps it copy-on-write, so a fault
+    hook can scribble this process's view and never the store).
+    Attach verifies the mapping against the spec's recorded CRC32s by
+    default (*verify=False* skips it, e.g. for a copy of bytes verified
+    on the way in), so a corrupted or torn mapping raises
+    :class:`PackIntegrityError` before a single hit can be computed
+    from it.
     """
 
-    def __init__(self, spec: PackSpec, verify: bool = True):
-        self._shm = _shm.SharedMemory(name=spec.name)
-        super().__init__(spec, self._shm.buf)
+    def __init__(self, spec: PackSpec, verify: bool = True,
+                 writable: bool = False):
+        self._shm = self._mmap = None
+        if spec.offset:
+            self._mmap = _map_file(spec.name, spec.offset + spec.size,
+                                   writable)
+            super().__init__(spec, self._mmap, spec.offset)
+        else:
+            self._shm = _shm.SharedMemory(name=spec.name)
+            super().__init__(spec, self._shm.buf)
         if verify:
             try:
                 self.verify()
@@ -597,7 +646,10 @@ class AttachedPack(PackView):
         process exit, which is where teardown calls this anyway."""
         super().close()
         try:
-            self._shm.close()
+            if self._shm is not None:
+                self._shm.close()
+            elif self._mmap is not None:
+                self._mmap.close()
         except BufferError:
             pass
 
@@ -620,7 +672,7 @@ class PackDB:
         self.seqtype = spec.seqtype
         self.name = spec.name
         self.fragment_id = spec.fragment_id
-        self.source_ids = list(spec.source_ids)
+        self.source_ids = pack.source_ids
         # The pack's token is the whole identity: two packs can never
         # alias under it.
         self._scan_token = spec.cache_token

@@ -46,7 +46,7 @@ from repro.exec import diskpack
 from repro.exec.nodes import TokenPacks
 from repro.exec.shm import (_FIELDS, AttachedPack, PackDB, PackIntegrityError,
                             PackView, ShmRegistry, corrupt_segment,
-                            create_pack, read_pack_bytes)
+                            create_pack, own_segments, read_pack_bytes)
 
 NT_LETTERS = np.array(list("ACGT"))
 AA_LETTERS = np.array(list("ARNDCQEGHILKMFPSTWYV"))
@@ -482,7 +482,7 @@ def _golden_records():
 def test_golden_store_opens_verifies_and_searches():
     """``tests/data/golden_store`` was written by ``build_pack_store``
     (from ``golden.fasta``) at the commit that made the format version
-    4; it must open, verify, report the identity recorded then and
+    5; it must open, verify, report the identity recorded then and
     render the search bytes recorded for the version-1 store."""
     with open(os.path.join(GOLDEN, "golden_store.expected.json")) as f:
         expected = json.load(f)
@@ -570,6 +570,14 @@ def test_version_3_golden_store_is_refused_before_any_search(capsys,
         os.path.join(GOLDEN, "golden_store_v3"), 3, capsys, tmp_path)
 
 
+def test_version_4_golden_store_is_refused_before_any_search(capsys,
+                                                              tmp_path):
+    """The store whose header lists every sequence's global id, kept
+    from the commit before format 5, gets the same refusal."""
+    _assert_refused_before_any_search(
+        os.path.join(GOLDEN, "golden_store_v4"), 4, capsys, tmp_path)
+
+
 # ----------------------------------------------------------------------
 # One pack on three carriers: shm, disk, wire — same bytes, one spec
 # ----------------------------------------------------------------------
@@ -611,9 +619,10 @@ def test_disk_layout_matches_shm_layout(case):
     """The whole point of the format: a shm segment, a pack file's data
     region and the bytes a node receives are the same bytes under the
     same descriptor — same sections, offsets and CRCs, only ``name`` /
-    ``cache_token`` say where the pack lives — so cold start and
-    shipping are one memcpy, no re-encode; and the one corruption
-    locator damages checksummed payload on every carrier."""
+    ``offset`` / ``cache_token`` say where the pack lives — so a store
+    is mapped as it lies and shipping is one memcpy, no re-encode; and
+    the one corruption locator damages checksummed payload on every
+    carrier."""
     seqtype, records = case
     k, base = (11, len(DNA)) if seqtype == NT else (3, len(PROTEIN))
     db = SequenceDB(seqtype)
@@ -623,7 +632,7 @@ def test_disk_layout_matches_shm_layout(case):
     descriptions = [d for d, _s in records]
 
     def portable(spec):
-        return dataclasses.replace(spec, name="", cache_token=())
+        return dataclasses.replace(spec, name="", cache_token=(), offset=0)
 
     registry = ShmRegistry()
     holder, faulty = TokenPacks("prop"), TokenPacks("prop-faulty")
@@ -826,7 +835,99 @@ def test_pool_cold_start_matches_serial(tmp_path):
             ser = search(q, db, scheme, params, query_id=f"q{qi}")
             assert dump(par) == dump(ser)
         assert open_pack_count() == 0, \
-            "cold start must close every mapping after the shm copy"
+            "cold start must close every mapping once it is verified"
+
+
+def test_store_backed_pool_publishes_no_segment(tmp_path):
+    """Local agents map the store's files where they lie: while a
+    store-backed pool is open after a search, this process tree holds
+    no shared-memory pack, and the agents hold the files mapped."""
+    rng = np.random.default_rng(44)
+    db = random_nt_db(rng, 16)
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
+                             n_fragments=3)
+    q = db.sequence(5)[:100].copy()
+    params = SearchParams(word_size=11)
+    with ExecPool(jobs=2) as pool:
+        got = pool.search(q, store, NucleotideScore(), params, query_id="q")
+        assert own_segments() == []
+        for pid in pool.worker_pids().values():
+            with open(f"/proc/{pid}/maps") as maps:
+                mapped = maps.read()
+            assert all(store.pack_path(e) in mapped for e in store.packs)
+    want = search(q, db, NucleotideScore(), params, query_id="q")
+    assert dump(got) == dump(want)
+
+
+def test_pack_corrupted_between_open_and_map_is_refused(tmp_path):
+    """The master verifies every pack before its first task, and each
+    agent verifies its own mapping: a file damaged after the master's
+    open and before the agents map it fails the run with a typed
+    integrity error, and no result comes back."""
+    rng = np.random.default_rng(45)
+    db = random_nt_db(rng, 12)
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
+                             n_fragments=3)
+    q = db.sequence(2)[:90].copy()
+    with ExecPool(jobs=2) as pool:
+        install = pool._install_prepared
+
+        def damage_then_install(key, specs, ids):
+            corrupt_pack_file(specs[1].name, "residues")
+            return install(key, specs, ids)
+
+        pool._install_prepared = damage_then_install
+        with pytest.raises(PackIntegrityError, match="residues"):
+            pool.search(q, store, NucleotideScore(),
+                        SearchParams(word_size=11))
+    assert open_pack_count() == 0
+
+
+def test_torn_mapping_fault_leaves_the_store_intact(tmp_path):
+    """The ``corrupt_pack`` fault scribbles an agent's own copy-on-write
+    view of a store file: the run fails typed, and the store on disk
+    still verifies and serves."""
+    from repro.exec.faults import Fault, FaultPlan
+
+    rng = np.random.default_rng(46)
+    db = random_nt_db(rng, 12)
+    store = build_pack_store(db, str(tmp_path / "store"), seqtype=NT,
+                             n_fragments=2)
+    q = db.sequence(4)[:90].copy()
+    params = SearchParams(word_size=11)
+    plan = FaultPlan(faults=(Fault(kind="corrupt_pack", fragment=1),))
+    with ExecPool(jobs=2, fault_plan=plan) as pool:
+        with pytest.raises(PackIntegrityError):
+            pool.search(q, store, NucleotideScore(), params)
+    assert store.verify() == 2
+    assert dump(search_store(q, store, NucleotideScore(), params)) == \
+        dump(search(q, db, NucleotideScore(), params))
+
+
+def test_store_rebuilt_between_searches_is_mapped_again(tmp_path):
+    """A store rebuilt in place reuses its pack files' paths, which name
+    the packs on the agents: the second search maps the new files and
+    serves their records, and the replaced store's handle is refused,
+    never answered from the new bytes."""
+    rng = np.random.default_rng(47)
+    first, second = random_nt_db(rng, 14), random_nt_db(rng, 14)
+    directory = str(tmp_path / "store")
+    params = SearchParams(word_size=11)
+    scheme = NucleotideScore()
+    q = second.sequence(6)[:100].copy()
+    with ExecPool(jobs=2) as pool:
+        old = build_pack_store(first, directory, seqtype=NT, n_fragments=3)
+        assert dump(pool.search(q, old, scheme, params)) == \
+            dump(search(q, first, scheme, params))
+        new = build_pack_store(second, directory, seqtype=NT, n_fragments=3)
+        assert new._scan_token != old._scan_token
+        got = pool.search(q, new, scheme, params)
+        assert got.hits
+        assert dump(got) == dump(search(q, second, scheme, params))
+        assert len(pool._prepared) == 1
+        with pytest.raises(PackIntegrityError, match="identity"):
+            pool.search(q, old, scheme, params)
+        assert dump(pool.search(q, new, scheme, params)) == dump(got)
 
 
 def test_degraded_pool_opens_each_pack_once_for_the_batch(tmp_path,

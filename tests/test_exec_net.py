@@ -419,7 +419,7 @@ def test_agent_refuses_a_master_speaking_another_protocol(hello):
     versions and the session ends, the task sent behind it never served
     — and the agent keeps accepting: the next master, speaking this
     version, is served."""
-    assert PROTO_VERSION == 10  # 9 shipped one byte per nucleotide
+    assert PROTO_VERSION == 11  # 10 carried the global ids in every spec
     agent = NodeAgent("127.0.0.1", 0, node_id="versioned")
     server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 2},
                               daemon=True)

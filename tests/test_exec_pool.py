@@ -638,9 +638,11 @@ def test_worker_main_reports_attach_failure():
 
 
 def test_pool_cold_start_leaves_no_mmap_open(tmp_path):
-    """The cold-start path mmaps each pack only long enough to memcpy it
-    into shm: no disk mapping may survive _prepare, and ExecPool.close()
-    must not be holding pack-file descriptors either."""
+    """The cold-start path maps each pack on the master only long enough
+    to verify it and copy its ids (the agents map the files
+    themselves): no disk mapping may survive _prepare in the master,
+    and ExecPool.close() must not be holding pack-file descriptors
+    either."""
     from repro.exec.diskpack import build_pack_store, open_pack_count
 
     rng = np.random.default_rng(21)

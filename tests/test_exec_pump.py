@@ -511,10 +511,11 @@ def test_last_mirror_lost_fails_the_run_into_the_serial_fallback(
         db.add(f"s{i}", "".join(rng.choice(list("ACGT"), 200)))
     queries = [db.sequence(2)[20:140]]
     scheme = NucleotideScore()
-    specs = [SimpleNamespace(name=f"f{i}", total_residues=600,
-                             source_ids=[3 * i, 3 * i + 1, 3 * i + 2])
+    specs = [SimpleNamespace(name=f"f{i}", total_residues=600)
              for i in range(2)]
-    prep = pool._install_prepared(("scripted",), specs)
+    prep = pool._install_prepared(("scripted",), specs,
+                                  [[3 * i, 3 * i + 1, 3 * i + 2]
+                                   for i in range(2)])
     assert prep.placement == {"f0": (0,), "f1": (1,)}
     pool._prepare = lambda *args: prep
     try:

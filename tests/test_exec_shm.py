@@ -77,7 +77,7 @@ def test_pack_roundtrip_preserves_structures_and_headers():
                                             (random_aa_db, 3, 20)])
 def test_a_pack_holds_nothing_derived_per_residue(make_db, k, base):
     """The invariant, not the number: a pack is the residues, the
-    sentinels between them, three 8-byte entries per sequence (+ 1),
+    sentinels between them, four 8-byte entries per sequence (+ 1),
     the descriptions, and padding — so an array derived per residue
     (word codes, window positions) cannot come back unnoticed."""
     db = make_db(np.random.default_rng(21), 40)
@@ -87,7 +87,7 @@ def test_a_pack_holds_nothing_derived_per_residue(make_db, k, base):
         cache_token=(), seqtype=db.seqtype, fragment_id=0,
         source_ids=range(len(db)))
     assert spec.size <= (db.total_residues + len(db) - 1
-                         + 8 * (3 * len(db) + 1)
+                         + 8 * (4 * len(db) + 1)
                          + sum(len(d.encode()) for d in descriptions)
                          + len(_FIELDS) * (_ALIGN - 1))
 
@@ -148,7 +148,7 @@ def test_pack_fragment_records_source_ids():
     spec = pack_fragment(sub, 11, 4, cache_token=("t", 0, 5),
                          registry=registry)
     try:
-        assert spec.source_ids == (7, 2, 9)
+        assert spec.source_ids.tolist() == [7, 2, 9]
         assert spec.fragment_id == 5
         assert spec.n_sequences == 3
     finally:

@@ -129,6 +129,9 @@ ALLOWLIST: Dict[str, str] = {
     "repro.exec.diskpack.build_roots": _TEST_HOOK,
     "repro.exec.diskpack.corrupt_pack_file": _TEST_HOOK,
     "repro.exec.diskpack.open_pack_count": _TEST_HOOK,
+    "repro.exec.shm.corrupt_segment": "fault hook: tests/test_exec_shm.py "
+    "and tests/test_diskpack.py tear a published segment through it; an "
+    "agent's corrupt_pack fault scribbles its own mapping instead",
     # -- the simulator --------------------------------------------------
     "repro.cluster.cpu.CPU.drain_errors": _AUDIT,
     "repro.cluster.cpu.CPU.invariant_errors": _AUDIT,
@@ -245,7 +248,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.exec.schedule.plan_task_ranges(granularity)": _PLANNER,
     "repro.exec.schedule.plan_task_ranges(overhead_s)": _PLANNER,
     "repro.exec.schedule.plan_task_ranges(scan_rate)": _PLANNER,
-    "repro.exec.shm.corrupt_segment(field)": "fault hook: "
+    "repro.exec.shm.PackView.corrupt(field)": "fault hook: "
     "tests/test_exec_shm.py tears a named section to see the CRC name it",
     "repro.fs.ceft.CEFT(tracer)": _TRACER,
     "repro.fs.localfs.LocalFS(tracer)": _TRACER,
